@@ -103,6 +103,10 @@ func run(addr, dsn string, demo int, cfg server.Config, grace time.Duration, rea
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Before anyone is told the server is up: a SIGTERM that arrives
+	// first would otherwise kill the process instead of draining it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	log.Printf("ghostdb-server listening on http://%s (max-inflight %d)", ln.Addr(), cfg.MaxInflight)
@@ -110,8 +114,6 @@ func run(addr, dsn string, demo int, cfg server.Config, grace time.Duration, rea
 		ready <- ln.Addr().String()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return fmt.Errorf("serve: %w", err)

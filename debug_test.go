@@ -41,7 +41,9 @@ INSERT INTO Visit VALUES
 // checks both exposition formats against a live engine.
 func TestServeDebug(t *testing.T) {
 	db := openDebugDB(t)
-	if _, err := db.Query(`SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = 'Sclerosis'`); err != nil {
+	// One hidden and one visible predicate: the visible one is answered
+	// from the public store's column index.
+	if _, err := db.Query(`SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = 'Sclerosis' AND Vis.Date > DATE '2006-06-01'`); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,6 +94,12 @@ func TestServeDebug(t *testing.T) {
 	if _, ok := doc.Metrics["query_wall_ns"]; !ok {
 		t.Fatalf("metrics lack query_wall_ns:\n%s", body)
 	}
+	if got := string(doc.Metrics["visible_selects_indexed_total"]); got == "" || got == "0" {
+		t.Fatalf("visible_selects_indexed_total = %q, want the Date predicate counted", got)
+	}
+	if got := string(doc.Metrics["visible_selects_scanned_total"]); got != "0" {
+		t.Fatalf("visible_selects_scanned_total = %q, want 0", got)
+	}
 
 	prom, ctype := get("/metrics")
 	if !strings.Contains(ctype, "text/plain") {
@@ -102,6 +110,8 @@ func TestServeDebug(t *testing.T) {
 		"ghostdb_queries_total 1",
 		"# TYPE ghostdb_query_wall_ns histogram",
 		"ghostdb_query_wall_ns_bucket{le=\"+Inf\"} 1",
+		"# TYPE ghostdb_visible_selects_indexed_total counter",
+		"ghostdb_visible_selects_scanned_total 0",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, prom)

@@ -21,6 +21,7 @@ package climbing
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -185,7 +186,7 @@ func climbOnce(list []uint32, inv [][]uint32) []uint32 {
 			out = append(out, inv[id-1]...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -179,17 +179,34 @@ func (db *DB) visSelections(q *plan.Query) ([][]uint32, error) {
 		if p.Hidden() {
 			continue
 		}
-		vt, ok := db.vis.Table(p.Col.Table)
-		if !ok {
-			return nil, fmt.Errorf("core: no visible table %s", p.Col.Table)
-		}
-		ids, err := vt.Select(p.Col.Column, p.P)
+		ids, err := db.visSelect(p)
 		if err != nil {
 			return nil, err
 		}
 		visSel[i] = ids
 	}
 	return visSel, nil
+}
+
+// visSelect evaluates one visible predicate on the untrusted PC and
+// counts which of the store's access paths served it.
+func (db *DB) visSelect(p plan.Pred) ([]uint32, error) {
+	vt, ok := db.vis.Table(p.Col.Table)
+	if !ok {
+		return nil, fmt.Errorf("core: no visible table %s", p.Col.Table)
+	}
+	ids, indexed, err := vt.SelectPath(p.Col.Column, p.P)
+	if err != nil {
+		return nil, err
+	}
+	if m := db.metrics; m != nil {
+		if indexed {
+			m.visIndexed.Inc()
+		} else {
+			m.visScanned.Inc()
+		}
+	}
+	return ids, nil
 }
 
 // predCounts computes, per predicate, the matching cardinality in its own

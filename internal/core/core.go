@@ -1138,10 +1138,12 @@ func (db *DB) loadState(cols map[string][][]value.Value) error {
 						db.hiddenVals.Add(v)
 					}
 				}
-			} else {
-				if err := vt.AddColumn(c.Name, c.Type.Kind, vals); err != nil {
+			} else if c.PrimaryKey { // verified dense 1..N above
+				if err := vt.AddKeyColumn(c.Name, vals); err != nil {
 					return err
 				}
+			} else if err := vt.AddColumn(c.Name, c.Type.Kind, vals); err != nil {
+				return err
 			}
 		}
 	}

@@ -20,7 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/climbing"
@@ -630,12 +630,8 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 					return nil, err
 				}
 			} else {
-				vt, ok := db.vis.Table(p.Col.Table)
-				if !ok {
-					return nil, fmt.Errorf("core: no visible table %s", p.Col.Table)
-				}
 				var err error
-				if ids, err = vt.Select(p.Col.Column, p.P); err != nil {
+				if ids, err = db.visSelect(p); err != nil {
 					return nil, err
 				}
 			}
@@ -687,7 +683,7 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -977,6 +973,6 @@ func sortedIDs(set map[uint32]struct{}) []uint32 {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

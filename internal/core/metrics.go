@@ -33,6 +33,9 @@ type engineMetrics struct {
 	flashPageReads *metrics.Counter
 	busBytes       *metrics.Counter
 
+	visIndexed *metrics.Counter
+	visScanned *metrics.Counter
+
 	faultsInjected   *metrics.Counter
 	faultsRetried    *metrics.Counter
 	checksumFailures *metrics.Counter
@@ -75,6 +78,9 @@ func newEngineMetrics() *engineMetrics {
 
 		flashPageReads: r.Counter("flash_page_reads_total", "simulated flash page reads charged to queries"),
 		busBytes:       r.Counter("bus_bytes_total", "bytes that crossed the terminal-device wire"),
+
+		visIndexed: r.Counter("visible_selects_indexed_total", "visible predicates answered from a sorted column index"),
+		visScanned: r.Counter("visible_selects_scanned_total", "visible predicates answered by a per-row column scan"),
 
 		faultsInjected:   r.Counter("faults_injected_total", "faults injected into the device stack by the fault plan"),
 		faultsRetried:    r.Counter("faults_retried_total", "transient faults absorbed by the retry-with-backoff path"),

@@ -101,9 +101,11 @@ func (db *DB) persistSidecar() error {
 	return writeAtomic(filepath.Join(db.opts.Backend.Path, sidecarName), blob, db.opts.Backend.Fsync)
 }
 
-// writeAtomic replaces path via a temp-file-and-rename, fsyncing the
-// temp file first when durable is set so the rename never exposes a
-// partially written sidecar.
+// writeAtomic replaces path via a temp-file-and-rename. When durable is
+// set it fsyncs the temp file first, so the rename never exposes a
+// partially written sidecar, and the directory afterwards, so a power
+// cut cannot lose the rename while the commit record it belongs to
+// survives.
 func writeAtomic(path string, blob []byte, durable bool) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -123,7 +125,18 @@ func writeAtomic(path string, blob []byte, durable bool) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil || !durable {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	if err := dir.Sync(); err != nil {
+		dir.Close()
+		return err
+	}
+	return dir.Close()
 }
 
 // readSidecar loads and decodes one device directory's sidecar.

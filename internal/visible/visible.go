@@ -8,12 +8,32 @@
 // already see. The PC is a "standard computer", orders of magnitude faster
 // than the secure chip, so its work is not charged to the simulated clock;
 // the bus transfers it triggers are.
+//
+// A Store is immutable once its columns are attached. The engine never
+// edits one: every bulk load, CHECKPOINT, Recover and OpenPath builds a
+// fresh Store from columnar data, and DML between two of those sits in
+// the device's delta. That is what lets a column keep an access path
+// with no invalidation: the first predicate that names a column sorts a
+// permutation of its row IDs by (value, id), once, and the permutation
+// lives exactly as long as the Store. A predicate is then a few binary
+// searches; primary keys, dense 1..N, need not even the permutation.
+//
+// Select returns ascending IDs and the same errors whichever path serves
+// it. The per-row scan remains for what an ordered index cannot answer
+// identically: a literal value.Compare would coerce per row in a way the
+// column's order does not follow (an Int column against a Float literal,
+// a Date column against a string that is not a date, incomparable kinds,
+// a NaN literal), and a column whose values value.Compare does not order
+// totally (mixed kinds, a NaN among floats). Which path runs follows from
+// the kinds observed in the column and the predicate, never from a
+// setting.
 package visible
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"github.com/ghostdb/ghostdb/internal/pred"
 	"github.com/ghostdb/ghostdb/internal/value"
@@ -42,6 +62,10 @@ type Column struct {
 	Name string
 	Kind value.Kind
 	vals []value.Value
+
+	dense bool      // primary key: row i holds Int(i+1)
+	once  sync.Once // guards the one build of ix
+	ix    *index    // nil once built: the values have no total order, scan
 }
 
 // CreateTable registers a table with the given cardinality.
@@ -76,16 +100,29 @@ func (s *Store) Tables() []*Table {
 }
 
 // AddColumn attaches vals (one per row, in ID order) as a column. The
-// slice is retained, not copied — datasets are immutable once loaded.
+// slice is retained, not copied, and must not change while the Store is
+// in use: the engine replaces the whole Store when the data changes (see
+// the package comment), and the column's index relies on it.
 func (t *Table) AddColumn(name string, kind value.Kind, vals []value.Value) error {
-	if len(vals) != t.n {
-		return fmt.Errorf("visible: %s.%s has %d values for %d rows", t.Name, name, len(vals), t.n)
+	return t.addColumn(&Column{Name: name, Kind: kind, vals: vals})
+}
+
+// AddKeyColumn attaches the table's primary key: an Int column whose row
+// i holds i+1, which the caller has verified. Predicates on it are
+// answered by arithmetic on the literal.
+func (t *Table) AddKeyColumn(name string, vals []value.Value) error {
+	return t.addColumn(&Column{Name: name, Kind: value.Int, vals: vals, dense: true})
+}
+
+func (t *Table) addColumn(c *Column) error {
+	if len(c.vals) != t.n {
+		return fmt.Errorf("visible: %s.%s has %d values for %d rows", t.Name, c.Name, len(c.vals), t.n)
 	}
-	key := strings.ToLower(name)
+	key := strings.ToLower(c.Name)
 	if _, dup := t.cols[key]; dup {
-		return fmt.Errorf("visible: duplicate column %s.%s", t.Name, name)
+		return fmt.Errorf("visible: duplicate column %s.%s", t.Name, c.Name)
 	}
-	t.cols[key] = &Column{Name: name, Kind: kind, vals: vals}
+	t.cols[key] = c
 	return nil
 }
 
@@ -111,33 +148,44 @@ func (t *Table) Value(col string, id uint32) (value.Value, error) {
 }
 
 // Select evaluates p over the column and returns the matching IDs in
-// ascending order (rows are stored in ID order, so a scan is sorted).
+// ascending order.
 func (t *Table) Select(col string, p pred.P) ([]uint32, error) {
+	ids, _, err := t.SelectPath(col, p)
+	return ids, err
+}
+
+// SelectPath is Select that also reports whether the column's index
+// served the call (true) or the per-row scan did. IDs and error are the
+// same either way.
+func (t *Table) SelectPath(col string, p pred.P) ([]uint32, bool, error) {
 	c, ok := t.Column(col)
 	if !ok {
-		return nil, fmt.Errorf("visible: no column %s.%s", t.Name, col)
+		return nil, false, fmt.Errorf("visible: no column %s.%s", t.Name, col)
 	}
+	if ids, ok := c.lookup(p); ok {
+		return ids, true, nil
+	}
+	ids, err := c.scan(p)
+	if err != nil {
+		return nil, false, fmt.Errorf("visible: %s.%s: %w", t.Name, col, err)
+	}
+	return ids, false, nil
+}
+
+// scan evaluates p row by row (rows are stored in ID order, so the
+// result is sorted).
+func (c *Column) scan(p pred.P) ([]uint32, error) {
 	var out []uint32
 	for i, v := range c.vals {
 		match, err := p.Eval(v)
 		if err != nil {
-			return nil, fmt.Errorf("visible: %s.%s: %w", t.Name, col, err)
+			return nil, err
 		}
 		if match {
 			out = append(out, uint32(i+1))
 		}
 	}
 	return out, nil
-}
-
-// Count reports how many rows satisfy p — the cheap cardinality the
-// optimizer requests before choosing pre- vs post-filtering.
-func (t *Table) Count(col string, p pred.P) (int, error) {
-	ids, err := t.Select(col, p)
-	if err != nil {
-		return 0, err
-	}
-	return len(ids), nil
 }
 
 // KV is one element of a projection stream.
@@ -161,7 +209,7 @@ func (t *Table) ProjectSorted(col string, ids []uint32) ([]KV, error) {
 		}
 		return out, nil
 	}
-	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
+	if !slices.IsSorted(ids) {
 		return nil, fmt.Errorf("visible: projection IDs must be sorted")
 	}
 	out := make([]KV, 0, len(ids))
