@@ -46,6 +46,10 @@ func TestServeDebug(t *testing.T) {
 	if _, err := db.Query(`SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = 'Sclerosis' AND Vis.Date > DATE '2006-06-01'`); err != nil {
 		t.Fatal(err)
 	}
+	// One CHECKPOINT, so its phase histograms carry a sample each.
+	if _, err := db.Exec(`DELETE FROM Visit WHERE VisID = 1; CHECKPOINT`); err != nil {
+		t.Fatal(err)
+	}
 
 	addr, stop, err := ghostdb.ServeDebug("127.0.0.1:0", db)
 	if err != nil {
@@ -100,6 +104,12 @@ func TestServeDebug(t *testing.T) {
 	if got := string(doc.Metrics["visible_selects_scanned_total"]); got != "0" {
 		t.Fatalf("visible_selects_scanned_total = %q, want 0", got)
 	}
+	for _, phase := range []string{"checkpoint_wall_ns", "checkpoint_prepare_wall_ns", "checkpoint_rebuild_wall_ns", "checkpoint_commit_wall_ns"} {
+		var h struct{ Count int64 }
+		if err := json.Unmarshal(doc.Metrics[phase], &h); err != nil || h.Count != 1 {
+			t.Fatalf("%s = %s (%v), want one sample", phase, doc.Metrics[phase], err)
+		}
+	}
 
 	prom, ctype := get("/metrics")
 	if !strings.Contains(ctype, "text/plain") {
@@ -112,6 +122,9 @@ func TestServeDebug(t *testing.T) {
 		"ghostdb_query_wall_ns_bucket{le=\"+Inf\"} 1",
 		"# TYPE ghostdb_visible_selects_indexed_total counter",
 		"ghostdb_visible_selects_scanned_total 0",
+		"ghostdb_checkpoint_prepare_wall_ns_bucket{le=\"+Inf\"} 1",
+		"ghostdb_checkpoint_rebuild_wall_ns_bucket{le=\"+Inf\"} 1",
+		"ghostdb_checkpoint_commit_wall_ns_bucket{le=\"+Inf\"} 1",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, prom)

@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/ghostdb/ghostdb/internal/codec"
@@ -81,6 +80,17 @@ type Inverted func(parent, child string) ([][]uint32, error)
 // in row order, so row i has ID i+1). dense marks primary-key columns
 // whose value i+1 sits at entry i, enabling O(1) lookups. The index climbs
 // from table to the schema root using inv.
+//
+// The posting lists are built by rank propagation. In a tree schema every
+// row of a level references exactly one row of the level below, hence
+// belongs to exactly one dictionary value: each row of table gets the
+// rank of its value among the sorted distinct values, the ranks are
+// carried up the inverted edges level by level, and each level is
+// bucketed by rank in one counting pass filled in ascending row order —
+// so every list comes out sorted and nothing is grouped through a map or
+// re-sorted. The three regions are a pure function of (vals, inv): their
+// bytes are what CHECKPOINT programs into flash, and the tests hold them
+// identical to the map-grouping build this replaced.
 func Build(st *store.Store, sch *schema.Schema, table, column string, kind value.Kind, vals []value.Value, dense bool, inv Inverted) (*Index, error) {
 	tb, ok := sch.Table(table)
 	if !ok {
@@ -100,63 +110,81 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, kind value
 		entSize: 4 + 8*len(levels),
 	}
 
-	// Group row IDs by value; appending in row order keeps lists sorted.
-	groups := map[value.Value][]uint32{}
+	// Number the distinct values as first seen, sort them, and turn each
+	// row's number into the rank of its value.
+	seen := map[value.Value]int32{}
+	var distinct []value.Value
+	rank := make([]int32, len(vals))
 	for i, v := range vals {
 		cv, err := value.Coerce(v, kind)
 		if err != nil {
 			return nil, fmt.Errorf("climbing: %s.%s row %d: %w", table, column, i, err)
 		}
-		groups[cv] = append(groups[cv], uint32(i+1))
+		k, ok := seen[cv]
+		if !ok {
+			k = int32(len(distinct))
+			seen[cv] = k
+			distinct = append(distinct, cv)
+		}
+		rank[i] = k
 	}
-	distinct := make([]value.Value, 0, len(groups))
-	for v := range groups {
-		distinct = append(distinct, v)
+	n := len(distinct)
+	order := make([]int32, n) // rank -> first-seen number
+	for k := range order {
+		order[k] = int32(k)
 	}
 	var sortErr error
-	sort.Slice(distinct, func(i, j int) bool {
-		c, err := value.Compare(distinct[i], distinct[j])
+	slices.SortFunc(order, func(a, b int32) int {
+		c, err := value.Compare(distinct[a], distinct[b])
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
-		return c < 0
+		return c
 	})
 	if sortErr != nil {
 		return nil, fmt.Errorf("climbing: %s.%s: %w", table, column, sortErr)
 	}
-	ix.n = len(distinct)
-	ix.vals = distinct
+	rankOf := make([]int32, n)
+	sorted := make([]value.Value, n)
+	for r, k := range order {
+		rankOf[k], sorted[r] = int32(r), distinct[k]
+	}
+	for i, k := range rank {
+		rank[i] = rankOf[k]
+	}
+	ix.n = n
+	ix.vals = sorted
 	if dense {
-		if len(distinct) != len(vals) {
+		if n != len(vals) {
 			return nil, fmt.Errorf("climbing: %s.%s: dense index requires unique values (%d distinct of %d rows)",
-				table, column, len(distinct), len(vals))
+				table, column, n, len(vals))
 		}
-		if err := checkDense(distinct); err != nil {
+		if err := checkDense(sorted); err != nil {
 			return nil, fmt.Errorf("climbing: %s.%s: %w", table, column, err)
 		}
 	}
 
-	// Fetch the inverted edges once per level.
-	invs := make([][][]uint32, len(levels)-1)
-	for l := 1; l < len(levels); l++ {
-		iv, err := inv(levels[l], levels[l-1])
-		if err != nil {
-			return nil, fmt.Errorf("climbing: inverted %s->%s: %w", levels[l], levels[l-1], err)
+	// Per level: the row IDs grouped by rank (ids[begin[r]:begin[r+1]] is
+	// rank r's list, ascending).
+	ids := make([][]uint32, len(levels))
+	begin := make([][]int32, len(levels))
+	for l := range levels {
+		if l > 0 {
+			iv, err := inv(levels[l], levels[l-1])
+			if err != nil {
+				return nil, fmt.Errorf("climbing: inverted %s->%s: %w", levels[l], levels[l-1], err)
+			}
+			rank = climbRanks(rank, iv)
 		}
-		invs[l-1] = iv
+		ids[l], begin[l] = bucketByRank(rank, n)
 	}
 
 	var valuesBuf, listsBuf, entriesBuf []byte
-	for _, v := range distinct {
+	for r, v := range sorted {
 		entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(valuesBuf)))
 		valuesBuf = v.Append(valuesBuf)
-
-		lists := make([][]uint32, len(levels))
-		lists[0] = groups[v]
-		for l := 1; l < len(levels); l++ {
-			lists[l] = climbOnce(lists[l-1], invs[l-1])
-		}
-		for _, list := range lists {
+		for l := range levels {
+			list := ids[l][begin[l][r]:begin[l][r+1]]
 			entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(listsBuf)))
 			entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(list)))
 			listsBuf = codec.AppendIDList(listsBuf, list)
@@ -176,18 +204,51 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, kind value
 	return ix, nil
 }
 
-// climbOnce unions the parent lists of every ID in list. The per-child
-// parent lists are disjoint (each parent row references one child), so
-// the union is a merge of disjoint sorted lists.
-func climbOnce(list []uint32, inv [][]uint32) []uint32 {
-	var out []uint32
-	for _, id := range list {
-		if int(id) <= len(inv) {
-			out = append(out, inv[id-1]...)
+// climbRanks carries the ranks of one level's rows (rank[i] for ID i+1,
+// -1 for none) up an inverted edge: every parent row takes the rank of
+// the one child row it references. Parent rows the edge never mentions
+// and parents of unranked children get -1.
+func climbRanks(rank []int32, inv [][]uint32) []int32 {
+	var rows uint32
+	for _, parents := range inv {
+		for _, p := range parents {
+			rows = max(rows, p)
 		}
 	}
-	slices.Sort(out)
-	return out
+	up := make([]int32, rows)
+	for i := range up {
+		up[i] = -1
+	}
+	for c, parents := range inv[:min(len(inv), len(rank))] {
+		for _, p := range parents {
+			up[p-1] = rank[c]
+		}
+	}
+	return up
+}
+
+// bucketByRank groups row IDs by rank with a counting pass: rank r's
+// IDs are ids[begin[r]:begin[r+1]], ascending because rows are visited
+// in ID order. Unranked rows (-1) belong to no list.
+func bucketByRank(rank []int32, n int) (ids []uint32, begin []int32) {
+	begin = make([]int32, n+1)
+	for _, r := range rank {
+		if r >= 0 {
+			begin[r+1]++
+		}
+	}
+	for r := 0; r < n; r++ {
+		begin[r+1] += begin[r]
+	}
+	ids = make([]uint32, begin[n])
+	next := slices.Clone(begin[:n])
+	for i, r := range rank {
+		if r >= 0 {
+			ids[next[r]] = uint32(i + 1)
+			next[r]++
+		}
+	}
+	return ids, begin
 }
 
 func checkDense(distinct []value.Value) error {

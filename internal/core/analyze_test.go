@@ -327,6 +327,9 @@ func TestMetricsFeed(t *testing.T) {
 		{"query_wall_ns", 4},
 		{"query_sim_ns", 4},
 		{"checkpoint_wall_ns", 1},
+		{"checkpoint_prepare_wall_ns", 1},
+		{"checkpoint_rebuild_wall_ns", 1},
+		{"checkpoint_commit_wall_ns", 1},
 		{"checkpoint_sim_ns", 1},
 	} {
 		v, ok := snap.Get(hist.name)
@@ -377,5 +380,36 @@ func TestSlowQueryThreshold(t *testing.T) {
 	}
 	if out := buf.String(); !strings.Contains(out, "ghostdb slow query") || !strings.Contains(out, "Sclerosis") {
 		t.Fatalf("slow-query log missing expected fields:\n%s", out)
+	}
+}
+
+// TestCheckpointPhaseMetrics checks that the three CHECKPOINT phase
+// histograms partition the total: over a few checkpoints of a single
+// device, prepare + rebuild + commit add up to checkpoint_wall_ns within
+// 5 % (the only time outside them is the return from the prepare call).
+func TestCheckpointPhaseMetrics(t *testing.T) {
+	db, _, _ := loadTiny(t)
+	defer db.Close()
+	const rounds = 3
+	for r := 0; r < rounds; r++ {
+		if n, err := db.Exec(`DELETE FROM Prescription WHERE PreID BETWEEN 1 AND 20`); err != nil || n == 0 {
+			t.Fatalf("round %d delete: n=%d err=%v", r, n, err)
+		}
+		if _, err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := db.MetricsSnapshot()
+	sum := func(name string) int64 {
+		v, ok := snap.Get(name)
+		if !ok || v.Hist == nil || v.Hist.Count != rounds {
+			t.Fatalf("%s = %+v, want a histogram of %d samples", name, v, rounds)
+		}
+		return v.Hist.Sum
+	}
+	total := sum("checkpoint_wall_ns")
+	phases := sum("checkpoint_prepare_wall_ns") + sum("checkpoint_rebuild_wall_ns") + sum("checkpoint_commit_wall_ns")
+	if phases > total || float64(total-phases) > 0.05*float64(total) {
+		t.Fatalf("phases sum to %d ns of a %d ns total: not within 5%%", phases, total)
 	}
 }

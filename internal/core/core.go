@@ -294,19 +294,14 @@ type DB struct {
 	vis *visible.Store
 	hid *store.Store
 
-	skts       map[string]*skt.SKT                   // per table with a subtree
-	indexes    map[string]map[string]*climbing.Index // table -> column -> index
+	skts       map[string]*skt.SKT // per table with a subtree
 	rowCounts  map[string]int
 	hiddenVals *schema.HiddenValueSet
 
-	// fkArrays and inverted retain the base foreign-key edges after the
-	// bulk load ("table.fkcol" -> per-row referenced ID; "parent<-child"
-	// -> child ID -> referencing parent rows). Row identifiers are public
-	// by design — the primary keys live on the untrusted side too — so
-	// keeping them host-side leaks nothing. The live-DML merge uses them
-	// to find which base query-root rows a mutated row reaches.
-	fkArrays map[string][]uint32
-	inverted map[string][][]uint32
+	// views resolves every schema table, by ordinal, to the base structures
+	// of the current load (see tableView). Nil on a shard coordinator,
+	// which loads nothing itself.
+	views []*tableView
 
 	// delta holds the post-build mutations (inserted/updated row images,
 	// tombstones), charged against the device RAM arena for its hidden
@@ -529,7 +524,7 @@ func openSingle(opts Options) (*DB, error) {
 	}
 	var em *engineMetrics
 	if !opts.DisableMetrics {
-		em = newEngineMetrics()
+		em = newEngineMetrics(true)
 	}
 	return &DB{
 		opts:       opts,
@@ -545,11 +540,8 @@ func openSingle(opts Options) (*DB, error) {
 		sch:        schema.New(),
 		vis:        visible.NewStore(),
 		skts:       map[string]*skt.SKT{},
-		indexes:    map[string]map[string]*climbing.Index{},
 		rowCounts:  map[string]int{},
 		hiddenVals: schema.NewHiddenValueSet(),
-		fkArrays:   map[string][]uint32{},
-		inverted:   map[string][][]uint32{},
 		delta:      delta.NewStore(dev.RAM),
 		staged:     map[string][][]value.Value{},
 	}, nil
@@ -613,7 +605,7 @@ func (db *DB) NextID(table string) (uint32, error) {
 	if db.shards != nil {
 		return db.shards.nextID(db, t.Name)
 	}
-	if d, ok := db.delta.Get(t.Name); ok {
+	if d := db.delta.Get(t.Ordinal()); d != nil {
 		return d.NextID(), nil
 	}
 	return uint32(db.rowCounts[t.Name]) + 1, nil
@@ -743,9 +735,11 @@ func (db *DB) Storage() StorageBreakdown {
 	for _, s := range db.skts {
 		b.SKTs += s.Bytes()
 	}
-	for _, cols := range db.indexes {
-		for _, ix := range cols {
-			b.Climbing += ix.Bytes()
+	for _, tv := range db.views {
+		for _, c := range tv.cols {
+			if c.ix != nil {
+				b.Climbing += c.ix.Bytes()
+			}
 		}
 	}
 	b.Total = db.dev.Main.UsedBytes()
@@ -1058,14 +1052,39 @@ func (db *DB) stashCommitted(version uint64, cols map[string][][]value.Value) {
 	}
 }
 
-// fkKey keys the retained foreign-key arrays.
-func fkKey(table, col string) string { return strings.ToLower(table + "." + col) }
+// tableView is one schema table resolved to positions for the lifetime
+// of one loadState: everything that overlays the RAM delta on the base
+// segments (liveness, effective values, DML matching, the query-path
+// footprint, CHECKPOINT) addresses tables by schema ordinal and columns
+// by position through it, and never resolves a name per row or per cell.
+// Row identifiers are public by design — the primary keys live on the
+// untrusted side too — so retaining the foreign-key edges host-side leaks
+// nothing. loadState builds fresh views beside the stores they point
+// into (bulk load, CHECKPOINT, Recover, OpenPath); nothing outlives it.
+type tableView struct {
+	t     *schema.Table
+	baseN int       // base segment cardinality
+	fks   []int     // foreign-key column positions, declaration order
+	cols  []colView // by column position
+	// parent is the ordinal of the table referencing this one and up the
+	// position of that table's foreign key pointing here; parent is -1 on
+	// the schema root.
+	parent, up int
+}
 
-// invKey keys the retained inverted foreign-key edges.
-func invKey(parent, child string) string { return strings.ToLower(parent + "<-" + child) }
+// colView is one column's base access paths; which fields are set
+// follows from the column's declaration.
+type colView struct {
+	ref int             // foreign key: the referenced table's ordinal
+	fk  []uint32        // foreign key: row i references fk[i]
+	inv [][]uint32      // foreign key: inv[id-1] lists the rows referencing id, ascending
+	hid store.Column    // hidden: the device column file
+	vis *visible.Column // visible non-key: the untrusted side's column
+	ix  *climbing.Index // the column's climbing index, if it has one
+}
 
-// loadState builds fresh stores and device index structures from
-// columnar data: visible columns and PKs to the public store; hidden
+// loadState builds fresh stores, device index structures and table views
+// from columnar data: visible columns and PKs to the public store; hidden
 // columns, SKTs and climbing indexes to the device. It is shared by the
 // bulk load (whose charges are then rewound) and by CHECKPOINT (which
 // pays them as the cost of merging the delta into flash).
@@ -1077,14 +1096,12 @@ func (db *DB) loadState(cols map[string][][]value.Value) error {
 	db.hid = hid
 	db.vis = visible.NewStore()
 	db.skts = map[string]*skt.SKT{}
-	db.indexes = map[string]map[string]*climbing.Index{}
 	db.rowCounts = map[string]int{}
+	db.views = nil
+	tables := db.sch.Tables()
+	views := make([]*tableView, len(tables))
 
-	// Foreign-key arrays (uint32) per table/column, for SKT and inverted
-	// edge construction; retained for the live-DML merge.
-	fkArrays := map[string][]uint32{}
-
-	for _, t := range db.sch.Tables() {
+	for ord, t := range tables {
 		tcols, ok := cols[t.Name]
 		if !ok || len(tcols) != len(t.Columns) {
 			return fmt.Errorf("core: missing column data for %s", t.Name)
@@ -1099,6 +1116,8 @@ func (db *DB) loadState(cols map[string][][]value.Value) error {
 			}
 		}
 		db.rowCounts[t.Name] = n
+		tv := &tableView{t: t, baseN: n, cols: make([]colView, len(t.Columns)), parent: -1}
+		views[ord] = tv
 
 		// Visible side: PK plus visible columns.
 		vt, err := db.vis.CreateTable(t.Name, n)
@@ -1111,6 +1130,7 @@ func (db *DB) loadState(cols map[string][][]value.Value) error {
 		}
 		for i, c := range t.Columns {
 			vals := tcols[i]
+			cv := &tv.cols[i]
 			if c.PrimaryKey {
 				for r, v := range vals {
 					if v.Kind() != value.Int || v.Int() != int64(r+1) {
@@ -1119,18 +1139,29 @@ func (db *DB) loadState(cols map[string][][]value.Value) error {
 				}
 			}
 			if c.IsForeignKey() {
-				refN := db.rowCounts[c.RefTable]
+				// The schema declares referenced tables first, so the
+				// referenced view exists already.
+				ref := views[db.mustTable(c.RefTable).Ordinal()]
 				ids := make([]uint32, len(vals))
 				for r, v := range vals {
-					if v.Kind() != value.Int || v.Int() < 1 || v.Int() > int64(refN) {
-						return fmt.Errorf("core: %s.%s row %d: foreign key %s out of 1..%d", t.Name, c.Name, r, v, refN)
+					if v.Kind() != value.Int || v.Int() < 1 || v.Int() > int64(ref.baseN) {
+						return fmt.Errorf("core: %s.%s row %d: foreign key %s out of 1..%d", t.Name, c.Name, r, v, ref.baseN)
 					}
 					ids[r] = uint32(v.Int())
 				}
-				fkArrays[fkKey(t.Name, c.Name)] = ids
+				// Inverted edge, for climbing index construction and the
+				// live-DML merge's upward propagation; filled in row
+				// order, so every list is ascending.
+				inv := make([][]uint32, ref.baseN)
+				for r, id := range ids {
+					inv[id-1] = append(inv[id-1], uint32(r+1))
+				}
+				cv.ref, cv.fk, cv.inv = ref.t.Ordinal(), ids, inv
+				tv.fks = append(tv.fks, i)
+				ref.parent, ref.up = ord, i
 			}
 			if c.Hidden {
-				if _, err := db.hid.AddColumn(t.Name, c.Name, c.Type.Kind, vals); err != nil {
+				if cv.hid, err = db.hid.AddColumn(t.Name, c.Name, c.Type.Kind, vals); err != nil {
 					return err
 				}
 				if c.Type.Kind == value.String {
@@ -1142,70 +1173,60 @@ func (db *DB) loadState(cols map[string][][]value.Value) error {
 				if err := vt.AddKeyColumn(c.Name, vals); err != nil {
 					return err
 				}
-			} else if err := vt.AddColumn(c.Name, c.Type.Kind, vals); err != nil {
-				return err
+			} else {
+				if err := vt.AddColumn(c.Name, c.Type.Kind, vals); err != nil {
+					return err
+				}
+				cv.vis, _ = vt.Column(c.Name)
 			}
 		}
-	}
-
-	fkLookup := func(table, col string) ([]uint32, error) {
-		ids, ok := fkArrays[fkKey(table, col)]
-		if !ok {
-			return nil, fmt.Errorf("core: no foreign key data for %s.%s", table, col)
-		}
-		return ids, nil
 	}
 
 	// Subtree Key Tables for every table that references others.
-	for _, t := range db.sch.Tables() {
-		if len(t.ForeignKeys()) == 0 {
+	fkLookup := func(table, col string) ([]uint32, error) {
+		if t, ok := db.sch.Table(table); ok {
+			if ci := t.ColumnIndex(col); ci >= 0 && t.Columns[ci].IsForeignKey() {
+				return views[t.Ordinal()].cols[ci].fk, nil
+			}
+		}
+		return nil, fmt.Errorf("core: no foreign key data for %s.%s", table, col)
+	}
+	for _, tv := range views {
+		if len(tv.fks) == 0 {
 			continue
 		}
-		s, err := skt.Build(db.hid, db.sch, t.Name, db.rowCounts[t.Name], fkLookup)
+		s, err := skt.Build(db.hid, db.sch, tv.t.Name, tv.baseN, fkLookup)
 		if err != nil {
 			return err
 		}
-		db.skts[t.Name] = s
-	}
-
-	// Inverted foreign-key edges, for climbing index construction and the
-	// live-DML merge's upward propagation; retained after the load.
-	inverted := map[string][][]uint32{}
-	for _, t := range db.sch.Tables() {
-		for _, fk := range t.ForeignKeys() {
-			child := fk.RefTable
-			childN := db.rowCounts[child]
-			inv := make([][]uint32, childN)
-			for parentIdx, childID := range fkArrays[fkKey(t.Name, fk.Name)] {
-				inv[childID-1] = append(inv[childID-1], uint32(parentIdx+1))
-			}
-			inverted[invKey(t.Name, child)] = inv
-		}
-	}
-	invLookup := func(parent, child string) ([][]uint32, error) {
-		inv, ok := inverted[invKey(parent, child)]
-		if !ok {
-			return nil, fmt.Errorf("core: no inverted edge %s<-%s", parent, child)
-		}
-		return inv, nil
+		db.skts[tv.t.Name] = s
 	}
 
 	// Climbing indexes: every hidden column, dense translators on every
 	// non-root primary key (the pre-filtering machinery), and any
 	// visible columns requested via WithDeviceIndex.
+	invLookup := func(parent, child string) ([][]uint32, error) {
+		if ct, ok := db.sch.Table(child); ok {
+			if cv := views[ct.Ordinal()]; cv.parent >= 0 && strings.EqualFold(views[cv.parent].t.Name, parent) {
+				return views[cv.parent].cols[cv.up].inv, nil
+			}
+		}
+		return nil, fmt.Errorf("core: no inverted edge %s<-%s", parent, child)
+	}
 	wantDevice := map[string]bool{}
 	for _, spec := range db.opts.DeviceIndexes {
 		wantDevice[strings.ToLower(spec)] = true
 	}
 	root := db.sch.Root()
-	for _, t := range db.sch.Tables() {
+	for _, tv := range views {
+		t := tv.t
 		tcols := cols[t.Name]
 		for i, c := range t.Columns {
 			dense := false
 			switch {
 			case c.Hidden:
 				// regular hidden-column index
-			case c.PrimaryKey && t.Name != root.Name:
+			case c.PrimaryKey && t != root:
 				dense = true
 			case wantDevice[strings.ToLower(t.Name+"."+c.Name)]:
 				// visible column promoted to a device index
@@ -1216,15 +1237,10 @@ func (db *DB) loadState(cols map[string][][]value.Value) error {
 			if err != nil {
 				return err
 			}
-			if db.indexes[t.Name] == nil {
-				db.indexes[t.Name] = map[string]*climbing.Index{}
-			}
-			db.indexes[t.Name][c.Name] = ix
+			tv.cols[i].ix = ix
 		}
 	}
-
-	db.fkArrays = fkArrays
-	db.inverted = inverted
+	db.views = views
 	return nil
 }
 
@@ -1237,16 +1253,16 @@ func (db *DB) Index(table, column string) (*climbing.Index, bool) {
 
 // indexLocked is Index for callers already holding the device gate.
 func (db *DB) indexLocked(table, column string) (*climbing.Index, bool) {
-	cols, ok := db.indexes[table]
-	if !ok {
+	t, ok := db.sch.Table(table)
+	if !ok || db.views == nil {
 		return nil, false
 	}
-	for name, ix := range cols {
-		if strings.EqualFold(name, column) {
-			return ix, true
-		}
+	ci := t.ColumnIndex(column)
+	if ci < 0 {
+		return nil, false
 	}
-	return nil, false
+	ix := db.views[t.Ordinal()].cols[ci].ix
+	return ix, ix != nil
 }
 
 // HasIndex reports whether a climbing index exists (planner callback).

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/climbing"
+	"github.com/ghostdb/ghostdb/internal/delta"
 	"github.com/ghostdb/ghostdb/internal/exec"
 	"github.com/ghostdb/ghostdb/internal/plan"
 	"github.com/ghostdb/ghostdb/internal/schema"
@@ -286,143 +287,181 @@ func (cd *CompiledDML) Exec(params []value.Value) (int64, error) {
 
 // ---------------------------------------------------------------------------
 // Effective state: base segments overlaid with the RAM delta.
+//
+// Everything here runs on the table views loadState built (tableView):
+// tables are addressed by schema ordinal — the delta store by the same
+// ordinal — and columns by position, so no name is resolved, lower-cased
+// or concatenated per row or per cell. Invariants: a view is valid for
+// exactly one loadState (CHECKPOINT, Recover and OpenPath build new ones
+// with the new stores); and the views change where the host finds a
+// value, never what the device is charged for it — one CyclesTombstone
+// and one tombstone_probes_total per fresh liveness evaluation (the memo
+// lives for one operation), CyclesDecode per delta-resident value,
+// CyclesCompare per descend hop, base hidden values through the charged
+// page cache in the same read order.
 
 // liveness memoizes chain-liveness per table/ID for one operation. A row
 // is live iff it is not tombstoned and every row its foreign-key chain
 // references is live (the virtual delete cascade). Each fresh evaluation
 // charges one tombstone probe to the device CPU.
 type liveness struct {
-	db   *DB
-	memo map[string]map[uint32]bool
+	db *DB
+	// States are 0 unknown, 1 live, 2 dead. dense (by table ordinal, then
+	// ID) serves an operation that sweeps whole tables; sparse, keyed
+	// ordinal<<32|ID, holds what dense does not cover — every identifier
+	// a point operation touches, so a keyed statement costs O(1) in the
+	// table size.
+	dense  [][]uint8
+	sparse map[uint64]uint8
 }
 
-func (db *DB) newLiveness() *liveness {
-	return &liveness{db: db, memo: map[string]map[uint32]bool{}}
-}
-
-func (l *liveness) live(table string, id uint32) bool {
-	m := l.memo[table]
-	if m == nil {
-		m = map[uint32]bool{}
-		l.memo[table] = m
+func (db *DB) newLiveness(sweep bool) *liveness {
+	l := &liveness{db: db, sparse: map[uint64]uint8{}}
+	if sweep {
+		l.dense = make([][]uint8, len(db.views))
+		for ord, tv := range db.views {
+			l.dense[ord] = make([]uint8, db.maxID(tv)+1)
+		}
 	}
-	if v, ok := m[id]; ok {
-		return v
+	return l
+}
+
+func (l *liveness) live(ord int, id uint32) bool {
+	key := uint64(ord)<<32 | uint64(id)
+	var cell *uint8
+	var state uint8
+	if l.dense != nil && int(id) < len(l.dense[ord]) {
+		cell = &l.dense[ord][id]
+		state = *cell
+	} else {
+		state = l.sparse[key]
+	}
+	if state != 0 {
+		return state == 1
 	}
 	l.db.dev.CPU.Charge(sim.CyclesTombstone)
 	if em := l.db.metrics; em != nil {
 		em.tombstoneProbes.Inc()
 	}
-	v := l.computeLive(table, id)
-	m[id] = v
-	return v
+	state = 2
+	if l.computeLive(l.db.views[ord], id) {
+		state = 1
+	}
+	if cell != nil {
+		*cell = state
+	} else {
+		l.sparse[key] = state
+	}
+	return state == 1
 }
 
-func (l *liveness) computeLive(table string, id uint32) bool {
-	db := l.db
-	t, ok := db.sch.Table(table)
-	if !ok || id == 0 {
+func (l *liveness) computeLive(tv *tableView, id uint32) bool {
+	if id == 0 {
 		return false
 	}
-	d, hasDelta := db.delta.Get(t.Name)
-	if hasDelta && d.Tombstoned(id) {
-		return false
-	}
-	if int(id) > db.rowCounts[t.Name] {
-		// Beyond the base segment: the row must be delta-resident.
-		if !hasDelta {
+	var img []value.Value
+	if d := l.db.deltaOf(tv); d != nil {
+		if d.Tombstoned(id) {
 			return false
 		}
-		if _, ok := d.Row(id); !ok {
-			return false
-		}
+		img, _ = d.Row(id)
 	}
-	for _, fk := range t.ForeignKeys() {
-		cid, err := db.effectiveFK(t, t.ColumnIndex(fk.Name), id)
-		if err != nil || !l.live(fk.RefTable, cid) {
+	if int(id) > tv.baseN && img == nil {
+		return false // beyond the base segment a row must be delta-resident
+	}
+	for _, ci := range tv.fks {
+		cid, err := l.db.fkOf(tv, img, ci, id)
+		if err != nil || !l.live(tv.cols[ci].ref, cid) {
 			return false
 		}
 	}
 	return true
 }
 
-// effectiveFK reads the current foreign-key value of row id: the delta
-// image when the row is delta-resident, the retained base edge array
-// otherwise.
-func (db *DB) effectiveFK(t *schema.Table, colIdx int, id uint32) (uint32, error) {
-	if d, ok := db.delta.Get(t.Name); ok {
-		if row, ok := d.Row(id); ok {
-			return uint32(row[colIdx].Int()), nil
-		}
+// deltaOf returns the table's delta, nil when it has none.
+func (db *DB) deltaOf(tv *tableView) *delta.Table { return db.delta.Get(tv.t.Ordinal()) }
+
+// maxID returns the highest identifier ever assigned in the table.
+func (db *DB) maxID(tv *tableView) uint32 {
+	if d := db.deltaOf(tv); d != nil {
+		return d.MaxID()
 	}
-	if int(id) > db.rowCounts[t.Name] {
-		return 0, fmt.Errorf("core: %s id %d has no row", t.Name, id)
-	}
-	ids := db.fkArrays[fkKey(t.Name, t.Columns[colIdx].Name)]
-	return ids[id-1], nil
+	return uint32(tv.baseN)
 }
 
-// effectiveValue reads the current value of column colIdx of row id.
-// Delta images are served from device RAM; base hidden values from the
-// flash store (charged through the page cache); base visible values and
-// primary keys from the untrusted side for free.
-func (db *DB) effectiveValue(t *schema.Table, colIdx int, id uint32) (value.Value, error) {
-	if d, ok := db.delta.Get(t.Name); ok {
-		if row, ok := d.Row(id); ok {
-			db.dev.CPU.Charge(sim.CyclesDecode)
-			return row[colIdx], nil
-		}
+// image returns the delta image of row id, or nil while the base version
+// is current. Callers reading several columns of one row fetch it once.
+func (db *DB) image(tv *tableView, id uint32) []value.Value {
+	if d := db.deltaOf(tv); d != nil {
+		img, _ := d.Row(id)
+		return img
 	}
-	if int(id) > db.rowCounts[t.Name] {
-		return value.Value{}, fmt.Errorf("core: %s id %d has no row", t.Name, id)
+	return nil
+}
+
+// fkOf reads the current value of the foreign key at column position ci
+// of row id, whose delta image (or nil) is img: the image when the row is
+// delta-resident, the retained base edge otherwise.
+func (db *DB) fkOf(tv *tableView, img []value.Value, ci int, id uint32) (uint32, error) {
+	if img != nil {
+		return uint32(img[ci].Int()), nil
 	}
-	c := t.Columns[colIdx]
-	if c.PrimaryKey {
+	if int(id) > tv.baseN {
+		return 0, fmt.Errorf("core: %s id %d has no row", tv.t.Name, id)
+	}
+	return tv.cols[ci].fk[id-1], nil
+}
+
+// valueOf reads the current value of column position ci of row id, whose
+// delta image (or nil) is img. Delta images are served from device RAM;
+// base hidden values from the flash store (charged through the page
+// cache); base visible values and primary keys from the untrusted side
+// for free.
+func (db *DB) valueOf(tv *tableView, img []value.Value, ci int, id uint32) (value.Value, error) {
+	if img != nil {
+		db.dev.CPU.Charge(sim.CyclesDecode)
+		return img[ci], nil
+	}
+	if int(id) > tv.baseN {
+		return value.Value{}, fmt.Errorf("core: %s id %d has no row", tv.t.Name, id)
+	}
+	switch cv := &tv.cols[ci]; {
+	case tv.t.Columns[ci].PrimaryKey:
 		return value.NewInt(int64(id)), nil
+	case cv.hid != nil:
+		return cv.hid.Value(int(id) - 1)
+	default:
+		return cv.vis.Value(id)
 	}
-	if c.Hidden {
-		td, ok := db.hid.Table(t.Name)
-		if !ok {
-			return value.Value{}, fmt.Errorf("core: no hidden table %s", t.Name)
-		}
-		col, ok := td.Column(c.Name)
-		if !ok {
-			return value.Value{}, fmt.Errorf("core: no hidden column %s.%s", t.Name, c.Name)
-		}
-		return col.Value(int(id) - 1)
-	}
-	vt, ok := db.vis.Table(t.Name)
-	if !ok {
-		return value.Value{}, fmt.Errorf("core: no visible table %s", t.Name)
-	}
-	return vt.Value(c.Name, id)
 }
 
-// effectiveDescend walks from a row of `from` down the effective
-// foreign-key chain to its row in target (which `from` transitively
-// references).
-func (db *DB) effectiveDescend(from *schema.Table, fromID uint32, target string) (uint32, error) {
-	if from.Name == target {
-		return fromID, nil
-	}
-	path := db.sch.PathToRoot(target)
-	start := -1
-	for i, t := range path {
-		if t.Name == from.Name {
-			start = i
-			break
+// fkHop is one step down the foreign-key chain: the foreign key at
+// column position col of table tv.
+type fkHop struct {
+	tv  *tableView
+	col int
+}
+
+// descent returns the hops leading from a row of from down to the row of
+// target it transitively references (none when they are the same table).
+func (db *DB) descent(from, target *tableView) ([]fkHop, error) {
+	var hops []fkHop
+	for tv := target; tv != from; tv = db.views[tv.parent] {
+		if tv.parent < 0 {
+			return nil, fmt.Errorf("core: %s is not reachable from %s", target.t.Name, from.t.Name)
 		}
+		hops = append(hops, fkHop{tv: db.views[tv.parent], col: tv.up})
 	}
-	if start <= 0 {
-		return 0, fmt.Errorf("core: %s is not reachable from %s", target, from.Name)
-	}
-	id := fromID
-	for i := start; i > 0; i-- {
-		parent := path[i]
-		child := path[i-1]
-		_, fk := db.sch.Parent(child.Name)
+	slices.Reverse(hops)
+	return hops, nil
+}
+
+// effectiveDescend walks from row id down the effective foreign-key
+// chain along hops.
+func (db *DB) effectiveDescend(id uint32, hops []fkHop) (uint32, error) {
+	for _, h := range hops {
 		db.dev.CPU.Charge(sim.CyclesCompare)
-		next, err := db.effectiveFK(parent, parent.ColumnIndex(fk.Name), id)
+		next, err := db.fkOf(h.tv, db.image(h.tv, id), h.col, id)
 		if err != nil {
 			return 0, err
 		}
@@ -433,22 +472,18 @@ func (db *DB) effectiveDescend(from *schema.Table, fromID uint32, target string)
 
 // effectiveRow materializes the full current image of row id (schema
 // column order).
-func (db *DB) effectiveRow(t *schema.Table, id uint32) ([]value.Value, error) {
-	if d, ok := db.delta.Get(t.Name); ok {
-		if row, ok := d.Row(id); ok {
-			db.dev.CPU.Charge(sim.CyclesDeltaRow)
-			out := make([]value.Value, len(row))
-			copy(out, row)
-			return out, nil
-		}
+func (db *DB) effectiveRow(tv *tableView, id uint32) ([]value.Value, error) {
+	if img := db.image(tv, id); img != nil {
+		db.dev.CPU.Charge(sim.CyclesDeltaRow)
+		return slices.Clone(img), nil
 	}
-	out := make([]value.Value, len(t.Columns))
-	for i := range t.Columns {
-		v, err := db.effectiveValue(t, i, id)
+	out := make([]value.Value, len(tv.cols))
+	for ci := range tv.cols {
+		v, err := db.valueOf(tv, nil, ci, id)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		out[ci] = v
 	}
 	return out, nil
 }
@@ -466,8 +501,9 @@ func (db *DB) deltaInsertLocked(ins *sql.Insert) error {
 	if !ok {
 		return fmt.Errorf("core: unknown table %s", ins.Table)
 	}
-	dt := db.delta.Ensure(t, db.rowCounts[t.Name])
-	lv := db.newLiveness()
+	tv := db.views[t.Ordinal()]
+	dt := db.delta.Ensure(t, tv.baseN)
+	lv := db.newLiveness(false)
 	rows := make([][]value.Value, len(ins.Rows))
 	busBytes := 0
 	for ri, row := range ins.Rows {
@@ -493,11 +529,10 @@ func (db *DB) deltaInsertLocked(ins *sql.Insert) error {
 			return fmt.Errorf("core: %s primary key must be dense: row %d needs key %d, got %s",
 				t.Name, ri+1, want, pkVal)
 		}
-		for _, fk := range t.ForeignKeys() {
-			ref := out[t.ColumnIndex(fk.Name)]
-			if ref.Kind() != value.Int || !lv.live(fk.RefTable, uint32(ref.Int())) {
+		for _, ci := range tv.fks {
+			if ref := out[ci]; ref.Kind() != value.Int || !lv.live(tv.cols[ci].ref, uint32(ref.Int())) {
 				return fmt.Errorf("core: %s row %d: foreign key %s = %s references no live %s row",
-					t.Name, ri+1, fk.Name, ref, fk.RefTable)
+					t.Name, ri+1, t.Columns[ci].Name, ref, t.Columns[ci].RefTable)
 			}
 		}
 		rows[ri] = out
@@ -548,36 +583,46 @@ func (db *DB) execDMLLocked(d *plan.DML) (int64, error) {
 		db.noteDeviceErr(err)
 		return 0, err
 	}
-	dt := db.delta.Ensure(d.Table, db.rowCounts[d.Table.Name])
+	// Apply all-or-nothing: validate, build every new image, then hand
+	// the statement to the delta in one charge — a statement that runs out
+	// of device RAM midway must leave nothing behind for CHECKPOINT to
+	// make durable.
+	tv := db.views[d.Table.Ordinal()]
+	dt := db.delta.Ensure(d.Table, tv.baseN)
 	switch d.Op {
 	case plan.OpDelete:
-		for _, id := range ids {
-			if err := dt.Delete(id); err != nil {
-				return 0, err
-			}
+		if err := dt.DeleteAll(ids); err != nil {
+			return 0, err
 		}
 	case plan.OpUpdate:
-		lv := db.newLiveness()
-		for _, id := range ids {
-			row, err := db.effectiveRow(d.Table, id)
+		if len(ids) == 0 {
+			break
+		}
+		lv := db.newLiveness(false)
+		for _, a := range d.Sets {
+			if c := &d.Table.Columns[a.ColIdx]; c.IsForeignKey() &&
+				(a.Val.Kind() != value.Int || !lv.live(tv.cols[a.ColIdx].ref, uint32(a.Val.Int()))) {
+				return 0, fmt.Errorf("core: UPDATE %s: foreign key %s = %s references no live %s row",
+					d.Table.Name, c.Name, a.Val, c.RefTable)
+			}
+		}
+		rows := make([][]value.Value, len(ids))
+		for i, id := range ids {
+			row, err := db.effectiveRow(tv, id)
 			if err != nil {
 				return 0, err
 			}
 			for _, a := range d.Sets {
-				c := d.Table.Columns[a.ColIdx]
-				if c.IsForeignKey() {
-					if a.Val.Kind() != value.Int || !lv.live(c.RefTable, uint32(a.Val.Int())) {
-						return 0, fmt.Errorf("core: UPDATE %s: foreign key %s = %s references no live %s row",
-							d.Table.Name, c.Name, a.Val, c.RefTable)
-					}
-				}
 				row[a.ColIdx] = a.Val
-				if c.Hidden && c.Type.Kind == value.String {
-					db.hiddenVals.Add(a.Val)
-				}
 			}
-			if err := dt.Apply(id, row); err != nil {
-				return 0, err
+			rows[i] = row
+		}
+		if err := dt.ApplyAll(ids, rows); err != nil {
+			return 0, err
+		}
+		for _, a := range d.Sets {
+			if c := &d.Table.Columns[a.ColIdx]; c.Hidden && c.Type.Kind == value.String {
+				db.hiddenVals.Add(a.Val)
 			}
 		}
 	}
@@ -590,10 +635,10 @@ func (db *DB) execDMLLocked(d *plan.DML) (int64, error) {
 // untrusted side's selections (visible predicates) minus the shadowed
 // set; delta-resident images are scanned directly in RAM.
 func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
-	t := d.Table
-	baseN := db.rowCounts[t.Name]
-	dt, hasDelta := db.delta.Get(t.Name)
-	lv := db.newLiveness()
+	ord := d.Table.Ordinal()
+	baseN := db.views[ord].baseN
+	dt := db.delta.Get(ord)
+	lv := db.newLiveness(false)
 	rep := &stats.Report{}
 
 	// Base candidates: intersect the per-predicate exact ID lists.
@@ -648,28 +693,31 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 
 	var out []uint32
 	for _, id := range base {
-		if hasDelta && dt.Shadowed(id) {
+		if dt != nil && dt.Shadowed(id) {
 			continue // re-evaluated from the delta image below
 		}
-		if !lv.live(t.Name, id) {
+		if !lv.live(ord, id) {
 			continue
 		}
 		out = append(out, id)
 	}
 
 	// Delta-resident images: direct RAM scan.
-	if hasDelta {
+	if dt != nil {
+		predCols := make([]int, len(d.Preds)) // column position per predicate
+		for i, p := range d.Preds {
+			predCols[i] = d.Table.ColumnIndex(p.Col.Column)
+		}
 		for _, id := range dt.DeltaIDs() {
-			if !lv.live(t.Name, id) {
+			if !lv.live(ord, id) {
 				continue
 			}
 			row, _ := dt.Row(id)
 			db.dev.CPU.Charge(sim.CyclesDeltaRow)
 			match := true
-			for _, p := range d.Preds {
+			for i, p := range d.Preds {
 				db.dev.CPU.Charge(sim.CyclesPredicate)
-				colIdx := t.ColumnIndex(p.Col.Column)
-				ok, err := p.P.Eval(row[colIdx])
+				ok, err := p.P.Eval(row[predCols[i]])
 				if err != nil {
 					return nil, err
 				}
@@ -696,11 +744,14 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 // still holds every mutation, so abandoning a pending checkpoint (on
 // context cancellation, say) loses nothing.
 type ckptPending struct {
-	absorbed  int64
-	oldIDs    map[string][]uint32
+	absorbed int64
+	// survivors lists the root table's surviving old identifiers in
+	// ascending order; never nil (empty when every root row died).
+	survivors []uint32
 	cols      map[string][][]value.Value
 	wallStart time.Time
 	simStart  time.Duration
+	prepared  time.Time // end of the read-only phase
 }
 
 // checkpointLocked merges the delta into fresh flash segments: it
@@ -722,7 +773,7 @@ func (db *DB) checkpointLocked(ctx context.Context) (int64, []uint32, error) {
 	if err := db.checkpointCommitLocked(p); err != nil {
 		return 0, nil, err
 	}
-	return p.absorbed, p.oldIDs[db.sch.Root().Name], nil
+	return p.absorbed, p.survivors, nil
 }
 
 // checkpointPrepareLocked runs the read-only phase of a CHECKPOINT:
@@ -743,61 +794,59 @@ func (db *DB) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error)
 		db.noteDeviceErr(err)
 		return nil, err
 	}
-	lv := db.newLiveness()
+	lv := db.newLiveness(true)
 
-	// Pass 1: survivors and their new dense identifiers, per table.
-	oldIDs := map[string][]uint32{}
-	renumber := map[string]map[uint32]uint32{}
-	for _, t := range db.sch.Tables() {
+	// Pass 1: survivors and their new dense identifiers, per table
+	// ordinal (renumber[ord][old] is the new identifier, 0 when dead).
+	oldIDs := make([][]uint32, len(db.views))
+	renumber := make([][]uint32, len(db.views))
+	for ord, tv := range db.views {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: CHECKPOINT canceled: %w", err)
 		}
-		maxID := uint32(db.rowCounts[t.Name])
-		if d, ok := db.delta.Get(t.Name); ok {
-			maxID = d.MaxID()
-		}
-		var ids []uint32
-		remap := map[uint32]uint32{}
+		maxID := db.maxID(tv)
+		ids := make([]uint32, 0, maxID)
+		remap := make([]uint32, maxID+1)
 		for id := uint32(1); id <= maxID; id++ {
-			if !lv.live(t.Name, id) {
-				continue
+			if lv.live(ord, id) {
+				ids = append(ids, id)
+				remap[id] = uint32(len(ids))
 			}
-			ids = append(ids, id)
-			remap[id] = uint32(len(ids))
 		}
-		oldIDs[t.Name] = ids
-		renumber[t.Name] = remap
+		oldIDs[ord], renumber[ord] = ids, remap
 	}
 
 	// Pass 2: extract the effective columns with foreign keys remapped,
-	// before anything is torn down.
-	cols := map[string][][]value.Value{}
-	for _, t := range db.sch.Tables() {
+	// before anything is torn down. Row-major, so the page cache sees the
+	// base hidden columns in the same order as ever.
+	cols := make(map[string][][]value.Value, len(db.views))
+	for ord, tv := range db.views {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: CHECKPOINT canceled: %w", err)
 		}
-		ids := oldIDs[t.Name]
+		t, ids := tv.t, oldIDs[ord]
 		tcols := make([][]value.Value, len(t.Columns))
-		for ci := range t.Columns {
+		for ci := range tcols {
 			tcols[ci] = make([]value.Value, len(ids))
 		}
 		for newIdx, oldID := range ids {
-			for ci, c := range t.Columns {
-				switch {
+			img := db.image(tv, oldID)
+			for ci := range t.Columns {
+				switch c := &t.Columns[ci]; {
 				case c.PrimaryKey:
 					tcols[ci][newIdx] = value.NewInt(int64(newIdx + 1))
 				case c.IsForeignKey():
-					oldChild, err := db.effectiveFK(t, ci, oldID)
+					oldChild, err := db.fkOf(tv, img, ci, oldID)
 					if err != nil {
 						return nil, err
 					}
-					newChild, ok := renumber[db.mustTable(c.RefTable).Name][oldChild]
-					if !ok {
+					remap := renumber[tv.cols[ci].ref]
+					if int(oldChild) >= len(remap) || remap[oldChild] == 0 {
 						return nil, fmt.Errorf("core: checkpoint: %s.%s row %d dangles", t.Name, c.Name, oldID)
 					}
-					tcols[ci][newIdx] = value.NewInt(int64(newChild))
+					tcols[ci][newIdx] = value.NewInt(int64(remap[oldChild]))
 				default:
-					v, err := db.effectiveValue(t, ci, oldID)
+					v, err := db.valueOf(tv, img, ci, oldID)
 					if err != nil {
 						db.noteDeviceErr(err)
 						return nil, err
@@ -808,8 +857,9 @@ func (db *DB) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error)
 		}
 		cols[t.Name] = tcols
 	}
-	p.oldIDs = oldIDs
+	p.survivors = oldIDs[db.sch.Root().Ordinal()]
 	p.cols = cols
+	p.prepared = time.Now()
 	return p, nil
 }
 
@@ -822,11 +872,19 @@ func (db *DB) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error)
 // the in-RAM structures no longer match any committed flash state.
 // Feeds the checkpoint metrics on every outcome.
 func (db *DB) checkpointCommitLocked(p *ckptPending) error {
+	start := time.Now()
+	var rebuilt time.Time // zero until the rebuild phase has succeeded
 	defer func() {
 		db.checkpointsRun.Add(1)
 		if m := db.metrics; m != nil {
+			end := time.Now()
 			m.checkpoints.Inc()
-			m.checkpointWall.Observe(time.Since(p.wallStart).Nanoseconds())
+			m.checkpointWall.Observe(end.Sub(p.wallStart).Nanoseconds())
+			m.checkpointPrepareWall.Observe(p.prepared.Sub(p.wallStart).Nanoseconds())
+			if !rebuilt.IsZero() {
+				m.checkpointRebuildWall.Observe(rebuilt.Sub(start).Nanoseconds())
+				m.checkpointCommitWall.Observe(end.Sub(rebuilt).Nanoseconds())
+			}
 			m.checkpointSim.Observe(int64(db.clock.Span(p.simStart)))
 			m.noteDelta(db)
 		}
@@ -848,6 +906,7 @@ func (db *DB) checkpointCommitLocked(p *ckptPending) error {
 		db.setFatal(err)
 		return err
 	}
+	rebuilt = time.Now()
 	db.version++
 	db.stashCommitted(db.version, p.cols)
 	if err := db.writeCommitRecord(); err != nil {
@@ -898,55 +957,39 @@ func (db *DB) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
 	if !db.delta.Dirty() {
 		return nil, nil
 	}
-	root := q.Root
+	root := db.views[q.Root.Ordinal()]
 
 	// Tables the query root transitively references (the liveness and
 	// value chain of a root row), including the root itself.
-	var reach []*schema.Table
-	var visit func(t *schema.Table)
-	visit = func(t *schema.Table) {
-		reach = append(reach, t)
-		for _, fk := range t.ForeignKeys() {
-			visit(db.mustTable(fk.RefTable))
+	var reach []*tableView
+	var visit func(tv *tableView)
+	visit = func(tv *tableView) {
+		reach = append(reach, tv)
+		for _, ci := range tv.fks {
+			visit(db.views[tv.cols[ci].ref])
 		}
 	}
 	visit(root)
 
 	dirty := map[uint32]struct{}{}
-	for _, t := range reach {
-		d, ok := db.delta.Get(t.Name)
-		if !ok || !d.Dirty() {
-			continue
-		}
-		ids := d.ShadowedBaseIDs()
-		if len(ids) == 0 {
-			continue
-		}
-		if t.Name == root.Name {
-			for _, id := range ids {
-				dirty[id] = struct{}{}
-			}
+	for _, tv := range reach {
+		d := db.deltaOf(tv)
+		if d == nil || !d.Dirty() {
 			continue
 		}
 		// Propagate the shadowed base identifiers up the referencing
-		// chain to the query root through the retained inverted edges.
-		path := db.sch.PathToRoot(t.Name)
-		cur := ids
-		for j := 0; j+1 < len(path) && len(cur) > 0; j++ {
-			child, parent := path[j], path[j+1]
-			inv := db.inverted[invKey(parent.Name, child.Name)]
-			next := map[uint32]struct{}{}
+		// chain to the query root through the retained inverted edges
+		// (a row references one row, so the lists met are disjoint).
+		cur := d.ShadowedBaseIDs()
+		for ; tv != root && len(cur) > 0; tv = db.views[tv.parent] {
+			inv := db.views[tv.parent].cols[tv.up].inv
+			var next []uint32
 			for _, id := range cur {
 				if int(id) <= len(inv) {
-					for _, p := range inv[id-1] {
-						next[p] = struct{}{}
-					}
+					next = append(next, inv[id-1]...)
 				}
 			}
-			cur = sortedIDs(next)
-			if parent.Name == root.Name {
-				break
-			}
+			cur = next
 		}
 		for _, id := range cur {
 			dirty[id] = struct{}{}
@@ -957,7 +1000,7 @@ func (db *DB) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
 	for id := range dirty {
 		cands[id] = struct{}{}
 	}
-	if d, ok := db.delta.Get(root.Name); ok {
+	if d := db.deltaOf(root); d != nil {
 		for _, id := range d.DeltaIDs() {
 			cands[id] = struct{}{}
 		}

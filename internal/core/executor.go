@@ -631,9 +631,26 @@ func (ex *executor) evalDeltaRows() error {
 		return nil
 	}
 	db, q := ex.db, ex.q
+	// Resolve every predicate and projection column once, not per row.
+	root := db.views[q.Root.Ordinal()]
+	preds := make([]deltaCol, len(q.Preds))
+	projs := make([]deltaCol, len(q.Projs))
+	for i := range q.Preds {
+		var err error
+		if preds[i], err = db.deltaColOf(root, q.Preds[i].Col); err != nil {
+			return err
+		}
+	}
+	for j, c := range q.Projs {
+		var err error
+		if projs[j], err = db.deltaColOf(root, c); err != nil {
+			return err
+		}
+	}
+
 	op := ex.rep.NewOp("DeltaScan", probesLabel(len(ex.deltaCands)))
 	phase := db.clock.Now()
-	lv := db.newLiveness()
+	lv := db.newLiveness(false)
 	resultBytes := 0
 	for n, id := range ex.deltaCands {
 		if n&63 == 0 {
@@ -643,23 +660,17 @@ func (ex *executor) evalDeltaRows() error {
 		}
 		op.AddIn(1)
 		db.dev.CPU.Charge(sim.CyclesDeltaRow)
-		if !lv.live(q.Root.Name, id) {
+		if !lv.live(q.Root.Ordinal(), id) {
 			continue
 		}
 		match := true
-		for i := range q.Preds {
-			p := q.Preds[i]
-			mid, err := db.effectiveDescend(q.Root, id, p.Col.Table)
-			if err != nil {
-				return err
-			}
-			t := db.mustTable(p.Col.Table)
-			v, err := db.effectiveValue(t, t.ColumnIndex(p.Col.Column), mid)
+		for i := range preds {
+			v, err := db.effectiveAt(id, &preds[i])
 			if err != nil {
 				return err
 			}
 			db.dev.CPU.Charge(sim.CyclesPredicate)
-			ok, err := p.P.Eval(v)
+			ok, err := q.Preds[i].P.Eval(v)
 			if err != nil {
 				return err
 			}
@@ -671,14 +682,9 @@ func (ex *executor) evalDeltaRows() error {
 		if !match {
 			continue
 		}
-		vals := make([]value.Value, len(q.Projs))
-		for j, c := range q.Projs {
-			mid, err := db.effectiveDescend(q.Root, id, c.Table)
-			if err != nil {
-				return err
-			}
-			t := db.mustTable(c.Table)
-			v, err := db.effectiveValue(t, t.ColumnIndex(c.Column), mid)
+		vals := make([]value.Value, len(projs))
+		for j := range projs {
+			v, err := db.effectiveAt(id, &projs[j])
 			if err != nil {
 				return err
 			}
@@ -691,6 +697,32 @@ func (ex *executor) evalDeltaRows() error {
 	}
 	op.AddTime(db.clock.Span(phase))
 	return ex.sendResultBytes(resultBytes, "delta rows")
+}
+
+// deltaCol is a query column resolved for the delta scan: its table's
+// view, its position there, and the foreign-key hops leading down to
+// that table from the query root.
+type deltaCol struct {
+	tv   *tableView
+	ci   int
+	hops []fkHop
+}
+
+func (db *DB) deltaColOf(root *tableView, c plan.Col) (deltaCol, error) {
+	t := db.mustTable(c.Table)
+	dc := deltaCol{tv: db.views[t.Ordinal()], ci: t.ColumnIndex(c.Column)}
+	var err error
+	dc.hops, err = db.descent(root, dc.tv)
+	return dc, err
+}
+
+// effectiveAt reads c's current value for the query-root row id.
+func (db *DB) effectiveAt(id uint32, c *deltaCol) (value.Value, error) {
+	mid, err := db.effectiveDescend(id, c.hops)
+	if err != nil {
+		return value.Value{}, err
+	}
+	return db.valueOf(c.tv, db.image(c.tv, mid), c.ci, mid)
 }
 
 // buildLayout decides which member tables each row carries.

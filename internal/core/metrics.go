@@ -51,14 +51,23 @@ type engineMetrics struct {
 	queryWall      *metrics.Histogram
 	querySim       *metrics.Histogram
 	checkpointWall *metrics.Histogram
-	checkpointSim  *metrics.Histogram
-	recoveryWall   *metrics.Histogram
+	// The phases of checkpoint_wall_ns, per device: on a sharded DB they
+	// are fed on the shard registries (the children do the work), and a
+	// child's total also spans its wait for the other shards' prepare.
+	// Nil (Observe is nil-safe) on session registries, which never see a
+	// CHECKPOINT and would only carry 14 KB of empty buckets each.
+	checkpointPrepareWall *metrics.Histogram
+	checkpointRebuildWall *metrics.Histogram
+	checkpointCommitWall  *metrics.Histogram
+	checkpointSim         *metrics.Histogram
+	recoveryWall          *metrics.Histogram
 }
 
-// newEngineMetrics builds a registry with the engine's full metric set.
-func newEngineMetrics() *engineMetrics {
+// newEngineMetrics builds a registry with the engine's full metric set;
+// device adds the per-device CHECKPOINT phase histograms.
+func newEngineMetrics(device bool) *engineMetrics {
 	r := metrics.NewRegistry()
-	return &engineMetrics{
+	m := &engineMetrics{
 		reg: r,
 
 		queries:         r.Counter("queries_total", "queries executed"),
@@ -100,6 +109,12 @@ func newEngineMetrics() *engineMetrics {
 		checkpointSim:  r.Histogram("checkpoint_sim_ns", "CHECKPOINT duration, simulated device time"),
 		recoveryWall:   r.Histogram("recovery_wall_ns", "Recover duration, host wall-clock"),
 	}
+	if device {
+		m.checkpointPrepareWall = r.Histogram("checkpoint_prepare_wall_ns", "CHECKPOINT read phase (liveness, renumbering, extraction), host wall-clock")
+		m.checkpointRebuildWall = r.Histogram("checkpoint_rebuild_wall_ns", "CHECKPOINT rebuild phase (flash half swap, column files, SKTs, climbing indexes), host wall-clock")
+		m.checkpointCommitWall = r.Histogram("checkpoint_commit_wall_ns", "CHECKPOINT commit phase (commit record, sidecar, sync), host wall-clock")
+	}
+	return m
 }
 
 // faultSink adapts the engine metrics registry to the fault injector's

@@ -60,7 +60,7 @@ func (db *DB) NewSession() (*Session, error) {
 	db.sessions++
 	s := &Session{db: db, id: db.nextSession}
 	if db.metrics != nil {
-		s.metrics = newEngineMetrics()
+		s.metrics = newEngineMetrics(false)
 	}
 	return s, nil
 }

@@ -1030,7 +1030,7 @@ func (ss *shardSet) checkpoint(db *DB, ctx context.Context) (int64, error) {
 			p, err := c.checkpointPrepareLocked(ctx)
 			outs[s].pending, outs[s].err = p, err
 			if p != nil {
-				outs[s].survivors = p.oldIDs[root.Name]
+				outs[s].survivors = p.survivors
 			}
 		}(s)
 	}

@@ -22,9 +22,9 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"github.com/ghostdb/ghostdb/internal/ram"
 	"github.com/ghostdb/ghostdb/internal/schema"
@@ -38,22 +38,23 @@ const tombstoneBytes = 4
 const idBytes = 4
 
 // Store holds the deltas of every table of one database, charging the
-// hidden share against the device RAM arena. It is not internally
+// hidden share against the device RAM arena. Tables are addressed by
+// their schema ordinal (schema.Table.Ordinal). It is not internally
 // locked: the engine serializes all access under its device gate.
 type Store struct {
 	arena  *ram.Arena
-	tables map[string]*Table // lower-cased name -> delta
+	tables []*Table // by table ordinal; nil until the first mutation
 }
 
 // NewStore returns an empty delta store charging hidden bytes to arena.
 func NewStore(arena *ram.Arena) *Store {
-	return &Store{arena: arena, tables: map[string]*Table{}}
+	return &Store{arena: arena}
 }
 
 // Ensure returns the table's delta, creating it on first mutation.
 func (s *Store) Ensure(t *schema.Table, baseRows int) *Table {
-	key := strings.ToLower(t.Name)
-	if d, ok := s.tables[key]; ok {
+	ord := t.Ordinal()
+	if d := s.Get(ord); d != nil {
 		return d
 	}
 	d := &Table{
@@ -64,20 +65,26 @@ func (s *Store) Ensure(t *schema.Table, baseRows int) *Table {
 		rows:     map[uint32][]value.Value{},
 		tombs:    map[uint32]struct{}{},
 	}
-	s.tables[key] = d
+	if ord >= len(s.tables) {
+		s.tables = append(s.tables, make([]*Table, ord+1-len(s.tables))...)
+	}
+	s.tables[ord] = d
 	return d
 }
 
-// Get returns the table's delta if it has one (case-insensitive).
-func (s *Store) Get(name string) (*Table, bool) {
-	d, ok := s.tables[strings.ToLower(name)]
-	return d, ok
+// Get returns the delta of the table with the given ordinal, or nil when
+// the table has had no mutation since the last CHECKPOINT.
+func (s *Store) Get(ord int) *Table {
+	if ord >= len(s.tables) {
+		return nil
+	}
+	return s.tables[ord]
 }
 
 // Dirty reports whether any table carries delta rows or tombstones.
 func (s *Store) Dirty() bool {
 	for _, d := range s.tables {
-		if d.Dirty() {
+		if d != nil && d.Dirty() {
 			return true
 		}
 	}
@@ -89,7 +96,9 @@ func (s *Store) Dirty() bool {
 func (s *Store) Entries() int {
 	n := 0
 	for _, d := range s.tables {
-		n += len(d.rows) + len(d.tombs)
+		if d != nil {
+			n += len(d.rows) + len(d.tombs)
+		}
 	}
 	return n
 }
@@ -98,7 +107,9 @@ func (s *Store) Entries() int {
 func (s *Store) DeviceBytes() int64 {
 	var n int64
 	for _, d := range s.tables {
-		n += d.deviceBytes
+		if d != nil {
+			n += d.deviceBytes
+		}
 	}
 	return n
 }
@@ -107,7 +118,9 @@ func (s *Store) DeviceBytes() int64 {
 func (s *Store) HostBytes() int64 {
 	var n int64
 	for _, d := range s.tables {
-		n += d.hostBytes
+		if d != nil {
+			n += d.hostBytes
+		}
 	}
 	return n
 }
@@ -116,9 +129,11 @@ func (s *Store) HostBytes() int64 {
 func (s *Store) Tables() []*Table {
 	out := make([]*Table, 0, len(s.tables))
 	for _, d := range s.tables {
-		out = append(out, d)
+		if d != nil {
+			out = append(out, d)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].sch.Name < out[j].sch.Name })
+	slices.SortFunc(out, func(a, b *Table) int { return cmp.Compare(a.sch.Name, b.sch.Name) })
 	return out
 }
 
@@ -126,9 +141,11 @@ func (s *Store) Tables() []*Table {
 // calls it when a CHECKPOINT has merged the delta into flash.
 func (s *Store) ReleaseAll() {
 	for _, d := range s.tables {
-		d.grant.Free()
+		if d != nil {
+			d.grant.Free()
+		}
 	}
-	s.tables = map[string]*Table{}
+	s.tables = nil
 }
 
 // Table is one table's RAM-resident delta.
@@ -223,7 +240,7 @@ func (t *Table) ShadowedBaseIDs() []uint32 {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -233,25 +250,14 @@ func (t *Table) DeltaIDs() []uint32 {
 	for id := range t.rows {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// charge grows the table's grant by the row's hidden share (plus the
-// identifier key) and books the visible share. The caller has validated
-// the row; a failure means the device RAM budget is exhausted and the
-// mutation must be rejected until a CHECKPOINT drains the delta.
-func (t *Table) charge(row []value.Value, extraDevice int64) error {
-	var dev, host int64 = extraDevice, 0
-	if row != nil {
-		rd, rh := t.rowBytes(row)
-		dev += idBytes + rd
-		host += rh
-	}
-	return t.chargeRaw(dev, host)
-}
-
-// chargeRaw grows the grant by dev bytes and books host bytes.
+// chargeRaw grows the grant by dev bytes — the hidden share of one whole
+// statement, identifier keys and tombstones included — and books host
+// bytes. A failure means the device RAM budget is exhausted and the
+// statement must be rejected until a CHECKPOINT drains the delta.
 func (t *Table) chargeRaw(dev, host int64) error {
 	if dev > 0 {
 		if t.grant == nil {
@@ -273,13 +279,7 @@ func (t *Table) chargeRaw(dev, host int64) error {
 // dense identifier. The row is stored as given (already coerced to
 // column kinds by the engine).
 func (t *Table) Insert(row []value.Value) (uint32, error) {
-	id := t.nextID
-	if err := t.charge(row, 0); err != nil {
-		return 0, err
-	}
-	t.rows[id] = row
-	t.nextID++
-	return id, nil
+	return t.InsertAll([][]value.Value{row})
 }
 
 // InsertAll appends rows atomically: either every row is charged and
@@ -304,27 +304,41 @@ func (t *Table) InsertAll(rows [][]value.Value) (uint32, error) {
 	return first, nil
 }
 
-// Apply stores an updated image for id, shadowing the base version (or
-// replacing an earlier delta image). Replacing a resident image charges
-// any growth of its hidden share; freed bytes of a shrinking image are
-// not returned to the arena until CHECKPOINT — RAM free lists fragment;
-// the checkpoint is what compacts.
+// Apply stores an updated image for id; see ApplyAll.
 func (t *Table) Apply(id uint32, row []value.Value) error {
-	if t.Tombstoned(id) {
-		return fmt.Errorf("delta: %s id %d is deleted", t.sch.Name, id)
-	}
-	if old, resident := t.rows[id]; !resident {
-		if err := t.charge(row, 0); err != nil {
-			return err
+	return t.ApplyAll([]uint32{id}, [][]value.Value{row})
+}
+
+// ApplyAll stores rows[i] as the updated image of ids[i] (distinct
+// identifiers), shadowing the base version or replacing an earlier delta
+// image, atomically: the statement's whole growth is charged at once, and
+// a deleted identifier or an exhausted RAM budget leaves the delta
+// untouched. Replacing a resident image charges any growth of its hidden
+// share; freed bytes of a shrinking image are not returned to the arena
+// until CHECKPOINT — RAM free lists fragment; the checkpoint is what
+// compacts.
+func (t *Table) ApplyAll(ids []uint32, rows [][]value.Value) error {
+	var dev, host int64
+	for i, id := range ids {
+		if t.Tombstoned(id) {
+			return fmt.Errorf("delta: %s id %d is deleted", t.sch.Name, id)
 		}
-	} else {
-		oldDev, oldHost := t.rowBytes(old)
-		newDev, newHost := t.rowBytes(row)
-		if err := t.chargeRaw(max(0, newDev-oldDev), max(0, newHost-oldHost)); err != nil {
-			return err
+		newDev, newHost := t.rowBytes(rows[i])
+		if old, resident := t.rows[id]; resident {
+			oldDev, oldHost := t.rowBytes(old)
+			dev += max(0, newDev-oldDev)
+			host += max(0, newHost-oldHost)
+		} else {
+			dev += idBytes + newDev
+			host += newHost
 		}
 	}
-	t.rows[id] = row
+	if err := t.chargeRaw(dev, host); err != nil {
+		return err
+	}
+	for i, id := range ids {
+		t.rows[id] = rows[i]
+	}
 	return nil
 }
 
@@ -341,15 +355,24 @@ func (t *Table) rowBytes(row []value.Value) (dev, host int64) {
 	return dev, host
 }
 
-// Delete tombstones id, dropping any delta image it had.
-func (t *Table) Delete(id uint32) error {
-	if t.Tombstoned(id) {
-		return fmt.Errorf("delta: %s id %d is already deleted", t.sch.Name, id)
+// Delete tombstones id; see DeleteAll.
+func (t *Table) Delete(id uint32) error { return t.DeleteAll([]uint32{id}) }
+
+// DeleteAll tombstones ids (distinct identifiers), dropping any delta
+// images they had, atomically: an already deleted identifier or an
+// exhausted RAM budget leaves the delta untouched.
+func (t *Table) DeleteAll(ids []uint32) error {
+	for _, id := range ids {
+		if t.Tombstoned(id) {
+			return fmt.Errorf("delta: %s id %d is already deleted", t.sch.Name, id)
+		}
 	}
-	if err := t.charge(nil, tombstoneBytes); err != nil {
+	if err := t.chargeRaw(int64(len(ids))*tombstoneBytes, 0); err != nil {
 		return err
 	}
-	delete(t.rows, id)
-	t.tombs[id] = struct{}{}
+	for _, id := range ids {
+		delete(t.rows, id)
+		t.tombs[id] = struct{}{}
+	}
 	return nil
 }

@@ -53,6 +53,11 @@ type Table struct {
 
 	pk       int
 	colIndex map[string]int
+	ord      int // position in the owning schema's declaration order
+
+	// The catalog never changes after NewTable, so the column subsets
+	// are computed once; callers must treat them as read-only.
+	fks, hidden, visible []*Column
 }
 
 // NewTable builds a table, validating column names and the primary key.
@@ -72,7 +77,7 @@ func NewTable(name string, cols []Column) (*Table, error) {
 		if _, dup := t.colIndex[key]; dup {
 			return nil, fmt.Errorf("schema: table %s: duplicate column %s", name, c.Name)
 		}
-		t.colIndex[key] = i
+		t.colIndex[key], t.colIndex[c.Name] = i, i
 		if c.PrimaryKey {
 			if t.pk >= 0 {
 				return nil, fmt.Errorf("schema: table %s: multiple primary keys", name)
@@ -92,12 +97,34 @@ func NewTable(name string, cols []Column) (*Table, error) {
 	if t.pk < 0 {
 		return nil, fmt.Errorf("schema: table %s has no primary key", name)
 	}
+	for i := range t.Columns {
+		c := &t.Columns[i]
+		if c.IsForeignKey() {
+			t.fks = append(t.fks, c)
+		}
+		if c.Hidden {
+			t.hidden = append(t.hidden, c)
+		} else {
+			t.visible = append(t.visible, c)
+		}
+	}
 	return t, nil
+}
+
+// fold looks name up in a catalog map that holds every entry under both
+// its declared and its lower-cased spelling, so a lookup in either one —
+// all the engine itself ever uses — allocates nothing.
+func fold[V any](m map[string]V, name string) (V, bool) {
+	if v, ok := m[name]; ok {
+		return v, true
+	}
+	v, ok := m[strings.ToLower(name)]
+	return v, ok
 }
 
 // Column returns the named column (case-insensitive).
 func (t *Table) Column(name string) (*Column, bool) {
-	i, ok := t.colIndex[strings.ToLower(name)]
+	i, ok := fold(t.colIndex, name)
 	if !ok {
 		return nil, false
 	}
@@ -106,7 +133,7 @@ func (t *Table) Column(name string) (*Column, bool) {
 
 // ColumnIndex returns the position of the named column, or -1.
 func (t *Table) ColumnIndex(name string) int {
-	i, ok := t.colIndex[strings.ToLower(name)]
+	i, ok := fold(t.colIndex, name)
 	if !ok {
 		return -1
 	}
@@ -119,44 +146,27 @@ func (t *Table) PrimaryKey() *Column { return &t.Columns[t.pk] }
 // PrimaryKeyIndex returns the position of the primary key column.
 func (t *Table) PrimaryKeyIndex() int { return t.pk }
 
-// ForeignKeys returns the foreign-key columns in declaration order.
-func (t *Table) ForeignKeys() []*Column {
-	var fks []*Column
-	for i := range t.Columns {
-		if t.Columns[i].IsForeignKey() {
-			fks = append(fks, &t.Columns[i])
-		}
-	}
-	return fks
-}
+// Ordinal returns the table's position in its schema's declaration
+// order (the index of the table in Schema.Tables); 0 before AddTable.
+func (t *Table) Ordinal() int { return t.ord }
 
-// HiddenColumns returns the columns stored only on the device.
-func (t *Table) HiddenColumns() []*Column {
-	var out []*Column
-	for i := range t.Columns {
-		if t.Columns[i].Hidden {
-			out = append(out, &t.Columns[i])
-		}
-	}
-	return out
-}
+// ForeignKeys returns the foreign-key columns in declaration order. The
+// slice is shared: read-only.
+func (t *Table) ForeignKeys() []*Column { return t.fks }
 
-// VisibleColumns returns the columns stored on the public side.
-func (t *Table) VisibleColumns() []*Column {
-	var out []*Column
-	for i := range t.Columns {
-		if !t.Columns[i].Hidden {
-			out = append(out, &t.Columns[i])
-		}
-	}
-	return out
-}
+// HiddenColumns returns the columns stored only on the device. The slice
+// is shared: read-only.
+func (t *Table) HiddenColumns() []*Column { return t.hidden }
+
+// VisibleColumns returns the columns stored on the public side. The
+// slice is shared: read-only.
+func (t *Table) VisibleColumns() []*Column { return t.visible }
 
 // Schema is an ordered catalog of tables. Call Freeze after the last
 // AddTable to validate the tree shape and enable navigation queries.
 type Schema struct {
 	tables map[string]*Table
-	order  []string
+	order  []*Table
 
 	frozen   bool
 	rootName string
@@ -186,7 +196,7 @@ func (s *Schema) AddTable(t *Table) error {
 		if !c.IsForeignKey() {
 			continue
 		}
-		ref, ok := s.tables[strings.ToLower(c.RefTable)]
+		ref, ok := s.Table(c.RefTable)
 		if !ok {
 			return fmt.Errorf("schema: table %s: %s references unknown table %s", t.Name, c.Name, c.RefTable)
 		}
@@ -204,25 +214,18 @@ func (s *Schema) AddTable(t *Table) error {
 		c.RefTable = ref.Name
 		c.RefColumn = rc.Name
 	}
-	s.tables[key] = t
-	s.order = append(s.order, t.Name)
+	s.tables[key], s.tables[t.Name] = t, t
+	t.ord = len(s.order)
+	s.order = append(s.order, t)
 	return nil
 }
 
 // Table returns the named table (case-insensitive).
-func (s *Schema) Table(name string) (*Table, bool) {
-	t, ok := s.tables[strings.ToLower(name)]
-	return t, ok
-}
+func (s *Schema) Table(name string) (*Table, bool) { return fold(s.tables, name) }
 
-// Tables returns all tables in declaration order.
-func (s *Schema) Tables() []*Table {
-	out := make([]*Table, len(s.order))
-	for i, n := range s.order {
-		out[i] = s.tables[strings.ToLower(n)]
-	}
-	return out
-}
+// Tables returns all tables in declaration order; a table's index is its
+// Ordinal. The slice is shared (capped, so an append copies): read-only.
+func (s *Schema) Tables() []*Table { return s.order[:len(s.order):len(s.order)] }
 
 // Freeze validates the tree shape: every table is referenced by at most
 // one other table, exactly one table is referenced by none and references

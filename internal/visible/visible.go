@@ -141,8 +141,13 @@ func (t *Table) Value(col string, id uint32) (value.Value, error) {
 	if !ok {
 		return value.Value{}, fmt.Errorf("visible: no column %s.%s", t.Name, col)
 	}
-	if id == 0 || int(id) > t.n {
-		return value.Value{}, fmt.Errorf("visible: id %d out of 1..%d", id, t.n)
+	return c.Value(id)
+}
+
+// Value returns the column's value for row id (1-based).
+func (c *Column) Value(id uint32) (value.Value, error) {
+	if id == 0 || int(id) > len(c.vals) {
+		return value.Value{}, fmt.Errorf("visible: id %d out of 1..%d", id, len(c.vals))
 	}
 	return c.vals[id-1], nil
 }
