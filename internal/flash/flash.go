@@ -1,10 +1,10 @@
 // Package flash holds the backend-agnostic flash allocation layer: the
 // append-only Space/Writer machinery, the streaming Reader and the LRU
 // page Cache the engine uses on top of any storage.Backend. The NAND
-// device model itself lives behind that interface — storage/simflash is
-// the simulated chip with the deterministic cost model, storage/filedev
-// the persistent real-file device — and everything in this package works
-// identically over either.
+// device model itself lives behind that interface — storage.Device, over
+// storage/simflash's host memory with the deterministic cost model or
+// storage/filedev's persistent segment files — and everything in this
+// package works identically over either.
 //
 // The geometry/cost types and device-level errors are re-exported from
 // internal/storage so the many layers above (device profiles, planner

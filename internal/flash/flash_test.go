@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/sim"
+	"github.com/ghostdb/ghostdb/internal/storage"
 	"github.com/ghostdb/ghostdb/internal/storage/simflash"
 )
 
@@ -25,9 +26,8 @@ func testParams() Params {
 	}
 }
 
-// newTestDevice backs the allocator tests with the simulated device —
-// the reference storage.Backend implementation.
-func newTestDevice(t *testing.T) (*simflash.Device, *sim.Clock) {
+// newTestDevice backs the allocator tests with the simulated device.
+func newTestDevice(t *testing.T) (*storage.Device, *sim.Clock) {
 	t.Helper()
 	clock := sim.NewClock()
 	d, err := simflash.New(testParams(), clock)

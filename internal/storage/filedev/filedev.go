@@ -1,9 +1,8 @@
-// Package filedev is the persistent real-file storage backend: the same
-// NAND-shaped contract as the simulated device, laid out over
-// page-aligned os.File segments, with no simulated clock — operations
-// run at whatever speed the host disk allows, so benchmarks against this
-// backend measure true hardware throughput and a database survives
-// process exit.
+// Package filedev is the persistent real-file storage medium: the
+// storage.Device's NAND contract laid out over page-aligned os.File
+// segments, with no simulated clock — operations run at whatever speed
+// the host disk allows, so benchmarks against this backend measure true
+// hardware throughput and a database survives process exit.
 //
 // Layout: one device per directory.
 //
@@ -13,22 +12,19 @@
 //	                page's CRC32), padded to a 4 KiB boundary, followed by
 //	                the page data, page-aligned within the file
 //
-// Crash consistency mirrors NAND program semantics: ProgramPage writes
-// the page data first and its out-of-band entry (programmed flag + CRC
-// of the intended content) second, so a host crash between the two
-// leaves the page reading as erased — exactly the torn-record state the
-// engine's A/B commit protocol already recovers from. EraseBlock only
+// Crash consistency mirrors NAND program semantics: the Device writes a
+// page's data first and its out-of-band entry (programmed flag + CRC of
+// the intended content) second, so a host crash between the two leaves
+// the page reading as erased — exactly the torn-record state the
+// engine's A/B commit protocol already recovers from. An erase only
 // zeroes the block's out-of-band region; page data is left in place and
-// reads are gated on the programmed flags, as on the simulated device.
-// The optional fsync knob makes Sync (called by the engine at commit
-// points) flush dirty segments, extending the guarantee from process
-// crashes to host power loss.
+// reads are gated on the programmed flags. The optional fsync knob makes
+// Sync (called by the engine at commit points) flush dirty segments,
+// extending the guarantee from process crashes to host power loss.
 //
-// The fault.Injector contract is honoured in full — torn writes store a
-// prefix of the page under the intended checksum, bit flips rot the
-// stored bytes on disk, power cuts freeze the device — so the engine's
-// fault-torture suites exercise real files with the same plans they run
-// against the simulation.
+// Everything else — checksums, torn writes, bit rot, power cuts, stats —
+// is the storage.Device's, so the engine's fault-torture suites exercise
+// real files with the same plans they run against the simulation.
 package filedev
 
 import (
@@ -36,11 +32,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
-	"github.com/ghostdb/ghostdb/internal/fault"
 	"github.com/ghostdb/ghostdb/internal/storage"
 )
 
@@ -61,10 +56,14 @@ const (
 	flagProgrammed = 1 << 0
 	flagHasCRC     = 1 << 1
 
-	// Transient-fault retry policy: same attempt budget as the simulated
-	// device, without the simulated-clock backoff (there is no clock).
-	maxFaultRetries = 4
+	// geometryVersion is the on-disk format this package reads and writes.
+	geometryVersion = 1
 )
+
+// ErrGeometry reports a geometry.json that cannot be used: unparseable,
+// of another format version, or pinning a different geometry than the
+// one requested.
+var ErrGeometry = errors.New("filedev: unusable geometry file")
 
 // geometry is the JSON document pinned in geometryFile.
 type geometry struct {
@@ -80,9 +79,9 @@ type geometry struct {
 	EraseFixed    int64 `json:"erase_fixed_ns"`
 }
 
-// Device is a file-backed storage.Backend. It is not safe for concurrent
-// use (the engine's device gate serializes access).
-type Device struct {
+// files is the storage.Medium: page bytes and out-of-band tables in
+// segment files.
+type files struct {
 	dir   string
 	p     storage.Params
 	fsync bool
@@ -91,21 +90,6 @@ type Device struct {
 	segDirty    []bool     // segments written since the last Sync
 	pagesPerSeg int
 	oobBytes    int // padded out-of-band table size per segment
-
-	// Authoritative in-memory out-of-band state, write-through to the
-	// segment files. verified is volatile (reset on open), so the first
-	// read of every page after a reopen re-checks its stored checksum.
-	programmed []bool
-	hasCRC     []bool
-	crc        []uint32
-	verified   []bool
-
-	scratch []byte // one page, for verified partial reads
-	stats   storage.Stats
-
-	inj       *fault.Injector
-	integrity bool
-	closed    bool
 }
 
 // Exists reports whether dir holds a filedev device (its geometry file).
@@ -127,7 +111,7 @@ func Wipe(dir string) error {
 // geometry file is absent. An existing device must match p's geometry
 // exactly. fsync controls whether Sync flushes dirty segments to stable
 // storage.
-func Open(dir string, p storage.Params, fsync bool) (*Device, error) {
+func Open(dir string, p storage.Params, fsync bool) (*storage.Device, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -138,7 +122,7 @@ func Open(dir string, p storage.Params, fsync bool) (*Device, error) {
 		return nil, err
 	}
 	want := geometry{
-		Version:       1,
+		Version:       geometryVersion,
 		PageSize:      p.PageSize,
 		PagesPerBlock: p.PagesPerBlock,
 		Blocks:        p.Blocks,
@@ -155,12 +139,15 @@ func Open(dir string, p storage.Params, fsync bool) (*Device, error) {
 	case err == nil:
 		var have geometry
 		if err := json.Unmarshal(raw, &have); err != nil {
-			return nil, fmt.Errorf("filedev: corrupt %s: %w", gpath, err)
+			return nil, fmt.Errorf("%w: %s: %v", ErrGeometry, gpath, err)
+		}
+		if have.Version != geometryVersion {
+			return nil, fmt.Errorf("%w: %s is format version %d, this build reads version %d", ErrGeometry, gpath, have.Version, geometryVersion)
 		}
 		if have.PageSize != want.PageSize || have.PagesPerBlock != want.PagesPerBlock ||
 			have.Blocks != want.Blocks || have.SegmentBlocks != want.SegmentBlocks {
-			return nil, fmt.Errorf("filedev: %s geometry %d/%d/%d×%d does not match requested %d/%d/%d×%d",
-				dir, have.PageSize, have.PagesPerBlock, have.Blocks, have.SegmentBlocks,
+			return nil, fmt.Errorf("%w: %s geometry %d/%d/%d×%d does not match requested %d/%d/%d×%d",
+				ErrGeometry, dir, have.PageSize, have.PagesPerBlock, have.Blocks, have.SegmentBlocks,
 				want.PageSize, want.PagesPerBlock, want.Blocks, want.SegmentBlocks)
 		}
 	case errors.Is(err, os.ErrNotExist):
@@ -176,26 +163,16 @@ func Open(dir string, p storage.Params, fsync bool) (*Device, error) {
 	}
 
 	pagesPerSeg := segBlocks * p.PagesPerBlock
-	d := &Device{
+	nsegs := (p.Blocks + segBlocks - 1) / segBlocks
+	return storage.NewDevice(&files{
 		dir:         dir,
 		p:           p,
 		fsync:       fsync,
-		segs:        make([]*os.File, (p.Blocks+segBlocks-1)/segBlocks),
-		segDirty:    make([]bool, (p.Blocks+segBlocks-1)/segBlocks),
+		segs:        make([]*os.File, nsegs),
+		segDirty:    make([]bool, nsegs),
 		pagesPerSeg: pagesPerSeg,
 		oobBytes:    ((pagesPerSeg*oobEntry + oobAlign - 1) / oobAlign) * oobAlign,
-		programmed:  make([]bool, p.PageCount()),
-		hasCRC:      make([]bool, p.PageCount()),
-		crc:         make([]uint32, p.PageCount()),
-		verified:    make([]bool, p.PageCount()),
-		scratch:     make([]byte, p.PageSize),
-		integrity:   true,
-	}
-	if err := d.loadOOB(); err != nil {
-		d.Close()
-		return nil, err
-	}
-	return d, nil
+	}, p, nil)
 }
 
 // writeFileSync writes path atomically-enough for a fresh file, fsyncing
@@ -218,413 +195,172 @@ func writeFileSync(path string, blob []byte, durable bool) error {
 	return f.Close()
 }
 
-// loadOOB reads every existing segment's out-of-band table into the
-// in-memory flag arrays. Missing segment files are fully erased.
-func (d *Device) loadOOB() error {
-	buf := make([]byte, d.oobBytes)
-	for seg := range d.segs {
-		path := d.segPath(seg)
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+// LoadOOB reads every existing segment's out-of-band table. Missing
+// segment files are fully erased.
+func (m *files) LoadOOB(visit func(page int, e storage.OOB)) error {
+	buf := make([]byte, m.oobBytes)
+	for seg := range m.segs {
+		f, err := os.OpenFile(m.segPath(seg), os.O_RDWR, 0o644)
 		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
 		if err != nil {
 			return err
 		}
-		d.segs[seg] = f
+		m.segs[seg] = f
 		n, err := f.ReadAt(buf, 0)
-		if err != nil && n < d.segPages(seg)*oobEntry {
-			// A shorter-than-OOB segment can only happen if creation was
-			// interrupted before any page was programmed: treat the
-			// missing tail as erased.
-			for i := n; i < len(buf); i++ {
-				buf[i] = 0
-			}
+		if err != nil && !shortRead(err) {
+			return fmt.Errorf("filedev: %s out-of-band table: %w", m.segPath(seg), err)
 		}
-		base := seg * d.pagesPerSeg
-		for i := 0; i < d.segPages(seg); i++ {
-			e := buf[i*oobEntry : i*oobEntry+oobEntry]
-			if e[0]&flagProgrammed != 0 {
-				d.programmed[base+i] = true
+		// A shorter-than-OOB segment can only happen if creation was
+		// interrupted before any page was programmed: the missing tail
+		// is erased.
+		clear(buf[n:])
+		base := seg * m.pagesPerSeg
+		for i := 0; i < m.segPages(seg); i++ {
+			e := buf[i*oobEntry : (i+1)*oobEntry]
+			if e[0]&(flagProgrammed|flagHasCRC) == 0 {
+				continue
 			}
-			if e[0]&flagHasCRC != 0 {
-				d.hasCRC[base+i] = true
-				d.crc[base+i] = binary.LittleEndian.Uint32(e[1:])
-			}
+			visit(base+i, storage.OOB{
+				Programmed: e[0]&flagProgrammed != 0,
+				HasCRC:     e[0]&flagHasCRC != 0,
+				CRC:        binary.LittleEndian.Uint32(e[1:]),
+			})
 		}
 	}
 	return nil
 }
 
-func (d *Device) segPath(seg int) string {
-	return filepath.Join(d.dir, fmt.Sprintf("seg-%04d.dat", seg))
+// shortRead reports whether a ReadAt error only means the file ended
+// before the buffer was full.
+func shortRead(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+func (m *files) segPath(seg int) string {
+	return filepath.Join(m.dir, fmt.Sprintf("seg-%04d.dat", seg))
 }
 
 // segPages reports how many pages segment seg covers (the last segment
 // may be partial).
-func (d *Device) segPages(seg int) int {
-	first := seg * d.pagesPerSeg
-	n := d.p.PageCount() - first
-	if n > d.pagesPerSeg {
-		n = d.pagesPerSeg
-	}
-	return n
+func (m *files) segPages(seg int) int {
+	return min(m.p.PageCount()-seg*m.pagesPerSeg, m.pagesPerSeg)
 }
 
 // segFile returns the (lazily created) file for segment seg.
-func (d *Device) segFile(seg int) (*os.File, error) {
-	if f := d.segs[seg]; f != nil {
+func (m *files) segFile(seg int) (*os.File, error) {
+	if f := m.segs[seg]; f != nil {
 		return f, nil
 	}
-	f, err := os.OpenFile(d.segPath(seg), os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(m.segPath(seg), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	d.segs[seg] = f
+	m.segs[seg] = f
 	return f, nil
 }
 
-// pageOffset returns the segment index and byte offset of a page's data.
-func (d *Device) pageOffset(page int) (seg int, off int64) {
-	seg = page / d.pagesPerSeg
-	within := page % d.pagesPerSeg
-	return seg, int64(d.oobBytes) + int64(within)*int64(d.p.PageSize)
+// writeAt writes b at byte offset off of the segment holding page and
+// marks the segment dirty.
+func (m *files) writeAt(page int, b []byte, off int64) error {
+	seg := page / m.pagesPerSeg
+	f, err := m.segFile(seg)
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(b, off); err != nil {
+		return fmt.Errorf("filedev: page %d: %w", page, err)
+	}
+	m.segDirty[seg] = true
+	return nil
+}
+
+// dataOffset returns the byte offset of a page's data within its
+// segment file.
+func (m *files) dataOffset(page int) int64 {
+	return int64(m.oobBytes) + int64(page%m.pagesPerSeg)*int64(m.p.PageSize)
 }
 
 // oobOffset returns the byte offset of a page's out-of-band entry within
 // its segment file.
-func (d *Device) oobOffset(page int) int64 {
-	return int64(page%d.pagesPerSeg) * oobEntry
+func (m *files) oobOffset(page int) int64 {
+	return int64(page%m.pagesPerSeg) * oobEntry
 }
 
-// writeOOB write-throughs one page's out-of-band entry.
-func (d *Device) writeOOB(page int) error {
-	seg := page / d.pagesPerSeg
-	f, err := d.segFile(seg)
+// ReadPage reads stored page bytes. Bytes past the end of a truncated
+// segment read as zeros, like any other hole in the sparse file; the
+// page's checksum is what notices.
+func (m *files) ReadPage(page, off int, dst []byte) error {
+	f, err := m.segFile(page / m.pagesPerSeg)
 	if err != nil {
 		return err
 	}
-	var e [oobEntry]byte
-	if d.programmed[page] {
-		e[0] |= flagProgrammed
-	}
-	if d.hasCRC[page] {
-		e[0] |= flagHasCRC
-		binary.LittleEndian.PutUint32(e[1:], d.crc[page])
-	}
-	if _, err := f.WriteAt(e[:], d.oobOffset(page)); err != nil {
-		return err
-	}
-	d.segDirty[seg] = true
-	return nil
-}
-
-// Params returns the device geometry and cost model.
-func (d *Device) Params() storage.Params { return d.p }
-
-// Stats returns a snapshot of the operation counters. The time fields
-// stay zero: a real file has no simulated cost model.
-func (d *Device) Stats() storage.Stats { return d.stats }
-
-// ResetStats zeroes the counters (the stored content is untouched).
-func (d *Device) ResetStats() { d.stats = storage.Stats{} }
-
-// SetInjector installs a fault injector consulted before every read,
-// program and erase. Pass nil to remove it.
-func (d *Device) SetInjector(inj *fault.Injector) { d.inj = inj }
-
-// Injector returns the installed fault injector (possibly nil).
-func (d *Device) Injector() *fault.Injector { return d.inj }
-
-// SetIntegrity switches the per-page OOB checksums on or off.
-func (d *Device) SetIntegrity(on bool) { d.integrity = on }
-
-// injectOp consults the fault plan for one device operation, retrying
-// transient faults up to the shared attempt budget. Unlike the simulated
-// device there is no clock to charge backoff to; retries are immediate.
-func (d *Device) injectOp(op fault.Op) error {
-	if d.inj == nil {
-		return nil
-	}
-	err := d.inj.BeforeOp(op, 0)
-	for attempt := 0; fault.IsTransient(err) && attempt < maxFaultRetries; attempt++ {
-		d.inj.NoteRetry(op)
-		err = d.inj.BeforeOp(op, 0)
-	}
-	if fault.IsTransient(err) {
-		return fmt.Errorf("%w: %d retries exhausted: %v", fault.ErrPermanent, maxFaultRetries, err)
-	}
-	return err
-}
-
-// ReadAt fills dst with the bytes at byte offset addr. Each distinct
-// page touched is read and verified whole, like the NAND it models.
-func (d *Device) ReadAt(dst []byte, addr int64) error {
-	if addr < 0 || addr+int64(len(dst)) > d.p.TotalBytes() {
-		return fmt.Errorf("%w: read [%d, %d) of device [0, %d)", storage.ErrOutOfRange, addr, addr+int64(len(dst)), d.p.TotalBytes())
-	}
-	ps := int64(d.p.PageSize)
-	for len(dst) > 0 {
-		page := int(addr / ps)
-		off := int(addr % ps)
-		n := d.p.PageSize - off
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if err := d.injectOp(fault.OpRead); err != nil {
-			return err
-		}
-		d.stats.PageReads++
-		d.stats.BytesRead += int64(n)
-		if err := d.loadVerified(page, d.scratch); err != nil {
-			return err
-		}
-		copy(dst[:n], d.scratch[off:off+n])
-		dst = dst[n:]
-		addr += int64(n)
-	}
-	return nil
-}
-
-// ReadPage reads one full page into dst (which must be PageSize long).
-func (d *Device) ReadPage(page int, dst []byte) error {
-	if page < 0 || page >= d.p.PageCount() {
-		return fmt.Errorf("%w: page %d of %d (block %d of %d)", storage.ErrOutOfRange, page, d.p.PageCount(), page/d.p.PagesPerBlock, d.p.Blocks)
-	}
-	if len(dst) != d.p.PageSize {
-		return fmt.Errorf("filedev: ReadPage buffer %d, want %d", len(dst), d.p.PageSize)
-	}
-	if err := d.injectOp(fault.OpRead); err != nil {
-		return err
-	}
-	d.stats.PageReads++
-	d.stats.BytesRead += int64(d.p.PageSize)
-	return d.loadVerified(page, dst)
-}
-
-// loadVerified reads one page's stored bytes into buf (PageSize long),
-// applying the injector's bit-rot effect and the lazy checksum check.
-// Unprogrammed pages fill buf with 0xFF without touching the file.
-func (d *Device) loadVerified(page int, buf []byte) error {
-	if !d.programmed[page] {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
-		return nil
-	}
-	seg, off := d.pageOffset(page)
-	f, err := d.segFile(seg)
-	if err != nil {
-		return err
-	}
-	if _, err := f.ReadAt(buf, off); err != nil {
+	n, err := f.ReadAt(dst, m.dataOffset(page)+int64(off))
+	if err != nil && !shortRead(err) {
 		return fmt.Errorf("filedev: page %d: %w", page, err)
 	}
-	if fo, mask := d.inj.FlipBit(d.p.PageSize); mask != 0 {
-		// Persistent stored-bit rot: flip the byte on disk so the damage
-		// survives cache drops and reopens, and force re-verification.
-		buf[fo] ^= mask
-		if _, err := f.WriteAt(buf[fo:fo+1], off+int64(fo)); err != nil {
-			return fmt.Errorf("filedev: page %d: %w", page, err)
-		}
-		d.segDirty[seg] = true
-		d.verified[page] = false
-	}
-	if !d.integrity || !d.hasCRC[page] || d.verified[page] {
-		return nil
-	}
-	if crc32.ChecksumIEEE(buf) != d.crc[page] {
-		d.inj.NoteChecksum()
-		return fmt.Errorf("%w: page %d (block %d, page %d in block)", storage.ErrCorrupt, page, page/d.p.PagesPerBlock, page%d.p.PagesPerBlock)
-	}
-	d.verified[page] = true
+	clear(dst[n:])
 	return nil
 }
 
-// ProgramPage writes data (at most one page) to the given page. The page
-// data lands in the file before the out-of-band programmed flag, so a
-// host crash between the two writes leaves the page erased — the
-// torn-record state the commit protocol recovers from.
-func (d *Device) ProgramPage(page int, data []byte) error {
-	if page < 0 || page >= d.p.PageCount() {
-		return fmt.Errorf("%w: page %d of %d (block %d of %d)", storage.ErrOutOfRange, page, d.p.PageCount(), page/d.p.PagesPerBlock, d.p.Blocks)
-	}
-	if len(data) > d.p.PageSize {
-		return fmt.Errorf("%w: %d > %d at page %d (block %d)", storage.ErrPageTooBig, len(data), d.p.PageSize, page, page/d.p.PagesPerBlock)
-	}
-	if err := d.injectOp(fault.OpProgram); err != nil {
-		return err
-	}
-	if d.programmed[page] {
-		return fmt.Errorf("%w: page %d (block %d, page %d in block)", storage.ErrNotErased, page, page/d.p.PagesPerBlock, page%d.p.PagesPerBlock)
-	}
-	stored := data
-	torn := false
-	if n := d.inj.TornBytes(len(data)); n >= 0 {
-		stored = data[:n]
-		torn = true
-	}
-	// Stage the full page (stored prefix + erased 0xFF tail) and write it
-	// in one call; recycled pages may hold stale bytes from before the
-	// last block erase.
-	copy(d.scratch, stored)
-	for i := len(stored); i < d.p.PageSize; i++ {
-		d.scratch[i] = 0xFF
-	}
-	seg, off := d.pageOffset(page)
-	f, err := d.segFile(seg)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(d.scratch, off); err != nil {
-		return fmt.Errorf("filedev: program page %d: %w", page, err)
-	}
-	d.segDirty[seg] = true
-	d.programmed[page] = true
-	if d.integrity {
-		// OOB checksum of the page as it was *meant* to be stored.
-		d.crc[page] = storage.PageCRC(data, d.p.PageSize)
-		d.hasCRC[page] = true
-		d.verified[page] = !torn
-	} else {
-		d.hasCRC[page] = false
-		d.verified[page] = false
-	}
-	if err := d.writeOOB(page); err != nil {
-		return err
-	}
-	d.stats.PagesProgrammed++
-	d.stats.BytesProgrammed += int64(len(data))
-	return nil
+func (m *files) WritePage(page int, image []byte) error {
+	return m.writeAt(page, image, m.dataOffset(page))
 }
 
-// EraseBlock resets every page of the block to the erased state by
-// zeroing the block's out-of-band entries; the page data stays in place
-// (reads are gated on the programmed flags), matching the simulated
-// device's buffer-recycling erase.
-func (d *Device) EraseBlock(blockIdx int) error {
-	if blockIdx < 0 || blockIdx >= d.p.Blocks {
-		return fmt.Errorf("%w: block %d of %d", storage.ErrOutOfRange, blockIdx, d.p.Blocks)
-	}
-	if err := d.injectOp(fault.OpErase); err != nil {
-		return err
-	}
-	first := blockIdx * d.p.PagesPerBlock
-	dirty := false
-	for page := first; page < first+d.p.PagesPerBlock; page++ {
-		if d.programmed[page] || d.hasCRC[page] {
-			dirty = true
-		}
-		d.programmed[page] = false
-		d.hasCRC[page] = false
-		d.verified[page] = false
-	}
-	if dirty {
-		// One contiguous zero run over the block's OOB entries (a block
-		// never spans segments: segments are whole numbers of blocks).
-		seg := first / d.pagesPerSeg
-		f, err := d.segFile(seg)
-		if err != nil {
-			return err
-		}
-		zero := make([]byte, d.p.PagesPerBlock*oobEntry)
-		if _, err := f.WriteAt(zero, d.oobOffset(first)); err != nil {
-			return fmt.Errorf("filedev: erase block %d: %w", blockIdx, err)
-		}
-		d.segDirty[seg] = true
-	}
-	d.stats.BlockErases++
-	return nil
+func (m *files) PatchByte(page, off int, b byte) error {
+	return m.writeAt(page, []byte{b}, m.dataOffset(page)+int64(off))
 }
 
-// PageProgrammed reports whether the page has been programmed since the
-// last erase of its block.
-func (d *Device) PageProgrammed(page int) bool {
-	if page < 0 || page >= d.p.PageCount() {
-		return false
+func (m *files) WriteOOB(page int, e storage.OOB) error {
+	var b [oobEntry]byte
+	if e.Programmed {
+		b[0] |= flagProgrammed
 	}
-	return d.programmed[page]
+	if e.HasCRC {
+		b[0] |= flagHasCRC
+		binary.LittleEndian.PutUint32(b[1:], e.CRC)
+	}
+	return m.writeAt(page, b[:], m.oobOffset(page))
 }
 
-// Image snapshots the device's persistent state into host memory.
-// Forensic reads bypass the injector and the stats — this is the
-// recovery path looking at what the files hold.
-func (d *Device) Image() (storage.Image, error) {
-	img := storage.NewMemImage(d.p)
-	ppb := d.p.PagesPerBlock
-	for blk := 0; blk < d.p.Blocks; blk++ {
-		first := blk * ppb
-		any := false
-		for page := first; page < first+ppb; page++ {
-			if d.programmed[page] {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
-		data := make([]byte, ppb*d.p.PageSize)
-		programmed := make([]bool, ppb)
-		crc := make([]uint32, ppb)
-		hasCRC := make([]bool, ppb)
-		for i := 0; i < ppb; i++ {
-			page := first + i
-			programmed[i] = d.programmed[page]
-			crc[i] = d.crc[page]
-			hasCRC[i] = d.hasCRC[page]
-			if !d.programmed[page] {
-				continue
-			}
-			seg, off := d.pageOffset(page)
-			f, err := d.segFile(seg)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := f.ReadAt(data[i*d.p.PageSize:(i+1)*d.p.PageSize], off); err != nil {
-				return nil, fmt.Errorf("filedev: image page %d: %w", page, err)
-			}
-		}
-		img.SetBlock(blk, data, programmed, crc, hasCRC)
-	}
-	return img, nil
+// ClearOOB zeroes the block's out-of-band entries in one contiguous run
+// (a block never spans segments: segments are whole numbers of blocks).
+func (m *files) ClearOOB(block int) error {
+	first := block * m.p.PagesPerBlock
+	return m.writeAt(first, make([]byte, m.p.PagesPerBlock*oobEntry), m.oobOffset(first))
 }
 
 // Sync flushes dirty segments to stable storage when the device was
 // opened with fsync on; otherwise it is a no-op and durability covers
 // process crashes only.
-func (d *Device) Sync() error {
-	if !d.fsync {
+func (m *files) Sync() error {
+	if !m.fsync {
 		return nil
 	}
-	for seg, dirty := range d.segDirty {
-		if !dirty || d.segs[seg] == nil {
+	for seg, dirty := range m.segDirty {
+		if !dirty || m.segs[seg] == nil {
 			continue
 		}
-		if err := d.segs[seg].Sync(); err != nil {
+		if err := m.segs[seg].Sync(); err != nil {
 			return err
 		}
-		d.segDirty[seg] = false
+		m.segDirty[seg] = false
 	}
 	return nil
 }
 
-// Close releases the segment file handles. The device must not be used
-// afterwards.
-func (d *Device) Close() error {
-	if d.closed {
-		return nil
-	}
-	d.closed = true
+// Close releases the segment file handles.
+func (m *files) Close() error {
 	var first error
-	for i, f := range d.segs {
+	for i, f := range m.segs {
 		if f == nil {
 			continue
 		}
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
-		d.segs[i] = nil
+		m.segs[i] = nil
 	}
 	return first
 }

@@ -25,7 +25,7 @@ func testParams() storage.Params {
 	}
 }
 
-func newTestDevice(t *testing.T) (*Device, string) {
+func newTestDevice(t *testing.T) (*storage.Device, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "dev")
 	d, err := Open(dir, testParams(), false)
@@ -37,7 +37,7 @@ func newTestDevice(t *testing.T) (*Device, string) {
 }
 
 // reopen closes d and opens the same directory again.
-func reopen(t *testing.T, d *Device, dir string) *Device {
+func reopen(t *testing.T, d *storage.Device, dir string) *storage.Device {
 	t.Helper()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -48,69 +48,6 @@ func reopen(t *testing.T, d *Device, dir string) *Device {
 	}
 	t.Cleanup(func() { nd.Close() })
 	return nd
-}
-
-func TestNANDContract(t *testing.T) {
-	d, _ := newTestDevice(t)
-	data := bytes.Repeat([]byte{0xAB}, 128)
-	if err := d.ProgramPage(3, data); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 128)
-	if err := d.ReadPage(3, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("read back mismatch")
-	}
-	if !d.PageProgrammed(3) || d.PageProgrammed(4) {
-		t.Error("programmed flags wrong")
-	}
-	// Erased bytes read 0xFF without a backing file.
-	if err := d.ReadAt(got[:10], 1000); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range got[:10] {
-		if b != 0xFF {
-			t.Fatalf("erased byte = %#x, want 0xFF", b)
-		}
-	}
-	// Partial program: the tail reads erased.
-	if err := d.ProgramPage(1, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadAt(got[:5], 128); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:5], []byte{1, 2, 3, 0xFF, 0xFF}) {
-		t.Errorf("partial program read % x", got[:5])
-	}
-	// Program-once until erase.
-	if err := d.ProgramPage(3, data); !errors.Is(err, storage.ErrNotErased) {
-		t.Errorf("reprogram: %v, want ErrNotErased", err)
-	}
-	if err := d.EraseBlock(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ProgramPage(3, []byte("fresh")); err != nil {
-		t.Errorf("program after erase: %v", err)
-	}
-	// Bounds and sizes.
-	if err := d.ProgramPage(64, nil); !errors.Is(err, storage.ErrOutOfRange) {
-		t.Errorf("page past end: %v", err)
-	}
-	if err := d.ProgramPage(2, make([]byte, 129)); !errors.Is(err, storage.ErrPageTooBig) {
-		t.Errorf("oversized program: %v", err)
-	}
-	if err := d.EraseBlock(16); !errors.Is(err, storage.ErrOutOfRange) {
-		t.Errorf("block past end: %v", err)
-	}
-	if err := d.ReadAt(make([]byte, 1), d.Params().TotalBytes()); !errors.Is(err, storage.ErrOutOfRange) {
-		t.Errorf("read past end: %v", err)
-	}
-	if err := d.ReadPage(0, make([]byte, 5)); err == nil {
-		t.Error("short ReadPage buffer accepted")
-	}
 }
 
 // TestReopenPersistence is the point of the backend: programmed pages,
@@ -208,7 +145,7 @@ func TestReopenReverifiesChecksums(t *testing.T) {
 // TestTornProgramReadsErasedAfterReopen mirrors the crash-ordering
 // guarantee: page data is written before the OOB programmed flag, so a
 // crash between the two leaves a page that reads as erased. Simulate the
-// crash by clearing the OOB entry the way an interrupted writeOOB would.
+// crash by clearing the OOB entry the way an interrupted WriteOOB would.
 func TestTornProgramReadsErasedAfterReopen(t *testing.T) {
 	d, dir := newTestDevice(t)
 	if err := d.ProgramPage(0, bytes.Repeat([]byte{0x77}, 128)); err != nil {
@@ -251,8 +188,8 @@ func TestGeometryMismatchRejected(t *testing.T) {
 	}
 	p := testParams()
 	p.Blocks = 32
-	if _, err := Open(dir, p, false); err == nil {
-		t.Fatal("reopen with a different geometry succeeded")
+	if _, err := Open(dir, p, false); !errors.Is(err, ErrGeometry) {
+		t.Fatalf("reopen with a different geometry: %v, want ErrGeometry", err)
 	}
 	// Latency-model changes are fine: only the geometry is pinned.
 	p = testParams()
@@ -262,6 +199,67 @@ func TestGeometryMismatchRejected(t *testing.T) {
 		t.Fatalf("reopen with a different cost model: %v", err)
 	}
 	nd.Close()
+
+	// A geometry file of another format version, or none, or not JSON at
+	// all, is rejected whatever geometry it names.
+	gpath := filepath.Join(dir, geometryFile)
+	good, err := os.ReadFile(gpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]byte{
+		bytes.Replace(good, []byte(`"version": 1`), []byte(`"version": 2`), 1),
+		bytes.Replace(good, []byte(`"version": 1,`), nil, 1),
+		good[:len(good)/2],
+	} {
+		if bytes.Equal(bad, good) {
+			t.Fatal("geometry file not altered")
+		}
+		if err := os.WriteFile(gpath, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, testParams(), false); !errors.Is(err, ErrGeometry) {
+			t.Errorf("geometry file %q: %v, want ErrGeometry", bad, err)
+		}
+	}
+}
+
+// TestTruncatedSegmentReadsCorrupt: a segment file cut short under a
+// programmed page is damage the page's checksum reports, not an I/O
+// error and not erased bytes.
+func TestTruncatedSegmentReadsCorrupt(t *testing.T) {
+	d, dir := newTestDevice(t)
+	for page := 0; page < 3; page++ {
+		if err := d.ProgramPage(page, bytes.Repeat([]byte{0x77}, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "seg-0000.dat")
+	info, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut in the middle of page 1: page 0 whole, page 1 half, page 2 gone.
+	if err := os.Truncate(seg, info.Size()-128-64); err != nil {
+		t.Fatal(err)
+	}
+	nd, err := Open(dir, testParams(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	buf := make([]byte, 128)
+	if err := nd.ReadPage(0, buf); err != nil {
+		t.Errorf("page before the cut: %v", err)
+	}
+	for page := 1; page < 3; page++ {
+		if err := nd.ReadPage(page, buf); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("page %d past the cut: %v, want ErrCorrupt", page, err)
+		}
+	}
 }
 
 func TestExistsAndWipe(t *testing.T) {
@@ -358,38 +356,6 @@ func TestTransientEscalatesToPermanent(t *testing.T) {
 	d.SetInjector(fault.New(&fault.Plan{Seed: 1, ReadTransient: 1}, 0))
 	if err := d.ReadAt(make([]byte, 8), 0); !errors.Is(err, fault.ErrPermanent) {
 		t.Fatalf("want escalation to permanent, got %v", err)
-	}
-}
-
-func TestImageRoundTrip(t *testing.T) {
-	d, _ := newTestDevice(t)
-	if err := d.ProgramPage(0, []byte("alpha")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ProgramPage(6, bytes.Repeat([]byte{7}, 128)); err != nil {
-		t.Fatal(err)
-	}
-	img, err := d.Image()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the device after the snapshot must not affect the image.
-	if err := d.EraseBlock(0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 5)
-	if err := img.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "alpha" {
-		t.Fatalf("image read %q", got)
-	}
-	if !img.PageProgrammed(6) || img.PageProgrammed(1) {
-		t.Fatal("programmed flags wrong in image")
-	}
-	page, prog, err := img.ReadPage(6)
-	if err != nil || !prog || page[0] != 7 {
-		t.Fatalf("ReadPage(6) = %v %v %v", page[0], prog, err)
 	}
 }
 

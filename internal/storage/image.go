@@ -2,91 +2,70 @@ package storage
 
 import "fmt"
 
-// MemImage is the host-memory Image implementation shared by the
-// backends: simflash deep-copies its materialized blocks into one, and
-// filedev reads its segment files into one so recovery never touches
-// the live file handles. Only blocks holding programmed pages consume
-// host memory.
-type MemImage struct {
+// memImage is the host-memory Image a Device snapshots itself into, so
+// recovery never touches the live medium. Only blocks holding programmed
+// pages consume host memory.
+type memImage struct {
 	p      Params
-	blocks []*memBlock
+	blocks []*imageBlock
 }
 
-type memBlock struct {
-	data       []byte
-	programmed []bool
-	crc        []uint32
-	hasCRC     []bool
-}
-
-// NewMemImage returns an empty (fully erased) image with the given
-// geometry. Backends populate it block by block with SetBlock.
-func NewMemImage(p Params) *MemImage {
-	return &MemImage{p: p, blocks: make([]*memBlock, p.Blocks)}
-}
-
-// SetBlock installs one block's state. The slices are retained (callers
-// hand over ownership); data must be PagesPerBlock*PageSize long and the
-// flag slices PagesPerBlock long.
-func (img *MemImage) SetBlock(i int, data []byte, programmed []bool, crc []uint32, hasCRC []bool) {
-	img.blocks[i] = &memBlock{data: data, programmed: programmed, crc: crc, hasCRC: hasCRC}
+type imageBlock struct {
+	data  []byte // PagesPerBlock * PageSize; unprogrammed pages are not filled in
+	pages []pageState
 }
 
 // Params returns the imaged device's geometry.
-func (img *MemImage) Params() Params { return img.p }
+func (img *memImage) Params() Params { return img.p }
 
-// PageProgrammed reports whether the imaged page holds programmed data.
-func (img *MemImage) PageProgrammed(page int) bool {
+// page returns the imaged page's state and stored bytes; programmed is
+// false (and the rest meaningless) for erased and out-of-range pages.
+func (img *memImage) page(page int) (st pageState, stored []byte) {
 	if page < 0 || page >= img.p.PageCount() {
-		return false
+		return st, nil
 	}
-	b := img.blocks[page/img.p.PagesPerBlock]
-	return b != nil && b.programmed[page%img.p.PagesPerBlock]
-}
-
-// verify checks one programmed page against its OOB checksum.
-func (img *MemImage) verify(page int) error {
 	b := img.blocks[page/img.p.PagesPerBlock]
 	if b == nil {
-		return nil
+		return st, nil
 	}
 	slot := page % img.p.PagesPerBlock
-	if !b.programmed[slot] || !b.hasCRC[slot] {
+	return b.pages[slot], b.data[slot*img.p.PageSize : (slot+1)*img.p.PageSize]
+}
+
+// PageProgrammed reports whether the imaged page holds programmed data.
+func (img *memImage) PageProgrammed(page int) bool {
+	st, _ := img.page(page)
+	return st.Programmed
+}
+
+// read copies the page's bytes from off on into dst, verifying a
+// programmed page against its OOB checksum first — on every call: an
+// image is read a few times by recovery, not on a query path.
+func (img *memImage) read(page, off int, dst []byte) error {
+	st, stored := img.page(page)
+	if !st.Programmed {
+		fillFF(dst)
 		return nil
 	}
-	start := slot * img.p.PageSize
-	if PageCRC(b.data[start:start+img.p.PageSize], img.p.PageSize) != b.crc[slot] {
-		return fmt.Errorf("%w: page %d (block %d, page %d in block)", ErrCorrupt, page, page/img.p.PagesPerBlock, slot)
+	if st.HasCRC && PageCRC(stored, img.p.PageSize) != st.CRC {
+		return fmt.Errorf("%w: page %d (block %d, page %d in block)", ErrCorrupt, page, page/img.p.PagesPerBlock, page%img.p.PagesPerBlock)
 	}
+	copy(dst, stored[off:])
 	return nil
 }
 
 // ReadAt fills dst from the image at byte offset addr, verifying the OOB
 // checksum of every page it touches. Erased bytes read as 0xFF.
-func (img *MemImage) ReadAt(dst []byte, addr int64) error {
+func (img *memImage) ReadAt(dst []byte, addr int64) error {
 	if addr < 0 || addr+int64(len(dst)) > img.p.TotalBytes() {
 		return fmt.Errorf("%w: read [%d, %d) of image [0, %d)", ErrOutOfRange, addr, addr+int64(len(dst)), img.p.TotalBytes())
 	}
 	ps := int64(img.p.PageSize)
 	for len(dst) > 0 {
-		page := int(addr / ps)
 		off := int(addr % ps)
-		n := img.p.PageSize - off
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if err := img.verify(page); err != nil {
+		n := min(img.p.PageSize-off, len(dst))
+		if err := img.read(int(addr/ps), off, dst[:n]); err != nil {
 			return err
-		}
-		b := img.blocks[page/img.p.PagesPerBlock]
-		slot := page % img.p.PagesPerBlock
-		if b == nil || !b.programmed[slot] {
-			for i := 0; i < n; i++ {
-				dst[i] = 0xFF
-			}
-		} else {
-			start := slot*img.p.PageSize + off
-			copy(dst, b.data[start:start+n])
 		}
 		dst = dst[n:]
 		addr += int64(n)
@@ -97,22 +76,14 @@ func (img *MemImage) ReadAt(dst []byte, addr int64) error {
 // ReadPage returns a verified copy of one full page. The second result
 // reports whether the page was programmed (an unprogrammed page reads as
 // all 0xFF).
-func (img *MemImage) ReadPage(page int) ([]byte, bool, error) {
+func (img *memImage) ReadPage(page int) ([]byte, bool, error) {
 	if page < 0 || page >= img.p.PageCount() {
 		return nil, false, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, img.p.PageCount())
 	}
 	buf := make([]byte, img.p.PageSize)
-	if !img.PageProgrammed(page) {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
-		return buf, false, nil
+	programmed := img.PageProgrammed(page)
+	if err := img.read(page, 0, buf); err != nil {
+		return nil, programmed, err
 	}
-	if err := img.verify(page); err != nil {
-		return nil, true, err
-	}
-	b := img.blocks[page/img.p.PagesPerBlock]
-	start := (page % img.p.PagesPerBlock) * img.p.PageSize
-	copy(buf, b.data[start:start+img.p.PageSize])
-	return buf, true, nil
+	return buf, programmed, nil
 }

@@ -95,25 +95,6 @@ func TestBitFlipCaughtByChecksum(t *testing.T) {
 	}
 }
 
-func TestVerificationIsLazy(t *testing.T) {
-	d, _ := newTestDevice(t)
-	if err := d.ProgramPage(0, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	// Reach into the block and corrupt a stored byte directly, without
-	// clearing the verified flag: the clean program already verified the
-	// page, so reads keep succeeding (verification is lazy, not per-read).
-	d.blocks[0].data[0] ^= 0x01
-	if err := d.ReadPage(0, make([]byte, 128)); err != nil {
-		t.Fatalf("memoized verification should skip the hash: %v", err)
-	}
-	// Forcing re-verification exposes it.
-	d.blocks[0].verified[0] = false
-	if err := d.ReadPage(0, make([]byte, 128)); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt after invalidation, got %v", err)
-	}
-}
-
 func TestIntegrityOffSkipsChecksums(t *testing.T) {
 	d, _ := newTestDevice(t)
 	d.SetIntegrity(false)
@@ -149,7 +130,7 @@ func TestTransientFaultsRetryWithBackoff(t *testing.T) {
 	}
 	_, retries := inj.Stats()
 	// Each retry charges at least the base backoff to the simulated clock.
-	minBackoff := time.Duration(retries) * retryBackoffBase
+	minBackoff := time.Duration(retries) * storage.RetryBackoffBase
 	elapsed := clock.Now() - before
 	pureReads := 200 * (d.Params().ReadFixed + 128*d.Params().ReadPerByte)
 	if elapsed < pureReads+minBackoff {

@@ -1,352 +1,86 @@
-// Package simflash simulates the smart USB device's external NAND flash
-// store (Figure 2 of the GhostDB paper): a gigabyte-class array of pages
-// grouped into erase blocks, where
+// Package simflash is the simulated smart USB device's external NAND
+// flash store (Figure 2 of the GhostDB paper): a gigabyte-class array of
+// pages grouped into erase blocks, where
 //
 //   - reads are page-granular and cheap,
 //   - programs (writes) cost 3–10× a read and a page can be programmed only
 //     once between erases (writes in place are precluded),
 //   - erases work on whole blocks and are the most expensive operation.
 //
-// Every operation charges its latency to the shared simulated clock, so
-// higher layers measure query cost in deterministic device time. Blocks are
-// materialized lazily, so a simulated multi-gigabyte device only consumes
-// host memory for the pages actually programmed.
-//
-// The device also models NAND integrity: each programmed page carries a
-// CRC32 checksum in its out-of-band area, computed over the intended page
-// content at program time and verified (once, lazily) when the page is
-// read back. Torn writes and bit flips injected through a fault.Injector
-// surface as storage.ErrCorrupt with the failing page address. The Image
-// is a free host-side deep copy of the persistent state — what survives a
-// power cut — used by the recovery path.
-//
-// Device is the storage.Backend the engine uses by default; it is the
-// reference implementation of the backend contract.
+// Those rules, the per-page checksums and the fault model are the
+// storage.Device's. This package supplies what makes the device a
+// simulation: New pairs it with the shared simulated clock, so every
+// operation charges its latency there and higher layers measure query
+// cost in deterministic device time, and the medium under it is host
+// memory, materialized block by block, so a simulated multi-gigabyte
+// device only consumes host memory for the blocks actually programmed.
 package simflash
 
 import (
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"time"
 
-	"github.com/ghostdb/ghostdb/internal/fault"
 	"github.com/ghostdb/ghostdb/internal/sim"
 	"github.com/ghostdb/ghostdb/internal/storage"
 )
 
-// Transient-fault retry policy: capped exponential backoff, charged to
-// the simulated clock (the device firmware re-issues the operation).
-const (
-	maxFaultRetries  = 4
-	retryBackoffBase = 100 * time.Microsecond
-	retryBackoffCap  = 800 * time.Microsecond
-)
-
-// Device is a simulated NAND flash chip. It is not safe for concurrent use.
-type Device struct {
-	p     storage.Params
-	clock *sim.Clock
-	// blocks[i] == nil means block i is fully erased and unmaterialized.
-	blocks []*block
-	stats  storage.Stats
-
-	inj       *fault.Injector // nil = fault-free
-	integrity bool            // per-page OOB checksums (on by default)
-}
-
-type block struct {
-	data       []byte // PagesPerBlock * PageSize
-	programmed []bool // per page
-	// Out-of-band area: CRC32 of the full intended page content, set at
-	// program time when integrity is on. verified marks pages whose
-	// stored bytes have already been checked against the OOB checksum,
-	// so steady-state reads skip the host-side hash.
-	crc      []uint32
-	hasCRC   []bool
-	verified []bool
-}
-
-// New returns a device with the given geometry, charging to clock.
-func New(p storage.Params, clock *sim.Clock) (*Device, error) {
+// New returns a simulated NAND device with the given geometry, charging
+// to clock. It is the backend the engine uses by default.
+func New(p storage.Params, clock *sim.Clock) (*storage.Device, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if clock == nil {
 		return nil, errors.New("simflash: nil clock")
 	}
-	return &Device{p: p, clock: clock, blocks: make([]*block, p.Blocks), integrity: true}, nil
+	return storage.NewDevice(&memory{p: p, blocks: make([]*block, p.Blocks)}, p, clock)
 }
 
-// Params returns the device geometry and cost model.
-func (d *Device) Params() storage.Params { return d.p }
+// memory is the storage.Medium: page bytes in host memory. What survives
+// a simulated power cut is the process's own memory, so the out-of-band
+// entries need no second home beyond the Device's.
+type memory struct {
+	p storage.Params
+	// blocks[i] == nil until a page of block i is first written. A block
+	// keeps its buffer across erases, so scratch-heavy workloads recycle
+	// block buffers instead of reallocating them on every query.
+	blocks []*block
+}
 
-// Stats returns a snapshot of the operation counters.
-func (d *Device) Stats() storage.Stats { return d.stats }
+type block struct{ data []byte } // PagesPerBlock * PageSize
 
-// ResetStats zeroes the counters (the flash content is untouched).
-func (d *Device) ResetStats() { d.stats = storage.Stats{} }
+// stored returns the page's bytes within its (already written) block.
+func (m *memory) stored(page int) []byte {
+	start := (page % m.p.PagesPerBlock) * m.p.PageSize
+	return m.blocks[page/m.p.PagesPerBlock].data[start : start+m.p.PageSize]
+}
 
-// SetInjector installs a fault injector consulted before every read,
-// program and erase. Pass nil to remove it.
-func (d *Device) SetInjector(inj *fault.Injector) { d.inj = inj }
+func (m *memory) ReadPage(page, off int, dst []byte) error {
+	copy(dst, m.stored(page)[off:])
+	return nil
+}
 
-// Injector returns the installed fault injector (possibly nil).
-func (d *Device) Injector() *fault.Injector { return d.inj }
+func (m *memory) WritePage(page int, image []byte) error {
+	if i := page / m.p.PagesPerBlock; m.blocks[i] == nil {
+		// No 0xFF fill: the Device gates reads on the programmed flags.
+		m.blocks[i] = &block{data: make([]byte, m.p.PagesPerBlock*m.p.PageSize)}
+	}
+	copy(m.stored(page), image)
+	return nil
+}
 
-// SetIntegrity switches the per-page OOB checksums on or off. Pages
-// programmed while integrity is off carry no checksum and are never
-// verified.
-func (d *Device) SetIntegrity(on bool) { d.integrity = on }
+func (m *memory) PatchByte(page, off int, b byte) error {
+	m.stored(page)[off] = b
+	return nil
+}
+
+func (m *memory) WriteOOB(int, storage.OOB) error { return nil }
+
+func (m *memory) ClearOOB(int) error { return nil }
+
+func (m *memory) LoadOOB(func(int, storage.OOB)) error { return nil }
 
 // Sync is a no-op: the simulation has no host-durability boundary.
-func (d *Device) Sync() error { return nil }
+func (m *memory) Sync() error { return nil }
 
 // Close is a no-op: the simulation holds no external resources.
-func (d *Device) Close() error { return nil }
-
-// injectOp consults the fault plan for one device operation, retrying
-// transient faults with capped exponential backoff charged to the
-// simulated clock. Transient faults that survive every retry escalate to
-// a permanent error.
-func (d *Device) injectOp(op fault.Op) error {
-	if d.inj == nil {
-		return nil
-	}
-	err := d.inj.BeforeOp(op, d.clock.Now())
-	for attempt := 0; fault.IsTransient(err) && attempt < maxFaultRetries; attempt++ {
-		backoff := retryBackoffBase << attempt
-		if backoff > retryBackoffCap {
-			backoff = retryBackoffCap
-		}
-		d.clock.Advance(backoff)
-		d.inj.NoteRetry(op)
-		err = d.inj.BeforeOp(op, d.clock.Now())
-	}
-	if fault.IsTransient(err) {
-		return fmt.Errorf("%w: %d retries exhausted: %v", fault.ErrPermanent, maxFaultRetries, err)
-	}
-	return err
-}
-
-// ReadAt fills dst with the bytes at byte offset addr. Each distinct page
-// touched charges one page access plus the per-byte streaming cost. Erased
-// (never programmed) bytes read as 0xFF, matching NAND behaviour.
-func (d *Device) ReadAt(dst []byte, addr int64) error {
-	if addr < 0 || addr+int64(len(dst)) > d.p.TotalBytes() {
-		return fmt.Errorf("%w: read [%d, %d) of device [0, %d)", storage.ErrOutOfRange, addr, addr+int64(len(dst)), d.p.TotalBytes())
-	}
-	ps := int64(d.p.PageSize)
-	for len(dst) > 0 {
-		page := addr / ps
-		off := int(addr % ps)
-		n := d.p.PageSize - off
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if err := d.injectOp(fault.OpRead); err != nil {
-			return err
-		}
-		d.chargeRead(n)
-		if err := d.verifyPage(int(page)); err != nil {
-			return err
-		}
-		d.copyOut(dst[:n], int(page), off)
-		dst = dst[n:]
-		addr += int64(n)
-	}
-	return nil
-}
-
-// ReadPage reads one full page into dst (which must be PageSize long).
-func (d *Device) ReadPage(page int, dst []byte) error {
-	if page < 0 || page >= d.p.PageCount() {
-		return fmt.Errorf("%w: page %d of %d (block %d of %d)", storage.ErrOutOfRange, page, d.p.PageCount(), page/d.p.PagesPerBlock, d.p.Blocks)
-	}
-	if len(dst) != d.p.PageSize {
-		return fmt.Errorf("simflash: ReadPage buffer %d, want %d", len(dst), d.p.PageSize)
-	}
-	if err := d.injectOp(fault.OpRead); err != nil {
-		return err
-	}
-	d.chargeRead(d.p.PageSize)
-	if err := d.verifyPage(page); err != nil {
-		return err
-	}
-	d.copyOut(dst, page, 0)
-	return nil
-}
-
-// ProgramPage writes data (at most one page) to the given page. The page
-// must be in the erased state; NAND forbids reprogramming. The OOB CRC is
-// computed over the full intended page content (data plus the 0xFF tail),
-// so a torn write — the injector truncating the stored prefix — is caught
-// by the next verified read.
-func (d *Device) ProgramPage(page int, data []byte) error {
-	if page < 0 || page >= d.p.PageCount() {
-		return fmt.Errorf("%w: page %d of %d (block %d of %d)", storage.ErrOutOfRange, page, d.p.PageCount(), page/d.p.PagesPerBlock, d.p.Blocks)
-	}
-	if len(data) > d.p.PageSize {
-		return fmt.Errorf("%w: %d > %d at page %d (block %d)", storage.ErrPageTooBig, len(data), d.p.PageSize, page, page/d.p.PagesPerBlock)
-	}
-	if err := d.injectOp(fault.OpProgram); err != nil {
-		return err
-	}
-	b := d.materialize(page / d.p.PagesPerBlock)
-	slot := page % d.p.PagesPerBlock
-	if b.programmed[slot] {
-		return fmt.Errorf("%w: page %d (block %d, page %d in block)", storage.ErrNotErased, page, page/d.p.PagesPerBlock, slot)
-	}
-	b.programmed[slot] = true
-	stored := data
-	torn := false
-	if n := d.inj.TornBytes(len(data)); n >= 0 {
-		stored = data[:n]
-		torn = true
-	}
-	pageStart := slot * d.p.PageSize
-	copy(b.data[pageStart:], stored)
-	// Recycled blocks may hold stale bytes past the programmed prefix;
-	// pad the page tail so it reads back as erased NAND. A torn write
-	// leaves the tail beyond the stored prefix erased too.
-	for i := pageStart + len(stored); i < pageStart+d.p.PageSize; i++ {
-		b.data[i] = 0xFF
-	}
-	if d.integrity {
-		// OOB checksum of the page as it was *meant* to be stored.
-		b.crc[slot] = storage.PageCRC(data, d.p.PageSize)
-		b.hasCRC[slot] = true
-		// A clean program is trivially verified; a torn one is not.
-		b.verified[slot] = !torn
-	}
-	d.stats.PagesProgrammed++
-	d.stats.BytesProgrammed += int64(len(data))
-	t := d.p.ProgFixed + time.Duration(len(data))*d.p.ProgPerByte
-	d.stats.ProgTime += t
-	d.clock.Advance(t)
-	return nil
-}
-
-// EraseBlock resets every page of the block to the erased (0xFF) state.
-// A materialized block keeps its host allocation: only the per-page
-// programmed flags are cleared (reads of unprogrammed pages are gated in
-// copyOut), so scratch-heavy workloads recycle block buffers instead of
-// reallocating and re-filling them on every query. This changes host
-// memory behaviour only; the simulated erase charge is identical.
-func (d *Device) EraseBlock(blockIdx int) error {
-	if blockIdx < 0 || blockIdx >= d.p.Blocks {
-		return fmt.Errorf("%w: block %d of %d", storage.ErrOutOfRange, blockIdx, d.p.Blocks)
-	}
-	if err := d.injectOp(fault.OpErase); err != nil {
-		return err
-	}
-	if b := d.blocks[blockIdx]; b != nil {
-		for i := range b.programmed {
-			b.programmed[i] = false
-			b.hasCRC[i] = false
-			b.verified[i] = false
-		}
-	}
-	d.stats.BlockErases++
-	d.stats.EraseTime += d.p.EraseFixed
-	d.clock.Advance(d.p.EraseFixed)
-	return nil
-}
-
-// PageProgrammed reports whether the page has been programmed since the
-// last erase of its block.
-func (d *Device) PageProgrammed(page int) bool {
-	b := d.blocks[page/d.p.PagesPerBlock]
-	if b == nil {
-		return false
-	}
-	return b.programmed[page%d.p.PagesPerBlock]
-}
-
-// Image snapshots the device's persistent state. Only materialized
-// blocks are copied, so the host cost is proportional to the data
-// actually programmed.
-func (d *Device) Image() (storage.Image, error) {
-	img := storage.NewMemImage(d.p)
-	for i, b := range d.blocks {
-		if b == nil {
-			continue
-		}
-		img.SetBlock(i,
-			append([]byte(nil), b.data...),
-			append([]bool(nil), b.programmed...),
-			append([]uint32(nil), b.crc...),
-			append([]bool(nil), b.hasCRC...),
-		)
-	}
-	return img, nil
-}
-
-func (d *Device) chargeRead(n int) {
-	d.stats.PageReads++
-	d.stats.BytesRead += int64(n)
-	t := d.p.ReadFixed + time.Duration(n)*d.p.ReadPerByte
-	d.stats.ReadTime += t
-	d.clock.Advance(t)
-}
-
-// verifyPage applies the injector's bit-rot effect and then checks the
-// page's stored content against its OOB checksum. Verification is lazy —
-// once a page passes it is not re-hashed until something mutates it — so
-// the steady-state read path pays one pointer test per page access.
-func (d *Device) verifyPage(page int) error {
-	b := d.blocks[page/d.p.PagesPerBlock]
-	if b == nil {
-		return nil
-	}
-	slot := page % d.p.PagesPerBlock
-	if !b.programmed[slot] {
-		return nil
-	}
-	start := slot * d.p.PageSize
-	if off, mask := d.inj.FlipBit(d.p.PageSize); mask != 0 {
-		// Persistent stored-bit rot: the flip stays until the block is
-		// erased, and forces the page through verification again.
-		b.data[start+off] ^= mask
-		b.verified[slot] = false
-	}
-	if !d.integrity || !b.hasCRC[slot] || b.verified[slot] {
-		return nil
-	}
-	if crc32.ChecksumIEEE(b.data[start:start+d.p.PageSize]) != b.crc[slot] {
-		d.inj.NoteChecksum()
-		return fmt.Errorf("%w: page %d (block %d, page %d in block)", storage.ErrCorrupt, page, page/d.p.PagesPerBlock, slot)
-	}
-	b.verified[slot] = true
-	return nil
-}
-
-func (d *Device) copyOut(dst []byte, page, off int) {
-	b := d.blocks[page/d.p.PagesPerBlock]
-	slot := page % d.p.PagesPerBlock
-	if b == nil || !b.programmed[slot] {
-		for i := range dst {
-			dst[i] = 0xFF
-		}
-		return
-	}
-	start := slot*d.p.PageSize + off
-	copy(dst, b.data[start:start+len(dst)])
-}
-
-func (d *Device) materialize(blockIdx int) *block {
-	b := d.blocks[blockIdx]
-	if b == nil {
-		// No 0xFF fill: reads are gated on the programmed flags, and
-		// ProgramPage pads the tail of each page it writes.
-		b = &block{
-			data:       make([]byte, d.p.PagesPerBlock*d.p.PageSize),
-			programmed: make([]bool, d.p.PagesPerBlock),
-			crc:        make([]uint32, d.p.PagesPerBlock),
-			hasCRC:     make([]bool, d.p.PagesPerBlock),
-			verified:   make([]bool, d.p.PagesPerBlock),
-		}
-		d.blocks[blockIdx] = b
-	}
-	return b
-}
+func (m *memory) Close() error { return nil }

@@ -23,7 +23,7 @@ func testParams() storage.Params {
 	}
 }
 
-func newTestDevice(t *testing.T) (*Device, *sim.Clock) {
+func newTestDevice(t *testing.T) (*storage.Device, *sim.Clock) {
 	t.Helper()
 	clock := sim.NewClock()
 	d, err := New(testParams(), clock)

@@ -1,21 +1,32 @@
-// Package storage defines the pluggable storage-backend seam of the
-// engine: the page/block device contract that the flash allocator,
-// store, checkpoint and recovery layers program against. GhostDB's
-// premise is that one query engine can hide data behind radically
-// different substrates — a simulated NAND chip with a deterministic
-// cost model (storage/simflash), a real on-disk file device
-// (storage/filedev), and later steganographic media — so everything
-// above this interface is backend-agnostic.
+// Package storage is the engine's NAND: the page/block device that the
+// flash allocator, store, checkpoint and recovery layers program
+// against, implemented once as a Device over a Medium.
 //
-// The contract is NAND-shaped because the engine's cost model and
-// crash-consistency story are: reads are page-granular, a page is
-// programmed at most once between erases, erases work on whole blocks,
-// and erased bytes read back as 0xFF. Every backend carries the per-page
-// out-of-band CRC32 integrity scheme (see PageCRC) so torn writes and
-// bit rot surface as ErrCorrupt regardless of the medium, and every
-// backend accepts a fault.Injector so the torn-write/power-cut torture
-// suites run against real files exactly as they do against the
-// simulation.
+// Device is the chip, and the only implementation of the Backend
+// contract. Everything the GhostDB cost model and crash-consistency
+// story depend on lives there: reads are page-granular, a page is
+// programmed at most once between erases (ErrNotErased), erases work on
+// whole blocks, erased bytes and the tail of a short program read back
+// as 0xFF, every address is range-checked with an error that names it,
+// each programmed page carries an out-of-band CRC32 of its intended
+// content (PageCRC) that is verified lazily on read (ErrCorrupt), the
+// fault.Injector is consulted before every read, program and erase —
+// transient faults retried with capped backoff, torn writes stored as a
+// prefix under the intended checksum, bit rot flipped into the stored
+// bytes — operations are counted in Stats, and, when the device has a
+// sim.Clock, charged their latency to it.
+//
+// A Medium only stores bytes. It reads and writes page images, patches
+// one byte, and persists the small out-of-band entry per page; it is
+// called with in-range addresses and never sees the injector, a
+// checksum or the clock. Two ship: storage/simflash (lazily allocated
+// host memory, used with a clock — the paper's simulated chip) and
+// storage/filedev (segment files in a directory, no clock — operations
+// run at the speed of the host disk and survive the process). A new
+// medium — a steganographic volume, a network block store — implements
+// the eight Medium methods and a constructor that calls NewDevice, and
+// gets integrity, fault injection, cost accounting, Image and the
+// contract suite in this package's tests for free.
 package storage
 
 import (
@@ -99,11 +110,12 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// Backend is the page/block device contract every storage substrate
-// implements. Backends are not safe for concurrent use — the engine's
-// device gate serializes access, matching a single-threaded secure chip.
+// Backend is the page/block device contract the engine programs
+// against; *Device implements it over any Medium. A Backend is not safe
+// for concurrent use — the engine's device gate serializes access,
+// matching a single-threaded secure chip.
 //
-// Semantics every implementation must honour:
+// Semantics:
 //
 //   - ReadAt/ReadPage return erased (never programmed) bytes as 0xFF.
 //   - ProgramPage rejects a second program without an intervening
@@ -113,7 +125,7 @@ func (s Stats) Sub(o Stats) Stats {
 //     of a page whose stored bytes diverge returns ErrCorrupt.
 //   - The injector, when set, is consulted before every read, program
 //     and erase, and its torn-write/bit-flip effects are applied so
-//     fault-torture suites behave identically across backends.
+//     fault-torture suites behave identically across media.
 type Backend interface {
 	// Params returns the geometry and cost model.
 	Params() Params
@@ -137,8 +149,6 @@ type Backend interface {
 	// SetInjector installs a fault injector consulted before every read,
 	// program and erase. Pass nil to remove it.
 	SetInjector(inj *fault.Injector)
-	// Injector returns the installed fault injector (possibly nil).
-	Injector() *fault.Injector
 	// SetIntegrity switches the per-page OOB checksums on or off. Pages
 	// programmed while integrity is off carry no checksum and are never
 	// verified.
@@ -150,7 +160,7 @@ type Backend interface {
 	Image() (Image, error)
 
 	// Sync makes everything programmed so far durable against a host
-	// crash. The engine calls it at commit points; backends without a
+	// crash. The engine calls it at commit points; media without a
 	// durability boundary (the simulation) treat it as a no-op.
 	Sync() error
 	// Close releases backend resources (file handles). The backend must
@@ -188,8 +198,8 @@ var ffPad = func() []byte {
 }()
 
 // PageCRC hashes data extended with 0xFF to pageSize bytes — the page
-// content a clean program stores. It is the shared out-of-band checksum
-// every backend writes at program time and verifies at read time.
+// content a clean program stores. It is the out-of-band checksum the
+// Device writes at program time and verifies at read time.
 func PageCRC(data []byte, pageSize int) uint32 {
 	c := crc32.ChecksumIEEE(data)
 	for pad := pageSize - len(data); pad > 0; {
