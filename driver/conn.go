@@ -121,9 +121,9 @@ func (c *Conn) exec(stmts []sql.Statement, params []value.Value) (sqldriver.Resu
 			return execResult{rows: n}, nil
 		}
 	}
-	bound, err := bindScript(stmts, params)
+	bound, err := sql.BindScript(stmts, params)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ghostdb driver: %w", err)
 	}
 	n, err := c.sess.ExecStatements(bound)
 	if err != nil {
@@ -143,40 +143,6 @@ func (c *Conn) execDML(text string, params []value.Value) (int64, error) {
 		return 0, err
 	}
 	return c.sess.ExecCompiled(cd, params)
-}
-
-// bindScript substitutes placeholder arguments into a script's INSERT
-// rows and DELETE/UPDATE literals (ordinals run left to right across
-// the whole script). A single parameterized DELETE/UPDATE never reaches
-// here — Conn.exec routes it through the compiled-DML path first.
-func bindScript(stmts []sql.Statement, params []value.Value) ([]sql.Statement, error) {
-	want := sql.CountParams(stmts...)
-	if len(params) != want {
-		return nil, fmt.Errorf("ghostdb driver: script has %d placeholders, got %d arguments", want, len(params))
-	}
-	if want == 0 {
-		return stmts, nil
-	}
-	bound := make([]sql.Statement, len(stmts))
-	for i, s := range stmts {
-		var b sql.Statement
-		var err error
-		switch s := s.(type) {
-		case *sql.Insert:
-			b, err = s.BindParams(params)
-		case *sql.Delete:
-			b, err = s.BindParams(params)
-		case *sql.Update:
-			b, err = s.BindParams(params)
-		default:
-			b = s
-		}
-		if err != nil {
-			return nil, err
-		}
-		bound[i] = b
-	}
-	return bound, nil
 }
 
 // QueryContext finalizes the bulk load if needed and executes a SELECT

@@ -194,11 +194,11 @@ func TestParseDSN(t *testing.T) {
 	if err != nil || cfg.Profile != "smartusb2007" || cfg.USB != "full" || cfg.FPR != 0.01 || cfg.Capture != "meta" {
 		t.Fatalf("defaults = %+v, %v", cfg, err)
 	}
-	cfg, err = ParseDSN("ghostdb://?usb=high&fpr=0.05&capture=full&deviceindex=Doctor.Country&deviceindex=Visit.Date&plancache=16&batch=1")
+	cfg, err = ParseDSN("ghostdb://?usb=high&fpr=0.05&capture=full&deviceindex=Doctor.Country&deviceindex=Visit.Date&plancache=16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.USB != "high" || cfg.FPR != 0.05 || cfg.Capture != "full" || len(cfg.DeviceIndexes) != 2 || cfg.PlanCache != 16 || cfg.Batch != 1 {
+	if cfg.USB != "high" || cfg.FPR != 0.05 || cfg.Capture != "full" || len(cfg.DeviceIndexes) != 2 || cfg.PlanCache != 16 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	for _, bad := range []string{

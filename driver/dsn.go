@@ -36,12 +36,6 @@ type Config struct {
 	// PlanCache bounds the engine's compiled-plan cache in entries.
 	// -1 means the engine default (256); 0 disables caching.
 	PlanCache int
-	// Batch is the execution engine's vectorization granularity (IDs per
-	// operator batch, clamped to at most 1024). -1 means the engine
-	// default (1024); 1 selects the row-at-a-time reference engine,
-	// which produces bit-identical simulated device times at lower host
-	// throughput.
-	Batch int
 	// DeltaLimit auto-checkpoints the live-DML delta once it holds this
 	// many entries (rows plus tombstones). -1 (the default) disables
 	// auto-checkpointing: the delta grows until an explicit CHECKPOINT
@@ -86,7 +80,7 @@ type Config struct {
 }
 
 func defaultConfig() *Config {
-	return &Config{Profile: "smartusb2007", USB: "full", FPR: 0.01, Capture: "meta", PlanCache: -1, Batch: -1, DeltaLimit: -1, Metrics: true, Shards: 1, Integrity: true, Backend: "sim"}
+	return &Config{Profile: "smartusb2007", USB: "full", FPR: 0.01, Capture: "meta", PlanCache: -1, DeltaLimit: -1, Metrics: true, Shards: 1, Integrity: true, Backend: "sim"}
 }
 
 // ParseDSN parses a GhostDB data source name.
@@ -103,7 +97,6 @@ func defaultConfig() *Config {
 //	capture      wire trace capture: "meta" | "full"
 //	deviceindex  visible column "Table.Column"; may repeat
 //	plancache    compiled-plan cache entries; 0 disables (default 256)
-//	batch        execution batch size in IDs; 1 = row-at-a-time (default 1024)
 //	deltalimit   auto-CHECKPOINT once the live-DML delta holds N entries
 //	slowquery    log queries at least this slow (Go duration, e.g. 50ms)
 //	metrics      engine metrics registry: "on" (default) | "off"
@@ -165,12 +158,6 @@ func ParseDSN(dsn string) (*Config, error) {
 			if cfg.Capture != "meta" && cfg.Capture != "full" {
 				return nil, fmt.Errorf("ghostdb driver: unknown capture level %q (want meta or full)", cfg.Capture)
 			}
-		case "batch":
-			n, err := strconv.Atoi(vals[len(vals)-1])
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("ghostdb driver: batch must be a positive ID count, got %q", vals[len(vals)-1])
-			}
-			cfg.Batch = n
 		case "plancache":
 			n, err := strconv.Atoi(vals[len(vals)-1])
 			if err != nil || n < 0 {
@@ -288,9 +275,6 @@ func (c *Config) options() ([]core.Option, error) {
 	}
 	if c.PlanCache >= 0 {
 		opts = append(opts, core.WithPlanCacheSize(c.PlanCache))
-	}
-	if c.Batch >= 1 {
-		opts = append(opts, core.WithBatchSize(c.Batch))
 	}
 	if c.DeltaLimit >= 1 {
 		opts = append(opts, core.WithDeltaLimit(c.DeltaLimit))

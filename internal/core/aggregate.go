@@ -6,8 +6,8 @@ package core
 // domain that renders raw result rows — after the device has finished,
 // so it advances no simulated clock and sends nothing over the traced
 // buses: the spy observes exactly the traffic of the underlying SPJ
-// query, and the batch and row engines stay bit-identical in simulated
-// cost on aggregate queries by construction.
+// query, and aggregate queries cost the same simulated time at every batch
+// length by construction.
 
 import (
 	"fmt"

@@ -1,32 +1,53 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"github.com/ghostdb/ghostdb/internal/datagen"
 	"github.com/ghostdb/ghostdb/internal/stats"
 )
 
-// loadPair builds two engines over the same dataset: the vectorized batch
-// engine and the row-at-a-time reference engine (batch size 1), plus the
-// shared query generator.
-func loadPair(t *testing.T, opts ...Option) (batch, row *DB, gen *queryGen, load func(extra ...Option) *DB) {
+// The engine-invariance property: vectorization may change host time
+// only, never simulated cost. The reference is the verdict of the
+// row-at-a-time engine (the pre-vectorization operator graph, one element
+// per call), frozen in testdata/rowengine_golden.txt by the last commit
+// that had one (3e02396): one record per corpus × delta state × query ×
+// plan. The tests require the executor's one pipeline to reproduce it bit
+// for bit at batch lengths 1, 7 and 1024, and the three lengths to agree
+// with each other. The golden is not regenerated to make a failure go
+// away: a change that moves the cost model on purpose has to account for
+// every line it rewrites.
+
+// equivBatchLens are the vectorization widths held to the golden: the
+// degenerate one, an odd one that never aligns with a page or a bus
+// chunk, and the production default.
+var equivBatchLens = []int{1, 7, 1024}
+
+const rowGoldenPath = "testdata/rowengine_golden.txt"
+
+// loadEquivDBs builds one engine per batch length over the same dataset,
+// plus the shared seeded query generator.
+func loadEquivDBs(t *testing.T, opts ...Option) ([]*DB, *queryGen) {
 	t.Helper()
 	ds := datagen.Generate(datagen.Tiny())
-	load = func(extra ...Option) *DB {
-		db, err := Open(append(append([]Option{}, opts...), extra...)...)
+	dbs := make([]*DB, len(equivBatchLens))
+	for k, n := range equivBatchLens {
+		db, err := Open(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := db.LoadDataset(ds); err != nil {
 			t.Fatal(err)
 		}
-		return db
+		db.env.SetBatchLen(n)
+		dbs[k] = db
 	}
-	batch = load()
-	row = load(WithBatchSize(1))
-	return batch, row, &queryGen{rng: rand.New(rand.NewSource(23)), ds: ds}, load
+	return dbs, &queryGen{rng: rand.New(rand.NewSource(23)), ds: ds}
 }
 
 // diffReports returns a description of the first divergence between two
@@ -69,45 +90,102 @@ func diffReports(a, b *stats.Report) string {
 	return ""
 }
 
-// checkPlansEquivalent runs one query under every enumerated plan on
-// both engines and requires identical rows and bit-identical reports.
-func checkPlansEquivalent(t *testing.T, batch, row *DB, i int, sqlText string) {
-	t.Helper()
-	qb, err := batch.Prepare(sqlText)
-	if err != nil {
-		t.Fatalf("query %d %q: %v", i, sqlText, err)
+// goldenRecord renders one execution as a golden line. key names the
+// corpus position; id digests the query text and plan, so a drifted
+// corpus reads differently from a drifted cost. Everything diffReports
+// compares is in the line: the scalars verbatim, the result rows and the
+// per-operator name/detail/in/out/time/RAM as digests.
+func goldenRecord(key, sqlText, planDesc string, res *Result) string {
+	id := fnv.New32a()
+	fmt.Fprintf(id, "%s\n%s", sqlText, planDesc)
+	rows := fnv.New64a()
+	fmt.Fprint(rows, res.Rows)
+	ops := fnv.New64a()
+	r := res.Report
+	for _, op := range r.Ops {
+		fmt.Fprintf(ops, "%s|%s|%d|%d|%d|%d\n", op.Name, op.Detail, op.TuplesIn, op.TuplesOut, op.Time, op.RAMBytes)
 	}
-	qr, err := row.Prepare(sqlText)
-	if err != nil {
-		t.Fatalf("query %d %q (row): %v", i, sqlText, err)
-	}
-	specs := batch.Plans(qb)
-	rowSpecs := row.Plans(qr)
-	if len(specs) != len(rowSpecs) {
-		t.Fatalf("query %d %q: %d plans vs %d", i, sqlText, len(specs), len(rowSpecs))
-	}
-	for s, spec := range specs {
-		rb, err := batch.QueryWithPlan(qb, spec)
+	f := r.Flash
+	return fmt.Sprintf("%s id=%08x total=%d ram=%d flash=%d/%d/%d/%d/%d/%d/%d/%d bus=%d/%d rows=%d:%016x ops=%d:%016x",
+		key, id.Sum32(), int64(r.TotalTime), r.RAMHigh,
+		f.PageReads, f.PagesProgrammed, f.BlockErases, f.BytesRead, f.BytesProgrammed,
+		int64(f.ReadTime), int64(f.ProgTime), int64(f.EraseTime),
+		r.BusBytes, r.BusMsgs, r.ResultRows, rows.Sum64(), len(r.Ops), ops.Sum64())
+}
+
+// equivRun replays the seeded corpus on a set of engines in lockstep,
+// requiring them to agree with each other, and collects engine 0's
+// golden records.
+type equivRun struct {
+	t       *testing.T
+	dbs     []*DB
+	section string // golden section: "<profile>/<short|full>"
+	records []string
+}
+
+// query runs one query on every engine — under every enumerated plan, or
+// under the optimizer's choice only — and records engine 0's reports.
+func (r *equivRun) query(state string, i int, sqlText string, allPlans bool) {
+	r.t.Helper()
+	nPlans := 1
+	if allPlans {
+		q, err := r.dbs[0].Prepare(sqlText)
 		if err != nil {
-			t.Fatalf("query %d %q / %s: %v", i, sqlText, spec.Describe(qb), err)
+			r.t.Fatalf("%s query %d %q: %v", state, i, sqlText, err)
 		}
-		rr, err := row.QueryWithPlan(qr, rowSpecs[s])
-		if err != nil {
-			t.Fatalf("query %d %q / %s (row): %v", i, sqlText, spec.Describe(qb), err)
+		nPlans = len(r.dbs[0].Plans(q))
+	}
+	for s := 0; s < nPlans; s++ {
+		key := fmt.Sprintf("%s %s q%d p%d", r.section, state, i, s)
+		first, firstErr := runEquivQuery(r.dbs[0], sqlText, allPlans, s, nPlans)
+		for k, db := range r.dbs[1:] {
+			res, err := runEquivQuery(db, sqlText, allPlans, s, nPlans)
+			if firstErr != nil || err != nil {
+				if fmt.Sprint(firstErr) != fmt.Sprint(err) {
+					r.t.Fatalf("%s %q: engine 0 says %v, engine %d says %v", key, sqlText, firstErr, k+1, err)
+				}
+				continue
+			}
+			desc := first.Spec.Describe(first.Query)
+			if !sameRows(first.Rows, res.Rows) {
+				r.t.Fatalf("%s %q / %s: engine 0 returned %d rows, engine %d %d",
+					key, sqlText, desc, len(first.Rows), k+1, len(res.Rows))
+			}
+			if d := diffReports(first.Report, res.Report); d != "" {
+				r.t.Fatalf("%s %q / %s: engines 0 and %d diverge: %s\n0:\n%s\n%d:\n%s",
+					key, sqlText, desc, k+1, d, first.Report, k+1, res.Report)
+			}
 		}
-		if !sameRows(rb.Rows, rr.Rows) {
-			t.Fatalf("query %d %q / %s: batch returned %d rows, row engine %d",
-				i, sqlText, spec.Describe(qb), len(rb.Rows), len(rr.Rows))
+		if firstErr != nil {
+			// Running out of RAM on the 16KB device is a verdict too: a
+			// pipeline that held one more page would fail where the row
+			// engine did not.
+			r.records = append(r.records, fmt.Sprintf("%s err=%q", key, firstErr))
+			continue
 		}
-		if d := diffReports(rb.Report, rr.Report); d != "" {
-			t.Fatalf("query %d %q / %s: engines diverge: %s\nbatch:\n%s\nrow:\n%s",
-				i, sqlText, spec.Describe(qb), d, rb.Report, rr.Report)
-		}
+		r.records = append(r.records, goldenRecord(key, sqlText, first.Spec.Describe(first.Query), first))
 	}
 }
 
+// runEquivQuery executes sqlText under enumerated plan s of nPlans, or
+// under the optimizer's choice when allPlans is false.
+func runEquivQuery(db *DB, sqlText string, allPlans bool, s, nPlans int) (*Result, error) {
+	if !allPlans {
+		return db.Query(sqlText)
+	}
+	q, err := db.Prepare(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	specs := db.Plans(q)
+	if len(specs) != nPlans {
+		return nil, fmt.Errorf("%d plans, engine 0 enumerated %d", len(specs), nPlans)
+	}
+	return db.QueryWithPlan(q, specs[s])
+}
+
 // dmlScript is a deterministic live-DML sequence applied identically to
-// both engines: inserts, a hidden-column update, deletes with virtual
+// every engine: inserts, a hidden-column update, deletes with virtual
 // cascade. It leaves every table of the Figure 3 schema with a dirty
 // delta so the equivalence corpus runs with delta-resident rows.
 var dmlScript = []string{
@@ -118,134 +196,163 @@ var dmlScript = []string{
 	`UPDATE Prescription SET Quantity = 5 WHERE Quantity > 80`,
 }
 
-// applyDMLBoth runs one statement on both engines and requires identical
+// exec runs one DML statement on every engine and requires identical
 // affected-row counts.
-func applyDMLBoth(t *testing.T, batch, row *DB, stmt string) {
-	t.Helper()
-	nb, err := batch.Exec(stmt)
-	if err != nil {
-		t.Fatalf("%q (batch): %v", stmt, err)
-	}
-	nr, err := row.Exec(stmt)
-	if err != nil {
-		t.Fatalf("%q (row): %v", stmt, err)
-	}
-	if nb != nr {
-		t.Fatalf("%q: batch affected %d, row %d", stmt, nb, nr)
+func (r *equivRun) exec(stmt string) {
+	r.t.Helper()
+	var first int64
+	for k, db := range r.dbs {
+		n, err := db.Exec(stmt)
+		if err != nil {
+			r.t.Fatalf("%q (engine %d): %v", stmt, k, err)
+		}
+		if k == 0 {
+			first = n
+		} else if n != first {
+			r.t.Fatalf("%q: engine 0 affected %d, engine %d %d", stmt, first, k, n)
+		}
 	}
 }
 
-// TestBatchRowEquivalence is the engine-invariance property: every random
-// query, under every enumerated plan, must produce the same result set,
-// the same per-operator tuple counts and the bit-identical simulated
-// device time on the batch engine and on the row-at-a-time engine. The
-// cost model is the paper's contribution — vectorization is only allowed
-// to change host CPU time. The property must hold with a clean base, with
-// delta-resident rows after live DML, and again after CHECKPOINT merges
-// the delta to flash.
-func TestBatchRowEquivalence(t *testing.T) {
-	batch, row, gen, _ := loadPair(t)
-	iterations := 40
-	if testing.Short() {
-		iterations = 10
+// checkpoint merges the delta to flash on every engine.
+func (r *equivRun) checkpoint() {
+	r.t.Helper()
+	var first int64
+	for k, db := range r.dbs {
+		n, err := db.Checkpoint()
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		if k == 0 {
+			first = n
+		}
+		if n == 0 || n != first {
+			r.t.Fatalf("checkpoint absorbed %d (engine 0) vs %d (engine %d)", first, n, k)
+		}
 	}
-	aggIterations := 15
-	if testing.Short() {
-		aggIterations = 5
+}
+
+// equivCorpus sizes one replay: the default-RAM corpus runs every random
+// query under every enumerated plan; the 16KB-device corpus, where some
+// enumerated plans legitimately run out of RAM, runs the optimizer's
+// plan and forces the spill-everything paths (multi-pass unions, scratch
+// runs, tight-RAM sequential contribution integration).
+type equivCorpus struct {
+	iterations, aggIterations int
+	allPlans                  bool
+}
+
+func defaultEquivCorpus(short bool) equivCorpus {
+	if short {
+		return equivCorpus{10, 5, true}
 	}
-	for i := 0; i < iterations+aggIterations; i++ {
+	return equivCorpus{40, 15, true}
+}
+
+func tinyEquivCorpus(short bool) equivCorpus {
+	if short {
+		return equivCorpus{5, 3, false}
+	}
+	return equivCorpus{15, 8, false}
+}
+
+// replay walks the corpus with a clean base, with delta-resident rows
+// after live DML, and again after CHECKPOINT merges the delta to flash.
+func (c equivCorpus) replay(r *equivRun, gen *queryGen) {
+	for i := 0; i < c.iterations+c.aggIterations; i++ {
 		// The tail of the corpus exercises the post-operator dialect:
 		// aggregation runs host-side after the pipeline, so the
 		// bit-identical-cost property must hold there too.
 		sqlText := gen.next()
-		if i >= iterations {
+		if i >= c.iterations {
 			sqlText = gen.nextPostOp()
 		}
-		checkPlansEquivalent(t, batch, row, i, sqlText)
+		r.query("clean", i, sqlText, c.allPlans)
 	}
 
-	// Live DML: both engines mutate identically (the delta path is
+	// Live DML: every engine mutates identically (the delta path is
 	// granularity-independent by construction), then the whole corpus
 	// property must hold with delta-resident rows...
 	for _, stmt := range dmlScript {
-		applyDMLBoth(t, batch, row, stmt)
+		r.exec(stmt)
 	}
-	dmlIterations := iterations/2 + aggIterations/2
+	dmlIterations := c.iterations/2 + c.aggIterations/2
 	for i := 0; i < dmlIterations; i++ {
 		sqlText := gen.next()
 		if i%3 == 2 {
 			sqlText = gen.nextPostOp()
 		}
-		checkPlansEquivalent(t, batch, row, 1000+i, sqlText)
+		r.query("dirty", 1000+i, sqlText, c.allPlans)
 	}
 
 	// ...and again after CHECKPOINT merges the delta into fresh flash
-	// segments on both engines.
-	nb, err := batch.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr, err := row.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb == 0 || nb != nr {
-		t.Fatalf("checkpoint absorbed %d (batch) vs %d (row)", nb, nr)
-	}
+	// segments.
+	r.checkpoint()
 	for i := 0; i < dmlIterations; i++ {
 		sqlText := gen.next()
 		if i%3 == 2 {
 			sqlText = gen.nextPostOp()
 		}
-		checkPlansEquivalent(t, batch, row, 2000+i, sqlText)
+		r.query("ckpt", 2000+i, sqlText, c.allPlans)
 	}
 }
 
+// equivSection names the golden section of a corpus.
+func equivSection(profile string, short bool) string {
+	if short {
+		return profile + "/short"
+	}
+	return profile + "/full"
+}
+
+// requireRowGolden holds the replayed records to the frozen section of
+// the row engine's golden, line for line.
+func requireRowGolden(t *testing.T, r *equivRun) {
+	t.Helper()
+	golden, err := os.ReadFile(rowGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(golden), "\n") {
+		if strings.HasPrefix(line, r.section+" ") {
+			want = append(want, line)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatalf("%s has no section %s", rowGoldenPath, r.section)
+	}
+	for i := 0; i < len(want) && i < len(r.records); i++ {
+		if r.records[i] != want[i] {
+			t.Fatalf("batch lengths %v diverge from the row engine's golden:\n got %s\nwant %s",
+				equivBatchLens, r.records[i], want[i])
+		}
+	}
+	if len(r.records) != len(want) {
+		t.Fatalf("section %s: replayed %d records, golden has %d", r.section, len(r.records), len(want))
+	}
+}
+
+// TestBatchRowEquivalence is the engine-invariance property: every random
+// query, under every enumerated plan, must produce the result set, the
+// per-operator tuple counts and the bit-identical simulated device time
+// the row-at-a-time engine produced, at every batch length. The cost
+// model is the paper's contribution — vectorization is only allowed to
+// change host CPU time. The property must hold with a clean base, with
+// delta-resident rows after live DML, and again after CHECKPOINT merges
+// the delta to flash.
+func TestBatchRowEquivalence(t *testing.T) {
+	dbs, gen := loadEquivDBs(t)
+	r := &equivRun{t: t, dbs: dbs, section: equivSection("default", testing.Short())}
+	defaultEquivCorpus(testing.Short()).replay(r, gen)
+	requireRowGolden(t, r)
+}
+
 // TestBatchRowEquivalenceTinyRAM repeats the property on a 16KB device,
-// forcing the spill-everything paths (multi-pass unions, scratch runs,
-// tight-RAM sequential contribution integration) through both engines —
-// plus a third engine at an odd batch granularity (7), checking that the
-// invariance holds at every vectorization width, not just the default.
+// where every contribution spills, in the same three delta states.
 func TestBatchRowEquivalenceTinyRAM(t *testing.T) {
-	prof := SmallProfileForTest()
-	batch, row, gen, load := loadPair(t, WithProfile(prof))
-	odd := load(WithBatchSize(7))
-	iterations := 15
-	if testing.Short() {
-		iterations = 5
-	}
-	aggIterations := 8
-	if testing.Short() {
-		aggIterations = 3
-	}
-	for i := 0; i < iterations+aggIterations; i++ {
-		sqlText := gen.next()
-		if i >= iterations {
-			sqlText = gen.nextPostOp()
-		}
-		rb, err := batch.Query(sqlText)
-		if err != nil {
-			t.Fatalf("query %d %q: %v", i, sqlText, err)
-		}
-		rr, err := row.Query(sqlText)
-		if err != nil {
-			t.Fatalf("query %d %q (row): %v", i, sqlText, err)
-		}
-		ro, err := odd.Query(sqlText)
-		if err != nil {
-			t.Fatalf("query %d %q (batch=7): %v", i, sqlText, err)
-		}
-		if !sameRows(rb.Rows, rr.Rows) || !sameRows(ro.Rows, rr.Rows) {
-			t.Fatalf("query %d %q: batch %d / batch7 %d rows, row engine %d",
-				i, sqlText, len(rb.Rows), len(ro.Rows), len(rr.Rows))
-		}
-		if d := diffReports(rb.Report, rr.Report); d != "" {
-			t.Fatalf("query %d %q: engines diverge: %s\nbatch:\n%s\nrow:\n%s",
-				i, sqlText, d, rb.Report, rr.Report)
-		}
-		if d := diffReports(ro.Report, rr.Report); d != "" {
-			t.Fatalf("query %d %q: batch=7 diverges: %s\nbatch7:\n%s\nrow:\n%s",
-				i, sqlText, d, ro.Report, rr.Report)
-		}
-	}
+	dbs, gen := loadEquivDBs(t, WithProfile(SmallProfileForTest()))
+	r := &equivRun{t: t, dbs: dbs, section: equivSection("tiny", testing.Short())}
+	tinyEquivCorpus(testing.Short()).replay(r, gen)
+	requireRowGolden(t, r)
 }

@@ -262,8 +262,7 @@ func WithSpec(s plan.Spec) QueryOption {
 
 // WithContext cancels the query when ctx is done. Cancellation is
 // honored at batch boundaries: the engine checks between batches of the
-// vectorized pipeline (and periodically in row mode) and returns
-// ctx.Err(). A canceled query charges the simulated clock only for the
+// pipeline and returns ctx.Err(). A canceled query charges the simulated clock only for the
 // work it actually performed.
 func WithContext(ctx context.Context) QueryOption {
 	return func(c *queryConfig) {

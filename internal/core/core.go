@@ -53,13 +53,6 @@ type Options struct {
 	// PlanCacheSize bounds the shared compiled-plan cache (entries).
 	// Zero means the default (256); negative disables caching.
 	PlanCacheSize int
-	// BatchSize is the vectorization granularity of the execution
-	// engine: how many IDs the operators hand over per batch, clamped to
-	// at most exec.DefaultBatchSize (1024). Zero means the default
-	// (1024); 1 (or negative) selects the row-at-a-time reference
-	// engine. Granularity never changes simulated device times or tuple
-	// counts — only host buffering.
-	BatchSize int
 	// DeltaLimit auto-checkpoints the live-DML delta: when the number of
 	// delta rows plus tombstones reaches the limit after a mutation, the
 	// engine runs a CHECKPOINT before returning. Zero or negative means
@@ -141,20 +134,6 @@ func WithPlanCacheSize(n int) Option {
 			n = -1 // explicit zero means "no cache", not "default"
 		}
 		o.PlanCacheSize = n
-	}
-}
-
-// WithBatchSize sets the execution engine's vectorization granularity
-// (IDs per operator batch, clamped to at most exec.DefaultBatchSize).
-// n <= 1 selects the row-at-a-time reference engine; by construction
-// every granularity reports bit-identical simulated device times, tuple
-// counts and wire traffic — only host CPU time differs.
-func WithBatchSize(n int) Option {
-	return func(o *Options) {
-		if n < 1 {
-			n = 1
-		}
-		o.BatchSize = n
 	}
 }
 
@@ -255,10 +234,6 @@ type DB struct {
 	env   *exec.Env
 	net   *bus.Network
 	rec   *trace.Recorder
-
-	// batchSize is the resolved vectorization granularity (>1 batches,
-	// 1 row-at-a-time).
-	batchSize int
 
 	// planCache memoizes compiled query shapes across all sessions. It
 	// has its own (sharded) locking: cache traffic never takes the
@@ -514,14 +489,6 @@ func openSingle(opts Options) (*DB, error) {
 	if cacheSize == 0 {
 		cacheSize = 256
 	}
-	batchSize := opts.BatchSize
-	if batchSize == 0 {
-		batchSize = exec.DefaultBatchSize
-	}
-	env := exec.NewEnv(dev)
-	if batchSize > 1 {
-		env.SetBatchLen(batchSize)
-	}
 	var em *engineMetrics
 	if !opts.DisableMetrics {
 		em = newEngineMetrics(true)
@@ -530,8 +497,7 @@ func openSingle(opts Options) (*DB, error) {
 		opts:       opts,
 		clock:      clock,
 		dev:        dev,
-		env:        env,
-		batchSize:  batchSize,
+		env:        exec.NewEnv(dev),
 		net:        net,
 		rec:        rec,
 		planCache:  newPlanCache(cacheSize),

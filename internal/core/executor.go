@@ -6,6 +6,16 @@ package core
 // cache and the optimizer's choice — happens in the compile phase
 // (compile.go); by the time execute runs, the query carries concrete
 // predicate values and the strategy per predicate is fixed.
+//
+// There is one plan walk and it composes internal/exec's batch operators
+// only, one call site per stage of the paper's Figure 5: climbing-index
+// union/intersection and translation (rootStream), tombstone
+// subtraction, SKT access fused with the Bloom/hidden filters, the Store
+// pass, the projection passes and the final scan. The batch length is a
+// host buffer size (exec.DefaultBatchSize; tests vary it through
+// Env.SetBatchLen) and never changes a simulated cost: batchequiv_test.go
+// holds lengths 1, 7 and 1024 to the frozen reports of the row-at-a-time
+// reference engine (testdata/rowengine_golden.txt).
 
 import (
 	"context"
@@ -269,8 +279,7 @@ type executor struct {
 }
 
 // ctxBatchIter wraps the root ID stream: each pull checks cancellation
-// and bumps the executor's batch counter (in row mode a "batch" is the
-// single ID the caller demanded).
+// and bumps the executor's batch counter.
 type ctxBatchIter struct {
 	in exec.BatchIter
 	ex *executor
@@ -336,72 +345,6 @@ func (ex *executor) sizeProjStore(n int) {
 	} else {
 		ex.rootBySeq = make([]uint32, n)
 	}
-}
-
-// batchMode reports whether this execution runs the vectorized pipeline.
-// When false, every stream below is the original row-at-a-time operator
-// wrapped in a prefetch-free adapter — the reference engine the batch
-// pipeline must match bit for bit in simulated time and tuple counts.
-func (ex *executor) batchMode() bool { return ex.db.batchSize > 1 }
-
-// The dispatch helpers below pick the vectorized or the row-at-a-time
-// implementation of each pipeline stage. Row-mode streams are Batched
-// adapters; RowIterOf unwraps them back to the original iterators, so the
-// row path composes exactly the pre-vectorization operator graph.
-
-func (ex *executor) openRun(run exec.RunSource) (exec.BatchIter, error) {
-	if ex.batchMode() {
-		return run.OpenBatch()
-	}
-	it, err := run.Open()
-	if err != nil {
-		return nil, err
-	}
-	return exec.Batched(it), nil
-}
-
-func (ex *executor) union(sources []exec.IDSource, fanin int, op *stats.Op) (exec.BatchIter, error) {
-	if ex.batchMode() {
-		return ex.db.env.UnionBatch(sources, fanin, op)
-	}
-	it, err := ex.db.env.Union(sources, fanin, op)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Batched(it), nil
-}
-
-func (ex *executor) intersect(its []exec.BatchIter) (exec.BatchIter, error) {
-	if ex.batchMode() {
-		return ex.db.env.MergeIntersectBatch(its)
-	}
-	rows := make([]exec.IDIter, len(its))
-	for i := range its {
-		rows[i] = exec.RowIterOf(its[i])
-	}
-	it, err := ex.db.env.MergeIntersect(rows)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Batched(it), nil
-}
-
-func (ex *executor) translate(in exec.BatchIter, ix *climbing.Index, level, fanin int, op *stats.Op) (exec.BatchIter, error) {
-	if ex.batchMode() {
-		return ex.db.env.TranslateBatch(in, ix, level, fanin, op)
-	}
-	it, err := ex.db.env.Translate(exec.RowIterOf(in), ix, level, fanin, op)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Batched(it), nil
-}
-
-func (ex *executor) spill(in exec.BatchIter, op *stats.Op) (exec.RunSource, error) {
-	if ex.batchMode() {
-		return ex.db.env.SpillBatch(in, op)
-	}
-	return ex.db.env.SpillIDs(exec.RowIterOf(in), op)
 }
 
 func (ex *executor) cleanup() {
@@ -494,11 +437,7 @@ func (ex *executor) run() error {
 		dead := ex.deltaDead
 		probe := func(id uint32) bool { _, ok := dead[id]; return ok }
 		op := ex.rep.NewOp("Tombstones", q.Root.Name)
-		if ex.batchMode() {
-			rootIter = db.env.FilterDeadBatch(rootIter, probe, op)
-		} else {
-			rootIter = exec.Batched(db.env.FilterDead(exec.RowIterOf(rootIter), probe, op))
-		}
+		rootIter = db.env.FilterDeadBatch(rootIter, probe, op)
 	}
 
 	// Bloom filters for post-filtered tables, then hidden post
@@ -540,59 +479,28 @@ func (ex *executor) run() error {
 		}
 		sktTable = s
 	}
-	var rf *exec.RowFile
-	if ex.batchMode() {
-		spec := exec.JoinFilterSpec{SKT: sktTable, Tables: ex.layout}
-		for _, b := range blooms {
-			spec.Filters = append(spec.Filters, db.env.BloomProbeCosted(b.f, b.field))
-		}
-		for _, h := range hidFilters {
-			spec.Filters = append(spec.Filters, db.env.HiddenPredCosted(h.col, h.field, h.p))
-		}
-		spec.JoinOp = ex.rep.NewOp("AccessSKT", q.Root.Name)
-		spec.FilterOp = ex.rep.NewOp("Filter", probesLabel(nFilters))
-		rows, err := db.env.JoinFilterBatch(rootIter, spec)
-		if err != nil {
-			rootIter.Close()
-			return err
-		}
-		storeOp := ex.rep.NewOp("Store", "materialize candidates")
-		phase := db.clock.Now()
-		rf, err = db.env.MaterializeRowsBatch(rows, 1+len(ex.layout), true, storeOp)
-		if err != nil {
-			return err
-		}
-		storeOp.AddTime(db.clock.Span(phase))
-		storeOp.NoteRAM(db.dev.RAM.Used())
-	} else {
-		var filters []exec.RowFilter
-		for _, b := range blooms {
-			filters = append(filters, db.env.BloomProbe(b.f, b.field))
-		}
-		for _, h := range hidFilters {
-			filters = append(filters, db.env.HiddenPredFilter(h.col, h.field, h.p))
-		}
-		sktOp := ex.rep.NewOp("AccessSKT", q.Root.Name)
-		rootRows := exec.RowIterOf(rootIter)
-		var rows exec.RowIter
-		if sktTable == nil {
-			rows = &idRowIter{in: rootRows, op: sktOp}
-		} else {
-			rows = db.env.SKTJoin(rootRows, sktTable, ex.layout, sktOp)
-		}
-		filterOp := ex.rep.NewOp("Filter", probesLabel(len(filters)))
-		if len(filters) > 0 {
-			rows = exec.FilterRows(rows, filters, filterOp)
-		}
-		storeOp := ex.rep.NewOp("Store", "materialize candidates")
-		phase := db.clock.Now()
-		rf, err = db.env.MaterializeRows(rows, 1+len(ex.layout), true, storeOp)
-		if err != nil {
-			return err
-		}
-		storeOp.AddTime(db.clock.Span(phase))
-		storeOp.NoteRAM(db.dev.RAM.Used())
+	spec := exec.JoinFilterSpec{SKT: sktTable, Tables: ex.layout}
+	for _, b := range blooms {
+		spec.Filters = append(spec.Filters, db.env.BloomProbeCosted(b.f, b.field))
 	}
+	for _, h := range hidFilters {
+		spec.Filters = append(spec.Filters, db.env.HiddenPredCosted(h.col, h.field, h.p))
+	}
+	spec.JoinOp = ex.rep.NewOp("AccessSKT", q.Root.Name)
+	spec.FilterOp = ex.rep.NewOp("Filter", probesLabel(nFilters))
+	rows, err := db.env.JoinFilterBatch(rootIter, spec)
+	if err != nil {
+		rootIter.Close()
+		return err
+	}
+	storeOp := ex.rep.NewOp("Store", "materialize candidates")
+	phase := db.clock.Now()
+	rf, err := db.env.MaterializeRowsBatch(rows, 1+len(ex.layout), true, storeOp)
+	if err != nil {
+		return err
+	}
+	storeOp.AddTime(db.clock.Span(phase))
+	storeOp.NoteRAM(db.dev.RAM.Used())
 
 	if err := ex.checkCtx(); err != nil {
 		return err
@@ -816,10 +724,7 @@ func (ex *executor) rootStream(visPreByTable map[string][]int, indexPreds []int)
 
 	rootRows := db.rowCounts[q.Root.Name]
 	if len(contribs) == 0 {
-		if ex.batchMode() {
-			return &seqBatch{max: uint32(rootRows)}, nil
-		}
-		return exec.Batched(&seqIter{max: uint32(rootRows)}), nil
+		return &seqBatch{max: uint32(rootRows)}, nil
 	}
 
 	fanin := db.env.Fanin(0.5)
@@ -847,7 +752,7 @@ func (ex *executor) rootStream(visPreByTable map[string][]int, indexPreds []int)
 		}
 		if spillMode {
 			op := ex.rep.NewOp("Store", "contribution@"+c.table)
-			run, err := ex.spill(it, op)
+			run, err := db.env.SpillBatch(it, op)
 			if err != nil {
 				closeAll()
 				return nil, err
@@ -858,14 +763,14 @@ func (ex *executor) rootStream(visPreByTable map[string][]int, indexPreds []int)
 		rootIters = append(rootIters, it)
 	}
 	for _, run := range runs {
-		it, err := ex.openRun(run)
+		it, err := run.OpenBatch()
 		if err != nil {
 			closeAll()
 			return nil, err
 		}
 		rootIters = append(rootIters, it)
 	}
-	return ex.intersect(rootIters)
+	return db.env.MergeIntersectBatch(rootIters)
 }
 
 // tightRAM reports whether n concurrent merge pipelines would endanger
@@ -888,10 +793,10 @@ func (ex *executor) contribAtRoot(c contrib, fanin int) (exec.BatchIter, error) 
 			sources = append(sources, exec.ClimbSource{Env: db.env, Ix: c.ix, Ref: r})
 		}
 		op := ex.rep.NewOp("MergeLists", c.table+"@"+q.Root.Name)
-		return ex.union(sources, fanin, op)
+		return db.env.UnionBatch(sources, fanin, op)
 	}
 	// Visible pre-filter run.
-	it, err := ex.openRun(*c.run)
+	it, err := c.run.OpenBatch()
 	if err != nil {
 		return nil, err
 	}
@@ -909,7 +814,7 @@ func (ex *executor) contribAtRoot(c contrib, fanin int) (exec.BatchIter, error) 
 	}
 	op := ex.rep.NewOp("Translate", fmt.Sprintf("%s->%s", c.table, q.Root.Name))
 	phase := db.clock.Now()
-	out, err := ex.translate(it, tr, level, fanin, op)
+	out, err := db.env.TranslateBatch(it, tr, level, fanin, op)
 	op.AddTime(db.clock.Span(phase))
 	return out, err
 }
@@ -923,9 +828,9 @@ func (ex *executor) contribAtOwn(c contrib, fanin int) (exec.BatchIter, error) {
 			sources = append(sources, exec.ClimbSource{Env: db.env, Ix: c.ix, Ref: r})
 		}
 		op := ex.rep.NewOp("MergeLists", c.table)
-		return ex.union(sources, fanin, op)
+		return db.env.UnionBatch(sources, fanin, op)
 	}
-	return ex.openRun(*c.run)
+	return c.run.OpenBatch()
 }
 
 // crossFilteredRoot combines contributions level by level: intersect at
@@ -958,11 +863,11 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 			return it, nil
 		}
 		op := ex.rep.NewOp("Store", note)
-		run, err := ex.spill(it, op)
+		run, err := db.env.SpillBatch(it, op)
 		if err != nil {
 			return nil, err
 		}
-		return ex.openRun(run)
+		return run.OpenBatch()
 	}
 
 	pending := map[string][]exec.BatchIter{}
@@ -993,7 +898,7 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 		}
 		iters = append(iters, pending[t]...)
 		delete(pending, t)
-		combined, err := ex.intersect(iters)
+		combined, err := db.env.MergeIntersectBatch(iters)
 		if err != nil {
 			return nil, err
 		}
@@ -1016,7 +921,7 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 		level := tr.LevelOf(target)
 		op := ex.rep.NewOp("Translate", fmt.Sprintf("%s->%s (cross)", t, target))
 		phase := db.clock.Now()
-		translated, err := ex.translate(combined, tr, level, fanin, op)
+		translated, err := db.env.TranslateBatch(combined, tr, level, fanin, op)
 		op.AddTime(db.clock.Span(phase))
 		if err != nil {
 			return nil, err
@@ -1040,26 +945,22 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 		}
 		for _, it := range its {
 			op := ex.rep.NewOp("Translate", fmt.Sprintf("%s->%s (late)", t, q.Root.Name))
-			translated, err := ex.translate(it, tr, tr.LevelOf(q.Root.Name), fanin, op)
+			translated, err := db.env.TranslateBatch(it, tr, tr.LevelOf(q.Root.Name), fanin, op)
 			if err != nil {
 				return nil, err
 			}
 			rootIters = append(rootIters, translated)
 		}
 	}
-	return ex.intersect(rootIters)
+	return db.env.MergeIntersectBatch(rootIters)
 }
 
 // shipIDList streams a sorted visible ID list server->terminal->device in
 // bus-chunked messages and spills it to a scratch run on the device.
 func (ex *executor) shipIDList(ids []uint32, table string, op *stats.Op) (exec.RunSource, error) {
 	op.AddIn(int64(len(ids)))
-	if ex.batchMode() {
-		b := &busIDBatch{ex: ex, ids: ids, note: table + " IDs", kind: trace.KindIDList}
-		return ex.db.env.SpillBatch(b, op)
-	}
-	it := &busIDIter{ex: ex, ids: ids, note: table + " IDs", kind: trace.KindIDList}
-	return ex.db.env.SpillIDs(it, op)
+	b := &busIDBatch{ex: ex, ids: ids, note: table + " IDs", kind: trace.KindIDList}
+	return ex.db.env.SpillBatch(b, op)
 }
 
 // builtBloom is one constructed Bloom filter and the row field it probes.
@@ -1089,16 +990,8 @@ func (ex *executor) buildBlooms(visPostByTable map[string][]int) ([]builtBloom, 
 		op := ex.rep.NewOp("BloomBuild", t)
 		phase := db.clock.Now()
 		maxBytes := int(db.dev.RAM.Available()) / (remaining + 1)
-		var f *bloom.Filter
-		var free func()
-		var err error
-		if ex.batchMode() {
-			b := &busIDBatch{ex: ex, ids: ids, note: t + " IDs (bloom)", kind: trace.KindIDList}
-			f, free, err = db.env.BuildBloomBatch(b, len(ids), db.opts.TargetFPR, maxBytes, op)
-		} else {
-			it := &busIDIter{ex: ex, ids: ids, note: t + " IDs (bloom)", kind: trace.KindIDList}
-			f, free, err = db.env.BuildBloom(it, len(ids), db.opts.TargetFPR, maxBytes, op)
-		}
+		b := &busIDBatch{ex: ex, ids: ids, note: t + " IDs (bloom)", kind: trace.KindIDList}
+		f, free, err := db.env.BuildBloomBatch(b, len(ids), db.opts.TargetFPR, maxBytes, op)
 		if err != nil {
 			return nil, err
 		}
@@ -1250,35 +1143,18 @@ func (ex *executor) mergePass(rf *exec.RowFile, table string, field int, column 
 		}
 		return nil
 	}
-	if ex.batchMode() {
-		var rows exec.BatchRowIter
-		rows, err = rf.IterBatch()
-		if err != nil {
-			return nil, err
-		}
-		if rewrite {
-			out, err = db.env.NewRowFileWriter(rf.Fields())
-			if err != nil {
-				rows.Close()
-				return nil, err
-			}
-		}
-		err = db.env.MergeRowsWithStreamBatch(rows, field, stream, op, matchFn)
-	} else {
-		var rows exec.RowIter
-		rows, err = rf.Iter()
-		if err != nil {
-			return nil, err
-		}
-		if rewrite {
-			out, err = db.env.NewRowFileWriter(rf.Fields())
-			if err != nil {
-				rows.Close()
-				return nil, err
-			}
-		}
-		err = db.env.MergeRowsWithStream(rows, field, stream, op, matchFn)
+	rows, err := rf.IterBatch()
+	if err != nil {
+		return nil, err
 	}
+	if rewrite {
+		out, err = db.env.NewRowFileWriter(rf.Fields())
+		if err != nil {
+			rows.Close()
+			return nil, err
+		}
+	}
+	err = db.env.MergeRowsWithStreamBatch(rows, field, stream, op, matchFn)
 	if err != nil {
 		if out != nil {
 			out.Abort()
@@ -1359,54 +1235,28 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 		resultBytes += 4 // the live seq itself
 		return nil
 	}
-	if ex.batchMode() {
-		it, err := rf.IterBatch()
+	it, err := rf.IterBatch()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	rb := db.env.NewRowBatch(rf.Fields())
+	defer exec.PutRowBatch(rb)
+	for {
+		if err := ex.checkCtx(); err != nil {
+			return err
+		}
+		k, err := it.Next(rb)
 		if err != nil {
 			return err
 		}
-		defer it.Close()
-		rb := db.env.NewRowBatch(rf.Fields())
-		defer exec.PutRowBatch(rb)
-		for {
-			if err := ex.checkCtx(); err != nil {
-				return err
-			}
-			k, err := it.Next(rb)
-			if err != nil {
-				return err
-			}
-			if k == 0 {
-				break
-			}
-			ex.batches++
-			op.AddIn(int64(k))
-			for i := 0; i < k; i++ {
-				if err := scanRow(rb.Row(i)); err != nil {
-					return err
-				}
-			}
+		if k == 0 {
+			break
 		}
-	} else {
-		it, err := rf.Iter()
-		if err != nil {
-			return err
-		}
-		defer it.Close()
-		for n := 0; ; n++ {
-			if n&1023 == 0 {
-				if err := ex.checkCtx(); err != nil {
-					return err
-				}
-			}
-			r, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			op.AddIn(1)
-			if err := scanRow(r); err != nil {
+		ex.batches++
+		op.AddIn(int64(k))
+		for i := 0; i < k; i++ {
+			if err := scanRow(rb.Row(i)); err != nil {
 				return err
 			}
 		}
@@ -1490,53 +1340,11 @@ func (ex *executor) assemble(wantRoots bool) *Result {
 	return res
 }
 
-// busIDIter streams a host-side ID list through the network charge model
+// busIDBatch streams a host-side ID list through the network charge model
 // (server->terminal LAN hop and terminal->device USB hop per chunk) while
-// the device consumes it.
-type busIDIter struct {
-	ex   *executor
-	ids  []uint32
-	i    int
-	note string
-	kind trace.Kind
-}
-
-func (b *busIDIter) Next() (uint32, bool, error) {
-	if b.i >= len(b.ids) {
-		return 0, false, nil
-	}
-	chunkIDs := b.ex.db.opts.Profile.BusChunkBytes / 4
-	if chunkIDs < 1 {
-		chunkIDs = 1
-	}
-	if b.i%chunkIDs == 0 {
-		n := len(b.ids) - b.i
-		if n > chunkIDs {
-			n = chunkIDs
-		}
-		var vals []value.Value
-		if b.ex.db.rec.Level() == trace.CaptureFull {
-			for _, id := range b.ids[b.i : b.i+n] {
-				vals = append(vals, value.NewInt(int64(id)))
-			}
-		}
-		if err := b.ex.db.net.Send(trace.Server, trace.Terminal, b.kind, n*4, b.note, vals); err != nil {
-			return 0, false, err
-		}
-		if err := b.ex.db.net.Send(trace.Terminal, trace.Device, b.kind, n*4, b.note, vals); err != nil {
-			return 0, false, err
-		}
-	}
-	id := b.ids[b.i]
-	b.i++
-	return id, true, nil
-}
-
-func (b *busIDIter) Close() {}
-
-// busIDBatch is the batched twin of busIDIter: it fills dst in whole
-// chunks while sending exactly the same bus messages at exactly the same
-// element boundaries, so the wire trace and charges are unchanged.
+// the device consumes it. Messages go out at bus-chunk boundaries of the
+// list, wherever the consumer's batches happen to end, so the wire trace
+// and charges do not depend on the batch length.
 type busIDBatch struct {
 	ex   *executor
 	ids  []uint32
@@ -1633,43 +1441,7 @@ func (b *busKVIter) Next() (exec.KV, bool, error) {
 
 func (b *busKVIter) Close() {}
 
-// idRowIter adapts a bare root ID stream to rows (single-table queries).
-type idRowIter struct {
-	in  exec.IDIter
-	op  *stats.Op
-	buf [1]uint32
-}
-
-func (i *idRowIter) Next() (exec.Row, bool, error) {
-	id, ok, err := i.in.Next()
-	if err != nil || !ok {
-		return exec.Row{}, false, err
-	}
-	i.op.AddIn(1)
-	i.op.AddOut(1)
-	i.buf[0] = id
-	return exec.Row{IDs: i.buf[:]}, true, nil
-}
-
-func (i *idRowIter) Close() { i.in.Close() }
-
-// seqIter scans 1..max (full root scan when no predicate contributes).
-type seqIter struct {
-	next uint32
-	max  uint32
-}
-
-func (s *seqIter) Next() (uint32, bool, error) {
-	if s.next >= s.max {
-		return 0, false, nil
-	}
-	s.next++
-	return s.next, true, nil
-}
-
-func (s *seqIter) Close() {}
-
-// seqBatch is the batched full root scan.
+// seqBatch scans 1..max (full root scan when no predicate contributes).
 type seqBatch struct {
 	next uint32
 	max  uint32

@@ -1,16 +1,19 @@
 package exec
 
-// Vectorized execution: the ID-stream operators of this package move one
-// uint32 per virtual Next() call, which makes interface dispatch, per-row
-// stats bookkeeping and per-row clock charges the host-side hot path.
-// BatchIter is the batched counterpart: operators hand over up to len(dst)
-// IDs per call and charge the simulated CPU once per batch via
-// sim.CPU.ChargeUnits, which is bit-identical to the row-at-a-time
-// charges.
+// Vectorized execution. The query executor composes the *Batch operators
+// of this package only: BatchIter hands over up to len(dst) IDs per call
+// and charges the simulated CPU once per batch via sim.CPU.ChargeUnits,
+// which sums to exactly what one charge per element would. The
+// element-at-a-time operators (IDIter: Union, MergeIntersect, Translate,
+// SpillIDs, MaterializeRows, ...) are not an executor mode: they serve
+// internal/baseline and DML target resolution, and double as the
+// reference twins of differential_test.go, which holds every batch
+// operator to its twin's output, clock, flash traffic and RAM high-water
+// at batch lengths 1, 7 and 1024.
 //
 // The invariance contract (the cost model is the paper's contribution;
-// batching must only change host CPU time) imposes two disciplines on
-// every batch operator:
+// the batch length must only change host CPU time) imposes two
+// disciplines on every batch operator:
 //
 //  1. Exactness: an operator never performs more simulated device work
 //     (flash reads, page-cache probes, decode/compare/heap charges) than
@@ -22,8 +25,8 @@ package exec
 //  2. Order preservation for the shared page cache: accesses that go
 //     through the device's LRU page cache (SKT lookups, hidden column
 //     fetches, climbing dictionary probes) must be issued in the same
-//     per-row order as the row-at-a-time engine, since the cache's
-//     hit/miss pattern — and hence the flash charge — depends on it.
+//     per-row order at every batch length, since the cache's hit/miss
+//     pattern — and hence the flash charge — depends on it.
 //     Pure CPU charges may be grouped freely: the clock only sums.
 
 import (
@@ -38,8 +41,8 @@ import (
 	"github.com/ghostdb/ghostdb/internal/stats"
 )
 
-// DefaultBatchSize is the number of IDs moved per BatchIter.Next call in
-// batch mode. One batch of uint32s is 4KB — it amortizes dispatch without
+// DefaultBatchSize is the number of IDs moved per BatchIter.Next call.
+// One batch of uint32s is 4KB — it amortizes dispatch without
 // blowing the host caches.
 const DefaultBatchSize = 1024
 
@@ -106,76 +109,6 @@ func (emptyBatch) Close()                     {}
 // EmptyBatch returns a batch iterator over nothing.
 func EmptyBatch() BatchIter { return emptyBatch{} }
 
-// batchedIter adapts a row-at-a-time IDIter to the BatchIter interface.
-// It buffers nothing and pulls exactly len(dst) elements, so the adapted
-// stream keeps the row engine's simulated behaviour bit for bit.
-type batchedIter struct {
-	it IDIter
-}
-
-// Batched adapts a row-at-a-time iterator to the batch interface without
-// prefetching: each Next(dst) performs exactly len(dst) row pulls (or
-// fewer at the end of the stream).
-func Batched(it IDIter) BatchIter { return &batchedIter{it: it} }
-
-func (b *batchedIter) Next(dst []uint32) (int, error) {
-	for i := range dst {
-		id, ok, err := b.it.Next()
-		if err != nil {
-			return i, err
-		}
-		if !ok {
-			return i, nil
-		}
-		dst[i] = id
-	}
-	return len(dst), nil
-}
-
-func (b *batchedIter) Close() { b.it.Close() }
-
-// RowAdapter adapts a BatchIter back to the row-at-a-time IDIter shape,
-// for operators and tests that have not been ported. It pulls one element
-// per underlying call (no prefetch), so wrapping and unwrapping never
-// changes the simulated cost, only adds host dispatch.
-type RowAdapter struct {
-	b    BatchIter
-	one  [1]uint32
-	done bool
-}
-
-// NewRowAdapter wraps a batch iterator as a row iterator.
-func NewRowAdapter(b BatchIter) *RowAdapter { return &RowAdapter{b: b} }
-
-// Next implements IDIter.
-func (r *RowAdapter) Next() (uint32, bool, error) {
-	if r.done {
-		return 0, false, nil
-	}
-	n, err := r.b.Next(r.one[:])
-	if err != nil {
-		return 0, false, err
-	}
-	if n == 0 {
-		r.done = true
-		return 0, false, nil
-	}
-	return r.one[0], true, nil
-}
-
-// Close implements IDIter.
-func (r *RowAdapter) Close() { r.b.Close() }
-
-// RowIterOf recovers the most direct row-at-a-time view of b: a stream
-// that was merely adapted from a row iterator is unwrapped, anything else
-// gets a unit-pull RowAdapter.
-func RowIterOf(b BatchIter) IDIter {
-	if w, ok := b.(*batchedIter); ok {
-		return w.it
-	}
-	return NewRowAdapter(b)
-}
-
 // CollectBatch materializes a batch iterator into a host slice (tests and
 // tiny lists; production paths stream).
 func CollectBatch(b BatchIter) ([]uint32, error) {
@@ -195,25 +128,7 @@ func CollectBatch(b BatchIter) ([]uint32, error) {
 	}
 }
 
-// batchOpener is implemented by IDSources with a native batch stream.
-type batchOpener interface {
-	OpenBatch() (BatchIter, error)
-}
-
-// OpenBatch opens a source as a batch stream, preferring the source's
-// native batch iterator and falling back to adapting its row stream.
-func (e *Env) OpenBatch(s IDSource) (BatchIter, error) {
-	if bo, ok := s.(batchOpener); ok {
-		return bo.OpenBatch()
-	}
-	it, err := s.Open()
-	if err != nil {
-		return nil, err
-	}
-	return Batched(it), nil
-}
-
-// OpenBatch implements batchOpener: an in-RAM slice is copied out in
+// OpenBatch implements IDSource: an in-RAM slice is copied out in
 // whole chunks.
 func (s SliceSource) OpenBatch() (BatchIter, error) {
 	return &sliceBatch{ids: s.IDs}, nil
@@ -232,7 +147,7 @@ func (s *sliceBatch) Next(dst []uint32) (int, error) {
 
 func (s *sliceBatch) Close() {}
 
-// OpenBatch implements batchOpener: posting-list decoding is amortized to
+// OpenBatch implements IDSource: posting-list decoding is amortized to
 // one decode charge per batch. The stream owns one page buffer, exactly
 // like the row iterator; the buffer is pooled and recycled on Close.
 func (c ClimbSource) OpenBatch() (BatchIter, error) {
@@ -289,7 +204,7 @@ func (l *listBatch) Close() {
 	}
 }
 
-// OpenBatch implements batchOpener: raw uint32 runs are read in one
+// OpenBatch implements IDSource: raw uint32 runs are read in one
 // flash.Reader call per batch.
 func (r RunSource) OpenBatch() (BatchIter, error) {
 	grant, err := r.Env.Dev.RAM.Alloc(r.Env.pageSize(), "run-stream")

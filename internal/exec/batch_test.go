@@ -19,21 +19,6 @@ func seqIDs(from uint32, n int) []uint32 {
 	return out
 }
 
-// TestBatchedAdapterRoundTrip checks Batched/RowAdapter preserve content.
-func TestBatchedAdapterRoundTrip(t *testing.T) {
-	ids := seqIDs(1, 1000)
-	b := Batched(NewSliceIter(ids, nil))
-	got, err := CollectBatch(b)
-	if err != nil || !reflect.DeepEqual(got, ids) {
-		t.Fatalf("Batched round trip: %v (err %v)", len(got), err)
-	}
-	row := NewRowAdapter(&sliceBatch{ids: ids})
-	got, err = Collect(row)
-	if err != nil || !reflect.DeepEqual(got, ids) {
-		t.Fatalf("RowAdapter round trip: %v (err %v)", len(got), err)
-	}
-}
-
 // TestMergeUnionBatchMatchesRow checks the batch union against the row
 // union on overlapping inputs.
 func TestMergeUnionBatchMatchesRow(t *testing.T) {

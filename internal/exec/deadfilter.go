@@ -1,57 +1,26 @@
 package exec
 
-// Tombstone subtraction: the live-DML operators that drop identifiers
+// Tombstone subtraction: the live-DML operator that drops identifiers
 // whose base version is dead for the pipeline (deleted, shadowed by a
 // delta image, or dangling through a deleted ancestor). The climbing
 // indexes, Bloom filters and SKTs answer for the immutable base segments
 // only, so the engine subtracts these IDs from the root stream and
 // re-evaluates them against the RAM delta separately.
 //
-// Both variants charge sim.CyclesTombstone per probed input ID — the
-// batch operator via ChargeUnits, bit-identical to the row-at-a-time
-// charges, preserving the engine-invariance contract.
+// It charges sim.CyclesTombstone per probed input ID, one ChargeUnits
+// call per batch — the same total at every batch length, preserving the
+// invariance contract of batch.go.
 
 import (
 	"github.com/ghostdb/ghostdb/internal/sim"
 	"github.com/ghostdb/ghostdb/internal/stats"
 )
 
-// FilterDead wraps a row-at-a-time ID stream, dropping IDs for which
-// dead reports true.
-func (e *Env) FilterDead(in IDIter, dead func(uint32) bool, op *stats.Op) IDIter {
-	return &deadFilterIter{env: e, in: in, dead: dead, op: op}
-}
-
-type deadFilterIter struct {
-	env  *Env
-	in   IDIter
-	dead func(uint32) bool
-	op   *stats.Op
-}
-
-func (f *deadFilterIter) Next() (uint32, bool, error) {
-	for {
-		id, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return 0, false, err
-		}
-		f.op.AddIn(1)
-		f.env.cpu(sim.CyclesTombstone)
-		if f.dead(id) {
-			continue
-		}
-		f.op.AddOut(1)
-		return id, true, nil
-	}
-}
-
-func (f *deadFilterIter) Close() { f.in.Close() }
-
-// FilterDeadBatch is the vectorized twin: it fills dst with survivors,
-// pulling input in dst-sized batches and compacting in place. It never
-// performs more simulated work than its input demands — every input ID
-// must be probed regardless of batch shape — and charges one
-// CyclesTombstone unit per probed ID.
+// FilterDeadBatch drops IDs for which dead reports true: it fills dst
+// with survivors, pulling input in dst-sized batches and compacting in
+// place. It never performs more simulated work than its input demands —
+// every input ID must be probed regardless of batch shape — and charges
+// one CyclesTombstone unit per probed ID.
 func (e *Env) FilterDeadBatch(in BatchIter, dead func(uint32) bool, op *stats.Op) BatchIter {
 	return &deadFilterBatch{env: e, in: in, dead: dead, op: op}
 }

@@ -41,7 +41,9 @@ type Env struct {
 func NewEnv(dev *device.Device) *Env { return &Env{Dev: dev} }
 
 // SetBatchLen configures the vectorization granularity of the batch
-// operators (clamped to [1, DefaultBatchSize]).
+// operators (clamped to [1, DefaultBatchSize]). It is not an option:
+// production runs at DefaultBatchSize, and tests call it to hold several
+// lengths to the same simulated cost.
 func (e *Env) SetBatchLen(n int) {
 	if n < 1 {
 		n = 1
@@ -147,10 +149,12 @@ func (s *SliceIter) Next() (uint32, bool, error) {
 func (s *SliceIter) Close() { s.grant.Free() }
 
 // IDSource is a re-openable sorted ID list (posting list, spilled run or
-// in-RAM slice) with a known cardinality.
+// in-RAM slice) with a known cardinality. Open and OpenBatch stream the
+// same IDs at the same simulated cost, one element or one batch per call.
 type IDSource interface {
 	Count() int
 	Open() (IDIter, error)
+	OpenBatch() (BatchIter, error)
 }
 
 // ClimbSource adapts a climbing-index posting list.

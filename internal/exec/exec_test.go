@@ -259,7 +259,7 @@ func TestBuildBloomRespectsRAMCap(t *testing.T) {
 	}
 	o := op()
 	// Ideal size for 1% fpr on 5000 keys is ~6KB; cap it to 1KB.
-	f, free, err := e.BuildBloom(NewSliceIter(ids, nil), len(ids), 0.01, 1024, o)
+	f, free, err := e.BuildBloomBatch(&sliceBatch{ids: ids}, len(ids), 0.01, 1024, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestBuildBloomRespectsRAMCap(t *testing.T) {
 func TestBuildBloomFreesOnFree(t *testing.T) {
 	e := newEnv(t)
 	before := e.Dev.RAM.Used()
-	f, free, err := e.BuildBloom(NewSliceIter([]uint32{1, 2, 3}, nil), 3, 0.01, 0, op())
+	f, free, err := e.BuildBloomBatch(&sliceBatch{ids: []uint32{1, 2, 3}}, 3, 0.01, 0, op())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestHiddenPredFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filt := e.HiddenPredFilter(col, 0, pred.Compare(sql.OpGt, value.NewInt(15)))
+	filt := e.HiddenPredCosted(col, 0, pred.Compare(sql.OpGt, value.NewInt(15))).Eval
 	keep, err := filt(Row{IDs: []uint32{1}})
 	if err != nil || keep {
 		t.Errorf("id 1 (q=10): keep=%v err=%v", keep, err)

@@ -1,10 +1,12 @@
 package exec
 
-// Batched counterparts of the merge operators in merge.go. Algorithms and
-// per-element simulated charges are identical to the row-at-a-time
-// versions — heap pushes/pops and comparisons are counted during a batch
-// and charged in one ChargeUnits call — so the device cost model is bit
-// for bit unchanged; only host dispatch is amortized.
+// The executor's merge operators: union, intersection, multi-pass union
+// and translation over batch streams. Algorithms and per-element
+// simulated charges are those of their element-at-a-time twins in
+// merge.go (kept for internal/baseline and DML) — heap pushes/pops and
+// comparisons are counted during a batch and charged in one ChargeUnits
+// call — so the simulated cost does not depend on the batch length; only
+// host dispatch is amortized.
 
 import (
 	"github.com/ghostdb/ghostdb/internal/climbing"
@@ -203,7 +205,8 @@ func (c *unitCursor) next() (uint32, bool, error) {
 // intersectBatch intersects k sorted deduplicated batch inputs. The
 // intersection terminates as soon as any input is exhausted, abandoning
 // the rest mid-stream; inputs are therefore pulled element by element so
-// no simulated work is done for IDs the row engine would never decode.
+// no simulated work is done for IDs an element-at-a-time intersection
+// would never decode.
 // The output side is still batched — downstream operators consume the
 // intersection in full batches.
 type intersectBatch struct {
@@ -283,7 +286,7 @@ func (x *intersectBatch) Next(dst []uint32) (int, error) {
 		if !equal {
 			continue
 		}
-		// Emit and advance all past max (uncharged, as in the row path).
+		// Emit and advance all past max (uncharged, as in MergeIntersect).
 		emitDone := false
 		for i := range x.curs {
 			id, ok, err := x.curs[i].next()
@@ -347,11 +350,11 @@ func (e *Env) UnionBatch(sources []IDSource, fanin int, op *stats.Op) (BatchIter
 
 func (e *Env) openAndMergeBatch(sources []IDSource) (BatchIter, error) {
 	if len(sources) == 1 {
-		return e.OpenBatch(sources[0])
+		return sources[0].OpenBatch()
 	}
 	its := make([]BatchIter, 0, len(sources))
 	for _, s := range sources {
-		it, err := e.OpenBatch(s)
+		it, err := s.OpenBatch()
 		if err != nil {
 			for _, o := range its {
 				o.Close()

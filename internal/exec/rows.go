@@ -5,26 +5,21 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/ghostdb/ghostdb/internal/bloom"
 	"github.com/ghostdb/ghostdb/internal/flash"
-	"github.com/ghostdb/ghostdb/internal/pred"
 	"github.com/ghostdb/ghostdb/internal/ram"
 	"github.com/ghostdb/ghostdb/internal/sim"
-	"github.com/ghostdb/ghostdb/internal/skt"
 	"github.com/ghostdb/ghostdb/internal/stats"
-	"github.com/ghostdb/ghostdb/internal/store"
-	"github.com/ghostdb/ghostdb/internal/value"
 )
 
 // Row is one in-flight result tuple: a dense output sequence number and
 // the identifiers of the query's tables (IDs[0] is the query-root ID,
 // the rest follow the plan's table layout).
 //
-// Ownership rule: a Row obtained from a row-at-a-time RowIter aliases a
-// buffer the iterator reuses on every Next — consumers that retain such a
-// row must copy it. A Row obtained from a RowBatch (the vectorized path)
-// aliases the batch's pooled memory instead and stays valid until that
-// batch is reset or recycled, so batch consumers never copy.
+// Ownership rule: a Row obtained from a RowIter aliases a buffer the
+// iterator reuses on every Next — consumers that retain such a row must
+// copy it. A Row obtained from a RowBatch aliases the batch's pooled
+// memory instead and stays valid until that batch is reset or recycled,
+// so batch consumers never copy.
 type Row struct {
 	Seq uint32
 	IDs []uint32
@@ -34,147 +29,6 @@ type Row struct {
 type RowIter interface {
 	Next() (Row, bool, error)
 	Close()
-}
-
-// SKTJoin turns a sorted stream of query-root IDs into rows carrying the
-// joined member-table IDs, via single-step SKT lookups (Section 4:
-// "reaching any other table in the path ... in a single step"). tables
-// lists the member tables for IDs[1:]; IDs[0] is the root ID itself.
-func (e *Env) SKTJoin(root IDIter, s *skt.SKT, tables []string, op *stats.Op) RowIter {
-	return &sktJoinIter{env: e, in: root, skt: s, tables: tables, op: op,
-		buf: make([]uint32, 1+len(tables))}
-}
-
-type sktJoinIter struct {
-	env    *Env
-	in     IDIter
-	skt    *skt.SKT
-	tables []string
-	op     *stats.Op
-	buf    []uint32
-	seq    uint32
-}
-
-func (s *sktJoinIter) Next() (Row, bool, error) {
-	id, ok, err := s.in.Next()
-	if err != nil || !ok {
-		return Row{}, false, err
-	}
-	s.op.AddIn(1)
-	s.buf[0] = id
-	for i, t := range s.tables {
-		mid, err := s.skt.Lookup(id, t)
-		if err != nil {
-			return Row{}, false, err
-		}
-		s.env.cpu(sim.CyclesCompare)
-		s.buf[i+1] = mid
-	}
-	s.op.AddOut(1)
-	row := Row{Seq: s.seq, IDs: s.buf}
-	s.seq++
-	return row, true, nil
-}
-
-func (s *sktJoinIter) Close() { s.in.Close() }
-
-// RowFilter decides whether a row survives.
-type RowFilter func(Row) (bool, error)
-
-// BloomProbe filters rows by probing the member ID at field against a
-// Bloom filter — the post-filtering probe of Figure 5.
-func (e *Env) BloomProbe(f *bloom.Filter, field int) RowFilter {
-	return func(r Row) (bool, error) {
-		e.cpu(int64(sim.CyclesHash) * int64(f.K()))
-		return f.Contains(bloom.Hash32(r.IDs[field])), nil
-	}
-}
-
-// HiddenPredFilter evaluates a predicate against a hidden column value
-// fetched from the device store for the row's member at field — the
-// fallback for hidden predicates without a usable climbing index, and
-// the "hidden post-filtering" ablation strategy.
-func (e *Env) HiddenPredFilter(col store.Column, field int, p pred.P) RowFilter {
-	return func(r Row) (bool, error) {
-		v, err := col.Value(int(r.IDs[field]) - 1)
-		if err != nil {
-			return false, err
-		}
-		e.cpu(sim.CyclesPredicate)
-		return p.Eval(v)
-	}
-}
-
-// FilterRows applies filters in order, short-circuiting on the first miss.
-func FilterRows(in RowIter, filters []RowFilter, op *stats.Op) RowIter {
-	return &filterIter{in: in, filters: filters, op: op}
-}
-
-type filterIter struct {
-	in      RowIter
-	filters []RowFilter
-	op      *stats.Op
-}
-
-func (f *filterIter) Next() (Row, bool, error) {
-row:
-	for {
-		r, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return Row{}, false, err
-		}
-		f.op.AddIn(1)
-		for _, filt := range f.filters {
-			keep, err := filt(r)
-			if err != nil {
-				return Row{}, false, err
-			}
-			if !keep {
-				continue row
-			}
-		}
-		f.op.AddOut(1)
-		return r, true, nil
-	}
-}
-
-func (f *filterIter) Close() { f.in.Close() }
-
-// BuildBloom drains a sorted ID stream into a Bloom filter sized for the
-// target false-positive rate, shrinking to maxBytes if the ideal size
-// does not fit — a smaller filter just raises the (repaired) fpr, which
-// is the RAM/time trade-off of post-filtering. The returned grant holds
-// the filter's RAM; free it when probing is done.
-func (e *Env) BuildBloom(ids IDIter, expected int, targetFPR float64, maxBytes int, op *stats.Op) (*bloom.Filter, func(), error) {
-	defer ids.Close()
-	mBits, k := bloom.SizeForFPR(expected, targetFPR)
-	if maxBytes > 0 && (mBits+7)/8 > maxBytes {
-		mBits = maxBytes * 8
-		k = bloom.OptimalK(mBits, expected)
-	}
-	f, err := bloom.New(mBits, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	grant, err := e.Dev.RAM.Alloc(f.FootprintBytes(), "bloom")
-	if err != nil {
-		return nil, nil, err
-	}
-	op.NoteRAM(int64(f.FootprintBytes()))
-	for {
-		id, ok, err := ids.Next()
-		if err != nil {
-			grant.Free()
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		op.AddIn(1)
-		e.cpu(int64(sim.CyclesHash) * int64(k))
-		f.Add(bloom.Hash32(id))
-	}
-	return f, grant.Free, nil
 }
 
 // RowFile is a materialized row set in scratch flash: fixed-width records
@@ -467,10 +321,8 @@ func (e *Env) SortRowFile(rf *RowFile, byField, bufBytes, fanin int, op *stats.O
 
 // mergeRowRuns merges sorted runs into a new scratch run. Each run is
 // read through a batch iterator whose RowBatch owns its memory, so the
-// merge heads are views into the batches — the defensive per-row copy the
-// reused row-iterator buffers used to force is gone. Comparison charges
-// are counted and paid in one batch at the end; the totals (and the flash
-// traffic) are identical to the row-at-a-time merge.
+// merge heads are views into the batches, with no defensive per-row
+// copy. Comparison charges are counted and paid in one batch at the end.
 func (e *Env) mergeRowRuns(runs []*RowFile, byField int, op *stats.Op) (*RowFile, error) {
 	type head struct {
 		it    BatchRowIter
@@ -576,42 +428,4 @@ func (e *Env) mergeRowRuns(runs []*RowFile, byField int, op *stats.Op) (*RowFile
 		return nil, err
 	}
 	return &RowFile{env: e, ext: ext, n: n, fields: fields}, nil
-}
-
-// MergeRowsWithStream merges rows (sorted ascending by IDs[field]) with a
-// visible (id, value) stream sorted by unique ascending ID. Rows whose ID
-// appears in the stream survive and are passed to onMatch with the value
-// (the projection attachment); rows missing from the stream are dropped —
-// this is the exact verification that repairs Bloom false positives.
-func (e *Env) MergeRowsWithStream(rows RowIter, field int, stream KVIter, op *stats.Op, onMatch func(Row, value.Value) error) error {
-	defer rows.Close()
-	defer stream.Close()
-	cur, haveKV, err := stream.Next()
-	if err != nil {
-		return err
-	}
-	for {
-		r, ok, err := rows.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		op.AddIn(1)
-		id := r.IDs[field]
-		for haveKV && cur.ID < id {
-			e.cpu(sim.CyclesCompare)
-			cur, haveKV, err = stream.Next()
-			if err != nil {
-				return err
-			}
-		}
-		if haveKV && cur.ID == id {
-			op.AddOut(1)
-			if err := onMatch(r, cur.Val); err != nil {
-				return err
-			}
-		}
-	}
 }

@@ -49,6 +49,52 @@ func (s *sliceKV) Next() (KV, bool, error) {
 
 func (s *sliceKV) Close() {}
 
+// sliceRowBatch feeds rows from memory, one batch at a time.
+type sliceRowBatch struct {
+	rows [][]uint32
+	seqs []uint32
+	i    int
+}
+
+func (s *sliceRowBatch) Next(b *RowBatch) (int, error) {
+	if s.i >= len(s.rows) {
+		b.Reset(b.Width())
+		return 0, nil
+	}
+	b.Reset(len(s.rows[s.i]))
+	for b.n < b.CapRows() && s.i < len(s.rows) {
+		var seq uint32
+		if s.seqs != nil {
+			seq = s.seqs[s.i]
+		}
+		copy(b.slot(b.n, seq), s.rows[s.i])
+		b.n++
+		s.i++
+	}
+	return b.n, nil
+}
+
+func (s *sliceRowBatch) Close() {}
+
+// collectBatchRows drains a batch row stream at the environment's row
+// granularity.
+func collectBatchRows(e *Env, it BatchRowIter, width int) (seqs []uint32, rows [][]uint32, err error) {
+	defer it.Close()
+	rb := e.NewRowBatch(width)
+	defer PutRowBatch(rb)
+	for {
+		k, err := it.Next(rb)
+		if err != nil || k == 0 {
+			return seqs, rows, err
+		}
+		for i := 0; i < k; i++ {
+			r := rb.Row(i)
+			seqs = append(seqs, r.Seq)
+			rows = append(rows, append([]uint32(nil), r.IDs...))
+		}
+	}
+}
+
 func collectRows(t *testing.T, it RowIter) ([]uint32, [][]uint32) {
 	t.Helper()
 	defer it.Close()
@@ -225,7 +271,7 @@ func TestSortEmptyFile(t *testing.T) {
 
 func TestMergeRowsWithStream(t *testing.T) {
 	e := newEnv(t)
-	rows := &sliceRowIter{
+	rows := &sliceRowBatch{
 		rows: [][]uint32{{1, 10}, {2, 10}, {3, 20}, {4, 30}, {5, 30}},
 		seqs: []uint32{0, 1, 2, 3, 4},
 	}
@@ -238,7 +284,7 @@ func TestMergeRowsWithStream(t *testing.T) {
 	var matched []string
 	var seqs []uint32
 	o := op()
-	err := e.MergeRowsWithStream(rows, 1, stream, o, func(r Row, v value.Value) error {
+	err := e.MergeRowsWithStreamBatch(rows, 1, stream, o, func(r Row, v value.Value) error {
 		matched = append(matched, v.Str())
 		seqs = append(seqs, r.Seq)
 		return nil
@@ -259,9 +305,9 @@ func TestMergeRowsWithStream(t *testing.T) {
 
 func TestMergeRowsWithEmptyStream(t *testing.T) {
 	e := newEnv(t)
-	rows := &sliceRowIter{rows: [][]uint32{{1}, {2}}}
+	rows := &sliceRowBatch{rows: [][]uint32{{1}, {2}}}
 	count := 0
-	err := e.MergeRowsWithStream(rows, 0, &sliceKV{}, op(), func(Row, value.Value) error {
+	err := e.MergeRowsWithStreamBatch(rows, 0, &sliceKV{}, op(), func(Row, value.Value) error {
 		count++
 		return nil
 	})
@@ -272,19 +318,25 @@ func TestMergeRowsWithEmptyStream(t *testing.T) {
 
 func TestFilterRows(t *testing.T) {
 	e := newEnv(t)
-	in := &sliceRowIter{rows: [][]uint32{{1}, {2}, {3}, {4}}}
-	even := func(r Row) (bool, error) { return r.IDs[0]%2 == 0, nil }
-	big := func(r Row) (bool, error) { return r.IDs[0] > 2, nil }
+	even := CostedRowFilter{Eval: func(r Row) (bool, error) { return r.IDs[0]%2 == 0, nil }}
+	big := CostedRowFilter{Eval: func(r Row) (bool, error) { return r.IDs[0] > 2, nil }}
 	o := op()
-	it := FilterRows(in, []RowFilter{even, big}, o)
-	_, rows := collectRows(t, it)
+	it, err := e.JoinFilterBatch(&sliceBatch{ids: []uint32{1, 2, 3, 4}}, JoinFilterSpec{
+		Filters: []CostedRowFilter{even, big}, JoinOp: op(), FilterOp: o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows, err := collectBatchRows(e, it, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(rows, [][]uint32{{4}}) {
 		t.Errorf("filtered = %v", rows)
 	}
 	if o.TuplesIn != 4 || o.TuplesOut != 1 {
 		t.Errorf("op in=%d out=%d", o.TuplesIn, o.TuplesOut)
 	}
-	_ = e
 }
 
 func TestQuickSortRowFile(t *testing.T) {

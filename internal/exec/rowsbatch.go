@@ -1,18 +1,19 @@
 package exec
 
-// Batched counterparts of the row operators in rows.go. A RowBatch owns
-// its memory (pooled), so — unlike the row-at-a-time iterators, whose Row
-// aliases a buffer reused on every Next — rows handed out in a batch stay
-// valid until the next call on the same iterator. Downstream consumers
-// therefore never need defensive per-row copies.
+// The executor's row operators: SKT access fused with the filters, the
+// Store pass, row-file scans, Bloom build and the projection merge. A
+// RowBatch owns its memory (pooled), so — unlike the RowIter of rows.go,
+// whose Row aliases a buffer reused on every Next — rows handed out in a
+// batch stay valid until the next call on the same iterator. Downstream
+// consumers therefore never need defensive per-row copies.
 //
-// The join+filter stage is fused into one operator: the row engine
-// interleaves SKT lookups and hidden-column fetches per row, and the
-// device's LRU page cache makes the simulated flash cost depend on that
-// exact access order. Running "join the whole batch, then filter the
-// whole batch" would reorder cache probes and change the simulated time,
-// so the fused operator keeps the per-row order and only amortizes
-// dispatch and clock charges.
+// The join+filter stage is one operator: the cost model interleaves SKT
+// lookups and hidden-column fetches per row, and the device's LRU page
+// cache makes the simulated flash cost depend on that exact access
+// order. Running "join the whole batch, then filter the whole batch"
+// would reorder cache probes and change the simulated time with the
+// batch length, so the fused operator keeps the per-row order and only
+// amortizes dispatch and clock charges.
 
 import (
 	"encoding/binary"
@@ -141,7 +142,8 @@ type CostedRowFilter struct {
 }
 
 // BloomProbeCosted filters rows by probing the member ID at field against
-// a Bloom filter, with the hash cost charged per batch.
+// a Bloom filter — the post-filtering probe of Figure 5 — with the hash
+// cost charged per batch.
 func (e *Env) BloomProbeCosted(f *bloom.Filter, field int) CostedRowFilter {
 	return CostedRowFilter{
 		Cycles: int64(sim.CyclesHash) * int64(f.K()),
@@ -152,8 +154,11 @@ func (e *Env) BloomProbeCosted(f *bloom.Filter, field int) CostedRowFilter {
 }
 
 // HiddenPredCosted evaluates a predicate against a hidden column value
-// fetched from the device store, with the predicate cost charged per
-// batch. The fetch itself goes through the page cache in row order.
+// fetched from the device store for the row's member at field — the
+// fallback for hidden predicates without a usable climbing index, and
+// the "hidden post-filtering" ablation strategy — with the predicate
+// cost charged per batch. The fetch itself goes through the page cache
+// in row order.
 func (e *Env) HiddenPredCosted(col store.Column, field int, p pred.P) CostedRowFilter {
 	return CostedRowFilter{
 		Cycles: sim.CyclesPredicate,
@@ -174,22 +179,21 @@ type JoinFilterSpec struct {
 	SKT *skt.SKT
 	// Tables lists the member tables for IDs[1:]; IDs[0] is the root.
 	Tables []string
-	// Filters are applied in order with short-circuiting, exactly like
-	// FilterRows.
+	// Filters are applied in order, short-circuiting on the first miss.
 	Filters []CostedRowFilter
 	// JoinOp and FilterOp receive the AccessSKT and Filter counters.
-	// FilterOp is only updated when Filters is non-empty, mirroring the
-	// row pipeline (which skips the filter stage entirely).
+	// FilterOp is only updated when Filters is non-empty (no filter
+	// stage, no Filter counters).
 	JoinOp   *stats.Op
 	FilterOp *stats.Op
 }
 
 // JoinFilterBatch turns a sorted batch stream of query-root IDs into
-// batches of filtered rows carrying the joined member-table IDs — the
-// fused, vectorized form of SKTJoin + FilterRows. Per-row order of SKT
-// lookups and filter fetches is preserved; counters and clock charges are
-// paid once per batch. A member table outside the SKT's subtree is an
-// error, exactly as in the row engine's per-row lookups.
+// batches of filtered rows carrying the joined member-table IDs, via
+// single-step SKT lookups (Section 4: "reaching any other table in the
+// path ... in a single step"). Per-row order of SKT lookups and filter
+// fetches is preserved; counters and clock charges are paid once per
+// batch. A member table outside the SKT's subtree is an error.
 func (e *Env) JoinFilterBatch(root BatchIter, spec JoinFilterSpec) (BatchRowIter, error) {
 	j := joinFilterPool.Get().(*joinFilterBatch)
 	ids, evals := j.ids, j.evals
@@ -321,8 +325,8 @@ func (j *joinFilterBatch) memberID(col *store.IDColumn, rootID uint32) (uint32, 
 
 // flushStats pays the batch's counters and clock charges: one SKT compare
 // per (row, member table), each filter's per-evaluation cycles, and the
-// AccessSKT/Filter tuple counts — all bit-identical to the row engine's
-// per-row updates.
+// AccessSKT/Filter tuple counts — the same totals per-row updates would
+// reach.
 func (j *joinFilterBatch) flushStats(joined, kept int64) {
 	j.spec.JoinOp.AddIn(joined)
 	j.spec.JoinOp.AddOut(joined)
@@ -486,8 +490,12 @@ func (it *rowFileBatch) Close() {
 	rowFileBatchPool.Put(it)
 }
 
-// BuildBloomBatch drains a sorted batch ID stream into a Bloom filter —
-// the batched twin of BuildBloom, with hash charges paid per batch.
+// BuildBloomBatch drains a sorted batch ID stream into a Bloom filter
+// sized for the target false-positive rate, shrinking to maxBytes if the
+// ideal size does not fit — a smaller filter just raises the (repaired)
+// fpr, which is the RAM/time trade-off of post-filtering. Hash charges
+// are paid per batch. The returned func releases the filter's RAM; call
+// it when probing is done.
 func (e *Env) BuildBloomBatch(ids BatchIter, expected int, targetFPR float64, maxBytes int, op *stats.Op) (*bloom.Filter, func(), error) {
 	defer ids.Close()
 	mBits, k := bloom.SizeForFPR(expected, targetFPR)
@@ -527,10 +535,13 @@ func (e *Env) BuildBloomBatch(ids BatchIter, expected int, targetFPR float64, ma
 
 // MergeRowsWithStreamBatch merges batched rows (sorted ascending by
 // IDs[field]) with a visible (id, value) stream sorted by unique
-// ascending ID — the batched twin of MergeRowsWithStream. The KV stream
-// itself stays element-at-a-time: it is the bus-charged projection
-// stream, whose chunked messages must be sent at the same points as in
-// the row engine. Rows passed to onMatch are views into a pooled batch:
+// ascending ID. Rows whose ID appears in the stream survive and are
+// passed to onMatch with the value (the projection attachment); rows
+// missing from the stream are dropped — this is the exact verification
+// that repairs Bloom false positives. The KV stream itself stays
+// element-at-a-time: it is the bus-charged projection stream, whose
+// chunked messages must go out at the same points at every batch
+// length. Rows passed to onMatch are views into a pooled batch:
 // valid for the duration of the callback plus the rest of the batch.
 func (e *Env) MergeRowsWithStreamBatch(rows BatchRowIter, field int, stream KVIter, op *stats.Op, onMatch func(Row, value.Value) error) error {
 	defer rows.Close()

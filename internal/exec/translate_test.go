@@ -18,6 +18,12 @@ import (
 func translateFixture(t *testing.T, children int) (*Env, *climbing.Index) {
 	t.Helper()
 	e := newEnv(t)
+	return e, translateFixtureOn(t, e, children)
+}
+
+// translateFixtureOn builds translateFixture's index on an existing device.
+func translateFixtureOn(t *testing.T, e *Env, children int) *climbing.Index {
+	t.Helper()
 	st, err := store.New(e.Dev)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +68,7 @@ func translateFixture(t *testing.T, children int) (*Env, *climbing.Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, ix
+	return ix
 }
 
 func expectedParents(childIDs []uint32) []uint32 {

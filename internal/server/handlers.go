@@ -21,7 +21,6 @@ import (
 	"github.com/ghostdb/ghostdb/internal/fault"
 	"github.com/ghostdb/ghostdb/internal/schema"
 	"github.com/ghostdb/ghostdb/internal/sql"
-	"github.com/ghostdb/ghostdb/internal/value"
 )
 
 // statusClientClosedRequest is the de-facto (nginx) status for "the
@@ -77,6 +76,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("query has %d placeholders, got %d arguments", want, len(params)), "bad_request")
 			return
 		}
+		// Bind before running: an argument the column cannot take is the
+		// client's mistake (400, as on /v1/exec), not an engine failure.
+		if _, berr := cq.Bind(params); berr != nil {
+			s.reject(w, http.StatusBadRequest, berr.Error(), "bad_request")
+			return
+		}
 		res, err = a.sess.QueryCompiled(cq, params, core.WithContext(a.ctx))
 		if err != nil {
 			s.writeEngineError(w, err, "internal", http.StatusInternalServerError)
@@ -116,7 +121,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	bound, err := bindScript(stmts, params)
+	bound, err := sql.BindScript(stmts, params)
 	if err != nil {
 		s.reject(w, http.StatusBadRequest, err.Error(), "bad_request")
 		return
@@ -218,38 +223,4 @@ func (s *Server) writeEngineError(w http.ResponseWriter, err error, defaultKind 
 	default:
 		s.reject(w, defaultStatus, err.Error(), defaultKind)
 	}
-}
-
-// bindScript substitutes placeholder arguments into a script's INSERT
-// rows and DELETE/UPDATE literals, ordinals running left to right
-// across the whole script (the same contract as the database/sql
-// driver).
-func bindScript(stmts []sql.Statement, params []value.Value) ([]sql.Statement, error) {
-	want := sql.CountParams(stmts...)
-	if len(params) != want {
-		return nil, fmt.Errorf("script has %d placeholders, got %d arguments", want, len(params))
-	}
-	if want == 0 {
-		return stmts, nil
-	}
-	bound := make([]sql.Statement, len(stmts))
-	for i, st := range stmts {
-		var b sql.Statement
-		var err error
-		switch st := st.(type) {
-		case *sql.Insert:
-			b, err = st.BindParams(params)
-		case *sql.Delete:
-			b, err = st.BindParams(params)
-		case *sql.Update:
-			b, err = st.BindParams(params)
-		default:
-			b = st
-		}
-		if err != nil {
-			return nil, err
-		}
-		bound[i] = b
-	}
-	return bound, nil
 }

@@ -257,6 +257,39 @@ func TestWireValidation(t *testing.T) {
 	}
 }
 
+// TestWrongTypedArgumentIs400 is the regression for /v1/query answering
+// 500 "internal" to an argument its column cannot take: a bind failure
+// is the client's mistake on both endpoints, and the engine stays
+// serviceable afterwards.
+func TestWrongTypedArgumentIs400(t *testing.T) {
+	_, base := newTestServer(t, Config{})
+	loadHospital(t, base)
+
+	const sel = `SELECT Doc.Name FROM Doctor Doc WHERE Doc.DocID = ?`
+	for _, c := range []struct{ path, sql, kind string }{
+		{"/v1/query", sel, "bad_request"},
+		{"/v1/exec", `UPDATE Doctor SET Name = 'X' WHERE DocID = ?`, "exec_failed"},
+	} {
+		resp, raw := post(t, base, c.path, QueryRequest{SQL: c.sql, Args: []any{"abc"}})
+		var er ErrorResponse
+		if err := json.Unmarshal(raw, &er); err != nil {
+			t.Fatalf("%s: %s (%v)", c.path, raw, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || er.Kind != c.kind {
+			t.Fatalf("%s with a CHAR argument for an INTEGER column = %d %s, want 400 %s", c.path, resp.StatusCode, raw, c.kind)
+		}
+		if !strings.Contains(er.Error, "coerce") {
+			t.Fatalf("%s: error %q does not name the coercion", c.path, er.Error)
+		}
+	}
+
+	resp, raw := post(t, base, "/v1/query", QueryRequest{SQL: sel, Args: []any{2}})
+	var qr QueryResponse
+	if err := json.Unmarshal(raw, &qr); err != nil || resp.StatusCode != http.StatusOK || len(qr.Rows) != 1 {
+		t.Fatalf("well-typed argument after the rejected one = %d %s", resp.StatusCode, raw)
+	}
+}
+
 // TestSaturation429 fills the single admission slot with a hook-blocked
 // query and checks the next request bounces with 429 + Retry-After
 // instead of queueing, then that the slot's release restores service.

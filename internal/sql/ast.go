@@ -178,6 +178,41 @@ func CountParams(stmts ...Statement) int {
 	return n
 }
 
+// BindScript substitutes placeholder arguments into a script's INSERT
+// rows and DELETE/UPDATE literals, ordinals running left to right across
+// the whole script. Statements without placeholders are shared, not
+// copied. It is the one binding path of the database/sql driver's Exec
+// and the server's /v1/exec.
+func BindScript(stmts []Statement, params []value.Value) ([]Statement, error) {
+	want := CountParams(stmts...)
+	if len(params) != want {
+		return nil, fmt.Errorf("script has %d placeholders, got %d arguments", want, len(params))
+	}
+	if want == 0 {
+		return stmts, nil
+	}
+	bound := make([]Statement, len(stmts))
+	for i, s := range stmts {
+		var b Statement
+		var err error
+		switch s := s.(type) {
+		case *Insert:
+			b, err = s.BindParams(params)
+		case *Delete:
+			b, err = s.BindParams(params)
+		case *Update:
+			b, err = s.BindParams(params)
+		default:
+			b = s
+		}
+		if err != nil {
+			return nil, err
+		}
+		bound[i] = b
+	}
+	return bound, nil
+}
+
 // ColRef names a column, optionally qualified by a table name or alias.
 type ColRef struct {
 	Qualifier string // "" when unqualified
