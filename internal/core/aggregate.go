@@ -7,7 +7,16 @@ package core
 // so it advances no simulated clock and sends nothing over the traced
 // buses: the spy observes exactly the traffic of the underlying SPJ
 // query, and aggregate queries cost the same simulated time at every batch
-// length by construction.
+// length by construction. That is a security property, not a convenience:
+// match counts alone are enough to reconstruct a database, so nothing
+// computed here may become observable.
+//
+// There is one aggregate path. The executor's row walk (executor.go) is
+// folded row by row, through one scratch row, into a pooled grouper: Add
+// on a single device, AddAt stamped with the global root on a shard,
+// whose partials the coordinator merges (shard.go). An aggregated query
+// therefore never materialises its physical rows; only a query that
+// returns rows (plain, DISTINCT, ORDER BY) goes through finishRows.
 
 import (
 	"fmt"
@@ -18,19 +27,76 @@ import (
 	"github.com/ghostdb/ghostdb/internal/value"
 )
 
-// finishRows applies the query's post-operators to the physical rows
-// (Projs-wide, in root-ID order) and returns the visible result rows.
-func finishRows(q *plan.Query, base [][]value.Value) ([][]value.Value, error) {
+// aggregate folds the execution's n physical rows into the query's
+// groups. On a single device it finishes them into res.Rows; as a shard's
+// half (sh non-nil) it exports per-group raw accumulator partials stamped
+// with the smallest contributing global root, so the coordinator can
+// reconstruct single-device group order.
+func (ex *executor) aggregate(res *Result, sh *shardRemap, n int) error {
+	q := ex.q
+	if sh != nil {
+		ex.rep.ResultRows = n // a shard reports the physical rows it folds
+	}
 	// LIMIT 0 (the standard zero-row probe) short-circuits the finishing
 	// stage entirely: the result is empty whatever the post-operators.
 	if q.HasLimit && q.Limit == 0 {
-		return nil, nil
+		return nil
 	}
-	rows, err := outputRows(q, base)
+	g := exec.GetGrouper(q.GroupBy, aggOps(q))
+	defer exec.PutGrouper(g)
+	row := make([]value.Value, len(q.Projs))
+	w := ex.newWalk()
+	for {
+		root, ok := w.next(row)
+		if !ok {
+			break
+		}
+		var err error
+		if sh == nil {
+			err = g.Add(row)
+		} else {
+			// Remap before folding: aggregates over the root key must see
+			// global values.
+			if root, err = sh.apply(root, row); err != nil {
+				return err
+			}
+			err = g.AddAt(row, int64(root))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if sh != nil {
+		res.groups = make([]shardGroup, g.Groups())
+		for gi := range res.groups {
+			keys, accs, first := g.Partial(gi)
+			// The key slice aliases pooled grouper storage; copy before Put.
+			res.groups[gi] = shardGroup{keys: append([]value.Value(nil), keys...), accs: accs, first: first}
+		}
+		return nil
+	}
+	// A global aggregate over an empty result still yields one row
+	// (COUNT = 0, NULL for the other aggregates).
+	if !q.Grouped && g.Groups() == 0 {
+		g.AddEmptyGroup()
+	}
+	rows, err := grouperRows(q, g, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return finishTail(q, rows), nil
+	res.Rows = finishTail(q, rows)
+	ex.rep.ResultRows = len(res.Rows)
+	return nil
+}
+
+// finishRows applies a non-aggregated query's post-operators (DISTINCT,
+// ORDER BY, LIMIT) to its physical rows (Projs-wide, in root-ID order) and
+// returns the visible result rows.
+func finishRows(q *plan.Query, base [][]value.Value) [][]value.Value {
+	if q.HasLimit && q.Limit == 0 {
+		return nil
+	}
+	return finishTail(q, outputRows(q, base))
 }
 
 // finishTail applies the order-sensitive tail of the finishing stage —
@@ -78,35 +144,20 @@ func finishTail(q *plan.Query, rows [][]value.Value) [][]value.Value {
 	return rows
 }
 
-// outputRows computes the output columns from the physical rows:
-// grouped aggregation when the query aggregates, a column remap
-// otherwise (plain queries with ORDER BY / DISTINCT).
-func outputRows(q *plan.Query, base [][]value.Value) ([][]value.Value, error) {
+// outputRows remaps physical rows to the query's output columns, all
+// rows sharing one flat backing array.
+func outputRows(q *plan.Query, base [][]value.Value) [][]value.Value {
 	width := len(q.Outputs)
-	if !q.Aggregated() {
-		out := make([][]value.Value, len(base))
-		flat := make([]value.Value, len(base)*width)
-		for i, br := range base {
-			row := flat[i*width : (i+1)*width : (i+1)*width]
-			for oi, o := range q.Outputs {
-				row[oi] = br[o.Proj]
-			}
-			out[i] = row
+	out := make([][]value.Value, len(base))
+	flat := make([]value.Value, len(base)*width)
+	for i, br := range base {
+		row := flat[i*width : (i+1)*width : (i+1)*width]
+		for oi, o := range q.Outputs {
+			row[oi] = br[o.Proj]
 		}
-		return out, nil
+		out[i] = row
 	}
-
-	g := exec.GetGrouper(q.GroupBy, aggOps(q))
-	defer exec.PutGrouper(g)
-	if err := g.AddBatch(base); err != nil {
-		return nil, err
-	}
-	// A global aggregate over an empty result still yields one row
-	// (COUNT = 0, NULL for the other aggregates).
-	if !q.Grouped && g.Groups() == 0 {
-		g.AddEmptyGroup()
-	}
-	return grouperRows(q, g, nil)
+	return out
 }
 
 // aggOps translates the query's aggregate expressions into executor

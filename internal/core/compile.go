@@ -342,13 +342,13 @@ func (cq *CompiledQuery) run(params []value.Value, cfg *queryConfig) (*Result, e
 	if cq.db.shards != nil {
 		return cq.db.runSharded(cq.shape.SQL, params, bound, cfg)
 	}
-	return cq.runBound(bound, cfg, false)
+	return cq.runBound(bound, cfg, nil)
 }
 
 // runBound executes an already-bound query on this DB's own device:
-// plan choice under the gate, then the distributed pipeline. physical
-// selects the scatter-gather shard mode (see DB.execute).
-func (cq *CompiledQuery) runBound(bound *plan.Query, cfg *queryConfig, physical bool) (*Result, error) {
+// plan choice under the gate, then the distributed pipeline. A non-nil
+// sh selects the scatter-gather shard mode (see DB.execute).
+func (cq *CompiledQuery) runBound(bound *plan.Query, cfg *queryConfig, sh *shardRemap) (*Result, error) {
 	db := cq.db
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -387,7 +387,7 @@ func (cq *CompiledQuery) runBound(bound *plan.Query, cfg *queryConfig, physical 
 		chosen := best.Clone()
 		cq.chosen = &chosen
 	}
-	res, err := db.execute(bound, spec, visSel, cfg.ctx, physical)
+	res, err := db.execute(bound, spec, visSel, cfg.ctx, sh)
 	if err != nil {
 		db.noteDeviceErr(err)
 	}
@@ -443,7 +443,7 @@ func (db *DB) queryWithPlan(q *plan.Query, spec plan.Spec, cfg *queryConfig) (*R
 	if err != nil {
 		return nil, err
 	}
-	res, err := db.execute(q, spec, visSel, cfg.ctx, false)
+	res, err := db.execute(q, spec, visSel, cfg.ctx, nil)
 	if err != nil {
 		db.noteDeviceErr(err)
 	}

@@ -16,10 +16,20 @@ package core
 // Env.SetBatchLen) and never changes a simulated cost: batchequiv_test.go
 // holds lengths 1, 7 and 1024 to the frozen reports of the row-at-a-time
 // reference engine (testdata/rowengine_golden.txt).
+//
+// What the device delivered is then read once, display-side and off the
+// clock: the final scan marks the surviving sequence numbers in a bitmap,
+// and one row walk (rowWalk) sweeps it, merging the base survivors with
+// the delta-resident rows in query-root order. assemble hands each walked
+// row to the one consumer the query needs — a copy into the result for a
+// query that returns physical rows, the grouper for an aggregated one
+// (aggregate.go), the same two with root and key remapped to global
+// identifiers on a shard (shard.go).
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -49,11 +59,14 @@ type Result struct {
 	Spec    plan.Spec
 	Query   *plan.Query
 
-	// Roots holds the query-root identifier of each physical row,
-	// parallel to Rows. It is captured only in physical mode (the
-	// scatter-gather shard pipelines), where Rows bypass the finishing
-	// stage and stay in root-ID order.
+	// Roots holds the global query-root identifier of each physical row,
+	// parallel to Rows. It is captured only by the per-shard half of a
+	// scatter-gather execution, where non-aggregated Rows bypass the
+	// finishing stage and stay in root-ID order.
 	Roots []uint32
+	// groups holds the aggregation partials of the per-shard half of an
+	// aggregated scatter-gather execution (Rows and Roots stay nil).
+	groups []shardGroup
 
 	// ShardReports carries the per-shard execution reports when the
 	// query ran on a sharded DB, indexed by shard (entries are nil for
@@ -125,11 +138,12 @@ func forEachEntry(ix *climbing.Index, p pred.P, fn func(climbing.Entry) error) e
 }
 
 // execute runs the distributed plan and assembles the result. ctx (may
-// be nil) cancels at batch boundaries. In physical mode — the per-shard
-// half of a scatter-gather execution — the host-side finishing stage is
-// skipped (the coordinator finishes after merging shard streams) and
-// the result carries the root identifier of every physical row.
-func (db *DB) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx context.Context, physical bool) (*Result, error) {
+// be nil) cancels at batch boundaries. A non-nil sh makes this the
+// per-shard half of a scatter-gather execution: root identifiers and
+// root-key projections are mapped to global ones, and the result stops
+// short of the finishing tail (the coordinator runs it after merging the
+// shard streams) — physical rows with their roots, or group partials.
+func (db *DB) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx context.Context, sh *shardRemap) (*Result, error) {
 	db.dev.RAM.ResetHigh()
 	flashStart := db.dev.Flash.Stats()
 	busStart := db.net.Stats(trace.Terminal, trace.Device)
@@ -170,29 +184,27 @@ func (db *DB) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx cont
 		return nil, runErr
 	}
 
-	res := ex.assemble(physical)
-	res.Report = rep
+	// Everything from here on runs host-side on the secure display,
+	// outside the simulated device.
+	res := &Result{Spec: spec, Query: q, Report: rep}
+	// Copy: database/sql hands the driver's column slice to users without
+	// copying, and the labels are shared by every execution of the shape.
+	res.Columns = append([]string(nil), q.ColumnLabels()...)
+	err := ex.assemble(res, sh)
 	ex.release()
-	// Post-operators (aggregation, HAVING, DISTINCT, ORDER BY, LIMIT)
-	// run host-side on the secure display, outside the simulated device.
-	if !physical && q.HasPostOps() {
-		rows, err := finishRows(q, res.Rows)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = rows
+	if err != nil {
+		return nil, err
 	}
-	rep.ResultRows = len(res.Rows)
 	return res, nil
 }
 
-// release drops every per-query reference (keeping the reusable backing
-// storage) and returns the executor to the pool, so an idle pool entry
-// does not pin the last query's projection stores or report.
+// release drops every per-query reference (keeping the reusable
+// pointer-free backing storage) and returns the executor to the pool, so
+// an idle pool entry does not pin the last query's projection stores or
+// report.
 func (ex *executor) release() {
 	ex.db, ex.q, ex.rep, ex.visSel = nil, nil, nil, nil
 	ex.spec = plan.Spec{}
-	ex.rootBySeq = nil
 	ex.deltaDead, ex.deltaCands, ex.deltaRows = nil, nil, nil
 	ex.ctx, ex.done = nil, nil
 	for j := range ex.projVals {
@@ -207,9 +219,11 @@ func (ex *executor) release() {
 	executorPool.Put(ex)
 }
 
-// executorPool recycles executor scratch state (layout, field map,
-// projection stores, live-sequence buffer) across query executions.
-// Nothing the executor hands out (Result, Report) points back into it.
+// executorPool recycles executor scratch state (layout, field map and
+// the pointer-free per-row buffers: the live-sequence bitmap and the
+// seq->root map) across query executions. The projection stores hold
+// result values and are dropped, not pooled. Nothing the executor hands
+// out (Result, Report) points back into it.
 var executorPool = sync.Pool{
 	New: func() any { return &executor{field: map[string]int{}} },
 }
@@ -221,8 +235,8 @@ func (ex *executor) reset(db *DB, q *plan.Query, spec plan.Spec, rep *stats.Repo
 	clear(ex.field)
 	ex.layout = ex.layout[:0]
 	ex.blooms = ex.blooms[:0]
-	ex.liveSeqs = ex.liveSeqs[:0]
 	ex.rootBySeq = ex.rootBySeq[:0]
+	ex.live.reset(0)
 	ex.deltaDead, ex.deltaCands = nil, nil
 	ex.deltaRows = ex.deltaRows[:0]
 	ex.ctx, ex.done, ex.batches = nil, nil, 0
@@ -255,7 +269,8 @@ type executor struct {
 	// dense sequence numbers the Store operator assigns; the slices are
 	// sized once the candidate count is known (sizeProjStore).
 	projVals [][]value.Value
-	liveSeqs []uint32
+	// live marks the sequence numbers that survive to the final scan.
+	live seqSet
 	// rootBySeq maps each sequence number to its query-root ID, so the
 	// assembled base rows can merge with delta-resident rows in root
 	// order.
@@ -345,6 +360,7 @@ func (ex *executor) sizeProjStore(n int) {
 	} else {
 		ex.rootBySeq = make([]uint32, n)
 	}
+	ex.live.reset(n)
 }
 
 func (ex *executor) cleanup() {
@@ -1167,6 +1183,11 @@ func (ex *executor) mergePass(rf *exec.RowFile, table string, field int, column 
 			return nil, err
 		}
 	}
+	if out != nil {
+		// The rewrite's copy cycles belong to this operator's span; the
+		// final page program of Close has always been outside it.
+		out.Settle()
+	}
 	op.AddTime(db.clock.Span(phase))
 	if out == nil {
 		return rf, nil
@@ -1210,14 +1231,11 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 	ex.hps, ex.kps = hps, kps
 
 	resultBytes := 0
-	if cap(ex.liveSeqs) < rf.Count() {
-		ex.liveSeqs = make([]uint32, 0, rf.Count())
-	}
 	// scanRow collects one surviving row: its live sequence number, the
 	// hidden projections fetched from the device store (page-cache
 	// accesses in row order) and the primary-key projections.
 	scanRow := func(r exec.Row) error {
-		ex.liveSeqs = append(ex.liveSeqs, r.Seq)
+		ex.live.add(r.Seq)
 		ex.rootBySeq[r.Seq] = r.IDs[0]
 		for _, hp := range hps {
 			v, err := hp.col.Value(int(r.IDs[hp.field]) - 1)
@@ -1261,7 +1279,7 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 			}
 		}
 	}
-	op.AddOut(int64(len(ex.liveSeqs)))
+	op.AddOut(int64(ex.live.n))
 	op.AddTime(db.clock.Span(phase))
 	return ex.sendResultBytes(resultBytes, "result rows")
 }
@@ -1286,58 +1304,111 @@ func (ex *executor) sendResultBytes(n int, note string) error {
 	return nil
 }
 
-// assemble builds the final result table on the secure display side,
-// merging the base pipeline's survivors with the delta-resident rows in
-// query-root ID order. The base row slices share one flat backing array
-// — two allocations for the whole result instead of one per row.
-func (ex *executor) assemble(wantRoots bool) *Result {
+// seqSet is a set of distinct sequence numbers below a bound, as a
+// bitmap. The final scan meets the survivors in the order of the last
+// projection pass's sort key; marking them here and sweeping the words
+// hands them to the walk in ascending order without a comparison sort.
+type seqSet struct {
+	words []uint64
+	n     int // members
+}
+
+// reset empties the set and sizes it for members below bound, reusing
+// the backing storage.
+func (s *seqSet) reset(bound int) {
+	words := (bound + 63) / 64
+	s.words = slices.Grow(s.words[:0], words)[:words]
+	clear(s.words)
+	s.n = 0
+}
+
+func (s *seqSet) add(seq uint32) {
+	s.words[seq>>6] |= 1 << (seq & 63)
+	s.n++
+}
+
+// rowWalk is the one traversal of an execution's physical rows: the base
+// pipeline's survivors merged with the delta-resident rows in query-root
+// ID order. The two are disjoint — shadowed roots were subtracted from the
+// base stream — and each is ordered by root: delta rows by construction,
+// base rows because the Store pass numbered them in root order.
+type rowWalk struct {
+	ex   *executor
+	word uint64 // unvisited members of live.words[wi]
+	wi   int
+	di   int
+}
+
+func (ex *executor) newWalk() rowWalk { return rowWalk{ex: ex, wi: -1} }
+
+// next copies the next row in root order into dst (len(q.Projs) wide) and
+// returns its query-root ID; ok=false ends the walk.
+func (w *rowWalk) next(dst []value.Value) (root uint32, ok bool) {
+	ex := w.ex
+	for w.word == 0 && w.wi+1 < len(ex.live.words) {
+		w.wi++
+		w.word = ex.live.words[w.wi]
+	}
+	seq := w.wi<<6 + bits.TrailingZeros64(w.word) // the next survivor, if word != 0
+	if w.di < len(ex.deltaRows) {
+		d := &ex.deltaRows[w.di]
+		if w.word == 0 || d.root < ex.rootBySeq[seq] {
+			w.di++
+			copy(dst, d.vals)
+			return d.root, true
+		}
+	}
+	if w.word == 0 {
+		return 0, false
+	}
+	w.word &= w.word - 1
+	for j, vals := range ex.projVals {
+		dst[j] = vals[seq]
+	}
+	return ex.rootBySeq[seq], true
+}
+
+// assemble builds the result on the secure display side. An aggregated
+// query folds the walk straight into its grouper (aggregate.go) and never
+// materialises a physical row; any other query copies the walk into rows
+// that share one flat backing array — two allocations for the whole
+// result instead of one per row — and, unless this is a shard's half,
+// runs the finishing stage over them.
+func (ex *executor) assemble(res *Result, sh *shardRemap) error {
 	q := ex.q
-	res := &Result{Spec: ex.spec, Query: q}
-	// Copy: database/sql hands the driver's column slice to users without
-	// copying, and the labels are shared by every execution of the shape.
-	res.Columns = append([]string(nil), q.ColumnLabels()...)
-	slices.Sort(ex.liveSeqs)
-	nBase, nDelta := len(ex.liveSeqs), len(ex.deltaRows)
-	n := nBase + nDelta
+	n := ex.live.n + len(ex.deltaRows)
+	if q.Aggregated() {
+		return ex.aggregate(res, sh, n)
+	}
 	// With post-operators the LIMIT applies to the finished result
-	// (after grouping/ordering), not to the physical rows. LIMIT 0 is
-	// the standard zero-row probe.
+	// (after ordering/dedup), not to the physical rows. LIMIT 0 is the
+	// standard zero-row probe.
 	if !q.HasPostOps() && q.HasLimit && n > q.Limit {
 		n = q.Limit
 	}
 	nproj := len(q.Projs)
-	flat := make([]value.Value, 0, n*nproj)
-	res.Rows = make([][]value.Value, 0, n)
-	if wantRoots {
-		res.Roots = make([]uint32, 0, n)
+	flat := make([]value.Value, n*nproj)
+	res.Rows = make([][]value.Value, n)
+	if sh != nil {
+		res.Roots = make([]uint32, n)
 	}
-	bi, di := 0, 0
-	for len(res.Rows) < n {
-		// The base survivors (sorted sequence numbers follow root order)
-		// and the delta rows (sorted by root ID) are disjoint: shadowed
-		// roots were subtracted from the base stream.
-		fromDelta := di < nDelta &&
-			(bi >= nBase || ex.deltaRows[di].root < ex.rootBySeq[ex.liveSeqs[bi]])
-		if fromDelta {
-			res.Rows = append(res.Rows, ex.deltaRows[di].vals)
-			if wantRoots {
-				res.Roots = append(res.Roots, ex.deltaRows[di].root)
+	w := ex.newWalk()
+	for i := range res.Rows {
+		row := flat[i*nproj : (i+1)*nproj : (i+1)*nproj]
+		root, _ := w.next(row) // n never exceeds the walk's length
+		if sh != nil {
+			var err error
+			if res.Roots[i], err = sh.apply(root, row); err != nil {
+				return err
 			}
-			di++
-			continue
 		}
-		seq := ex.liveSeqs[bi]
-		bi++
-		start := len(flat)
-		for j := range q.Projs {
-			flat = append(flat, ex.projVals[j][seq])
-		}
-		res.Rows = append(res.Rows, flat[start:start+nproj:start+nproj])
-		if wantRoots {
-			res.Roots = append(res.Roots, ex.rootBySeq[seq])
-		}
+		res.Rows[i] = row
 	}
-	return res
+	if sh == nil && q.HasPostOps() {
+		res.Rows = finishRows(q, res.Rows)
+	}
+	ex.rep.ResultRows = len(res.Rows)
+	return nil
 }
 
 // busIDBatch streams a host-side ID list through the network charge model

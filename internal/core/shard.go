@@ -273,7 +273,7 @@ func (db *DB) runReplica(sqlText string, params []value.Value, cfg *queryConfig)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ccq.runBound(cbound, cloneCfg(cfg), false)
+	res, err := ccq.runBound(cbound, cloneCfg(cfg), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -293,14 +293,13 @@ type shardGroup struct {
 	first int64
 }
 
-// shardOut is one shard's contribution to the gather phase. Exactly one
-// of groups/rows/roots is populated, matching the query class.
+// shardOut is one shard's contribution to the gather phase: res carries
+// the group partials (aggregated) or the physical rows with their global
+// roots (plain); rows the reduced candidates of a post-op query.
 type shardOut struct {
-	res    *Result
-	groups []shardGroup    // aggregate partials
-	rows   [][]value.Value // post-op candidates, width+1 with trailing global root
-	roots  []uint32        // global roots parallel to res.Rows (no post-ops)
-	err    error
+	res  *Result
+	rows [][]value.Value // post-op candidates, width+1 with trailing global root
+	err  error
 }
 
 // runScatter fans the query to every shard in parallel and merges the
@@ -389,9 +388,43 @@ func (db *DB) feedShardMetrics(rep *stats.Report) {
 	}
 }
 
-// runShard executes the query's physical pipeline on shard s and
-// reduces the result to the form the coordinator merges: aggregation
-// partials, top-K'd candidate rows, or plain rows with global roots.
+// shardRemap carries a shard's physical rows into the global key space
+// while the executor walks them: the local->global root mapping and the
+// projections that show the root's primary key.
+type shardRemap struct {
+	l2g     []uint32
+	pkProjs []int
+}
+
+// remapFor builds shard s's remap for q. Caller holds ss.mu.RLock for as
+// long as the remap is in use.
+func (ss *shardSet) remapFor(s int, q *plan.Query, rootName, pkName string) *shardRemap {
+	m := &shardRemap{l2g: ss.localToGlobal[s]}
+	for j, c := range q.Projs {
+		if strings.EqualFold(c.Table, rootName) && strings.EqualFold(c.Column, pkName) {
+			m.pkProjs = append(m.pkProjs, j)
+		}
+	}
+	return m
+}
+
+// apply returns the global identifier of the shard-local root and
+// rewrites the row's root-key projections to it.
+func (m *shardRemap) apply(local uint32, row []value.Value) (uint32, error) {
+	if local == 0 || int(local) > len(m.l2g) {
+		return 0, fmt.Errorf("core: local root %d outside the global root mapping (a cross-shard statement partially applied?)", local)
+	}
+	g := m.l2g[local-1]
+	for _, j := range m.pkProjs {
+		row[j] = value.NewInt(int64(g))
+	}
+	return g, nil
+}
+
+// runShard executes the query's physical pipeline on shard s, which
+// delivers the form the coordinator merges — aggregation partials, or
+// plain rows with global roots — and reduces a post-op query's rows to
+// top-K'd candidates.
 func (db *DB) runShard(s int, sqlText string, params []value.Value, cfg *queryConfig, rootName, pkName string) (out shardOut) {
 	ss := db.shards
 	child := ss.children[s]
@@ -410,70 +443,11 @@ func (db *DB) runShard(s int, sqlText string, params []value.Value, cfg *queryCo
 		out.err = err
 		return
 	}
-	res, err := ccq.runBound(local, cloneCfg(cfg), true)
-	if err != nil {
-		out.err = err
-		return
-	}
-	out.res = res
-
-	// Map the shard-local root identifiers back to global ones, and
-	// rewrite root-PK projection values in place (the physical rows'
-	// value slices are freshly allocated per query). The remap must
-	// happen before grouping: aggregates over the root key must see
-	// global values.
-	l2g := ss.localToGlobal[s]
-	groots := make([]uint32, len(res.Roots))
-	for i, lr := range res.Roots {
-		if lr == 0 || int(lr) > len(l2g) {
-			out.err = fmt.Errorf("core: local root %d outside the global root mapping (a cross-shard statement partially applied?)", lr)
-			return
-		}
-		groots[i] = l2g[lr-1]
-	}
-	var pkProjs []int
-	for j, c := range local.Projs {
-		if strings.EqualFold(c.Table, rootName) && strings.EqualFold(c.Column, pkName) {
-			pkProjs = append(pkProjs, j)
-		}
-	}
-	if len(pkProjs) > 0 {
-		for i, row := range res.Rows {
-			for _, j := range pkProjs {
-				row[j] = value.NewInt(int64(groots[i]))
-			}
-		}
-	}
-
-	switch {
-	case local.Aggregated():
-		out.groups, out.err = shardPartials(local, res.Rows, groots)
-	case local.HasPostOps():
-		out.rows = shardCandidates(local, res.Rows, groots)
-	default:
-		out.roots = groots
+	out.res, out.err = ccq.runBound(local, cloneCfg(cfg), ss.remapFor(s, local, rootName, pkName))
+	if out.err == nil && !local.Aggregated() && local.HasPostOps() {
+		out.rows = shardCandidates(local, out.res.Rows, out.res.Roots)
 	}
 	return
-}
-
-// shardPartials folds the shard's physical rows into per-group raw
-// accumulator partials, stamped with the smallest contributing global
-// root so the coordinator can reconstruct single-device group order.
-func shardPartials(q *plan.Query, rows [][]value.Value, groots []uint32) ([]shardGroup, error) {
-	g := exec.GetGrouper(q.GroupBy, aggOps(q))
-	defer exec.PutGrouper(g)
-	for i, row := range rows {
-		if err := g.AddAt(row, int64(groots[i])); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]shardGroup, g.Groups())
-	for gi := range out {
-		keys, accs, first := g.Partial(gi)
-		// The key slice aliases pooled grouper storage; copy before Put.
-		out[gi] = shardGroup{keys: append([]value.Value(nil), keys...), accs: accs, first: first}
-	}
-	return out, nil
 }
 
 // shardCandidates reduces a plain post-op query's physical rows to
@@ -487,8 +461,11 @@ func shardPartials(q *plan.Query, rows [][]value.Value, groots []uint32) ([]shar
 func shardCandidates(q *plan.Query, rows [][]value.Value, groots []uint32) [][]value.Value {
 	width := len(q.Outputs)
 	out := make([][]value.Value, len(rows))
+	// One flat backing array; the sub-slices are cap-limited, so DISTINCT's
+	// in-place compaction and the sorter's copy cannot run into a neighbour.
+	flat := make([]value.Value, len(rows)*(width+1))
 	for i, br := range rows {
-		row := make([]value.Value, width+1)
+		row := flat[i*(width+1) : (i+1)*(width+1) : (i+1)*(width+1)]
 		for oi, o := range q.Outputs {
 			row[oi] = br[o.Proj]
 		}
@@ -547,7 +524,7 @@ func mergeAggregates(q *plan.Query, outs []shardOut) ([][]value.Value, error) {
 	g := exec.GetGrouper(idKeys, aggOps(q))
 	defer exec.PutGrouper(g)
 	for _, so := range outs {
-		for _, grp := range so.groups {
+		for _, grp := range so.res.groups {
 			if err := g.Absorb(grp.keys, grp.accs, grp.first); err != nil {
 				return nil, err
 			}
@@ -603,7 +580,7 @@ func mergeRoots(q *plan.Query, outs []shardOut) [][]value.Value {
 	}
 	total := 0
 	for _, so := range outs {
-		total += len(so.roots)
+		total += len(so.res.Roots)
 	}
 	if limit >= 0 && total > limit {
 		total = limit
@@ -614,10 +591,10 @@ func mergeRoots(q *plan.Query, outs []shardOut) [][]value.Value {
 		best := -1
 		var bestRoot uint32
 		for s := range outs {
-			if idx[s] >= len(outs[s].roots) {
+			if idx[s] >= len(outs[s].res.Roots) {
 				continue
 			}
-			if r := outs[s].roots[idx[s]]; best < 0 || r < bestRoot {
+			if r := outs[s].res.Roots[idx[s]]; best < 0 || r < bestRoot {
 				best, bestRoot = s, r
 			}
 		}

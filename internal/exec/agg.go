@@ -96,9 +96,9 @@ type AggState struct {
 	V value.Value // current MIN/MAX carrier (invalid when none)
 }
 
-// Grouper is a pooled hash group-by: rows are added one batch (or one
-// row) at a time; groups appear in first-seen order, which — fed in
-// root-ID order — makes the unordered aggregate result deterministic.
+// Grouper is a pooled hash group-by: rows are added one at a time and
+// groups appear in first-seen order, which — fed in root-ID order — makes
+// the unordered aggregate result deterministic.
 type Grouper struct {
 	keyCols []int
 	aggs    []AggOp
@@ -149,16 +149,6 @@ func PutGrouper(g *Grouper) {
 func (g *Grouper) Add(row []value.Value) error {
 	gi := g.findOrAdd(row)
 	return g.accumulate(gi, row)
-}
-
-// AddBatch folds a batch of rows.
-func (g *Grouper) AddBatch(rows [][]value.Value) error {
-	for _, r := range rows {
-		if err := g.Add(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AddAt folds one row like Add and stamps the group with seq on first

@@ -1,14 +1,18 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/device"
 	"github.com/ghostdb/ghostdb/internal/flash"
+	"github.com/ghostdb/ghostdb/internal/sim"
+	"github.com/ghostdb/ghostdb/internal/stats"
 )
 
 // The operator-level cost differential. The executor composes the batch
@@ -335,4 +339,176 @@ func TestDifferentialMaterializeAndIterate(t *testing.T) {
 		}
 		return out, nil
 	})
+}
+
+// refSortRowFile is the parent commit's SortRowFile, kept as the reference
+// for TestDifferentialSortRowFile: run formation reads through the row
+// iterator, sorts an index permutation with sort.Slice and charges one
+// compare inside every comparator call. The merge passes are shared.
+func refSortRowFile(e *Env, rf *RowFile, byField, bufBytes, fanin int, op *stats.Op) (*RowFile, error) {
+	width := rf.recordWidth()
+	capRecords := bufBytes / width
+	if capRecords < 2 {
+		capRecords = 2
+	}
+	grant, err := e.Dev.RAM.Alloc(capRecords*width, "sort-buffer")
+	if err != nil {
+		return nil, err
+	}
+	op.NoteRAM(int64(capRecords * width))
+
+	var runs []*RowFile
+	in, err := rf.Iter()
+	if err != nil {
+		grant.Free()
+		return nil, err
+	}
+	buf := make([]byte, 0, capRecords*width)
+	keyAt := func(b []byte, i int) uint32 {
+		return binary.LittleEndian.Uint32(b[i*width+4*(1+byField):])
+	}
+	flushRun := func() error {
+		nRec := len(buf) / width
+		if nRec == 0 {
+			return nil
+		}
+		idx := make([]int, nRec)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			e.cpu(sim.CyclesCompare)
+			return keyAt(buf, idx[a]) < keyAt(buf, idx[b])
+		})
+		w, err := e.Dev.Scratch.NewWriter()
+		if err != nil {
+			return err
+		}
+		for _, i := range idx {
+			if _, err := w.Write(buf[i*width : (i+1)*width]); err != nil {
+				return err
+			}
+		}
+		ext, err := w.Close()
+		if err != nil {
+			return err
+		}
+		runs = append(runs, &RowFile{env: e, ext: ext, n: nRec, fields: rf.fields})
+		buf = buf[:0]
+		return nil
+	}
+	rec := make([]byte, width)
+	for {
+		r, ok, err := in.Next()
+		if err != nil {
+			in.Close()
+			grant.Free()
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		op.AddIn(1)
+		binary.LittleEndian.PutUint32(rec[0:], r.Seq)
+		for i, id := range r.IDs {
+			binary.LittleEndian.PutUint32(rec[4*(i+1):], id)
+		}
+		buf = append(buf, rec...)
+		if len(buf) == capRecords*width {
+			if err := flushRun(); err != nil {
+				in.Close()
+				grant.Free()
+				return nil, err
+			}
+		}
+	}
+	in.Close()
+	err = flushRun()
+	grant.Free()
+	if err != nil {
+		return nil, err
+	}
+	if len(runs) == 0 {
+		return &RowFile{env: e, fields: rf.fields}, nil
+	}
+	for len(runs) > 1 {
+		f := e.clampFanin(fanin)
+		var next []*RowFile
+		for start := 0; start < len(runs); start += f {
+			end := min(start+f, len(runs))
+			merged, err := e.mergeRowRuns(runs[start:end], byField, op)
+			if err != nil {
+				return nil, err
+			}
+			next = append(next, merged)
+		}
+		runs = next
+	}
+	op.AddOut(int64(runs[0].n))
+	return runs[0], nil
+}
+
+// sortKeyShapes are the key distributions the sort differential covers;
+// each returns the sort key of row i of n.
+var sortKeyShapes = map[string]func(rng *rand.Rand, i, n int) uint32{
+	"all-equal":       func(*rand.Rand, int, int) uint32 { return 7 },
+	"heavy-duplicate": func(rng *rand.Rand, _, _ int) uint32 { return uint32(rng.Intn(5)) },
+	"presorted":       func(_ *rand.Rand, i, _ int) uint32 { return uint32(i) },
+	"reversed":        func(_ *rand.Rand, i, n int) uint32 { return uint32(n - i) },
+	"random":          func(rng *rand.Rand, _, _ int) uint32 { return rng.Uint32() },
+}
+
+// TestDifferentialSortRowFile holds the counted-compare run sort to the
+// per-comparison reference: the same rows in the same order (ties are
+// visible through the sequence numbers), the same comparison count (the
+// clock), the same flash traffic, RAM high-water and leftover RAM. The row
+// counts straddle pdqsort's insertion-sort cutoff (12) and the run
+// capacity (64 records, fan-in 3: the last case merges in several passes);
+// the "executor" buffer is sized the way the projection passes size it.
+func TestDifferentialSortRowFile(t *testing.T) {
+	const fields, byField, smallCap = 2, 1, 64
+	width := 4 * (1 + fields)
+	buffers := map[string]func(e *Env) (bufBytes, fanin int){
+		"cap=64":   func(*Env) (int, int) { return smallCap * width, 3 },
+		"executor": func(e *Env) (int, int) { return int(e.Dev.RAM.Available()) / 2, e.Fanin(0.25) },
+	}
+	for bufName, buffer := range buffers {
+		for shape, keyOf := range sortKeyShapes {
+			for _, n := range []int{0, 1, 2, 12, 13, smallCap - 1, smallCap, smallCap + 1, 5000} {
+				t.Run(fmt.Sprintf("%s/%s/n=%d", bufName, shape, n), func(t *testing.T) {
+					runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand, batched bool) ([]uint32, error) {
+						rows := make([][]uint32, n)
+						for i := range rows {
+							rows[i] = []uint32{uint32(i + 1), keyOf(rng, i, n)}
+						}
+						rf, err := e.MaterializeRows(&sliceRowIter{rows: rows}, fields, true, op())
+						if err != nil {
+							t.Fatal(err)
+						}
+						bufBytes, fanin := buffer(e)
+						o := op()
+						var sortedRF *RowFile
+						if batched {
+							sortedRF, err = e.SortRowFile(rf, byField, bufBytes, fanin, o)
+						} else {
+							sortedRF, err = refSortRowFile(e, rf, byField, bufBytes, fanin, o)
+						}
+						if err != nil {
+							return nil, err
+						}
+						it, err := sortedRF.Iter()
+						if err != nil {
+							return nil, err
+						}
+						seqs, got := collectRows(t, it)
+						out := []uint32{uint32(o.TuplesIn), uint32(o.TuplesOut), uint32(o.RAMBytes)}
+						for i, ids := range got {
+							out = append(append(out, seqs[i]), ids...)
+						}
+						return out, nil
+					})
+				})
+			}
+		}
+	}
 }

@@ -1,9 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/ghostdb/ghostdb/internal/flash"
 	"github.com/ghostdb/ghostdb/internal/ram"
@@ -103,13 +104,15 @@ func (e *Env) MaterializeRows(in RowIter, nFields int, assignSeq bool, op *stats
 }
 
 // RowFileWriter streams rows into a new scratch row file, holding one
-// page buffer. Used when a merge pass rewrites the surviving rows.
+// page buffer. Used when a merge pass rewrites the surviving rows. The
+// per-row copy cycles are counted and paid by Settle, Close and Abort.
 type RowFileWriter struct {
 	env    *Env
 	w      *flash.Writer
 	grant  *ram.Grant
 	fields int
 	n      int
+	unpaid int64 // rows written since the last Settle
 	rec    []byte
 }
 
@@ -141,13 +144,22 @@ func (w *RowFileWriter) Write(r Row) error {
 		return err
 	}
 	w.n++
-	w.env.cpu(int64(sim.CyclesCopyWord) * int64(1+w.fields))
+	w.unpaid++
 	return nil
+}
+
+// Settle pays the copy cycles of the rows written since the last call.
+// Close and Abort settle too; a caller that times an operator around the
+// writes but closes the file afterwards settles before reading the clock.
+func (w *RowFileWriter) Settle() {
+	w.env.cpuUnits(int64(sim.CyclesCopyWord)*int64(1+w.fields), w.unpaid)
+	w.unpaid = 0
 }
 
 // Close finalizes the file.
 func (w *RowFileWriter) Close() (*RowFile, error) {
 	defer w.grant.Free()
+	w.Settle()
 	ext, err := w.w.Close()
 	if err != nil {
 		return nil, err
@@ -157,6 +169,7 @@ func (w *RowFileWriter) Close() (*RowFile, error) {
 
 // Abort releases resources without producing a file.
 func (w *RowFileWriter) Abort() {
+	w.Settle()
 	_, _ = w.w.Close()
 	w.grant.Free()
 }
@@ -203,10 +216,26 @@ func (it *rowFileIter) Next() (Row, bool, error) {
 
 func (it *rowFileIter) Close() { it.grant.Free() }
 
+// sortKey is one buffered record during run formation: its sort key and
+// its record position in the run buffer.
+type sortKey struct{ key, pos uint32 }
+
 // SortRowFile sorts the file by the given ID field (0-based, excluding
 // seq) using an external merge sort: RAM-sized runs, then k-way merges,
 // spilling to scratch. bufBytes bounds the run buffer; fanin bounds the
 // concurrently open run readers.
+//
+// Every simulated comparison is counted, then charged: run formation sorts
+// (key, position) pairs with a comparator that bumps a local counter, and
+// pays CyclesCompare × count in one ChargeUnits per run, as mergeRowRuns
+// does per merge. ChargeUnits(c, n) is n × Charge(c) to the nanosecond
+// (sim.TestChargeUnitsMatchesRepeatedCharge), so the clock only stays put
+// if the count equals what a charge inside the comparator would have paid
+// — i.e. the sort must make the comparator calls of sort.Slice over the
+// index permutation, in the same order, ending in the same tie order.
+// slices.SortFunc is the same generated pdqsort; TestDifferentialSortRowFile
+// holds this kernel to a copy of that per-comparison body (row order, clock,
+// flash, RAM), and CI rejects sort.Slice or a per-comparison e.cpu( here.
 func (e *Env) SortRowFile(rf *RowFile, byField, bufBytes, fanin int, op *stats.Op) (*RowFile, error) {
 	if byField < 0 || byField >= rf.fields {
 		return nil, fmt.Errorf("exec: sort field %d of %d", byField, rf.fields)
@@ -221,75 +250,7 @@ func (e *Env) SortRowFile(rf *RowFile, byField, bufBytes, fanin int, op *stats.O
 		return nil, err
 	}
 	op.NoteRAM(int64(capRecords * width))
-
-	// Run formation.
-	var runs []*RowFile
-	in, err := rf.Iter()
-	if err != nil {
-		grant.Free()
-		return nil, err
-	}
-	buf := make([]byte, 0, capRecords*width)
-	keyAt := func(b []byte, i int) uint32 {
-		return binary.LittleEndian.Uint32(b[i*width+4*(1+byField):])
-	}
-	flushRun := func() error {
-		nRec := len(buf) / width
-		if nRec == 0 {
-			return nil
-		}
-		idx := make([]int, nRec)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			e.cpu(sim.CyclesCompare)
-			return keyAt(buf, idx[a]) < keyAt(buf, idx[b])
-		})
-		w, err := e.Dev.Scratch.NewWriter()
-		if err != nil {
-			return err
-		}
-		for _, i := range idx {
-			if _, err := w.Write(buf[i*width : (i+1)*width]); err != nil {
-				return err
-			}
-		}
-		ext, err := w.Close()
-		if err != nil {
-			return err
-		}
-		runs = append(runs, &RowFile{env: e, ext: ext, n: nRec, fields: rf.fields})
-		buf = buf[:0]
-		return nil
-	}
-	rec := make([]byte, width)
-	for {
-		r, ok, err := in.Next()
-		if err != nil {
-			in.Close()
-			grant.Free()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		op.AddIn(1)
-		binary.LittleEndian.PutUint32(rec[0:], r.Seq)
-		for i, id := range r.IDs {
-			binary.LittleEndian.PutUint32(rec[4*(i+1):], id)
-		}
-		buf = append(buf, rec...)
-		if len(buf) == capRecords*width {
-			if err := flushRun(); err != nil {
-				in.Close()
-				grant.Free()
-				return nil, err
-			}
-		}
-	}
-	in.Close()
-	err = flushRun()
+	runs, err := e.formRuns(rf, byField, capRecords, op)
 	grant.Free()
 	if err != nil {
 		return nil, err
@@ -317,6 +278,76 @@ func (e *Env) SortRowFile(rf *RowFile, byField, bufBytes, fanin int, op *stats.O
 	}
 	op.AddOut(int64(runs[0].n))
 	return runs[0], nil
+}
+
+// formRuns is SortRowFile's run formation: it scans rf a batch at a time,
+// cuts it into runs of capRecords records (the simulated sort buffer) and
+// writes each run to scratch sorted by byField.
+func (e *Env) formRuns(rf *RowFile, byField, capRecords int, op *stats.Op) ([]*RowFile, error) {
+	in, err := rf.IterBatch()
+	if err != nil {
+		return nil, err
+	}
+	defer in.Close()
+	rb := e.NewRowBatch(rf.fields)
+	defer PutRowBatch(rb)
+
+	width := rf.recordWidth()
+	hostCap := min(capRecords, rf.n) // the host never buffers more than the file holds
+	buf := make([]byte, 0, hostCap*width)
+	keys := make([]sortKey, 0, hostCap)
+	var runs []*RowFile
+	flushRun := func() error {
+		if len(keys) == 0 {
+			return nil
+		}
+		var compares int64
+		slices.SortFunc(keys, func(a, b sortKey) int {
+			compares++
+			return cmp.Compare(a.key, b.key)
+		})
+		e.cpuUnits(sim.CyclesCompare, compares)
+		w, err := e.Dev.Scratch.NewWriter()
+		if err != nil {
+			return err
+		}
+		for _, k := range keys {
+			if _, err := w.Write(buf[int(k.pos)*width : int(k.pos+1)*width]); err != nil {
+				return err
+			}
+		}
+		ext, err := w.Close()
+		if err != nil {
+			return err
+		}
+		runs = append(runs, &RowFile{env: e, ext: ext, n: len(keys), fields: rf.fields})
+		buf, keys = buf[:0], keys[:0]
+		return nil
+	}
+	for {
+		k, err := in.Next(rb)
+		if err != nil {
+			return nil, err
+		}
+		if k == 0 {
+			break
+		}
+		op.AddIn(int64(k))
+		for i := 0; i < k; i++ {
+			r := rb.Row(i)
+			keys = append(keys, sortKey{key: r.IDs[byField], pos: uint32(len(keys))})
+			buf = binary.LittleEndian.AppendUint32(buf, r.Seq)
+			for _, id := range r.IDs {
+				buf = binary.LittleEndian.AppendUint32(buf, id)
+			}
+			if len(keys) == capRecords {
+				if err := flushRun(); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return runs, flushRun()
 }
 
 // mergeRowRuns merges sorted runs into a new scratch run. Each run is

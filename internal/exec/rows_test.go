@@ -1,11 +1,13 @@
 package exec
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"github.com/ghostdb/ghostdb/internal/device"
 	"github.com/ghostdb/ghostdb/internal/stats"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
@@ -390,4 +392,37 @@ func TestQuickSortRowFile(t *testing.T) {
 		t.Error(err)
 	}
 	_ = stats.FormatBytes(0)
+}
+
+// BenchmarkSortRowFile sorts 50 000 three-field rows by a random member
+// ID with the buffer and fan-in the projection passes use, on a fresh
+// default device per iteration (set-up excluded).
+func BenchmarkSortRowFile(b *testing.B) {
+	const n = 50_000
+	rng := rand.New(rand.NewSource(16))
+	rows := make([][]uint32, n)
+	for i := range rows {
+		rows[i] = []uint32{uint32(i + 1), uint32(1 + rng.Intn(n/10)), uint32(1 + rng.Intn(n/5))}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dev, err := device.New(device.SmartUSB2007(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := NewEnv(dev)
+		rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, 3, true, op())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		sorted, err := e.SortRowFile(rf, 1, int(dev.RAM.Available())/2, e.Fanin(0.25), op())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sorted.Count() != n {
+			b.Fatalf("sorted %d of %d rows", sorted.Count(), n)
+		}
+	}
 }
