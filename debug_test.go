@@ -137,8 +137,16 @@ func TestServeDebug(t *testing.T) {
 // registry per shard in the Prometheus exposition.
 func TestServeDebugSharded(t *testing.T) {
 	db := openDebugDB(t, ghostdb.WithShards(2))
-	if _, err := db.Query(`SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = 'Sclerosis'`); err != nil {
-		t.Fatal(err)
+	// One query per route: a scatter, a root-key lookup that contacts one
+	// shard, a dimension-rooted query answered by one replica.
+	for _, q := range []string{
+		`SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = 'Sclerosis'`,
+		`SELECT Vis.VisID, Vis.Date FROM Visit Vis WHERE Vis.VisID = 2`,
+		`SELECT Doc.Name FROM Doctor Doc WHERE Doc.Country = 'Spain'`,
+	} {
+		if _, err := db.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
 	}
 
 	addr, stop, err := ghostdb.ServeDebug("127.0.0.1:0", db)
@@ -163,8 +171,9 @@ func TestServeDebugSharded(t *testing.T) {
 	}
 
 	var doc struct {
-		Shards       []ghostdb.ShardInfo `json:"shards"`
-		ShardMetrics []json.RawMessage   `json:"shard_metrics"`
+		Shards       []ghostdb.ShardInfo        `json:"shards"`
+		ShardMetrics []json.RawMessage          `json:"shard_metrics"`
+		Metrics      map[string]json.RawMessage `json:"metrics"`
 	}
 	body := get("/debug/vars")
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
@@ -185,11 +194,30 @@ func TestServeDebugSharded(t *testing.T) {
 		t.Fatalf("root rows over shards = %d, want 3", rows)
 	}
 
+	for name, want := range map[string]string{
+		`shard_route_total{route="pruned"}`:  "1",
+		`shard_route_total{route="scatter"}`: "1",
+		`shard_route_total{route="replica"}`: "1",
+	} {
+		if got := string(doc.Metrics[name]); got != want {
+			t.Errorf("/debug/vars metrics[%s] = %q, want %s", name, got, want)
+		}
+	}
+	if _, ok := doc.Metrics["shards_contacted"]; !ok {
+		t.Errorf("/debug/vars metrics lack shards_contacted:\n%s", body)
+	}
+
 	prom := get("/metrics")
 	for _, want := range []string{
-		"ghostdb_queries_total 1",
+		"ghostdb_queries_total 3",
 		"ghostdb_shard0_flash_page_reads_total",
 		"ghostdb_shard1_flash_page_reads_total",
+		"# TYPE ghostdb_shard_route_total counter",
+		`ghostdb_shard_route_total{route="pruned"} 1`,
+		`ghostdb_shard_route_total{route="scatter"} 1`,
+		`ghostdb_shard_route_total{route="replica"} 1`,
+		"ghostdb_shards_contacted_sum 4", // 2 + 1 + 1
+		"ghostdb_shards_contacted_count 3",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, prom)

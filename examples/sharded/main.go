@@ -1,8 +1,9 @@
 // sharded: one logical GhostDB split across four simulated devices.
 // The fact table is partitioned on its dense primary key, dimensions
 // are replicated, and root-rooted queries run scatter-gather: every
-// shard executes the plan over its partition in parallel and the host
-// merges root-ID streams, aggregate partials and top-K candidates.
+// shard that can hold a matching row executes the plan over its
+// partition in parallel and the host merges root-ID streams, aggregate
+// partials and top-K candidates.
 // Reported simulated time is the max over shards — the devices run
 // concurrently — so the same query gets cheaper as shards are added.
 //
@@ -65,9 +66,25 @@ func main() {
 	}
 	fmt.Println()
 
+	// A statement keyed on the root's primary key contacts only the
+	// devices that own a matching key: the others get no message and
+	// spend no simulated time.
+	point, err := sharded.Query(`SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.PreID IN (42, 46)`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for s, rep := range point.ShardReports {
+		if rep == nil {
+			fmt.Printf("  shard %d: pruned (owns neither key)\n", s)
+		} else {
+			fmt.Printf("  shard %d: contacted, %v simulated\n", s, rep.TotalTime)
+		}
+	}
+	fmt.Printf("keyed lookup: rows=%v\n\n", point.Rows)
+
 	// DML routes by shard: the new prescription lands on the device that
-	// owns its key range slot; CHECKPOINT merges every shard's delta in
-	// parallel.
+	// owns its key range slot, a keyed UPDATE or DELETE visits the owning
+	// devices only; CHECKPOINT merges every shard's delta in parallel.
 	next, err := sharded.NextID("Prescription")
 	if err != nil {
 		log.Fatal(err)

@@ -14,7 +14,7 @@ package core
 // There is one aggregate path. The executor's row walk (executor.go) is
 // folded row by row, through one scratch row, into a pooled grouper: Add
 // on a single device, AddAt stamped with the global root on a shard,
-// whose partials the coordinator merges (shard.go). An aggregated query
+// whose partials the coordinator merges (shard_merge.go). An aggregated query
 // therefore never materialises its physical rows; only a query that
 // returns rows (plain, DISTINCT, ORDER BY) goes through finishRows.
 
@@ -31,7 +31,9 @@ import (
 // groups. On a single device it finishes them into res.Rows; as a shard's
 // half (sh non-nil) it exports per-group raw accumulator partials stamped
 // with the smallest contributing global root, so the coordinator can
-// reconstruct single-device group order.
+// reconstruct single-device group order — unless the shard is the query's
+// only target (sh.finish), which folds its remapped rows and finishes them
+// itself: its root order is the global one.
 func (ex *executor) aggregate(res *Result, sh *shardRemap, n int) error {
 	q := ex.q
 	if sh != nil {
@@ -66,7 +68,7 @@ func (ex *executor) aggregate(res *Result, sh *shardRemap, n int) error {
 			return err
 		}
 	}
-	if sh != nil {
+	if sh != nil && !sh.finish {
 		res.groups = make([]shardGroup, g.Groups())
 		for gi := range res.groups {
 			keys, accs, first := g.Partial(gi)

@@ -88,6 +88,9 @@ type ShardAnalysis struct {
 	Shard   int
 	SimTime time.Duration
 	Ops     []OpAnalysis
+	// Pruned marks a shard a root-rooted query did not contact because no
+	// key the statement's root-key predicates admit lives there.
+	Pruned bool
 }
 
 // ExplainAnalyze compiles sqlText (a SELECT, or an EXPLAIN [ANALYZE]
@@ -310,8 +313,12 @@ func (db *DB) analyzeSharded(cq *CompiledQuery, bound *plan.Query, execute bool,
 	}
 	a.Wall = time.Since(start)
 	a.Result = res
+	rootRooted := strings.EqualFold(bound.Root.Name, db.sch.Root().Name)
 	for s, rep := range res.ShardReports {
 		if rep == nil {
+			if rootRooted {
+				a.Shards = append(a.Shards, ShardAnalysis{Shard: s, Pruned: true})
+			}
 			continue // dimension-rooted query: only the routed shard ran
 		}
 		a.Shards = append(a.Shards, ShardAnalysis{
@@ -427,6 +434,10 @@ func (a *Analysis) Text() string {
 	}
 	if len(a.Shards) > 0 {
 		for _, sh := range a.Shards {
+			if sh.Pruned {
+				fmt.Fprintf(&b, "shard %d: pruned (root key)\n", sh.Shard)
+				continue
+			}
 			fmt.Fprintf(&b, "shard %d: %s simulated\n", sh.Shard, stats.FormatDuration(sh.SimTime))
 			opTable(sh.Ops)
 		}

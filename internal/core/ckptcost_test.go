@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/ghostdb/ghostdb/internal/plan"
+	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/trace"
 )
 
@@ -96,17 +98,81 @@ func deviceCosts(devs []*DB, ramHigh []int64) string {
 	return b.String()
 }
 
+// pinnedRoutedCost is the same script on four devices with root DML routed
+// by key: `WHERE PreID = k` and `BETWEEN` statements visit only the shards
+// that own a matching key. Against pinnedCost, flash reads / programs /
+// erases, RAM and the answers are the same line for line; clock, tombstone
+// probes and bus bytes are lower by exactly the statement sends and
+// no-match probes the non-owning devices no longer see — which the
+// "broadcast" run below proves by reproducing pinnedCost unmodified.
+var pinnedRoutedCost = map[string]string{
+	"sim/4": `dev0 clock=139684766 probes=1224 reads=303 progs=155 erases=11 bus=2230 ram=43280
+dev1 clock=136820351 probes=1251 reads=316 progs=154 erases=11 bus=2005 ram=43263
+dev2 clock=138335827 probes=1205 reads=365 progs=158 erases=11 bus=1870 ram=43251
+dev3 clock=130533794 probes=1286 reads=312 progs=154 erases=10 bus=1959 ram=43252
+answers=71e72bd5e8ff5a6a
+`,
+	"file/4": `dev0 clock=67573616 probes=1224 reads=303 progs=155 erases=11 bus=2230 ram=43280
+dev1 clock=63901151 probes=1251 reads=316 progs=154 erases=11 bus=2005 ram=43263
+dev2 clock=60835277 probes=1205 reads=365 progs=158 erases=11 bus=1870 ram=43251
+dev3 clock=59373044 probes=1286 reads=312 progs=154 erases=10 bus=1959 ram=43252
+answers=71e72bd5e8ff5a6a
+`,
+}
+
+// execBroadcast runs one root-table DELETE or UPDATE the way the
+// coordinator did before it routed by key: on every shard.
+func execBroadcast(t *testing.T, db *DB, stmt string) int64 {
+	t.Helper()
+	parsed, err := sql.Parse(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := plan.BindDML(db.sch, parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := db.shards
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	hit := make([]bool, len(ss.children))
+	for s := range hit {
+		hit[s] = true
+	}
+	n, err := ss.execRootDML(d, rootKeyPreds(d.Preds, db.sch.Root()), hit)
+	if err != nil {
+		t.Fatalf("%s: %v", stmt, err)
+	}
+	return n
+}
+
 // TestPinnedDeltaCheckpointCost pins the simulated cost of the delta
 // overlay and of CHECKPOINT across the host-side refactor: the same
 // charges in the same order, the same page-cache read order, the same
 // bytes programmed. Runs on the environment-selected backend
-// (GHOSTDB_TEST_BACKEND=file in the CI matrix) and at shards 1 and 4.
+// (GHOSTDB_TEST_BACKEND=file in the CI matrix) and at shards 1 and 4; at
+// 4 once with root DML broadcast (the parent's constants) and once routed.
 func TestPinnedDeltaCheckpointCost(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	backend := os.Getenv("GHOSTDB_TEST_BACKEND")
+	if backend == "" {
+		backend = "sim"
+	}
+	for _, tc := range []struct {
+		name      string
+		shards    int
+		broadcast bool
+		want      map[string]string
+	}{
+		{"shards=1", 1, false, pinnedCost},
+		{"shards=4", 4, true, pinnedCost},
+		{"shards=4/routed", 4, false, pinnedRoutedCost},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			var db *DB
-			if shards > 1 {
-				db, _, _ = loadShardedTiny(t, shards)
+			if tc.shards > 1 {
+				db, _, _ = loadShardedTiny(t, tc.shards)
 			} else {
 				db, _, _ = loadTiny(t)
 			}
@@ -119,13 +185,16 @@ func TestPinnedDeltaCheckpointCost(t *testing.T) {
 			digest := fnv.New64a()
 			for _, round := range pinnedScript {
 				for _, stmt := range round {
-					if strings.HasPrefix(stmt, "SELECT") {
+					switch {
+					case strings.HasPrefix(stmt, "SELECT"):
 						res, err := db.Query(stmt)
 						if err != nil {
 							t.Fatalf("%s: %v", stmt, err)
 						}
 						fmt.Fprintf(digest, "%d:%v\n", len(res.Rows), res.Rows)
-					} else {
+					case tc.broadcast && (strings.HasPrefix(stmt, "UPDATE Prescription") || strings.HasPrefix(stmt, "DELETE FROM Prescription")):
+						fmt.Fprintf(digest, "%d\n", execBroadcast(t, db, stmt))
+					default:
 						n, err := db.Exec(stmt)
 						if err != nil {
 							t.Fatalf("%s: %v", stmt, err)
@@ -139,11 +208,7 @@ func TestPinnedDeltaCheckpointCost(t *testing.T) {
 					}
 				}
 			}
-			backend := os.Getenv("GHOSTDB_TEST_BACKEND")
-			if backend == "" {
-				backend = "sim"
-			}
-			want := pinnedCost[fmt.Sprintf("%s/%d", backend, shards)]
+			want := tc.want[fmt.Sprintf("%s/%d", backend, tc.shards)]
 			got := deviceCosts(devs, ramHigh) + fmt.Sprintf("answers=%016x\n", digest.Sum64())
 			if got != want {
 				t.Fatalf("simulated cost drifted from the parent commit:\n--- got\n%s--- want\n%s", got, want)

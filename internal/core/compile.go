@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/climbing"
@@ -38,6 +39,10 @@ type CompiledQuery struct {
 	// cache, it trades re-optimization for stability: later bindings run
 	// under the plan chosen for the first binding's selectivities.
 	chosen *plan.Spec
+
+	// coord is the shard coordinator's plan-once state for this shape
+	// (coordinator.go); nil on a single-device DB and until the first run.
+	coord atomic.Pointer[coordPlan]
 }
 
 // SQL returns the canonical text of the compiled shape (placeholders
@@ -340,7 +345,7 @@ func (cq *CompiledQuery) run(params []value.Value, cfg *queryConfig) (*Result, e
 		return nil, err
 	}
 	if cq.db.shards != nil {
-		return cq.db.runSharded(cq.shape.SQL, params, bound, cfg)
+		return cq.db.runSharded(cq, bound, cfg)
 	}
 	return cq.runBound(bound, cfg, nil)
 }
@@ -374,6 +379,9 @@ func (cq *CompiledQuery) runBound(bound *plan.Query, cfg *queryConfig, sh *shard
 	default:
 		counts, err := db.predCounts(bound, visSel)
 		if err != nil {
+			// The statistics probes read the device too: a power cut here
+			// must latch like one during execution.
+			db.noteDeviceErr(err)
 			return nil, err
 		}
 		in := db.costInputs(counts)
@@ -421,12 +429,12 @@ func (db *DB) QueryWithPlan(q *plan.Query, spec plan.Spec, opts ...QueryOption) 
 
 func (db *DB) queryWithPlan(q *plan.Query, spec plan.Spec, cfg *queryConfig) (*Result, error) {
 	if db.shards != nil {
-		// Force the spec on every shard; the shards validate it against
-		// their own (identical) index structures.
+		// Force the spec on every contacted shard; the shards validate it
+		// against their own (identical) index structures.
 		scfg := *cfg
 		forced := spec.Clone()
 		scfg.spec = &forced
-		return db.runSharded(q.SQL, nil, q, &scfg)
+		return db.runSharded(&CompiledQuery{db: db, shape: q}, q, &scfg)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -368,6 +368,7 @@ func openResolved(opts Options) (*DB, error) {
 			children[i] = c
 		}
 		db.shards = &shardSet{children: children}
+		db.metrics.addRouteMetrics()
 	} else {
 		db.installFault(opts.FaultPlan, 0)
 	}

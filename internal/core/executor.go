@@ -24,7 +24,7 @@ package core
 // row to the one consumer the query needs — a copy into the result for a
 // query that returns physical rows, the grouper for an aggregated one
 // (aggregate.go), the same two with root and key remapped to global
-// identifiers on a shard (shard.go).
+// identifiers on a shard (coordinator.go, shard_merge.go).
 
 import (
 	"context"
@@ -142,7 +142,8 @@ func forEachEntry(ix *climbing.Index, p pred.P, fn func(climbing.Entry) error) e
 // per-shard half of a scatter-gather execution: root identifiers and
 // root-key projections are mapped to global ones, and the result stops
 // short of the finishing tail (the coordinator runs it after merging the
-// shard streams) — physical rows with their roots, or group partials.
+// shard streams) — physical rows with their roots, or group partials —
+// unless sh.finish says this shard is the query's only target.
 func (db *DB) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx context.Context, sh *shardRemap) (*Result, error) {
 	db.dev.RAM.ResetHigh()
 	flashStart := db.dev.Flash.Stats()
@@ -1389,7 +1390,10 @@ func (ex *executor) assemble(res *Result, sh *shardRemap) error {
 	nproj := len(q.Projs)
 	flat := make([]value.Value, n*nproj)
 	res.Rows = make([][]value.Value, n)
-	if sh != nil {
+	// A shard whose rows will be merged hands their global roots along; the
+	// only target of a pruned query finishes here like a single device.
+	merged := sh != nil && !sh.finish
+	if merged {
 		res.Roots = make([]uint32, n)
 	}
 	w := ex.newWalk()
@@ -1397,14 +1401,17 @@ func (ex *executor) assemble(res *Result, sh *shardRemap) error {
 		row := flat[i*nproj : (i+1)*nproj : (i+1)*nproj]
 		root, _ := w.next(row) // n never exceeds the walk's length
 		if sh != nil {
-			var err error
-			if res.Roots[i], err = sh.apply(root, row); err != nil {
+			g, err := sh.apply(root, row)
+			if err != nil {
 				return err
+			}
+			if merged {
+				res.Roots[i] = g
 			}
 		}
 		res.Rows[i] = row
 	}
-	if sh == nil && q.HasPostOps() {
+	if !merged && q.HasPostOps() {
 		res.Rows = finishRows(q, res.Rows)
 	}
 	ex.rep.ResultRows = len(res.Rows)

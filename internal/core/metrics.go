@@ -61,6 +61,43 @@ type engineMetrics struct {
 	checkpointCommitWall  *metrics.Histogram
 	checkpointSim         *metrics.Histogram
 	recoveryWall          *metrics.Histogram
+
+	// Shard coordinator only (addRouteMetrics): how each query was routed
+	// and how many devices it contacted. Nil (nil-safe) everywhere else.
+	shardRoutes     [numShardRoutes]*metrics.Counter
+	shardsContacted *metrics.Histogram
+}
+
+// shardRoute names how the coordinator served a query.
+type shardRoute int
+
+const (
+	routePruned  shardRoute = iota // root-rooted, fewer than all shards contacted
+	routeScatter                   // root-rooted, every shard contacted
+	routeReplica                   // dimension-rooted, one replica answered whole
+	numShardRoutes
+)
+
+// addRouteMetrics registers the coordinator's routing metrics. The
+// counters share one Prometheus family, told apart by a route label.
+func (m *engineMetrics) addRouteMetrics() {
+	if m == nil {
+		return
+	}
+	const help = "queries by how the shard coordinator routed them"
+	for route, label := range [numShardRoutes]string{"pruned", "scatter", "replica"} {
+		m.shardRoutes[route] = m.reg.Counter(`shard_route_total{route="`+label+`"}`, help)
+	}
+	m.shardsContacted = m.reg.Histogram("shards_contacted", "device shards contacted per query")
+}
+
+// noteRoute counts one routed query and the shards it contacted.
+func (m *engineMetrics) noteRoute(route shardRoute, contacted int) {
+	if m == nil {
+		return
+	}
+	m.shardRoutes[route].Inc()
+	m.shardsContacted.Observe(int64(contacted))
 }
 
 // newEngineMetrics builds a registry with the engine's full metric set;

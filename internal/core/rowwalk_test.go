@@ -183,26 +183,27 @@ func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want []
 		// query runs whole on one replica: no partials either way.
 		return
 	}
-	rootName, pkName := root.Name, root.PrimaryKey().Name
-	for s, child := range ss.children {
-		out := sdb.runShard(s, sqlText, nil, &queryConfig{}, rootName, pkName)
+	cq, _, err := sdb.compileCached(sqlText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := ss.planOnce(cq, root)
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	for s := range ss.children {
+		out := sdb.runShard(cp, s, cq.shape, &queryConfig{}, false)
 		if out.err != nil {
 			t.Fatalf("%s shard %d: %v", tag, s, out.err)
 		}
 		// The same shard-local query, stripped to its physical rows.
-		ccq, _, err := child.compileCached(sqlText)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local, err := ss.localizeQuery(s, ccq.shape, rootName, pkName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phys, err := ccq.runBound(stripPostOps(local), &queryConfig{}, ss.remapFor(s, local, rootName, pkName))
+		local := *cq.shape
+		local.Preds = ss.localizePreds(s, cq.shape.Preds, cp.keys)
+		sh := &shardRemap{l2g: ss.localToGlobal[s], pkProjs: cp.pkProjs}
+		phys, err := ss.child(s).shardRun(cp.kids[s], stripPostOps(&local), &queryConfig{}, sh)
 		if err != nil {
 			t.Fatalf("%s shard %d (physical rows): %v", tag, s, err)
 		}
-		ref, err := refShardPartials(local, phys.Rows, phys.Roots)
+		ref, err := refShardPartials(&local, phys.Rows, phys.Roots)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -424,9 +424,28 @@ func promName(name string) string {
 
 // WritePrometheus writes the snapshot in Prometheus text exposition
 // format 0.0.4. Every metric name is prefixed (e.g. "ghostdb_");
-// histograms expose cumulative le buckets plus _sum and _count.
+// histograms expose cumulative le buckets plus _sum and _count; counters
+// whose registered name carries a {label="value"} suffix form one family.
 func (s Snapshot) WritePrometheus(w io.Writer, prefix string) error {
+	family := ""
 	for _, v := range s {
+		// A counter registered as `name{label="value"}` is one sample of the
+		// family `name`: the label set passes through verbatim, and HELP and
+		// TYPE are written once, before the family's first sample (the
+		// snapshot is sorted, so a family's samples are adjacent).
+		if i := strings.IndexByte(v.Name, '{'); i >= 0 && v.Kind == "counter" {
+			name := prefix + promName(v.Name[:i])
+			if name != family {
+				family = name
+				if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, v.Help, name); err != nil {
+					return err
+				}
+			}
+			if _, err := fmt.Fprintf(w, "%s%s %d\n", name, v.Name[i:], v.Value); err != nil {
+				return err
+			}
+			continue
+		}
 		name := prefix + promName(v.Name)
 		if v.Help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, v.Help); err != nil {

@@ -235,3 +235,38 @@ func TestSnapshotJSONAndPrometheus(t *testing.T) {
 		}
 	}
 }
+
+// TestPrometheusLabelledCounters: counters registered with a label suffix
+// are one family — one HELP/TYPE header, the label sets verbatim, the
+// family name sanitised like any other — and keep their full name as the
+// JSON key.
+func TestPrometheusLabelledCounters(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(`shard.route_total{route="scatter"}`, "by route").Add(2)
+	r.Counter(`shard.route_total{route="pruned"}`, "by route").Add(5)
+	r.Counter("shard.route_totals", "a neighbour in sort order").Inc()
+
+	var b strings.Builder
+	if err := r.Snapshot().WritePrometheus(&b, "ghostdb_"); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP ghostdb_shard_route_total by route
+# TYPE ghostdb_shard_route_total counter
+ghostdb_shard_route_total{route="pruned"} 5
+ghostdb_shard_route_total{route="scatter"} 2
+`
+	if got := b.String(); !strings.Contains(got, want) || strings.Count(got, "# TYPE ghostdb_shard_route_total counter") != 1 {
+		t.Fatalf("labelled family rendered as:\n%s\nwant it to contain:\n%s", got, want)
+	}
+	data, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded map[string]int64
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatalf("snapshot JSON does not decode: %v\n%s", err, data)
+	}
+	if decoded[`shard.route_total{route="pruned"}`] != 5 {
+		t.Fatalf("JSON = %s", data)
+	}
+}

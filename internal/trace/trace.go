@@ -85,12 +85,24 @@ const (
 	CaptureFull
 )
 
+// MetaEventCap bounds how many events a CaptureMeta recorder keeps: a
+// long-running server records a handful per query and nobody reads them
+// back, so beyond the cap the oldest are dropped. A CaptureFull recorder
+// (security audit, spy demo) is never bounded — the auditor must see every
+// payload.
+const MetaEventCap = 4096
+
 // Recorder accumulates events. It is safe for concurrent use.
 type Recorder struct {
-	mu     sync.Mutex
-	level  CaptureLevel
-	events []Event
-	seq    int
+	mu    sync.Mutex
+	level CaptureLevel
+	// events grows by append up to MetaEventCap (never preallocated: most
+	// recorders see a few dozen events) and is then, at CaptureMeta, a ring
+	// whose oldest event sits at head.
+	events  []Event
+	head    int
+	seq     int
+	dropped int64
 }
 
 // NewRecorder returns a recorder at the given capture level.
@@ -110,10 +122,15 @@ func (r *Recorder) SetLevel(l CaptureLevel) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.level = l
+	if r.head != 0 {
+		// Back to a plain slice in order, so an unbounded level can append.
+		r.events, r.head = r.snapshot(), 0
+	}
 }
 
 // Record appends an event. When the capture level is CaptureMeta the
-// payload values are dropped.
+// payload values are dropped and only the last MetaEventCap events are
+// kept (see Dropped).
 func (r *Recorder) Record(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -121,32 +138,51 @@ func (r *Recorder) Record(ev Event) {
 	ev.Seq = r.seq
 	if r.level != CaptureFull {
 		ev.Values = nil
+		if len(r.events) >= MetaEventCap {
+			r.events[r.head] = ev
+			r.head = (r.head + 1) % len(r.events)
+			r.dropped++
+			return
+		}
 	}
 	r.events = append(r.events, ev)
 }
 
-// Events returns a copy of all recorded events in order.
+// snapshot copies the kept events out, oldest first. Caller holds r.mu.
+func (r *Recorder) snapshot() []Event {
+	out := make([]Event, 0, len(r.events))
+	out = append(out, r.events[r.head:]...)
+	return append(out, r.events[:r.head]...)
+}
+
+// Events returns a copy of the kept events in order.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
+	return r.snapshot()
 }
 
-// Len reports the number of recorded events.
+// Len reports the number of kept events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.events)
 }
 
+// Dropped reports how many events a CaptureMeta recorder has discarded to
+// stay within MetaEventCap since the last Reset.
+func (r *Recorder) Dropped() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
 // Reset discards all events.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.events = nil
-	r.seq = 0
+	r.events, r.head = nil, 0
+	r.seq, r.dropped = 0, 0
 }
 
 // SpyView returns the events a wire spy observes (demo phase 1).

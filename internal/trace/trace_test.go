@@ -191,3 +191,75 @@ func TestRecorderConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderRingBoundsMetaCapture is the leak the ring closes: a
+// CaptureMeta recorder in a long-running server must hold a bounded
+// number of events on a flat heap, in order, and say what it dropped;
+// CaptureFull (audit, spy demo) must keep everything.
+func TestRecorderRingBoundsMetaCapture(t *testing.T) {
+	const total = 1_000_000
+	r := NewRecorder(CaptureMeta)
+	for i := 1; i <= 100; i++ {
+		r.Record(Event{From: Terminal, To: Device, Bytes: i})
+	}
+	if r.Len() != 100 || r.Dropped() != 0 || cap(r.events) >= MetaEventCap {
+		t.Fatalf("below the cap: len %d, dropped %d, cap %d (the ring must grow by append, not be preallocated)",
+			r.Len(), r.Dropped(), cap(r.events))
+	}
+	for i := 101; i <= total; i++ {
+		from := Terminal
+		if i%2 == 0 {
+			from = Device // device->display on even events: hidden from the spy
+		}
+		r.Record(Event{From: from, To: Display, Bytes: i})
+	}
+	if r.Len() != MetaEventCap {
+		t.Fatalf("Len = %d after %d records, want the cap %d", r.Len(), total, MetaEventCap)
+	}
+	if got := r.Dropped(); got != total-MetaEventCap {
+		t.Fatalf("Dropped = %d, want %d", got, total-MetaEventCap)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { r.Record(Event{From: Terminal, To: Device}) }); allocs != 0 {
+		t.Fatalf("Record on a full ring allocates %.1f times; the heap must stay flat", allocs)
+	}
+	evs := r.Events()
+	if len(evs) != MetaEventCap {
+		t.Fatalf("Events returned %d", len(evs))
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("Events out of order at %d: seq %d after %d", i, evs[i].Seq, evs[i-1].Seq)
+		}
+	}
+	if last := evs[len(evs)-1].Seq; last != total+1001 {
+		t.Fatalf("newest kept event has seq %d, want %d", last, total+1001)
+	}
+	spy := r.SpyView()
+	for i := 1; i < len(spy); i++ {
+		if spy[i].Seq <= spy[i-1].Seq {
+			t.Fatalf("SpyView out of order at %d", i)
+		}
+	}
+	if len(spy) == 0 || len(spy) >= len(evs) {
+		t.Fatalf("SpyView kept %d of %d events", len(spy), len(evs))
+	}
+
+	// Switching a wrapped ring to CaptureFull keeps order and unbounds it.
+	r.SetLevel(CaptureFull)
+	r.Record(Event{From: Terminal, To: Device})
+	if evs = r.Events(); len(evs) != MetaEventCap+1 || evs[0].Seq != evs[1].Seq-1 || evs[len(evs)-1].Seq != total+1002 {
+		t.Fatalf("after SetLevel(CaptureFull): %d events, first seqs %d %d, last %d", len(evs), evs[0].Seq, evs[1].Seq, evs[len(evs)-1].Seq)
+	}
+
+	full := NewRecorder(CaptureFull)
+	for i := 0; i < MetaEventCap+10; i++ {
+		full.Record(Event{From: Terminal, To: Device})
+	}
+	if full.Len() != MetaEventCap+10 || full.Dropped() != 0 {
+		t.Fatalf("CaptureFull kept %d events, dropped %d; the audit needs all %d", full.Len(), full.Dropped(), MetaEventCap+10)
+	}
+	full.Reset()
+	if full.Len() != 0 || full.Dropped() != 0 {
+		t.Fatal("Reset left state behind")
+	}
+}
