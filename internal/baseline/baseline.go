@@ -20,12 +20,13 @@
 //     after every hop — no precomputed transitive lists.
 //
 // Each returns the matching query-root IDs, which tests compare against
-// the real engine.
+// the real engine. All of them compose the engine's own physical
+// operators (internal/exec), so the comparison isolates the index
+// structures.
 package baseline
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/ghostdb/ghostdb/internal/climbing"
@@ -183,11 +184,11 @@ func (e *Engine) selection(table string, p Pred, alg Algorithm, rep *stats.Repor
 			return nil, err
 		}
 		op := rep.NewOp("ShipIDList", table)
-		run, err := e.Env.SpillIDs(exec.NewSliceIter(ids, nil), op)
+		it, err := exec.SliceSource{IDs: ids}.OpenBatch()
 		if err != nil {
 			return nil, err
 		}
-		return &selRun{src: run, n: run.Count()}, nil
+		return e.spill(it, op)
 	}
 	if alg == JoinIndex && e.ValueIndex != nil {
 		// Join-index runs get plain value indexes for selections.
@@ -255,38 +256,53 @@ func (e *Engine) indexSelection(ix *climbing.Index, p Pred, rep *stats.Report) (
 	if err != nil {
 		return nil, err
 	}
-	it, err := e.Env.Union(sources, e.Env.Fanin(0.5), op)
+	it, err := e.Env.UnionBatch(sources, e.Env.Fanin(0.5), op)
 	if err != nil {
 		return nil, err
 	}
-	run, err := e.Env.SpillIDs(it, op)
+	return e.spill(it, op)
+}
+
+// spill drains (and closes) it into a scratch run.
+func (e *Engine) spill(it exec.BatchIter, op *stats.Op) (*selRun, error) {
+	run, err := e.Env.SpillBatch(it, op)
 	if err != nil {
 		return nil, err
 	}
 	return &selRun{src: run, n: run.Count()}, nil
 }
 
+// openAll opens every run, or none: a failed open closes the earlier ones.
+func openAll(runs ...*selRun) ([]exec.BatchIter, error) {
+	its := make([]exec.BatchIter, 0, len(runs))
+	for _, r := range runs {
+		it, err := r.src.OpenBatch()
+		if err != nil {
+			closeAll(its)
+			return nil, err
+		}
+		its = append(its, it)
+	}
+	return its, nil
+}
+
+func closeAll(its []exec.BatchIter) {
+	for _, it := range its {
+		it.Close()
+	}
+}
+
 // intersectRuns merges two sorted runs into one.
 func (e *Engine) intersectRuns(a, b *selRun, rep *stats.Report) (*selRun, error) {
-	ia, err := a.src.Open()
+	its, err := openAll(a, b)
 	if err != nil {
 		return nil, err
 	}
-	ib, err := b.src.Open()
-	if err != nil {
-		ia.Close()
-		return nil, err
-	}
-	x, err := e.Env.MergeIntersect([]exec.IDIter{ia, ib})
+	x, err := e.Env.MergeIntersectBatch(its)
 	if err != nil {
 		return nil, err
 	}
-	op := rep.NewOp("Intersect", "")
-	run, err := e.Env.SpillIDs(x, op)
-	if err != nil {
-		return nil, err
-	}
-	return &selRun{src: run, n: run.Count()}, nil
+	return e.spill(x, rep.NewOp("Intersect", ""))
 }
 
 func putU32(b []byte, v uint32) {
@@ -294,10 +310,4 @@ func putU32(b []byte, v uint32) {
 	b[1] = byte(v >> 8)
 	b[2] = byte(v >> 16)
 	b[3] = byte(v >> 24)
-}
-
-// sortUint32 sorts in place (host-side helper for RAM-resident chunks;
-// the CPU cost is charged by callers per comparison).
-func sortUint32(s []uint32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/ghostdb/ghostdb/internal/baseline"
 	"github.com/ghostdb/ghostdb/internal/core"
 	"github.com/ghostdb/ghostdb/internal/datagen"
+	"github.com/ghostdb/ghostdb/internal/device"
 	"github.com/ghostdb/ghostdb/internal/pred"
 	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/value"
@@ -209,5 +210,58 @@ func TestBaselineMultiplePredsPerTable(t *testing.T) {
 		if len(got) != len(res.Rows) {
 			t.Errorf("%v: %d ids, engine %d", alg, len(got), len(res.Rows))
 		}
+	}
+}
+
+// TestBaselineRunReleasesRAM: a baseline run shares the device arena with
+// db.Query, so it must hand back every grant it took — also when it fails
+// for lack of RAM, which on these devices most runs do. A leaked page
+// buffer would fail the runs and queries after it at their first
+// allocation.
+func TestBaselineRunReleasesRAM(t *testing.T) {
+	const probe = `SELECT Pre.PreID FROM Prescription Pre, Visit Vis WHERE Vis.Purpose = 'Sclerosis'`
+	multi := baseline.Query{Root: "Prescription", Preds: []baseline.Pred{
+		{Table: "Visit", Column: "Date", P: pred.Compare(sql.OpGt, value.NewDate(2005, 1, 1))},
+		{Table: "Visit", Column: "Purpose", P: pred.Compare(sql.OpNe, value.NewString("Sclerosis")), Hidden: true},
+		{Table: "Prescription", Column: "Quantity", P: pred.Compare(sql.OpLe, value.NewInt(40)), Hidden: true},
+		{Table: "Doctor", Column: "Country", P: pred.Compare(sql.OpEq, value.NewString("Spain"))},
+	}}
+	ds := datagen.Generate(datagen.Tiny())
+	open := func(kb int) *core.DB {
+		prof := device.SmartUSB2007().WithRAM(kb << 10)
+		prof.CacheFrames = 2
+		db, err := core.Open(core.WithProfile(prof))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.LoadDataset(ds); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	failed := 0
+	for _, kb := range []int{6, 8, 10, 12, 16} {
+		_, freshErr := open(kb).Query(probe)
+		db := open(kb)
+		be := db.BaselineEngine()
+		for qi, q := range []baseline.Query{demoQuery(), multi} {
+			for _, alg := range []baseline.Algorithm{baseline.Climbing, baseline.JoinIndex, baseline.BNL, baseline.GraceHash} {
+				before := db.Device().RAM.Used()
+				_, _, err := be.Run(q, alg)
+				if err != nil {
+					failed++
+				}
+				if after := db.Device().RAM.Used(); after != before {
+					t.Errorf("%dKB query %d %v (err: %v): arena holds %d bytes after the run, %d before it",
+						kb, qi, alg, err, after, before)
+				}
+			}
+		}
+		if _, err := db.Query(probe); (err == nil) != (freshErr == nil) {
+			t.Errorf("%dKB: query after the baselines: %v; on a fresh device: %v", kb, err, freshErr)
+		}
+	}
+	if failed == 0 {
+		t.Error("no run failed: the error paths were not exercised")
 	}
 }

@@ -14,21 +14,24 @@ import (
 )
 
 // rootCandidates opens the root-level selection, or a full scan.
-func (e *Engine) rootCandidates(root string, sel map[string]*selRun) (exec.IDIter, error) {
+func (e *Engine) rootCandidates(root string, sel map[string]*selRun) (exec.BatchIter, error) {
 	if run, ok := sel[root]; ok {
-		return run.src.Open()
+		return run.src.OpenBatch()
 	}
 	return &seqIter{max: uint32(e.Rows[root])}, nil
 }
 
+// seqIter streams the identifiers 1..max.
 type seqIter struct{ next, max uint32 }
 
-func (s *seqIter) Next() (uint32, bool, error) {
-	if s.next >= s.max {
-		return 0, false, nil
+func (s *seqIter) Next(dst []uint32) (int, error) {
+	n := 0
+	for n < len(dst) && s.next < s.max {
+		s.next++
+		dst[n] = s.next
+		n++
 	}
-	s.next++
-	return s.next, true, nil
+	return n, nil
 }
 
 func (s *seqIter) Close() {}
@@ -114,8 +117,8 @@ func (e *Engine) topDownJoin(root string, sel map[string]*selRun, alg Algorithm,
 				return nil, err
 			}
 		}
-		pairs := &fkChaseIter{in: cur, cols: cols, op: mapOp}
-		pairFile, err := e.Env.MaterializeRows(pairs, 2, true, mapOp)
+		pairs := &fkChaseIter{in: cur, cols: cols, ids: exec.GetIDBatch()}
+		pairFile, err := e.Env.MaterializeRowsBatch(pairs, 2, true, mapOp)
 		if err != nil {
 			return nil, err
 		}
@@ -139,59 +142,87 @@ func (e *Engine) topDownJoin(root string, sel map[string]*selRun, alg Algorithm,
 		if err != nil {
 			return nil, err
 		}
-		it, err := sorted.Iter()
+		it, err := sorted.IterBatch()
 		if err != nil {
 			return nil, err
 		}
-		cur = &rowFieldIter{in: it, field: 0}
+		cur = &rowFieldIter{in: it, rows: e.Env.NewRowBatch(sorted.Fields())}
 	}
-	return exec.Collect(cur)
+	return exec.CollectBatch(cur)
 }
 
 // fkChaseIter maps root IDs to (rootID, targetID) rows by fetching the
 // FK column at every hop — random flash reads once the chain leaves the
 // root's clustered order.
+//
+// The column fetches go through the hidden store's page cache, whose
+// hit/miss pattern depends on their order: each root ID is chased to the
+// end of its chain before the next one starts, at every batch length
+// (exec/batch.go, rule 2). Only the root IDs are pulled a batch at a time.
 type fkChaseIter struct {
-	in   exec.IDIter
+	in   exec.BatchIter
 	cols []store.Column
-	op   *stats.Op
-	buf  [2]uint32
+	ids  *[]uint32 // pooled root-ID staging buffer
 }
 
-func (f *fkChaseIter) Next() (exec.Row, bool, error) {
-	id, ok, err := f.in.Next()
-	if err != nil || !ok {
-		return exec.Row{}, false, err
+func (f *fkChaseIter) Next(b *exec.RowBatch) (int, error) {
+	b.Reset(2)
+	n, err := f.in.Next((*f.ids)[:b.CapRows()])
+	if err != nil {
+		return 0, err
 	}
-	cur := id
-	for _, col := range f.cols {
-		v, err := col.Value(int(cur) - 1)
-		if err != nil {
-			return exec.Row{}, false, err
+	for _, id := range (*f.ids)[:n] {
+		cur := id
+		for _, col := range f.cols {
+			v, err := col.Value(int(cur) - 1)
+			if err != nil {
+				return 0, err
+			}
+			cur = uint32(v.Int())
 		}
-		cur = uint32(v.Int())
+		b.Append(0, id, cur)
 	}
-	f.buf[0], f.buf[1] = id, cur
-	return exec.Row{IDs: f.buf[:]}, true, nil
+	return n, nil
 }
 
-func (f *fkChaseIter) Close() { f.in.Close() }
+func (f *fkChaseIter) Close() {
+	f.in.Close()
+	exec.PutIDBatch(f.ids)
+	f.ids = nil
+}
 
-// rowFieldIter projects one field of a row stream as an ID stream.
+// rowFieldIter projects field 0 of a row stream as an ID stream.
 type rowFieldIter struct {
-	in    exec.RowIter
-	field int
+	in   exec.BatchRowIter
+	rows *exec.RowBatch // pooled; rows[pos:] are still to be handed out
+	pos  int
 }
 
-func (r *rowFieldIter) Next() (uint32, bool, error) {
-	row, ok, err := r.in.Next()
-	if err != nil || !ok {
-		return 0, false, err
+func (r *rowFieldIter) Next(dst []uint32) (int, error) {
+	n := 0
+	for n < len(dst) {
+		if r.pos >= r.rows.Len() {
+			k, err := r.in.Next(r.rows)
+			if err != nil {
+				return n, err
+			}
+			if k == 0 {
+				break
+			}
+			r.pos = 0
+		}
+		dst[n] = r.rows.Row(r.pos).IDs[0]
+		r.pos++
+		n++
 	}
-	return row.IDs[r.field], true, nil
+	return n, nil
 }
 
-func (r *rowFieldIter) Close() { r.in.Close() }
+func (r *rowFieldIter) Close() {
+	r.in.Close()
+	exec.PutRowBatch(r.rows)
+	r.rows = nil
+}
 
 // bnlFilter keeps pairs whose second field appears in the selection run,
 // re-scanning the run once per RAM-sized chunk of pairs.
@@ -218,12 +249,16 @@ func (e *Engine) bnlFilter(pairs *exec.RowFile, sel *selRun, rep *stats.Report) 
 	if err != nil {
 		return nil, err
 	}
-	in, err := pairs.Iter()
+	in, err := pairs.IterBatch()
 	if err != nil {
 		out.Abort()
 		return nil, err
 	}
 	defer in.Close()
+	rb := e.Env.NewRowBatch(2)
+	defer exec.PutRowBatch(rb)
+	selIDs := exec.GetIDBatch()
+	defer exec.PutIDBatch(selIDs)
 
 	type pair struct {
 		seq      uint32
@@ -240,21 +275,23 @@ func (e *Engine) bnlFilter(pairs *exec.RowFile, sel *selRun, rep *stats.Report) 
 			byID[p.id] = append(byID[p.id], i)
 		}
 		keep := make([]bool, len(chunk))
-		it, err := sel.src.Open()
+		it, err := sel.src.OpenBatch()
 		if err != nil {
 			return err
 		}
 		for {
-			selID, ok, err := it.Next()
+			n, err := it.Next(*selIDs)
 			if err != nil {
 				it.Close()
 				return err
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
-			for _, i := range byID[selID] {
-				keep[i] = true
+			for _, selID := range (*selIDs)[:n] {
+				for _, i := range byID[selID] {
+					keep[i] = true
+				}
 			}
 		}
 		it.Close()
@@ -270,20 +307,23 @@ func (e *Engine) bnlFilter(pairs *exec.RowFile, sel *selRun, rep *stats.Report) 
 		return nil
 	}
 	for {
-		r, ok, err := in.Next()
+		k, err := in.Next(rb)
 		if err != nil {
 			out.Abort()
 			return nil, err
 		}
-		if !ok {
+		if k == 0 {
 			break
 		}
-		op.AddIn(1)
-		chunk = append(chunk, pair{seq: r.Seq, root: r.IDs[0], id: r.IDs[1]})
-		if len(chunk) == capPairs {
-			if err := flush(); err != nil {
-				out.Abort()
-				return nil, err
+		op.AddIn(int64(k))
+		for i := 0; i < k; i++ {
+			r := rb.Row(i)
+			chunk = append(chunk, pair{seq: r.Seq, root: r.IDs[0], id: r.IDs[1]})
+			if len(chunk) == capPairs {
+				if err := flush(); err != nil {
+					out.Abort()
+					return nil, err
+				}
 			}
 		}
 	}
@@ -302,13 +342,18 @@ func (e *Engine) graceFilter(pairs *exec.RowFile, sel *selRun, rep *stats.Report
 	defer func() { op.AddTime(e.Dev.Clock.Span(phase)) }()
 
 	ramHalf := int(e.Dev.RAM.Available()) / 2
-	parts := sel.n*8/maxInt(ramHalf, 1) + 1
+	parts := sel.n*8/max(ramHalf, 1) + 1
 	if parts < 1 {
 		parts = 1
 	}
 	if parts > 64 {
 		parts = 64
 	}
+
+	rb := e.Env.NewRowBatch(2)
+	defer exec.PutRowBatch(rb)
+	selIDs := exec.GetIDBatch()
+	defer exec.PutIDBatch(selIDs)
 
 	// Partition the pair file (writes!).
 	pairParts := make([]*exec.RowFile, parts)
@@ -317,30 +362,16 @@ func (e *Engine) graceFilter(pairs *exec.RowFile, sel *selRun, rep *stats.Report
 		if err != nil {
 			return nil, err
 		}
-		in, err := pairs.Iter()
+		err = forEachRow(pairs, rb, func(r exec.Row) error {
+			if int(hashID(r.IDs[1]))%parts != p {
+				return nil
+			}
+			return w.Write(r)
+		})
 		if err != nil {
 			w.Abort()
 			return nil, err
 		}
-		for {
-			r, ok, err := in.Next()
-			if err != nil {
-				in.Close()
-				w.Abort()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			if int(hashID(r.IDs[1]))%parts == p {
-				if err := w.Write(r); err != nil {
-					in.Close()
-					w.Abort()
-					return nil, err
-				}
-			}
-		}
-		in.Close()
 		pf, err := w.Close()
 		if err != nil {
 			return nil, err
@@ -355,25 +386,27 @@ func (e *Engine) graceFilter(pairs *exec.RowFile, sel *selRun, rep *stats.Report
 	// Per partition: load the selection subset into RAM, scan the pairs.
 	for p := 0; p < parts; p++ {
 		set := map[uint32]bool{}
-		it, err := sel.src.Open()
+		it, err := sel.src.OpenBatch()
 		if err != nil {
 			out.Abort()
 			return nil, err
 		}
 		loaded := 0
 		for {
-			id, ok, err := it.Next()
+			n, err := it.Next(*selIDs)
 			if err != nil {
 				it.Close()
 				out.Abort()
 				return nil, err
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
-			if int(hashID(id))%parts == p {
-				set[id] = true
-				loaded++
+			for _, id := range (*selIDs)[:n] {
+				if int(hashID(id))%parts == p {
+					set[id] = true
+					loaded++
+				}
 			}
 		}
 		it.Close()
@@ -383,38 +416,42 @@ func (e *Engine) graceFilter(pairs *exec.RowFile, sel *selRun, rep *stats.Report
 			return nil, fmt.Errorf("baseline: grace partition overflow: %w", err)
 		}
 		op.NoteRAM(int64(loaded * 8))
-		in, err := pairParts[p].Iter()
+		err = forEachRow(pairParts[p], rb, func(r exec.Row) error {
+			op.AddIn(1)
+			if !set[r.IDs[1]] {
+				return nil
+			}
+			op.AddOut(1)
+			return out.Write(r)
+		})
+		grant.Free()
 		if err != nil {
-			grant.Free()
 			out.Abort()
 			return nil, err
 		}
-		for {
-			r, ok, err := in.Next()
-			if err != nil {
-				in.Close()
-				grant.Free()
-				out.Abort()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			op.AddIn(1)
-			if set[r.IDs[1]] {
-				op.AddOut(1)
-				if err := out.Write(r); err != nil {
-					in.Close()
-					grant.Free()
-					out.Abort()
-					return nil, err
-				}
-			}
-		}
-		in.Close()
-		grant.Free()
 	}
 	return out.Close()
+}
+
+// forEachRow scans rf through the batch rb, handing fn one row view at a
+// time (valid until fn returns).
+func forEachRow(rf *exec.RowFile, rb *exec.RowBatch, fn func(exec.Row) error) error {
+	in, err := rf.IterBatch()
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	for {
+		k, err := in.Next(rb)
+		if err != nil || k == 0 {
+			return err
+		}
+		for i := 0; i < k; i++ {
+			if err := fn(rb.Row(i)); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 func hashID(x uint32) uint32 {
@@ -424,13 +461,6 @@ func hashID(x uint32) uint32 {
 	x *= 0x846ca68b
 	x ^= x >> 16
 	return x
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // joinIndexTraversal climbs one foreign-key edge at a time with a
@@ -444,29 +474,28 @@ func (e *Engine) joinIndexTraversal(root string, sel map[string]*selRun, rep *st
 	if r, ok := sel[root]; ok {
 		rootRuns = append(rootRuns, r)
 	}
-	if len(rootRuns) == 0 {
+	its, err := openAll(rootRuns...)
+	if err != nil {
+		return nil, err
+	}
+	return e.intersectAtRoot(root, sel, its)
+}
+
+// intersectAtRoot returns the intersection of the streams that arrived at
+// the root, or every root candidate when none did. It closes its.
+func (e *Engine) intersectAtRoot(root string, sel map[string]*selRun, its []exec.BatchIter) ([]uint32, error) {
+	if len(its) == 0 {
 		it, err := e.rootCandidates(root, sel)
 		if err != nil {
 			return nil, err
 		}
-		return exec.Collect(it)
+		return exec.CollectBatch(it)
 	}
-	var iters []exec.IDIter
-	for _, r := range rootRuns {
-		it, err := r.src.Open()
-		if err != nil {
-			for _, o := range iters {
-				o.Close()
-			}
-			return nil, err
-		}
-		iters = append(iters, it)
-	}
-	x, err := e.Env.MergeIntersect(iters)
+	x, err := e.Env.MergeIntersectBatch(its)
 	if err != nil {
 		return nil, err
 	}
-	return exec.Collect(x)
+	return exec.CollectBatch(x)
 }
 
 // traverse climbs the non-root selections toward the root, intersecting
@@ -549,7 +578,7 @@ func (e *Engine) traverse(root string, sel map[string]*selRun, rep *stats.Report
 		if level < 0 {
 			return nil, fmt.Errorf("baseline: translator on %s lacks level %s", t, target)
 		}
-		in, err := combined.src.Open()
+		in, err := combined.src.OpenBatch()
 		if err != nil {
 			return nil, err
 		}
@@ -559,17 +588,16 @@ func (e *Engine) traverse(root string, sel map[string]*selRun, rep *stats.Report
 		}
 		op := rep.NewOp(opName, fmt.Sprintf("%s->%s", t, target))
 		phase := e.Dev.Clock.Now()
-		translated, err := e.Env.Translate(in, tr, level, e.Env.Fanin(0.5), op)
+		translated, err := e.Env.TranslateBatch(in, tr, level, e.Env.Fanin(0.5), op)
 		if err != nil {
 			return nil, err
 		}
 		// Materialize after every hop.
-		run, err := e.Env.SpillIDs(translated, op)
+		hopRun, err := e.spill(translated, op)
 		if err != nil {
 			return nil, err
 		}
 		op.AddTime(e.Dev.Clock.Span(phase))
-		hopRun := &selRun{src: run, n: run.Count()}
 		if strings.EqualFold(target, root) {
 			rootRuns = append(rootRuns, hopRun)
 		} else {
@@ -608,7 +636,12 @@ func (e *Engine) climbingRun(root string, q Query, rep *stats.Report) ([]uint32,
 		return false
 	}
 
-	var rootIters []exec.IDIter
+	// The root-level streams stay open across the rest of the run; an
+	// error on the way must not leave their page buffers in the arena it
+	// shares with db.Query. Closing again after the final intersection has
+	// closed them is harmless (exec.BatchIter: Close is idempotent).
+	var rootIters []exec.BatchIter
+	defer func() { closeAll(rootIters) }()
 	sel := map[string]*selRun{}
 	addSel := func(table string, run *selRun) error {
 		if prev, ok := sel[table]; ok {
@@ -645,7 +678,7 @@ func (e *Engine) climbingRun(root string, q Query, rep *stats.Report) ([]uint32,
 			if err != nil {
 				return nil, err
 			}
-			it, err := e.Env.Union(sources, e.Env.Fanin(0.5), op)
+			it, err := e.Env.UnionBatch(sources, e.Env.Fanin(0.5), op)
 			if err != nil {
 				return nil, err
 			}
@@ -682,24 +715,13 @@ func (e *Engine) climbingRun(root string, q Query, rep *stats.Report) ([]uint32,
 		rootRuns = append(rootRuns, r)
 	}
 	for _, r := range rootRuns {
-		it, err := r.src.Open()
+		it, err := r.src.OpenBatch()
 		if err != nil {
 			return nil, err
 		}
 		rootIters = append(rootIters, it)
 	}
-	if len(rootIters) == 0 {
-		it, err := e.rootCandidates(root, sel)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Collect(it)
-	}
-	x, err := e.Env.MergeIntersect(rootIters)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Collect(x)
+	return e.intersectAtRoot(root, sel, rootIters)
 }
 
 // forEntriesAt visits the list refs at the given level of entries

@@ -667,11 +667,11 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 				if err != nil {
 					return nil, err
 				}
-				it, err := db.env.Union(sources, db.env.Fanin(0.5), op)
+				it, err := db.env.UnionBatch(sources, db.env.Fanin(0.5), op)
 				if err != nil {
 					return nil, err
 				}
-				if ids, err = exec.Collect(it); err != nil {
+				if ids, err = exec.CollectBatch(it); err != nil {
 					return nil, err
 				}
 			} else {

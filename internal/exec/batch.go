@@ -1,15 +1,13 @@
 package exec
 
-// Vectorized execution. The query executor composes the *Batch operators
-// of this package only: BatchIter hands over up to len(dst) IDs per call
-// and charges the simulated CPU once per batch via sim.CPU.ChargeUnits,
-// which sums to exactly what one charge per element would. The
-// element-at-a-time operators (IDIter: Union, MergeIntersect, Translate,
-// SpillIDs, MaterializeRows, ...) are not an executor mode: they serve
-// internal/baseline and DML target resolution, and double as the
-// reference twins of differential_test.go, which holds every batch
-// operator to its twin's output, clock, flash traffic and RAM high-water
-// at batch lengths 1, 7 and 1024.
+// Vectorized execution. Every operator of this package is a *Batch
+// operator: BatchIter hands over up to len(dst) IDs per call and charges
+// the simulated CPU once per batch via sim.CPU.ChargeUnits, which sums to
+// exactly what one charge per element would. There is no
+// element-at-a-time form to fall back on or to compare with at run time;
+// differential_test.go holds every operator to the frozen outcome of the
+// one there was (testdata/twin_golden.txt: output, clock, flash traffic,
+// RAM high-water) at batch lengths 1, 7 and 1024.
 //
 // The invariance contract (the cost model is the paper's contribution;
 // the batch length must only change host CPU time) imposes two
@@ -22,6 +20,8 @@ package exec
 //     operator — therefore pull their inputs one element at a time, so
 //     the abandoned tail is never decoded. Draining consumers (spill,
 //     materialize, Bloom build, projection merges) pull full batches.
+//     What a pipeline had spent when an error aborted it is outside the
+//     contract: it depends on how far the drains had read ahead.
 //  2. Order preservation for the shared page cache: accesses that go
 //     through the device's LRU page cache (SKT lookups, hidden column
 //     fetches, climbing dictionary probes) must be issued in the same
@@ -148,8 +148,8 @@ func (s *sliceBatch) Next(dst []uint32) (int, error) {
 func (s *sliceBatch) Close() {}
 
 // OpenBatch implements IDSource: posting-list decoding is amortized to
-// one decode charge per batch. The stream owns one page buffer, exactly
-// like the row iterator; the buffer is pooled and recycled on Close.
+// one decode charge per batch. The stream owns one page buffer, charged
+// to the device arena until Close.
 func (c ClimbSource) OpenBatch() (BatchIter, error) {
 	grant, err := c.Env.Dev.RAM.Alloc(c.Env.pageSize(), "list-stream")
 	if err != nil {
@@ -173,8 +173,8 @@ func (l *listBatch) Next(dst []uint32) (int, error) {
 	if l.done {
 		return 0, nil
 	}
-	// The row iterator charges one decode per dec.Next call — including
-	// the final failed probe of an exhausted list — so count calls, not
+	// The cost model charges one decode per dec.Next call — including the
+	// final failed probe of an exhausted list — so count calls, not
 	// elements, and pay the whole batch in one charge.
 	n := 0
 	calls := int64(0)
@@ -261,9 +261,9 @@ func (r *runBatch) Close() {
 	}
 }
 
-// SpillBatch drains a batch stream into a sorted run in scratch space —
-// the batched counterpart of SpillIDs, with one flash write call and one
-// copy charge per batch.
+// SpillBatch drains a batch stream into a sorted run in scratch space and
+// returns a re-openable source, with one flash write call and one copy
+// charge per batch. The writer's page buffer is charged while active.
 func (e *Env) SpillBatch(b BatchIter, op *stats.Op) (RunSource, error) {
 	defer b.Close()
 	grant, err := e.Dev.RAM.Alloc(e.pageSize(), "spill-writer")

@@ -19,8 +19,8 @@ func seqIDs(from uint32, n int) []uint32 {
 	return out
 }
 
-// TestMergeUnionBatchMatchesRow checks the batch union against the row
-// union on overlapping inputs.
+// TestMergeUnionBatchMatchesRow checks the batch union against the
+// sorted, deduplicated reference on overlapping inputs.
 func TestMergeUnionBatchMatchesRow(t *testing.T) {
 	e := newEnv(t)
 	mk := func() []BatchIter {
@@ -44,7 +44,8 @@ func TestMergeUnionBatchMatchesRow(t *testing.T) {
 	}
 }
 
-// TestMergeIntersectBatchMatchesRow checks the batch intersection.
+// TestMergeIntersectBatchMatchesRow checks the batch intersection against
+// the reference.
 func TestMergeIntersectBatchMatchesRow(t *testing.T) {
 	e := newEnv(t)
 	x, err := e.MergeIntersectBatch([]BatchIter{
@@ -197,7 +198,7 @@ func TestMergeRowsWithStreamBatchAllocs(t *testing.T) {
 		seqs[i] = uint32(i)
 		kvs[i] = KV{ID: uint32(i + 1), Val: value.NewInt(int64(i))}
 	}
-	rf, err := e.MaterializeRows(&sliceRowIter{rows: rows, seqs: seqs}, 1, false, op())
+	rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows, seqs: seqs}, 1, false, op())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,29 +3,39 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
-	"reflect"
+	"os"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/device"
 	"github.com/ghostdb/ghostdb/internal/flash"
+	"github.com/ghostdb/ghostdb/internal/ram"
 	"github.com/ghostdb/ghostdb/internal/sim"
 	"github.com/ghostdb/ghostdb/internal/stats"
 )
 
-// The operator-level cost differential. The executor composes the batch
-// operators only; the row operators below stay in production for
-// internal/baseline and DML target resolution, which makes each of them a
-// reference twin: same algorithm, one element per call. Every case runs
-// the row twin and the batch operator at lengths 1, 7 and 1024 on
-// identical seeded inputs, each on its own fresh device, and requires
-// identical output, simulated clock, flash statistics and RAM high-water
-// — batching may only change host time.
+// The operator-level cost differential. internal/exec has one operator
+// set, the batch one. What holds its cost model is not a live twin but a
+// frozen one: testdata/twin_golden.txt records, per case and device, what
+// the element-at-a-time operators (Union, MergeIntersect, Translate,
+// SpillIDs, MaterializeRows, RowFile.Iter — same algorithms, one element
+// per call) produced and spent on these very cases at commit 1d9ffd5, the
+// last commit that had them. Every case runs at batch lengths 1, 7 and
+// 1024 on identical seeded inputs, each on its own fresh device, and must
+// reproduce that record — output, simulated clock, flash statistics, RAM
+// high-water, leftover RAM, error text — which also makes the three
+// lengths agree with each other: batching may only change host time.
+// The file is never regenerated from the surviving operators; a case
+// added later has no twin to be held to and belongs in a test of its own.
 
-// diffLens are the batch lengths held to the row twin; 0 selects the twin.
-var diffLens = []int{0, 1, 7, 1024}
+// diffLens are the batch lengths held to the frozen twin.
+var diffLens = []int{1, 7, 1024}
+
+const twinGoldenPath = "testdata/twin_golden.txt"
 
 // diffProfiles are the devices every case runs on: the paper's, and the
 // 16KB one on which every merge spills.
@@ -45,44 +55,74 @@ type diffOutcome struct {
 	RAMUsed int64 // after the case: a leaked grant is a cost too
 }
 
-// diffCase builds its inputs on e from rng (identically on every device:
-// setup is part of the compared cost) and runs the row twin or the batch
-// operator.
-type diffCase func(t *testing.T, e *Env, rng *rand.Rand, batched bool) ([]uint32, error)
+// twinRecord renders one outcome as a golden line: the case (the subtest
+// name, which ends in the device profile), the output as count:digest,
+// and every cost verbatim.
+func twinRecord(name string, o diffOutcome) string {
+	h := fnv.New64a()
+	fmt.Fprint(h, o.Out)
+	f := o.Flash
+	return fmt.Sprintf("%s out=%d:%016x clock=%d flash=%d/%d/%d/%d/%d/%d/%d/%d ramhigh=%d ramused=%d err=%q",
+		name, len(o.Out), h.Sum64(), int64(o.Clock),
+		f.PageReads, f.PagesProgrammed, f.BlockErases, f.BytesRead, f.BytesProgrammed,
+		int64(f.ReadTime), int64(f.ProgTime), int64(f.EraseTime),
+		o.RAMHigh, o.RAMUsed, o.Err)
+}
 
-func runDifferential(t *testing.T, c diffCase) {
+// frozenTwin returns the golden line of the running subtest.
+func frozenTwin(t *testing.T) string {
+	t.Helper()
+	raw, err := os.ReadFile(twinGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, t.Name()+" ") {
+			return line
+		}
+	}
+	t.Fatalf("%s has no record for %s", twinGoldenPath, t.Name())
+	return ""
+}
+
+// diffCase builds its inputs on e from rng (identically on every device:
+// setup is part of the compared cost) and runs the operator under test.
+type diffCase func(t *testing.T, e *Env, rng *rand.Rand) ([]uint32, error)
+
+// runDifferential holds c to the frozen twin at every batch length, on
+// every device. refs are in-process references for the same case; they
+// run once, at the default length, and are held to the same record.
+func runDifferential(t *testing.T, c diffCase, refs ...diffCase) {
 	t.Helper()
 	for name, prof := range diffProfiles() {
 		t.Run(name, func(t *testing.T) {
-			var want diffOutcome
-			for _, n := range diffLens {
+			want := frozenTwin(t)
+			check := func(what string, batchLen int, run diffCase) {
 				dev, err := device.New(prof, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				e := NewEnv(dev)
-				if n > 0 {
-					e.SetBatchLen(n)
+				if batchLen > 0 {
+					e.SetBatchLen(batchLen)
 				}
-				out, err := c(t, e, rand.New(rand.NewSource(15)), n > 0)
-				got := diffOutcome{
+				out, err := run(t, e, rand.New(rand.NewSource(15)))
+				o := diffOutcome{
 					Out: out, Clock: dev.Clock.Now(), Flash: dev.Flash.Stats(),
 					RAMHigh: dev.RAM.High(), RAMUsed: dev.RAM.Used(),
 				}
 				if err != nil {
-					got.Err = err.Error()
+					o.Err = err.Error()
 				}
-				if n == 0 {
-					if len(out) == 0 && err == nil {
-						t.Fatal("the row twin produced nothing: the case compares nothing")
-					}
-					want = got
-					continue
+				if got := twinRecord(t.Name(), o); got != want {
+					t.Fatalf("%s diverges from the frozen twin:\n got %s\nwant %s", what, got, want)
 				}
-				if !reflect.DeepEqual(got, want) {
-					got.Out, want.Out = nil, nil
-					t.Fatalf("batch length %d diverges from the row twin:\n got %+v\nwant %+v", n, got, want)
-				}
+			}
+			for _, ref := range refs {
+				check("the in-process reference", 0, ref)
+			}
+			for _, n := range diffLens {
+				check(fmt.Sprintf("batch length %d", n), n, c)
 			}
 		})
 	}
@@ -98,13 +138,13 @@ func randomSorted(rng *rand.Rand, n, max int) []uint32 {
 	return sorted(out)
 }
 
-// spillRuns spills k random lists with the row operator, so every device
-// starts the measured operator from the same scratch state.
+// spillRuns spills k random lists, so every device starts the measured
+// operator from the same scratch state.
 func spillRuns(t *testing.T, e *Env, rng *rand.Rand, k, n, max int) []RunSource {
 	t.Helper()
 	runs := make([]RunSource, k)
 	for i := range runs {
-		run, err := e.SpillIDs(NewSliceIter(randomSorted(rng, n, max), nil), op())
+		run, err := e.SpillBatch(&sliceBatch{ids: randomSorted(rng, n, max)}, op())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +173,7 @@ func drainBatch(e *Env, it BatchIter) ([]uint32, error) {
 // unionCase merges k spilled runs, an in-RAM list and the posting lists
 // of a climbing index under the given fan-in.
 func unionCase(k, fanin int) diffCase {
-	return func(t *testing.T, e *Env, rng *rand.Rand, batched bool) ([]uint32, error) {
+	return func(t *testing.T, e *Env, rng *rand.Rand) ([]uint32, error) {
 		ix := translateFixtureOn(t, e, 60)
 		var sources []IDSource
 		for _, run := range spillRuns(t, e, rng, k, 120, 900) {
@@ -147,18 +187,11 @@ func unionCase(k, fanin int) diffCase {
 			}
 			sources = append(sources, ClimbSource{Env: e, Ix: ix, Ref: entry.Lists[1]})
 		}
-		if batched {
-			it, err := e.UnionBatch(sources, fanin, op())
-			if err != nil {
-				return nil, err
-			}
-			return drainBatch(e, it)
-		}
-		it, err := e.Union(sources, fanin, op())
+		it, err := e.UnionBatch(sources, fanin, op())
 		if err != nil {
 			return nil, err
 		}
-		return Collect(it)
+		return drainBatch(e, it)
 	}
 }
 
@@ -169,49 +202,29 @@ func TestDifferentialUnionMultiPass(t *testing.T)  { runDifferential(t, unionCas
 // intersection abandons its inputs mid-stream, so a batch input that
 // read ahead of the demand would show up as extra flash and clock.
 func TestDifferentialMergeIntersect(t *testing.T) {
-	runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand, batched bool) ([]uint32, error) {
+	runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand) ([]uint32, error) {
 		runs := spillRuns(t, e, rng, 4, 700, 1000)
-		short, err := e.SpillIDs(NewSliceIter(randomSorted(rng, 300, 600), nil), op())
+		short, err := e.SpillBatch(&sliceBatch{ids: randomSorted(rng, 300, 600)}, op())
 		if err != nil {
 			t.Fatal(err)
 		}
-		unioned := []IDSource{runs[0], runs[1]}
-		if batched {
-			u, err := e.UnionBatch(unioned, 8, op())
-			if err != nil {
-				return nil, err
-			}
-			its := []BatchIter{u}
-			for _, r := range []RunSource{runs[2], short, runs[3]} {
-				it, err := r.OpenBatch()
-				if err != nil {
-					return nil, err
-				}
-				its = append(its, it)
-			}
-			x, err := e.MergeIntersectBatch(its)
-			if err != nil {
-				return nil, err
-			}
-			return drainBatch(e, x)
-		}
-		u, err := e.Union(unioned, 8, op())
+		u, err := e.UnionBatch([]IDSource{runs[0], runs[1]}, 8, op())
 		if err != nil {
 			return nil, err
 		}
-		its := []IDIter{u}
+		its := []BatchIter{u}
 		for _, r := range []RunSource{runs[2], short, runs[3]} {
-			it, err := r.Open()
+			it, err := r.OpenBatch()
 			if err != nil {
 				return nil, err
 			}
 			its = append(its, it)
 		}
-		x, err := e.MergeIntersect(its)
+		x, err := e.MergeIntersectBatch(its)
 		if err != nil {
 			return nil, err
 		}
-		return Collect(x)
+		return drainBatch(e, x)
 	})
 }
 
@@ -221,36 +234,22 @@ func TestDifferentialMergeIntersect(t *testing.T) {
 func TestDifferentialTranslate(t *testing.T) {
 	for _, fanin := range []int{3, 64} {
 		t.Run(fmt.Sprintf("fanin=%d", fanin), func(t *testing.T) {
-			runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand, batched bool) ([]uint32, error) {
+			runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand) ([]uint32, error) {
 				ix := translateFixtureOn(t, e, 1500)
 				// IDs past the dictionary are skipped, not errors.
 				run := spillRuns(t, e, rng, 1, 400, 1600)[0]
 				o := op()
-				var out []uint32
-				if batched {
-					in, err := run.OpenBatch()
-					if err != nil {
-						return nil, err
-					}
-					it, err := e.TranslateBatch(in, ix, 1, fanin, o)
-					if err != nil {
-						return nil, err
-					}
-					if out, err = drainBatch(e, it); err != nil {
-						return nil, err
-					}
-				} else {
-					in, err := run.Open()
-					if err != nil {
-						return nil, err
-					}
-					it, err := e.Translate(in, ix, 1, fanin, o)
-					if err != nil {
-						return nil, err
-					}
-					if out, err = Collect(it); err != nil {
-						return nil, err
-					}
+				in, err := run.OpenBatch()
+				if err != nil {
+					return nil, err
+				}
+				it, err := e.TranslateBatch(in, ix, 1, fanin, o)
+				if err != nil {
+					return nil, err
+				}
+				out, err := drainBatch(e, it)
+				if err != nil {
+					return nil, err
 				}
 				return append(out, uint32(o.TuplesIn), uint32(o.TuplesOut)), nil
 			})
@@ -260,37 +259,19 @@ func TestDifferentialTranslate(t *testing.T) {
 
 // TestDifferentialSpillAndReopen spills a list and streams it back twice.
 func TestDifferentialSpillAndReopen(t *testing.T) {
-	runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand, batched bool) ([]uint32, error) {
+	runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand) ([]uint32, error) {
 		ids := randomSorted(rng, 5000, 1<<20)
 		var out []uint32
-		if batched {
-			run, err := e.SpillBatch(&sliceBatch{ids: ids}, op())
-			if err != nil {
-				return nil, err
-			}
-			for pass := 0; pass < 2; pass++ {
-				it, err := run.OpenBatch()
-				if err != nil {
-					return nil, err
-				}
-				got, err := drainBatch(e, it)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, got...)
-			}
-			return out, nil
-		}
-		run, err := e.SpillIDs(NewSliceIter(ids, nil), op())
+		run, err := e.SpillBatch(&sliceBatch{ids: ids}, op())
 		if err != nil {
 			return nil, err
 		}
 		for pass := 0; pass < 2; pass++ {
-			it, err := run.Open()
+			it, err := run.OpenBatch()
 			if err != nil {
 				return nil, err
 			}
-			got, err := Collect(it)
+			got, err := drainBatch(e, it)
 			if err != nil {
 				return nil, err
 			}
@@ -303,48 +284,71 @@ func TestDifferentialSpillAndReopen(t *testing.T) {
 // TestDifferentialMaterializeAndIterate stores a row stream (fresh
 // sequence numbers) and scans the row file back.
 func TestDifferentialMaterializeAndIterate(t *testing.T) {
-	runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand, batched bool) ([]uint32, error) {
+	runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand) ([]uint32, error) {
 		rows := make([][]uint32, 3000)
 		for i := range rows {
 			rows[i] = []uint32{uint32(i + 1), rng.Uint32(), rng.Uint32()}
 		}
-		var seqs []uint32
-		var got [][]uint32
-		if batched {
-			rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, 3, true, op())
-			if err != nil {
-				return nil, err
-			}
-			it, err := rf.IterBatch()
-			if err != nil {
-				return nil, err
-			}
-			if seqs, got, err = collectBatchRows(e, it, 3); err != nil {
-				return nil, err
-			}
-		} else {
-			rf, err := e.MaterializeRows(&sliceRowIter{rows: rows}, 3, true, op())
-			if err != nil {
-				return nil, err
-			}
-			it, err := rf.Iter()
-			if err != nil {
-				return nil, err
-			}
-			seqs, got = collectRows(t, it)
+		rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, 3, true, op())
+		if err != nil {
+			return nil, err
 		}
-		var out []uint32
-		for i, ids := range got {
-			out = append(append(out, seqs[i]), ids...)
-		}
-		return out, nil
+		return scanRowFile(t, e, rf, nil), nil
 	})
 }
 
-// refSortRowFile is the parent commit's SortRowFile, kept as the reference
-// for TestDifferentialSortRowFile: run formation reads through the row
-// iterator, sorts an index permutation with sort.Slice and charges one
-// compare inside every comparator call. The merge passes are shared.
+// scanRowFile appends rf's rows to out as seq, ids... records.
+func scanRowFile(t *testing.T, e *Env, rf *RowFile, out []uint32) []uint32 {
+	t.Helper()
+	seqs, rows := collectRows(t, e, rf)
+	for i, ids := range rows {
+		out = append(append(out, seqs[i]), ids...)
+	}
+	return out
+}
+
+// refRowReader is the deleted RowFile.Iter, kept for refSortRowFile: one
+// page buffer, one flash read and one copy charge per record.
+type refRowReader struct {
+	rf     *RowFile
+	reader *flash.Reader
+	grant  *ram.Grant
+	rec    []byte
+	ids    []uint32
+	read   int
+}
+
+func newRefRowReader(rf *RowFile) (*refRowReader, error) {
+	grant, err := rf.env.Dev.RAM.Alloc(rf.env.pageSize(), "row-reader")
+	if err != nil {
+		return nil, err
+	}
+	return &refRowReader{rf: rf, reader: flash.NewReader(rf.env.Dev.Flash, rf.ext), grant: grant,
+		rec: make([]byte, rf.recordWidth()), ids: make([]uint32, rf.fields)}, nil
+}
+
+func (it *refRowReader) Next() (Row, bool, error) {
+	if it.read >= it.rf.n {
+		return Row{}, false, nil
+	}
+	if _, err := fullRead(it.reader, it.rec); err != nil {
+		return Row{}, false, err
+	}
+	it.read++
+	for i := range it.ids {
+		it.ids[i] = binary.LittleEndian.Uint32(it.rec[4*(i+1):])
+	}
+	it.rf.env.cpu(int64(sim.CyclesCopyWord) * int64(1+len(it.ids)))
+	return Row{Seq: binary.LittleEndian.Uint32(it.rec), IDs: it.ids}, true, nil
+}
+
+func (it *refRowReader) Close() { it.grant.Free() }
+
+// refSortRowFile is SortRowFile as it stood before the counted-compare run
+// sort (PR 16), kept as the in-process reference of
+// TestDifferentialSortRowFile: run formation reads one record at a time,
+// sorts an index permutation with sort.Slice and charges one compare
+// inside every comparator call. The merge passes are shared.
 func refSortRowFile(e *Env, rf *RowFile, byField, bufBytes, fanin int, op *stats.Op) (*RowFile, error) {
 	width := rf.recordWidth()
 	capRecords := bufBytes / width
@@ -358,7 +362,7 @@ func refSortRowFile(e *Env, rf *RowFile, byField, bufBytes, fanin int, op *stats
 	op.NoteRAM(int64(capRecords * width))
 
 	var runs []*RowFile
-	in, err := rf.Iter()
+	in, err := newRefRowReader(rf)
 	if err != nil {
 		grant.Free()
 		return nil, err
@@ -459,9 +463,10 @@ var sortKeyShapes = map[string]func(rng *rand.Rand, i, n int) uint32{
 }
 
 // TestDifferentialSortRowFile holds the counted-compare run sort to the
-// per-comparison reference: the same rows in the same order (ties are
-// visible through the sequence numbers), the same comparison count (the
-// clock), the same flash traffic, RAM high-water and leftover RAM. The row
+// per-comparison reference, and both to the reference's frozen outcome:
+// the same rows in the same order (ties are visible through the sequence
+// numbers), the same comparison count (the clock), the same flash traffic,
+// RAM high-water and leftover RAM. The row
 // counts straddle pdqsort's insertion-sort cutoff (12) and the run
 // capacity (64 records, fan-in 3: the last case merges in several passes);
 // the "executor" buffer is sized the way the projection passes size it.
@@ -476,37 +481,26 @@ func TestDifferentialSortRowFile(t *testing.T) {
 		for shape, keyOf := range sortKeyShapes {
 			for _, n := range []int{0, 1, 2, 12, 13, smallCap - 1, smallCap, smallCap + 1, 5000} {
 				t.Run(fmt.Sprintf("%s/%s/n=%d", bufName, shape, n), func(t *testing.T) {
-					runDifferential(t, func(t *testing.T, e *Env, rng *rand.Rand, batched bool) ([]uint32, error) {
-						rows := make([][]uint32, n)
-						for i := range rows {
-							rows[i] = []uint32{uint32(i + 1), keyOf(rng, i, n)}
+					sortWith := func(sortFn func(*Env, *RowFile, int, int, int, *stats.Op) (*RowFile, error)) diffCase {
+						return func(t *testing.T, e *Env, rng *rand.Rand) ([]uint32, error) {
+							rows := make([][]uint32, n)
+							for i := range rows {
+								rows[i] = []uint32{uint32(i + 1), keyOf(rng, i, n)}
+							}
+							rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, fields, true, op())
+							if err != nil {
+								t.Fatal(err)
+							}
+							bufBytes, fanin := buffer(e)
+							o := op()
+							sortedRF, err := sortFn(e, rf, byField, bufBytes, fanin, o)
+							if err != nil {
+								return nil, err
+							}
+							return scanRowFile(t, e, sortedRF, []uint32{uint32(o.TuplesIn), uint32(o.TuplesOut), uint32(o.RAMBytes)}), nil
 						}
-						rf, err := e.MaterializeRows(&sliceRowIter{rows: rows}, fields, true, op())
-						if err != nil {
-							t.Fatal(err)
-						}
-						bufBytes, fanin := buffer(e)
-						o := op()
-						var sortedRF *RowFile
-						if batched {
-							sortedRF, err = e.SortRowFile(rf, byField, bufBytes, fanin, o)
-						} else {
-							sortedRF, err = refSortRowFile(e, rf, byField, bufBytes, fanin, o)
-						}
-						if err != nil {
-							return nil, err
-						}
-						it, err := sortedRF.Iter()
-						if err != nil {
-							return nil, err
-						}
-						seqs, got := collectRows(t, it)
-						out := []uint32{uint32(o.TuplesIn), uint32(o.TuplesOut), uint32(o.RAMBytes)}
-						for i, ids := range got {
-							out = append(append(out, seqs[i]), ids...)
-						}
-						return out, nil
-					})
+					}
+					runDifferential(t, sortWith((*Env).SortRowFile), sortWith(refSortRowFile))
 				})
 			}
 		}

@@ -42,26 +42,25 @@ func dedup(ids []uint32) []uint32 {
 }
 
 func TestEmptyIter(t *testing.T) {
-	got, err := Collect(Empty())
+	got, err := CollectBatch(EmptyBatch())
 	if err != nil || got != nil {
-		t.Errorf("Empty() = %v, %v", got, err)
+		t.Errorf("EmptyBatch() = %v, %v", got, err)
 	}
 }
 
 func TestSliceIter(t *testing.T) {
 	e := newEnv(t)
-	grant, err := e.Dev.RAM.Alloc(12, "test-slice")
+	before := e.Dev.RAM.Used()
+	it, err := SliceSource{IDs: []uint32{1, 2, 3}}.OpenBatch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.Dev.RAM.Used()
-	it := NewSliceIter([]uint32{1, 2, 3}, grant)
-	got, err := Collect(it)
+	got, err := CollectBatch(it)
 	if err != nil || !reflect.DeepEqual(got, []uint32{1, 2, 3}) {
-		t.Errorf("Collect = %v, %v", got, err)
+		t.Errorf("CollectBatch = %v, %v", got, err)
 	}
-	if e.Dev.RAM.Used() != before-12 {
-		t.Error("Close did not free the grant")
+	if e.Dev.RAM.Used() != before {
+		t.Error("an in-RAM slice stream holds no grant: the caller accounts for the slice")
 	}
 	it.Close() // double close is safe
 }
@@ -80,15 +79,15 @@ func TestMergeUnion(t *testing.T) {
 		{[][]uint32{{5, 5, 5}, {5}}, []uint32{5}},
 	}
 	for _, c := range cases {
-		var its []IDIter
+		var its []BatchIter
 		for _, ids := range c.in {
-			its = append(its, NewSliceIter(ids, nil))
+			its = append(its, &sliceBatch{ids: ids})
 		}
-		u, err := e.MergeUnion(its)
+		u, err := e.MergeUnionBatch(its)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Collect(u)
+		got, err := CollectBatch(u)
 		if err != nil || !reflect.DeepEqual(got, c.want) {
 			t.Errorf("union(%v) = %v, %v; want %v", c.in, got, err, c.want)
 		}
@@ -108,22 +107,22 @@ func TestMergeIntersect(t *testing.T) {
 		{[][]uint32{{1, 2}, {}}, nil},
 	}
 	for _, c := range cases {
-		var its []IDIter
+		var its []BatchIter
 		for _, ids := range c.in {
-			its = append(its, NewSliceIter(ids, nil))
+			its = append(its, &sliceBatch{ids: ids})
 		}
-		x, err := e.MergeIntersect(its)
+		x, err := e.MergeIntersectBatch(its)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Collect(x)
+		got, err := CollectBatch(x)
 		if err != nil || !reflect.DeepEqual(got, c.want) {
 			t.Errorf("intersect(%v) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
-	if it, err := e.MergeIntersect(nil); err != nil {
+	if it, err := e.MergeIntersectBatch(nil); err != nil {
 		t.Fatal(err)
-	} else if got, _ := Collect(it); got != nil {
+	} else if got, _ := CollectBatch(it); got != nil {
 		t.Errorf("empty intersect = %v", got)
 	}
 }
@@ -131,7 +130,7 @@ func TestMergeIntersect(t *testing.T) {
 func TestSpillAndRunSource(t *testing.T) {
 	e := newEnv(t)
 	ids := []uint32{1, 5, 9, 1 << 30}
-	run, err := e.SpillIDs(NewSliceIter(ids, nil), op())
+	run, err := e.SpillBatch(&sliceBatch{ids: ids}, op())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +139,11 @@ func TestSpillAndRunSource(t *testing.T) {
 	}
 	// Runs are re-openable.
 	for i := 0; i < 2; i++ {
-		it, err := run.Open()
+		it, err := run.OpenBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Collect(it)
+		got, err := CollectBatch(it)
 		if err != nil || !reflect.DeepEqual(got, ids) {
 			t.Errorf("run pass %d = %v, %v", i, got, err)
 		}
@@ -168,11 +167,11 @@ func TestUnionMultiPassSpills(t *testing.T) {
 		all = append(all, ids...)
 	}
 	progsBefore := e.Dev.Flash.Stats().PagesProgrammed
-	it, err := e.Union(sources, 4, op())
+	it, err := e.UnionBatch(sources, 4, op())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(it)
+	got, err := CollectBatch(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +194,11 @@ func TestUnionSinglePassAvoidsFlash(t *testing.T) {
 		SliceSource{IDs: []uint32{2, 4, 6}},
 	}
 	progsBefore := e.Dev.Flash.Stats().PagesProgrammed
-	it, err := e.Union(sources, 8, op())
+	it, err := e.UnionBatch(sources, 8, op())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := Collect(it)
+	got, _ := CollectBatch(it)
 	if !reflect.DeepEqual(got, []uint32{1, 2, 4, 6}) {
 		t.Errorf("union = %v", got)
 	}
@@ -229,11 +228,11 @@ func TestQuickUnionMatchesReference(t *testing.T) {
 			want = append(want, id)
 		}
 		want = sorted(want)
-		it, err := e.Union(sources, fanin, op())
+		it, err := e.UnionBatch(sources, fanin, op())
 		if err != nil {
 			return false
 		}
-		got, err := Collect(it)
+		got, err := CollectBatch(it)
 		if err != nil {
 			return false
 		}

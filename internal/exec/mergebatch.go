@@ -1,12 +1,12 @@
 package exec
 
-// The executor's merge operators: union, intersection, multi-pass union
-// and translation over batch streams. Algorithms and per-element
-// simulated charges are those of their element-at-a-time twins in
-// merge.go (kept for internal/baseline and DML) — heap pushes/pops and
-// comparisons are counted during a batch and charged in one ChargeUnits
-// call — so the simulated cost does not depend on the batch length; only
-// host dispatch is amortized.
+// The merge operators: union, intersection, multi-pass union and
+// translation over batch streams. Heap pushes/pops and comparisons are
+// counted during a batch and charged in one ChargeUnits call, one unit per
+// element-level step, so the simulated cost does not depend on the batch
+// length; only host dispatch is amortized. The per-element charges are
+// those of the element-at-a-time merges this file replaced, whose outcomes
+// testdata/twin_golden.txt keeps (see differential_test.go).
 
 import (
 	"github.com/ghostdb/ghostdb/internal/climbing"
@@ -133,8 +133,9 @@ type unionBatch struct {
 }
 
 // MergeUnionBatch returns the sorted, deduplicated union of the batch
-// iterators. Like the row version, it primes one element per input at
-// construction time.
+// iterators. It primes one element per input at construction time. The
+// per-input heap slot costs a few words; the streams' page buffers
+// dominate and are owned by the iterators themselves.
 func (e *Env) MergeUnionBatch(its []BatchIter) (BatchIter, error) {
 	u := &unionBatch{env: e, curs: make([]*batchCursor, len(its))}
 	for i, it := range its {
@@ -205,8 +206,7 @@ func (c *unitCursor) next() (uint32, bool, error) {
 // intersectBatch intersects k sorted deduplicated batch inputs. The
 // intersection terminates as soon as any input is exhausted, abandoning
 // the rest mid-stream; inputs are therefore pulled element by element so
-// no simulated work is done for IDs an element-at-a-time intersection
-// would never decode.
+// no simulated work is done for IDs the intersection never looks at.
 // The output side is still batched — downstream operators consume the
 // intersection in full batches.
 type intersectBatch struct {
@@ -230,8 +230,8 @@ func (e *Env) MergeIntersectBatch(its []BatchIter) (BatchIter, error) {
 	for i, it := range its {
 		x.curs[i].src = it
 	}
-	// Prime in input order, stopping at the first empty input — exactly
-	// like the row version, which never touches the remaining inputs.
+	// Prime in input order, stopping at the first empty input: the
+	// remaining inputs are never touched.
 	for i := range x.curs {
 		id, ok, err := x.curs[i].next()
 		if err != nil {
@@ -286,7 +286,7 @@ func (x *intersectBatch) Next(dst []uint32) (int, error) {
 		if !equal {
 			continue
 		}
-		// Emit and advance all past max (uncharged, as in MergeIntersect).
+		// Emit and advance all past max (uncharged).
 		emitDone := false
 		for i := range x.curs {
 			id, ok, err := x.curs[i].next()
@@ -319,8 +319,9 @@ func (x *intersectBatch) Close() {
 
 // UnionBatch merges any number of sources into one sorted deduplicated
 // batch stream, spilling intermediate runs to scratch flash when more
-// than fanin streams would need to be open at once — the batched twin of
-// Union, with identical pass structure and charges.
+// than fanin streams would need to be open at once — the multi-pass
+// behaviour that makes low-selectivity pre-filtering expensive on the
+// device.
 func (e *Env) UnionBatch(sources []IDSource, fanin int, op *stats.Op) (BatchIter, error) {
 	if len(sources) == 0 {
 		return EmptyBatch(), nil
@@ -371,8 +372,11 @@ func (e *Env) openAndMergeBatch(sources []IDSource) (BatchIter, error) {
 
 // TranslateBatch maps a sorted batch stream of table-T identifiers to the
 // sorted union of their posting lists at the given level of a dense
-// climbing index — the batched twin of Translate. Dictionary probes are
-// issued in input order, preserving the page-cache access pattern.
+// climbing index — the paper's pre-filtering step ("transforming these
+// lists into lists of PreID thanks to the climbing index on Vis.VisID").
+// Large inputs spill batches of merged lists as scratch runs. Dictionary
+// probes are issued in input order, preserving the page-cache access
+// pattern.
 func (e *Env) TranslateBatch(input BatchIter, ix *climbing.Index, level int, fanin int, op *stats.Op) (BatchIter, error) {
 	defer input.Close()
 	var runs []IDSource

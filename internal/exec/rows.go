@@ -16,20 +16,12 @@ import (
 // the identifiers of the query's tables (IDs[0] is the query-root ID,
 // the rest follow the plan's table layout).
 //
-// Ownership rule: a Row obtained from a RowIter aliases a buffer the
-// iterator reuses on every Next — consumers that retain such a row must
-// copy it. A Row obtained from a RowBatch aliases the batch's pooled
-// memory instead and stays valid until that batch is reset or recycled,
-// so batch consumers never copy.
+// Ownership rule: a Row obtained from a RowBatch aliases the batch's
+// pooled memory and stays valid until that batch is reset or recycled, so
+// consumers never copy.
 type Row struct {
 	Seq uint32
 	IDs []uint32
-}
-
-// RowIter streams rows. Close releases RAM grants.
-type RowIter interface {
-	Next() (Row, bool, error)
-	Close()
 }
 
 // RowFile is a materialized row set in scratch flash: fixed-width records
@@ -49,59 +41,6 @@ func (rf *RowFile) Fields() int { return rf.fields }
 
 // recordWidth is the byte width of one record.
 func (rf *RowFile) recordWidth() int { return 4 * (1 + rf.fields) }
-
-// MaterializeRows drains in (rows with nFields IDs) into a scratch row
-// file — the "Store" operator of Figure 5. When assignSeq is set, rows
-// get fresh dense sequence numbers in arrival order.
-func (e *Env) MaterializeRows(in RowIter, nFields int, assignSeq bool, op *stats.Op) (*RowFile, error) {
-	defer in.Close()
-	grant, err := e.Dev.RAM.Alloc(e.pageSize(), "row-writer")
-	if err != nil {
-		return nil, err
-	}
-	defer grant.Free()
-	w, err := e.Dev.Scratch.NewWriter()
-	if err != nil {
-		return nil, err
-	}
-	rf := &RowFile{env: e, fields: nFields}
-	rec := make([]byte, 4*(1+nFields))
-	var seq uint32
-	for {
-		r, ok, err := in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if len(r.IDs) != nFields {
-			return nil, fmt.Errorf("exec: row has %d fields, want %d", len(r.IDs), nFields)
-		}
-		op.AddIn(1)
-		s := r.Seq
-		if assignSeq {
-			s = seq
-		}
-		binary.LittleEndian.PutUint32(rec[0:], s)
-		for i, id := range r.IDs {
-			binary.LittleEndian.PutUint32(rec[4*(i+1):], id)
-		}
-		if _, err := w.Write(rec); err != nil {
-			return nil, err
-		}
-		seq++
-		rf.n++
-		e.cpu(int64(sim.CyclesCopyWord) * int64(1+nFields))
-	}
-	ext, err := w.Close()
-	if err != nil {
-		return nil, err
-	}
-	op.AddOut(int64(rf.n))
-	rf.ext = ext
-	return rf, nil
-}
 
 // RowFileWriter streams rows into a new scratch row file, holding one
 // page buffer. Used when a merge pass rewrites the surviving rows. The
@@ -173,48 +112,6 @@ func (w *RowFileWriter) Abort() {
 	_, _ = w.w.Close()
 	w.grant.Free()
 }
-
-// Iter streams the file's rows in storage order.
-func (rf *RowFile) Iter() (RowIter, error) {
-	grant, err := rf.env.Dev.RAM.Alloc(rf.env.pageSize(), "row-reader")
-	if err != nil {
-		return nil, err
-	}
-	return &rowFileIter{
-		rf:     rf,
-		reader: flash.NewReader(rf.env.Dev.Flash, rf.ext),
-		grant:  grant,
-		rec:    make([]byte, rf.recordWidth()),
-		ids:    make([]uint32, rf.fields),
-	}, nil
-}
-
-type rowFileIter struct {
-	rf     *RowFile
-	reader *flash.Reader
-	grant  *ram.Grant
-	rec    []byte
-	ids    []uint32
-	read   int
-}
-
-func (it *rowFileIter) Next() (Row, bool, error) {
-	if it.read >= it.rf.n {
-		return Row{}, false, nil
-	}
-	if _, err := fullRead(it.reader, it.rec); err != nil {
-		return Row{}, false, fmt.Errorf("exec: row file read: %w", err)
-	}
-	it.read++
-	seq := binary.LittleEndian.Uint32(it.rec[0:])
-	for i := range it.ids {
-		it.ids[i] = binary.LittleEndian.Uint32(it.rec[4*(i+1):])
-	}
-	it.rf.env.cpu(int64(sim.CyclesCopyWord) * int64(1+len(it.ids)))
-	return Row{Seq: seq, IDs: it.ids}, true, nil
-}
-
-func (it *rowFileIter) Close() { it.grant.Free() }
 
 // sortKey is one buffered record during run formation: its sort key and
 // its record position in the run buffer.

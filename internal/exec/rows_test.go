@@ -12,28 +12,6 @@ import (
 	"github.com/ghostdb/ghostdb/internal/value"
 )
 
-// sliceRowIter feeds rows from memory.
-type sliceRowIter struct {
-	rows [][]uint32
-	seqs []uint32
-	i    int
-}
-
-func (s *sliceRowIter) Next() (Row, bool, error) {
-	if s.i >= len(s.rows) {
-		return Row{}, false, nil
-	}
-	var seq uint32
-	if s.seqs != nil {
-		seq = s.seqs[s.i]
-	}
-	r := Row{Seq: seq, IDs: s.rows[s.i]}
-	s.i++
-	return r, true, nil
-}
-
-func (s *sliceRowIter) Close() {}
-
 // sliceKV feeds a projection stream from memory.
 type sliceKV struct {
 	kvs []KV
@@ -97,39 +75,31 @@ func collectBatchRows(e *Env, it BatchRowIter, width int) (seqs []uint32, rows [
 	}
 }
 
-func collectRows(t *testing.T, it RowIter) ([]uint32, [][]uint32) {
+// collectRows drains a row file.
+func collectRows(t *testing.T, e *Env, rf *RowFile) ([]uint32, [][]uint32) {
 	t.Helper()
-	defer it.Close()
-	var seqs []uint32
-	var rows [][]uint32
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return seqs, rows
-		}
-		seqs = append(seqs, r.Seq)
-		rows = append(rows, append([]uint32(nil), r.IDs...))
+	it, err := rf.IterBatch()
+	if err != nil {
+		t.Fatal(err)
 	}
+	seqs, rows, err := collectBatchRows(e, it, rf.Fields())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seqs, rows
 }
 
 func TestMaterializeAndIterate(t *testing.T) {
 	e := newEnv(t)
-	in := &sliceRowIter{rows: [][]uint32{{10, 1}, {20, 2}, {30, 1}}}
-	rf, err := e.MaterializeRows(in, 2, true, op())
+	in := &sliceRowBatch{rows: [][]uint32{{10, 1}, {20, 2}, {30, 1}}}
+	rf, err := e.MaterializeRowsBatch(in, 2, true, op())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rf.Count() != 3 || rf.Fields() != 2 {
 		t.Fatalf("count=%d fields=%d", rf.Count(), rf.Fields())
 	}
-	it, err := rf.Iter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, rows := collectRows(t, it)
+	seqs, rows := collectRows(t, e, rf)
 	if !reflect.DeepEqual(seqs, []uint32{0, 1, 2}) {
 		t.Errorf("seqs = %v", seqs)
 	}
@@ -140,16 +110,12 @@ func TestMaterializeAndIterate(t *testing.T) {
 
 func TestMaterializePreservesSeq(t *testing.T) {
 	e := newEnv(t)
-	in := &sliceRowIter{rows: [][]uint32{{10}, {20}}, seqs: []uint32{7, 3}}
-	rf, err := e.MaterializeRows(in, 1, false, op())
+	in := &sliceRowBatch{rows: [][]uint32{{10}, {20}}, seqs: []uint32{7, 3}}
+	rf, err := e.MaterializeRowsBatch(in, 1, false, op())
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := rf.Iter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, _ := collectRows(t, it)
+	seqs, _ := collectRows(t, e, rf)
 	if !reflect.DeepEqual(seqs, []uint32{7, 3}) {
 		t.Errorf("seqs = %v", seqs)
 	}
@@ -157,16 +123,16 @@ func TestMaterializePreservesSeq(t *testing.T) {
 
 func TestMaterializeFieldMismatch(t *testing.T) {
 	e := newEnv(t)
-	in := &sliceRowIter{rows: [][]uint32{{1, 2}}}
-	if _, err := e.MaterializeRows(in, 3, true, op()); err == nil {
+	in := &sliceRowBatch{rows: [][]uint32{{1, 2}}}
+	if _, err := e.MaterializeRowsBatch(in, 3, true, op()); err == nil {
 		t.Error("field mismatch accepted")
 	}
 }
 
 func TestSortRowFileSmall(t *testing.T) {
 	e := newEnv(t)
-	in := &sliceRowIter{rows: [][]uint32{{5, 100}, {1, 300}, {3, 200}}}
-	rf, err := e.MaterializeRows(in, 2, true, op())
+	in := &sliceRowBatch{rows: [][]uint32{{5, 100}, {1, 300}, {3, 200}}}
+	rf, err := e.MaterializeRowsBatch(in, 2, true, op())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +140,7 @@ func TestSortRowFileSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := byField0.Iter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, rows := collectRows(t, it)
+	seqs, rows := collectRows(t, e, byField0)
 	if !reflect.DeepEqual(rows, [][]uint32{{1, 300}, {3, 200}, {5, 100}}) {
 		t.Errorf("sorted rows = %v", rows)
 	}
@@ -191,11 +153,7 @@ func TestSortRowFileSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it2, err := byField1.Iter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rows2 := collectRows(t, it2)
+	_, rows2 := collectRows(t, e, byField1)
 	if !reflect.DeepEqual(rows2, [][]uint32{{5, 100}, {3, 200}, {1, 300}}) {
 		t.Errorf("sorted by field 1 = %v", rows2)
 	}
@@ -212,7 +170,7 @@ func TestSortRowFileExternalRuns(t *testing.T) {
 		// Pseudo-random but deterministic keys.
 		rows[i] = []uint32{uint32((i*2654435761 + 1) % 100000), uint32(i)}
 	}
-	rf, err := e.MaterializeRows(&sliceRowIter{rows: rows}, 2, true, op())
+	rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, 2, true, op())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +183,7 @@ func TestSortRowFileExternalRuns(t *testing.T) {
 	if sortedRF.Count() != n {
 		t.Fatalf("lost rows: %d of %d", sortedRF.Count(), n)
 	}
-	it, err := sortedRF.Iter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, got := collectRows(t, it)
+	_, got := collectRows(t, e, sortedRF)
 	for i := 1; i < len(got); i++ {
 		if got[i][0] < got[i-1][0] {
 			t.Fatalf("row %d out of order: %d < %d", i, got[i][0], got[i-1][0])
@@ -250,7 +204,7 @@ func TestSortRowFileExternalRuns(t *testing.T) {
 
 func TestSortEmptyFile(t *testing.T) {
 	e := newEnv(t)
-	rf, err := e.MaterializeRows(&sliceRowIter{}, 2, true, op())
+	rf, err := e.MaterializeRowsBatch(&sliceRowBatch{}, 2, true, op())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +215,7 @@ func TestSortEmptyFile(t *testing.T) {
 	if s.Count() != 0 {
 		t.Errorf("Count = %d", s.Count())
 	}
-	it, err := s.Iter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, _ := collectRows(t, it)
+	seqs, _ := collectRows(t, e, s)
 	if seqs != nil {
 		t.Errorf("rows = %v", seqs)
 	}
@@ -351,7 +301,7 @@ func TestQuickSortRowFile(t *testing.T) {
 		for i, k := range keys {
 			rows[i] = []uint32{k}
 		}
-		rf, err := e.MaterializeRows(&sliceRowIter{rows: rows}, 1, true, op())
+		rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, 1, true, op())
 		if err != nil {
 			return false
 		}
@@ -361,21 +311,17 @@ func TestQuickSortRowFile(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		it, err := s.Iter()
+		it, err := s.IterBatch()
 		if err != nil {
 			return false
 		}
-		defer it.Close()
+		_, sortedRows, err := collectBatchRows(e, it, 1)
+		if err != nil {
+			return false
+		}
 		var got []uint32
-		for {
-			r, ok, err := it.Next()
-			if err != nil {
-				return false
-			}
-			if !ok {
-				break
-			}
-			got = append(got, r.IDs[0])
+		for _, r := range sortedRows {
+			got = append(got, r[0])
 		}
 		want := append([]uint32(nil), keys...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })

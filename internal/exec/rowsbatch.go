@@ -1,11 +1,10 @@
 package exec
 
-// The executor's row operators: SKT access fused with the filters, the
-// Store pass, row-file scans, Bloom build and the projection merge. A
-// RowBatch owns its memory (pooled), so — unlike the RowIter of rows.go,
-// whose Row aliases a buffer reused on every Next — rows handed out in a
-// batch stay valid until the next call on the same iterator. Downstream
-// consumers therefore never need defensive per-row copies.
+// The row operators: SKT access fused with the filters, the Store pass,
+// row-file scans, Bloom build and the projection merge. A RowBatch owns
+// its memory (pooled): rows handed out in a batch stay valid until the
+// next call on the same iterator, so downstream consumers never need
+// defensive per-row copies.
 //
 // The join+filter stage is one operator: the cost model interleaves SKT
 // lookups and hidden-column fetches per row, and the device's LRU page
@@ -122,6 +121,13 @@ func (b *RowBatch) Row(i int) Row {
 func (b *RowBatch) slot(i int, seq uint32) []uint32 {
 	b.seq[i] = seq
 	return b.ids[i*b.width : (i+1)*b.width]
+}
+
+// Append adds one row — for BatchRowIter implementations outside this
+// package. The caller keeps Len below CapRows.
+func (b *RowBatch) Append(seq uint32, ids ...uint32) {
+	copy(b.slot(b.n, seq), ids)
+	b.n++
 }
 
 // BatchRowIter streams row batches. Next resets b and fills it with up to
@@ -353,9 +359,10 @@ func (j *joinFilterBatch) Close() {
 	joinFilterPool.Put(j)
 }
 
-// MaterializeRowsBatch drains a batch row stream into a scratch row file
-// — the batched Store operator. Records are encoded and written one batch
-// at a time.
+// MaterializeRowsBatch drains a batch row stream (rows with nFields IDs)
+// into a scratch row file — the "Store" operator of Figure 5. Records are
+// encoded and written one batch at a time. When assignSeq is set, rows get
+// fresh dense sequence numbers in arrival order.
 func (e *Env) MaterializeRowsBatch(in BatchRowIter, nFields int, assignSeq bool, op *stats.Op) (*RowFile, error) {
 	defer in.Close()
 	grant, err := e.Dev.RAM.Alloc(e.pageSize(), "row-writer")
@@ -415,8 +422,7 @@ func (e *Env) MaterializeRowsBatch(in BatchRowIter, nFields int, assignSeq bool,
 }
 
 // IterBatch streams the file's rows in storage order, one batch of
-// records per flash read call. Like Iter, the stream owns one page
-// buffer.
+// records per flash read call. The stream owns one page buffer.
 func (rf *RowFile) IterBatch() (BatchRowIter, error) {
 	grant, err := rf.env.Dev.RAM.Alloc(rf.env.pageSize(), "row-reader")
 	if err != nil {

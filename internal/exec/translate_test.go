@@ -84,11 +84,11 @@ func expectedParents(childIDs []uint32) []uint32 {
 func TestTranslateSmallInput(t *testing.T) {
 	e, ix := translateFixture(t, 100)
 	in := []uint32{2, 50, 99}
-	it, err := e.Translate(NewSliceIter(in, nil), ix, 1, 8, op())
+	it, err := e.TranslateBatch(&sliceBatch{ids: in}, ix, 1, 8, op())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(it)
+	got, err := CollectBatch(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestTranslateSpillsLargeInput(t *testing.T) {
 	}
 	progsBefore := e.Dev.Flash.Stats().PagesProgrammed
 	// fanin 4 forces hundreds of batch spills plus recursive merging.
-	it, err := e.Translate(NewSliceIter(in, nil), ix, 1, 4, op())
+	it, err := e.TranslateBatch(&sliceBatch{ids: in}, ix, 1, 4, op())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(it)
+	got, err := CollectBatch(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestTranslateSpillsLargeInput(t *testing.T) {
 func TestTranslateMissingAndEmptyInputs(t *testing.T) {
 	e, ix := translateFixture(t, 10)
 	// IDs outside the dictionary are skipped, not errors.
-	it, err := e.Translate(NewSliceIter([]uint32{0, 5, 11, 100}, nil), ix, 1, 8, op())
+	it, err := e.TranslateBatch(&sliceBatch{ids: []uint32{0, 5, 11, 100}}, ix, 1, 8, op())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(it)
+	got, err := CollectBatch(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestTranslateMissingAndEmptyInputs(t *testing.T) {
 		t.Errorf("translate = %v", got)
 	}
 	// Empty input yields an empty stream.
-	it, err = e.Translate(Empty(), ix, 1, 8, op())
+	it, err = e.TranslateBatch(EmptyBatch(), ix, 1, 8, op())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := Collect(it); got != nil {
+	if got, _ := CollectBatch(it); got != nil {
 		t.Errorf("empty translate = %v", got)
 	}
 }
@@ -151,11 +151,11 @@ func TestTranslateMissingAndEmptyInputs(t *testing.T) {
 func TestTranslateOwnLevelIsIdentity(t *testing.T) {
 	e, ix := translateFixture(t, 20)
 	in := []uint32{3, 7, 19}
-	it, err := e.Translate(NewSliceIter(in, nil), ix, 0, 8, op())
+	it, err := e.TranslateBatch(&sliceBatch{ids: in}, ix, 0, 8, op())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(it)
+	got, err := CollectBatch(it)
 	if err != nil || !reflect.DeepEqual(got, in) {
 		t.Errorf("own-level translate = %v, %v", got, err)
 	}
