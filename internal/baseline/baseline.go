@@ -247,16 +247,16 @@ func (e *Engine) selection(table string, p Pred, alg Algorithm, rep *stats.Repor
 // indexSelection uses a plain value index (own-level lists only).
 func (e *Engine) indexSelection(ix *climbing.Index, p Pred, rep *stats.Report) (*selRun, error) {
 	op := rep.NewOp("ValueIndex", fmt.Sprintf("%s.%s", p.Table, p.Column))
-	var sources []exec.IDSource
+	var refs []climbing.ListRef
 	err := forEntries(ix, p.P, func(ref climbing.ListRef) {
 		if ref.Count > 0 {
-			sources = append(sources, exec.ClimbSource{Env: e.Env, Ix: ix, Ref: ref})
+			refs = append(refs, ref)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	it, err := e.Env.UnionBatch(sources, e.Env.Fanin(0.5), op)
+	it, err := e.Env.UnionBatch(e.Env.ListSources(ix, refs), e.Env.Fanin(0.5), op)
 	if err != nil {
 		return nil, err
 	}

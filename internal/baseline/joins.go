@@ -669,16 +669,16 @@ func (e *Engine) climbingRun(root string, q Query, rep *stats.Report) ([]uint32,
 				return nil, fmt.Errorf("baseline: index on %s does not climb to %s", p.Table, root)
 			}
 			op := rep.NewOp("ClimbingIndex", fmt.Sprintf("%s.%s@%s", p.Table, p.Column, root))
-			var sources []exec.IDSource
+			var refs []climbing.ListRef
 			err := forEntriesAt(ix, p.P, level, func(ref climbing.ListRef) {
 				if ref.Count > 0 {
-					sources = append(sources, exec.ClimbSource{Env: e.Env, Ix: ix, Ref: ref})
+					refs = append(refs, ref)
 				}
 			})
 			if err != nil {
 				return nil, err
 			}
-			it, err := e.Env.UnionBatch(sources, e.Env.Fanin(0.5), op)
+			it, err := e.Env.UnionBatch(e.Env.ListSources(ix, refs), e.Env.Fanin(0.5), op)
 			if err != nil {
 				return nil, err
 			}

@@ -300,51 +300,62 @@ func (ix *Index) entryRecord(i int, scratch *[64]byte) ([]byte, error) {
 	return raw, nil
 }
 
-// entry reads dictionary entry i.
-func (ix *Index) entry(i int) (Entry, error) {
+// readEntry reads dictionary record i and its value through the page
+// cache: the record, the next record's value offset, the value bytes, in
+// that order. Every lookup goes through it, so the access pattern — and
+// with it the cache's hit/miss sequence — is the same whether the caller
+// wants the whole entry, one level's list or only the value.
+func (ix *Index) readEntry(i int, scratch *[64]byte) ([]byte, value.Value, error) {
 	if i < 0 || i >= ix.n {
-		return Entry{}, fmt.Errorf("climbing: entry %d of %d", i, ix.n)
+		return nil, value.Value{}, fmt.Errorf("climbing: entry %d of %d", i, ix.n)
 	}
+	raw, err := ix.entryRecord(i, scratch)
+	if err != nil {
+		return nil, value.Value{}, err
+	}
+	v, err := ix.readValue(i, int64(binary.LittleEndian.Uint32(raw[0:4])))
+	return raw, v, err
+}
+
+// listRef decodes level l's posting-list reference from a record.
+func (ix *Index) listRef(raw []byte, l int) ListRef {
+	off := binary.LittleEndian.Uint32(raw[4+8*l:])
+	cnt := binary.LittleEndian.Uint32(raw[8+8*l:])
+	start := ix.listsExt.Start + int64(off)
+	// The list's byte length is bounded by the next list's offset; the
+	// decoder stops after cnt elements, so the extent may safely extend to
+	// the end of the lists region.
+	return ListRef{Count: int(cnt), Ext: flash.Extent{Start: start, Len: ix.listsExt.End() - start}}
+}
+
+// listRefs decodes every level's reference from a record into lists, or
+// into a fresh slice when lists is nil.
+func (ix *Index) listRefs(raw []byte, lists []ListRef) []ListRef {
+	if lists == nil {
+		lists = make([]ListRef, len(ix.Levels))
+	}
+	for l := range lists {
+		lists[l] = ix.listRef(raw, l)
+	}
+	return lists
+}
+
+// entry reads dictionary entry i; lists is as for listRefs.
+func (ix *Index) entry(i int, lists []ListRef) (Entry, error) {
 	var scratch [64]byte
-	raw, err := ix.entryRecord(i, &scratch)
+	raw, v, err := ix.readEntry(i, &scratch)
 	if err != nil {
 		return Entry{}, err
 	}
-	valOff := binary.LittleEndian.Uint32(raw[0:4])
-	v, err := ix.readValue(i, int64(valOff))
-	if err != nil {
-		return Entry{}, err
-	}
-	e := Entry{Idx: i, Value: v, Lists: make([]ListRef, len(ix.Levels))}
-	for l := range ix.Levels {
-		off := binary.LittleEndian.Uint32(raw[4+8*l:])
-		cnt := binary.LittleEndian.Uint32(raw[8+8*l:])
-		var ext flash.Extent
-		ext.Start = ix.listsExt.Start + int64(off)
-		// The list's byte length is bounded by the next list's offset;
-		// the decoder stops after cnt elements, so the extent may safely
-		// extend to the end of the lists region.
-		ext.Len = ix.listsExt.End() - ext.Start
-		e.Lists[l] = ListRef{Count: int(cnt), Ext: ext}
-	}
-	return e, nil
+	return Entry{Idx: i, Value: v, Lists: ix.listRefs(raw, lists)}, nil
 }
 
 // probeValue reads only the value of entry i — the binary-search path,
-// which does not need the posting-list refs. The flash traffic is
-// identical to entry's (the full record and the value bytes stream
-// through the page cache); only the host-side Entry construction is
-// skipped.
+// which does not need the posting-list refs.
 func (ix *Index) probeValue(i int) (value.Value, error) {
-	if i < 0 || i >= ix.n {
-		return value.Value{}, fmt.Errorf("climbing: entry %d of %d", i, ix.n)
-	}
 	var scratch [64]byte
-	raw, err := ix.entryRecord(i, &scratch)
-	if err != nil {
-		return value.Value{}, err
-	}
-	return ix.readValue(i, int64(binary.LittleEndian.Uint32(raw[0:4])))
+	_, v, err := ix.readEntry(i, &scratch)
+	return v, err
 }
 
 // readValue returns the value of entry i starting at valOff within the
@@ -378,41 +389,58 @@ func (ix *Index) readValue(i int, valOff int64) (value.Value, error) {
 	return v, err
 }
 
-// LookupEq returns the entry for v, if present. Query literals should be
-// coerced to the column kind first; string literals against DATE columns
-// are handled via value.Compare's coercion.
-func (ix *Index) LookupEq(v value.Value) (Entry, bool, error) {
+// find locates v's dictionary record and reads it into scratch; i is -1
+// when v is not in the dictionary.
+func (ix *Index) find(v value.Value, scratch *[64]byte) (i int, raw []byte, val value.Value, err error) {
 	cv, err := value.Coerce(v, ix.kind)
 	if err != nil {
-		return Entry{}, false, err
+		return -1, nil, value.Value{}, err
 	}
 	if ix.dense {
 		id := cv.Int()
 		if id < 1 || id > int64(ix.n) {
-			return Entry{}, false, nil
+			return -1, nil, value.Value{}, nil
 		}
-		e, err := ix.entry(int(id - 1))
-		return e, err == nil, err
+		i = int(id - 1)
+	} else if i, err = ix.lowerBound(cv); err != nil || i >= ix.n {
+		return -1, nil, value.Value{}, err
 	}
-	lo, err := ix.lowerBound(cv)
-	if err != nil {
+	if raw, val, err = ix.readEntry(i, scratch); err != nil {
+		return -1, nil, value.Value{}, err
+	}
+	if !ix.dense {
+		if c, err := value.Compare(val, cv); err != nil || c != 0 {
+			return -1, nil, value.Value{}, err
+		}
+	}
+	return i, raw, val, nil
+}
+
+// LookupEq returns the entry for v, if present. Query literals should be
+// coerced to the column kind first; string literals against DATE columns
+// are handled via value.Compare's coercion.
+func (ix *Index) LookupEq(v value.Value) (Entry, bool, error) {
+	var scratch [64]byte
+	i, raw, val, err := ix.find(v, &scratch)
+	if err != nil || i < 0 {
 		return Entry{}, false, err
 	}
-	if lo >= ix.n {
-		return Entry{}, false, nil
+	return Entry{Idx: i, Value: val, Lists: ix.listRefs(raw, nil)}, true, nil
+}
+
+// LookupList is LookupEq for a caller that wants one level's posting
+// list: the same page-cache reads in the same order (find), and no Entry
+// built — key translation calls it once per identifier.
+func (ix *Index) LookupList(v value.Value, level int) (ListRef, bool, error) {
+	if level < 0 || level >= len(ix.Levels) {
+		return ListRef{}, false, fmt.Errorf("climbing: level %d of %d", level, len(ix.Levels))
 	}
-	e, err := ix.entry(lo)
-	if err != nil {
-		return Entry{}, false, err
+	var scratch [64]byte
+	i, raw, _, err := ix.find(v, &scratch)
+	if err != nil || i < 0 {
+		return ListRef{}, false, err
 	}
-	c, err := value.Compare(e.Value, cv)
-	if err != nil {
-		return Entry{}, false, err
-	}
-	if c != 0 {
-		return Entry{}, false, nil
-	}
-	return e, true, nil
+	return ix.listRef(raw, level), true, nil
 }
 
 // lowerBound returns the first entry index whose value is >= v.
@@ -474,7 +502,7 @@ func (ix *Index) Range(lo, hi *Bound) (*EntryIter, error) {
 			}
 		}
 	}
-	it := &EntryIter{ix: ix, next: start}
+	it := &EntryIter{ix: ix, next: start, lists: make([]ListRef, len(ix.Levels))}
 	if hi != nil {
 		cv, err := value.Coerce(hi.V, ix.kind)
 		if err != nil {
@@ -487,17 +515,20 @@ func (ix *Index) Range(lo, hi *Bound) (*EntryIter, error) {
 
 // EntryIter streams dictionary entries in value order.
 type EntryIter struct {
-	ix   *Index
-	next int
-	hi   *Bound
+	ix    *Index
+	next  int
+	hi    *Bound
+	lists []ListRef // backs every entry's Lists: one slice per scan, not per entry
 }
 
 // Next returns the next entry; ok is false when the range is exhausted.
+// The entry's Lists are valid until the following call to Next: callers
+// copy out the refs they keep.
 func (it *EntryIter) Next() (Entry, bool, error) {
 	if it.next >= it.ix.n {
 		return Entry{}, false, nil
 	}
-	e, err := it.ix.entry(it.next)
+	e, err := it.ix.entry(it.next, it.lists)
 	if err != nil {
 		return Entry{}, false, err
 	}

@@ -340,13 +340,13 @@ func TestEntryBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.entry(-1); err == nil {
+	if _, err := ix.entry(-1, nil); err == nil {
 		t.Error("negative entry accepted")
 	}
-	if _, err := ix.entry(1); err == nil {
+	if _, err := ix.entry(1, nil); err == nil {
 		t.Error("entry past end accepted")
 	}
-	e, err := ix.entry(0)
+	e, err := ix.entry(0, nil)
 	if err != nil || e.Lists[0].Count != 6 {
 		t.Errorf("entry(0) = %+v, %v", e, err)
 	}

@@ -216,11 +216,11 @@ func assertSameIndex(t *testing.T, got, want *Index) {
 		t.Fatalf("shape differs: %d entries %v vs %d entries %v", got.n, got.Levels, want.n, want.Levels)
 	}
 	for i := 0; i < want.n; i++ {
-		ge, err := got.entry(i)
+		ge, err := got.entry(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		we, err := want.entry(i)
+		we, err := want.entry(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +363,7 @@ func TestBuildUnreferencedRows(t *testing.T) {
 	assertSameIndex(t, got, want)
 	// 7 -> L0 {1,3,6}, L1 {1,2,3}, L2 {1,2}; 8 -> L0 {2,5}, nothing above; 9 -> L0 {4}.
 	for i, wantLists := range [][][]uint32{{{1, 3, 6}, {1, 2, 3}, {1, 2}}, {{2, 5}, {}, {}}, {{4}, {}, {}}} {
-		e, err := got.entry(i)
+		e, err := got.entry(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

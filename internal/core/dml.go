@@ -657,17 +657,17 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 					return nil, fmt.Errorf("core: no index on hidden column %s", p.Col)
 				}
 				op := rep.NewOp("ClimbingIndex", p.String())
-				var sources []exec.IDSource
+				var refs []climbing.ListRef
 				err := forEachEntry(ix, p.P, func(e climbing.Entry) error {
 					if e.Lists[0].Count > 0 {
-						sources = append(sources, exec.ClimbSource{Env: db.env, Ix: ix, Ref: e.Lists[0]})
+						refs = append(refs, e.Lists[0])
 					}
 					return nil
 				})
 				if err != nil {
 					return nil, err
 				}
-				it, err := db.env.UnionBatch(sources, db.env.Fanin(0.5), op)
+				it, err := db.env.UnionBatch(db.env.ListSources(ix, refs), db.env.Fanin(0.5), op)
 				if err != nil {
 					return nil, err
 				}

@@ -341,6 +341,7 @@ type hiddenProj struct {
 	projIdx int
 	field   int
 	col     store.Column
+	strs    *store.VarColumn // col, when it holds strings: fetched through the scan's interner
 }
 
 // keyProj is one primary-key projection emitted from the row IDs.
@@ -805,12 +806,8 @@ func (ex *executor) contribAtRoot(c contrib, fanin int) (exec.BatchIter, error) 
 		if level < 0 {
 			return nil, fmt.Errorf("core: index on %s does not climb to %s", c.table, q.Root.Name)
 		}
-		sources := make([]exec.IDSource, 0, len(c.refs[level]))
-		for _, r := range c.refs[level] {
-			sources = append(sources, exec.ClimbSource{Env: db.env, Ix: c.ix, Ref: r})
-		}
 		op := ex.rep.NewOp("MergeLists", c.table+"@"+q.Root.Name)
-		return db.env.UnionBatch(sources, fanin, op)
+		return db.env.UnionBatch(db.env.ListSources(c.ix, c.refs[level]), fanin, op)
 	}
 	// Visible pre-filter run.
 	it, err := c.run.OpenBatch()
@@ -840,12 +837,8 @@ func (ex *executor) contribAtRoot(c contrib, fanin int) (exec.BatchIter, error) 
 func (ex *executor) contribAtOwn(c contrib, fanin int) (exec.BatchIter, error) {
 	db := ex.db
 	if c.ix != nil {
-		var sources []exec.IDSource
-		for _, r := range c.refs[0] {
-			sources = append(sources, exec.ClimbSource{Env: db.env, Ix: c.ix, Ref: r})
-		}
 		op := ex.rep.NewOp("MergeLists", c.table)
-		return db.env.UnionBatch(sources, fanin, op)
+		return db.env.UnionBatch(db.env.ListSources(c.ix, c.refs[0]), fanin, op)
 	}
 	return c.run.OpenBatch()
 }
@@ -1221,7 +1214,8 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 			if !ok {
 				return fmt.Errorf("core: no hidden column %s", c)
 			}
-			hps = append(hps, hiddenProj{projIdx: j, field: ex.field[c.Table], col: col})
+			strs, _ := col.(*store.VarColumn)
+			hps = append(hps, hiddenProj{projIdx: j, field: ex.field[c.Table], col: col, strs: strs})
 			continue
 		}
 		t, _ := db.sch.Table(c.Table)
@@ -1232,6 +1226,7 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 	ex.hps, ex.kps = hps, kps
 
 	resultBytes := 0
+	var seen value.Interner // this scan's repeated hidden strings
 	// scanRow collects one surviving row: its live sequence number, the
 	// hidden projections fetched from the device store (page-cache
 	// accesses in row order) and the primary-key projections.
@@ -1239,7 +1234,13 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 		ex.live.add(r.Seq)
 		ex.rootBySeq[r.Seq] = r.IDs[0]
 		for _, hp := range hps {
-			v, err := hp.col.Value(int(r.IDs[hp.field]) - 1)
+			var v value.Value
+			var err error
+			if row := int(r.IDs[hp.field]) - 1; hp.strs != nil {
+				v, err = hp.strs.ValueInterned(row, &seen)
+			} else {
+				v, err = hp.col.Value(row)
+			}
 			if err != nil {
 				return err
 			}

@@ -11,7 +11,7 @@ package exec
 //
 // The invariance contract (the cost model is the paper's contribution;
 // the batch length must only change host CPU time) imposes two
-// disciplines on every batch operator:
+// disciplines on every batch operator, and host cost a third:
 //
 //  1. Exactness: an operator never performs more simulated device work
 //     (flash reads, page-cache probes, decode/compare/heap charges) than
@@ -28,6 +28,16 @@ package exec
 //     per-row order at every batch length, since the cache's hit/miss
 //     pattern — and hence the flash charge — depends on it.
 //     Pure CPU charges may be grouped freely: the clock only sums.
+//  3. Ownership: a k-way merge allocates its per-input state — cursors,
+//     heap, and the listBatch / runBatch streams of the sources handed to
+//     it by address — as slabs sized by k, once, when it opens; an input
+//     costs the host no object of its own. A stream's page grant is held
+//     by value inside the stream (ram.Arena.AllocInto), so the device
+//     accounting is what it always was. Slab state is valid until the
+//     merge's Close, which closes every stream it opened; nothing retains
+//     a pointer into it afterwards, nothing is pooled across merges, and
+//     a stream that failed to open holds nothing. OpenBatch is the same
+//     open routine run on a slab of one.
 
 import (
 	"encoding/binary"
@@ -151,22 +161,34 @@ func (s *sliceBatch) Close() {}
 // one decode charge per batch. The stream owns one page buffer, charged
 // to the device arena until Close.
 func (c ClimbSource) OpenBatch() (BatchIter, error) {
-	grant, err := c.Env.Dev.RAM.Alloc(c.Env.pageSize(), "list-stream")
-	if err != nil {
+	l := new(listBatch)
+	if err := l.open(c); err != nil {
 		return nil, err
 	}
-	r := flash.NewReader(c.Env.Dev.Flash, c.Ref.Ext)
-	l := &listBatch{env: c.Env, reader: r, grant: grant}
-	l.dec.Reset(r, c.Ref.Count)
 	return l, nil
 }
 
+// listBatch streams one posting list. Its zero value is closed; a merge
+// keeps its listBatches side by side in one slab (rule 3).
 type listBatch struct {
 	env    *Env
 	dec    codec.ListDecoder
 	reader *flash.Reader
-	grant  *ram.Grant
+	grant  ram.Grant
 	done   bool
+}
+
+// open reserves the stream's page buffer and positions it on src's list.
+// A failed open holds nothing.
+func (l *listBatch) open(src ClimbSource) error {
+	e := src.Env
+	if err := e.Dev.RAM.AllocInto(&l.grant, e.pageSize(), "list-stream"); err != nil {
+		return err
+	}
+	l.env = e
+	l.reader = flash.NewReader(e.Dev.Flash, src.Ref.Ext)
+	l.dec.Reset(l.reader, src.Ref.Count)
+	return nil
 }
 
 func (l *listBatch) Next(dst []uint32) (int, error) {
@@ -207,25 +229,31 @@ func (l *listBatch) Close() {
 // OpenBatch implements IDSource: raw uint32 runs are read in one
 // flash.Reader call per batch.
 func (r RunSource) OpenBatch() (BatchIter, error) {
-	grant, err := r.Env.Dev.RAM.Alloc(r.Env.pageSize(), "run-stream")
-	if err != nil {
+	b := new(runBatch)
+	if err := b.open(r); err != nil {
 		return nil, err
 	}
-	return &runBatch{
-		env:    r.Env,
-		reader: flash.NewReader(r.Env.Dev.Flash, r.Ext),
-		left:   r.N,
-		grant:  grant,
-		buf:    getByteBatch(4 * DefaultBatchSize),
-	}, nil
+	return b, nil
 }
 
+// runBatch streams one spilled run; same ownership as listBatch.
 type runBatch struct {
 	env    *Env
 	reader *flash.Reader
 	left   int
-	grant  *ram.Grant
+	grant  ram.Grant
 	buf    *[]byte
+}
+
+func (r *runBatch) open(src RunSource) error {
+	if err := src.Env.Dev.RAM.AllocInto(&r.grant, src.Env.pageSize(), "run-stream"); err != nil {
+		return err
+	}
+	r.env = src.Env
+	r.reader = flash.NewReader(src.Env.Dev.Flash, src.Ext)
+	r.left = src.N
+	r.buf = getByteBatch(4 * DefaultBatchSize)
+	return nil
 }
 
 func (r *runBatch) Next(dst []uint32) (int, error) {
@@ -266,8 +294,8 @@ func (r *runBatch) Close() {
 // charge per batch. The writer's page buffer is charged while active.
 func (e *Env) SpillBatch(b BatchIter, op *stats.Op) (RunSource, error) {
 	defer b.Close()
-	grant, err := e.Dev.RAM.Alloc(e.pageSize(), "spill-writer")
-	if err != nil {
+	var grant ram.Grant
+	if err := e.Dev.RAM.AllocInto(&grant, e.pageSize(), "spill-writer"); err != nil {
 		return RunSource{}, err
 	}
 	defer grant.Free()

@@ -25,10 +25,9 @@ type batchCursor struct {
 	n   int
 }
 
-func newBatchCursor(e *Env, src BatchIter) *batchCursor {
-	c := &batchCursor{src: src, buf: GetIDBatch()}
-	c.lim = e.batchCap()
-	return c
+// init attaches the cursor, a slot of its merge's slab, to src.
+func (c *batchCursor) init(e *Env, src BatchIter) {
+	*c = batchCursor{src: src, buf: GetIDBatch(), lim: e.batchCap()}
 }
 
 // next returns the cursor's next element, refilling with a request of at
@@ -55,66 +54,69 @@ func (c *batchCursor) next(want int) (uint32, bool, error) {
 	return id, true, nil
 }
 
+// close is a no-op on a slot no stream was opened for.
 func (c *batchCursor) close() {
+	if c.src == nil {
+		return
+	}
 	c.src.Close()
 	PutIDBatch(c.buf)
 	c.buf = nil
 }
 
 // idxHeap is a binary min-heap of (id, cursor index) pairs that counts
-// its operations instead of charging them one by one.
+// its operations instead of charging them one by one. A merge allocates
+// ents once, at its fan-in.
 type idxHeap struct {
-	ids []uint32
-	idx []int
-	ops int64
+	ents []heapEnt
+	ops  int64
+}
+
+type heapEnt struct {
+	id  uint32
+	idx int32 // the cursor the id came from
 }
 
 func (h *idxHeap) push(id uint32, i int) {
 	h.ops++
-	h.ids = append(h.ids, id)
-	h.idx = append(h.idx, i)
-	j := len(h.ids) - 1
+	h.ents = append(h.ents, heapEnt{id, int32(i)})
+	j := len(h.ents) - 1
 	for j > 0 {
 		parent := (j - 1) / 2
-		if h.ids[parent] <= h.ids[j] {
+		if h.ents[parent].id <= h.ents[j].id {
 			break
 		}
-		h.swap(parent, j)
+		h.ents[parent], h.ents[j] = h.ents[j], h.ents[parent]
 		j = parent
 	}
 }
 
 func (h *idxHeap) pop() (uint32, int) {
 	h.ops++
-	id, ci := h.ids[0], h.idx[0]
-	last := len(h.ids) - 1
-	h.ids[0], h.idx[0] = h.ids[last], h.idx[last]
-	h.ids, h.idx = h.ids[:last], h.idx[:last]
+	top := h.ents[0]
+	last := len(h.ents) - 1
+	h.ents[0] = h.ents[last]
+	h.ents = h.ents[:last]
 	j := 0
 	for {
 		l, r := 2*j+1, 2*j+2
 		small := j
-		if l < len(h.ids) && h.ids[l] < h.ids[small] {
+		if l < last && h.ents[l].id < h.ents[small].id {
 			small = l
 		}
-		if r < len(h.ids) && h.ids[r] < h.ids[small] {
+		if r < last && h.ents[r].id < h.ents[small].id {
 			small = r
 		}
 		if small == j {
 			break
 		}
-		h.swap(small, j)
+		h.ents[small], h.ents[j] = h.ents[j], h.ents[small]
 		j = small
 	}
-	return id, ci
+	return top.id, int(top.idx)
 }
 
-func (h *idxHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
-}
-
-func (h *idxHeap) len() int { return len(h.ids) }
+func (h *idxHeap) len() int { return len(h.ents) }
 
 // takeOps returns and resets the pending heap-operation count.
 func (h *idxHeap) takeOps() int64 {
@@ -127,9 +129,15 @@ func (h *idxHeap) takeOps() int64 {
 type unionBatch struct {
 	env    *Env
 	h      idxHeap
-	curs   []*batchCursor
+	curs   []batchCursor
 	last   uint32
 	primed bool
+}
+
+// newUnion allocates a k-way merge's per-input state — cursors and heap
+// at full capacity — so nothing is allocated or grown per input.
+func (e *Env) newUnion(k int) *unionBatch {
+	return &unionBatch{env: e, curs: make([]batchCursor, k), h: idxHeap{ents: make([]heapEnt, 0, k)}}
 }
 
 // MergeUnionBatch returns the sorted, deduplicated union of the batch
@@ -137,14 +145,20 @@ type unionBatch struct {
 // per-input heap slot costs a few words; the streams' page buffers
 // dominate and are owned by the iterators themselves.
 func (e *Env) MergeUnionBatch(its []BatchIter) (BatchIter, error) {
-	u := &unionBatch{env: e, curs: make([]*batchCursor, len(its))}
+	u := e.newUnion(len(its))
 	for i, it := range its {
-		u.curs[i] = newBatchCursor(e, it)
+		u.curs[i].init(e, it)
 	}
-	for i, c := range u.curs {
-		id, ok, err := c.next(1)
+	return u.prime()
+}
+
+// prime pulls the first element of every input into the heap; on error
+// the merge is closed.
+func (u *unionBatch) prime() (BatchIter, error) {
+	for i := range u.curs {
+		id, ok, err := u.curs[i].next(1)
 		if err != nil {
-			e.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
+			u.env.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
 			u.Close()
 			return nil, err
 		}
@@ -152,7 +166,7 @@ func (e *Env) MergeUnionBatch(its []BatchIter) (BatchIter, error) {
 			u.h.push(id, i)
 		}
 	}
-	e.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
+	u.env.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
 	return u, nil
 }
 
@@ -181,10 +195,8 @@ func (u *unionBatch) Next(dst []uint32) (int, error) {
 }
 
 func (u *unionBatch) Close() {
-	for _, c := range u.curs {
-		if c != nil {
-			c.close()
-		}
+	for i := range u.curs {
+		u.curs[i].close()
 	}
 }
 
@@ -328,7 +340,7 @@ func (e *Env) UnionBatch(sources []IDSource, fanin int, op *stats.Op) (BatchIter
 	}
 	for len(sources) > e.clampFanin(fanin) {
 		f := e.clampFanin(fanin)
-		var next []IDSource
+		runs := make([]RunSource, 0, (len(sources)+f-1)/f)
 		for start := 0; start < len(sources); start += f {
 			end := start + f
 			if end > len(sources) {
@@ -342,32 +354,78 @@ func (e *Env) UnionBatch(sources []IDSource, fanin int, op *stats.Op) (BatchIter
 			if err != nil {
 				return nil, err
 			}
-			next = append(next, run)
+			runs = append(runs, run)
 		}
-		sources = next
+		sources = byAddress(runs, make([]IDSource, 0, len(runs)))
 	}
 	return e.openAndMergeBatch(sources)
 }
 
+// ListSources adapts posting lists of one index as merge sources: one
+// typed slab handed over by address, instead of a ClimbSource boxed into
+// an interface per list.
+func (e *Env) ListSources(ix *climbing.Index, refs []climbing.ListRef) []IDSource {
+	slab := make([]ClimbSource, len(refs))
+	for i, ref := range refs {
+		slab[i] = ClimbSource{Env: e, Ix: ix, Ref: ref}
+	}
+	return byAddress(slab, make([]IDSource, 0, len(slab)))
+}
+
+// byAddress appends the address of every element of a typed slab of
+// sources to out — the form in which a merge opens their streams in slabs
+// of its own (openAndMergeBatch).
+func byAddress[S any, P interface {
+	*S
+	IDSource
+}](slab []S, out []IDSource) []IDSource {
+	for i := range slab {
+		out = append(out, P(&slab[i]))
+	}
+	return out
+}
+
+// openAndMergeBatch opens the sources and merges them. The streams of
+// sources handed over by address (ListSources, a typed run slab) are opened
+// in place in two slabs sized for this merge; any other source opens
+// itself. Reservations are made in source order either way.
 func (e *Env) openAndMergeBatch(sources []IDSource) (BatchIter, error) {
 	if len(sources) == 1 {
 		return sources[0].OpenBatch()
 	}
-	its := make([]BatchIter, 0, len(sources))
+	var nLists, nRuns int
 	for _, s := range sources {
-		it, err := s.OpenBatch()
+		switch s.(type) {
+		case *ClimbSource:
+			nLists++
+		case *RunSource:
+			nRuns++
+		}
+	}
+	lists, runs := make([]listBatch, nLists), make([]runBatch, nRuns)
+	u := e.newUnion(len(sources))
+	for i, s := range sources {
+		var it BatchIter
+		var err error
+		switch s := s.(type) {
+		case *ClimbSource:
+			l := &lists[0]
+			lists = lists[1:]
+			it, err = l, l.open(*s)
+		case *RunSource:
+			r := &runs[0]
+			runs = runs[1:]
+			it, err = r, r.open(*s)
+		default:
+			it, err = s.OpenBatch()
+		}
 		if err != nil {
-			for _, o := range its {
-				o.Close()
-			}
+			u.Close()
 			return nil, err
 		}
-		its = append(its, it)
+		u.curs[i].init(e, it)
 	}
-	if len(its) == 1 {
-		return its[0], nil
-	}
-	return e.MergeUnionBatch(its)
+	return u.prime()
 }
 
 // TranslateBatch maps a sorted batch stream of table-T identifiers to the
@@ -379,13 +437,21 @@ func (e *Env) openAndMergeBatch(sources []IDSource) (BatchIter, error) {
 // pattern.
 func (e *Env) TranslateBatch(input BatchIter, ix *climbing.Index, level int, fanin int, op *stats.Op) (BatchIter, error) {
 	defer input.Close()
-	var runs []IDSource
-	batch := make([]IDSource, 0, e.clampFanin(fanin))
+	var runs []RunSource
+	// One fan-in batch of lists at a time, in a typed slab every flush
+	// reuses: the merge a flush opens is drained and closed (SpillBatch)
+	// before the next list is added.
+	batch := make([]ClimbSource, 0, e.clampFanin(fanin))
+	var srcs []IDSource
+	open := func() (BatchIter, error) {
+		srcs = byAddress(batch, srcs[:0])
+		return e.openAndMergeBatch(srcs)
+	}
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		merged, err := e.openAndMergeBatch(batch)
+		merged, err := open()
 		if err != nil {
 			return err
 		}
@@ -411,15 +477,11 @@ func (e *Env) TranslateBatch(input BatchIter, ix *climbing.Index, level int, fan
 		}
 		op.AddIn(int64(k))
 		for _, id := range buf[:k] {
-			entry, found, err := ix.LookupEq(intValue(id))
+			ref, found, err := ix.LookupList(intValue(id), level)
 			if err != nil {
 				return nil, err
 			}
-			if !found {
-				continue
-			}
-			ref := entry.Lists[level]
-			if ref.Count == 0 {
+			if !found || ref.Count == 0 {
 				continue
 			}
 			sawAny = true
@@ -435,10 +497,10 @@ func (e *Env) TranslateBatch(input BatchIter, ix *climbing.Index, level int, fan
 		return EmptyBatch(), nil
 	}
 	if len(runs) == 0 {
-		return e.openAndMergeBatch(batch)
+		return open()
 	}
 	if err := flush(); err != nil {
 		return nil, err
 	}
-	return e.UnionBatch(runs, fanin, op)
+	return e.UnionBatch(byAddress(runs, nil), fanin, op)
 }

@@ -22,7 +22,7 @@ func translateFixture(t *testing.T, children int) (*Env, *climbing.Index) {
 }
 
 // translateFixtureOn builds translateFixture's index on an existing device.
-func translateFixtureOn(t *testing.T, e *Env, children int) *climbing.Index {
+func translateFixtureOn(t testing.TB, e *Env, children int) *climbing.Index {
 	t.Helper()
 	st, err := store.New(e.Dev)
 	if err != nil {

@@ -81,7 +81,13 @@ func (a *Arena) ResetHigh() {
 }
 
 // Grant is a live allocation. Free it exactly once; Free on an already
-// freed grant is a no-op so defer-style cleanup is safe.
+// freed (or zero) grant is a no-op so defer-style cleanup is safe.
+//
+// A Grant is held either through the pointer Alloc returns or by value
+// inside its owner (AllocInto), which saves the owner a heap object per
+// reservation. The value form has one rule: a live grant must not be
+// copied. The arena only counts bytes, so two copies would each free
+// them; move the owner, not the grant.
 type Grant struct {
 	arena *Arena
 	n     int64
@@ -93,13 +99,27 @@ type Grant struct {
 // messages). It returns ErrBudget if the reservation would exceed the
 // budget.
 func (a *Arena) Alloc(n int, label string) (*Grant, error) {
+	g := new(Grant)
+	if err := a.AllocInto(g, n, label); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// AllocInto is Alloc with the grant written into storage the caller owns:
+// a field of a stream struct, or a local freed before return. g must be
+// zero or freed; on failure it is left as it was.
+func (a *Arena) AllocInto(g *Grant, n int, label string) error {
 	if n < 0 {
-		return nil, fmt.Errorf("ram: negative allocation %d (%s)", n, label)
+		return fmt.Errorf("ram: negative allocation %d (%s)", n, label)
+	}
+	if g.arena != nil && !g.freed {
+		panic("ram: AllocInto over a live grant (" + g.label + ")")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.budget > 0 && a.used+int64(n) > a.budget {
-		return nil, fmt.Errorf("%w: %s needs %d bytes, %d of %d in use (arena %s)",
+		return fmt.Errorf("%w: %s needs %d bytes, %d of %d in use (arena %s)",
 			ErrBudget, label, n, a.used, a.budget, a.name)
 	}
 	a.used += int64(n)
@@ -107,7 +127,8 @@ func (a *Arena) Alloc(n int, label string) (*Grant, error) {
 	if a.used > a.high {
 		a.high = a.used
 	}
-	return &Grant{arena: a, n: int64(n), label: label}, nil
+	*g = Grant{arena: a, n: int64(n), label: label}
+	return nil
 }
 
 // MustAlloc is Alloc for allocations that are statically known to fit
@@ -157,7 +178,7 @@ func (g *Grant) Resize(n int) error {
 
 // Free releases the grant. Safe to call more than once.
 func (g *Grant) Free() {
-	if g == nil || g.freed {
+	if g == nil || g.arena == nil || g.freed {
 		return
 	}
 	a := g.arena

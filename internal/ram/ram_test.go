@@ -169,3 +169,51 @@ func TestQuickAccountingBalances(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAllocIntoByValueGrant: a grant held by value in its owner accounts
+// exactly as one held by pointer, fails with the same text, and frees once.
+func TestAllocIntoByValueGrant(t *testing.T) {
+	a := NewArena("dev", 100)
+	var zero Grant
+	zero.Free() // a stream that never opened
+	if a.Used() != 0 {
+		t.Fatalf("freeing a zero grant moved the arena: used=%d", a.Used())
+	}
+
+	var owner struct{ g Grant }
+	if err := a.AllocInto(&owner.g, 60, "list-stream"); err != nil {
+		t.Fatal(err)
+	}
+	if a.Used() != 60 || a.High() != 60 || owner.g.Size() != 60 {
+		t.Fatalf("used=%d high=%d size=%d", a.Used(), a.High(), owner.g.Size())
+	}
+	if snap := a.Snapshot(); len(snap) != 1 || snap[0] != (Usage{"list-stream", 60}) {
+		t.Fatalf("snapshot = %v", snap)
+	}
+
+	var second Grant
+	errInto := a.AllocInto(&second, 50, "run-stream")
+	_, errPtr := a.Alloc(50, "run-stream")
+	if !errors.Is(errInto, ErrBudget) || errInto.Error() != errPtr.Error() {
+		t.Fatalf("AllocInto: %v\nAlloc:     %v", errInto, errPtr)
+	}
+	second.Free() // the failed reservation left it zero
+	if a.Used() != 60 {
+		t.Fatalf("used=%d after a failed AllocInto", a.Used())
+	}
+
+	owner.g.Free()
+	owner.g.Free()
+	if a.Used() != 0 || len(a.Snapshot()) != 0 {
+		t.Fatalf("used=%d snapshot=%v after Free", a.Used(), a.Snapshot())
+	}
+	if err := a.AllocInto(&owner.g, 10, "list-stream"); err != nil { // a freed grant is reusable storage
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AllocInto over a live grant went through: its bytes would never be freed")
+		}
+	}()
+	_ = a.AllocInto(&owner.g, 10, "list-stream")
+}

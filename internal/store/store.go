@@ -291,7 +291,13 @@ func (s *Store) buildVarColumn(kind value.Kind, vals []value.Value) (*VarColumn,
 }
 
 // Value implements Column.
-func (c *VarColumn) Value(i int) (value.Value, error) {
+func (c *VarColumn) Value(i int) (value.Value, error) { return c.ValueInterned(i, nil) }
+
+// ValueInterned is Value with the string served from in (nil interns
+// nothing): the same reads, and no heap string for one in has seen. It is
+// a method of the concrete type so that a caller's interner can stay on
+// its stack.
+func (c *VarColumn) ValueInterned(i int, in *value.Interner) (value.Value, error) {
 	if i < 0 || i >= c.n {
 		return value.Value{}, fmt.Errorf("store: row %d of %d", i, c.n)
 	}
@@ -304,11 +310,19 @@ func (c *VarColumn) Value(i int) (value.Value, error) {
 	if end < start || int64(end) > c.dataExt.Len {
 		return value.Value{}, fmt.Errorf("store: corrupt offsets %d..%d", start, end)
 	}
-	buf := make([]byte, end-start)
+	// A stack buffer for all but oversized values: the decoded string is
+	// the one heap object a fetch costs.
+	var bufArr [128]byte
+	buf := bufArr[:]
+	if n := int(end - start); n <= len(buf) {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	if err := c.store.cache.ReadAt(buf, c.dataExt.Start+int64(start)); err != nil {
 		return value.Value{}, err
 	}
-	v, _, err := value.Decode(buf)
+	v, _, err := in.Decode(buf)
 	return v, err
 }
 

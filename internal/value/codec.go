@@ -48,7 +48,50 @@ func (v Value) EncodedSize() int {
 
 // Decode parses one encoded value from src, returning the value and the
 // number of bytes consumed.
-func Decode(src []byte) (Value, int, error) {
+func Decode(src []byte) (Value, int, error) { return (*Interner)(nil).Decode(src) }
+
+// Interner serves the repeated strings of one scan from a table, so a
+// column of few distinct values costs one heap string per value instead
+// of one per row. Its zero value is ready; a nil *Interner interns
+// nothing. It is scoped to the scan that declares it and never pooled:
+// what it holds must die with the scan's result.
+type Interner struct {
+	m    map[string]string
+	seen int // strings handed out before the table exists
+}
+
+const (
+	// internAfter strings go by before the table is built: a scan of a
+	// handful of rows (a point lookup) is not worth a map.
+	internAfter = 8
+	// internCap bounds the table. Past it strings allocate as without an
+	// interner, so a high-cardinality column cannot grow the table with
+	// its row count.
+	internCap = 1024
+)
+
+func (in *Interner) str(b []byte) string {
+	if in == nil {
+		return string(b)
+	}
+	if in.m == nil {
+		if in.seen++; in.seen <= internAfter {
+			return string(b)
+		}
+		in.m = map[string]string{}
+	}
+	if s, ok := in.m[string(b)]; ok { // the compiler elides this conversion: a hit allocates nothing
+		return s
+	}
+	s := string(b)
+	if len(in.m) < internCap {
+		in.m[s] = s
+	}
+	return s
+}
+
+// Decode is the package-level Decode with string payloads interned.
+func (in *Interner) Decode(src []byte) (Value, int, error) {
 	if len(src) == 0 {
 		return Value{}, 0, fmt.Errorf("value: decode of empty buffer")
 	}
@@ -76,7 +119,7 @@ func Decode(src []byte) (Value, int, error) {
 		if end > len(src) {
 			return Value{}, 0, fmt.Errorf("value: short string payload")
 		}
-		return Value{kind: k, s: string(src[start:end])}, end, nil
+		return Value{kind: k, s: in.str(src[start:end])}, end, nil
 	case Invalid:
 		return Value{}, 1, nil
 	default:
