@@ -124,6 +124,7 @@ func TestServeDebug(t *testing.T) {
 		"ghostdb_visible_selects_scanned_total 0",
 		"ghostdb_checkpoint_prepare_wall_ns_bucket{le=\"+Inf\"} 1",
 		"ghostdb_checkpoint_rebuild_wall_ns_bucket{le=\"+Inf\"} 1",
+		"ghostdb_checkpoint_rebuild_climbing_wall_ns_bucket{le=\"+Inf\"} 1",
 		"ghostdb_checkpoint_commit_wall_ns_bucket{le=\"+Inf\"} 1",
 	} {
 		if !strings.Contains(prom, want) {

@@ -19,8 +19,11 @@
 package climbing
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -84,13 +87,15 @@ type Inverted func(parent, child string) ([][]uint32, error)
 // The posting lists are built by rank propagation. In a tree schema every
 // row of a level references exactly one row of the level below, hence
 // belongs to exactly one dictionary value: each row of table gets the
-// rank of its value among the sorted distinct values, the ranks are
-// carried up the inverted edges level by level, and each level is
-// bucketed by rank in one counting pass filled in ascending row order —
-// so every list comes out sorted and nothing is grouped through a map or
-// re-sorted. The three regions are a pure function of (vals, inv): their
-// bytes are what CHECKPOINT programs into flash, and the tests hold them
-// identical to the map-grouping build this replaced.
+// rank of its value among the sorted distinct values (by key type:
+// rankWords, rankStrings, and rankBySort under value.Compare only for a
+// FLOAT column or one that needs coercion — no boxed value.Value is ever
+// hashed), the ranks are carried up the inverted edges
+// level by level, and each level is bucketed by rank in one counting pass
+// filled in ascending row order — so every list comes out sorted and
+// nothing is re-sorted. The three regions are a pure function of (vals,
+// inv): their bytes are what CHECKPOINT programs into flash, and the tests
+// hold them identical to the map-grouping build this replaced.
 func Build(st *store.Store, sch *schema.Schema, table, column string, kind value.Kind, vals []value.Value, dense bool, inv Inverted) (*Index, error) {
 	tb, ok := sch.Table(table)
 	if !ok {
@@ -110,47 +115,46 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, kind value
 		entSize: 4 + 8*len(levels),
 	}
 
-	// Number the distinct values as first seen, sort them, and turn each
-	// row's number into the rank of its value.
-	seen := map[value.Value]int32{}
-	var distinct []value.Value
-	rank := make([]int32, len(vals))
-	for i, v := range vals {
-		cv, err := value.Coerce(v, kind)
-		if err != nil {
-			return nil, fmt.Errorf("climbing: %s.%s row %d: %w", table, column, i, err)
+	// A column that holds anything but its own kind (date strings, ints in
+	// a DATE or FLOAT column) is coerced first; the usual one is ranked as
+	// it is. Only an unbound parameter survives coercion with another kind.
+	typed := ofKind(vals, kind)
+	if !typed {
+		cvs := make([]value.Value, len(vals))
+		for i, v := range vals {
+			cv, err := value.Coerce(v, kind)
+			if err != nil {
+				return nil, fmt.Errorf("climbing: %s.%s row %d: %w", table, column, i, err)
+			}
+			cvs[i] = cv
 		}
-		k, ok := seen[cv]
-		if !ok {
-			k = int32(len(distinct))
-			seen[cv] = k
-			distinct = append(distinct, cv)
+		vals, typed = cvs, ofKind(cvs, kind)
+	}
+	// rank[i] is the position of row i's value among the sorted distinct
+	// values, first[r] a row holding the value of rank r.
+	var rank, first []int32
+	switch {
+	case typed && (kind == value.Int || kind == value.Date || kind == value.Bool):
+		rank, first = rankWords(vals)
+	case typed && kind == value.String:
+		rank, first = rankStrings(vals)
+	default:
+		var cmpErr error
+		rank, first = rankBySort(len(vals), func(a, b int32) int {
+			c, err := value.Compare(vals[a], vals[b])
+			if err != nil && cmpErr == nil {
+				cmpErr = err
+			}
+			return c
+		})
+		if cmpErr != nil {
+			return nil, fmt.Errorf("climbing: %s.%s: %w", table, column, cmpErr)
 		}
-		rank[i] = k
 	}
-	n := len(distinct)
-	order := make([]int32, n) // rank -> first-seen number
-	for k := range order {
-		order[k] = int32(k)
-	}
-	var sortErr error
-	slices.SortFunc(order, func(a, b int32) int {
-		c, err := value.Compare(distinct[a], distinct[b])
-		if err != nil && sortErr == nil {
-			sortErr = err
-		}
-		return c
-	})
-	if sortErr != nil {
-		return nil, fmt.Errorf("climbing: %s.%s: %w", table, column, sortErr)
-	}
-	rankOf := make([]int32, n)
+	n := len(first)
 	sorted := make([]value.Value, n)
-	for r, k := range order {
-		rankOf[k], sorted[r] = int32(r), distinct[k]
-	}
-	for i, k := range rank {
-		rank[i] = rankOf[k]
+	for r, i := range first {
+		sorted[r] = vals[i]
 	}
 	ix.n = n
 	ix.vals = sorted
@@ -168,6 +172,7 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, kind value
 	// rank r's list, ascending).
 	ids := make([][]uint32, len(levels))
 	begin := make([][]int32, len(levels))
+	listsCap := 0
 	for l := range levels {
 		if l > 0 {
 			iv, err := inv(levels[l], levels[l-1])
@@ -177,9 +182,19 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, kind value
 			rank = climbRanks(rank, iv)
 		}
 		ids[l], begin[l] = bucketByRank(rank, n)
+		// No delta exceeds the level's row count, which bounds its varint.
+		listsCap += len(ids[l]) * ((bits.Len(uint(len(rank))) + 6) / 7)
 	}
 
-	var valuesBuf, listsBuf, entriesBuf []byte
+	// The regions are sized once: exactly for entries and values, by that
+	// bound for lists.
+	valuesCap := 0
+	for _, v := range sorted {
+		valuesCap += v.EncodedSize()
+	}
+	entriesBuf := make([]byte, 0, n*ix.entSize)
+	valuesBuf := make([]byte, 0, valuesCap)
+	listsBuf := make([]byte, 0, listsCap)
 	for r, v := range sorted {
 		entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(valuesBuf)))
 		valuesBuf = v.Append(valuesBuf)
@@ -202,6 +217,106 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, kind value
 		return nil, err
 	}
 	return ix, nil
+}
+
+// ofKind reports whether every value has the given kind.
+func ofKind(vals []value.Value, kind value.Kind) bool {
+	for _, v := range vals {
+		if v.Kind() != kind {
+			return false
+		}
+	}
+	return true
+}
+
+// rankBySort ranks rows 0..n-1 under a three-way comparison of their
+// values: it sorts the rows by (value, row) and numbers the runs of equal
+// values, so first[r] is the first row holding the value of rank r.
+func rankBySort(n int, compare func(a, b int32) int) (rank, first []int32) {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Or(compare(a, b), cmp.Compare(a, b)) })
+	rank = make([]int32, n)
+	for j, i := range order {
+		if j == 0 || compare(order[j-1], i) != 0 {
+			first = append(first, i)
+		}
+		rank[i] = int32(len(first) - 1)
+	}
+	return rank, first
+}
+
+// tableSpan bounds the direct-address table of rankWords at this many
+// slots per row; a column spread wider than that is sorted instead.
+const tableSpan = 4
+
+// rankWords ranks a column of Int, Date or Bool values by their payload
+// word. Keys, dates and the small domains of a real schema sit in a range
+// a few times the row count at most, so the usual column is ranked by one
+// table indexed by value − min: no hashing, no comparison.
+func rankWords(vals []value.Value) (rank, first []int32) {
+	n := len(vals)
+	if n == 0 {
+		return nil, nil
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, v := range vals {
+		lo, hi = min(lo, v.Word()), max(hi, v.Word())
+	}
+	// hi >= lo, so the unsigned difference is exact even when the signed
+	// one would overflow (MinInt64 and MaxInt64 in one column).
+	span := uint64(hi) - uint64(lo)
+	if span >= tableSpan*uint64(n) {
+		return rankBySort(n, func(a, b int32) int { return cmp.Compare(vals[a].Word(), vals[b].Word()) })
+	}
+	slot := make([]int32, span+1) // first row holding lo+j, plus one; then its rank, plus one
+	for i, v := range vals {
+		if s := &slot[uint64(v.Word())-uint64(lo)]; *s == 0 {
+			*s = int32(i + 1)
+		}
+	}
+	first = make([]int32, 0, min(uint64(n), span+1))
+	for j, s := range slot {
+		if s != 0 {
+			first = append(first, s-1)
+			slot[j] = int32(len(first))
+		}
+	}
+	rank = make([]int32, n)
+	for i, v := range vals {
+		rank[i] = slot[uint64(v.Word())-uint64(lo)] - 1
+	}
+	return rank, first
+}
+
+// rankStrings numbers the distinct strings as first seen through a map
+// keyed by the string itself, then ranks only the distinct ones.
+func rankStrings(vals []value.Value) (rank, first []int32) {
+	seen := map[string]int32{}
+	var firstSeen []int32 // first-seen number -> row
+	rank = make([]int32, len(vals))
+	for i, v := range vals {
+		k, ok := seen[v.Str()]
+		if !ok {
+			k = int32(len(firstSeen))
+			seen[v.Str()] = k
+			firstSeen = append(firstSeen, int32(i))
+		}
+		rank[i] = k
+	}
+	rankOf, order := rankBySort(len(firstSeen), func(a, b int32) int {
+		return strings.Compare(vals[firstSeen[a]].Str(), vals[firstSeen[b]].Str())
+	})
+	first = make([]int32, len(order))
+	for r, k := range order {
+		first[r] = firstSeen[k]
+	}
+	for i, k := range rank {
+		rank[i] = rankOf[k]
+	}
+	return rank, first
 }
 
 // climbRanks carries the ranks of one level's rows (rank[i] for ID i+1,

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/ghostdb/ghostdb/internal/codec"
@@ -280,6 +282,47 @@ func TestBuildByteIdentity(t *testing.T) {
 		{"string", value.String, func(d int) gen {
 			return func(i, n int) value.Value { return value.NewString(fmt.Sprintf("v%03d", rng.Intn(d))) }
 		}},
+		// The ranking paths by key type. A span under four slots a row is
+		// ranked through the direct-address table, a wider one by sorting
+		// (key, row) pairs — "int" above lands on either side with its shape.
+		{"int-narrow-negative", value.Int, func(d int) gen {
+			return func(i, n int) value.Value { return value.NewInt(int64(rng.Intn(min(d, 2*n+1))) - int64(n)) }
+		}},
+		{"int-wide", value.Int, func(d int) gen {
+			return func(i, n int) value.Value { return value.NewInt(int64(rng.Intn(d)) * (math.MaxInt64 / int64(d))) }
+		}},
+		// MinInt64 and MaxInt64 in one column: max − min overflows int64.
+		{"int-extremes", value.Int, func(d int) gen {
+			return func(i, n int) value.Value {
+				return []value.Value{value.NewInt(math.MinInt64), value.NewInt(math.MaxInt64), value.NewInt(0), value.NewInt(int64(rng.Intn(d)))}[rng.Intn(4)]
+			}
+		}},
+		{"string-prefixes", value.String, func(d int) gen {
+			return func(i, n int) value.Value {
+				return value.NewString(strings.Repeat("ab", rng.Intn(min(d, 5))) + []string{"", "a", "b"}[rng.Intn(3)])
+			}
+		}},
+		// Columns that need Coerce: day counts and date literals in a DATE
+		// column, beside values that are dates already.
+		{"date-coerced", value.Date, func(d int) gen {
+			return func(i, n int) value.Value {
+				switch days := int64(13000 + rng.Intn(d)); rng.Intn(3) {
+				case 0:
+					return value.NewInt(days)
+				case 1:
+					return value.NewString(value.NewDateDays(days).String())
+				default:
+					return value.NewDateDays(days)
+				}
+			}
+		}},
+		// Floats that used to break the grouping: NaNs of any payload are one
+		// value sorting first, −0 and +0 are one value.
+		{"float-nan-zero", value.Float, func(d int) gen {
+			return func(i, n int) value.Value {
+				return value.NewFloat([]float64{math.NaN(), -math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), float64(rng.Intn(d)) / 4}[rng.Intn(6)])
+			}
+		}},
 	}
 	shapes := []struct {
 		name   string
@@ -375,6 +418,38 @@ func TestBuildUnreferencedRows(t *testing.T) {
 			if !slices.Equal(g, w) {
 				t.Fatalf("value %v level %d: %v, want %v", e.Value, l, g, w)
 			}
+		}
+	}
+}
+
+// TestBuildFloatEquivalence: float equality is an equivalence, so a FLOAT
+// column holding NaNs, both zeros and duplicates has one dictionary entry
+// per distinct value — NaN first — and an equality lookup finds each. (A
+// NaN used to compare equal to everything and unequal to itself: one entry
+// per NaN row, in an order the sort was free to choose.)
+func TestBuildFloatEquivalence(t *testing.T) {
+	c := newChain(t, rand.New(rand.NewSource(3)), 2, 9, 1.5)
+	negZero, payloadNaN := math.Copysign(0, -1), math.Float64frombits(0xFFF8000000000042)
+	var vals []value.Value
+	for _, f := range []float64{2.5, math.NaN(), negZero, payloadNaN, 0, 2.5, math.Inf(1), math.NaN(), -1} {
+		vals = append(vals, value.NewFloat(f))
+	}
+	ix, err := Build(c.st, c.sch, "L0", "C", value.Float, vals, false, c.inverted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := [][]uint32{{2, 4, 8}, {9}, {3, 5}, {1, 6}, {7}} // NaN, -1, 0, 2.5, +Inf
+	if ix.DistinctValues() != len(wantRows) {
+		t.Fatalf("%d entries, want %d", ix.DistinctValues(), len(wantRows))
+	}
+	for i, probe := range []float64{payloadNaN, -1, negZero, 2.5, math.Inf(1)} {
+		e, ok, err := ix.LookupEq(value.NewFloat(probe))
+		if err != nil || !ok || e.Idx != i {
+			t.Fatalf("LookupEq(%v) = entry %d ok=%v err=%v, want entry %d", probe, e.Idx, ok, err, i)
+		}
+		rows, err := ix.ReadList(e.Lists[0])
+		if err != nil || !slices.Equal(rows, wantRows[i]) {
+			t.Fatalf("LookupEq(%v) rows %v (%v), want %v", probe, rows, err, wantRows[i])
 		}
 	}
 }

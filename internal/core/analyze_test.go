@@ -329,6 +329,9 @@ func TestMetricsFeed(t *testing.T) {
 		{"checkpoint_wall_ns", 1},
 		{"checkpoint_prepare_wall_ns", 1},
 		{"checkpoint_rebuild_wall_ns", 1},
+		{"checkpoint_rebuild_columns_wall_ns", 1}, // the bulk load's rebuild is not observed
+		{"checkpoint_rebuild_skt_wall_ns", 1},
+		{"checkpoint_rebuild_climbing_wall_ns", 1},
 		{"checkpoint_commit_wall_ns", 1},
 		{"checkpoint_sim_ns", 1},
 	} {
@@ -411,5 +414,12 @@ func TestCheckpointPhaseMetrics(t *testing.T) {
 	phases := sum("checkpoint_prepare_wall_ns") + sum("checkpoint_rebuild_wall_ns") + sum("checkpoint_commit_wall_ns")
 	if phases > total || float64(total-phases) > 0.05*float64(total) {
 		t.Fatalf("phases sum to %d ns of a %d ns total: not within 5%%", phases, total)
+	}
+	// The rebuild phase attributes itself: its three sub-phases are inside
+	// it (the half swap and the delta release are the rest).
+	rebuild := sum("checkpoint_rebuild_wall_ns")
+	parts := sum("checkpoint_rebuild_columns_wall_ns") + sum("checkpoint_rebuild_skt_wall_ns") + sum("checkpoint_rebuild_climbing_wall_ns")
+	if parts <= 0 || parts > rebuild {
+		t.Fatalf("rebuild sub-phases sum to %d ns of a %d ns rebuild", parts, rebuild)
 	}
 }

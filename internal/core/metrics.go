@@ -58,9 +58,14 @@ type engineMetrics struct {
 	// CHECKPOINT and would only carry 14 KB of empty buckets each.
 	checkpointPrepareWall *metrics.Histogram
 	checkpointRebuildWall *metrics.Histogram
-	checkpointCommitWall  *metrics.Histogram
-	checkpointSim         *metrics.Histogram
-	recoveryWall          *metrics.Histogram
+	// The rebuild phase again in three (loadState feeds them); what is left
+	// of it is the half swap's erases and the delta release.
+	checkpointColumnsWall  *metrics.Histogram
+	checkpointSKTWall      *metrics.Histogram
+	checkpointClimbingWall *metrics.Histogram
+	checkpointCommitWall   *metrics.Histogram
+	checkpointSim          *metrics.Histogram
+	recoveryWall           *metrics.Histogram
 
 	// Shard coordinator only (addRouteMetrics): how each query was routed
 	// and how many devices it contacted. Nil (nil-safe) everywhere else.
@@ -149,6 +154,9 @@ func newEngineMetrics(device bool) *engineMetrics {
 	if device {
 		m.checkpointPrepareWall = r.Histogram("checkpoint_prepare_wall_ns", "CHECKPOINT read phase (liveness, renumbering, extraction), host wall-clock")
 		m.checkpointRebuildWall = r.Histogram("checkpoint_rebuild_wall_ns", "CHECKPOINT rebuild phase (flash half swap, column files, SKTs, climbing indexes), host wall-clock")
+		m.checkpointColumnsWall = r.Histogram("checkpoint_rebuild_columns_wall_ns", "CHECKPOINT rebuild: key checks, inverted edges, visible columns and hidden column files, host wall-clock")
+		m.checkpointSKTWall = r.Histogram("checkpoint_rebuild_skt_wall_ns", "CHECKPOINT rebuild: subtree key tables, host wall-clock")
+		m.checkpointClimbingWall = r.Histogram("checkpoint_rebuild_climbing_wall_ns", "CHECKPOINT rebuild: climbing indexes, host wall-clock")
 		m.checkpointCommitWall = r.Histogram("checkpoint_commit_wall_ns", "CHECKPOINT commit phase (commit record, sidecar, sync), host wall-clock")
 	}
 	return m

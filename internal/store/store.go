@@ -192,35 +192,27 @@ func (s *Store) buildFixedColumn(kind value.Kind, vals []value.Value) (*FixedCol
 	}
 	buf := make([]byte, 0, len(vals)*w)
 	for i, v := range vals {
-		cv, err := value.Coerce(v, kind)
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
+		if v.Kind() != kind { // the rare cell: an Int literal in a FLOAT or DATE column, a date string
+			if v, err = value.Coerce(v, kind); err != nil {
+				return nil, fmt.Errorf("row %d: %w", i, err)
+			}
 		}
-		buf = appendFixed(buf, cv, w)
+		// The payload word is the stored form: two's complement, IEEE
+		// bits, day count or 0/1, truncated to the kind's width.
+		switch word := uint64(v.Word()); w {
+		case 8:
+			buf = binary.LittleEndian.AppendUint64(buf, word)
+		case 4:
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(word))
+		default:
+			buf = append(buf, byte(word))
+		}
 	}
 	ext, err := s.AppendRegion(buf)
 	if err != nil {
 		return nil, err
 	}
 	return &FixedColumn{store: s, ext: ext, kind: kind, width: w, n: len(vals)}, nil
-}
-
-func appendFixed(buf []byte, v value.Value, width int) []byte {
-	switch v.Kind() {
-	case value.Int:
-		return binary.LittleEndian.AppendUint64(buf, uint64(v.Int()))
-	case value.Date:
-		return binary.LittleEndian.AppendUint32(buf, uint32(int32(v.DateDays())))
-	case value.Float:
-		return binary.LittleEndian.AppendUint64(buf, uint64(floatBits(v.Float())))
-	case value.Bool:
-		if v.Bool() {
-			return append(buf, 1)
-		}
-		return append(buf, 0)
-	default:
-		panic("store: appendFixed of " + v.Kind().String())
-	}
 }
 
 // Value implements Column.
@@ -238,7 +230,7 @@ func (c *FixedColumn) Value(i int) (value.Value, error) {
 	case value.Date:
 		return value.NewDateDays(int64(int32(binary.LittleEndian.Uint32(raw[:4])))), nil
 	case value.Float:
-		return value.NewFloat(floatFromBits(binary.LittleEndian.Uint64(raw[:8]))), nil
+		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw[:8]))), nil
 	case value.Bool:
 		return value.NewBool(raw[0] != 0), nil
 	}
@@ -380,7 +372,3 @@ func (c *IDColumn) Bytes() int64 { return c.ext.Len }
 
 // Extent exposes the storage location (for sequential scans).
 func (c *IDColumn) Extent() flash.Extent { return c.ext }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

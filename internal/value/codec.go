@@ -18,9 +18,7 @@ func (v Value) Append(dst []byte) []byte {
 	case Int, Date, Bool:
 		dst = binary.AppendVarint(dst, v.i)
 	case Float:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.f))
-		dst = append(dst, b[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
 	case String:
 		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		dst = append(dst, v.s...)
@@ -107,8 +105,7 @@ func (in *Interner) Decode(src []byte) (Value, int, error) {
 		if len(src) < 9 {
 			return Value{}, 0, fmt.Errorf("value: short float payload")
 		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(src[1:9]))
-		return Value{kind: k, f: f}, 9, nil
+		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(src[1:9]))), 9, nil
 	case String:
 		l, n := binary.Uvarint(src[1:])
 		if n <= 0 {

@@ -1,10 +1,22 @@
 // Package value defines the typed scalar values GhostDB stores and compares:
-// integers, strings, dates and floats. Values are small immutable structs,
-// comparable with ==, usable as map keys, and carry their own binary codec
-// for flash storage and wire transfer.
+// integers, strings, dates and floats. Values are small immutable structs
+// and carry their own binary codec for flash storage and wire transfer.
+//
+// A Value is 32 bytes: the kind, one 64-bit payload word shared by every
+// fixed-width kind (a Float keeps its IEEE bits there) and the string
+// header. Every column, result row and checkpoint interchange slice in the
+// system is a []Value, so the size is pinned by a test.
+//
+// == is an equivalence that agrees with Compare: for two values of the same
+// kind, a == b exactly when Compare(a, b) == 0, which is what lets a Value
+// key a map or be deduplicated by sorting. Floats are what make that a rule
+// and not a given: every Float is built by NewFloat, which stores −0 as +0
+// and every NaN as the one quiet NaN math.NaN() returns, and Compare orders
+// floats as cmp.Compare does: NaN before every number and equal to itself.
 package value
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -50,20 +62,31 @@ func (k Kind) String() string {
 }
 
 // Value is a typed scalar. The zero Value has Kind Invalid. Values are
-// comparable with == (no reference fields), so they can key maps; use
-// Compare for SQL ordering semantics.
+// comparable with == (see the package comment for the contract), so they
+// can key maps; use Compare for SQL ordering semantics.
 type Value struct {
 	kind Kind
-	i    int64 // Int payload, Date days, Bool 0/1
-	f    float64
+	i    int64 // Int payload, Date days, Bool 0/1, Float IEEE bits, Param ordinal
 	s    string
 }
 
 // NewInt returns an integer value.
 func NewInt(v int64) Value { return Value{kind: Int, i: v} }
 
-// NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{kind: Float, f: v} }
+// canonNaN is the one NaN a Value holds: the bits of math.NaN().
+const canonNaN = 0x7FF8000000000001
+
+// NewFloat returns a float value; −0 is stored as +0 and any NaN as the
+// canonical quiet NaN, so == on the result compares floats as Compare does.
+func NewFloat(v float64) Value {
+	switch {
+	case v != v:
+		return Value{kind: Float, i: canonNaN}
+	case v == 0:
+		return Value{kind: Float}
+	}
+	return Value{kind: Float, i: int64(math.Float64bits(v))}
+}
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: String, s: v} }
@@ -121,8 +144,11 @@ func (v Value) Float() float64 {
 	if v.kind != Float {
 		panic("value: Float() on " + v.kind.String())
 	}
-	return v.f
+	return math.Float64frombits(uint64(v.i)) // not v.float(): the call tips Float over the inlining budget
 }
+
+// float decodes the Float payload; the caller has checked the kind.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns the string payload. It panics if the kind is not String.
 func (v Value) Str() string {
@@ -149,6 +175,18 @@ func (v Value) DateDays() int64 {
 	return v.i
 }
 
+// Word returns the 64-bit payload of a fixed-width value as stored: an
+// Int, a Date's day count, a Bool's 0/1, a Float's IEEE bits. A loop over
+// a column that has checked the kind once (index build, column files)
+// reads it instead of a per-kind accessor. It panics on any other kind.
+func (v Value) Word() int64 {
+	switch v.kind {
+	case Int, Date, Bool, Float:
+		return v.i
+	}
+	panic("value: Word() on " + v.kind.String())
+}
+
 // String renders the value for display: dates as YYYY-MM-DD, strings
 // unquoted, numbers in decimal.
 func (v Value) String() string {
@@ -158,7 +196,7 @@ func (v Value) String() string {
 	case Int:
 		return strconv.FormatInt(v.i, 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case String:
 		return v.s
 	case Date:
@@ -186,7 +224,7 @@ func (v Value) SQL() string {
 	case Date:
 		return "'" + v.String() + "'"
 	case Float:
-		s := strconv.FormatFloat(v.f, 'f', -1, 64)
+		s := strconv.FormatFloat(v.float(), 'f', -1, 64)
 		if !strings.Contains(s, ".") {
 			s += ".0" // keep the literal a FLOAT on re-parse
 		}
@@ -210,7 +248,7 @@ func Compare(a, b Value) (int, error) {
 		case Int, Date, Bool:
 			return cmpI64(a.i, b.i), nil
 		case Float:
-			return cmpF64(a.f, b.f), nil
+			return cmp.Compare(a.float(), b.float()), nil
 		case String:
 			switch {
 			case a.s < b.s:
@@ -227,9 +265,9 @@ func Compare(a, b Value) (int, error) {
 	// Coercions.
 	switch {
 	case a.kind == Int && b.kind == Float:
-		return cmpF64(float64(a.i), b.f), nil
+		return cmp.Compare(float64(a.i), b.float()), nil
 	case a.kind == Float && b.kind == Int:
-		return cmpF64(a.f, float64(b.i)), nil
+		return cmp.Compare(a.float(), float64(b.i)), nil
 	case a.kind == String && b.kind == Date:
 		ad, err := ParseDate(a.s)
 		if err != nil {
@@ -276,10 +314,9 @@ func (v Value) Hash64() uint64 {
 		h.Write(buf[:1])
 		h.Write([]byte(v.s))
 	case Float:
-		// Normalize via the integer payload pattern.
-		bits := uint64(0)
-		if v.f == v.f { // not NaN
-			bits = math.Float64bits(v.f)
+		bits := uint64(v.i)
+		if bits == canonNaN {
+			bits = 0 // NaN has always hashed as zero bits
 		}
 		putU64(buf[1:9], bits)
 		h.Write(buf[:9])
@@ -291,17 +328,6 @@ func (v Value) Hash64() uint64 {
 }
 
 func cmpI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpF64(a, b float64) int {
 	switch {
 	case a < b:
 		return -1

@@ -1,7 +1,10 @@
 package value
 
 import (
+	"encoding/binary"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -336,5 +339,83 @@ func TestSQLRendersRelexableLiterals(t *testing.T) {
 	}
 	if got := NewFloat(1.5).SQL(); got != "1.5" {
 		t.Errorf("SQL(1.5) = %s", got)
+	}
+}
+
+// TestEqualityAgreesWithCompare is the == contract of the package comment:
+// for same-kind values, a == b exactly when Compare(a, b) == 0, and Compare
+// is a total order (antisymmetric, transitive) — over a seeded corpus with
+// the values that used to break it: NaN, ±0, ±Inf, the int64 extremes, empty
+// and equal-prefix strings.
+func TestEqualityAgreesWithCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	byKind := map[Kind][]Value{
+		Int:    {NewInt(0), NewInt(-1), NewInt(math.MinInt64), NewInt(math.MaxInt64)},
+		Date:   {NewDateDays(0), NewDateDays(-1), NewDate(2007, 9, 23), NewDateDays(math.MaxInt32)},
+		Bool:   {NewBool(false), NewBool(true)},
+		Float:  {NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN()), NewFloat(-math.NaN()), NewFloat(math.Float64frombits(0x7FF0000000000123)), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.SmallestNonzeroFloat64), NewFloat(-math.SmallestNonzeroFloat64)},
+		String: {NewString(""), NewString("a"), NewString("ab"), NewString("abc"), NewString("abd"), NewString("b")},
+	}
+	for i := 0; i < 40; i++ {
+		byKind[Int] = append(byKind[Int], NewInt(rng.Int63n(9)-4), NewInt(int64(rng.Uint64())))
+		byKind[Date] = append(byKind[Date], NewDateDays(rng.Int63n(9)+13000))
+		byKind[Float] = append(byKind[Float], NewFloat(float64(rng.Intn(9)-4)/2), NewFloat(math.Float64frombits(rng.Uint64())))
+		byKind[String] = append(byKind[String], NewString(strings.Repeat("ab", rng.Intn(4))+string(rune('a'+rng.Intn(3)))))
+	}
+	for kind, vals := range byKind {
+		for _, a := range vals {
+			for _, b := range vals {
+				ab, err := Compare(a, b)
+				if err != nil {
+					t.Fatalf("%s: Compare(%v, %v): %v", kind, a, b, err)
+				}
+				if (a == b) != (ab == 0) {
+					t.Errorf("%s: %v == %v is %v but Compare says %d", kind, a, b, a == b, ab)
+				}
+				if ba, _ := Compare(b, a); ba != -ab {
+					t.Errorf("%s: Compare(%v, %v) = %d but reversed %d", kind, a, b, ab, ba)
+				}
+				if a == b && a.Hash64() != b.Hash64() {
+					t.Errorf("%s: equal values %v hash apart", kind, a)
+				}
+				for _, c := range vals {
+					bc, _ := Compare(b, c)
+					ac, _ := Compare(a, c)
+					if ab <= 0 && bc <= 0 && ac > 0 {
+						t.Errorf("%s: not transitive over %v, %v, %v", kind, a, b, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFloatCanonical pins what NewFloat stores: one zero, one NaN (the
+// bits of math.NaN(), so a NaN that was already canonical encodes as it
+// always did), every other float untouched — also on the way in from
+// flash or the wire.
+func TestFloatCanonical(t *testing.T) {
+	negZero, payloadNaN := math.Copysign(0, -1), math.Float64frombits(0xFFF8000000000042)
+	if NewFloat(negZero) != NewFloat(0) || math.Signbit(NewFloat(negZero).Float()) {
+		t.Error("−0 must be stored as +0")
+	}
+	if NewFloat(payloadNaN) != NewFloat(math.NaN()) {
+		t.Error("every NaN must be stored as the canonical one")
+	}
+	if got := math.Float64bits(NewFloat(payloadNaN).Float()); got != math.Float64bits(math.NaN()) {
+		t.Errorf("canonical NaN is %#x, want the bits of math.NaN()", got)
+	}
+	for _, f := range []float64{negZero, payloadNaN} {
+		enc := binary.LittleEndian.AppendUint64([]byte{byte(Float)}, math.Float64bits(f))
+		v, _, err := Decode(enc)
+		if err != nil || v != NewFloat(f) {
+			t.Errorf("Decode of raw %#x = %v, %v; want the canonical value", math.Float64bits(f), v, err)
+		}
+	}
+	if c, _ := Compare(NewFloat(math.NaN()), NewFloat(math.Inf(-1))); c != -1 {
+		t.Errorf("NaN must order before −Inf, Compare = %d", c)
+	}
+	if c, _ := Compare(NewInt(1), NewFloat(math.NaN())); c != 1 {
+		t.Errorf("an Int must order after NaN, Compare = %d", c)
 	}
 }
