@@ -322,18 +322,6 @@ func BenchmarkConcurrentThroughput4Shards(b *testing.B) {
 	benchConcurrent(b, db)
 }
 
-// BenchmarkConcurrentThroughputMetricsOff is the same workload with the
-// metrics registry disabled — the baseline for the observability
-// acceptance gate (metrics-on throughput within 5% of this).
-func BenchmarkConcurrentThroughputMetricsOff(b *testing.B) {
-	skipIfShort(b)
-	db, _, err := bench.BuildDB(bench.Config{Scale: 2_000}, core.WithMetrics(false))
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchConcurrent(b, db)
-}
-
 func benchConcurrent(b *testing.B, db *core.DB) {
 	const query = `SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = 'Sclerosis'`
 	for _, g := range []int{1, 4, 16} {
@@ -577,46 +565,4 @@ func BenchmarkConcurrentThroughputPrepared(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkDMLWorkload runs the live-DML mixed workload (delta inserts,
-// updates, deletes, dirty queries, CHECKPOINT merge, merged queries) on
-// a private database. It stays enabled in -short mode at a small scale
-// so the CI benchmark smoke exercises the mutation path.
-func BenchmarkDMLWorkload(b *testing.B) {
-	scale := *benchScale
-	if testing.Short() && scale > 2000 {
-		scale = 2000
-	}
-	cfg := bench.Config{Scale: scale}
-	var sim float64
-	for i := 0; i < b.N; i++ {
-		phases, err := bench.DMLWorkload(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range phases {
-			sim += float64(p.SimNS)
-		}
-	}
-	simMS(b, sim)
-}
-
-// BenchmarkAggregateWorkload runs the analytics workload (GROUP BY /
-// HAVING / ORDER BY / DISTINCT over hidden data): the device pays the
-// underlying ID-stream pipeline, the host pays the finishing stage.
-func BenchmarkAggregateWorkload(b *testing.B) {
-	skipIfShort(b)
-	db := sharedDB(b)
-	var sim float64
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.AggregateWorkload(db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			sim += float64(r.SimTime)
-		}
-	}
-	simMS(b, sim)
 }

@@ -7,19 +7,13 @@
 //	ghostdb-bench sweep baselines storage
 //
 // Experiments: fig5 fig6 sweep baselines storage bus spy ram writes
-// bloom game ablations aggregate dml observability shard faults backend
-// loadgen.
+// bloom game ablations loadgen.
 //
-// loadgen boots ghostdb-server in-process (or targets a running one via
-// -server-url) and drives it with -clients concurrent HTTP clients; its
-// record lands in BENCH_server.json. With -server-url, the aggregate and
-// dml experiments are also re-phrased over the wire protocol, so a
-// long-lived server can be profiled in place.
-//
-// The -backend flag (sim or file) selects the storage backend for every
-// database the run builds; the value is stamped into each BENCH_*.json.
-// The backend experiment compares the backends directly regardless of
-// the flag, writing BENCH_backend.json.
+// loadgen is the one experiment outside the paper: it boots
+// ghostdb-server in-process (or targets a running one via -server-url)
+// and drives it with -clients concurrent HTTP clients; its record lands
+// in BENCH_server.json. Everything else about the system's own speed —
+// DML, checkpoints, shards, backends, faults — is judged by benchmark/.
 //
 // The -debug-addr flag serves the live observability endpoint
 // (/debug/vars JSON and /metrics Prometheus text) for the shared
@@ -38,67 +32,31 @@ import (
 	"github.com/ghostdb/ghostdb"
 	"github.com/ghostdb/ghostdb/internal/bench"
 	"github.com/ghostdb/ghostdb/internal/core"
-	"github.com/ghostdb/ghostdb/internal/storage"
 )
 
 // benchRecord is the machine-readable result of one experiment, written
-// as BENCH_<name>.json when -json is set so the perf trajectory can be
-// tracked across commits (CI uploads these as artifacts).
+// as BENCH_<name>.json when -json is set. The files are run output, not
+// history (.gitignore lists them; CI uploads what it writes as
+// artifacts): the committed baseline lives in benchmark/.
 type benchRecord struct {
-	Name string `json:"name"`
-	// Backend is the storage backend the run's databases used (-backend):
-	// "sim" or "file". Perf numbers are only comparable across commits
-	// within one backend.
-	Backend string `json:"backend"`
-	Scale   int    `json:"scale"`
-	Seed    int64  `json:"seed"`
-	WallNS  int64  `json:"wall_ns"` // host wall-clock for the experiment
-	Allocs  uint64 `json:"allocs"`  // host heap allocations during the experiment
+	Name   string `json:"name"`
+	Scale  int    `json:"scale"`
+	Seed   int64  `json:"seed"`
+	WallNS int64  `json:"wall_ns"` // host wall-clock for the experiment
+	Allocs uint64 `json:"allocs"`  // host heap allocations during the experiment
 	// SimNS is the simulated device time the experiment advanced on the
 	// shared database's clock; 0 for experiments that build private
 	// databases (bus, spy, ram, writes, bloom). The first shared-DB
 	// experiment includes the one-time bulk load.
 	SimNS int64 `json:"sim_ns"`
-	// Phases carries per-phase wall/allocs/sim numbers for experiments
-	// that report them (the dml mixed workload).
-	Phases []bench.DMLPhase `json:"phases,omitempty"`
-	// Observability carries the metrics on/off comparison (the
-	// observability experiment): the acceptance gate is overhead_pct
-	// staying under 5.
-	Observability *bench.ObservabilityReport `json:"observability,omitempty"`
-	// ShardScaling carries the multi-device scaling curve (the shard
-	// experiment): concurrent throughput, scatter-gather aggregate and
-	// DML batch per shard count.
-	ShardScaling []bench.ShardPoint `json:"shard_scaling,omitempty"`
-	// Faults carries the durability-overhead comparison (the faults
-	// experiment): the acceptance gate is overhead_pct staying under 5.
-	Faults *bench.FaultsReport `json:"faults,omitempty"`
 	// Server carries the HTTP loadgen result (the loadgen experiment):
 	// the acceptance gate is dropped == 0.
 	Server *bench.ServerReport `json:"server,omitempty"`
-	// BackendCompare carries the sim vs file wall-clock comparison (the
-	// backend experiment).
-	BackendCompare *bench.BackendReport `json:"backend_compare,omitempty"`
 }
 
-// lastDMLPhases stashes the dml experiment's phase records for the JSON
-// writer (run() only returns an error).
-var lastDMLPhases []bench.DMLPhase
-
-// lastObservability stashes the observability experiment's report.
-var lastObservability *bench.ObservabilityReport
-
-// lastShardPoints stashes the shard experiment's scaling curve.
-var lastShardPoints []bench.ShardPoint
-
-// lastFaults stashes the faults experiment's overhead report.
-var lastFaults *bench.FaultsReport
-
-// lastServer stashes the loadgen experiment's report.
+// lastServer stashes the loadgen experiment's report for the JSON writer
+// (run() only returns an error).
 var lastServer *bench.ServerReport
-
-// lastBackend stashes the backend experiment's comparison.
-var lastBackend *bench.BackendReport
 
 // loadgen knobs, set from flags in main.
 var (
@@ -118,15 +76,12 @@ func writeBenchJSON(rec benchRecord) error {
 
 var experimentOrder = []string{
 	"fig6", "fig5", "sweep", "baselines", "storage", "bus", "spy",
-	"ram", "writes", "bloom", "game", "ablations", "aggregate", "dml",
-	"observability", "shard", "faults", "backend", "loadgen",
+	"ram", "writes", "bloom", "game", "ablations", "loadgen",
 }
 
 func main() {
 	scale := flag.Int("scale", 100_000, "prescriptions in the synthetic dataset (paper: 1000000)")
 	seed := flag.Int64("seed", 42, "dataset seed")
-	backendName := flag.String("backend", "sim", "storage backend for the run's databases: sim or file")
-	backendPath := flag.String("backend-path", "", "with -backend file: directory for the device files (default: a temp dir, removed afterwards)")
 	jsonOut := flag.Bool("json", false, "also write BENCH_<experiment>.json records (wall ns, allocs, simulated device time)")
 	debugAddr := flag.String("debug-addr", "", "serve the live /debug/vars + /metrics endpoint on this address (e.g. localhost:6060) for the shared database")
 	debugHold := flag.Duration("debug-hold", 0, "with -debug-addr, keep serving this long after the experiments finish (for scraping a completed run)")
@@ -145,22 +100,6 @@ func main() {
 		wanted = experimentOrder
 	}
 	cfg := bench.Config{Scale: *scale, Seed: *seed}
-	switch *backendName {
-	case "sim":
-	case "file":
-		dir := *backendPath
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "ghostdb-bench-")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		cfg.Backend = storage.File(dir, false)
-	default:
-		log.Fatalf("-backend %q: want sim or file", *backendName)
-	}
 
 	// Most experiments share one database build.
 	var shared *core.DB
@@ -209,28 +148,12 @@ func main() {
 				sim = shared.Clock().Now() - sim0
 			}
 			rec := benchRecord{
-				Name:    name,
-				Backend: *backendName,
-				Scale:   cfg.Scale,
-				Seed:    cfg.Seed,
-				WallNS:  wall.Nanoseconds(),
-				Allocs:  ms.Mallocs - allocs0,
-				SimNS:   sim.Nanoseconds(),
-			}
-			if name == "dml" {
-				rec.Phases = lastDMLPhases
-			}
-			if name == "observability" {
-				rec.Observability = lastObservability
-			}
-			if name == "shard" {
-				rec.ShardScaling = lastShardPoints
-			}
-			if name == "faults" {
-				rec.Faults = lastFaults
-			}
-			if name == "backend" {
-				rec.BackendCompare = lastBackend
+				Name:   name,
+				Scale:  cfg.Scale,
+				Seed:   cfg.Seed,
+				WallNS: wall.Nanoseconds(),
+				Allocs: ms.Mallocs - allocs0,
+				SimNS:  sim.Nanoseconds(),
 			}
 			if name == "loadgen" {
 				// The server acceptance artifact has its own name.
@@ -339,67 +262,6 @@ func run(name string, cfg bench.Config, sharedDB func() *core.DB) error {
 		}
 		rows = append(rows, devRow)
 		fmt.Print(bench.FormatAblations(rows))
-	case "aggregate":
-		fmt.Println("Analytics: aggregation / ordering / distinct over hidden data")
-		var rows []bench.AggregateRow
-		var err error
-		if serverURL != "" {
-			fmt.Printf("(driving %s over HTTP; wall includes the round trip, RAM is not visible remotely)\n", serverURL)
-			rows, err = bench.AggregateWorkloadURL(serverURL)
-		} else {
-			rows, err = bench.AggregateWorkload(sharedDB())
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatAggregateRows(rows))
-	case "dml":
-		fmt.Println("Live DML: delta inserts/updates/deletes, dirty queries, CHECKPOINT merge")
-		var phases []bench.DMLPhase
-		var err error
-		if serverURL != "" {
-			fmt.Printf("(driving %s over HTTP, mutating it in place; allocs are not visible remotely)\n", serverURL)
-			phases, err = bench.DMLWorkloadURL(serverURL)
-		} else {
-			phases, err = bench.DMLWorkload(smaller(cfg))
-		}
-		if err != nil {
-			return err
-		}
-		lastDMLPhases = phases
-		fmt.Print(bench.FormatDMLPhases(phases))
-	case "observability":
-		fmt.Println("Observability: query loop with the metrics registry on vs off")
-		rep, err := bench.Observability(smaller(cfg), 200)
-		if err != nil {
-			return err
-		}
-		lastObservability = rep
-		fmt.Print(bench.FormatObservability(rep))
-	case "shard":
-		fmt.Println("Sharding: 1/2/4/8 devices — throughput, scatter-gather aggregate, DML")
-		points, err := bench.ShardScaling(smaller(cfg), []int{1, 2, 4, 8}, 16, 25)
-		if err != nil {
-			return err
-		}
-		lastShardPoints = points
-		fmt.Print(bench.FormatShardPoints(points))
-	case "faults":
-		fmt.Println("Durability: CRC + commit-record overhead, retries under transient faults")
-		rep, err := bench.Faults(smaller(cfg), 4)
-		if err != nil {
-			return err
-		}
-		lastFaults = rep
-		fmt.Print(bench.FormatFaults(rep))
-	case "backend":
-		fmt.Println("Backends: simulated NAND vs real files (load / query / DML / reopen wall clock)")
-		rep, err := bench.BackendCompare(smaller(cfg), 50)
-		if err != nil {
-			return err
-		}
-		lastBackend = rep
-		fmt.Print(bench.FormatBackendReport(rep))
 	case "loadgen":
 		fmt.Printf("HTTP serving: %d concurrent clients x %d requests against ghostdb-server\n", loadClients, loadPerClient)
 		var rep *bench.ServerReport

@@ -52,15 +52,11 @@ func DebugVars(db *DB) map[string]any {
 		"delta":      db.DeltaSummary(),
 		"sessions":   db.OpenSessions(),
 		"loaded":     db.Loaded(),
-	}
-	if snap := db.MetricsSnapshot(); snap != nil {
-		doc["metrics"] = snap
+		"metrics":    db.MetricsSnapshot(),
 	}
 	if infos := db.ShardInfos(); infos != nil {
 		doc["shards"] = infos
-		if snaps := db.ShardMetrics(); snaps != nil {
-			doc["shard_metrics"] = snaps
-		}
+		doc["shard_metrics"] = db.ShardMetrics()
 	}
 	return doc
 }

@@ -231,7 +231,6 @@ func TestServeDebugSharded(t *testing.T) {
 func TestPublicObservabilityAPI(t *testing.T) {
 	var finishes int
 	db, err := ghostdb.Open(
-		ghostdb.WithMetrics(true),
 		ghostdb.WithQueryHook(func(ev ghostdb.QueryEvent) {
 			if ev.Phase == ghostdb.QueryFinish {
 				finishes++

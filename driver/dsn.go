@@ -45,10 +45,6 @@ type Config struct {
 	// whose wall-clock latency reaches this threshold are logged through
 	// log/slog and counted in slow_queries_total. Zero disables it.
 	SlowQuery time.Duration
-	// Metrics controls the engine metrics registry (default on). Off
-	// makes MetricsSnapshot return nil and removes the per-query
-	// counter updates.
-	Metrics bool
 	// Shards splits the database over N simulated devices with
 	// scatter-gather query execution. 1 (the default) is the classic
 	// single-device engine.
@@ -60,9 +56,6 @@ type Config struct {
 	// Degraded keeps a sharded database answering dimension-rooted
 	// queries from surviving replicas when a shard's device dies.
 	Degraded bool
-	// Integrity controls the per-page checksums on the simulated flash
-	// (default on). Off is a benchmarking baseline, not a mode to run.
-	Integrity bool
 	// Backend selects the storage backend under the device: "sim" (the
 	// default simulated NAND with its deterministic cost model) or "file"
 	// (persistent real-file pages under Path). With "file", opening a DSN
@@ -80,7 +73,7 @@ type Config struct {
 }
 
 func defaultConfig() *Config {
-	return &Config{Profile: "smartusb2007", USB: "full", FPR: 0.01, Capture: "meta", PlanCache: -1, DeltaLimit: -1, Metrics: true, Shards: 1, Integrity: true, Backend: "sim"}
+	return &Config{Profile: "smartusb2007", USB: "full", FPR: 0.01, Capture: "meta", PlanCache: -1, DeltaLimit: -1, Shards: 1, Backend: "sim"}
 }
 
 // ParseDSN parses a GhostDB data source name.
@@ -99,11 +92,9 @@ func defaultConfig() *Config {
 //	plancache    compiled-plan cache entries; 0 disables (default 256)
 //	deltalimit   auto-CHECKPOINT once the live-DML delta holds N entries
 //	slowquery    log queries at least this slow (Go duration, e.g. 50ms)
-//	metrics      engine metrics registry: "on" (default) | "off"
 //	shards       split the DB over N simulated devices (default 1)
 //	faults       deterministic fault plan ("seed=42,read.transient=0.001,cutop=500")
 //	degraded     serve dimension queries from surviving shards: "on" | "off" (default)
-//	integrity    per-page flash checksums: "on" (default) | "off"
 //	backend      storage backend: "sim" (default) | "file" (persistent real files)
 //	path         file backend's device directory (required with backend=file)
 //	fsync        file backend flushes at commit points: "on" | "off" (default)
@@ -176,15 +167,6 @@ func ParseDSN(dsn string) (*Config, error) {
 				return nil, fmt.Errorf("ghostdb driver: slowquery must be a positive duration, got %q", vals[len(vals)-1])
 			}
 			cfg.SlowQuery = d
-		case "metrics":
-			switch strings.ToLower(vals[len(vals)-1]) {
-			case "on", "true", "1":
-				cfg.Metrics = true
-			case "off", "false", "0":
-				cfg.Metrics = false
-			default:
-				return nil, fmt.Errorf("ghostdb driver: metrics must be on or off, got %q", vals[len(vals)-1])
-			}
 		case "shards":
 			n, err := strconv.Atoi(vals[len(vals)-1])
 			if err != nil || n < 1 {
@@ -205,15 +187,6 @@ func ParseDSN(dsn string) (*Config, error) {
 				cfg.Degraded = false
 			default:
 				return nil, fmt.Errorf("ghostdb driver: degraded must be on or off, got %q", vals[len(vals)-1])
-			}
-		case "integrity":
-			switch strings.ToLower(vals[len(vals)-1]) {
-			case "on", "true", "1":
-				cfg.Integrity = true
-			case "off", "false", "0":
-				cfg.Integrity = false
-			default:
-				return nil, fmt.Errorf("ghostdb driver: integrity must be on or off, got %q", vals[len(vals)-1])
 			}
 		case "backend":
 			cfg.Backend = strings.ToLower(vals[len(vals)-1])
@@ -282,9 +255,6 @@ func (c *Config) options() ([]core.Option, error) {
 	if c.SlowQuery > 0 {
 		opts = append(opts, core.WithSlowQuery(c.SlowQuery, nil))
 	}
-	if !c.Metrics {
-		opts = append(opts, core.WithMetrics(false))
-	}
 	if c.Shards > 1 {
 		opts = append(opts, core.WithShards(c.Shards))
 	}
@@ -297,9 +267,6 @@ func (c *Config) options() ([]core.Option, error) {
 	}
 	if c.Degraded {
 		opts = append(opts, core.WithDegradedReads(true))
-	}
-	if !c.Integrity {
-		opts = append(opts, core.WithIntegrity(false))
 	}
 	if c.Backend == "file" {
 		opts = append(opts, core.WithBackend(storage.File(c.Path, c.Fsync)))

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // a DSN with several bad parameters reports the alphabetically first
 // one, every time, instead of whichever the map iteration visited.
 func TestParseDSNDeterministicErrors(t *testing.T) {
-	const dsn = "ghostdb://?fpr=9&batch=0&usb=warp"
+	const dsn = "ghostdb://?fpr=9&metrics=off&batch=0&usb=warp&integrity=off"
 	_, first := ParseDSN(dsn)
 	if first == nil {
 		t.Fatal("ParseDSN should fail")
@@ -20,6 +21,20 @@ func TestParseDSNDeterministicErrors(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if _, err := ParseDSN(dsn); err == nil || err.Error() != first.Error() {
 			t.Fatalf("run %d: error %q differs from %q", i, err, first)
+		}
+	}
+}
+
+// TestParseDSNRemovedKeys: batch=, integrity= and metrics= selected code
+// paths that no longer exist; a DSN still carrying one fails by name
+// whatever its value, rather than being silently ignored.
+func TestParseDSNRemovedKeys(t *testing.T) {
+	for _, key := range []string{"batch", "integrity", "metrics"} {
+		for _, val := range []string{"on", "off", "0"} {
+			_, err := ParseDSN("ghostdb://?" + key + "=" + val)
+			if want := fmt.Sprintf("unknown DSN parameter %q", key); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s=%s: error = %v, want %s", key, val, err, want)
+			}
 		}
 	}
 }
@@ -63,7 +78,7 @@ func TestOpenEngine(t *testing.T) {
 	if _, err := OpenEngine("ghostdb://?usb=warp"); err == nil {
 		t.Fatal("OpenEngine with a bad DSN should fail")
 	}
-	db, err := OpenEngine("ghostdb://?shards=2&metrics=on")
+	db, err := OpenEngine("ghostdb://?shards=2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,14 @@ import (
 
 func TestParseDSNFaults(t *testing.T) {
 	cfg, err := ParseDSN("")
-	if err != nil || cfg.Faults != "" || cfg.Degraded || !cfg.Integrity {
-		t.Fatalf("defaults = %+v, %v; want no faults, degraded off, integrity on", cfg, err)
+	if err != nil || cfg.Faults != "" || cfg.Degraded {
+		t.Fatalf("defaults = %+v, %v; want no faults, degraded off", cfg, err)
 	}
-	cfg, err = ParseDSN("ghostdb://?faults=seed=42,read.transient=0.001,cutop=500&degraded=on&integrity=off&shards=4")
+	cfg, err = ParseDSN("ghostdb://?faults=seed=42,read.transient=0.001,cutop=500&degraded=on&shards=4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Faults != "seed=42,read.transient=0.001,cutop=500" || !cfg.Degraded || cfg.Integrity {
+	if cfg.Faults != "seed=42,read.transient=0.001,cutop=500" || !cfg.Degraded {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	for _, bad := range []string{
@@ -27,7 +27,6 @@ func TestParseDSNFaults(t *testing.T) {
 		"ghostdb://?faults=bogus=1",
 		"ghostdb://?faults=cutop=x",
 		"ghostdb://?degraded=maybe",
-		"ghostdb://?integrity=maybe",
 	} {
 		if _, err := ParseDSN(bad); err == nil {
 			t.Errorf("ParseDSN(%q) should fail", bad)

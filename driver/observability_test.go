@@ -12,24 +12,20 @@ import (
 
 func TestParseDSNObservability(t *testing.T) {
 	cfg, err := ParseDSN("")
-	if err != nil || cfg.SlowQuery != 0 || !cfg.Metrics {
-		t.Fatalf("defaults = %+v, %v; want metrics on, no slowquery", cfg, err)
+	if err != nil || cfg.SlowQuery != 0 {
+		t.Fatalf("defaults = %+v, %v; want no slowquery", cfg, err)
 	}
-	cfg, err = ParseDSN("ghostdb://?slowquery=50ms&metrics=off")
+	cfg, err = ParseDSN("ghostdb://?slowquery=50ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.SlowQuery != 50*time.Millisecond || cfg.Metrics {
+	if cfg.SlowQuery != 50*time.Millisecond {
 		t.Fatalf("cfg = %+v", cfg)
-	}
-	if _, err := ParseDSN("ghostdb://?metrics=on"); err != nil {
-		t.Fatal(err)
 	}
 	for _, bad := range []string{
 		"ghostdb://?slowquery=fast",
 		"ghostdb://?slowquery=-1s",
 		"ghostdb://?slowquery=0s",
-		"ghostdb://?metrics=maybe",
 	} {
 		if _, err := ParseDSN(bad); err == nil {
 			t.Errorf("ParseDSN(%q) should fail", bad)
@@ -101,17 +97,5 @@ func TestDriverDeltaSummary(t *testing.T) {
 	s = eng.DeltaSummary()
 	if s.Rows != 0 || s.Tombstones != 0 || s.Checkpoints != 1 {
 		t.Fatalf("post-CHECKPOINT summary = %+v, want empty delta, 1 checkpoint", s)
-	}
-}
-
-// TestDriverMetricsOff checks the metrics=off DSN knob.
-func TestDriverMetricsOff(t *testing.T) {
-	db := openHospital(t, "ghostdb://?metrics=off")
-	var n int
-	if err := db.QueryRow(`SELECT COUNT(*) FROM Visit Vis`).Scan(&n); err != nil || n != 3 {
-		t.Fatalf("count = %d, %v", n, err)
-	}
-	if snap := engineOf(t, db).MetricsSnapshot(); snap != nil {
-		t.Fatalf("snapshot = %v, want nil with metrics=off", snap)
 	}
 }

@@ -143,11 +143,6 @@ func WithSpec(s PlanSpec) QueryOption { return core.WithSpec(s) }
 // honored at execution batch boundaries and surfaces as ctx.Err().
 func WithContext(ctx context.Context) QueryOption { return core.WithContext(ctx) }
 
-// WithMetrics enables or disables the engine metrics registry (default
-// enabled). Disabled, DB.MetricsSnapshot returns nil and queries skip
-// all counter updates.
-func WithMetrics(enabled bool) Option { return core.WithMetrics(enabled) }
-
 // WithShards splits the database across n simulated devices: the fact
 // table is partitioned over the shards while dimension tables are
 // replicated, and root-rooted queries run scatter-gather with one
@@ -176,10 +171,6 @@ func WithFaultPlan(p *FaultPlan) Option { return core.WithFaultPlan(p) }
 // queries from surviving replicas after a shard's device dies, instead
 // of failing every query fast.
 func WithDegradedReads(on bool) Option { return core.WithDegradedReads(on) }
-
-// WithIntegrity toggles the per-page flash checksums (default on). Off
-// is a benchmarking baseline that forgoes torn-write detection.
-func WithIntegrity(on bool) Option { return core.WithIntegrity(on) }
 
 // BackendConfig selects the storage backend under the device: the
 // simulated NAND chip (the default) or the persistent real-file backend.

@@ -1,15 +1,15 @@
-// Package bench implements the experiment harness: one runner per table
-// and figure of the paper's evaluation (see DESIGN.md's experiment index
-// E1-E11). cmd/ghostdb-bench prints their outputs; the repository-root
-// benchmarks wrap them in testing.B.
+// Package bench implements the paper harness: one runner per table and
+// figure of the paper's evaluation (see DESIGN.md's experiment index
+// E1-E11), plus loadgen, the many-client HTTP driver. cmd/ghostdb-bench
+// prints their outputs; the repository-root benchmarks wrap them in
+// testing.B. How fast the system itself is — DML, checkpoints, shards,
+// backends — is benchmark/'s question, not this package's.
 package bench
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/baseline"
@@ -21,7 +21,6 @@ import (
 	"github.com/ghostdb/ghostdb/internal/pred"
 	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/stats"
-	"github.com/ghostdb/ghostdb/internal/storage"
 	"github.com/ghostdb/ghostdb/internal/trace"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
@@ -45,31 +44,16 @@ WHERE Doc.Country = 'Spain' AND Vis.Purpose = 'Sclerosis'`
 type Config struct {
 	Scale int   // prescriptions; the paper uses 1,000,000
 	Seed  int64 // dataset seed
-	// Backend selects the storage backend for every database the run
-	// builds (the zero value is the simulated NAND). File-backed runs
-	// give each database its own subdirectory of Backend.Path, since a
-	// device directory holds exactly one database.
-	Backend storage.Config
 }
 
-// buildSeq numbers BuildDB calls so concurrent or repeated file-backed
-// builds never share a device directory.
-var buildSeq atomic.Int64
-
 // BuildDB generates the dataset and loads a GhostDB with the given
-// options. The config's backend applies first, so experiment-specific
-// options (including another WithBackend) override it.
+// options.
 func BuildDB(cfg Config, opts ...core.Option) (*core.DB, *datagen.Dataset, error) {
 	c := datagen.WithScale(cfg.Scale)
 	if cfg.Seed != 0 {
 		c.Seed = cfg.Seed
 	}
 	ds := datagen.Generate(c)
-	if cfg.Backend.IsFile() {
-		bc := cfg.Backend
-		bc.Path = filepath.Join(bc.Path, fmt.Sprintf("db%03d", buildSeq.Add(1)))
-		opts = append([]core.Option{core.WithBackend(bc)}, opts...)
-	}
 	db, err := core.Open(opts...)
 	if err != nil {
 		return nil, nil, err

@@ -183,3 +183,35 @@ func TestGameAblationsBloom(t *testing.T) {
 	}
 	_ = FormatBloom(bl)
 }
+
+// TestLoadGenOrderStatistics: the loadgen report's latency quantiles are
+// samples of the run, so they are ordered and none exceeds the maximum
+// (bucketed quantiles could, and did: p99 above max_ns).
+func TestLoadGenOrderStatistics(t *testing.T) {
+	sorted := make([]int64, 100)
+	for i := range sorted {
+		sorted[i] = int64(i + 1)
+	}
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0.50, 50}, {0.95, 95}, {0.99, 99}, {0.991, 100}, {1, 100}, {0, 1}} {
+		if got := orderStat(sorted, c.q); got != c.want {
+			t.Errorf("orderStat(1..100, %v) = %d, want %d", c.q, got, c.want)
+		}
+	}
+	if got := orderStat(nil, 0.5); got != 0 {
+		t.Errorf("orderStat of no samples = %d, want 0", got)
+	}
+
+	rep, err := LoadGenLocal(Config{Scale: 2000}, 8, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests != 40 || rep.Dropped != 0 || rep.RowsTotal != 40 {
+		t.Fatalf("report = %+v, want 40 requests, 40 rows, 0 dropped", rep)
+	}
+	if !(0 < rep.P50NS && rep.P50NS <= rep.P95NS && rep.P95NS <= rep.P99NS && rep.P99NS <= rep.MaxNS) {
+		t.Fatalf("quantiles out of order: %+v", rep)
+	}
+}

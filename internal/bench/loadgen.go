@@ -5,8 +5,8 @@ package bench
 // layer does under pressure. Each client loops point lookups against
 // the hospital dataset, honoring 429 Retry-After hints; the report
 // separates throttling (expected under saturation) from drops (never
-// acceptable) and quantile latencies come from the same log-scale
-// histogram the engine metrics use.
+// acceptable); latency quantiles are exact order statistics over every
+// successful request.
 
 import (
 	"bytes"
@@ -14,15 +14,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/ghostdb/ghostdb/internal/metrics"
 	"github.com/ghostdb/ghostdb/internal/server"
 )
 
@@ -64,10 +65,11 @@ func LoadGenURL(base string, clients, perClient int) (*ServerReport, error) {
 	}
 
 	var (
-		ok, rejected, dropped, rows atomic.Int64
-		hist                        metrics.Histogram
-		maxNS                       atomic.Int64
-		wg                          sync.WaitGroup
+		rejected, dropped, rows atomic.Int64
+		wg                      sync.WaitGroup
+		// lat[c] holds client c's successful-request latencies; each
+		// goroutine appends to its own slot only.
+		lat = make([][]int64, clients)
 
 		errMu    sync.Mutex
 		firstErr error
@@ -84,6 +86,7 @@ func LoadGenURL(base string, clients, perClient int) (*ServerReport, error) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			lat[c] = make([]int64, 0, perClient)
 			for i := 0; i < perClient; i++ {
 				id := int64((c*perClient+i)%docs) + 1
 				body, _ := json.Marshal(map[string]any{
@@ -117,15 +120,7 @@ func LoadGenURL(base string, clients, perClient int) (*ServerReport, error) {
 						noteErr(fmt.Errorf("query: status %d (decode: %v)", resp.StatusCode, decErr))
 						break
 					}
-					ns := time.Since(t0).Nanoseconds()
-					hist.Observe(ns)
-					for {
-						cur := maxNS.Load()
-						if ns <= cur || maxNS.CompareAndSwap(cur, ns) {
-							break
-						}
-					}
-					ok.Add(1)
+					lat[c] = append(lat[c], time.Since(t0).Nanoseconds())
 					rows.Add(int64(len(qr.Rows)))
 					break
 				}
@@ -135,20 +130,21 @@ func LoadGenURL(base string, clients, perClient int) (*ServerReport, error) {
 	wg.Wait()
 	wall := time.Since(start)
 
-	snap := hist.Snapshot()
+	all := slices.Concat(lat...)
+	slices.Sort(all)
 	rep := &ServerReport{
 		Clients:   clients,
 		PerClient: perClient,
-		Requests:  ok.Load(),
+		Requests:  int64(len(all)),
 		Rejected:  rejected.Load(),
 		Dropped:   dropped.Load(),
 		RowsTotal: rows.Load(),
 		WallNS:    wall.Nanoseconds(),
-		P50NS:     snap.Quantile(0.50),
-		P95NS:     snap.Quantile(0.95),
-		P99NS:     snap.Quantile(0.99),
-		MaxNS:     maxNS.Load(),
-		QPS:       float64(ok.Load()) / wall.Seconds(),
+		P50NS:     orderStat(all, 0.50),
+		P95NS:     orderStat(all, 0.95),
+		P99NS:     orderStat(all, 0.99),
+		MaxNS:     orderStat(all, 1),
+		QPS:       float64(len(all)) / wall.Seconds(),
 	}
 	if rep.Dropped > 0 {
 		errMu.Lock()
@@ -157,6 +153,17 @@ func LoadGenURL(base string, clients, perClient int) (*ServerReport, error) {
 		return rep, fmt.Errorf("loadgen dropped %d requests (first: %v)", rep.Dropped, err)
 	}
 	return rep, nil
+}
+
+// orderStat returns the q-quantile of sorted by the nearest-rank rule:
+// the smallest sample with at least q of the samples at or below it (so
+// q = 1 is the maximum); 0 when there are no samples.
+func orderStat(sorted []int64, q float64) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
 }
 
 // LoadGenLocal builds the hospital database at cfg's scale, serves it

@@ -251,25 +251,6 @@ func TestQueryHooks(t *testing.T) {
 	}
 }
 
-func TestMetricsDisabled(t *testing.T) {
-	db, _, _ := loadTiny(t, WithMetrics(false))
-	defer db.Close()
-	if snap := db.MetricsSnapshot(); snap != nil {
-		t.Fatalf("snapshot = %v, want nil with metrics off", snap)
-	}
-	sess, err := db.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap := sess.MetricsSnapshot(); snap != nil {
-		t.Fatalf("session snapshot = %v, want nil with metrics off", snap)
-	}
-	res, err := sess.Query("SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = 'Sclerosis'")
-	if err != nil || len(res.Rows) == 0 {
-		t.Fatalf("query with metrics off: %v (%d rows)", err, len(res.Rows))
-	}
-}
-
 // TestMetricsFeed drives queries, DML, and a checkpoint through one DB
 // and checks that every engine counter the registry advertises actually
 // moves.

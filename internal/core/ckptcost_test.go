@@ -86,10 +86,7 @@ func deviceCosts(devs []*DB, ramHigh []int64) string {
 	for i, c := range devs {
 		c.mu.Lock()
 		fs := c.dev.Flash.Stats()
-		var probes int64
-		if c.metrics != nil {
-			probes = c.metrics.tombstoneProbes.Value()
-		}
+		probes := c.metrics.tombstoneProbes.Value()
 		fmt.Fprintf(&b, "dev%d clock=%d probes=%d reads=%d progs=%d erases=%d bus=%d ram=%d\n",
 			i, int64(c.clock.Now()), probes, fs.PageReads, fs.PagesProgrammed, fs.BlockErases,
 			c.net.Stats(trace.Terminal, trace.Device).Bytes, ramHigh[i])

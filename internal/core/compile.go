@@ -87,9 +87,7 @@ func (db *DB) compileCached(sqlText string) (*CompiledQuery, bool, error) {
 	key := normalizeSQL(sqlText)
 	if v, ok := db.planCache.get(key); ok {
 		if cq, ok := v.(*CompiledQuery); ok {
-			if m := db.metrics; m != nil {
-				m.planCacheHits.Inc()
-			}
+			db.metrics.planCacheHits.Inc()
 			return cq, true, nil
 		}
 	}
@@ -97,9 +95,7 @@ func (db *DB) compileCached(sqlText string) (*CompiledQuery, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if m := db.metrics; m != nil {
-		m.planCacheMisses.Inc()
-	}
+	db.metrics.planCacheMisses.Inc()
 	db.planCache.put(key, cq)
 	return cq, false, nil
 }
@@ -204,12 +200,10 @@ func (db *DB) visSelect(p plan.Pred) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m := db.metrics; m != nil {
-		if indexed {
-			m.visIndexed.Inc()
-		} else {
-			m.visScanned.Inc()
-		}
+	if indexed {
+		db.metrics.visIndexed.Inc()
+	} else {
+		db.metrics.visScanned.Inc()
 	}
 	return ids, nil
 }
@@ -402,58 +396,14 @@ func (cq *CompiledQuery) runBound(bound *plan.Query, cfg *queryConfig, sh *shard
 	return res, err
 }
 
-// QueryWithPlan executes a prepared query under an explicit plan.
+// QueryWithPlan executes a prepared query under an explicit plan: one run
+// of a throw-away compilation of q with the spec forced, so it is
+// observed, validated and routed exactly as CompiledQuery.Run with
+// WithSpec is.
 func (db *DB) QueryWithPlan(q *plan.Query, spec plan.Spec, opts ...QueryOption) (*Result, error) {
 	if q.NumParams > 0 {
 		return nil, fmt.Errorf("core: cannot execute a query with %d unbound parameters", q.NumParams)
 	}
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	start := time.Now()
-	if len(db.hooks) > 0 {
-		db.fireHooks(QueryEvent{Phase: QueryStart, SQL: q.SQL})
-	}
-	res, err := db.queryWithPlan(q, spec, &cfg)
-	wall := time.Since(start)
-	var label string
-	var simT time.Duration
-	var rows int
-	if err == nil {
-		label, simT, rows = res.Report.PlanLabel, res.Report.TotalTime, res.Report.ResultRows
-	}
-	db.observeQuery(cfg.session, q.SQL, label, wall, simT, rows, err)
-	return res, err
-}
-
-func (db *DB) queryWithPlan(q *plan.Query, spec plan.Spec, cfg *queryConfig) (*Result, error) {
-	if db.shards != nil {
-		// Force the spec on every contacted shard; the shards validate it
-		// against their own (identical) index structures.
-		scfg := *cfg
-		forced := spec.Clone()
-		scfg.spec = &forced
-		return db.runSharded(&CompiledQuery{db: db, shape: q}, q, &scfg)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	if err := db.fatalError(); err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(q, db.hasIndexLocked); err != nil {
-		return nil, err
-	}
-	visSel, err := db.visSelections(q)
-	if err != nil {
-		return nil, err
-	}
-	res, err := db.execute(q, spec, visSel, cfg.ctx, nil)
-	if err != nil {
-		db.noteDeviceErr(err)
-	}
-	return res, err
+	cq := &CompiledQuery{db: db, shape: q}
+	return cq.Run(nil, append(opts[:len(opts):len(opts)], WithSpec(spec))...)
 }

@@ -612,9 +612,7 @@ func (db *DB) runShard(cp *coordPlan, s int, bound *plan.Query, cfg *queryConfig
 // coordinator's registry, mirroring what DB.execute feeds on a single
 // device. Children feed their own registries from their executions.
 func (db *DB) feedShardMetrics(rep *stats.Report) {
-	if m := db.metrics; m != nil {
-		m.flashPageReads.Add(rep.Flash.PageReads)
-		m.busBytes.Add(rep.BusBytes)
-		m.ramHighWater.Observe(rep.RAMHigh)
-	}
+	db.metrics.flashPageReads.Add(rep.Flash.PageReads)
+	db.metrics.busBytes.Add(rep.BusBytes)
+	db.metrics.ramHighWater.Observe(rep.RAMHigh)
 }

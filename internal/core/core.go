@@ -59,11 +59,6 @@ type Options struct {
 	// no automatic checkpoint (mutations fail with a RAM budget error
 	// once the delta outgrows the device arena).
 	DeltaLimit int
-	// DisableMetrics turns the engine-wide metrics registry off
-	// (MetricsSnapshot then returns nil). Metrics are on by default;
-	// they cost a handful of atomic adds per query and never touch the
-	// simulated clock.
-	DisableMetrics bool
 	// Hooks are tracing callbacks fired on query start/finish/error.
 	Hooks []QueryHook
 	// SlowQueryThreshold, when positive, counts queries whose wall-clock
@@ -87,12 +82,6 @@ type Options struct {
 	// (power cut, bus disconnect). Off by default: any query touching a
 	// dead shard fails fast with the device's terminal error.
 	DegradedReads bool
-	// DisableIntegrity turns off the per-page out-of-band checksums the
-	// flash layer maintains (modeled as pipelined hardware ECC, so they
-	// never charge the simulated clock). Benchmarks use it to measure
-	// the durability machinery's overhead; with it off, torn writes and
-	// bit flips go undetected.
-	DisableIntegrity bool
 	// Backend selects the storage backend under the device's flash
 	// allocator. The zero value (or Kind "sim") is the simulated NAND
 	// chip, whose operations charge the simulated clock. Kind "file"
@@ -162,22 +151,10 @@ func WithDegradedReads(on bool) Option {
 	return func(o *Options) { o.DegradedReads = on }
 }
 
-// WithIntegrity enables (the default) or disables the flash layer's
-// per-page checksums (see Options.DisableIntegrity).
-func WithIntegrity(on bool) Option {
-	return func(o *Options) { o.DisableIntegrity = !on }
-}
-
 // WithBackend selects the storage backend (see Options.Backend). The
 // usual configs are storage.Sim() and storage.File(path, fsync).
 func WithBackend(cfg storage.Config) Option {
 	return func(o *Options) { o.Backend = cfg }
-}
-
-// WithMetrics enables (the default) or disables the engine-wide metrics
-// registry.
-func WithMetrics(enabled bool) Option {
-	return func(o *Options) { o.DisableMetrics = !enabled }
 }
 
 // WithQueryHook registers a tracing hook fired on query start, finish
@@ -240,8 +217,9 @@ type DB struct {
 	// device gate.
 	planCache *planCache
 
-	// metrics is the engine-wide observability registry (nil when
-	// disabled); feeds are atomic and never take the device gate.
+	// metrics is the engine-wide observability registry; feeds are
+	// atomic, never take the device gate and never touch the simulated
+	// clock.
 	metrics *engineMetrics
 	// hooks are the query tracing callbacks, immutable after Open.
 	hooks []QueryHook
@@ -478,9 +456,6 @@ func openSingle(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.DisableIntegrity {
-		dev.Flash.SetIntegrity(false)
-	}
 	rec := trace.NewRecorder(opts.Capture)
 	net := bus.NewNetwork(clock, rec)
 	net.Connect(trace.Terminal, trace.Server, opts.LAN)
@@ -490,10 +465,6 @@ func openSingle(opts Options) (*DB, error) {
 	if cacheSize == 0 {
 		cacheSize = 256
 	}
-	var em *engineMetrics
-	if !opts.DisableMetrics {
-		em = newEngineMetrics(true)
-	}
 	return &DB{
 		opts:       opts,
 		clock:      clock,
@@ -502,7 +473,7 @@ func openSingle(opts Options) (*DB, error) {
 		net:        net,
 		rec:        rec,
 		planCache:  newPlanCache(cacheSize),
-		metrics:    em,
+		metrics:    newEngineMetrics(true),
 		hooks:      opts.Hooks,
 		sch:        schema.New(),
 		vis:        visible.NewStore(),
@@ -1208,7 +1179,8 @@ func (db *DB) loadState(cols map[string][][]value.Value) error {
 	db.views = views
 	// Only a CHECKPOINT's rebuild is observed: the secure-setting load is
 	// as free in the metrics as on the simulated clock.
-	if m := db.metrics; m != nil && db.loaded {
+	if db.loaded {
+		m := db.metrics
 		m.checkpointColumnsWall.Observe(columnsDone.Sub(start).Nanoseconds())
 		m.checkpointSKTWall.Observe(sktDone.Sub(columnsDone).Nanoseconds())
 		m.checkpointClimbingWall.Observe(time.Since(sktDone).Nanoseconds())

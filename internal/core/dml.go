@@ -74,10 +74,10 @@ func (db *DB) ExecStatementsContext(ctx context.Context, stmts []sql.Statement) 
 	// Fold the DML counters and refresh the delta gauges on every exit
 	// path; runs before the gate is released (defers are LIFO).
 	defer func() {
-		if m := db.metrics; m != nil && dmlStmts > 0 {
-			m.dmlStatements.Add(dmlStmts)
-			m.rowsAffected.Add(dmlRows)
-			m.noteDelta(db)
+		if dmlStmts > 0 {
+			db.metrics.dmlStatements.Add(dmlStmts)
+			db.metrics.rowsAffected.Add(dmlRows)
+			db.metrics.noteDelta(db)
 		}
 	}()
 	for _, s := range stmts {
@@ -274,11 +274,9 @@ func (cd *CompiledDML) Exec(params []value.Value) (int64, error) {
 		return 0, ErrClosed
 	}
 	n, err := db.execDMLLocked(bound)
-	if m := db.metrics; m != nil {
-		m.dmlStatements.Inc()
-		m.rowsAffected.Add(n)
-		m.noteDelta(db)
-	}
+	db.metrics.dmlStatements.Inc()
+	db.metrics.rowsAffected.Add(n)
+	db.metrics.noteDelta(db)
 	if err != nil {
 		return n, err
 	}
@@ -340,9 +338,7 @@ func (l *liveness) live(ord int, id uint32) bool {
 		return state == 1
 	}
 	l.db.dev.CPU.Charge(sim.CyclesTombstone)
-	if em := l.db.metrics; em != nil {
-		em.tombstoneProbes.Inc()
-	}
+	l.db.metrics.tombstoneProbes.Inc()
 	state = 2
 	if l.computeLive(l.db.views[ord], id) {
 		state = 1
@@ -876,18 +872,16 @@ func (db *DB) checkpointCommitLocked(p *ckptPending) error {
 	var rebuilt time.Time // zero until the rebuild phase has succeeded
 	defer func() {
 		db.checkpointsRun.Add(1)
-		if m := db.metrics; m != nil {
-			end := time.Now()
-			m.checkpoints.Inc()
-			m.checkpointWall.Observe(end.Sub(p.wallStart).Nanoseconds())
-			m.checkpointPrepareWall.Observe(p.prepared.Sub(p.wallStart).Nanoseconds())
-			if !rebuilt.IsZero() {
-				m.checkpointRebuildWall.Observe(rebuilt.Sub(start).Nanoseconds())
-				m.checkpointCommitWall.Observe(end.Sub(rebuilt).Nanoseconds())
-			}
-			m.checkpointSim.Observe(int64(db.clock.Span(p.simStart)))
-			m.noteDelta(db)
+		m, end := db.metrics, time.Now()
+		m.checkpoints.Inc()
+		m.checkpointWall.Observe(end.Sub(p.wallStart).Nanoseconds())
+		m.checkpointPrepareWall.Observe(p.prepared.Sub(p.wallStart).Nanoseconds())
+		if !rebuilt.IsZero() {
+			m.checkpointRebuildWall.Observe(rebuilt.Sub(start).Nanoseconds())
+			m.checkpointCommitWall.Observe(end.Sub(rebuilt).Nanoseconds())
 		}
+		m.checkpointSim.Observe(int64(db.clock.Span(p.simStart)))
+		m.noteDelta(db)
 	}()
 	// Tear down the old device structures: drop the page cache grant,
 	// swap to the spare half (erasing the version-before-last) and

@@ -172,12 +172,10 @@ func (db *DB) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx cont
 	// Feed the engine registry from the measured report. Atomic adds
 	// only — no simulated-clock charges, so metrics cannot perturb any
 	// reported timing or tuple count.
-	if m := db.metrics; m != nil {
-		m.batchesPulled.Add(ex.batches)
-		m.flashPageReads.Add(rep.Flash.PageReads)
-		m.busBytes.Add(rep.BusBytes)
-		m.ramHighWater.Observe(rep.RAMHigh)
-	}
+	db.metrics.batchesPulled.Add(ex.batches)
+	db.metrics.flashPageReads.Add(rep.Flash.PageReads)
+	db.metrics.busBytes.Add(rep.BusBytes)
+	db.metrics.ramHighWater.Observe(rep.RAMHigh)
 
 	ex.cleanup()
 	if runErr != nil {

@@ -98,16 +98,12 @@ func (db *DB) observeQuery(s *Session, sqlText, planLabel string, wall time.Dura
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if m != nil {
-				m.queriesCanceled.Inc()
-			}
+			m.queriesCanceled.Inc()
 			if sm != nil {
 				sm.queriesCanceled.Inc()
 			}
 		}
-		if m != nil {
-			m.queryErrors.Inc()
-		}
+		m.queryErrors.Inc()
 		if sm != nil {
 			sm.queryErrors.Inc()
 		}
@@ -117,14 +113,12 @@ func (db *DB) observeQuery(s *Session, sqlText, planLabel string, wall time.Dura
 		return
 	}
 	slow := db.opts.SlowQueryThreshold > 0 && wall >= db.opts.SlowQueryThreshold
-	if m != nil {
-		m.queries.Inc()
-		m.rowsReturned.Add(int64(rows))
-		m.queryWall.Observe(wall.Nanoseconds())
-		m.querySim.Observe(sim.Nanoseconds())
-		if slow {
-			m.slowQueries.Inc()
-		}
+	m.queries.Inc()
+	m.rowsReturned.Add(int64(rows))
+	m.queryWall.Observe(wall.Nanoseconds())
+	m.querySim.Observe(sim.Nanoseconds())
+	if slow {
+		m.slowQueries.Inc()
 	}
 	if sm != nil {
 		sm.queries.Inc()

@@ -6,8 +6,7 @@ import (
 
 // engineMetrics holds pre-registered pointers into one metrics.Registry
 // so the hot path pays a few atomic adds and zero map lookups per query.
-// Every field is nil-safe: a nil *engineMetrics (metrics disabled via
-// WithMetrics(false)) makes every feed a no-op.
+// Every DB and every Session owns one.
 //
 // Time histograms come in pairs: *_wall_ns is host wall-clock,
 // *_sim_ns is simulated device time. Feeding metrics never charges the
@@ -86,9 +85,6 @@ const (
 // addRouteMetrics registers the coordinator's routing metrics. The
 // counters share one Prometheus family, told apart by a route label.
 func (m *engineMetrics) addRouteMetrics() {
-	if m == nil {
-		return
-	}
 	const help = "queries by how the shard coordinator routed them"
 	for route, label := range [numShardRoutes]string{"pruned", "scatter", "replica"} {
 		m.shardRoutes[route] = m.reg.Counter(`shard_route_total{route="`+label+`"}`, help)
@@ -98,9 +94,6 @@ func (m *engineMetrics) addRouteMetrics() {
 
 // noteRoute counts one routed query and the shards it contacted.
 func (m *engineMetrics) noteRoute(route shardRoute, contacted int) {
-	if m == nil {
-		return
-	}
 	m.shardRoutes[route].Inc()
 	m.shardsContacted.Observe(int64(contacted))
 }
@@ -163,43 +156,18 @@ func newEngineMetrics(device bool) *engineMetrics {
 }
 
 // faultSink adapts the engine metrics registry to the fault injector's
-// Sink interface. All methods are nil-safe against disabled metrics.
+// Sink interface.
 type faultSink struct{ m *engineMetrics }
 
-func (s faultSink) FaultInjected(string, bool) {
-	if s.m != nil {
-		s.m.faultsInjected.Inc()
-	}
-}
-
-func (s faultSink) FaultRetried(string) {
-	if s.m != nil {
-		s.m.faultsRetried.Inc()
-	}
-}
-
-func (s faultSink) ChecksumFailure() {
-	if s.m != nil {
-		s.m.checksumFailures.Inc()
-	}
-}
-
-// snapshot returns the registry snapshot; nil when metrics are off.
-func (m *engineMetrics) snapshot() metrics.Snapshot {
-	if m == nil {
-		return nil
-	}
-	return m.reg.Snapshot()
-}
+func (s faultSink) FaultInjected(string, bool) { s.m.faultsInjected.Inc() }
+func (s faultSink) FaultRetried(string)        { s.m.faultsRetried.Inc() }
+func (s faultSink) ChecksumFailure()           { s.m.checksumFailures.Inc() }
 
 // noteDelta refreshes the delta-store gauges from the store's current
 // footprint. Callers hold db.mu (the delta store is device state). On a
 // sharded DB the gauges carry the logical delta aggregated over the
 // shard set (child locks only, so this is safe under db.mu or ss.mu).
 func (m *engineMetrics) noteDelta(db *DB) {
-	if m == nil {
-		return
-	}
 	var rows, tombs int
 	var deviceBytes int64
 	if db.shards != nil {
@@ -227,17 +195,17 @@ func (m *engineMetrics) noteDelta(db *DB) {
 }
 
 // MetricsSnapshot returns a point-in-time snapshot of the engine-wide
-// metrics registry (counters, gauges, histograms), sorted by name.
-// Returns nil when metrics are disabled (WithMetrics(false)).
+// metrics registry (counters, gauges, histograms), sorted by name; never
+// nil.
 func (db *DB) MetricsSnapshot() metrics.Snapshot {
-	return db.metrics.snapshot()
+	return db.metrics.reg.Snapshot()
 }
 
 // MetricsSnapshot returns this session's private metrics (queries,
 // latency histograms, rows) — the same names as the DB registry but
-// scoped to the session's own traffic. Nil when metrics are disabled.
+// scoped to the session's own traffic.
 func (s *Session) MetricsSnapshot() metrics.Snapshot {
-	return s.metrics.snapshot()
+	return s.metrics.reg.Snapshot()
 }
 
 // CheckpointsRun reports how many CHECKPOINT merges have absorbed delta
@@ -250,9 +218,9 @@ func (db *DB) CheckpointsRun() int64 {
 // by shard number. Children feed their own registries from their local
 // executions (flash, bus, RAM, batches); coordinator-level counters
 // such as queries_total stay on the DB's own registry. Nil on a
-// single-device DB or when metrics are disabled.
+// single-device DB.
 func (db *DB) ShardMetrics() []metrics.Snapshot {
-	if db.shards == nil || db.metrics == nil {
+	if db.shards == nil {
 		return nil
 	}
 	out := make([]metrics.Snapshot, len(db.shards.children))

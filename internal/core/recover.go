@@ -209,10 +209,8 @@ func Recover(snap *Snapshot, extra ...Option) (*DB, *RecoverInfo, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: recover: rebuilding: %w", err)
 	}
-	if m := ndb.metrics; m != nil {
-		m.recoveries.Inc()
-		m.recoveryWall.Observe(time.Since(start).Nanoseconds())
-	}
+	ndb.metrics.recoveries.Inc()
+	ndb.metrics.recoveryWall.Observe(time.Since(start).Nanoseconds())
 	return ndb, info, nil
 }
 

@@ -29,9 +29,8 @@ type Session struct {
 	db *DB
 	id int
 
-	// metrics is the session-scoped registry (nil when the DB's metrics
-	// are disabled): the same metric names as the DB registry, counting
-	// only this session's traffic.
+	// metrics is the session-scoped registry: the same metric names as
+	// the DB registry, counting only this session's traffic.
 	metrics *engineMetrics
 
 	mu          sync.Mutex
@@ -58,11 +57,7 @@ func (db *DB) NewSession() (*Session, error) {
 	}
 	db.nextSession++
 	db.sessions++
-	s := &Session{db: db, id: db.nextSession}
-	if db.metrics != nil {
-		s.metrics = newEngineMetrics(false)
-	}
-	return s, nil
+	return &Session{db: db, id: db.nextSession, metrics: newEngineMetrics(false)}, nil
 }
 
 // OpenSessions reports the number of sessions currently open.
@@ -107,12 +102,10 @@ func (s *Session) check() error {
 
 // recordCache folds one plan-cache lookup into the session statistics.
 func (s *Session) recordCache(hit bool) {
-	if m := s.metrics; m != nil {
-		if hit {
-			m.planCacheHits.Inc()
-		} else {
-			m.planCacheMisses.Inc()
-		}
+	if hit {
+		s.metrics.planCacheHits.Inc()
+	} else {
+		s.metrics.planCacheMisses.Inc()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -236,9 +229,7 @@ func (s *Session) Query(sqlText string, opts ...QueryOption) (*Result, error) {
 		// on the shared counters too so DB-level stats stay a superset
 		// of per-session stats.
 		s.db.planCache.noteHit()
-		if m := s.db.metrics; m != nil {
-			m.planCacheHits.Inc()
-		}
+		s.db.metrics.planCacheHits.Inc()
 		s.recordCache(true)
 	}
 	res, err := cq.Run(nil, append(opts, withSession(s))...)

@@ -436,12 +436,10 @@ func (ss *shardSet) checkpoint(db *DB, ctx context.Context) (int64, error) {
 	}
 
 	db.checkpointsRun.Add(1)
-	if m := db.metrics; m != nil {
-		m.checkpoints.Inc()
-		m.checkpointWall.Observe(time.Since(ckptStart).Nanoseconds())
-		m.checkpointSim.Observe(int64(maxSpan))
-		m.noteDelta(db)
-	}
+	db.metrics.checkpoints.Inc()
+	db.metrics.checkpointWall.Observe(time.Since(ckptStart).Nanoseconds())
+	db.metrics.checkpointSim.Observe(int64(maxSpan))
+	db.metrics.noteDelta(db)
 	if firstErr != nil {
 		return 0, firstErr
 	}

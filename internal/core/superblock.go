@@ -121,11 +121,7 @@ func (db *DB) buildCommitRecord(version uint64, rootGlobals flash.Extent, rootCo
 // pays on top of the merge itself.
 func (db *DB) writeCommitRecord() error {
 	simStart := db.clock.Now()
-	defer func() {
-		if m := db.metrics; m != nil {
-			m.recordSim.Add(int64(db.clock.Now() - simStart))
-		}
-	}()
+	defer func() { db.metrics.recordSim.Add(int64(db.clock.Now() - simStart)) }()
 	var rgExt flash.Extent
 	rgCount := 0
 	if len(db.rootGlobals) > 0 {

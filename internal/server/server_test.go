@@ -390,7 +390,6 @@ func TestClientDisconnectCancels(t *testing.T) {
 	release := make(chan struct{})
 	var hooked bool
 	srv, base := newTestServer(t, Config{},
-		core.WithMetrics(true),
 		core.WithQueryHook(func(ev core.QueryEvent) {
 			if ev.Phase == core.QueryStart && !hooked {
 				hooked = true

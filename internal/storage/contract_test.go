@@ -267,19 +267,50 @@ var contract = []struct {
 			t.Fatalf("re-verified page was hashed again: %v", err)
 		}
 	}},
-	{"integrity off", func(t *testing.T, d *storage.Device) {
-		d.SetIntegrity(false)
-		d.SetInjector(fault.New(&fault.Plan{Seed: 3, TornWrite: 1}, 0))
-		program(t, d, 0, fullPage(0xAB))
-		// No OOB checksum was stored, so the torn write goes undetected.
-		if err := d.ReadPage(0, pageBuf()); err != nil {
-			t.Fatalf("integrity off: %v", err)
+	{"page without a CRC reads unverified", func(t *testing.T, d *storage.Device) {
+		// What a release that could switch the checksums off left behind:
+		// the page bytes and an out-of-band entry that says programmed and
+		// nothing else. Every device stamps a CRC now, so the state is
+		// written through the medium and a second device opened over it.
+		m, noCRC := storage.MediumOf(d), storage.OOB{Programmed: true}
+		stored := fullPage(0xAB)
+		if err := m.WritePage(0, stored); err != nil {
+			t.Fatal(err)
 		}
-		// Turning integrity back on does not invent one.
-		d.SetIntegrity(true)
-		if err := d.ReadPage(0, pageBuf()); err != nil {
-			t.Fatalf("page without a checksum verified: %v", err)
+		if err := m.WriteOOB(0, noCRC); err != nil {
+			t.Fatal(err)
 		}
+		re, err := storage.NewDevice(m, contractParams, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !re.PageProgrammed(0) {
+			// simflash's memory leaves the entries to its Device; hand this
+			// one over the way filedev just did, from LoadOOB.
+			if re, err = storage.NewDevice(oobAtOpen{m, 0, noCRC}, contractParams, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// There is nothing to check the bytes against: they read back as
+		// stored, whole and in part, damaged or not.
+		damage(t, re, 0, 7)
+		stored[7] ^= 0x01
+		got := pageBuf()
+		if err := re.ReadPage(0, got); err != nil || !bytes.Equal(got, stored) {
+			t.Fatalf("page without a CRC: read % x, %v", got[:8], err)
+		}
+		if err := re.ReadAt(got[:4], 6); err != nil || !bytes.Equal(got[:4], stored[6:10]) {
+			t.Fatalf("page without a CRC: partial read % x, %v", got[:4], err)
+		}
+		// It is a programmed page like any other, and the program after
+		// its erase is checksummed again.
+		wantErr(t, "reprogram", re.ProgramPage(0, stored), storage.ErrNotErased)
+		if err := re.EraseBlock(0); err != nil {
+			t.Fatal(err)
+		}
+		re.SetInjector(fault.New(&fault.Plan{Seed: 3, TornWrite: 1}, 0))
+		program(t, re, 0, stored)
+		wantErr(t, "read of the torn reprogram", re.ReadPage(0, got), storage.ErrCorrupt)
 	}},
 	{"transient faults are retried", func(t *testing.T, d *storage.Device) {
 		inj := fault.New(&fault.Plan{Seed: 1, ReadTransient: 0.15}, 0)
@@ -387,6 +418,19 @@ func TestDeviceContract(t *testing.T) {
 			t.Run(m.name+"/"+c.name, func(t *testing.T) { c.run(t, m.open(t)) })
 		}
 	}
+}
+
+// oobAtOpen is a medium that reports one more out-of-band entry to the
+// device opening over it.
+type oobAtOpen struct {
+	storage.Medium
+	page int
+	e    storage.OOB
+}
+
+func (m oobAtOpen) LoadOOB(visit func(int, storage.OOB)) error {
+	visit(m.page, m.e)
+	return m.Medium.LoadOOB(visit)
 }
 
 // failingMedium fails the writes it is told to.

@@ -22,7 +22,7 @@ const (
 // OOB is one page's persistent out-of-band entry.
 type OOB struct {
 	CRC        uint32 // PageCRC of the content the program was meant to store
-	HasCRC     bool   // CRC is valid (the page was programmed with integrity on)
+	HasCRC     bool   // CRC is valid; an entry without it reads back unverified
 	Programmed bool   // programmed since the last erase of its block
 }
 
@@ -65,8 +65,7 @@ type Device struct {
 	scratch []byte // one page: staged partial programs, whole-page loads behind partial reads
 	stats   Stats
 
-	inj       *fault.Injector // nil = fault-free
-	integrity bool            // per-page OOB checksums (on by default)
+	inj *fault.Injector // nil = fault-free
 }
 
 type blockState struct{ pages []pageState }
@@ -88,12 +87,11 @@ func NewDevice(m Medium, p Params, clock *sim.Clock) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		m:         m,
-		p:         p,
-		clock:     clock,
-		blocks:    make([]*blockState, p.Blocks),
-		scratch:   make([]byte, p.PageSize),
-		integrity: true,
+		m:       m,
+		p:       p,
+		clock:   clock,
+		blocks:  make([]*blockState, p.Blocks),
+		scratch: make([]byte, p.PageSize),
 	}
 	err := m.LoadOOB(func(page int, e OOB) {
 		*d.materialize(page) = pageState{OOB: e}
@@ -117,11 +115,6 @@ func (d *Device) ResetStats() { d.stats = Stats{} }
 // SetInjector installs a fault injector consulted before every read,
 // program and erase. Pass nil to remove it.
 func (d *Device) SetInjector(inj *fault.Injector) { d.inj = inj }
-
-// SetIntegrity switches the per-page OOB checksums on or off. Pages
-// programmed while integrity is off carry no checksum and are never
-// verified.
-func (d *Device) SetIntegrity(on bool) { d.integrity = on }
 
 // Sync makes everything programmed so far durable on the medium.
 func (d *Device) Sync() error { return d.m.Sync() }
@@ -241,7 +234,7 @@ func (d *Device) readPage(page, off int, dst []byte) error {
 	if mask != 0 {
 		st.verified = false
 	}
-	check := d.integrity && st.HasCRC && !st.verified
+	check := st.HasCRC && !st.verified
 	if mask == 0 && !check {
 		return d.m.ReadPage(page, off, dst)
 	}
@@ -307,12 +300,10 @@ func (d *Device) ProgramPage(page int, data []byte) error {
 	// The checksum is computed after the page write, not before it: the
 	// hash then overlaps the write's stores draining, which the clock's
 	// atomic add at the end would otherwise stall on.
-	st := pageState{OOB: OOB{Programmed: true}}
-	if d.integrity {
-		st.CRC = PageCRC(data, d.p.PageSize)
-		st.HasCRC = true
+	st := pageState{
+		OOB: OOB{CRC: PageCRC(data, d.p.PageSize), HasCRC: true, Programmed: true},
 		// A clean program is trivially verified; a torn one is not.
-		st.verified = !torn
+		verified: !torn,
 	}
 	if err := d.m.WriteOOB(page, st.OOB); err != nil {
 		return err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/fault"
+	"github.com/ghostdb/ghostdb/internal/sim"
 	"github.com/ghostdb/ghostdb/internal/storage"
 )
 
@@ -95,16 +96,36 @@ func TestBitFlipCaughtByChecksum(t *testing.T) {
 	}
 }
 
-func TestIntegrityOffSkipsChecksums(t *testing.T) {
-	d, _ := newTestDevice(t)
-	d.SetIntegrity(false)
-	d.SetInjector(fault.New(&fault.Plan{Seed: 3, TornWrite: 1}, 0))
-	if err := d.ProgramPage(0, bytes.Repeat([]byte{0xAB}, 128)); err != nil {
+// page0NoCRC is the memory medium reporting page 0 as programmed with
+// no checksum, the out-of-band entry a release with the checksums
+// switched off stored (memory itself leaves the entries to its Device).
+type page0NoCRC struct{ *memory }
+
+func (page0NoCRC) LoadOOB(visit func(int, storage.OOB)) error {
+	visit(0, storage.OOB{Programmed: true})
+	return nil
+}
+
+func TestPageWithoutCRCSkipsChecksum(t *testing.T) {
+	p, clock := testParams(), sim.NewClock()
+	m := &memory{p: p, blocks: make([]*block, p.Blocks)}
+	// A torn program: a prefix of the data, then erased NAND.
+	torn := append(bytes.Repeat([]byte{0xAB}, 40), bytes.Repeat([]byte{0xFF}, 88)...)
+	if err := m.WritePage(0, torn); err != nil {
 		t.Fatal(err)
 	}
-	// No OOB checksum was stored, so the torn write goes undetected.
-	if err := d.ReadPage(0, make([]byte, 128)); err != nil {
-		t.Fatalf("integrity off: %v", err)
+	d, err := storage.NewDevice(page0NoCRC{m}, p, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No OOB checksum was stored, so the torn write goes undetected; the
+	// read costs what any page read costs.
+	got := make([]byte, 128)
+	if err := d.ReadPage(0, got); err != nil || !bytes.Equal(got, torn) {
+		t.Fatalf("page without a CRC: read % x, %v", got[:8], err)
+	}
+	if want := p.ReadFixed + 128*p.ReadPerByte; clock.Now() != want {
+		t.Fatalf("unverified read charged %v, want %v", clock.Now(), want)
 	}
 }
 

@@ -120,9 +120,10 @@ func (s Stats) Sub(o Stats) Stats {
 //   - ReadAt/ReadPage return erased (never programmed) bytes as 0xFF.
 //   - ProgramPage rejects a second program without an intervening
 //     EraseBlock (ErrNotErased).
-//   - With integrity on, each programmed page carries an out-of-band
-//     CRC32 of the intended full-page content (PageCRC); a verified read
-//     of a page whose stored bytes diverge returns ErrCorrupt.
+//   - Each programmed page carries an out-of-band CRC32 of the intended
+//     full-page content (PageCRC); a read of a page whose stored bytes
+//     diverge returns ErrCorrupt. A stored entry without a CRC — written
+//     by an older release with checksums switched off — reads unverified.
 //   - The injector, when set, is consulted before every read, program
 //     and erase, and its torn-write/bit-flip effects are applied so
 //     fault-torture suites behave identically across media.
@@ -149,10 +150,6 @@ type Backend interface {
 	// SetInjector installs a fault injector consulted before every read,
 	// program and erase. Pass nil to remove it.
 	SetInjector(inj *fault.Injector)
-	// SetIntegrity switches the per-page OOB checksums on or off. Pages
-	// programmed while integrity is off carry no checksum and are never
-	// verified.
-	SetIntegrity(on bool)
 
 	// Image snapshots the persistent state — what survives a power cut —
 	// for the recovery path. Image reads are forensic: free of simulated
