@@ -69,18 +69,33 @@ func DecodeIDList(src []byte, count int) ([]uint32, error) {
 	return out, nil
 }
 
-// ListDecoder streams a delta-varint ID list from an io.ByteReader. The
-// byte reader is typically a flash extent reader with a one-page buffer,
-// so decoding a long posting list never needs more than a page of RAM.
+// WindowReader is a buffered byte stream that can lend its unread bytes:
+// Window returns what is buffered at the current position without
+// consuming it (io.EOF at the end of the stream) and Advance consumes a
+// prefix of it. flash.Reader, with its one-page buffer, is the
+// implementation the engine uses.
+type WindowReader interface {
+	io.ByteReader
+	Window() ([]byte, error)
+	Advance(n int)
+}
+
+// ListDecoder streams a delta-varint ID list from a WindowReader —
+// typically a flash extent reader with a one-page buffer, so decoding a
+// long posting list never needs more than a page of RAM. Varints are
+// decoded in the lent window; only one that the window cuts short (it
+// crosses a page boundary, or the stream ends inside it) is read byte by
+// byte, which is also what words the error of a truncated or overlong one.
 type ListDecoder struct {
-	r         io.ByteReader
+	r         WindowReader
+	win       []byte // undecoded rest of the window r lent
+	lent      int    // length of that window when it was lent
 	remaining int
-	prev      uint32
-	first     bool
+	prev      uint32 // the last ID; the first is a delta from zero
 }
 
 // NewListDecoder returns a decoder that will yield count IDs from r.
-func NewListDecoder(r io.ByteReader, count int) *ListDecoder {
+func NewListDecoder(r WindowReader, count int) *ListDecoder {
 	d := &ListDecoder{}
 	d.Reset(r, count)
 	return d
@@ -88,8 +103,8 @@ func NewListDecoder(r io.ByteReader, count int) *ListDecoder {
 
 // Reset re-initializes the decoder to yield count IDs from r, so embedded
 // decoder values can be set up without a separate allocation.
-func (d *ListDecoder) Reset(r io.ByteReader, count int) {
-	*d = ListDecoder{r: r, remaining: count, first: true}
+func (d *ListDecoder) Reset(r WindowReader, count int) {
+	*d = ListDecoder{r: r, remaining: count}
 }
 
 // Next returns the next ID. ok is false when the list is exhausted.
@@ -97,18 +112,32 @@ func (d *ListDecoder) Next() (id uint32, ok bool, err error) {
 	if d.remaining <= 0 {
 		return 0, false, nil
 	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
+	v, n := binary.Uvarint(d.win)
+	if n > 0 {
+		d.win = d.win[n:]
+	} else if v, err = d.refill(); err != nil {
 		return 0, false, fmt.Errorf("codec: ID list read: %w", err)
 	}
-	if d.first {
-		d.prev = uint32(v)
-		d.first = false
-	} else {
-		d.prev += uint32(v)
-	}
+	d.prev += uint32(v)
 	d.remaining--
 	return d.prev, true, nil
+}
+
+// refill decodes the varint the lent window does not hold whole: it hands
+// back what was decoded of that window, then decodes from the next one,
+// or through the byte reader when that one cuts the varint short too.
+func (d *ListDecoder) refill() (uint64, error) {
+	d.r.Advance(d.lent - len(d.win))
+	d.win, d.lent = nil, 0
+	win, err := d.r.Window()
+	if err != nil {
+		return 0, err
+	}
+	if v, n := binary.Uvarint(win); n > 0 {
+		d.win, d.lent = win[n:], len(win)
+		return v, nil
+	}
+	return binary.ReadUvarint(d.r)
 }
 
 // Remaining reports how many IDs are left to decode.

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bytes"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -58,7 +57,7 @@ func TestDecodeCorrupt(t *testing.T) {
 func TestListDecoderStreams(t *testing.T) {
 	ids := []uint32{2, 7, 7, 100, 1 << 25}
 	enc := AppendIDList(nil, ids)
-	d := NewListDecoder(bytes.NewReader(enc), len(ids))
+	d := NewListDecoder(newPagedReader(enc, nil), len(ids))
 	for i, want := range ids {
 		if got := d.Remaining(); got != len(ids)-i {
 			t.Errorf("Remaining = %d, want %d", got, len(ids)-i)
@@ -78,7 +77,7 @@ func TestListDecoderStreams(t *testing.T) {
 
 func TestListDecoderTruncated(t *testing.T) {
 	enc := AppendIDList(nil, []uint32{1, 2, 3})
-	d := NewListDecoder(bytes.NewReader(enc[:1]), 3)
+	d := NewListDecoder(newPagedReader(enc[:1], nil), 3)
 	if _, ok, err := d.Next(); !ok || err != nil {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
@@ -102,7 +101,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			}
 		}
 		// Streaming decoder must agree with the slice decoder.
-		sd := NewListDecoder(bytes.NewReader(enc), len(ids))
+		sd := NewListDecoder(newPagedReader(enc, nil), len(ids))
 		for i := 0; ; i++ {
 			id, ok, err := sd.Next()
 			if err != nil {

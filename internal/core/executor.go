@@ -206,9 +206,7 @@ func (ex *executor) release() {
 	ex.spec = plan.Spec{}
 	ex.deltaDead, ex.deltaCands, ex.deltaRows = nil, nil, nil
 	ex.ctx, ex.done = nil, nil
-	for j := range ex.projVals {
-		ex.projVals[j] = nil
-	}
+	ex.proj.reset(0)
 	clear(ex.layout)
 	ex.layout = ex.layout[:0]
 	clear(ex.hps)
@@ -241,14 +239,7 @@ func (ex *executor) reset(db *DB, q *plan.Query, spec plan.Spec, rep *stats.Repo
 	ex.ctx, ex.done, ex.batches = nil, nil, 0
 	ex.hps = ex.hps[:0]
 	ex.kps = ex.kps[:0]
-	if cap(ex.projVals) >= len(q.Projs) {
-		ex.projVals = ex.projVals[:len(q.Projs)]
-		for j := range ex.projVals {
-			ex.projVals[j] = nil
-		}
-	} else {
-		ex.projVals = make([][]value.Value, len(q.Projs))
-	}
+	ex.proj.reset(len(q.Projs))
 }
 
 // executor carries one query execution's state.
@@ -264,10 +255,10 @@ type executor struct {
 	field  map[string]int // table -> field index in Row.IDs
 
 	blooms []func() // bloom grant releases
-	// projVals holds the display-side projected values, keyed by the
-	// dense sequence numbers the Store operator assigns; the slices are
-	// sized once the candidate count is known (sizeProjStore).
-	projVals [][]value.Value
+	// proj holds the display-side projected values, keyed by the dense
+	// sequence numbers the Store operator assigns; it is sized once the
+	// candidate count is known (sizeProjStore).
+	proj projStore
 	// live marks the sequence numbers that survive to the final scan.
 	live seqSet
 	// rootBySeq maps each sequence number to its query-root ID, so the
@@ -348,12 +339,10 @@ type keyProj struct {
 	field   int
 }
 
-// sizeProjStore sizes the per-projection value stores for n candidate
-// rows (sequence numbers 0..n-1).
+// sizeProjStore sizes the projection store and the per-row buffers for n
+// candidate rows (sequence numbers 0..n-1).
 func (ex *executor) sizeProjStore(n int) {
-	for j := range ex.projVals {
-		ex.projVals[j] = make([]value.Value, n)
-	}
+	ex.proj.size(n)
 	if cap(ex.rootBySeq) >= n {
 		ex.rootBySeq = ex.rootBySeq[:n]
 		clear(ex.rootBySeq)
@@ -1143,7 +1132,7 @@ func (ex *executor) mergePass(rf *exec.RowFile, table string, field int, column 
 	resultBytes := 0
 	matchFn := func(r exec.Row, v value.Value) error {
 		for _, j := range projIdxs {
-			ex.projVals[j][r.Seq] = v
+			ex.proj.set(j, r.Seq, v)
 			resultBytes += 4 + v.EncodedSize()
 		}
 		if out != nil {
@@ -1242,12 +1231,12 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 			if err != nil {
 				return err
 			}
-			ex.projVals[hp.projIdx][r.Seq] = v
+			ex.proj.set(hp.projIdx, r.Seq, v)
 			resultBytes += 4 + v.EncodedSize()
 		}
 		for _, kp := range kps {
 			v := value.NewInt(int64(r.IDs[kp.field]))
-			ex.projVals[kp.projIdx][r.Seq] = v
+			ex.proj.set(kp.projIdx, r.Seq, v)
 			resultBytes += 4 + v.EncodedSize()
 		}
 		resultBytes += 4 // the live seq itself
@@ -1362,8 +1351,8 @@ func (w *rowWalk) next(dst []value.Value) (root uint32, ok bool) {
 		return 0, false
 	}
 	w.word &= w.word - 1
-	for j, vals := range ex.projVals {
-		dst[j] = vals[seq]
+	for j := range dst {
+		dst[j] = ex.proj.get(j, seq)
 	}
 	return ex.rootBySeq[seq], true
 }

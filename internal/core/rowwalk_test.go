@@ -317,13 +317,14 @@ func queryBytes(t *testing.T, db *DB, sqlText string) uint64 {
 }
 
 // TestAggregateAllocationFloor pins what an aggregated query may allocate
-// per physical row: the projection store (one 40-byte value per row and
-// projection) and nothing else row-shaped. Doubling the rows of an
-// agg_group-shaped query may grow its bytes by that store plus slack for
-// the per-row words the device pipeline and the visible projection stream
-// carry; a second materialised copy of the rows (what assemble used to
-// build for the grouper) would add 40 B × projections × Δrows on top and
-// fail.
+// per physical row: the projection store (a 9-byte cell per row and
+// projection, and a 16-byte string header per row of a string projection)
+// and nothing else row-shaped. Doubling the rows of an agg_group-shaped
+// query may grow its bytes by that store plus slack for the per-row words
+// the device pipeline and the visible projection stream carry; a store of
+// value.Values (32 B a cell, what it was) or a second materialised copy of
+// the rows (what assemble used to build for the grouper) would each add
+// more than the slack on top and fail.
 func TestAggregateAllocationFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads two 20k/40k-row databases")
@@ -335,9 +336,8 @@ func TestAggregateAllocationFloor(t *testing.T) {
 		return queryBytes(t, db, aggGroupShape)
 	}
 	lo, hi := bytesAt(small), bytesAt(large)
-	const projections = 2
-	valueBytes := uint64(40) // unsafe.Sizeof(value.Value{})
-	store := valueBytes * projections * (large - small)
+	const projections, stringProjections = 2, 1 // Med.Type, Pre.Quantity
+	store := uint64(9*projections+16*stringProjections) * (large - small)
 	slack := store / 4
 	t.Logf("agg_group: %d B at %d rows, %d B at %d rows: +%d B (projection store +%d B, slack %d B)",
 		lo, small, hi, large, hi-lo, store, slack)

@@ -78,6 +78,41 @@ func TestQueryAllocationFloor(t *testing.T) {
 		t.Fatalf("objects per query grew by %d (%d more lists, %d more rows, %d more distinct strings): allowed %d",
 			hi.objects-lo.objects, dLists, dRows, hi.distinct-lo.distinct, allowed)
 	}
+
+	// The projection store: a projected column is a stripe of the one
+	// slab, not a slice of its own, and a fixed-width cell is 9 bytes.
+	// Every column below is fetched on the device, so the store is all a
+	// further projection adds per candidate row; LIMIT 0 keeps the result
+	// rows out of the count.
+	const rows, extra = 20_000, 2
+	db := loadScale(t, rows)
+	defer db.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cost := func(sqlText string) (objects, bytes uint64) {
+		objects, bytes = ^uint64(0), ^uint64(0)
+		for i := 0; i < 6; i++ {
+			o, b := allocsDuring(func() {
+				if _, err := db.Query(sqlText); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if i > 0 {
+				objects, bytes = min(objects, o), min(bytes, b)
+			}
+		}
+		return objects, bytes
+	}
+	for _, where := range []string{"", " WHERE Pre.PreID = 17"} {
+		o1, b1 := cost(`SELECT Pre.Quantity FROM Prescription Pre` + where + ` LIMIT 0`)
+		o3, b3 := cost(`SELECT Pre.Quantity, Pre.WhenWritten, Pre.PreID FROM Prescription Pre` + where + ` LIMIT 0`)
+		t.Logf("1 projection%s: %d objects, %d B; 3 projections: %d objects, %d B", where, o1, b1, o3, b3)
+		if o3 > o1+extra {
+			t.Errorf("%d more objects for %d more projected columns%s: the store allocates per column", o3-o1, extra, where)
+		}
+		if where == "" && (b3 < b1 || b3-b1 > 10*extra*rows) {
+			t.Errorf("%d more bytes for %d more projected columns over %d candidate rows: over 10 B a cell", b3-b1, extra, rows)
+		}
+	}
 }
 
 // hogSource is a merge input whose stream, while open, leaves the arena

@@ -11,7 +11,7 @@ package exec
 //
 // The invariance contract (the cost model is the paper's contribution;
 // the batch length must only change host CPU time) imposes two
-// disciplines on every batch operator, and host cost a third:
+// disciplines on every batch operator, and host cost two more:
 //
 //  1. Exactness: an operator never performs more simulated device work
 //     (flash reads, page-cache probes, decode/compare/heap charges) than
@@ -38,9 +38,16 @@ package exec
 //     a pointer into it afterwards, nothing is pooled across merges, and
 //     a stream that failed to open holds nothing. OpenBatch is the same
 //     open routine run on a slab of one.
+//  4. Bytes are lent, not copied: a record is encoded once, in the page it
+//     is programmed from, and decoded in the page it was read into. A
+//     stream lends its one page buffer (flash.Writer.Tail / Commit,
+//     flash.Reader.Window / Advance) and record.go holds the only encoder
+//     and the only decoder; only a record that straddles a page boundary
+//     is staged, through the streams' byte-shaped Write / Read. A page is
+//     programmed the moment it is full and read when its first byte is
+//     needed — where the byte-shaped calls program and read it.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -84,29 +91,6 @@ func GetIDBatch() *[]uint32 { return idBatchPool.Get().(*[]uint32) }
 func PutIDBatch(b *[]uint32) {
 	if b != nil {
 		idBatchPool.Put(b)
-	}
-}
-
-// byteBatchPool recycles encode/decode scratch for spills and row files.
-var byteBatchPool = sync.Pool{
-	New: func() any {
-		s := make([]byte, 4*DefaultBatchSize)
-		return &s
-	},
-}
-
-func getByteBatch(n int) *[]byte {
-	b := byteBatchPool.Get().(*[]byte)
-	if cap(*b) < n {
-		*b = make([]byte, n)
-	}
-	*b = (*b)[:cap(*b)]
-	return b
-}
-
-func putByteBatch(b *[]byte) {
-	if b != nil {
-		byteBatchPool.Put(b)
 	}
 }
 
@@ -226,8 +210,8 @@ func (l *listBatch) Close() {
 	}
 }
 
-// OpenBatch implements IDSource: raw uint32 runs are read in one
-// flash.Reader call per batch.
+// OpenBatch implements IDSource: raw uint32 runs are decoded a batch at a
+// time from the page the stream's reader holds.
 func (r RunSource) OpenBatch() (BatchIter, error) {
 	b := new(runBatch)
 	if err := b.open(r); err != nil {
@@ -238,11 +222,10 @@ func (r RunSource) OpenBatch() (BatchIter, error) {
 
 // runBatch streams one spilled run; same ownership as listBatch.
 type runBatch struct {
-	env    *Env
-	reader *flash.Reader
-	left   int
-	grant  ram.Grant
-	buf    *[]byte
+	env   *Env
+	rr    recordReader
+	left  int
+	grant ram.Grant
 }
 
 func (r *runBatch) open(src RunSource) error {
@@ -250,29 +233,18 @@ func (r *runBatch) open(src RunSource) error {
 		return err
 	}
 	r.env = src.Env
-	r.reader = flash.NewReader(src.Env.Dev.Flash, src.Ext)
+	r.rr.r = flash.NewReader(src.Env.Dev.Flash, src.Ext)
 	r.left = src.N
-	r.buf = getByteBatch(4 * DefaultBatchSize)
 	return nil
 }
 
 func (r *runBatch) Next(dst []uint32) (int, error) {
-	if r.left <= 0 {
+	n := min(len(dst), r.left)
+	if n <= 0 {
 		return 0, nil
 	}
-	n := len(dst)
-	if n > r.left {
-		n = r.left
-	}
-	if max := len(*r.buf) / 4; n > max {
-		n = max
-	}
-	raw := (*r.buf)[:4*n]
-	if _, err := fullRead(r.reader, raw); err != nil {
+	if err := r.rr.next(dst[:n], nil, 0); err != nil {
 		return 0, fmt.Errorf("exec: run read: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = binary.LittleEndian.Uint32(raw[4*i:])
 	}
 	r.left -= n
 	r.env.cpuUnits(sim.CyclesCopyWord, int64(n))
@@ -281,17 +253,15 @@ func (r *runBatch) Next(dst []uint32) (int, error) {
 
 func (r *runBatch) Close() {
 	r.grant.Free()
-	putByteBatch(r.buf)
-	r.buf = nil
-	if r.reader != nil {
-		r.reader.Release()
-		r.reader = nil
+	if r.rr.r != nil {
+		r.rr.r.Release()
+		r.rr.r = nil
 	}
 }
 
 // SpillBatch drains a batch stream into a sorted run in scratch space and
-// returns a re-openable source, with one flash write call and one copy
-// charge per batch. The writer's page buffer is charged while active.
+// returns a re-openable source, with one copy charge per batch. The
+// writer's page buffer is charged while active.
 func (e *Env) SpillBatch(b BatchIter, op *stats.Op) (RunSource, error) {
 	defer b.Close()
 	var grant ram.Grant
@@ -299,14 +269,12 @@ func (e *Env) SpillBatch(b BatchIter, op *stats.Op) (RunSource, error) {
 		return RunSource{}, err
 	}
 	defer grant.Free()
-	w, err := e.Dev.Scratch.NewWriter()
+	w, err := e.newRecordWriter()
 	if err != nil {
 		return RunSource{}, err
 	}
 	ids := GetIDBatch()
 	defer PutIDBatch(ids)
-	raw := getByteBatch(4 * DefaultBatchSize)
-	defer putByteBatch(raw)
 	buf := (*ids)[:e.batchCap()]
 	n := 0
 	for {
@@ -317,17 +285,13 @@ func (e *Env) SpillBatch(b BatchIter, op *stats.Op) (RunSource, error) {
 		if k == 0 {
 			break
 		}
-		enc := (*raw)[:4*k]
-		for i, id := range buf[:k] {
-			binary.LittleEndian.PutUint32(enc[4*i:], id)
-		}
-		if _, err := w.Write(enc); err != nil {
+		if err := w.put(buf[:k], nil, 0); err != nil {
 			return RunSource{}, err
 		}
 		n += k
 		e.cpuUnits(sim.CyclesCopyWord, int64(k))
 	}
-	ext, err := w.Close()
+	ext, err := w.close()
 	if err != nil {
 		return RunSource{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"os"
 	"sort"
@@ -331,7 +332,7 @@ func (it *refRowReader) Next() (Row, bool, error) {
 	if it.read >= it.rf.n {
 		return Row{}, false, nil
 	}
-	if _, err := fullRead(it.reader, it.rec); err != nil {
+	if _, err := io.ReadFull(it.reader, it.rec); err != nil {
 		return Row{}, false, err
 	}
 	it.read++

@@ -146,18 +146,6 @@ type RunSource struct {
 // Count implements IDSource.
 func (r RunSource) Count() int { return r.N }
 
-func fullRead(r *flash.Reader, p []byte) (int, error) {
-	total := 0
-	for total < len(p) {
-		n, err := r.Read(p[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
 // intValue wraps a row ID as an integer value for dense index lookups.
 func intValue(id uint32) value.Value { return value.NewInt(int64(id)) }
 

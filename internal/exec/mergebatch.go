@@ -9,6 +9,8 @@ package exec
 // testdata/twin_golden.txt keeps (see differential_test.go).
 
 import (
+	"slices"
+
 	"github.com/ghostdb/ghostdb/internal/climbing"
 	"github.com/ghostdb/ghostdb/internal/sim"
 	"github.com/ghostdb/ghostdb/internal/stats"
@@ -66,57 +68,73 @@ func (c *batchCursor) close() {
 
 // idxHeap is a binary min-heap of (id, cursor index) pairs that counts
 // its operations instead of charging them one by one. A merge allocates
-// ents once, at its fan-in.
+// ents once, at its fan-in. Entries are ordered by id, then by cursor
+// index — one integer comparison on the packed pair — so equal IDs leave
+// in input order whatever shape the heap is in: which input a merge
+// advances next, and so what an abandoned merge has read, is a function
+// of the inputs alone.
 type idxHeap struct {
 	ents []heapEnt
 	ops  int64
 }
 
-type heapEnt struct {
-	id  uint32
-	idx int32 // the cursor the id came from
-}
+// heapEnt packs an id (high word) over the cursor it came from.
+type heapEnt uint64
 
+func newHeapEnt(id uint32, i int) heapEnt { return heapEnt(id)<<32 | heapEnt(uint32(i)) }
+
+func (e heapEnt) id() uint32 { return uint32(e >> 32) }
+func (e heapEnt) idx() int   { return int(uint32(e)) }
+
+// push counts one operation per entry; the entries form a heap once
+// order has run (a merge pushes its inputs' first IDs, then orders once:
+// a sorted array is a heap, and the order entries leave in is unique).
 func (h *idxHeap) push(id uint32, i int) {
 	h.ops++
-	h.ents = append(h.ents, heapEnt{id, int32(i)})
-	j := len(h.ents) - 1
-	for j > 0 {
-		parent := (j - 1) / 2
-		if h.ents[parent].id <= h.ents[j].id {
-			break
-		}
-		h.ents[parent], h.ents[j] = h.ents[j], h.ents[parent]
-		j = parent
+	h.ents = append(h.ents, newHeapEnt(id, i))
+}
+
+func (h *idxHeap) order() { slices.Sort(h.ents) }
+
+// replaceTop replaces the least entry by the next ID of the same cursor:
+// the pop and the push of a merge step in one sift, counted as the two
+// operations they are.
+func (h *idxHeap) replaceTop(id uint32) {
+	h.ops += 2
+	h.siftDown(newHeapEnt(id, h.ents[0].idx()))
+}
+
+// pop removes the least entry.
+func (h *idxHeap) pop() {
+	h.ops++
+	last := len(h.ents) - 1
+	e := h.ents[last]
+	h.ents = h.ents[:last]
+	if last > 0 {
+		h.siftDown(e)
 	}
 }
 
-func (h *idxHeap) pop() (uint32, int) {
-	h.ops++
-	top := h.ents[0]
-	last := len(h.ents) - 1
-	h.ents[0] = h.ents[last]
-	h.ents = h.ents[:last]
+// siftDown places e at the root and sinks it to its level.
+func (h *idxHeap) siftDown(e heapEnt) {
+	ents := h.ents
 	j := 0
 	for {
-		l, r := 2*j+1, 2*j+2
-		small := j
-		if l < last && h.ents[l].id < h.ents[small].id {
-			small = l
-		}
-		if r < last && h.ents[r].id < h.ents[small].id {
-			small = r
-		}
-		if small == j {
+		c := 2*j + 1
+		if c >= len(ents) {
 			break
 		}
-		h.ents[small], h.ents[j] = h.ents[j], h.ents[small]
-		j = small
+		if r := c + 1; r < len(ents) && ents[r] < ents[c] {
+			c = r
+		}
+		if e <= ents[c] {
+			break
+		}
+		ents[j] = ents[c]
+		j = c
 	}
-	return top.id, int(top.idx)
+	ents[j] = e
 }
-
-func (h *idxHeap) len() int { return len(h.ents) }
 
 // takeOps returns and resets the pending heap-operation count.
 func (h *idxHeap) takeOps() int64 {
@@ -166,22 +184,26 @@ func (u *unionBatch) prime() (BatchIter, error) {
 			u.h.push(id, i)
 		}
 	}
+	u.h.order()
 	u.env.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
 	return u, nil
 }
 
 func (u *unionBatch) Next(dst []uint32) (int, error) {
 	n := 0
-	for n < len(dst) && u.h.len() > 0 {
-		id, ci := u.h.pop()
-		next, ok, err := u.curs[ci].next(len(dst))
+	for n < len(dst) && len(u.h.ents) > 0 {
+		top := u.h.ents[0]
+		next, ok, err := u.curs[top.idx()].next(len(dst))
 		if err != nil {
 			u.env.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
 			return n, err
 		}
 		if ok {
-			u.h.push(next, ci)
+			u.h.replaceTop(next)
+		} else {
+			u.h.pop()
 		}
+		id := top.id()
 		if u.primed && id == u.last {
 			continue // duplicate
 		}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -47,12 +46,11 @@ func (rf *RowFile) recordWidth() int { return 4 * (1 + rf.fields) }
 // per-row copy cycles are counted and paid by Settle, Close and Abort.
 type RowFileWriter struct {
 	env    *Env
-	w      *flash.Writer
+	w      recordWriter
 	grant  *ram.Grant
 	fields int
 	n      int
 	unpaid int64 // rows written since the last Settle
-	rec    []byte
 }
 
 // NewRowFileWriter opens a streaming writer for rows of nFields IDs.
@@ -61,13 +59,12 @@ func (e *Env) NewRowFileWriter(nFields int) (*RowFileWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := e.Dev.Scratch.NewWriter()
+	w, err := e.newRecordWriter()
 	if err != nil {
 		grant.Free()
 		return nil, err
 	}
-	return &RowFileWriter{env: e, w: w, grant: grant, fields: nFields,
-		rec: make([]byte, 4*(1+nFields))}, nil
+	return &RowFileWriter{env: e, w: w, grant: grant, fields: nFields}, nil
 }
 
 // Write appends one row, preserving its sequence number.
@@ -75,11 +72,7 @@ func (w *RowFileWriter) Write(r Row) error {
 	if len(r.IDs) != w.fields {
 		return fmt.Errorf("exec: row has %d fields, want %d", len(r.IDs), w.fields)
 	}
-	binary.LittleEndian.PutUint32(w.rec[0:], r.Seq)
-	for i, id := range r.IDs {
-		binary.LittleEndian.PutUint32(w.rec[4*(i+1):], id)
-	}
-	if _, err := w.w.Write(w.rec); err != nil {
+	if err := w.w.putRow(r.Seq, r.IDs); err != nil {
 		return err
 	}
 	w.n++
@@ -99,7 +92,7 @@ func (w *RowFileWriter) Settle() {
 func (w *RowFileWriter) Close() (*RowFile, error) {
 	defer w.grant.Free()
 	w.Settle()
-	ext, err := w.w.Close()
+	ext, err := w.w.close()
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +102,7 @@ func (w *RowFileWriter) Close() (*RowFile, error) {
 // Abort releases resources without producing a file.
 func (w *RowFileWriter) Abort() {
 	w.Settle()
-	_, _ = w.w.Close()
+	_, _ = w.w.close()
 	w.grant.Free()
 }
 
@@ -189,9 +182,9 @@ func (e *Env) formRuns(rf *RowFile, byField, capRecords int, op *stats.Op) ([]*R
 	rb := e.NewRowBatch(rf.fields)
 	defer PutRowBatch(rb)
 
-	width := rf.recordWidth()
-	hostCap := min(capRecords, rf.n) // the host never buffers more than the file holds
-	buf := make([]byte, 0, hostCap*width)
+	words := 1 + rf.fields
+	hostCap := min(capRecords, rf.n)        // the host never buffers more than the file holds
+	buf := make([]uint32, 0, hostCap*words) // the sort buffer's records, seq first
 	keys := make([]sortKey, 0, hostCap)
 	var runs []*RowFile
 	flushRun := func() error {
@@ -204,16 +197,17 @@ func (e *Env) formRuns(rf *RowFile, byField, capRecords int, op *stats.Op) ([]*R
 			return cmp.Compare(a.key, b.key)
 		})
 		e.cpuUnits(sim.CyclesCompare, compares)
-		w, err := e.Dev.Scratch.NewWriter()
+		w, err := e.newRecordWriter()
 		if err != nil {
 			return err
 		}
 		for _, k := range keys {
-			if _, err := w.Write(buf[int(k.pos)*width : int(k.pos+1)*width]); err != nil {
+			rec := buf[int(k.pos)*words : int(k.pos+1)*words]
+			if err := w.putRow(rec[0], rec[1:]); err != nil {
 				return err
 			}
 		}
-		ext, err := w.Close()
+		ext, err := w.close()
 		if err != nil {
 			return err
 		}
@@ -233,10 +227,7 @@ func (e *Env) formRuns(rf *RowFile, byField, capRecords int, op *stats.Op) ([]*R
 		for i := 0; i < k; i++ {
 			r := rb.Row(i)
 			keys = append(keys, sortKey{key: r.IDs[byField], pos: uint32(len(keys))})
-			buf = binary.LittleEndian.AppendUint32(buf, r.Seq)
-			for _, id := range r.IDs {
-				buf = binary.LittleEndian.AppendUint32(buf, id)
-			}
+			buf = append(append(buf, r.Seq), r.IDs...)
 			if len(keys) == capRecords {
 				if err := flushRun(); err != nil {
 					return nil, err
@@ -309,14 +300,11 @@ func (e *Env) mergeRowRuns(runs []*RowFile, byField int, op *stats.Op) (*RowFile
 		return nil, err
 	}
 	defer wGrant.Free()
-	w, err := e.Dev.Scratch.NewWriter()
+	w, err := e.newRecordWriter()
 	if err != nil {
 		closeAll()
 		return nil, err
 	}
-	fields := runs[0].fields
-	width := 4 * (1 + fields)
-	rec := make([]byte, width)
 	n := 0
 	var compares int64
 	for len(heads) > 0 {
@@ -328,11 +316,7 @@ func (e *Env) mergeRowRuns(runs []*RowFile, byField int, op *stats.Op) (*RowFile
 			}
 		}
 		h := heads[best]
-		binary.LittleEndian.PutUint32(rec[0:], h.row.Seq)
-		for i, id := range h.row.IDs {
-			binary.LittleEndian.PutUint32(rec[4*(i+1):], id)
-		}
-		if _, err := w.Write(rec); err != nil {
+		if err := w.putRow(h.row.Seq, h.row.IDs); err != nil {
 			e.cpuUnits(sim.CyclesCompare, compares)
 			closeAll()
 			return nil, err
@@ -351,9 +335,9 @@ func (e *Env) mergeRowRuns(runs []*RowFile, byField int, op *stats.Op) (*RowFile
 		}
 	}
 	e.cpuUnits(sim.CyclesCompare, compares)
-	ext, err := w.Close()
+	ext, err := w.close()
 	if err != nil {
 		return nil, err
 	}
-	return &RowFile{env: e, ext: ext, n: n, fields: fields}, nil
+	return &RowFile{env: e, ext: ext, n: n, fields: runs[0].fields}, nil
 }

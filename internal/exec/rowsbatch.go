@@ -15,7 +15,6 @@ package exec
 // amortizes dispatch and clock charges.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -370,17 +369,13 @@ func (e *Env) MaterializeRowsBatch(in BatchRowIter, nFields int, assignSeq bool,
 		return nil, err
 	}
 	defer grant.Free()
-	w, err := e.Dev.Scratch.NewWriter()
+	w, err := e.newRecordWriter()
 	if err != nil {
 		return nil, err
 	}
 	rf := &RowFile{env: e, fields: nFields}
-	width := 4 * (1 + nFields)
 	rb := e.NewRowBatch(nFields)
 	defer PutRowBatch(rb)
-	raw := getByteBatch(DefaultRowBatchRows * width)
-	defer putByteBatch(raw)
-	var seq uint32
 	for {
 		k, err := in.Next(rb)
 		if err != nil {
@@ -393,26 +388,18 @@ func (e *Env) MaterializeRowsBatch(in BatchRowIter, nFields int, assignSeq bool,
 			return nil, fmt.Errorf("exec: row batch has %d fields, want %d", rb.Width(), nFields)
 		}
 		op.AddIn(int64(k))
-		enc := (*raw)[:k*width]
-		for i := 0; i < k; i++ {
-			s := rb.seq[i]
-			if assignSeq {
-				s = seq
+		if assignSeq {
+			for i := range rb.seq[:k] {
+				rb.seq[i] = uint32(rf.n + i)
 			}
-			rec := enc[i*width:]
-			binary.LittleEndian.PutUint32(rec[0:], s)
-			for f, id := range rb.ids[i*nFields : (i+1)*nFields] {
-				binary.LittleEndian.PutUint32(rec[4*(f+1):], id)
-			}
-			seq++
 		}
-		if _, err := w.Write(enc); err != nil {
+		if err := w.put(rb.seq[:k], rb.ids, nFields); err != nil {
 			return nil, err
 		}
 		rf.n += k
 		e.cpuUnits(int64(sim.CyclesCopyWord)*int64(1+nFields), int64(k))
 	}
-	ext, err := w.Close()
+	ext, err := w.close()
 	if err != nil {
 		return nil, err
 	}
@@ -421,63 +408,42 @@ func (e *Env) MaterializeRowsBatch(in BatchRowIter, nFields int, assignSeq bool,
 	return rf, nil
 }
 
-// IterBatch streams the file's rows in storage order, one batch of
-// records per flash read call. The stream owns one page buffer.
+// IterBatch streams the file's rows in storage order, decoded a batch at
+// a time from the page the stream's reader holds. The stream owns that one
+// page buffer.
 func (rf *RowFile) IterBatch() (BatchRowIter, error) {
 	grant, err := rf.env.Dev.RAM.Alloc(rf.env.pageSize(), "row-reader")
 	if err != nil {
 		return nil, err
 	}
 	it := rowFileBatchPool.Get().(*rowFileBatch)
-	raw := it.raw
-	if raw == nil {
-		raw = getByteBatch(DefaultRowBatchRows * rf.recordWidth())
-	}
 	*it = rowFileBatch{
-		rf:     rf,
-		reader: flash.NewReader(rf.env.Dev.Flash, rf.ext),
-		grant:  grant,
-		raw:    raw,
+		rf:    rf,
+		rr:    recordReader{r: flash.NewReader(rf.env.Dev.Flash, rf.ext), stage: it.rr.stage},
+		grant: grant,
 	}
 	return it, nil
 }
 
-// rowFileBatchPool recycles row-file scan state (including the record
-// decode buffer) across queries.
+// rowFileBatchPool recycles row-file scan state across queries.
 var rowFileBatchPool = sync.Pool{New: func() any { return &rowFileBatch{} }}
 
 type rowFileBatch struct {
-	rf     *RowFile
-	reader *flash.Reader
-	grant  *ram.Grant
-	raw    *[]byte
-	read   int
+	rf    *RowFile
+	rr    recordReader
+	grant *ram.Grant
+	read  int
 }
 
 func (it *rowFileBatch) Next(b *RowBatch) (int, error) {
 	fields := it.rf.fields
 	b.Reset(fields)
-	k := it.rf.n - it.read
+	k := min(it.rf.n-it.read, b.CapRows())
 	if k <= 0 {
 		return 0, nil
 	}
-	if k > b.CapRows() {
-		k = b.CapRows()
-	}
-	width := it.rf.recordWidth()
-	if max := len(*it.raw) / width; k > max {
-		k = max
-	}
-	raw := (*it.raw)[:k*width]
-	if _, err := fullRead(it.reader, raw); err != nil {
+	if err := it.rr.next(b.seq[:k], b.ids, fields); err != nil {
 		return 0, fmt.Errorf("exec: row file read: %w", err)
-	}
-	for i := 0; i < k; i++ {
-		rec := raw[i*width:]
-		ids := b.slot(i, binary.LittleEndian.Uint32(rec[0:]))
-		for f := range ids {
-			ids[f] = binary.LittleEndian.Uint32(rec[4*(f+1):])
-		}
 	}
 	b.n = k
 	it.read += k
@@ -490,8 +456,8 @@ func (it *rowFileBatch) Close() {
 		return // already closed and recycled
 	}
 	it.grant.Free()
-	it.reader.Release()
-	it.reader = nil
+	it.rr.r.Release()
+	it.rr.r = nil
 	it.rf = nil
 	rowFileBatchPool.Put(it)
 }

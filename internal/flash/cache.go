@@ -17,6 +17,7 @@ type Cache struct {
 	pages  []int   // page number held by each frame, -1 when empty
 	stamp  []int64 // last-use tick per frame
 	tick   int64
+	mru    int // frame of the last access, probed before the scan
 
 	hits   int64
 	misses int64
@@ -62,13 +63,23 @@ func (c *Cache) Invalidate() {
 }
 
 // page returns the frame holding the given page, loading it on a miss.
+// The frame of the previous access is probed first: a column scan or a
+// dictionary probe stays on one page for many accesses in a row, and a
+// hit there is the hit the scan would have found — same counters, same
+// stamp, and no victim is chosen on a hit.
 func (c *Cache) page(page int) ([]byte, error) {
 	c.tick++
+	if c.pages[c.mru] == page {
+		c.hits++
+		c.stamp[c.mru] = c.tick
+		return c.frames[c.mru], nil
+	}
 	victim := 0
 	for i, p := range c.pages {
 		if p == page {
 			c.hits++
 			c.stamp[i] = c.tick
+			c.mru = i
 			return c.frames[i], nil
 		}
 		if c.stamp[i] < c.stamp[victim] {
@@ -76,11 +87,16 @@ func (c *Cache) page(page int) ([]byte, error) {
 		}
 	}
 	c.misses++
+	// The victim is empty until the read succeeds: a page that fails its
+	// checksum has already overwritten the frame, which must not go on
+	// answering for the page it held before.
+	c.pages[victim] = -1
 	if err := c.d.ReadPage(page, c.frames[victim]); err != nil {
 		return nil, err
 	}
 	c.pages[victim] = page
 	c.stamp[victim] = c.tick
+	c.mru = victim
 	return c.frames[victim], nil
 }
 

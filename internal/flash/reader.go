@@ -13,9 +13,11 @@ import (
 var readerPool sync.Pool
 
 // Reader streams an extent sequentially through a single-page buffer,
-// implementing io.Reader and io.ByteReader. It is the device-side way of
-// scanning a region (posting list, sort run, spilled intermediate) with
-// one page of RAM; the caller accounts that page against the device arena.
+// implementing io.Reader and io.ByteReader and lending the buffered page
+// to decoders that work in place (Window / Advance). It is the device-side
+// way of scanning a region (posting list, sort run, spilled intermediate)
+// with one page of RAM; the caller accounts that page against the device
+// arena.
 type Reader struct {
 	d   storage.Backend
 	p   Params
@@ -65,19 +67,11 @@ func (r *Reader) Read(p []byte) (int, error) {
 	}
 	total := 0
 	for len(p) > 0 && r.Remaining() > 0 {
-		if err := r.fill(); err != nil {
+		win, err := r.Window()
+		if err != nil {
 			return total, err
 		}
-		abs := r.ext.Start + r.off
-		within := int(abs - r.bufAddr)
-		n := r.bufValid - within
-		if int64(n) > r.Remaining() {
-			n = int(r.Remaining())
-		}
-		if n > len(p) {
-			n = len(p)
-		}
-		copy(p, r.buf[within:within+n])
+		n := copy(p, win)
 		p = p[n:]
 		r.off += int64(n)
 		total += n
@@ -85,19 +79,38 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return total, nil
 }
 
-// ReadByte implements io.ByteReader, the interface codec.ListDecoder needs.
+// ReadByte implements io.ByteReader.
 func (r *Reader) ReadByte() (byte, error) {
-	if r.Remaining() <= 0 {
-		return 0, io.EOF
-	}
-	if err := r.fill(); err != nil {
+	win, err := r.Window()
+	if err != nil {
 		return 0, err
 	}
-	abs := r.ext.Start + r.off
-	b := r.buf[abs-r.bufAddr]
 	r.off++
-	return b, nil
+	return win[0], nil
 }
+
+// Window lends the unread bytes of the current page, up to the end of the
+// extent, reading the page from flash if the position has just entered it
+// — the one read Read or ReadByte would make there. The caller decodes in
+// place and calls Advance; the window is valid until the next call that
+// moves the position. At the end of the extent it returns io.EOF.
+func (r *Reader) Window() ([]byte, error) {
+	if r.Remaining() <= 0 {
+		return nil, io.EOF
+	}
+	if err := r.fill(); err != nil {
+		return nil, err
+	}
+	within := int(r.ext.Start + r.off - r.bufAddr)
+	n := r.bufValid - within
+	if int64(n) > r.Remaining() {
+		n = int(r.Remaining())
+	}
+	return r.buf[within : within+n], nil
+}
+
+// Advance consumes the first n bytes of the window.
+func (r *Reader) Advance(n int) { r.off += int64(n) }
 
 // Skip advances the read position by n bytes without touching flash for
 // the skipped pages.
@@ -124,6 +137,9 @@ func (r *Reader) fill() error {
 		n = r.p.TotalBytes() - pageStart
 	}
 	if err := r.d.ReadAt(r.buf[:n], pageStart); err != nil {
+		// A page that fails its checksum has already been copied in:
+		// the buffer no longer holds the page it is labelled with.
+		r.bufAddr = -1
 		return err
 	}
 	r.bufAddr = pageStart

@@ -151,24 +151,42 @@ func (w *Writer) Write(p []byte) (int, error) {
 		return 0, ErrWriterDone
 	}
 	total := 0
-	ps := w.s.p.PageSize
 	for len(p) > 0 {
-		room := ps - len(w.buf)
-		take := room
-		if take > len(p) {
-			take = len(p)
-		}
-		w.buf = append(w.buf, p[:take]...)
-		p = p[take:]
-		total += take
-		w.length += int64(take)
-		if len(w.buf) == ps {
-			if err := w.flushPage(); err != nil {
-				return total, err
-			}
+		n := copy(w.Tail(), p)
+		p = p[n:]
+		total += n
+		if err := w.Commit(n); err != nil {
+			return total, err
 		}
 	}
 	return total, nil
+}
+
+// Tail lends the unwritten remainder of the page buffer: the caller
+// encodes into its front and calls Commit, so a record is written once, in
+// the page it is programmed from. An open writer's tail is never empty (a
+// full page is programmed at once); a closed writer's, or one stopped by
+// ErrSpaceFull, is — what does not fit in the tail goes through Write,
+// which splits it across the page boundary and reports the error.
+func (w *Writer) Tail() []byte {
+	if w.closed {
+		return nil
+	}
+	return w.buf[len(w.buf):w.s.p.PageSize]
+}
+
+// Commit appends the first n bytes of Tail to the region, programming the
+// page the moment it is full, exactly where Write would.
+func (w *Writer) Commit(n int) error {
+	if w.closed {
+		return ErrWriterDone
+	}
+	w.buf = w.buf[:len(w.buf)+n]
+	w.length += int64(n)
+	if len(w.buf) == w.s.p.PageSize {
+		return w.flushPage()
+	}
+	return nil
 }
 
 // Len reports the number of bytes written so far.

@@ -187,6 +187,19 @@ func (v Value) Word() int64 {
 	panic("value: Word() on " + v.kind.String())
 }
 
+// FromWord is the inverse of Word: the value of fixed-width kind k whose
+// stored payload is w. A column store that keeps words and kinds apart
+// from the 32-byte struct rebuilds its values with it; w must be a word a
+// value of that kind returned (a Float's bits are not canonicalised
+// again). It panics on any other kind.
+func FromWord(k Kind, w int64) Value {
+	switch k {
+	case Int, Date, Bool, Float:
+		return Value{kind: k, i: w}
+	}
+	panic("value: FromWord() on " + k.String())
+}
+
 // String renders the value for display: dates as YYYY-MM-DD, strings
 // unquoted, numbers in decimal.
 func (v Value) String() string {
