@@ -5,7 +5,10 @@ package core
 // cost model's cardinality estimates; EXPLAIN ANALYZE additionally runs
 // the statement and lines up per-operator estimated vs actual tuple
 // counts with wall-clock and simulated timings — the estimated-vs-actual
-// feedback loop a cost-based optimizer consumes.
+// feedback loop a cost-based optimizer consumes. Neither chooses a plan of
+// its own: ANALYZE is the statement's ordinary run with every device
+// handing back its optimizer choice, EXPLAIN asks the plan holder that
+// run would use (optimizeLocked, compile.go).
 
 import (
 	"fmt"
@@ -63,10 +66,14 @@ type Analysis struct {
 	SQL     string // canonical text of the explained SELECT
 	Analyze bool
 
-	Spec         plan.Spec          // the plan that was (or would be) executed
-	PlanText     string             // DB.Explain's rendering of the plan
-	Cards        plan.CardEstimates // the optimizer's cardinality model
-	EstimatedSim time.Duration      // the cost model's predicted device time
+	// The plan that was (or would be) executed, DB.Explain's rendering of
+	// it, and the cost model's cardinalities and device time for it. On a
+	// sharded DB these are the first contacted shard's (plain EXPLAIN, or
+	// no shard contacted: shard 0's); each shard section carries its own.
+	Spec         plan.Spec
+	PlanText     string
+	Cards        plan.CardEstimates
+	EstimatedSim time.Duration
 
 	// Set only when Analyze: the executed result, its wall-clock
 	// latency (including device-gate wait), and the per-operator rows.
@@ -81,9 +88,8 @@ type Analysis struct {
 
 // ShardAnalysis is one device shard's slice of an EXPLAIN ANALYZE: the
 // shard's simulated time and its operator actuals lined up against the
-// DB-wide estimates (estimates are per-device, computed over shard 0's
-// statistics; each shard holds ~1/n of the root, so actuals on a
-// balanced split land near the estimate).
+// estimates of the plan the shard's own optimizer chose from its own
+// statistics.
 type ShardAnalysis struct {
 	Shard   int
 	SimTime time.Duration
@@ -91,6 +97,8 @@ type ShardAnalysis struct {
 	// Pruned marks a shard a root-rooted query did not contact because no
 	// key the statement's root-key predicates admit lives there.
 	Pruned bool
+
+	choice *choice // the plan the shard ran and its estimates; nil if pruned
 }
 
 // ExplainAnalyze compiles sqlText (a SELECT, or an EXPLAIN [ANALYZE]
@@ -160,7 +168,11 @@ func (db *DB) explainQuery(sqlText string, opts ...QueryOption) (*Result, error)
 	return res, nil
 }
 
-// analyzeSelect is the shared EXPLAIN [ANALYZE] pipeline.
+// analyzeSelect is EXPLAIN [ANALYZE], on one device and on a shard set
+// alike. ANALYZE runs the statement through its compiled query with every
+// device that chooses a plan handing the choice back with the result, so
+// each shard section shows the plan that shard ran; plain EXPLAIN, and an
+// ANALYZE that contacted no device, asks the plan holder a run would use.
 func (db *DB) analyzeSelect(sel *sql.Select, execute bool, opts ...QueryOption) (*Analysis, error) {
 	var cfg queryConfig
 	for _, o := range opts {
@@ -171,172 +183,57 @@ func (db *DB) analyzeSelect(sel *sql.Select, execute bool, opts ...QueryOption) 
 	if err != nil {
 		return nil, err
 	}
-	if cq.shape.NumParams > 0 {
-		return nil, fmt.Errorf("core: cannot EXPLAIN a query with %d unbound parameters", cq.shape.NumParams)
+	q := cq.shape
+	if q.NumParams > 0 {
+		return nil, fmt.Errorf("core: cannot EXPLAIN a query with %d unbound parameters", q.NumParams)
 	}
-	bound := cq.shape
-	if db.shards != nil {
-		return db.analyzeSharded(cq, bound, execute, &cfg, opts...)
-	}
-
-	// Choose the plan exactly the way Run would: a forced spec wins,
-	// then the shape's cached choice, then the optimizer.
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
-	}
-	visSel, err := db.visSelections(bound)
-	if err != nil {
-		db.mu.Unlock()
-		return nil, err
-	}
-	counts, err := db.predCounts(bound, visSel)
-	if err != nil {
-		db.mu.Unlock()
-		return nil, err
-	}
-	in := db.costInputs(counts)
-	var spec plan.Spec
-	switch {
-	case cfg.spec != nil:
-		spec = *cfg.spec
-		if err := spec.Validate(bound, db.hasIndexLocked); err != nil {
-			db.mu.Unlock()
+	a := &Analysis{SQL: canonical, Analyze: execute}
+	var top *choice // the choice the plan section shows
+	if execute {
+		start := time.Now()
+		res, err := cq.Run(nil, append(opts[:len(opts):len(opts)], explained)...)
+		if err != nil {
 			return nil, err
 		}
-	case cq.chosen != nil:
-		spec = *cq.chosen
-	default:
-		best, bestCost := cq.specs[0], plan.Estimate(bound, cq.specs[0], in)
-		for _, s := range cq.specs[1:] {
-			if c := plan.Estimate(bound, s, in); c < bestCost {
-				best, bestCost = s, c
+		a.Wall, a.Result = time.Since(start), res
+		if db.shards == nil {
+			top = res.choices[0]
+			a.Ops = analyzeOps(q, top, res.Report)
+		} else {
+			rootRooted := strings.EqualFold(q.Root.Name, db.sch.Root().Name)
+			for s, ch := range res.choices {
+				switch {
+				case ch != nil:
+					rep := res.ShardReports[s]
+					a.Shards = append(a.Shards, ShardAnalysis{Shard: s, SimTime: rep.TotalTime, Ops: analyzeOps(q, ch, rep), choice: ch})
+					if top == nil {
+						top = ch
+					}
+				case rootRooted:
+					a.Shards = append(a.Shards, ShardAnalysis{Shard: s, Pruned: true})
+				} // dimension-rooted: only the routed replica ran
 			}
 		}
-		spec = best
-		chosen := best.Clone()
-		cq.chosen = &chosen
 	}
-	db.mu.Unlock()
-
-	a := &Analysis{
-		SQL:          canonical,
-		Analyze:      execute,
-		Spec:         spec,
-		Cards:        plan.EstimateCards(bound, spec, in),
-		EstimatedSim: plan.Estimate(bound, spec, in),
-	}
-	a.PlanText = db.Explain(bound, spec)
-
-	if !execute {
-		return a, nil
-	}
-	start := time.Now()
-	res, err := db.QueryWithPlan(bound, spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	a.Wall = time.Since(start)
-	a.Result = res
-	a.Ops = analyzeOps(bound, spec, a.Cards, res.Report)
-	if s := cfg.session; s != nil {
-		s.record(res.Report)
-	}
-	return a, nil
-}
-
-// analyzeSharded is the scatter-gather EXPLAIN [ANALYZE] pipeline. The
-// coordinator's own stores are empty, so plan statistics come from
-// shard 0 (full dimension replicas, ~1/n of the root): the estimates
-// are per-device, the ANALYZE actuals per-shard.
-func (db *DB) analyzeSharded(cq *CompiledQuery, bound *plan.Query, execute bool, cfg *queryConfig, opts ...QueryOption) (*Analysis, error) {
-	db.mu.Lock()
-	closed := db.closed
-	db.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	c0 := db.shards.children[0]
-
-	c0.mu.Lock()
-	visSel, err := c0.visSelections(bound)
-	if err != nil {
-		c0.mu.Unlock()
-		return nil, err
-	}
-	counts, err := c0.predCounts(bound, visSel)
-	if err != nil {
-		c0.mu.Unlock()
-		return nil, err
-	}
-	in := c0.costInputs(counts)
-	var spec plan.Spec
-	switch {
-	case cfg.spec != nil:
-		spec = *cfg.spec
-		if err := spec.Validate(bound, c0.hasIndexLocked); err != nil {
-			c0.mu.Unlock()
+	if top == nil {
+		holder := cq
+		if db.shards != nil {
+			holder = db.shards.planOnce(cq, db.sch.Root()).kids[0]
+		}
+		if top, err = holder.explain(q, cfg.spec); err != nil {
 			return nil, err
 		}
-	case cq.chosen != nil:
-		spec = *cq.chosen
-	default:
-		best, bestCost := cq.specs[0], plan.Estimate(bound, cq.specs[0], in)
-		for _, s := range cq.specs[1:] {
-			if c := plan.Estimate(bound, s, in); c < bestCost {
-				best, bestCost = s, c
-			}
-		}
-		spec = best
-		chosen := best.Clone()
-		cq.chosen = &chosen
 	}
-	c0.mu.Unlock()
-
-	a := &Analysis{
-		SQL:          cq.shape.SQL,
-		Analyze:      execute,
-		Spec:         spec,
-		Cards:        plan.EstimateCards(bound, spec, in),
-		EstimatedSim: plan.Estimate(bound, spec, in),
-	}
-	a.PlanText = c0.Explain(bound, spec)
-
-	if !execute {
-		return a, nil
-	}
-	start := time.Now()
-	res, err := db.QueryWithPlan(bound, spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	a.Wall = time.Since(start)
-	a.Result = res
-	rootRooted := strings.EqualFold(bound.Root.Name, db.sch.Root().Name)
-	for s, rep := range res.ShardReports {
-		if rep == nil {
-			if rootRooted {
-				a.Shards = append(a.Shards, ShardAnalysis{Shard: s, Pruned: true})
-			}
-			continue // dimension-rooted query: only the routed shard ran
-		}
-		a.Shards = append(a.Shards, ShardAnalysis{
-			Shard:   s,
-			SimTime: rep.TotalTime,
-			Ops:     analyzeOps(bound, spec, a.Cards, rep),
-		})
-	}
-	if s := cfg.session; s != nil {
-		s.record(res.Report)
-	}
+	a.Spec, a.Cards, a.EstimatedSim = top.spec, top.cards, top.est
+	a.PlanText = top.db.Explain(q, top.spec)
 	return a, nil
 }
 
 // analyzeOps lines the report's measured operators up with the cost
-// model's cardinality estimates. Operators the model does not estimate
-// carry EstRows = -1.
-func analyzeOps(q *plan.Query, spec plan.Spec, cards plan.CardEstimates, rep *stats.Report) []OpAnalysis {
+// model's cardinality estimates for the plan the device chose. Operators
+// the model does not estimate carry EstRows = -1.
+func analyzeOps(q *plan.Query, ch *choice, rep *stats.Report) []OpAnalysis {
+	spec, cards := ch.spec, ch.cards
 	// Own-level estimates per table for the shipped/bloom-hashed ID
 	// lists: visible predicates on one table combine multiplicatively.
 	shipEst := map[string]int64{}  // StratVisPre tables
@@ -438,7 +335,10 @@ func (a *Analysis) Text() string {
 				fmt.Fprintf(&b, "shard %d: pruned (root key)\n", sh.Shard)
 				continue
 			}
-			fmt.Fprintf(&b, "shard %d: %s simulated\n", sh.Shard, stats.FormatDuration(sh.SimTime))
+			ch := sh.choice
+			fmt.Fprintf(&b, "shard %d: plan %s, %s simulated; estimated %d candidates, %d survivors, %s simulated\n",
+				sh.Shard, ch.spec.Describe(a.Result.Query), stats.FormatDuration(sh.SimTime),
+				ch.cards.Candidates, ch.cards.Survivors, stats.FormatDuration(ch.est))
 			opTable(sh.Ops)
 		}
 	} else {

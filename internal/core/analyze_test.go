@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/ghostdb/ghostdb/internal/fault"
 )
 
 func TestIsExplain(t *testing.T) {
@@ -169,6 +171,39 @@ func TestExplainAnalyzeOracleDifferential(t *testing.T) {
 		if a.Cards.Candidates < 1 || a.Cards.Survivors < 1 {
 			t.Fatalf("query %d %q: degenerate estimates %+v", i, sqlText, a.Cards)
 		}
+	}
+}
+
+// TestExplainProbeLatchesDeadDevice: EXPLAIN ANALYZE's statistics probe
+// reads the device, so a power cut inside it must latch like one during
+// execution, and the next query must fail fast with the terminal error.
+func TestExplainProbeLatchesDeadDevice(t *testing.T) {
+	const q = `SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = 'Sclerosis'`
+	// Count the device ops the probe of the indexed hidden predicate
+	// consumes on its own: an empty plan injects nothing but counts.
+	counter, _, _ := loadTiny(t, WithFaultPlan(&fault.Plan{}))
+	bound, err := counter.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := counter.Estimate(bound, counter.Plans(bound)[0]); err != nil {
+		t.Fatal(err)
+	}
+	probeOps := counter.inj.Ops()
+	if probeOps == 0 {
+		t.Fatal("the statistics probe read no flash page: there is nothing to cut")
+	}
+
+	db, _, _ := loadTiny(t, WithFaultPlan(&fault.Plan{CutAtOp: probeOps}))
+	if _, err := db.Query("EXPLAIN ANALYZE " + q); !IsDeviceDead(err) {
+		t.Fatalf("EXPLAIN ANALYZE across a power cut in its probe: %v", err)
+	}
+	fatal := db.FatalError()
+	if fatal == nil {
+		t.Fatal("a power cut inside EXPLAIN's statistics probe did not latch")
+	}
+	if _, err := db.Query(q); !errors.Is(err, fatal) {
+		t.Fatalf("the next query: %v, want the latched %v", err, fatal)
 	}
 }
 

@@ -34,8 +34,8 @@ type CompiledQuery struct {
 	specs []plan.Spec
 
 	// chosen is the optimizer's cached strategy for this shape, written
-	// under the device gate on the first unforced Run and reused by every
-	// later one — the "plan" half of a prepared statement. Like any plan
+	// under the device gate by the first unforced Run or EXPLAIN
+	// (optimizeLocked) and reused by every later one. Like any plan
 	// cache, it trades re-optimization for stability: later bindings run
 	// under the plan chosen for the first binding's selectivities.
 	chosen *plan.Spec
@@ -145,20 +145,93 @@ func (db *DB) Estimate(q *plan.Query, spec plan.Spec) (time.Duration, error) {
 		// estimate (global predicate values over shard 0's data).
 		return db.shards.children[0].Estimate(q, spec)
 	}
+	ch, err := (&CompiledQuery{db: db, shape: q}).explain(q, &spec)
+	if err != nil {
+		return 0, err
+	}
+	return ch.est, nil
+}
+
+// choice is one device's optimizer step as an EXPLAIN sees it: the plan,
+// and the cost model's cardinalities and simulated time for it under the
+// statistics of db, the device that chose.
+type choice struct {
+	db    *DB
+	spec  plan.Spec
+	cards plan.CardEstimates
+	est   time.Duration
+}
+
+// optimizeLocked is the optimizer step, the only place a plan is chosen
+// or costed: a forced spec is validated, otherwise the shape's cached
+// choice is used, otherwise the statistics are probed and the cheapest
+// enumerated spec is chosen and cached on cq — the "plan" half of a
+// prepared statement. A probe that fails on a dead device latches it,
+// like a failure during execution. With explain set the statistics are
+// probed whatever the spec's source and the step also returns its choice;
+// without it a forced or cached spec costs nothing more than the copy.
+// Caller holds db.mu.
+func (cq *CompiledQuery) optimizeLocked(bound *plan.Query, visSel [][]uint32, forced *plan.Spec, explain bool) (plan.Spec, *choice, error) {
+	db := cq.db
+	var spec plan.Spec
+	have := true
+	switch {
+	case forced != nil:
+		if err := forced.Validate(bound, db.hasIndexLocked); err != nil {
+			return spec, nil, err
+		}
+		spec = *forced
+	case cq.chosen != nil: // written under db.mu; see below
+		spec = *cq.chosen
+	default:
+		have = false
+	}
+	if have && !explain {
+		return spec, nil, nil
+	}
+	counts, err := db.predCounts(bound, visSel)
+	if err != nil {
+		// The statistics probes read the device too: a power cut here
+		// must latch like one during execution.
+		db.noteDeviceErr(err)
+		return spec, nil, err
+	}
+	in := db.costInputs(counts)
+	var est time.Duration
+	if have {
+		est = plan.Estimate(bound, spec, in)
+	} else {
+		spec, est = cq.specs[0], plan.Estimate(bound, cq.specs[0], in)
+		for _, s := range cq.specs[1:] {
+			if c := plan.Estimate(bound, s, in); c < est {
+				spec, est = s, c
+			}
+		}
+		chosen := spec.Clone()
+		cq.chosen = &chosen
+	}
+	if !explain {
+		return spec, nil, nil
+	}
+	return spec, &choice{db: db, spec: spec, cards: plan.EstimateCards(bound, spec, in), est: est}, nil
+}
+
+// explain is the optimizer step of an EXPLAIN that does not execute: it
+// returns the plan a run of bound through cq would take (forced, cached,
+// or chosen and cached now) with its estimates.
+func (cq *CompiledQuery) explain(bound *plan.Query, forced *plan.Spec) (*choice, error) {
+	db := cq.db
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return 0, ErrClosed
+		return nil, ErrClosed
 	}
-	visSel, err := db.visSelections(q)
+	visSel, err := db.visSelections(bound)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	counts, err := db.predCounts(q, visSel)
-	if err != nil {
-		return 0, err
-	}
-	return plan.Estimate(q, spec, db.costInputs(counts)), nil
+	_, ch, err := cq.optimizeLocked(bound, visSel, forced, true)
+	return ch, err
 }
 
 func (db *DB) costInputs(counts []int) plan.CostInputs {
@@ -252,7 +325,13 @@ type queryConfig struct {
 	ctx  context.Context
 	// session attributes the execution to a session's metrics registry.
 	session *Session
+	// explain asks every device that runs the query to hand back its
+	// optimizer choice with the result (Result.choices): EXPLAIN ANALYZE.
+	explain bool
 }
+
+// explained is the internal option that sets queryConfig.explain.
+func explained(c *queryConfig) { c.explain = true }
 
 // WithSpec forces a specific plan instead of the optimizer's choice.
 func WithSpec(s plan.Spec) QueryOption {
@@ -316,14 +395,11 @@ func (cq *CompiledQuery) Run(params []value.Value, opts ...QueryOption) (*Result
 		db.fireHooks(QueryEvent{Phase: QueryStart, SQL: cq.shape.SQL})
 	}
 	res, err := cq.run(params, &cfg)
-	wall := time.Since(start)
-	var label string
-	var simT time.Duration
-	var rows int
+	var rep *stats.Report
 	if err == nil {
-		label, simT, rows = res.Report.PlanLabel, res.Report.TotalTime, res.Report.ResultRows
+		rep = res.Report
 	}
-	db.observeQuery(cfg.session, cq.shape.SQL, label, wall, simT, rows, err)
+	db.observeQuery(cfg.session, cq.shape.SQL, time.Since(start), rep, err)
 	return res, err
 }
 
@@ -336,7 +412,7 @@ func (cq *CompiledQuery) run(params []value.Value, cfg *queryConfig) (*Result, e
 	}
 	bound, err := cq.shape.BindParams(params)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w: %w", plan.ErrBind, err)
 	}
 	if cq.db.shards != nil {
 		return cq.db.runSharded(cq, bound, cfg)
@@ -361,37 +437,15 @@ func (cq *CompiledQuery) runBound(bound *plan.Query, cfg *queryConfig, sh *shard
 	if err != nil {
 		return nil, err
 	}
-	var spec plan.Spec
-	switch {
-	case cfg.spec != nil:
-		spec = *cfg.spec
-		if err := spec.Validate(bound, db.hasIndexLocked); err != nil {
-			return nil, err
-		}
-	case cq.chosen != nil: // written under db.mu; see below
-		spec = *cq.chosen
-	default:
-		counts, err := db.predCounts(bound, visSel)
-		if err != nil {
-			// The statistics probes read the device too: a power cut here
-			// must latch like one during execution.
-			db.noteDeviceErr(err)
-			return nil, err
-		}
-		in := db.costInputs(counts)
-		best, bestCost := cq.specs[0], plan.Estimate(bound, cq.specs[0], in)
-		for _, s := range cq.specs[1:] {
-			if c := plan.Estimate(bound, s, in); c < bestCost {
-				best, bestCost = s, c
-			}
-		}
-		spec = best
-		chosen := best.Clone()
-		cq.chosen = &chosen
+	spec, ch, err := cq.optimizeLocked(bound, visSel, cfg.spec, cfg.explain)
+	if err != nil {
+		return nil, err
 	}
 	res, err := db.execute(bound, spec, visSel, cfg.ctx, sh)
 	if err != nil {
 		db.noteDeviceErr(err)
+	} else if ch != nil {
+		res.choices = []*choice{ch}
 	}
 	return res, err
 }

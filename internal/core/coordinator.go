@@ -462,6 +462,7 @@ func (db *DB) runReplica(cp *coordPlan, bound *plan.Query, cfg *queryConfig) (*R
 	reports := make([]*stats.Report, n)
 	reports[s] = res.Report
 	res.ShardReports = reports
+	res.choices = atShard(res.choices, s, n)
 	db.metrics.noteRoute(routeReplica, 1)
 	db.feedShardMetrics(res.Report)
 	return res, nil
@@ -504,6 +505,7 @@ func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, g *gath
 		res.Query = bound
 		reports[s] = res.Report
 		res.ShardReports = reports
+		res.choices = atShard(res.choices, s, n)
 		db.feedShardMetrics(res.Report)
 		return res, nil
 	}
@@ -544,9 +546,15 @@ func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, g *gath
 		Query:        bound,
 		ShardReports: reports,
 	}
+	if cfg.explain {
+		res.choices = make([]*choice, n)
+	}
 	for i := range outs {
 		r := outs[i].res.Report
 		reports[outs[i].shard] = r
+		if cfg.explain {
+			res.choices[outs[i].shard] = outs[i].res.choices[0]
+		}
 		if i == 0 {
 			rep.PlanLabel = r.PlanLabel
 			res.Spec = outs[i].res.Spec
@@ -584,6 +592,17 @@ func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, g *gath
 	rep.ResultRows = len(res.Rows)
 	db.feedShardMetrics(rep)
 	return res, nil
+}
+
+// atShard re-indexes the one-device choices of an explained run that
+// shard s of n answered alone; nil stays nil.
+func atShard(choices []*choice, s, n int) []*choice {
+	if choices == nil {
+		return nil
+	}
+	out := make([]*choice, n)
+	out[s] = choices[0]
+	return out
 }
 
 // runShard executes the query's physical pipeline on shard s with the

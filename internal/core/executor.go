@@ -72,6 +72,11 @@ type Result struct {
 	// query ran on a sharded DB, indexed by shard (entries are nil for
 	// shards the query did not touch). Nil on single-device DBs.
 	ShardReports []*stats.Report
+
+	// choices carries the optimizer choice of every device that ran an
+	// explained query (queryConfig.explain): one entry on a single device,
+	// indexed like ShardReports on a sharded DB. Nil otherwise.
+	choices []*choice
 }
 
 // forEachEntry visits the index entries matching p.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"log/slog"
 	"time"
+
+	"github.com/ghostdb/ghostdb/internal/stats"
 )
 
 // QueryPhase tags a QueryEvent.
@@ -87,10 +89,11 @@ func (db *DB) fireHooks(ev QueryEvent) {
 	}
 }
 
-// observeQuery feeds one finished query into the DB and session
-// registries and fires the tracing hooks. wall is host time measured
-// from before the device-gate wait; rep may be nil on error.
-func (db *DB) observeQuery(s *Session, sqlText, planLabel string, wall time.Duration, sim time.Duration, rows int, err error) {
+// observeQuery is the one place a finished query is counted: it feeds the
+// DB and session registries (SessionStats reads the latter), keeps the
+// session's last report and fires the tracing hooks. wall is host time
+// measured from before the device-gate wait; rep is nil on error.
+func (db *DB) observeQuery(s *Session, sqlText string, wall time.Duration, rep *stats.Report, err error) {
 	m := db.metrics
 	var sm *engineMetrics
 	if s != nil {
@@ -112,6 +115,7 @@ func (db *DB) observeQuery(s *Session, sqlText, planLabel string, wall time.Dura
 		}
 		return
 	}
+	sim, rows := rep.TotalTime, rep.ResultRows
 	slow := db.opts.SlowQueryThreshold > 0 && wall >= db.opts.SlowQueryThreshold
 	m.queries.Inc()
 	m.rowsReturned.Add(int64(rows))
@@ -128,12 +132,15 @@ func (db *DB) observeQuery(s *Session, sqlText, planLabel string, wall time.Dura
 		if slow {
 			sm.slowQueries.Inc()
 		}
+		s.mu.Lock()
+		s.lastReport = rep
+		s.mu.Unlock()
 	}
 	if len(db.hooks) > 0 {
 		db.fireHooks(QueryEvent{
 			Phase:     QueryFinish,
 			SQL:       sqlText,
-			PlanLabel: planLabel,
+			PlanLabel: rep.PlanLabel,
 			Wall:      wall,
 			Sim:       sim,
 			Rows:      rows,

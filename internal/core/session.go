@@ -22,9 +22,10 @@ var ErrSessionClosed = errors.New("core: session is closed")
 // serializes on the DB's device gate, exactly as a hardware token
 // serializes its USB command stream.
 //
-// A Session carries per-session execution state: the number of queries
-// it ran, the simulated device time those queries consumed, and the
-// last execution report. A Session is itself safe for concurrent use.
+// A Session carries per-session execution state: its own metrics
+// registry (queries run, their simulated device time, plan-cache traffic)
+// and the last execution report. A Session is itself safe for concurrent
+// use.
 type Session struct {
 	db *DB
 	id int
@@ -33,13 +34,9 @@ type Session struct {
 	// the DB registry, counting only this session's traffic.
 	metrics *engineMetrics
 
-	mu          sync.Mutex
-	closed      bool
-	queries     int64
-	deviceTime  time.Duration
-	lastReport  *stats.Report
-	cacheHits   int64 // plan-cache hits on this session's queries
-	cacheMisses int64
+	mu         sync.Mutex
+	closed     bool
+	lastReport *stats.Report // written by observeQuery
 
 	// lastSQL/lastCQ memoize the session's most recent compilation, so a
 	// session re-issuing the same text skips even the shared cache's key
@@ -100,30 +97,12 @@ func (s *Session) check() error {
 	return nil
 }
 
-// recordCache folds one plan-cache lookup into the session statistics.
+// recordCache counts one plan-cache lookup on the session registry.
 func (s *Session) recordCache(hit bool) {
 	if hit {
 		s.metrics.planCacheHits.Inc()
 	} else {
 		s.metrics.planCacheMisses.Inc()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if hit {
-		s.cacheHits++
-	} else {
-		s.cacheMisses++
-	}
-}
-
-// record folds one finished query into the session statistics.
-func (s *Session) record(rep *stats.Report) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-	if rep != nil {
-		s.deviceTime += rep.TotalTime
-		s.lastReport = rep
 	}
 }
 
@@ -232,26 +211,16 @@ func (s *Session) Query(sqlText string, opts ...QueryOption) (*Result, error) {
 		s.db.metrics.planCacheHits.Inc()
 		s.recordCache(true)
 	}
-	res, err := cq.Run(nil, append(opts, withSession(s))...)
-	if err != nil {
-		return nil, err
-	}
-	s.record(res.Report)
-	return res, nil
+	return cq.Run(nil, append(opts, withSession(s))...)
 }
 
 // QueryCompiled binds params into a compiled query and executes it,
-// folding the report into the session statistics.
+// attributing the run to the session.
 func (s *Session) QueryCompiled(cq *CompiledQuery, params []value.Value, opts ...QueryOption) (*Result, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	res, err := cq.Run(params, append(opts, withSession(s))...)
-	if err != nil {
-		return nil, err
-	}
-	s.record(res.Report)
-	return res, nil
+	return cq.Run(params, append(opts, withSession(s))...)
 }
 
 // Exec parses and executes a script of CREATE TABLE / INSERT / DELETE /
@@ -330,12 +299,7 @@ func (s *Session) QueryWithPlan(q *plan.Query, spec plan.Spec) (*Result, error) 
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	res, err := s.db.QueryWithPlan(q, spec, withSession(s))
-	if err != nil {
-		return nil, err
-	}
-	s.record(res.Report)
-	return res, nil
+	return s.db.QueryWithPlan(q, spec, withSession(s))
 }
 
 // SessionStats is a snapshot of one session's execution state.
@@ -347,15 +311,17 @@ type SessionStats struct {
 	PlanCache  stats.CacheStats // this session's share of plan-cache traffic
 }
 
-// Stats snapshots the session's counters.
+// Stats snapshots the session's counters from its registry.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	last := s.lastReport
+	s.mu.Unlock()
+	m := s.metrics
 	return SessionStats{
 		ID:         s.id,
-		Queries:    s.queries,
-		DeviceTime: s.deviceTime,
-		LastReport: s.lastReport,
-		PlanCache:  stats.CacheStats{Hits: s.cacheHits, Misses: s.cacheMisses},
+		Queries:    m.queries.Value(),
+		DeviceTime: time.Duration(m.querySim.Snapshot().Sum),
+		LastReport: last,
+		PlanCache:  stats.CacheStats{Hits: m.planCacheHits.Value(), Misses: m.planCacheMisses.Value()},
 	}
 }

@@ -342,8 +342,8 @@ func TestShardedRootPredicates(t *testing.T) {
 }
 
 // TestShardedExplainAnalyze checks the scatter-gather EXPLAIN ANALYZE:
-// per-shard operator actuals and sim times, DB-wide estimates, and a
-// rendering that carries one section per shard.
+// per-shard operator actuals and sim times, and a rendering that carries
+// one section per shard.
 func TestShardedExplainAnalyze(t *testing.T) {
 	db, _, _ := loadShardedTiny(t, 2)
 	a, err := db.ExplainAnalyze(paperQuery)
@@ -383,6 +383,125 @@ func TestShardedExplainAnalyze(t *testing.T) {
 	if eo.PlanText == "" || eo.EstimatedSim <= 0 {
 		t.Fatalf("ExplainOnly: plan %q, est %v", eo.PlanText, eo.EstimatedSim)
 	}
+}
+
+// TestShardedExplainAnalyzeRunsShardPlans: a sharded EXPLAIN ANALYZE runs,
+// on every shard it contacts, the plan that shard's own optimizer chose —
+// the plan a plain Query runs there — and names it in the shard's section.
+// Two identical databases replay the shard differential corpus, DML and
+// CHECKPOINT included: one answers every SELECT with EXPLAIN ANALYZE, the
+// other with Query.
+func TestShardedExplainAnalyzeRunsShardPlans(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			explained, orc, ds := loadShardedTiny(t, shards)
+			plain, _, _ := loadShardedTiny(t, shards)
+			g := &dmlGen{
+				queryGen: &queryGen{rng: rand.New(rand.NewSource(int64(101 + shards))), ds: ds},
+				sch:      explained.Schema(),
+				orc:      orc,
+			}
+			exec := func(stmt string) {
+				on, oerr := orc.Exec(stmt)
+				for _, db := range []*DB{explained, plain} {
+					en, eerr := db.Exec(stmt)
+					if eerr != nil || oerr != nil || en != on {
+						t.Fatalf("%q: engine (%d, %v), oracle (%d, %v)", stmt, en, eerr, on, oerr)
+					}
+				}
+			}
+			iterations := 240
+			if testing.Short() {
+				iterations = 50
+			}
+			split := 0
+			for i := 0; i < iterations; i++ {
+				switch roll := g.rng.Intn(10); {
+				case roll < 4:
+					split += shardPlansAgree(t, explained, plain, orc, g.next())
+				case roll < 6:
+					split += shardPlansAgree(t, explained, plain, orc, g.nextPostOp())
+				case roll == 9 && i%29 == 0:
+					exec("CHECKPOINT")
+				default:
+					if stmt := g.nextDML(); stmt != "" {
+						exec(stmt)
+					}
+				}
+			}
+			t.Logf("%d statements on which the contacted shards chose different plans", split)
+		})
+	}
+}
+
+// TestShardedExplainAnalyzeSplitPlan pins a statement on which the two
+// shards' own statistics pick different plans (shard 0 P2, shard 1 P1; the
+// shard differential corpus above holds none, this is q19 of the estimate
+// golden's corpus): each section must name, and have run, its own shard's
+// plan, where forcing shard 0's choice on both ran P2 on shard 1.
+func TestShardedExplainAnalyzeSplitPlan(t *testing.T) {
+	const q = `SELECT Prescription.PreID, Prescription.WhenWritten, Medicine.Effect FROM Prescription, Medicine WHERE Medicine.Type = 'Antibiotic' AND Prescription.Quantity <> 91 AND Prescription.WhenWritten BETWEEN '2005-12-25' AND '2007-05-15'`
+	explained, orc, _ := loadShardedTiny(t, 2)
+	plain, _, _ := loadShardedTiny(t, 2)
+	if shardPlansAgree(t, explained, plain, orc, q) != 1 {
+		t.Fatal("the shards no longer choose different plans for the pinned statement")
+	}
+}
+
+// shardPlansAgree runs sqlText as EXPLAIN ANALYZE on explained and as a
+// plain Query on plain, and requires the rows to be the oracle's and every
+// shard section to name, and to have run, the plan that shard ran for the
+// plain query. It returns 1 when the contacted shards chose different
+// plans, else 0.
+func shardPlansAgree(t *testing.T, explained, plain *DB, orc *oracle.Oracle, sqlText string) int {
+	t.Helper()
+	a, err := explained.ExplainAnalyze(sqlText)
+	if err != nil {
+		t.Fatalf("explain analyze %q: %v", sqlText, err)
+	}
+	res, err := plain.Query(sqlText)
+	if err != nil {
+		t.Fatalf("query %q: %v", sqlText, err)
+	}
+	wantCols, wantRows, err := orc.Query(sqlText)
+	if err != nil {
+		t.Fatalf("oracle %q: %v", sqlText, err)
+	}
+	if !reflect.DeepEqual(a.Result.Columns, wantCols) || !sameRows(a.Result.Rows, wantRows) || !sameRows(res.Rows, wantRows) {
+		t.Fatalf("%q: EXPLAIN ANALYZE %d rows, Query %d rows, oracle %d", sqlText, len(a.Result.Rows), len(res.Rows), len(wantRows))
+	}
+	text := a.Text()
+	sections := map[int]bool{}
+	labels := map[string]bool{}
+	for _, sh := range a.Shards {
+		want := res.ShardReports[sh.Shard]
+		if sh.Pruned {
+			if want != nil {
+				t.Fatalf("%q: shard %d reads pruned, Query contacted it\n%s", sqlText, sh.Shard, text)
+			}
+			continue
+		}
+		if want == nil {
+			t.Fatalf("%q: shard %d ran under EXPLAIN ANALYZE, Query did not contact it\n%s", sqlText, sh.Shard, text)
+		}
+		if got := a.Result.ShardReports[sh.Shard].PlanLabel; got != want.PlanLabel {
+			t.Fatalf("%q: shard %d ran %s under EXPLAIN ANALYZE, %s under Query\n%s", sqlText, sh.Shard, got, want.PlanLabel, text)
+		}
+		if !strings.Contains(text, fmt.Sprintf("shard %d: plan %s[", sh.Shard, want.PlanLabel)) {
+			t.Fatalf("%q: shard %d's section does not name plan %s\n%s", sqlText, sh.Shard, want.PlanLabel, text)
+		}
+		sections[sh.Shard] = true
+		labels[want.PlanLabel] = true
+	}
+	for s, rep := range res.ShardReports {
+		if rep != nil && !sections[s] {
+			t.Fatalf("%q: Query contacted shard %d, EXPLAIN ANALYZE has no section for it\n%s", sqlText, s, text)
+		}
+	}
+	if len(labels) > 1 {
+		return 1
+	}
+	return 0
 }
 
 // testRowCount reads the coordinator's global cardinality for a table.

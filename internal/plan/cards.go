@@ -26,58 +26,77 @@ type CardEstimates struct {
 
 // EstimateCards runs the cost model's cardinality arithmetic for a spec.
 func EstimateCards(q *Query, spec Spec, in CostInputs) CardEstimates {
+	c := newCards(q, in)
+	ce := CardEstimates{
+		RootRows:      c.rootRows,
+		PredCount:     make([]int, len(q.Preds)),
+		PredRootCount: make([]int, len(q.Preds)),
+	}
+	for i := range spec.Strategies {
+		ce.PredCount[i], ce.PredRootCount[i] = c.count(i), c.rootCount(i)
+	}
+	candidates, survivors := c.walk(spec)
+	ce.Candidates = int(candidates + 0.5)
+	ce.Survivors = int(survivors + 0.5)
+	return ce
+}
+
+// cards is the cost model's cardinality arithmetic for one query under
+// one set of statistics, written once: Estimate prices its unrounded
+// values, EstimateCards rounds them.
+type cards struct {
+	q        *Query
+	counts   []int
+	rows     map[string]int
+	rootRows int // base root cardinality, floor 1
+}
+
+func newCards(q *Query, in CostInputs) cards {
 	rootRows := in.TableRows[q.Root.Name]
 	if rootRows == 0 {
 		rootRows = 1
 	}
-	count := func(i int) int {
-		c := in.Counts[i]
-		if c < 0 {
-			c = in.TableRows[q.Preds[i].Col.Table] / 2
-		}
-		return c
-	}
-	rootCount := func(i int) int {
-		t := q.Preds[i].Col.Table
-		tr := in.TableRows[t]
-		if tr == 0 {
-			return count(i)
-		}
-		return int(float64(count(i)) * float64(rootRows) / float64(tr))
-	}
+	return cards{q: q, counts: in.Counts, rows: in.TableRows, rootRows: rootRows}
+}
 
-	ce := CardEstimates{
-		RootRows:      rootRows,
-		PredCount:     make([]int, len(q.Preds)),
-		PredRootCount: make([]int, len(q.Preds)),
+// count is predicate i's own-level matching rows: its statistic, or half
+// its table when unknown.
+func (c cards) count(i int) int {
+	if n := c.counts[i]; n >= 0 {
+		return n
 	}
+	return c.rows[c.q.Preds[i].Col.Table] / 2
+}
+
+// rootCount scales count(i) to the root level (uniform fan-out).
+func (c cards) rootCount(i int) int {
+	tr := c.rows[c.q.Preds[i].Col.Table]
+	if tr == 0 {
+		return c.count(i)
+	}
+	return int(float64(c.count(i)) * float64(c.rootRows) / float64(tr))
+}
+
+// walk returns the root IDs surviving every pre-filtering contribution
+// (the stream reaching the SKT scan) and the candidates surviving post
+// verification, unrounded and each at least 1.
+func (c cards) walk(spec Spec) (candidates, survivors float64) {
 	preSelectivity := 1.0
 	for i, st := range spec.Strategies {
-		ce.PredCount[i] = count(i)
-		ce.PredRootCount[i] = rootCount(i)
 		switch st {
 		case StratVisPre, StratHidIndex, StratVisDevice:
-			preSelectivity *= float64(rootCount(i)) / float64(rootRows)
+			preSelectivity *= float64(c.rootCount(i)) / float64(c.rootRows)
 		}
 	}
-
-	candidates := preSelectivity * float64(rootRows)
-	if candidates < 1 {
-		candidates = 1
-	}
-	survivors := candidates
+	candidates = max(preSelectivity*float64(c.rootRows), 1)
+	survivors = candidates
 	for i, st := range spec.Strategies {
-		if st == StratVisPost {
-			survivors *= float64(rootCount(i)) / float64(rootRows)
-		}
-		if st == StratHidPost {
-			survivors *= float64(count(i)) / float64(max(in.TableRows[q.Preds[i].Col.Table], 1))
+		switch st {
+		case StratVisPost:
+			survivors *= float64(c.rootCount(i)) / float64(c.rootRows)
+		case StratHidPost:
+			survivors *= float64(c.count(i)) / float64(max(c.rows[c.q.Preds[i].Col.Table], 1))
 		}
 	}
-	if survivors < 1 {
-		survivors = 1
-	}
-	ce.Candidates = int(candidates + 0.5)
-	ce.Survivors = int(survivors + 0.5)
-	return ce
+	return candidates, max(survivors, 1)
 }

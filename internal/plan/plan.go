@@ -10,6 +10,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -184,6 +185,12 @@ func (q *Query) ColumnLabels() []string {
 	}
 	return out
 }
+
+// ErrBind marks an execution that failed because its arguments did not
+// bind to the shape's placeholders: wrong arity, an argument that is
+// itself a placeholder, or a value its column cannot take. It is the
+// caller's mistake, not the engine's (an HTTP server answers 400).
+var ErrBind = errors.New("cannot bind arguments")
 
 // BindParams substitutes the query's '?' placeholders with params (by
 // ordinal) and coerces them to their column kinds, returning a new,

@@ -269,26 +269,10 @@ func Estimate(q *Query, spec Spec, in CostInputs) time.Duration {
 		return time.Duration(msgs)*in.Bus.MsgLatency +
 			time.Duration(float64(n)/in.Bus.BytesPerSec*float64(time.Second))
 	}
-	rootRows := in.TableRows[q.Root.Name]
-	if rootRows == 0 {
-		rootRows = 1
-	}
-
-	count := func(i int) int {
-		c := in.Counts[i]
-		if c < 0 {
-			c = in.TableRows[q.Preds[i].Col.Table] / 2
-		}
-		return c
-	}
-	rootCount := func(i int) int {
-		t := q.Preds[i].Col.Table
-		tr := in.TableRows[t]
-		if tr == 0 {
-			return count(i)
-		}
-		return int(float64(count(i)) * float64(rootRows) / float64(tr))
-	}
+	// candidates reach the SKT scan, survivors pass the post probes (bloom
+	// fpr folded into verification).
+	c := newCards(q, in)
+	candidates, survivors := c.walk(spec)
 
 	// Per-tuple cycle costs, mirroring the executor's charges.
 	const (
@@ -298,7 +282,6 @@ func Estimate(q *Query, spec Spec, in CostInputs) time.Duration {
 	bloomK := 7.0 // SizeForFPR at 1% yields k=7
 
 	var total time.Duration
-	preSelectivity := 1.0
 	postVerifyTables := map[string]bool{}
 	bloomProbes := 0.0 // filters probed per candidate
 
@@ -309,8 +292,7 @@ func Estimate(q *Query, spec Spec, in CostInputs) time.Duration {
 
 	for i, st := range spec.Strategies {
 		pr := q.Preds[i]
-		n := count(i)
-		rc := rootCount(i)
+		n, rc := c.count(i), c.rootCount(i)
 		switch st {
 		case StratVisPre:
 			total += busBytes(4 * n) // ID list on the wire
@@ -323,7 +305,7 @@ func Estimate(q *Query, spec Spec, in CostInputs) time.Duration {
 					red := 1.0
 					for j, st2 := range spec.Strategies {
 						if j != i && st2 == StratHidIndex && q.Preds[j].Col.Table == pr.Col.Table {
-							red *= float64(count(j)) / float64(max(in.TableRows[pr.Col.Table], 1))
+							red *= float64(c.count(j)) / float64(max(in.TableRows[pr.Col.Table], 1))
 						}
 					}
 					effIn *= red
@@ -342,7 +324,6 @@ func Estimate(q *Query, spec Spec, in CostInputs) time.Duration {
 					float64(cpu(effOut*heapCycles))
 				total += time.Duration(passes * perPass)
 			}
-			preSelectivity *= float64(rc) / float64(rootRows)
 		case StratVisPost:
 			total += busBytes(4 * n)                           // IDs to hash into the filter
 			total += cpu(float64(n) * bloomK * sim.CyclesHash) // build
@@ -355,17 +336,11 @@ func Estimate(q *Query, spec Spec, in CostInputs) time.Duration {
 			listBytes := float64(rc * 3) // delta-varint average
 			total += time.Duration(listBytes/float64(p.Flash.PageSize)*float64(pageRead)) + pageRead
 			total += cpu(float64(rc) * (decodeCycle + heapCycles))
-			preSelectivity *= float64(rc) / float64(rootRows)
 		case StratHidPost:
 			// Attribute fetch per surviving candidate, costed below.
 		}
 	}
 
-	// Candidates reaching the SKT scan.
-	candidates := float64(preSelectivity) * float64(rootRows)
-	if candidates < 1 {
-		candidates = 1
-	}
 	memberTables := float64(len(q.Tables) - 1)
 	if memberTables < 0 {
 		memberTables = 0
@@ -385,20 +360,6 @@ func Estimate(q *Query, spec Spec, in CostInputs) time.Duration {
 			total += time.Duration(candidates/entriesPerPage+1) * pageRead
 			total += cpu(candidates * sim.CyclesPredicate)
 		}
-	}
-
-	// Survivors after post probes (bloom fpr folded into verification).
-	survivors := candidates
-	for i, st := range spec.Strategies {
-		if st == StratVisPost {
-			survivors *= float64(rootCount(i)) / float64(rootRows)
-		}
-		if st == StratHidPost {
-			survivors *= float64(count(i)) / float64(max(in.TableRows[q.Preds[i].Col.Table], 1))
-		}
-	}
-	if survivors < 1 {
-		survivors = 1
 	}
 
 	// Materialize survivors (Store operator).
@@ -426,8 +387,8 @@ func Estimate(q *Query, spec Spec, in CostInputs) time.Duration {
 		streamRows := in.TableRows[t]
 		for i, st := range spec.Strategies {
 			if q.Preds[i].Col.Table == t && (st == StratVisPre || st == StratVisPost) {
-				if c := count(i); c < streamRows {
-					streamRows = c
+				if n := c.count(i); n < streamRows {
+					streamRows = n
 				}
 			}
 		}

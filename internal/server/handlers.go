@@ -19,6 +19,7 @@ import (
 	"github.com/ghostdb/ghostdb"
 	"github.com/ghostdb/ghostdb/internal/core"
 	"github.com/ghostdb/ghostdb/internal/fault"
+	"github.com/ghostdb/ghostdb/internal/plan"
 	"github.com/ghostdb/ghostdb/internal/schema"
 	"github.com/ghostdb/ghostdb/internal/sql"
 )
@@ -71,17 +72,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.reject(w, http.StatusBadRequest, cerr.Error(), "bad_request")
 			return
 		}
-		if want := cq.NumParams(); want != len(params) {
-			s.reject(w, http.StatusBadRequest,
-				fmt.Sprintf("query has %d placeholders, got %d arguments", want, len(params)), "bad_request")
-			return
-		}
-		// Bind before running: an argument the column cannot take is the
-		// client's mistake (400, as on /v1/exec), not an engine failure.
-		if _, berr := cq.Bind(params); berr != nil {
-			s.reject(w, http.StatusBadRequest, berr.Error(), "bad_request")
-			return
-		}
+		// Run binds: arguments that do not fit the placeholders come back
+		// as plan.ErrBind, which writeEngineError answers with 400.
 		res, err = a.sess.QueryCompiled(cq, params, core.WithContext(a.ctx))
 		if err != nil {
 			s.writeEngineError(w, err, "internal", http.StatusInternalServerError)
@@ -203,11 +195,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.MetricsSnapshot().WritePrometheus(w, "ghostdb_server_")
 }
 
-// writeEngineError maps an engine error onto the wire: context
-// cancellation and typed device faults get their transport codes,
-// anything else the caller's default.
+// writeEngineError maps an engine error onto the wire: arguments that do
+// not bind are the client's mistake, context cancellation and typed
+// device faults get their transport codes, anything else the caller's
+// default.
 func (s *Server) writeEngineError(w http.ResponseWriter, err error, defaultKind string, defaultStatus int) {
 	switch {
+	case errors.Is(err, plan.ErrBind):
+		s.reject(w, http.StatusBadRequest, err.Error(), "bad_request")
 	case errors.Is(err, context.Canceled):
 		s.m.canceled.Inc()
 		writeJSON(w, statusClientClosedRequest, &ErrorResponse{Error: err.Error(), Kind: "canceled"})
