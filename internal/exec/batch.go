@@ -45,7 +45,14 @@ package exec
 //     and the only decoder; only a record that straddles a page boundary
 //     is staged, through the streams' byte-shaped Write / Read. A page is
 //     programmed the moment it is full and read when its first byte is
-//     needed — where the byte-shaped calls program and read it.
+//     needed — where the byte-shaped calls program and read it. The
+//     external sort does not decode records at all: run formation copies
+//     them from the page into the sort buffer — the simulated device's
+//     run buffer, the one place a record is copied out of its page —
+//     reads one word of each, the key, and moves the records from there
+//     into the run writer's tail; a merge moves each winning record from
+//     its run's lent page to the output page. The key read and the moves
+//     are record.go's too.
 
 import (
 	"fmt"

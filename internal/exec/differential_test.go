@@ -2,17 +2,20 @@ package exec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/device"
+	"github.com/ghostdb/ghostdb/internal/fault"
 	"github.com/ghostdb/ghostdb/internal/flash"
 	"github.com/ghostdb/ghostdb/internal/ram"
 	"github.com/ghostdb/ghostdb/internal/sim"
@@ -99,23 +102,7 @@ func runDifferential(t *testing.T, c diffCase, refs ...diffCase) {
 		t.Run(name, func(t *testing.T) {
 			want := frozenTwin(t)
 			check := func(what string, batchLen int, run diffCase) {
-				dev, err := device.New(prof, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := NewEnv(dev)
-				if batchLen > 0 {
-					e.SetBatchLen(batchLen)
-				}
-				out, err := run(t, e, rand.New(rand.NewSource(15)))
-				o := diffOutcome{
-					Out: out, Clock: dev.Clock.Now(), Flash: dev.Flash.Stats(),
-					RAMHigh: dev.RAM.High(), RAMUsed: dev.RAM.Used(),
-				}
-				if err != nil {
-					o.Err = err.Error()
-				}
-				if got := twinRecord(t.Name(), o); got != want {
+				if got := diffOn(t, prof, batchLen, run); got != want {
 					t.Fatalf("%s diverges from the frozen twin:\n got %s\nwant %s", what, got, want)
 				}
 			}
@@ -127,6 +114,36 @@ func runDifferential(t *testing.T, c diffCase, refs ...diffCase) {
 			}
 		})
 	}
+}
+
+// diffOn runs c on a fresh device of profile prof at batch length
+// batchLen (0: the default) and renders what it produced and spent as the
+// running subtest's twin record.
+func diffOn(t *testing.T, prof device.Profile, batchLen int, c diffCase) string {
+	t.Helper()
+	dev := mustDevice(t, prof)
+	e := NewEnv(dev)
+	if batchLen > 0 {
+		e.SetBatchLen(batchLen)
+	}
+	out, err := c(t, e, rand.New(rand.NewSource(15)))
+	o := diffOutcome{
+		Out: out, Clock: dev.Clock.Now(), Flash: dev.Flash.Stats(),
+		RAMHigh: dev.RAM.High(), RAMUsed: dev.RAM.Used(),
+	}
+	if err != nil {
+		o.Err = err.Error()
+	}
+	return twinRecord(t.Name(), o)
+}
+
+func mustDevice(t *testing.T, prof device.Profile) *device.Device {
+	t.Helper()
+	dev, err := device.New(prof, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
 }
 
 // randomSorted returns n distinct ascending IDs drawn from 1..max.
@@ -346,10 +363,10 @@ func (it *refRowReader) Next() (Row, bool, error) {
 func (it *refRowReader) Close() { it.grant.Free() }
 
 // refSortRowFile is SortRowFile as it stood before the counted-compare run
-// sort (PR 16), kept as the in-process reference of
-// TestDifferentialSortRowFile: run formation reads one record at a time,
-// sorts an index permutation with sort.Slice and charges one compare
-// inside every comparator call. The merge passes are shared.
+// sort, kept as the in-process reference of TestDifferentialSortRowFile:
+// run formation reads one record at a time, sorts an index permutation
+// with sort.Slice and charges one compare inside every comparator call;
+// the merge passes decode and re-encode every row (refMergeRowRuns).
 func refSortRowFile(e *Env, rf *RowFile, byField, bufBytes, fanin int, op *stats.Op) (*RowFile, error) {
 	width := rf.recordWidth()
 	capRecords := bufBytes / width
@@ -441,7 +458,7 @@ func refSortRowFile(e *Env, rf *RowFile, byField, bufBytes, fanin int, op *stats
 		var next []*RowFile
 		for start := 0; start < len(runs); start += f {
 			end := min(start+f, len(runs))
-			merged, err := e.mergeRowRuns(runs[start:end], byField, op)
+			merged, err := refMergeRowRuns(e, runs[start:end], byField)
 			if err != nil {
 				return nil, err
 			}
@@ -451,6 +468,109 @@ func refSortRowFile(e *Env, rf *RowFile, byField, bufBytes, fanin int, op *stats
 	}
 	op.AddOut(int64(runs[0].n))
 	return runs[0], nil
+}
+
+// refMergeRowRuns is mergeRowRuns as it stood before records moved as
+// bytes, kept for refSortRowFile: each run is decoded a RowBatch at a time
+// and the winning row re-encoded into the output page.
+func refMergeRowRuns(e *Env, runs []*RowFile, byField int) (*RowFile, error) {
+	type head struct {
+		it    BatchRowIter
+		batch *RowBatch
+		pos   int
+		row   Row
+	}
+	var heads []*head
+	closeAll := func() {
+		for _, h := range heads {
+			h.it.Close()
+			PutRowBatch(h.batch)
+		}
+	}
+	// advance loads the head's next row, refilling its batch as needed;
+	// ok=false means the run is exhausted.
+	advance := func(h *head) (bool, error) {
+		if h.pos >= h.batch.Len() {
+			k, err := h.it.Next(h.batch)
+			if err != nil {
+				return false, err
+			}
+			if k == 0 {
+				return false, nil
+			}
+			h.pos = 0
+		}
+		h.row = h.batch.Row(h.pos)
+		h.pos++
+		return true, nil
+	}
+	for _, r := range runs {
+		it, err := r.IterBatch()
+		if err != nil {
+			closeAll()
+			return nil, err
+		}
+		h := &head{it: it, batch: GetRowBatch(r.fields)}
+		ok, err := advance(h)
+		if err != nil {
+			it.Close()
+			PutRowBatch(h.batch)
+			closeAll()
+			return nil, err
+		}
+		if !ok {
+			it.Close()
+			PutRowBatch(h.batch)
+			continue
+		}
+		heads = append(heads, h)
+	}
+	wGrant, err := e.Dev.RAM.Alloc(e.pageSize(), "merge-writer")
+	if err != nil {
+		closeAll()
+		return nil, err
+	}
+	defer wGrant.Free()
+	w, err := e.newRecordWriter()
+	if err != nil {
+		closeAll()
+		return nil, err
+	}
+	n := 0
+	var compares int64
+	for len(heads) > 0 {
+		best := 0
+		for i := 1; i < len(heads); i++ {
+			compares++
+			if heads[i].row.IDs[byField] < heads[best].row.IDs[byField] {
+				best = i
+			}
+		}
+		h := heads[best]
+		if err := w.putRow(h.row.Seq, h.row.IDs); err != nil {
+			e.cpuUnits(sim.CyclesCompare, compares)
+			closeAll()
+			return nil, err
+		}
+		n++
+		ok, err := advance(h)
+		if err != nil {
+			e.cpuUnits(sim.CyclesCompare, compares)
+			closeAll()
+			return nil, err
+		}
+		if !ok {
+			h.it.Close()
+			PutRowBatch(h.batch)
+			heads = append(heads[:best], heads[best+1:]...)
+		}
+	}
+	e.cpuUnits(sim.CyclesCompare, compares)
+	ext, err := w.close()
+	if err != nil {
+		return nil, err
+	}
+	return &RowFile{env: e, ext: ext, n: n, fields: runs[0].fields}, nil
 }
 
 // sortKeyShapes are the key distributions the sort differential covers;
@@ -463,6 +583,43 @@ var sortKeyShapes = map[string]func(rng *rand.Rand, i, n int) uint32{
 	"random":          func(rng *rand.Rand, _, _ int) uint32 { return rng.Uint32() },
 }
 
+// sortFunc is SortRowFile's signature, which refSortRowFile shares.
+type sortFunc func(e *Env, rf *RowFile, byField, bufBytes, fanin int, op *stats.Op) (*RowFile, error)
+
+// sortBuffer sizes a sort's run buffer and fan-in on its device.
+type sortBuffer func(e *Env) (bufBytes, fanin int)
+
+// executorBuffer sizes them the way the projection passes do.
+func executorBuffer(e *Env) (int, int) { return int(e.Dev.RAM.Available()) / 2, e.Fanin(0.25) }
+
+// sortCase materializes n rows of fields IDs — ID byField drawn from
+// keyOf, every other ID f<<24 | the row's number — and sorts them by
+// byField with sortFn. The output is the op's in/out/RAM, then the sorted
+// file, sequence numbers included.
+func sortCase(fields, byField, n int, keyOf func(*rand.Rand, int, int) uint32, buffer sortBuffer, sortFn sortFunc) diffCase {
+	return func(t *testing.T, e *Env, rng *rand.Rand) ([]uint32, error) {
+		rows := make([][]uint32, n)
+		for i := range rows {
+			rows[i] = make([]uint32, fields)
+			for f := range rows[i] {
+				rows[i][f] = uint32(f)<<24 | uint32(i+1)
+			}
+			rows[i][byField] = keyOf(rng, i, n)
+		}
+		rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, fields, true, op())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufBytes, fanin := buffer(e)
+		o := op()
+		sortedRF, err := sortFn(e, rf, byField, bufBytes, fanin, o)
+		if err != nil {
+			return nil, err
+		}
+		return scanRowFile(t, e, sortedRF, []uint32{uint32(o.TuplesIn), uint32(o.TuplesOut), uint32(o.RAMBytes)}), nil
+	}
+}
+
 // TestDifferentialSortRowFile holds the counted-compare run sort to the
 // per-comparison reference, and both to the reference's frozen outcome:
 // the same rows in the same order (ties are visible through the sequence
@@ -471,39 +628,95 @@ var sortKeyShapes = map[string]func(rng *rand.Rand, i, n int) uint32{
 // counts straddle pdqsort's insertion-sort cutoff (12) and the run
 // capacity (64 records, fan-in 3: the last case merges in several passes);
 // the "executor" buffer is sized the way the projection passes size it.
+//
+// The frozen cases sort 12-byte records by their last field. The
+// "fields=" cases, which have no frozen record, hold the sort to the
+// reference alone on every record width from 8 to 20 bytes (records that
+// tile the 2 KB page and records that straddle it), keyed on the first
+// and on the last field; on the 16KB device the fan-in clamps to 2 and the
+// 5 000 rows merge in three passes or more. The "failop" cases put a
+// permanent fault in run formation and in the middle of the merges.
 func TestDifferentialSortRowFile(t *testing.T) {
 	const fields, byField, smallCap = 2, 1, 64
 	width := 4 * (1 + fields)
-	buffers := map[string]func(e *Env) (bufBytes, fanin int){
+	buffers := map[string]sortBuffer{
 		"cap=64":   func(*Env) (int, int) { return smallCap * width, 3 },
-		"executor": func(e *Env) (int, int) { return int(e.Dev.RAM.Available()) / 2, e.Fanin(0.25) },
+		"executor": executorBuffer,
 	}
 	for bufName, buffer := range buffers {
 		for shape, keyOf := range sortKeyShapes {
 			for _, n := range []int{0, 1, 2, 12, 13, smallCap - 1, smallCap, smallCap + 1, 5000} {
 				t.Run(fmt.Sprintf("%s/%s/n=%d", bufName, shape, n), func(t *testing.T) {
-					sortWith := func(sortFn func(*Env, *RowFile, int, int, int, *stats.Op) (*RowFile, error)) diffCase {
-						return func(t *testing.T, e *Env, rng *rand.Rand) ([]uint32, error) {
-							rows := make([][]uint32, n)
-							for i := range rows {
-								rows[i] = []uint32{uint32(i + 1), keyOf(rng, i, n)}
-							}
-							rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, fields, true, op())
-							if err != nil {
-								t.Fatal(err)
-							}
-							bufBytes, fanin := buffer(e)
-							o := op()
-							sortedRF, err := sortFn(e, rf, byField, bufBytes, fanin, o)
-							if err != nil {
-								return nil, err
-							}
-							return scanRowFile(t, e, sortedRF, []uint32{uint32(o.TuplesIn), uint32(o.TuplesOut), uint32(o.RAMBytes)}), nil
-						}
-					}
-					runDifferential(t, sortWith((*Env).SortRowFile), sortWith(refSortRowFile))
+					runDifferential(t, sortCase(fields, byField, n, keyOf, buffer, (*Env).SortRowFile),
+						sortCase(fields, byField, n, keyOf, buffer, refSortRowFile))
 				})
 			}
 		}
 	}
+
+	const wideRows = 5000
+	for fields := 1; fields <= 4; fields++ {
+		for _, byField := range slices.Compact([]int{0, fields - 1}) {
+			for shape, keyOf := range sortKeyShapes {
+				for name, prof := range diffProfiles() {
+					t.Run(fmt.Sprintf("fields=%d/by=%d/%s/%s", fields, byField, shape, name), func(t *testing.T) {
+						if name == "tiny" {
+							// Three merge passes at fan-in 2 need more than four runs.
+							bufBytes, fanin := executorBuffer(NewEnv(mustDevice(t, prof)))
+							if capRecords := bufBytes / (4 * (1 + fields)); fanin != 2 || wideRows <= 4*capRecords {
+								t.Fatalf("fan-in %d, %d-record runs: fewer than three merge passes", fanin, capRecords)
+							}
+						}
+						want := diffOn(t, prof, 0, sortCase(fields, byField, wideRows, keyOf, executorBuffer, refSortRowFile))
+						if got := diffOn(t, prof, 0, sortCase(fields, byField, wideRows, keyOf, executorBuffer, (*Env).SortRowFile)); got != want {
+							t.Fatalf("the sort diverges from the reference:\n got %s\nwant %s", got, want)
+						}
+					})
+				}
+			}
+		}
+	}
+
+	t.Run("failop", func(t *testing.T) {
+		prof := diffProfiles()["tiny"]
+		faulty := func(inj *fault.Injector, sortFn sortFunc) diffCase {
+			return sortCase(2, 1, wideRows, sortKeyShapes["random"], executorBuffer,
+				func(e *Env, rf *RowFile, byField, bufBytes, fanin int, o *stats.Op) (*RowFile, error) {
+					e.Dev.Flash.SetInjector(inj)
+					defer e.Dev.Flash.SetInjector(nil)
+					return sortFn(e, rf, byField, bufBytes, fanin, o)
+				})
+		}
+		// The device ops of a fault-free sort, to the end of run formation
+		// and to the end of the merges.
+		formedBy, sortedBy := fault.New(&fault.Plan{}, 0), fault.New(&fault.Plan{}, 0)
+		diffOn(t, prof, 0, faulty(formedBy, func(e *Env, rf *RowFile, byField, bufBytes, _ int, o *stats.Op) (*RowFile, error) {
+			_, err := e.formRuns(rf, byField, bufBytes/rf.recordWidth(), o)
+			return &RowFile{env: e, fields: rf.fields}, err
+		}))
+		diffOn(t, prof, 0, faulty(sortedBy, (*Env).SortRowFile))
+		formed, sorted := formedBy.Ops(), sortedBy.Ops()
+		if formed < 2 || sorted-formed < 2 {
+			t.Fatalf("%d ops to form the runs, %d to merge them: nothing to fail in between", formed, sorted-formed)
+		}
+		for phase, failAt := range map[string]int64{"formation": formed / 2, "merge": (formed + sorted) / 2} {
+			t.Run(phase, func(t *testing.T) {
+				e := NewEnv(mustDevice(t, prof))
+				_, err := faulty(fault.New(&fault.Plan{FailAtOp: failAt}, 0), (*Env).SortRowFile)(t, e, rand.New(rand.NewSource(15)))
+				if !errors.Is(err, fault.ErrPermanent) {
+					t.Fatalf("fault at op %d: got %v, want %v", failAt, err, fault.ErrPermanent)
+				}
+				if used := e.Dev.RAM.Used(); used != 0 {
+					t.Errorf("%d bytes of RAM still granted: %v", used, e.Dev.RAM.Snapshot())
+				}
+				w, err := e.Dev.Scratch.NewWriter()
+				if err != nil {
+					t.Fatalf("the failed sort kept the scratch writer: %v", err)
+				}
+				if _, err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	})
 }

@@ -27,6 +27,12 @@ func getRecord(rec []byte, ids []uint32) (seq uint32) {
 	return binary.LittleEndian.Uint32(rec)
 }
 
+// recordKey decodes ID field field of the record at rec: the one word the
+// external sort reads of a record it moves.
+func recordKey(rec []byte, field int) uint32 {
+	return binary.LittleEndian.Uint32(rec[4*(1+field):])
+}
+
 // recordWriter appends records to a scratch region. The page buffer it
 // encodes into is the flash.Writer's; the caller holds its RAM grant.
 type recordWriter struct {
@@ -81,12 +87,86 @@ func (rw *recordWriter) putRow(seq uint32, ids []uint32) error {
 	return rw.put(one[:], ids, len(ids))
 }
 
+// move appends one encoded record, copying its bytes into the tail; a
+// record that straddles the page goes through Write.
+func (rw *recordWriter) move(rec []byte) error {
+	if tail := rw.w.Tail(); len(tail) >= len(rec) {
+		copy(tail, rec)
+		return rw.w.Commit(len(rec))
+	}
+	_, err := rw.w.Write(rec)
+	return err
+}
+
+// moveSorted appends the width-byte records of buf in keys' order: as
+// many as the tail holds are copied into it, then committed at once.
+func (rw *recordWriter) moveSorted(buf []byte, width int, keys []sortKey) error {
+	for len(keys) > 0 {
+		tail := rw.w.Tail()
+		k := min(len(tail)/width, len(keys))
+		if k == 0 {
+			p := int(keys[0].pos) * width
+			if err := rw.move(buf[p : p+width]); err != nil {
+				return err
+			}
+			keys = keys[1:]
+			continue
+		}
+		for i, sk := range keys[:k] {
+			p := int(sk.pos) * width
+			copy(tail[i*width:(i+1)*width], buf[p:p+width])
+		}
+		if err := rw.w.Commit(k * width); err != nil {
+			return err
+		}
+		keys = keys[k:]
+	}
+	return nil
+}
+
 func (rw *recordWriter) close() (flash.Extent, error) { return rw.w.Close() }
 
 // recordReader decodes the records of a scratch region in order.
 type recordReader struct {
 	r     *flash.Reader
 	stage []byte // as recordWriter's
+}
+
+// fill copies the next len(dst) bytes of records into dst, reading each
+// page when its first byte is needed: run formation's sort buffer, the
+// one place a record is copied out of the page it was read into.
+func (rr *recordReader) fill(dst []byte) error {
+	_, err := io.ReadFull(rr.r, dst)
+	return err
+}
+
+// lend returns the next width-byte records without copying them: every
+// whole record left in the current page, or one staged record when the
+// next straddles the page boundary. They stay valid until the next call
+// on the reader. At the end of the region it returns io.EOF.
+func (rr *recordReader) lend(width int) ([]byte, error) {
+	win, err := rr.r.Window()
+	if err != nil {
+		return nil, err
+	}
+	if k := len(win) / width; k > 0 {
+		rr.r.Advance(k * width)
+		return win[:k*width], nil
+	}
+	return rr.staged(width)
+}
+
+// staged reads the one width-byte record that straddles the page boundary
+// into the stage, allocated when the first one does.
+func (rr *recordReader) staged(width int) ([]byte, error) {
+	if cap(rr.stage) < width {
+		rr.stage = make([]byte, width)
+	}
+	rec := rr.stage[:width]
+	if _, err := io.ReadFull(rr.r, rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 // next decodes len(seq) records of 1+fields words each: record i's first
@@ -100,11 +180,8 @@ func (rr *recordReader) next(seq, ids []uint32, fields int) error {
 			return err
 		}
 		if len(win) < width {
-			if cap(rr.stage) < width {
-				rr.stage = make([]byte, width)
-			}
-			rec := rr.stage[:width]
-			if _, err := io.ReadFull(rr.r, rec); err != nil {
+			rec, err := rr.staged(width)
+			if err != nil {
 				return err
 			}
 			seq[i] = getRecord(rec, ids[i*fields:(i+1)*fields])

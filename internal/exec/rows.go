@@ -1,8 +1,8 @@
 package exec
 
 import (
-	"cmp"
 	"fmt"
+	"io"
 	"slices"
 
 	"github.com/ghostdb/ghostdb/internal/flash"
@@ -106,26 +106,26 @@ func (w *RowFileWriter) Abort() {
 	w.grant.Free()
 }
 
-// sortKey is one buffered record during run formation: its sort key and
-// its record position in the run buffer.
-type sortKey struct{ key, pos uint32 }
-
 // SortRowFile sorts the file by the given ID field (0-based, excluding
 // seq) using an external merge sort: RAM-sized runs, then k-way merges,
 // spilling to scratch. bufBytes bounds the run buffer; fanin bounds the
 // concurrently open run readers.
 //
+// Records move as bytes: run formation reads the input's pages into the
+// sort buffer and decodes one word of each record, its key; runs and merge
+// outputs are written by moving record bytes into the writer's lent tail.
+//
 // Every simulated comparison is counted, then charged: run formation sorts
-// (key, position) pairs with a comparator that bumps a local counter, and
-// pays CyclesCompare × count in one ChargeUnits per run, as mergeRowRuns
-// does per merge. ChargeUnits(c, n) is n × Charge(c) to the nanosecond
-// (sim.TestChargeUnitsMatchesRepeatedCharge), so the clock only stays put
-// if the count equals what a charge inside the comparator would have paid
-// — i.e. the sort must make the comparator calls of sort.Slice over the
-// index permutation, in the same order, ending in the same tie order.
-// slices.SortFunc is the same generated pdqsort; TestDifferentialSortRowFile
-// holds this kernel to a copy of that per-comparison body (row order, clock,
-// flash, RAM), and CI rejects sort.Slice or a per-comparison e.cpu( here.
+// (key, position) pairs with keySorter, which counts its comparator calls,
+// and pays CyclesCompare × count in one ChargeUnits per run, as
+// mergeRowRuns does per merge. ChargeUnits(c, n) is n × Charge(c) to the
+// nanosecond (sim.TestChargeUnitsMatchesRepeatedCharge), so the clock only
+// stays put if the count equals what a charge inside the comparator would
+// have paid: keySorter is slices.SortFunc's pdqsort transcribed, with its
+// comparator calls and tie order (keysort.go; testdata/keysort_golden.txt
+// pins both). TestDifferentialSortRowFile holds the whole sort to its
+// per-comparison predecessor (row order, clock, flash, RAM), and CI
+// rejects any other comparison sort or a per-comparison e.cpu( here.
 func (e *Env) SortRowFile(rf *RowFile, byField, bufBytes, fanin int, op *stats.Op) (*RowFile, error) {
 	if byField < 0 || byField >= rf.fields {
 		return nil, fmt.Errorf("exec: sort field %d of %d", byField, rf.fields)
@@ -158,7 +158,7 @@ func (e *Env) SortRowFile(rf *RowFile, byField, bufBytes, fanin int, op *stats.O
 			if end > len(runs) {
 				end = len(runs)
 			}
-			merged, err := e.mergeRowRuns(runs[start:end], byField, op)
+			merged, err := e.mergeRowRuns(runs[start:end], byField)
 			if err != nil {
 				return nil, err
 			}
@@ -170,174 +170,176 @@ func (e *Env) SortRowFile(rf *RowFile, byField, bufBytes, fanin int, op *stats.O
 	return runs[0], nil
 }
 
-// formRuns is SortRowFile's run formation: it scans rf a batch at a time,
-// cuts it into runs of capRecords records (the simulated sort buffer) and
-// writes each run to scratch sorted by byField.
+// formRuns is SortRowFile's run formation: it reads rf capRecords records
+// (the simulated sort buffer) at a time, sorts their keys and writes each
+// run to scratch in key order.
 func (e *Env) formRuns(rf *RowFile, byField, capRecords int, op *stats.Op) ([]*RowFile, error) {
-	in, err := rf.IterBatch()
-	if err != nil {
+	var grant ram.Grant
+	if err := e.Dev.RAM.AllocInto(&grant, e.pageSize(), "row-reader"); err != nil {
 		return nil, err
 	}
-	defer in.Close()
-	rb := e.NewRowBatch(rf.fields)
-	defer PutRowBatch(rb)
+	defer grant.Free()
+	in := recordReader{r: flash.NewReader(e.Dev.Flash, rf.ext)}
+	defer in.r.Release()
 
-	words := 1 + rf.fields
-	hostCap := min(capRecords, rf.n)        // the host never buffers more than the file holds
-	buf := make([]uint32, 0, hostCap*words) // the sort buffer's records, seq first
-	keys := make([]sortKey, 0, hostCap)
+	width := rf.recordWidth()
+	hostCap := min(capRecords, rf.n) // the host never buffers more than the file holds
+	buf := make([]byte, hostCap*width)
+	keyBuf := make([]sortKey, hostCap)
 	var runs []*RowFile
-	flushRun := func() error {
-		if len(keys) == 0 {
-			return nil
+	for read := 0; read < rf.n; {
+		k := min(capRecords, rf.n-read)
+		recs, keys := buf[:k*width], keyBuf[:k]
+		if err := in.fill(recs); err != nil {
+			return nil, fmt.Errorf("exec: row file read: %w", err)
 		}
-		var compares int64
-		slices.SortFunc(keys, func(a, b sortKey) int {
-			compares++
-			return cmp.Compare(a.key, b.key)
-		})
-		e.cpuUnits(sim.CyclesCompare, compares)
+		read += k
+		op.AddIn(int64(k))
+		e.cpuUnits(int64(sim.CyclesCopyWord)*int64(1+rf.fields), int64(k))
+		for i := range keys {
+			keys[i] = sortKey{key: recordKey(recs[i*width:], byField), pos: uint32(i)}
+		}
+		var s keySorter
+		s.sort(keys)
+		e.cpuUnits(sim.CyclesCompare, s.compares)
 		w, err := e.newRecordWriter()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for _, k := range keys {
-			rec := buf[int(k.pos)*words : int(k.pos+1)*words]
-			if err := w.putRow(rec[0], rec[1:]); err != nil {
-				return err
-			}
+		if err := w.moveSorted(recs, width, keys); err != nil {
+			_, _ = w.close() // release the scratch writer
+			return nil, err
 		}
 		ext, err := w.close()
 		if err != nil {
-			return err
-		}
-		runs = append(runs, &RowFile{env: e, ext: ext, n: len(keys), fields: rf.fields})
-		buf, keys = buf[:0], keys[:0]
-		return nil
-	}
-	for {
-		k, err := in.Next(rb)
-		if err != nil {
 			return nil, err
 		}
-		if k == 0 {
-			break
-		}
-		op.AddIn(int64(k))
-		for i := 0; i < k; i++ {
-			r := rb.Row(i)
-			keys = append(keys, sortKey{key: r.IDs[byField], pos: uint32(len(keys))})
-			buf = append(append(buf, r.Seq), r.IDs...)
-			if len(keys) == capRecords {
-				if err := flushRun(); err != nil {
-					return nil, err
-				}
-			}
-		}
+		runs = append(runs, &RowFile{env: e, ext: ext, n: k, fields: rf.fields})
 	}
-	return runs, flushRun()
+	return runs, nil
 }
 
-// mergeRowRuns merges sorted runs into a new scratch run. Each run is
-// read through a batch iterator whose RowBatch owns its memory, so the
-// merge heads are views into the batches, with no defensive per-row
-// copy. Comparison charges are counted and paid in one batch at the end.
-func (e *Env) mergeRowRuns(runs []*RowFile, byField int, op *stats.Op) (*RowFile, error) {
-	type head struct {
-		it    BatchRowIter
-		batch *RowBatch
-		pos   int
-		row   Row
-	}
-	var heads []*head
-	closeAll := func() {
-		for _, h := range heads {
-			h.it.Close()
-			PutRowBatch(h.batch)
-		}
-	}
-	// advance loads the head's next row, refilling its batch as needed;
-	// ok=false means the run is exhausted.
-	advance := func(h *head) (bool, error) {
-		if h.pos >= h.batch.Len() {
-			k, err := h.it.Next(h.batch)
-			if err != nil {
-				return false, err
-			}
-			if k == 0 {
-				return false, nil
-			}
-			h.pos = 0
-		}
-		h.row = h.batch.Row(h.pos)
-		h.pos++
+// runHead is one input of a row-run merge: its stream and the records the
+// stream has lent, the first of which is the head.
+type runHead struct {
+	rr    recordReader
+	grant ram.Grant
+	recs  []byte
+}
+
+// next makes the following record the head; ok=false means the run is
+// exhausted.
+func (h *runHead) next(width int) (bool, error) {
+	if len(h.recs) > width {
+		h.recs = h.recs[width:]
 		return true, nil
 	}
-	for _, r := range runs {
-		it, err := r.IterBatch()
-		if err != nil {
-			closeAll()
+	recs, err := h.rr.lend(width)
+	if err == io.EOF {
+		h.recs = nil
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("exec: row file read: %w", err)
+	}
+	h.recs = recs
+	return true, nil
+}
+
+func (h *runHead) close() {
+	h.grant.Free()
+	if h.rr.r != nil {
+		h.rr.r.Release()
+		h.rr.r = nil
+	}
+}
+
+// mergeRowRuns merges sorted runs into a new scratch run, moving each
+// winning record from the page its run's stream lent to the output page.
+// The heads' keys sit in one slice in run order; the strict < makes the
+// lowest remaining run win a tie. Each row pays len(heads)−1 compares, and
+// the counted charges are paid in one batch at the end.
+func (e *Env) mergeRowRuns(runs []*RowFile, byField int) (*RowFile, error) {
+	fields, width := runs[0].fields, runs[0].recordWidth()
+	slab := make([]runHead, len(runs)) // rule 3: the merge's per-input state
+	heads := make([]*runHead, 0, len(runs))
+	keys := make([]uint32, 0, len(runs))
+	var read, compares int64
+	// settle pays the counted charges and closes every stream.
+	settle := func() {
+		e.cpuUnits(int64(sim.CyclesCopyWord)*int64(1+fields), read)
+		e.cpuUnits(sim.CyclesCompare, compares)
+		for i := range slab {
+			slab[i].close()
+		}
+	}
+	for i, r := range runs {
+		h := &slab[i]
+		if err := e.Dev.RAM.AllocInto(&h.grant, e.pageSize(), "row-reader"); err != nil {
+			settle()
 			return nil, err
 		}
-		h := &head{it: it, batch: GetRowBatch(r.fields)}
-		ok, err := advance(h)
+		h.rr.r = flash.NewReader(e.Dev.Flash, r.ext)
+		ok, err := h.next(width)
 		if err != nil {
-			it.Close()
-			PutRowBatch(h.batch)
-			closeAll()
+			settle()
 			return nil, err
 		}
 		if !ok {
-			it.Close()
-			PutRowBatch(h.batch)
+			h.close()
 			continue
 		}
+		read++
 		heads = append(heads, h)
+		keys = append(keys, recordKey(h.recs, byField))
 	}
-	wGrant, err := e.Dev.RAM.Alloc(e.pageSize(), "merge-writer")
-	if err != nil {
-		closeAll()
+	var wGrant ram.Grant
+	if err := e.Dev.RAM.AllocInto(&wGrant, e.pageSize(), "merge-writer"); err != nil {
+		settle()
 		return nil, err
 	}
 	defer wGrant.Free()
 	w, err := e.newRecordWriter()
 	if err != nil {
-		closeAll()
+		settle()
+		return nil, err
+	}
+	fail := func(err error) (*RowFile, error) {
+		settle()
+		_, _ = w.close() // release the scratch writer
 		return nil, err
 	}
 	n := 0
-	var compares int64
-	for len(heads) > 0 {
+	for len(keys) > 0 {
 		best := 0
-		for i := 1; i < len(heads); i++ {
-			compares++
-			if heads[i].row.IDs[byField] < heads[best].row.IDs[byField] {
+		for i := 1; i < len(keys); i++ {
+			if keys[i] < keys[best] {
 				best = i
 			}
 		}
+		compares += int64(len(keys) - 1)
 		h := heads[best]
-		if err := w.putRow(h.row.Seq, h.row.IDs); err != nil {
-			e.cpuUnits(sim.CyclesCompare, compares)
-			closeAll()
-			return nil, err
+		if err := w.move(h.recs[:width]); err != nil {
+			return fail(err)
 		}
 		n++
-		ok, err := advance(h)
+		ok, err := h.next(width)
 		if err != nil {
-			e.cpuUnits(sim.CyclesCompare, compares)
-			closeAll()
-			return nil, err
+			return fail(err)
 		}
-		if !ok {
-			h.it.Close()
-			PutRowBatch(h.batch)
-			heads = append(heads[:best], heads[best+1:]...)
+		if ok {
+			read++
+			keys[best] = recordKey(h.recs, byField)
+			continue
 		}
+		h.close()
+		heads = slices.Delete(heads, best, best+1)
+		keys = slices.Delete(keys, best, best+1)
 	}
-	e.cpuUnits(sim.CyclesCompare, compares)
+	settle()
 	ext, err := w.close()
 	if err != nil {
 		return nil, err
 	}
-	return &RowFile{env: e, ext: ext, n: n, fields: runs[0].fields}, nil
+	return &RowFile{env: e, ext: ext, n: n, fields: fields}, nil
 }

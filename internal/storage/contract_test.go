@@ -129,6 +129,32 @@ var contract = []struct {
 			t.Errorf("partial program read % x, want % x", got, want)
 		}
 	}},
+	{"erased bytes at page edges", func(t *testing.T, d *storage.Device) {
+		// Erased runs of 1, PageSize-1 and PageSize bytes, read from an
+		// erased page into a dirty buffer and read back behind a short
+		// program. Each program's prefix is zeros, so the device's staging
+		// page holds stale non-0xFF bytes for the next, longer tail.
+		ps := contractParams.PageSize
+		for i, n := range []int{1, ps - 1, ps} {
+			got := bytes.Repeat([]byte{0x5A}, n)
+			if err := d.ReadAt(got, int64(8*ps)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, bytes.Repeat([]byte{0xFF}, n)) {
+				t.Fatalf("erased read of %d bytes: % x", n, got)
+			}
+			page := 4 * i
+			program(t, d, page, make([]byte, ps-n))
+			want := append(make([]byte, ps-n), bytes.Repeat([]byte{0xFF}, n)...)
+			got = bytes.Repeat([]byte{0x5A}, ps)
+			if err := d.ReadPage(page, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("program of %d bytes reads back % x, want % x", ps-n, got, want)
+			}
+		}
+	}},
 	{"program once", func(t *testing.T, d *storage.Device) {
 		program(t, d, 5, []byte("x"))
 		wantErr(t, "reprogram", d.ProgramPage(5, []byte("y")), storage.ErrNotErased, "page 5", "block 1")

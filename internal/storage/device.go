@@ -377,9 +377,10 @@ func (d *Device) Image() (Image, error) {
 	return img, nil
 }
 
+// fillFF sets b to erased NAND, a copy of ffPad at a time.
 func fillFF(b []byte) {
-	for i := range b {
-		b[i] = 0xFF
+	for len(b) > 0 {
+		b = b[copy(b, ffPad):]
 	}
 }
 

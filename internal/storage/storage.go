@@ -185,7 +185,8 @@ type Image interface {
 	ReadPage(page int) ([]byte, bool, error)
 }
 
-// ffPad is a shared 0xFF run for hashing the erased tail of short pages.
+// ffPad is a shared run of erased bytes: PageCRC hashes the erased tail
+// of short pages from it, and fillFF copies it.
 var ffPad = func() []byte {
 	b := make([]byte, 4096)
 	for i := range b {
