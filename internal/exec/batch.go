@@ -13,15 +13,24 @@ package exec
 // the batch length must only change host CPU time) imposes two
 // disciplines on every batch operator, and host cost two more:
 //
-//  1. Exactness: an operator never performs more simulated device work
-//     (flash reads, page-cache probes, decode/compare/heap charges) than
-//     needed to produce the IDs it actually returns. Consumers that can
-//     abandon a stream early — the k-way intersection is the one such
-//     operator — therefore pull their inputs one element at a time, so
-//     the abandoned tail is never decoded. Draining consumers (spill,
-//     materialize, Bloom build, projection merges) pull full batches.
-//     What a pipeline had spent when an error aborted it is outside the
-//     contract: it depends on how far the drains had read ahead.
+//  1. Exactness: a consumer that asks for more than one ID commits to
+//     draining the stream; one that may abandon it early — the k-way
+//     intersection is the one such operator — pulls its inputs one
+//     element at a time, and for it an operator never performs more
+//     simulated device work (flash reads, page-cache probes,
+//     decode/compare/heap charges) than needed to produce the IDs it
+//     returned, so the abandoned tail is never decoded. Draining
+//     consumers (spill, materialize, Bloom build, projection merges) pull
+//     full batches, and an operator may then do the rest of the stream's
+//     work at once: the k-way union reads every input to its end on the
+//     first such request and pays its heap steps in closed form. Where
+//     that moves work earlier it moves it inside the same consumer's
+//     operator span, and it changes no order rule 2 guards — a merge
+//     input reads its own extent through its own page buffer, not the
+//     page cache and not the bus, so the order the inputs are read in is
+//     invisible to the device. What a pipeline had spent when an error
+//     aborted it is outside the contract: it depends on how far the
+//     drains had read ahead.
 //  2. Order preservation for the shared page cache: accesses that go
 //     through the device's LRU page cache (SKT lookups, hidden column
 //     fetches, climbing dictionary probes) must be issued in the same
@@ -73,11 +82,12 @@ const DefaultBatchSize = 1024
 // BatchIter streams sorted row identifiers in batches. Next fills dst
 // with up to len(dst) IDs and returns how many were produced; n == 0 with
 // a nil error means the stream is exhausted. The IDs written to dst are
-// owned by the caller. Implementations follow the exactness rule above:
-// they never do more simulated work than len(dst) demands, so a caller
-// that must not over-consume its input (an intersection) passes a
-// one-element dst. Close releases RAM grants and pooled buffers; it is
-// safe to call more than once.
+// owned by the caller. Implementations follow the exactness rule above: a
+// caller that asks for more than one ID commits to draining the stream,
+// and may be charged for all of it at once; a caller that must not
+// over-consume its input (an intersection) passes a one-element dst, and
+// is charged for no more than the IDs it received. Close releases RAM
+// grants and pooled buffers; it is safe to call more than once.
 type BatchIter interface {
 	Next(dst []uint32) (int, error)
 	Close()

@@ -30,7 +30,7 @@ func TestMergeUnionBatchMatchesRow(t *testing.T) {
 			&sliceBatch{ids: []uint32{1, 2, 3, 20}},
 		}
 	}
-	u, err := e.MergeUnionBatch(mk())
+	u, err := e.mergeUnionBatch(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func allocsPerBatch(t *testing.T, mk func() BatchIter) float64 {
 func TestMergeUnionBatchAllocs(t *testing.T) {
 	e := newEnv(t)
 	if n := allocsPerBatch(t, func() BatchIter {
-		u, err := e.MergeUnionBatch([]BatchIter{
+		u, err := e.mergeUnionBatch([]BatchIter{
 			&sliceBatch{ids: seqIDs(1, 300_000)},
 			&sliceBatch{ids: seqIDs(150_000, 300_000)},
 			&sliceBatch{ids: seqIDs(300_000, 300_000)},

@@ -83,7 +83,7 @@ func TestMergeUnion(t *testing.T) {
 		for _, ids := range c.in {
 			its = append(its, &sliceBatch{ids: ids})
 		}
-		u, err := e.MergeUnionBatch(its)
+		u, err := e.mergeUnionBatch(its)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,68 +3,20 @@ package exec
 // The merge operators: union, intersection, multi-pass union and
 // translation over batch streams. Heap pushes/pops and comparisons are
 // counted during a batch and charged in one ChargeUnits call, one unit per
-// element-level step, so the simulated cost does not depend on the batch
+// element-level step — a drained union counts its heap steps without
+// taking them — so the simulated cost does not depend on the batch
 // length; only host dispatch is amortized. The per-element charges are
 // those of the element-at-a-time merges this file replaced, whose outcomes
 // testdata/twin_golden.txt keeps (see differential_test.go).
 
 import (
+	"math/bits"
 	"slices"
 
 	"github.com/ghostdb/ghostdb/internal/climbing"
 	"github.com/ghostdb/ghostdb/internal/sim"
 	"github.com/ghostdb/ghostdb/internal/stats"
 )
-
-// batchCursor buffers one input of a batch merge. Refills request at most
-// the consumer's current demand, so an abandoned merge never over-reads
-// its inputs beyond one in-flight request.
-type batchCursor struct {
-	src BatchIter
-	buf *[]uint32
-	lim int // configured granularity cap on refills
-	pos int
-	n   int
-}
-
-// init attaches the cursor, a slot of its merge's slab, to src.
-func (c *batchCursor) init(e *Env, src BatchIter) {
-	*c = batchCursor{src: src, buf: GetIDBatch(), lim: e.batchCap()}
-}
-
-// next returns the cursor's next element, refilling with a request of at
-// most want elements (clamped to [1, cap]).
-func (c *batchCursor) next(want int) (uint32, bool, error) {
-	if c.pos >= c.n {
-		if want < 1 {
-			want = 1
-		}
-		if want > c.lim {
-			want = c.lim
-		}
-		k, err := c.src.Next((*c.buf)[:want])
-		if err != nil {
-			return 0, false, err
-		}
-		if k == 0 {
-			return 0, false, nil
-		}
-		c.pos, c.n = 0, k
-	}
-	id := (*c.buf)[c.pos]
-	c.pos++
-	return id, true, nil
-}
-
-// close is a no-op on a slot no stream was opened for.
-func (c *batchCursor) close() {
-	if c.src == nil {
-		return
-	}
-	c.src.Close()
-	PutIDBatch(c.buf)
-	c.buf = nil
-}
 
 // idxHeap is a binary min-heap of (id, cursor index) pairs that counts
 // its operations instead of charging them one by one. A merge allocates
@@ -143,29 +95,38 @@ func (h *idxHeap) takeOps() int64 {
 	return n
 }
 
-// unionBatch merges k sorted batch inputs, deduplicating equal IDs.
+// unionBatch merges k sorted inputs, deduplicating equal IDs. A request
+// for one ID steps the heap, pulling one ID from one input: the form that
+// stays exact for a consumer that may abandon the stream (batch.go rule
+// 1). The first request for more drains the union — the consumer has
+// committed to reading it to its end — and that call and every later one
+// sweep what the drain collected.
 type unionBatch struct {
 	env    *Env
 	h      idxHeap
-	curs   []batchCursor
+	curs   []unitCursor
+	count  int // the inputs' summed cardinality, 0 if unknown
 	last   uint32
 	primed bool
+	rest   idSet
+	err    error // a failed drain's, returned from then on
 }
 
 // newUnion allocates a k-way merge's per-input state — cursors and heap
-// at full capacity — so nothing is allocated or grown per input.
-func (e *Env) newUnion(k int) *unionBatch {
-	return &unionBatch{env: e, curs: make([]batchCursor, k), h: idxHeap{ents: make([]heapEnt, 0, k)}}
+// at full capacity — so nothing is allocated or grown per input. count is
+// the inputs' summed cardinality (0: unknown); it sizes a drain.
+func (e *Env) newUnion(k, count int) *unionBatch {
+	return &unionBatch{env: e, curs: make([]unitCursor, k), count: count, h: idxHeap{ents: make([]heapEnt, 0, k)}}
 }
 
-// MergeUnionBatch returns the sorted, deduplicated union of the batch
+// mergeUnionBatch returns the sorted, deduplicated union of the batch
 // iterators. It primes one element per input at construction time. The
 // per-input heap slot costs a few words; the streams' page buffers
 // dominate and are owned by the iterators themselves.
-func (e *Env) MergeUnionBatch(its []BatchIter) (BatchIter, error) {
-	u := e.newUnion(len(its))
+func (e *Env) mergeUnionBatch(its []BatchIter) (BatchIter, error) {
+	u := e.newUnion(len(its), 0)
 	for i, it := range its {
-		u.curs[i].init(e, it)
+		u.curs[i].src = it
 	}
 	return u.prime()
 }
@@ -174,7 +135,7 @@ func (e *Env) MergeUnionBatch(its []BatchIter) (BatchIter, error) {
 // the merge is closed.
 func (u *unionBatch) prime() (BatchIter, error) {
 	for i := range u.curs {
-		id, ok, err := u.curs[i].next(1)
+		id, ok, err := u.curs[i].next()
 		if err != nil {
 			u.env.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
 			u.Close()
@@ -190,13 +151,23 @@ func (u *unionBatch) prime() (BatchIter, error) {
 }
 
 func (u *unionBatch) Next(dst []uint32) (int, error) {
-	n := 0
-	for n < len(dst) && len(u.h.ents) > 0 {
+	if u.err != nil {
+		return 0, u.err
+	}
+	if len(dst) > 1 && len(u.h.ents) > 0 {
+		if u.err = u.drain(); u.err != nil {
+			return 0, u.err
+		}
+	}
+	if len(u.h.ents) == 0 {
+		return u.rest.sweep(dst), nil
+	}
+	for len(dst) > 0 && len(u.h.ents) > 0 {
 		top := u.h.ents[0]
-		next, ok, err := u.curs[top.idx()].next(len(dst))
+		next, ok, err := u.curs[top.idx()].next()
 		if err != nil {
 			u.env.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
-			return n, err
+			return 0, err
 		}
 		if ok {
 			u.h.replaceTop(next)
@@ -209,17 +180,222 @@ func (u *unionBatch) Next(dst []uint32) (int, error) {
 		}
 		u.last = id
 		u.primed = true
-		dst[n] = id
-		n++
+		dst[0] = id
+		u.env.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
+		return 1, nil
 	}
 	u.env.cpuUnits(sim.CyclesHeapOp, u.h.takeOps())
-	return n, nil
+	return 0, nil
+}
+
+// drain reads every live input to its end through its own Next, at the
+// batch length, into u.rest, and empties the heap. Reading the inputs one
+// after the other instead of interleaved is invisible to the device: each
+// stream reads its own extent through its own page buffer — not the page
+// cache, not the bus — so it reads the same pages and makes the same
+// decode calls, the streams charge these themselves, and the clock only
+// sums. The heap is paid in closed form: every remaining ID would have
+// left it once, by replaceTop (two operations) or, as the last ID of its
+// input, by pop (one).
+func (u *unionBatch) drain() error {
+	s, lim := &u.rest, u.env.batchCap()
+	s.reset(u.h.ents[0].id(), u.count)
+	remaining := int64(len(u.h.ents))
+	for _, ent := range u.h.ents {
+		src := u.curs[ent.idx()].src
+		for {
+			k, err := src.Next(s.room(lim))
+			if err != nil {
+				return err
+			}
+			if k == 0 {
+				break
+			}
+			s.took(k)
+			remaining += int64(k)
+		}
+	}
+	// The heads go in last, so that the set sees how far the IDs spread
+	// before it takes a bitmap word.
+	for _, ent := range u.h.ents {
+		s.room(1)[0] = ent.id()
+		s.took(1)
+	}
+	u.env.cpuUnits(sim.CyclesHeapOp, 2*remaining-int64(len(u.h.ents)))
+	u.h.ents = u.h.ents[:0]
+	s.seal(u.last, u.primed)
+	return nil
 }
 
 func (u *unionBatch) Close() {
 	for i := range u.curs {
-		u.curs[i].close()
+		if src := u.curs[i].src; src != nil {
+			src.Close()
+		}
 	}
+	u.rest.release()
+}
+
+// idSet holds the IDs a drain collected until the union emits them, as a
+// bitmap or as a sorted slice. The bitmap lives in ID batches borrowed
+// from the pool — bit j of word g is base+32g+j, 1 024 words a batch — and
+// handed back when the union closes. It may not take more than 32 bits for
+// each ID the union can meet, what holding the IDs costs, so memory
+// follows the IDs drained, never the span of their values. A union of
+// fewer IDs than a batch collects them in one borrowed batch and, once the
+// drain is done, sets them as bits if they are that dense and sorts them
+// otherwise; a larger union sets bits as it reads and turns into a slice
+// if its IDs spread too far.
+type idSet struct {
+	base   uint32
+	top    uint32 // the largest ID added
+	count  int    // the union's cardinality, 0 if unknown
+	n      int    // IDs added, duplicates included
+	bitmap bool
+	words  int          // bitmap words in use, all cleared
+	pages  []*[]uint32  // the bitmap's batches
+	dir    [8]*[]uint32 // backs pages up to 8 batches
+	ids    []uint32
+	batch  *[]uint32 // the small slice's backing, or the bitmap's read buffer
+	i      int       // sweep: the next word, or the next index of ids
+	cur    uint32    // sweep: the bits of word i-1 not yet emitted
+}
+
+// reset empties the set, every ID to come being at least base.
+func (s *idSet) reset(base uint32, count int) {
+	*s = idSet{base: base, top: base, count: count, bitmap: count <= 0 || count >= DefaultBatchSize, batch: GetIDBatch()}
+	s.pages = s.dir[:0]
+	if !s.bitmap {
+		s.ids = (*s.batch)[:0]
+	}
+}
+
+// room returns where up to lim IDs are read next: the slice's free tail,
+// never empty, or the bitmap's read buffer.
+func (s *idSet) room(lim int) []uint32 {
+	if s.bitmap {
+		return (*s.batch)[:lim]
+	}
+	if len(s.ids) == cap(s.ids) {
+		s.ids = slices.Grow(s.ids, lim)
+	}
+	return s.ids[len(s.ids):min(cap(s.ids), len(s.ids)+lim)]
+}
+
+// took adds the k sorted IDs just read into room.
+func (s *idSet) took(k int) {
+	s.n += k
+	if !s.bitmap {
+		s.ids = s.ids[:len(s.ids)+k]
+		s.top = max(s.top, s.ids[len(s.ids)-1])
+		return
+	}
+	chunk := (*s.batch)[:k]
+	s.top = max(s.top, chunk[k-1])
+	if !s.cover() {
+		s.toSlice()
+		s.ids = append(s.ids, chunk...)
+		return
+	}
+	s.set(chunk)
+}
+
+// cover clears bitmap words up to the one holding top, borrowing batches
+// as it goes, unless that takes more than 32 bits an ID.
+func (s *idSet) cover() bool {
+	need := int((s.top-s.base)>>5) + 1
+	if need > max(s.count, s.n)+32 {
+		return false
+	}
+	for s.words < need {
+		p := s.words >> 10
+		if p == len(s.pages) {
+			s.pages = append(s.pages, GetIDBatch())
+		}
+		end := min(need, (p+1)<<10)
+		clear((*s.pages[p])[s.words&1023 : end-p<<10])
+		s.words = end
+	}
+	return true
+}
+
+// set sets the bits of ids, which the bitmap covers.
+func (s *idSet) set(ids []uint32) {
+	for _, id := range ids {
+		d := id - s.base
+		(*s.pages[d>>15])[d>>5&1023] |= 1 << (d & 31)
+	}
+}
+
+// word returns bitmap word g.
+func (s *idSet) word(g int) uint32 { return (*s.pages[g>>10])[g&1023] }
+
+// toSlice turns the bitmap into the slice of the IDs it holds and hands
+// its batches back.
+func (s *idSet) toSlice() {
+	s.bitmap = false
+	s.ids = make([]uint32, 0, max(s.count, s.n)+1)
+	for g := 0; g < s.words; g++ {
+		for word := s.word(g); word != 0; word &= word - 1 {
+			s.ids = append(s.ids, s.base+uint32(g<<5+bits.TrailingZeros32(word)))
+		}
+	}
+	for _, p := range s.pages {
+		PutIDBatch(p)
+	}
+	s.pages, s.words = s.pages[:0], 0
+}
+
+// seal readies the sweep, leaving out the union's last emitted ID if it
+// was collected again: no remaining ID is below it, so only base can be.
+func (s *idSet) seal(last uint32, primed bool) {
+	if !s.bitmap {
+		if !s.cover() {
+			slices.Sort(s.ids)
+			s.ids = slices.Compact(s.ids)
+			if primed && s.ids[0] == last {
+				s.ids = s.ids[1:]
+			}
+			return
+		}
+		s.set(s.ids)
+		s.bitmap, s.ids = true, nil
+	}
+	if primed && last == s.base {
+		(*s.pages[0])[0] &^= 1
+	}
+}
+
+// sweep moves the next IDs of the set, in order, into dst.
+func (s *idSet) sweep(dst []uint32) int {
+	if !s.bitmap {
+		n := copy(dst, s.ids[s.i:])
+		s.i += n
+		return n
+	}
+	n := 0
+	for n < len(dst) {
+		for s.cur == 0 {
+			if s.i == s.words {
+				return n
+			}
+			s.cur = s.word(s.i)
+			s.i++
+		}
+		dst[n] = s.base + uint32((s.i-1)<<5+bits.TrailingZeros32(s.cur))
+		s.cur &= s.cur - 1
+		n++
+	}
+	return n
+}
+
+// release hands every borrowed batch back; the set is empty afterwards.
+func (s *idSet) release() {
+	PutIDBatch(s.batch)
+	for _, p := range s.pages {
+		PutIDBatch(p)
+	}
+	*s = idSet{}
 }
 
 // unitCursor pulls one element at a time from a batch input — the
@@ -415,8 +591,9 @@ func (e *Env) openAndMergeBatch(sources []IDSource) (BatchIter, error) {
 	if len(sources) == 1 {
 		return sources[0].OpenBatch()
 	}
-	var nLists, nRuns int
+	var nLists, nRuns, count int
 	for _, s := range sources {
+		count += s.Count()
 		switch s.(type) {
 		case *ClimbSource:
 			nLists++
@@ -425,7 +602,7 @@ func (e *Env) openAndMergeBatch(sources []IDSource) (BatchIter, error) {
 		}
 	}
 	lists, runs := make([]listBatch, nLists), make([]runBatch, nRuns)
-	u := e.newUnion(len(sources))
+	u := e.newUnion(len(sources), count)
 	for i, s := range sources {
 		var it BatchIter
 		var err error
@@ -445,7 +622,7 @@ func (e *Env) openAndMergeBatch(sources []IDSource) (BatchIter, error) {
 			u.Close()
 			return nil, err
 		}
-		u.curs[i].init(e, it)
+		u.curs[i].src = it
 	}
 	return u.prime()
 }

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"github.com/ghostdb/ghostdb/internal/climbing"
+	"github.com/ghostdb/ghostdb/internal/codec"
 	"github.com/ghostdb/ghostdb/internal/device"
 	"github.com/ghostdb/ghostdb/internal/testenv"
 )
@@ -84,7 +86,7 @@ func TestTranslateAllocationFloor(t *testing.T) {
 
 // TestUnionListsAllocationFloor: a single-pass union of k posting lists
 // allocates the same number of objects whatever k is — the merge's slabs
-// are longer, not more numerous.
+// are longer, not more numerous — and, drained, whatever the number of IDs.
 func TestUnionListsAllocationFloor(t *testing.T) {
 	testenv.SkipFloorUnderRace(t)
 	e, ix := translateFixture(t, 64)
@@ -97,6 +99,83 @@ func TestUnionListsAllocationFloor(t *testing.T) {
 		}
 	}
 	t.Logf("UnionBatch over ListSources: %d objects for any k in 2..%d", want, fanin)
+
+	// Drained, a union holds its IDs as bits in batches borrowed from the
+	// pool: 50 times the IDs cost no more objects. Spread over the whole
+	// uint32 range they are held as a slice instead, one word an ID, never
+	// as bits over the span (the allocator rounds that slice up to its
+	// 8 KB pages).
+	e = newEnv(t)
+	const k, few, many = 12, 1000, 50_000
+	dense := spreadLists(t, e, k, few, 1)
+	lo := objectsOf(func() { drainListsOnce(t, e, dense) })
+	dense = spreadLists(t, e, k, many, 1)
+	if hi := objectsOf(func() { drainListsOnce(t, e, dense) }); hi > lo {
+		t.Errorf("a drained %d-way union of %d IDs allocates %d objects, of %d IDs %d", k, many, hi, few, lo)
+	}
+	sparse := spreadLists(t, e, k, many, 1<<32/many)
+	extra := bytesOf(func() { drainListsOnce(t, e, sparse) }) - bytesOf(func() { drainListsOnce(t, e, dense) })
+	if extra > 4*many+8<<10 {
+		t.Errorf("a drained union of %d IDs over the uint32 range allocates %d bytes more than a dense one, over one word an ID", many, extra)
+	}
+	t.Logf("drained %d-way union: %d objects at %d or %d IDs; %d bytes more for %d IDs over the uint32 range", k, lo, few, many, extra, many)
+}
+
+// bytesOf reports the heap bytes one call of fn allocates, the smallest
+// of a few single-threaded runs after a warm-up.
+func bytesOf(fn func()) int64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	best := int64(math.MaxInt64)
+	var before, after runtime.MemStats
+	for i := 0; i < 6; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if d := int64(after.TotalAlloc - before.TotalAlloc); i > 0 && d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// spreadLists writes k disjoint posting lists of n IDs in all, ID j of
+// the union being j·stride, and returns their references.
+func spreadLists(tb testing.TB, e *Env, k, n int, stride uint32) []climbing.ListRef {
+	tb.Helper()
+	refs := make([]climbing.ListRef, k)
+	for i := range refs {
+		var ids []uint32
+		for j := i; j < n; j += k {
+			ids = append(ids, uint32(j)*stride)
+		}
+		ext, err := e.Dev.Main.AppendRegion(codec.AppendIDList(nil, ids))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		refs[i] = climbing.ListRef{Ext: ext, Count: len(ids)}
+	}
+	return refs
+}
+
+// drainListsOnce opens the single-pass union of the lists and drains it a
+// batch at a time.
+func drainListsOnce(tb testing.TB, e *Env, refs []climbing.ListRef) {
+	it, err := e.UnionBatch(e.ListSources(nil, refs), len(refs), op())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer it.Close()
+	buf := GetIDBatch()
+	defer PutIDBatch(buf)
+	for {
+		n, err := it.Next(*buf)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if n == 0 {
+			return
+		}
+	}
 }
 
 // benchEnvs runs fn at batch lengths 1/7/1024 on the default and the 16 KB

@@ -16,7 +16,10 @@ import (
 // replaceTop: one pop then one push per merged ID, on a heap ordered by id
 // alone — whichever of two equal IDs sat higher in the array left first.
 // byInput orders equal IDs by input, as idxHeap does, and changes nothing
-// else. Kept as the in-process reference of TestUnionOneSiftPerID.
+// else. It pulls its inputs one ID at a time and steps the heap for every
+// ID it returns, whatever the request: drained at batch length 7 or 1024,
+// the union under test sweeps a bitmap instead and must still agree. Kept
+// as the in-process reference of TestUnionOneSiftPerID.
 type refHeap struct {
 	ents    []refEnt
 	ops     int64
@@ -77,18 +80,18 @@ func (h *refHeap) pop() (uint32, int) {
 type refUnion struct {
 	env    *Env
 	h      refHeap
-	curs   []batchCursor
+	curs   []unitCursor
 	last   uint32
 	primed bool
 }
 
 func newRefUnion(e *Env, its []BatchIter, byInput bool) (*refUnion, error) {
-	u := &refUnion{env: e, curs: make([]batchCursor, len(its)), h: refHeap{byInput: byInput}}
+	u := &refUnion{env: e, curs: make([]unitCursor, len(its)), h: refHeap{byInput: byInput}}
 	for i, it := range its {
-		u.curs[i].init(e, it)
+		u.curs[i].src = it
 	}
 	for i := range u.curs {
-		id, ok, err := u.curs[i].next(1)
+		id, ok, err := u.curs[i].next()
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +108,7 @@ func (u *refUnion) Next(dst []uint32) (int, error) {
 	n := 0
 	for n < len(dst) && len(u.h.ents) > 0 {
 		id, ci := u.h.pop()
-		next, ok, err := u.curs[ci].next(len(dst))
+		next, ok, err := u.curs[ci].next()
 		if err != nil {
 			return n, err
 		}
@@ -127,7 +130,7 @@ func (u *refUnion) Next(dst []uint32) (int, error) {
 
 func (u *refUnion) Close() {
 	for i := range u.curs {
-		u.curs[i].close()
+		u.curs[i].src.Close()
 	}
 }
 
@@ -164,7 +167,7 @@ type unionRun struct {
 
 // The three merges TestUnionOneSiftPerID runs.
 const (
-	mergeReplaceTop    = iota // Env.MergeUnionBatch
+	mergeReplaceTop    = iota // Env.mergeUnionBatch
 	mergePopPush              // refUnion, equal IDs in input order
 	mergePopPushParent        // refUnion, equal IDs in heap-array order
 )
@@ -196,7 +199,7 @@ func runUnion(t *testing.T, lists [][]uint32, batchLen, take, merge int) unionRu
 	var u BatchIter
 	var err error
 	if merge == mergeReplaceTop {
-		u, err = e.MergeUnionBatch(its)
+		u, err = e.mergeUnionBatch(its)
 	} else {
 		u, err = newRefUnion(e, its, merge == mergePopPush)
 	}

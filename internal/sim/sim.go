@@ -54,6 +54,7 @@ func (c *Clock) Span(since time.Duration) time.Duration { return c.Now() - since
 type CPU struct {
 	clock *Clock
 	hz    float64
+	unit  [256]time.Duration // unit[c]: the duration of c cycles, as Charge computes it
 }
 
 // NewCPU returns a CPU running at hz cycles per second charging to clock.
@@ -61,7 +62,11 @@ func NewCPU(clock *Clock, hz float64) *CPU {
 	if hz <= 0 {
 		panic("sim: CPU frequency must be positive")
 	}
-	return &CPU{clock: clock, hz: hz}
+	c := &CPU{clock: clock, hz: hz}
+	for cycles := range c.unit {
+		c.unit[cycles] = time.Duration(float64(cycles) / c.hz * float64(time.Second))
+	}
+	return c
 }
 
 // Hz reports the CPU frequency in cycles per second.
@@ -80,11 +85,18 @@ func (c *CPU) Charge(n int64) {
 // duration is computed (and truncated) once and then multiplied — so the
 // vectorized engine can charge a whole batch in one call without
 // perturbing the simulated time the row-at-a-time engine would produce.
+// Below 256 cycles the per-unit duration is NewCPU's, computed by the same
+// expression.
 func (c *CPU) ChargeUnits(cycles, units int64) {
 	if cycles <= 0 || units <= 0 {
 		return
 	}
-	per := time.Duration(float64(cycles) / c.hz * float64(time.Second))
+	var per time.Duration
+	if cycles < int64(len(c.unit)) {
+		per = c.unit[cycles]
+	} else {
+		per = time.Duration(float64(cycles) / c.hz * float64(time.Second))
+	}
 	c.clock.Advance(per * time.Duration(units))
 }
 
