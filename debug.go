@@ -47,18 +47,16 @@ func DebugHandler(db *DB) http.Handler {
 // exported so servers embedding the debug surface (cmd/ghostdb-server)
 // can merge their own sections into the same document.
 func DebugVars(db *DB) map[string]any {
-	doc := map[string]any{
+	return map[string]any{
 		"plan_cache": db.PlanCacheStats(),
 		"delta":      db.DeltaSummary(),
 		"sessions":   db.OpenSessions(),
 		"loaded":     db.Loaded(),
 		"metrics":    db.MetricsSnapshot(),
+		// One entry per device engine (one on a single-device database).
+		"shards":        db.ShardInfos(),
+		"shard_metrics": db.ShardMetrics(),
 	}
-	if infos := db.ShardInfos(); infos != nil {
-		doc["shards"] = infos
-		doc["shard_metrics"] = db.ShardMetrics()
-	}
-	return doc
 }
 
 // debugShutdownGrace bounds how long ServeDebug's stop function waits

@@ -46,8 +46,7 @@ type Config struct {
 	// log/slog and counted in slow_queries_total. Zero disables it.
 	SlowQuery time.Duration
 	// Shards splits the database over N simulated devices with
-	// scatter-gather query execution. 1 (the default) is the classic
-	// single-device engine.
+	// scatter-gather query execution. 1 (the default) is one device.
 	Shards int
 	// Faults is a deterministic fault plan in the internal/fault DSN
 	// grammar ("seed=42,read.transient=0.001,cutop=500,..."). Empty

@@ -21,8 +21,8 @@ import (
 const aggregate = `SELECT COUNT(*), AVG(Pre.Quantity) FROM Prescription Pre WHERE Pre.Quantity > 2`
 
 func main() {
-	// The same synthetic hospital dataset, loaded twice: once on the
-	// classic single-device engine, once split over four devices.
+	// The same synthetic hospital dataset, loaded twice: once on one
+	// device, once split over four.
 	ds := ghostdb.GenerateDataset(ghostdb.ScaleOf(5000))
 
 	single, err := ghostdb.Open()

@@ -146,7 +146,8 @@ func WithContext(ctx context.Context) QueryOption { return core.WithContext(ctx)
 // WithShards splits the database across n simulated devices: the fact
 // table is partitioned over the shards while dimension tables are
 // replicated, and root-rooted queries run scatter-gather with one
-// goroutine per shard. n <= 1 keeps the classic single-device engine.
+// goroutine per shard. n <= 1 is one device — the same front door over
+// a set of one engine, whose root mapping is the identity.
 func WithShards(n int) Option { return core.WithShards(n) }
 
 // ShardInfo summarizes one device shard (see DB.ShardInfos).

@@ -14,7 +14,7 @@ package core
 // There is one aggregate path. The executor's row walk (executor.go) is
 // folded row by row, through one scratch row, into a pooled grouper: Add
 // on a single device, AddAt stamped with the global root on a shard,
-// whose partials the coordinator merges (shard_merge.go). An aggregated query
+// whose partials the front door merges (shard_merge.go). An aggregated query
 // therefore never materialises its physical rows; only a query that
 // returns rows (plain, DISTINCT, ORDER BY) goes through finishRows.
 
@@ -30,7 +30,7 @@ import (
 // aggregate folds the execution's n physical rows into the query's
 // groups. On a single device it finishes them into res.Rows; as a shard's
 // half (sh non-nil) it exports per-group raw accumulator partials stamped
-// with the smallest contributing global root, so the coordinator can
+// with the smallest contributing global root, so the front door can
 // reconstruct single-device group order — unless the shard is the query's
 // only target (sh.finish), which folds its remapped rows and finishes them
 // itself: its root order is the global one.
@@ -104,7 +104,7 @@ func finishRows(q *plan.Query, base [][]value.Value) [][]value.Value {
 // finishTail applies the order-sensitive tail of the finishing stage —
 // DISTINCT, ORDER BY, LIMIT, hidden-column stripping — to output-shaped
 // rows. It is shared by the single-device path (rows in root-ID order)
-// and the scatter-gather coordinator (rows re-merged into global
+// and the front door over several devices (rows re-merged into global
 // root-ID order), so sort ties break identically on both: the sorter's
 // arrival-order tiebreak sees the same sequence either way.
 func finishTail(q *plan.Query, rows [][]value.Value) [][]value.Value {

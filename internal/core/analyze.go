@@ -67,9 +67,9 @@ type Analysis struct {
 	Analyze bool
 
 	// The plan that was (or would be) executed, DB.Explain's rendering of
-	// it, and the cost model's cardinalities and device time for it. On a
-	// sharded DB these are the first contacted shard's (plain EXPLAIN, or
-	// no shard contacted: shard 0's); each shard section carries its own.
+	// it, and the cost model's cardinalities and device time for it: the
+	// first contacted device's (plain EXPLAIN, or no device contacted:
+	// engine 0's); on a sharded DB each shard section carries its own.
 	Spec         plan.Spec
 	PlanText     string
 	Cards        plan.CardEstimates
@@ -81,8 +81,9 @@ type Analysis struct {
 	Wall   time.Duration
 	Ops    []OpAnalysis
 
-	// Shards carries the per-device actuals of a scatter-gather ANALYZE
-	// (sharded DBs only; Ops is nil then — operators are per-device).
+	// Shards carries the per-device actuals of an ANALYZE over several
+	// devices (Ops is nil then — operators are per-device). A database of
+	// one device shows that device's operators as the statement's Ops.
 	Shards []ShardAnalysis
 }
 
@@ -196,9 +197,10 @@ func (db *DB) analyzeSelect(sel *sql.Select, execute bool, opts ...QueryOption) 
 			return nil, err
 		}
 		a.Wall, a.Result = time.Since(start), res
-		if db.shards == nil {
-			top = res.choices[0]
-			a.Ops = analyzeOps(q, top, res.Report)
+		if len(res.choices) == 1 {
+			if top = res.choices[0]; top != nil {
+				a.Ops = analyzeOps(q, top, res.Report)
+			}
 		} else {
 			rootRooted := strings.EqualFold(q.Root.Name, db.sch.Root().Name)
 			for s, ch := range res.choices {
@@ -216,16 +218,13 @@ func (db *DB) analyzeSelect(sel *sql.Select, execute bool, opts ...QueryOption) 
 		}
 	}
 	if top == nil {
-		holder := cq
-		if db.shards != nil {
-			holder = db.shards.planOnce(cq, db.sch.Root()).kids[0]
-		}
+		holder := &db.shards.planOnce(cq, db.sch.Root()).kids[0]
 		if top, err = holder.explain(q, cfg.spec); err != nil {
 			return nil, err
 		}
 	}
 	a.Spec, a.Cards, a.EstimatedSim = top.spec, top.cards, top.est
-	a.PlanText = top.db.Explain(q, top.spec)
+	a.PlanText = top.e.planText(q, top.spec)
 	return a, nil
 }
 

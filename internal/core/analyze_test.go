@@ -189,7 +189,7 @@ func TestExplainProbeLatchesDeadDevice(t *testing.T) {
 	if _, err := counter.Estimate(bound, counter.Plans(bound)[0]); err != nil {
 		t.Fatal(err)
 	}
-	probeOps := counter.inj.Ops()
+	probeOps := counter.shards.engines[0].inj.Ops()
 	if probeOps == 0 {
 		t.Fatal("the statistics probe read no flash page: there is nothing to cut")
 	}

@@ -10,26 +10,26 @@ import (
 // and visible store, but without Subtree Key Tables or transitive
 // climbing lists.
 //
-// The engine drives the shared device, clock and RAM arena directly,
-// outside the device gate, so — unlike DB.Query — it is NOT safe to run
-// concurrently with queries or sessions on this DB. It is a
+// It runs on engine 0 — the device of a single-device database — and
+// drives its device, clock and RAM arena directly, outside the device
+// gate, so — unlike DB.Query — it is NOT safe to run concurrently with
+// queries or sessions on this DB. It is a
 // single-threaded experiment harness: load the database, then run the
 // baselines from one goroutine.
 func (db *DB) BaselineEngine() *baseline.Engine {
+	e := db.shards.engines[0]
 	return &baseline.Engine{
-		Dev:  db.dev,
-		Env:  db.env,
-		Sch:  db.sch,
-		Hid:  db.hid,
-		Vis:  db.vis,
-		Rows: db.rowCounts,
+		Dev:  e.dev,
+		Env:  e.env,
+		Sch:  e.sch,
+		Hid:  e.hid,
+		Vis:  e.vis,
+		Rows: e.rowCounts,
 		Translator: func(table string) (*climbing.Index, error) {
-			db.mu.Lock()
-			defer db.mu.Unlock()
-			return db.translator(table)
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return e.translator(table)
 		},
-		ValueIndex: func(table, column string) (*climbing.Index, bool) {
-			return db.Index(table, column)
-		},
+		ValueIndex: e.Index,
 	}
 }

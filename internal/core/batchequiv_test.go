@@ -44,7 +44,7 @@ func loadEquivDBs(t *testing.T, opts ...Option) ([]*DB, *queryGen) {
 		if err := db.LoadDataset(ds); err != nil {
 			t.Fatal(err)
 		}
-		db.env.SetBatchLen(n)
+		db.shards.engines[0].env.SetBatchLen(n)
 		dbs[k] = db
 	}
 	return dbs, &queryGen{rng: rand.New(rand.NewSource(23)), ds: ds}

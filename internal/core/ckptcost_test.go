@@ -81,7 +81,7 @@ answers=71e72bd5e8ff5a6a
 }
 
 // deviceCosts renders one cost line per device.
-func deviceCosts(devs []*DB, ramHigh []int64) string {
+func deviceCosts(devs []*engine, ramHigh []int64) string {
 	var b strings.Builder
 	for i, c := range devs {
 		c.mu.Lock()
@@ -129,16 +129,16 @@ func execBroadcast(t *testing.T, db *DB, stmt string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := db.shards
+	ss := &db.shards
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	hit := make([]bool, len(ss.children))
+	hit := make([]bool, len(ss.engines))
 	for s := range hit {
 		hit[s] = true
 	}
-	n, err := ss.execRootDML(d, rootKeyPreds(d.Preds, db.sch.Root()), hit)
+	n, err := ss.execRootDML(d, rootKeyPreds(nil, d.Preds, db.sch.Root()), hit)
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}
@@ -174,10 +174,7 @@ func TestPinnedDeltaCheckpointCost(t *testing.T) {
 				db, _, _ = loadTiny(t)
 			}
 			defer db.Close()
-			devs := []*DB{db}
-			if db.shards != nil {
-				devs = db.shards.children
-			}
+			devs := db.shards.engines
 			ramHigh := make([]int64, len(devs))
 			digest := fnv.New64a()
 			for _, round := range pinnedScript {

@@ -33,16 +33,26 @@ type CompiledQuery struct {
 	shape *plan.Query
 	specs []plan.Spec
 
-	// chosen is the optimizer's cached strategy for this shape, written
-	// under the device gate by the first unforced Run or EXPLAIN
-	// (optimizeLocked) and reused by every later one. Like any plan
-	// cache, it trades re-optimization for stability: later bindings run
-	// under the plan chosen for the first binding's selectivities.
-	chosen *plan.Spec
-
-	// coord is the shard coordinator's plan-once state for this shape
-	// (coordinator.go); nil on a single-device DB and until the first run.
+	// coord is the front door's plan-once state for this shape
+	// (coordinator.go), with one plan holder per engine; nil until the
+	// first run.
 	coord atomic.Pointer[coordPlan]
+}
+
+// enginePlan is one engine's holder of a compiled shape: the shape and
+// plan space it shares with the front door's CompiledQuery, and the
+// device's own optimizer choice.
+type enginePlan struct {
+	e     *engine
+	shape *plan.Query
+	specs []plan.Spec
+
+	// chosen is the optimizer's cached strategy for this shape on this
+	// device, written under the device gate by the first unforced run or
+	// EXPLAIN (optimizeLocked) and reused by every later one. Like any
+	// plan cache, it trades re-optimization for stability: later bindings
+	// run under the plan chosen for the first binding's selectivities.
+	chosen *plan.Spec
 }
 
 // SQL returns the canonical text of the compiled shape (placeholders
@@ -66,15 +76,14 @@ func (cq *CompiledQuery) Bind(params []value.Value) (*plan.Query, error) {
 
 // Compile parses, binds and plan-enumerates a SELECT, without touching
 // the plan cache. Parsing and binding are host-side work over the frozen
-// schema; only the (cheap) index-existence probes take the device gate.
+// schema; only the (cheap) index-existence probes take a device gate —
+// engine 0's, since every engine carries the same index set.
 func (db *DB) Compile(sqlText string) (*CompiledQuery, error) {
 	q, err := db.Prepare(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	specs := plan.Enumerate(q, db.hasIndexLocked)
-	db.mu.Unlock()
+	specs := plan.Enumerate(q, db.HasIndex)
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no feasible plan for %s", q.SQL)
 	}
@@ -127,25 +136,19 @@ func (db *DB) Prepare(sqlText string) (*plan.Query, error) {
 
 // Plans enumerates every concrete plan for the query (demo phase 3).
 func (db *DB) Plans(q *plan.Query) []plan.Spec {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return plan.Enumerate(q, db.hasIndexLocked)
+	return plan.Enumerate(q, db.HasIndex)
 }
 
-// Estimate predicts a spec's simulated time using the statistics GhostDB
-// has at optimization time. The query must be fully bound: selectivity
+// Estimate predicts a spec's simulated time using the statistics engine 0
+// has at optimization time: on a sharded database ~1/n of the root and
+// full dimension replicas, a per-device estimate (global predicate values
+// over engine 0's data). The query must be fully bound: selectivity
 // estimation needs concrete predicate values.
 func (db *DB) Estimate(q *plan.Query, spec plan.Spec) (time.Duration, error) {
 	if q.NumParams > 0 {
 		return 0, fmt.Errorf("core: cannot estimate a query with %d unbound parameters", q.NumParams)
 	}
-	if db.shards != nil {
-		// The coordinator's own stores are empty; shard 0 carries ~1/n of
-		// the root and full dimension replicas, giving a per-device
-		// estimate (global predicate values over shard 0's data).
-		return db.shards.children[0].Estimate(q, spec)
-	}
-	ch, err := (&CompiledQuery{db: db, shape: q}).explain(q, &spec)
+	ch, err := (&enginePlan{e: db.shards.engines[0], shape: q}).explain(q, &spec)
 	if err != nil {
 		return 0, err
 	}
@@ -154,9 +157,9 @@ func (db *DB) Estimate(q *plan.Query, spec plan.Spec) (time.Duration, error) {
 
 // choice is one device's optimizer step as an EXPLAIN sees it: the plan,
 // and the cost model's cardinalities and simulated time for it under the
-// statistics of db, the device that chose.
+// statistics of e, the device that chose.
 type choice struct {
-	db    *DB
+	e     *engine
 	spec  plan.Spec
 	cards plan.CardEstimates
 	est   time.Duration
@@ -165,81 +168,81 @@ type choice struct {
 // optimizeLocked is the optimizer step, the only place a plan is chosen
 // or costed: a forced spec is validated, otherwise the shape's cached
 // choice is used, otherwise the statistics are probed and the cheapest
-// enumerated spec is chosen and cached on cq — the "plan" half of a
+// enumerated spec is chosen and cached on p — the "plan" half of a
 // prepared statement. A probe that fails on a dead device latches it,
 // like a failure during execution. With explain set the statistics are
 // probed whatever the spec's source and the step also returns its choice;
 // without it a forced or cached spec costs nothing more than the copy.
-// Caller holds db.mu.
-func (cq *CompiledQuery) optimizeLocked(bound *plan.Query, visSel [][]uint32, forced *plan.Spec, explain bool) (plan.Spec, *choice, error) {
-	db := cq.db
+// Caller holds e.mu.
+func (p *enginePlan) optimizeLocked(bound *plan.Query, visSel [][]uint32, forced *plan.Spec, explain bool) (plan.Spec, *choice, error) {
+	e := p.e
 	var spec plan.Spec
 	have := true
 	switch {
 	case forced != nil:
-		if err := forced.Validate(bound, db.hasIndexLocked); err != nil {
+		if err := forced.Validate(bound, e.hasIndexLocked); err != nil {
 			return spec, nil, err
 		}
 		spec = *forced
-	case cq.chosen != nil: // written under db.mu; see below
-		spec = *cq.chosen
+	case p.chosen != nil: // written under e.mu; see below
+		spec = *p.chosen
 	default:
 		have = false
 	}
 	if have && !explain {
 		return spec, nil, nil
 	}
-	counts, err := db.predCounts(bound, visSel)
+	counts, err := e.predCounts(bound, visSel)
 	if err != nil {
 		// The statistics probes read the device too: a power cut here
 		// must latch like one during execution.
-		db.noteDeviceErr(err)
+		e.noteDeviceErr(err)
 		return spec, nil, err
 	}
-	in := db.costInputs(counts)
+	in := e.costInputs(counts)
 	var est time.Duration
 	if have {
 		est = plan.Estimate(bound, spec, in)
 	} else {
-		spec, est = cq.specs[0], plan.Estimate(bound, cq.specs[0], in)
-		for _, s := range cq.specs[1:] {
+		spec, est = p.specs[0], plan.Estimate(bound, p.specs[0], in)
+		for _, s := range p.specs[1:] {
 			if c := plan.Estimate(bound, s, in); c < est {
 				spec, est = s, c
 			}
 		}
 		chosen := spec.Clone()
-		cq.chosen = &chosen
+		p.chosen = &chosen
 	}
 	if !explain {
 		return spec, nil, nil
 	}
-	return spec, &choice{db: db, spec: spec, cards: plan.EstimateCards(bound, spec, in), est: est}, nil
+	return spec, &choice{e: e, spec: spec, cards: plan.EstimateCards(bound, spec, in), est: est}, nil
 }
 
 // explain is the optimizer step of an EXPLAIN that does not execute: it
-// returns the plan a run of bound through cq would take (forced, cached,
+// returns the plan a run of bound through p would take (forced, cached,
 // or chosen and cached now) with its estimates.
-func (cq *CompiledQuery) explain(bound *plan.Query, forced *plan.Spec) (*choice, error) {
-	db := cq.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
+func (p *enginePlan) explain(bound *plan.Query, forced *plan.Spec) (*choice, error) {
+	e := p.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
 		return nil, ErrClosed
 	}
-	visSel, err := db.visSelections(bound)
+	visSel, err := e.visSelections(bound)
 	if err != nil {
 		return nil, err
 	}
-	_, ch, err := cq.optimizeLocked(bound, visSel, forced, true)
+	_, ch, err := p.optimizeLocked(bound, visSel, forced, true)
 	return ch, err
 }
 
-func (db *DB) costInputs(counts []int) plan.CostInputs {
+func (e *engine) costInputs(counts []int) plan.CostInputs {
 	return plan.CostInputs{
 		Counts:        counts,
-		TableRows:     db.rowCounts,
-		Profile:       db.opts.Profile,
-		Bus:           db.opts.USB,
+		TableRows:     e.rowCounts,
+		Profile:       e.opts.Profile,
+		Bus:           e.opts.USB,
 		AvgValueBytes: 12,
 	}
 }
@@ -247,13 +250,13 @@ func (db *DB) costInputs(counts []int) plan.CostInputs {
 // visSelections evaluates every visible predicate on the untrusted PC
 // (free for the powerful public side) and returns the matching ID list
 // per predicate index. Hidden predicates are skipped.
-func (db *DB) visSelections(q *plan.Query) ([][]uint32, error) {
+func (e *engine) visSelections(q *plan.Query) ([][]uint32, error) {
 	visSel := make([][]uint32, len(q.Preds))
 	for i, p := range q.Preds {
 		if p.Hidden() {
 			continue
 		}
-		ids, err := db.visSelect(p)
+		ids, err := e.visSelect(p)
 		if err != nil {
 			return nil, err
 		}
@@ -264,8 +267,8 @@ func (db *DB) visSelections(q *plan.Query) ([][]uint32, error) {
 
 // visSelect evaluates one visible predicate on the untrusted PC and
 // counts which of the store's access paths served it.
-func (db *DB) visSelect(p plan.Pred) ([]uint32, error) {
-	vt, ok := db.vis.Table(p.Col.Table)
+func (e *engine) visSelect(p plan.Pred) ([]uint32, error) {
+	vt, ok := e.vis.Table(p.Col.Table)
 	if !ok {
 		return nil, fmt.Errorf("core: no visible table %s", p.Col.Table)
 	}
@@ -274,9 +277,9 @@ func (db *DB) visSelect(p plan.Pred) ([]uint32, error) {
 		return nil, err
 	}
 	if indexed {
-		db.metrics.visIndexed.Inc()
+		e.metrics.visIndexed.Inc()
 	} else {
-		db.metrics.visScanned.Inc()
+		e.metrics.visScanned.Inc()
 	}
 	return ids, nil
 }
@@ -285,19 +288,19 @@ func (db *DB) visSelect(p plan.Pred) ([]uint32, error) {
 // table: exact PC counts for visible predicates (taken from visSel) and
 // dictionary statistics for indexed hidden predicates (charged to the
 // device clock, as the real optimizer would pay).
-func (db *DB) predCounts(q *plan.Query, visSel [][]uint32) ([]int, error) {
+func (e *engine) predCounts(q *plan.Query, visSel [][]uint32) ([]int, error) {
 	counts := make([]int, len(q.Preds))
 	for i, p := range q.Preds {
 		if !p.Hidden() {
 			counts[i] = len(visSel[i])
 			continue
 		}
-		ix, ok := db.indexLocked(p.Col.Table, p.Col.Column)
+		ix, ok := e.indexLocked(p.Col.Table, p.Col.Column)
 		if !ok {
 			counts[i] = -1
 			continue
 		}
-		n, err := db.indexCount(ix, p.P)
+		n, err := e.indexCount(ix, p.P)
 		if err != nil {
 			return nil, err
 		}
@@ -308,10 +311,10 @@ func (db *DB) predCounts(q *plan.Query, visSel [][]uint32) ([]int, error) {
 
 // indexCount evaluates a predicate's own-level cardinality from the
 // climbing index dictionary.
-func (db *DB) indexCount(ix *climbing.Index, p pred.P) (int, error) {
+func (e *engine) indexCount(ix *climbing.Index, p pred.P) (int, error) {
 	total := 0
-	err := forEachEntry(ix, p, func(e climbing.Entry) error {
-		total += e.Lists[0].Count
+	err := forEachEntry(ix, p, func(ent climbing.Entry) error {
+		total += ent.Lists[0].Count
 		return nil
 	})
 	return total, err
@@ -414,36 +417,33 @@ func (cq *CompiledQuery) run(params []value.Value, cfg *queryConfig) (*Result, e
 	if err != nil {
 		return nil, fmt.Errorf("core: %w: %w", plan.ErrBind, err)
 	}
-	if cq.db.shards != nil {
-		return cq.db.runSharded(cq, bound, cfg)
-	}
-	return cq.runBound(bound, cfg, nil)
+	return cq.db.route(cq, bound, cfg)
 }
 
-// runBound executes an already-bound query on this DB's own device:
-// plan choice under the gate, then the distributed pipeline. A non-nil
-// sh selects the scatter-gather shard mode (see DB.execute).
-func (cq *CompiledQuery) runBound(bound *plan.Query, cfg *queryConfig, sh *shardRemap) (*Result, error) {
-	db := cq.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
+// run executes an already-bound query on p's device: plan choice under
+// the gate, then the distributed pipeline. A non-nil sh selects the
+// scatter-gather shard mode (see engine.execute).
+func (p *enginePlan) run(bound *plan.Query, cfg *queryConfig, sh *shardRemap) (*Result, error) {
+	e := p.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
 		return nil, ErrClosed
 	}
-	if err := db.fatalError(); err != nil {
+	if err := e.fatalError(); err != nil {
 		return nil, err
 	}
-	visSel, err := db.visSelections(bound)
+	visSel, err := e.visSelections(bound)
 	if err != nil {
 		return nil, err
 	}
-	spec, ch, err := cq.optimizeLocked(bound, visSel, cfg.spec, cfg.explain)
+	spec, ch, err := p.optimizeLocked(bound, visSel, cfg.spec, cfg.explain)
 	if err != nil {
 		return nil, err
 	}
-	res, err := db.execute(bound, spec, visSel, cfg.ctx, sh)
+	res, err := e.execute(bound, spec, visSel, cfg.ctx, sh)
 	if err != nil {
-		db.noteDeviceErr(err)
+		e.noteDeviceErr(err)
 	} else if ch != nil {
 		res.choices = []*choice{ch}
 	}

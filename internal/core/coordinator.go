@@ -1,8 +1,8 @@
 package core
 
-// The shard coordinator's read path: one DB routes a query to the N
-// complete single-device engines ("shards") that can answer it and merges
-// their streams host-side. The fact table at the schema root is
+// The front door's read path: every DB routes a query to the n >= 1
+// device engines ("shards") that can answer it and, when there are
+// several, merges their streams host-side. The fact table at the schema root is
 // partitioned round-robin on its dense key; every dimension table is fully
 // replicated on every shard, which is safe in GhostDB's tree schema
 // because foreign keys always point from the root toward the dimensions —
@@ -37,25 +37,31 @@ package core
 // counts per device are still the channel a count attack works on;
 // holding this rule is part of ROADMAP's two-world check.
 //
-// Plan once. The coordinator's CompiledQuery resolves, on its first run,
+// Plan once. The front door's CompiledQuery resolves, on its first run,
 // one plan holder per shard that shares its shape and plan space (each
 // shard keeps its own optimizer choice), which predicates sit on the root
 // key and which projections show it. A run then binds once, clones the
 // predicate list only when a root-key predicate must be rewritten into a
-// shard's local key space, and borrows its gather state from a pool.
+// shard's local key space, marks its targets on the stack and borrows
+// the scatter's state from a pool only when it contacts several shards.
 //
 // Host-side merging follows the secure-display rule: like the
-// single-device finishing stage, the coordinator's k-way merge, partial
+// single-device finishing stage, the front door's k-way merge, partial
 // aggregation merge and top-K recombination charge no simulated clock
 // and send nothing over the traced buses.
 //
+// One engine is the degenerate set: its root mapping is the identity
+// (rootMapping), so a root-rooted query has at most one target, runs
+// inline, rewrites no predicate and finishes on the device's own result.
+//
 // Concurrency: the shardSet carries its own RW lock. Queries hold the
 // read side for the whole scatter-gather (shard pipelines serialize on
-// each child's device gate, but different shards run in parallel);
+// each engine's device gate, but different shards run in parallel);
 // DML, INSERT and CHECKPOINT (shard_write.go) hold the write side so the
 // global root mapping never shifts under a running query. Lock order is
-// always coordinator db.mu (optional) -> shardSet.mu -> child db.mu; the
-// coordinator reaches a child only through childEngine (shard_engine.go).
+// always front door db.mu (optional) -> shardSet.mu -> engine e.mu; the
+// front door reaches an engine only through the *engine methods of
+// engine.go.
 
 import (
 	"fmt"
@@ -78,10 +84,10 @@ type shardLoc struct {
 	local uint32
 }
 
-// shardSet is the coordinator's view of its child devices and the
+// shardSet is the front door's view of its engines and the
 // global<->local root identifier mapping.
 type shardSet struct {
-	children []*DB
+	engines []*engine
 
 	// rr round-robins dimension-rooted queries across shards (their
 	// tables are replicated, so any shard can answer alone).
@@ -89,31 +95,100 @@ type shardSet struct {
 
 	// mu arbitrates queries (read side) against INSERT/DML/CHECKPOINT
 	// (write side), which rewrite the mapping below.
-	mu sync.RWMutex
-	// rootMap maps global root ID g (index g-1) to its shard location.
-	rootMap []shardLoc
-	// localToGlobal maps, per shard, local root ID l (index l-1) back to
-	// the global ID. Strictly increasing per shard: the initial
-	// round-robin split, appended INSERTs and CHECKPOINT's renumbering
-	// (which walks the old mapping in global order) all preserve it, and
-	// the query merge relies on it — per-shard physical rows arrive in
-	// local root order, hence also in global root order.
-	localToGlobal [][]uint32
+	mu    sync.RWMutex
+	roots rootMapping
+}
+
+// rootMapping places every global root row on an engine. Over several
+// engines, loc maps global root ID g (index g-1) to its shard location and
+// l2g maps, per shard, local root ID l (index l-1) back to the global ID.
+// l2g is strictly increasing per shard: the initial round-robin split,
+// appended INSERTs and CHECKPOINT's renumbering (which walks the old
+// mapping in global order) all preserve it, and the query merge relies on
+// it — per-shard physical rows arrive in local root order, hence also in
+// global root order.
+//
+// With one engine global and local keys coincide: the mapping is the
+// identity, kept as its count alone (loc and l2g nil). It places no row,
+// persists no region in the commit record and rewrites no predicate.
+type rootMapping struct {
+	n   int // global root rows, live-inserted ones included
+	loc []shardLoc
+	l2g [][]uint32
+}
+
+// newRootMapping returns the empty mapping over n engines. It is the one
+// place the root mapping depends on n.
+func newRootMapping(n int) rootMapping {
+	if n == 1 {
+		return rootMapping{}
+	}
+	return rootMapping{l2g: make([][]uint32, n)}
+}
+
+// identity reports whether global and local root keys coincide.
+func (m *rootMapping) identity() bool { return m.l2g == nil }
+
+// place appends the next global root row round-robin and returns its
+// shard and local identifier.
+func (m *rootMapping) place() (s int, local uint32) {
+	m.n++
+	if m.identity() {
+		return 0, uint32(m.n)
+	}
+	s = (m.n - 1) % len(m.l2g)
+	local = uint32(len(m.l2g[s]) + 1)
+	m.loc = append(m.loc, shardLoc{shard: uint32(s), local: local})
+	m.l2g[s] = append(m.l2g[s], uint32(m.n))
+	return s, local
+}
+
+// shardOf returns the shard holding global root g (1 <= g <= n).
+func (m *rootMapping) shardOf(g int64) uint32 {
+	if m.identity() {
+		return 0
+	}
+	return m.loc[g-1].shard
+}
+
+// rows returns how many root rows shard s holds.
+func (m *rootMapping) rows(s int) int {
+	if m.identity() {
+		return m.n
+	}
+	return len(m.l2g[s])
+}
+
+// globals returns shard s's local->global mapping for its commit record:
+// a copy, or nil for the identity.
+func (m *rootMapping) globals(s int) []uint32 {
+	if m.identity() {
+		return nil
+	}
+	return append([]uint32(nil), m.l2g[s]...)
+}
+
+// countLE returns how many of shard s's root keys have a global ID <= g.
+func (m *rootMapping) countLE(s int, g int64) int64 {
+	if m.identity() {
+		return min(max(g, 0), int64(m.n))
+	}
+	return countLE(m.l2g[s], g)
 }
 
 // ---------------------------------------------------------------------------
 // Plan once.
 
-// coordPlan is what the coordinator works out about a compiled shape on
+// coordPlan is what the front door works out about a compiled shape on
 // its first run and reuses on every later one. Immutable once published.
 type coordPlan struct {
-	kids    []*CompiledQuery // per-shard plan holders, index = shard
-	replica bool             // dimension-rooted: any one shard answers whole
-	keys    []int            // Preds indexes of the root-key predicates
-	pkProjs []int            // Projs indexes that show the root's primary key
+	kids    []enginePlan // per-shard plan holders, index = shard
+	replica bool         // dimension-rooted: any one shard answers whole
+	keys    []int        // Preds indexes of the root-key predicates
+	pkProjs []int        // Projs indexes that show the root's primary key
 }
 
-// planOnce returns cq's coordinator plan, building it on first use.
+// planOnce returns cq's plan over the engines, building it on first use.
 // Concurrent first runs may each build one; they are equivalent and the
 // first published wins.
 func (ss *shardSet) planOnce(cq *CompiledQuery, root *schema.Table) *coordPlan {
@@ -122,14 +197,16 @@ func (ss *shardSet) planOnce(cq *CompiledQuery, root *schema.Table) *coordPlan {
 	}
 	q := cq.shape
 	cp := &coordPlan{
-		kids:    make([]*CompiledQuery, len(ss.children)),
+		kids:    make([]enginePlan, len(ss.engines)),
 		replica: !strings.EqualFold(q.Root.Name, root.Name),
 	}
-	for s := range cp.kids {
-		cp.kids[s] = ss.child(s).shardPlan(q, cq.specs)
+	for s, e := range ss.engines {
+		// Every engine carries the same index set, so the plan space is
+		// shared; each keeps its own optimizer choice.
+		cp.kids[s] = enginePlan{e: e, shape: q, specs: cq.specs}
 	}
 	if !cp.replica {
-		cp.keys = rootKeyPreds(q.Preds, root)
+		cp.keys = rootKeyPreds(nil, q.Preds, root)
 		pk := root.PrimaryKey().Name
 		for j, c := range q.Projs {
 			if strings.EqualFold(c.Table, root.Name) && strings.EqualFold(c.Column, pk) {
@@ -143,12 +220,11 @@ func (ss *shardSet) planOnce(cq *CompiledQuery, root *schema.Table) *coordPlan {
 	return cp
 }
 
-// rootKeyPreds lists the predicates that sit on the root table's primary
-// key — the ones that live in the global key space and so both narrow the
-// target set and need rewriting per shard.
-func rootKeyPreds(preds []plan.Pred, root *schema.Table) []int {
+// rootKeyPreds appends to keys the predicates that sit on the root
+// table's primary key — the ones that live in the global key space and so
+// both narrow the target set and need rewriting per shard.
+func rootKeyPreds(keys []int, preds []plan.Pred, root *schema.Table) []int {
 	pk := root.PrimaryKey().Name
-	var keys []int
 	for i := range preds {
 		if c := preds[i].Col; strings.EqualFold(c.Table, root.Name) && strings.EqualFold(c.Column, pk) {
 			keys = append(keys, i)
@@ -180,7 +256,8 @@ func (ss *shardSet) targets(hit []bool, preds []plan.Pred, keys []int) int {
 		return all()
 	}
 	clear(hit)
-	lo, hi := int64(1), int64(len(ss.rootMap))
+	m := &ss.roots
+	lo, hi := int64(1), int64(m.n)
 	var in []value.Value // the shortest IN list: the candidates to place
 	hasIn := false
 	for _, i := range keys {
@@ -248,13 +325,13 @@ func (ss *shardSet) targets(hit []bool, preds []plan.Pred, keys []int) int {
 					continue candidates
 				}
 			}
-			mark(ss.rootMap[g-1].shard)
+			mark(m.shardOf(g))
 		}
 	case lo == hi:
-		mark(ss.rootMap[lo-1].shard)
+		mark(m.shardOf(lo))
 	default:
-		for s, l2g := range ss.localToGlobal {
-			if countLE(l2g, hi) > countLE(l2g, lo-1) {
+		for s := range hit {
+			if m.countLE(s, hi) > m.countLE(s, lo-1) {
 				mark(uint32(s))
 			}
 		}
@@ -294,12 +371,13 @@ func countLE(l2g []uint32, g int64) int64 {
 // rewritten from global to shard s's local identifier space. Other
 // predicates (dimension columns, hidden columns) pass through unchanged:
 // dimension tables are replicated with identical identifiers on every
-// shard. Without a root-key predicate the input is returned as is;
-// otherwise the list is cloned, leaving the shared bound query untouched.
+// shard. Without a root-key predicate, or under the identity mapping, the
+// input is returned as is; otherwise the list is cloned, leaving the
+// shared bound query untouched.
 // The query's cached predicate labels keep showing the global values,
 // which is what a per-shard EXPLAIN should display.
 func (ss *shardSet) localizePreds(s int, preds []plan.Pred, keys []int) []plan.Pred {
-	if len(keys) == 0 {
+	if len(keys) == 0 || ss.roots.identity() {
 		return preds
 	}
 	out := append([]plan.Pred(nil), preds...)
@@ -319,13 +397,13 @@ func (ss *shardSet) localizePreds(s int, preds []plan.Pred, keys []int) []plan.P
 // the Int key column) pass through and fail in evaluation exactly as
 // they would on a single device.
 func (ss *shardSet) localizePred(s int, p pred.P) pred.P {
-	l2g := ss.localToGlobal[s]
+	l2g := ss.roots.l2g[s]
 	// localOf returns shard s's local ID for global g, or 0 when g is
 	// out of range or owned by another shard (no local row matches; 0 is
 	// below every dense identifier).
 	localOf := func(g int64) int64 {
-		if g >= 1 && g <= int64(len(ss.rootMap)) {
-			if loc := ss.rootMap[g-1]; int(loc.shard) == s {
+		if g >= 1 && g <= int64(ss.roots.n) {
+			if loc := ss.roots.loc[g-1]; int(loc.shard) == s {
 				return int64(loc.local)
 			}
 		}
@@ -379,10 +457,18 @@ func (ss *shardSet) localizePred(s int, p pred.P) pred.P {
 // ---------------------------------------------------------------------------
 // Query execution: route, scatter, gather.
 
-// gatherState is the per-query scratch of a root-rooted run: the target
-// marks, the contacted shards' outputs and the fan-out's wait group.
+// targetMarks returns room for one statement's target marks (targets),
+// in buf when the engines fit.
+func (ss *shardSet) targetMarks(buf *[8]bool) []bool {
+	if n := len(ss.engines); n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]bool, len(ss.engines))
+}
+
+// gatherState is the scratch of a scatter over several shards: the
+// contacted shards' outputs and the fan-out's wait group.
 type gatherState struct {
-	hit  []bool
 	outs []shardOut
 	wg   sync.WaitGroup
 }
@@ -391,10 +477,10 @@ var gatherPool = sync.Pool{New: func() any { return new(gatherState) }}
 
 func getGather(n int) *gatherState {
 	g := gatherPool.Get().(*gatherState)
-	if cap(g.hit) < n {
-		g.hit, g.outs = make([]bool, n), make([]shardOut, n)
+	if cap(g.outs) < n {
+		g.outs = make([]shardOut, n)
 	}
-	g.hit, g.outs = g.hit[:n], g.outs[:n]
+	g.outs = g.outs[:n]
 	return g
 }
 
@@ -404,9 +490,9 @@ func putGather(g *gatherState) {
 	gatherPool.Put(g)
 }
 
-// runSharded executes one bound query over the shard set; see the file
-// comment for the routing rules.
-func (db *DB) runSharded(cq *CompiledQuery, bound *plan.Query, cfg *queryConfig) (*Result, error) {
+// route executes one bound query over the engines; see the file comment
+// for the routing rules.
+func (db *DB) route(cq *CompiledQuery, bound *plan.Query, cfg *queryConfig) (*Result, error) {
 	db.mu.Lock()
 	closed, loaded := db.closed, db.loaded
 	db.mu.Unlock()
@@ -417,16 +503,16 @@ func (db *DB) runSharded(cq *CompiledQuery, bound *plan.Query, cfg *queryConfig)
 		return nil, fmt.Errorf("core: query before Build")
 	}
 
-	ss := db.shards
+	ss := &db.shards
 	cp := ss.planOnce(cq, db.sch.Root())
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	if cp.replica {
 		return db.runReplica(cp, bound, cfg)
 	}
-	g := getGather(len(ss.children))
-	defer putGather(g)
-	return db.gather(cp, bound, cfg, g, ss.targets(g.hit, bound.Preds, cp.keys))
+	var buf [8]bool
+	hit := ss.targetMarks(&buf)
+	return db.gather(cp, bound, cfg, hit, ss.targets(hit, bound.Preds, cp.keys))
 }
 
 // runReplica routes a dimension-rooted query, finishing included, to
@@ -435,27 +521,27 @@ func (db *DB) runSharded(cq *CompiledQuery, bound *plan.Query, cfg *queryConfig)
 // exactly; without it, a dead shard anywhere fails the query fast.
 // Caller holds ss.mu.RLock.
 func (db *DB) runReplica(cp *coordPlan, bound *plan.Query, cfg *queryConfig) (*Result, error) {
-	ss := db.shards
+	ss := &db.shards
 	if !db.opts.DegradedReads {
-		for s, c := range ss.children {
-			if err := c.FatalError(); err != nil {
-				return nil, fmt.Errorf("core: shard %d unavailable: %w", s, err)
+		for _, e := range ss.engines {
+			if err := e.fatalError(); err != nil {
+				return nil, err
 			}
 		}
 	}
-	n := len(ss.children)
+	n := len(ss.engines)
 	start := int(ss.rr.Add(1)-1) % n
 	s := -1
 	for i := 0; i < n; i++ {
-		if cand := (start + i) % n; ss.children[cand].FatalError() == nil {
+		if cand := (start + i) % n; ss.engines[cand].fatalError() == nil {
 			s = cand
 			break
 		}
 	}
 	if s < 0 {
-		return nil, fmt.Errorf("core: all %d shards unavailable: %w", n, ss.children[start].FatalError())
+		return nil, fmt.Errorf("core: all %d shards unavailable: %w", n, ss.engines[start].fatalError())
 	}
-	res, err := ss.child(s).shardRun(cp.kids[s], bound, cfg, nil)
+	res, err := cp.kids[s].run(bound, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -464,25 +550,24 @@ func (db *DB) runReplica(cp *coordPlan, bound *plan.Query, cfg *queryConfig) (*R
 	res.ShardReports = reports
 	res.choices = atShard(res.choices, s, n)
 	db.metrics.noteRoute(routeReplica, 1)
-	db.feedShardMetrics(res.Report)
 	return res, nil
 }
 
-// gather runs a root-rooted query on the count shards marked in g.hit and
+// gather runs a root-rooted query on the count shards marked in hit and
 // returns the rows a single device would have. A root-rooted answer needs
 // every partition that can hold a matching row, so one dead target fails
 // the query fast with its terminal error rather than silently dropping
 // rows; shards outside the target set are not consulted at all. Caller
-// holds ss.mu.RLock and owns g.
-func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, g *gatherState, count int) (*Result, error) {
-	ss := db.shards
-	n := len(ss.children)
-	for s, target := range g.hit {
+// holds ss.mu.RLock.
+func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, hit []bool, count int) (*Result, error) {
+	ss := &db.shards
+	n := len(ss.engines)
+	for s, target := range hit {
 		if !target {
 			continue
 		}
-		if err := ss.child(s).FatalError(); err != nil {
-			return nil, fmt.Errorf("core: shard %d unavailable: %w", s, err)
+		if err := ss.engines[s].fatalError(); err != nil {
+			return nil, err
 		}
 	}
 	if count == n {
@@ -494,26 +579,27 @@ func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, g *gath
 
 	if count == 1 {
 		s := 0
-		for !g.hit[s] {
+		for !hit[s] {
 			s++
 		}
 		out := db.runShard(cp, s, bound, cfg, true)
 		if out.err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", s, out.err)
+			return nil, out.err // as the device said it: there is no merge to place it in
 		}
 		res := out.res
 		res.Query = bound
 		reports[s] = res.Report
 		res.ShardReports = reports
 		res.choices = atShard(res.choices, s, n)
-		db.feedShardMetrics(res.Report)
 		return res, nil
 	}
 
 	// Fan out; the caller's goroutine takes the last target itself.
-	outs := g.outs[:count]
+	g := getGather(count)
+	defer putGather(g)
+	outs := g.outs
 	i := 0
-	for s, target := range g.hit {
+	for s, target := range hit {
 		if !target {
 			continue
 		}
@@ -590,7 +676,6 @@ func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, g *gath
 		return nil, err
 	}
 	rep.ResultRows = len(res.Rows)
-	db.feedShardMetrics(rep)
 	return res, nil
 }
 
@@ -605,33 +690,30 @@ func atShard(choices []*choice, s, n int) []*choice {
 	return out
 }
 
-// runShard executes the query's physical pipeline on shard s with the
-// root-key predicates in its local key space. As one of several targets
-// it delivers the form the coordinator merges — aggregation partials, or
-// plain rows with global roots, a post-op query's rows reduced to top-K'd
-// candidates; as the only target it delivers the finished result.
+// runShard executes the query's physical pipeline on shard s. Over
+// several engines the root-key predicates move into the shard's local key
+// space and its rows are carried back into the global one: as one of
+// several targets the shard delivers the form the front door merges —
+// aggregation partials, or plain rows with global roots, a post-op query's
+// rows reduced to top-K'd candidates; as the only target it delivers the
+// finished result. Under the identity mapping the device's own result is
+// already the answer.
 func (db *DB) runShard(cp *coordPlan, s int, bound *plan.Query, cfg *queryConfig, only bool) shardOut {
-	ss := db.shards
+	ss := &db.shards
 	local := bound
-	if len(cp.keys) > 0 {
-		lq := *bound
-		lq.Preds = ss.localizePreds(s, bound.Preds, cp.keys)
-		local = &lq
+	var sh *shardRemap
+	if !ss.roots.identity() {
+		if len(cp.keys) > 0 {
+			lq := *bound
+			lq.Preds = ss.localizePreds(s, bound.Preds, cp.keys)
+			local = &lq
+		}
+		sh = &shardRemap{l2g: ss.roots.l2g[s], pkProjs: cp.pkProjs, finish: only}
 	}
-	sh := &shardRemap{l2g: ss.localToGlobal[s], pkProjs: cp.pkProjs, finish: only}
 	out := shardOut{shard: s}
-	out.res, out.err = ss.child(s).shardRun(cp.kids[s], local, cfg, sh)
+	out.res, out.err = cp.kids[s].run(local, cfg, sh)
 	if out.err == nil && !only && !local.Aggregated() && local.HasPostOps() {
 		out.rows = shardCandidates(local, out.res.Rows, out.res.Roots)
 	}
 	return out
-}
-
-// feedShardMetrics folds a merged (or routed) shard report into the
-// coordinator's registry, mirroring what DB.execute feeds on a single
-// device. Children feed their own registries from their executions.
-func (db *DB) feedShardMetrics(rep *stats.Report) {
-	db.metrics.flashPageReads.Add(rep.Flash.PageReads)
-	db.metrics.busBytes.Add(rep.BusBytes)
-	db.metrics.ramHighWater.Observe(rep.RAMHigh)
 }

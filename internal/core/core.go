@@ -12,8 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,21 +19,16 @@ import (
 	"github.com/ghostdb/ghostdb/internal/bus"
 	"github.com/ghostdb/ghostdb/internal/climbing"
 	"github.com/ghostdb/ghostdb/internal/datagen"
-	"github.com/ghostdb/ghostdb/internal/delta"
 	"github.com/ghostdb/ghostdb/internal/device"
-	"github.com/ghostdb/ghostdb/internal/exec"
 	"github.com/ghostdb/ghostdb/internal/fault"
 	"github.com/ghostdb/ghostdb/internal/flash"
 	"github.com/ghostdb/ghostdb/internal/schema"
 	"github.com/ghostdb/ghostdb/internal/sim"
-	"github.com/ghostdb/ghostdb/internal/skt"
 	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/storage"
 	"github.com/ghostdb/ghostdb/internal/storage/filedev"
-	"github.com/ghostdb/ghostdb/internal/store"
 	"github.com/ghostdb/ghostdb/internal/trace"
 	"github.com/ghostdb/ghostdb/internal/value"
-	"github.com/ghostdb/ghostdb/internal/visible"
 )
 
 // Options configure a DB.
@@ -65,13 +58,13 @@ type Options struct {
 	// latency reaches it in the slow_queries_total metric (see also
 	// WithSlowQuery, which pairs the threshold with a slog logger).
 	SlowQueryThreshold time.Duration
-	// Shards splits the database over N simulated devices (N > 1): the
-	// fact table at the schema root is partitioned round-robin on its
-	// dense key, dimension tables are replicated, and queries run
-	// scatter-gather across per-shard pipelines in parallel. Each shard
-	// owns a full device stack — flash, RAM arena, bus, sim clock — so
-	// reported simulated time becomes max-over-shards. 0 or 1 selects
-	// the classic single-device engine.
+	// Shards is how many simulated devices the database runs on,
+	// max(1, Shards). Over several, the fact table at the schema root is
+	// partitioned round-robin on its dense key, dimension tables are
+	// replicated, and queries run scatter-gather across per-shard
+	// pipelines in parallel. Each shard owns a full device stack — flash,
+	// RAM arena, bus, sim clock — so reported simulated time becomes
+	// max-over-shards. 0 or 1 is one device.
 	Shards int
 	// FaultPlan arms the deterministic fault injector on the simulated
 	// device stack (flash and bus). Nil — the default — injects nothing
@@ -87,8 +80,8 @@ type Options struct {
 	// chip, whose operations charge the simulated clock. Kind "file"
 	// stores pages in real files under Backend.Path — Open CREATES the
 	// device there, wiping any previous contents; OpenPath reopens an
-	// existing file-backed database. A sharded file-backed DB puts each
-	// child device in a "shardN" subdirectory of Path.
+	// existing file-backed database. One device lives at Path itself; a
+	// sharded file-backed DB puts each device in a "shardN" subdirectory.
 	Backend storage.Config
 }
 
@@ -133,7 +126,7 @@ func WithDeltaLimit(n int) Option {
 }
 
 // WithShards splits the database over n simulated devices (see
-// Options.Shards). n <= 1 selects the classic single-device engine.
+// Options.Shards). n <= 1 is one device.
 func WithShards(n int) Option {
 	return func(o *Options) { o.Shards = n }
 }
@@ -194,99 +187,58 @@ func defaultOptions() Options {
 // ErrClosed is returned by every DB and Session operation after Close.
 var ErrClosed = errors.New("core: database is closed")
 
-// DB is a GhostDB instance: schema, visible store, device-resident hidden
-// store and indexes, and the wiring between them.
+// DB is a GhostDB instance: the front door over n >= 1 device engines
+// (Options.Shards; one unless the database is sharded). The front door
+// owns the options, the catalog and its DDL, the plan cache, hooks,
+// sessions, the metrics registry and the hidden-value audit set, and the
+// shard set with its root mapping; it routes every query, DML statement
+// and CHECKPOINT to the engines that hold the rows (coordinator.go,
+// shard_write.go). The engines own the devices (engine.go).
 //
-// A DB is safe for concurrent use by multiple goroutines. There is exactly
-// one simulated smart USB device per DB, and the device is a single-core
-// chip with a private clock, RAM arena and scratch flash — so query
-// execution against it is serialized by the device gate (db.mu), exactly
-// as a hardware token would serialize its USB command stream. Host-side
-// work (parsing, binding, plan enumeration) runs outside the gate.
+// A DB is safe for concurrent use by multiple goroutines. Host-side work
+// (parsing, binding, plan enumeration, routing, merging) runs outside any
+// device gate; execution on one device serializes on its engine's gate,
+// exactly as a hardware token serializes its USB command stream.
 type DB struct {
 	opts Options
 
-	clock *sim.Clock
-	dev   *device.Device
-	env   *exec.Env
-	net   *bus.Network
-	rec   *trace.Recorder
-
 	// planCache memoizes compiled query shapes across all sessions. It
-	// has its own (sharded) locking: cache traffic never takes the
-	// device gate.
+	// has its own (sharded) locking: cache traffic never takes a gate.
 	planCache *planCache
 
-	// metrics is the engine-wide observability registry; feeds are
-	// atomic, never take the device gate and never touch the simulated
-	// clock.
+	// metrics is the front door's registry (queries, plan cache, DML,
+	// CHECKPOINT, the delta gauges, routing); feeds are atomic and never
+	// touch a simulated clock. MetricsSnapshot adds the engines' registries.
 	metrics *engineMetrics
 	// hooks are the query tracing callbacks, immutable after Open.
 	hooks []QueryHook
 	// checkpointsRun counts CHECKPOINT merges that absorbed entries,
-	// readable without the device gate.
+	// readable without a lock.
 	checkpointsRun atomic.Int64
 
-	// inj is the armed fault injector (nil when no plan targets this
-	// device). Immutable after Open.
-	inj *fault.Injector
-	// fatalErr latches the first unrecoverable device error — power cut,
-	// bus disconnect, or a failed commit that may have left flash torn.
-	// Once set, every query and mutation fails fast with it; the path
-	// back is Snapshot + Recover. Read lock-free on query entry.
-	fatalErr atomic.Pointer[fatalCause]
-
-	// mu is the device gate: it serializes bulk load and query execution
-	// on the simulated device and guards all fields below it.
+	// mu guards the front door's state below: lifecycle, sessions, the
+	// catalog while DDL stages, and the staged bulk load.
 	mu          sync.Mutex
 	closed      bool
 	nextSession int
 	sessions    int // open session count
 
+	// sch is the catalog, shared read-only with every engine once frozen.
 	sch *schema.Schema
-	vis *visible.Store
-	hid *store.Store
-
-	skts       map[string]*skt.SKT // per table with a subtree
-	rowCounts  map[string]int
+	// hiddenVals is the security audit's set of the string values stored
+	// in hidden columns: a property of the database, kept here once.
 	hiddenVals *schema.HiddenValueSet
-
-	// views resolves every schema table, by ordinal, to the base structures
-	// of the current load (see tableView). Nil on a shard coordinator,
-	// which loads nothing itself.
-	views []*tableView
-
-	// delta holds the post-build mutations (inserted/updated row images,
-	// tombstones), charged against the device RAM arena for its hidden
-	// share. Guarded by mu like the rest of the engine state.
-	delta *delta.Store
 
 	staged map[string][][]value.Value // INSERT staging before Build
 	loaded bool
-
-	// version numbers the committed device states: 0 is the bulk load,
-	// each CHECKPOINT commit increments it. The commit record for
-	// version v lives in record slot v%2.
-	version uint64
-	// committedVis retains the visible (non-hidden, non-PK) column data
-	// of the last two committed versions, keyed version -> table -> column
-	// (lowercased). Recovery pairs it with the flash image: the paper's
-	// visible store is server-durable, the device is what crashes. Inner
-	// slices are shared by reference and never mutated.
-	committedVis map[uint64]map[string]map[string][]value.Value
 	// ddl retains the CREATE TABLE statements in application order so a
 	// recovered DB can rebuild the same catalog.
 	ddl []string
-	// rootGlobals maps shard-local root identifiers (index l-1) to global
-	// ones on a shard child; nil on a single-device DB and on the
-	// coordinator. The commit record persists it next to the data.
-	rootGlobals []uint32
 
-	// shards is non-nil when this DB is a scatter-gather coordinator
-	// over N > 1 child devices (see WithShards). Immutable after Open;
-	// the set's own RW lock arbitrates queries against DML/CHECKPOINT,
-	// so the coordinator's device gate is not held during fan-out.
-	shards *shardSet
+	// shards is the engine set and its root mapping. The set's own RW
+	// lock arbitrates queries against DML/CHECKPOINT, so db.mu is not held
+	// during fan-out.
+	shards shardSet
 }
 
 // Open creates an empty GhostDB.
@@ -298,118 +250,60 @@ func Open(options ...Option) (*DB, error) {
 	return openResolved(opts)
 }
 
-// openResolved builds a DB from fully resolved options. Open and
-// Recover both land here.
+// openResolved builds a DB from fully resolved options: the front door
+// and max(1, Shards) engines. Open and Recover both land here.
 func openResolved(opts Options) (*DB, error) {
 	if err := opts.Backend.Validate(); err != nil {
 		return nil, err
 	}
-	coordOpts := opts
-	if opts.Shards > 1 && opts.Backend.IsFile() {
-		// The coordinator owns no flash worth persisting — its device
-		// stays empty — so it always runs on the simulated backend; the
-		// children get one shardN subdirectory each. A fresh sharded open
-		// clears the whole path so stale shard directories from an earlier
-		// layout cannot survive.
-		coordOpts.Backend = storage.Sim()
+	if opts.Backend.IsFile() {
+		// Open CREATES the database: whatever the path held — a device or
+		// shard directories of any earlier layout — goes first.
 		if err := filedev.Wipe(opts.Backend.Path); err != nil {
 			return nil, fmt.Errorf("core: clearing %s: %w", opts.Backend.Path, err)
 		}
 	}
-	db, err := openSingle(coordOpts)
-	if err != nil {
-		return nil, err
+	cacheSize := opts.PlanCacheSize
+	if cacheSize == 0 {
+		cacheSize = 256
 	}
-	if opts.Shards > 1 {
-		// Each shard is a complete single-device engine with its own
-		// clock, flash, RAM arena and buses. Children never run hooks or
-		// auto-checkpoint on their own: the coordinator observes queries
-		// and drives CHECKPOINT from the logical delta size, so the
-		// global root mapping stays consistent.
-		copts := opts
-		copts.Shards = 0
-		copts.DeltaLimit = 0
-		copts.Hooks = nil
-		copts.SlowQueryThreshold = 0
-		children := make([]*DB, opts.Shards)
-		for i := range children {
-			if opts.Backend.IsFile() {
-				copts.Backend.Path = shardPath(opts.Backend.Path, i)
-			}
-			c, err := openSingle(copts)
-			if err != nil {
-				return nil, err
-			}
-			// The fault plan addresses shard children, not the
-			// coordinator: the coordinator owns no flash worth failing.
-			c.installFault(opts.FaultPlan, i)
-			children[i] = c
+	db := &DB{
+		opts:       opts,
+		planCache:  newPlanCache(cacheSize),
+		metrics:    newEngineMetrics(),
+		hooks:      opts.Hooks,
+		sch:        schema.New(),
+		hiddenVals: schema.NewHiddenValueSet(),
+		staged:     map[string][][]value.Value{},
+	}
+	db.metrics.addRouteMetrics()
+	n := max(1, opts.Shards)
+	db.shards.engines = make([]*engine, 0, n)
+	for i := 0; i < n; i++ {
+		e, err := newEngine(opts, db.sch, i, n)
+		if err != nil {
+			db.Close()
+			return nil, err
 		}
-		db.shards = &shardSet{children: children}
-		db.metrics.addRouteMetrics()
-	} else {
-		db.installFault(opts.FaultPlan, 0)
+		db.shards.engines = append(db.shards.engines, e)
 	}
+	db.shards.roots = newRootMapping(n)
 	return db, nil
 }
 
-// installFault arms the fault injector on this device's flash and bus,
-// wiring its observations into the engine metrics. A nil plan — or one
-// targeting a different shard — leaves the device clean.
-func (db *DB) installFault(p *fault.Plan, shard int) {
-	inj := fault.New(p, shard)
-	if inj == nil {
-		return
-	}
-	inj.SetSink(faultSink{db.metrics})
-	// The secure-setting bulk load is fault-free (the device is
-	// provisioned at the publisher); build arms the injector when the
-	// database goes live, so cutop/failop count operational ops only.
-	inj.Disarm()
-	db.inj = inj
-	db.dev.Flash.SetInjector(inj)
-	db.net.SetInjector(inj)
-}
-
-// fatalCause boxes the latched terminal device error.
-type fatalCause struct{ err error }
-
-// setFatal latches the first unrecoverable device error. Later calls
-// keep the original cause.
-func (db *DB) setFatal(err error) {
-	if err == nil {
-		return
-	}
-	db.fatalErr.CompareAndSwap(nil, &fatalCause{err: err})
-}
-
-// fatalError returns the latched terminal error wrapped for callers, or
-// nil while the device is healthy.
-func (db *DB) fatalError() error {
-	if c := db.fatalErr.Load(); c != nil {
-		return fmt.Errorf("core: device unavailable: %w", c.err)
-	}
-	return nil
-}
-
 // FatalError reports the terminal device error that took this DB down
-// (power cut, bus disconnect, failed commit), or nil while it is
-// healthy. A fatal DB rejects queries and mutations; recover with
-// Snapshot + Recover.
+// (power cut, bus disconnect, failed commit): the first dead engine's,
+// wrapped with its shard number, or nil while every device is healthy.
+// errors.Is, IsDeviceDead and IsFaultFatal see through the wrapping. A
+// query or mutation that needs a dead device fails; recover with Snapshot
+// + Recover.
 func (db *DB) FatalError() error {
-	if c := db.fatalErr.Load(); c != nil {
-		return c.err
+	for _, e := range db.shards.engines {
+		if err := e.fatalError(); err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// noteDeviceErr latches err as fatal when it indicates the device is
-// gone for good (power cut, bus disconnect, or a corrupted read that
-// survived the retry ladder is NOT fatal — only dead devices are).
-func (db *DB) noteDeviceErr(err error) {
-	if fault.IsDeviceDead(err) {
-		db.setFatal(err)
-	}
 }
 
 // IsDeviceDead reports whether err (anywhere in its chain) says the
@@ -422,67 +316,6 @@ func IsDeviceDead(err error) bool { return fault.IsDeviceDead(err) }
 // database/sql driver maps these to driver.ErrBadConn.
 func IsFaultFatal(err error) bool {
 	return fault.IsFatal(err) || errors.Is(err, flash.ErrCorrupt)
-}
-
-// shardPath returns shard i's device directory under a sharded file
-// backend's root path.
-func shardPath(root string, i int) string {
-	return filepath.Join(root, fmt.Sprintf("shard%d", i))
-}
-
-// openSingle builds one single-device engine from resolved options.
-func openSingle(opts Options) (*DB, error) {
-	clock := sim.NewClock()
-	var dev *device.Device
-	var err error
-	if opts.Backend.IsFile() {
-		// Open creates the device: any previous contents at the path are
-		// wiped first (reopening an existing database is OpenPath's job,
-		// which lifts the flash images before landing here).
-		if err := filedev.Wipe(opts.Backend.Path); err != nil {
-			return nil, fmt.Errorf("core: clearing %s: %w", opts.Backend.Path, err)
-		}
-		fd, ferr := filedev.Open(opts.Backend.Path, opts.Profile.Flash, opts.Backend.Fsync)
-		if ferr != nil {
-			return nil, ferr
-		}
-		dev, err = device.NewWithBackend(opts.Profile, clock, fd)
-		if err != nil {
-			fd.Close()
-		}
-	} else {
-		dev, err = device.New(opts.Profile, clock)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rec := trace.NewRecorder(opts.Capture)
-	net := bus.NewNetwork(clock, rec)
-	net.Connect(trace.Terminal, trace.Server, opts.LAN)
-	net.Connect(trace.Terminal, trace.Device, opts.USB)
-	net.Connect(trace.Device, trace.Display, opts.USB)
-	cacheSize := opts.PlanCacheSize
-	if cacheSize == 0 {
-		cacheSize = 256
-	}
-	return &DB{
-		opts:       opts,
-		clock:      clock,
-		dev:        dev,
-		env:        exec.NewEnv(dev),
-		net:        net,
-		rec:        rec,
-		planCache:  newPlanCache(cacheSize),
-		metrics:    newEngineMetrics(true),
-		hooks:      opts.Hooks,
-		sch:        schema.New(),
-		vis:        visible.NewStore(),
-		skts:       map[string]*skt.SKT{},
-		rowCounts:  map[string]int{},
-		hiddenVals: schema.NewHiddenValueSet(),
-		delta:      delta.NewStore(dev.RAM),
-		staged:     map[string][][]value.Value{},
-	}, nil
 }
 
 // Schema exposes the catalog.
@@ -502,14 +335,18 @@ func (db *DB) ViewSchema(fn func(sch *schema.Schema, loaded bool)) error {
 	return nil
 }
 
-// Device exposes the simulated device (benchmarks inspect its stats).
-func (db *DB) Device() *device.Device { return db.dev }
+// Device exposes engine 0's simulated device (benchmarks inspect its
+// stats) — on a single-device database, the device.
+func (db *DB) Device() *device.Device { return db.shards.engines[0].dev }
 
-// Recorder exposes the wire trace.
-func (db *DB) Recorder() *trace.Recorder { return db.rec }
+// Recorder exposes engine 0's wire trace — on a single-device database,
+// the trace of every bus the database has. A sharded database keeps one
+// trace per device.
+func (db *DB) Recorder() *trace.Recorder { return db.shards.engines[0].rec }
 
-// Clock exposes the simulated clock.
-func (db *DB) Clock() *sim.Clock { return db.clock }
+// Clock exposes engine 0's simulated clock — on a single-device database,
+// the clock.
+func (db *DB) Clock() *sim.Clock { return db.shards.engines[0].clock }
 
 // HiddenValues reports the set of string values stored in hidden columns,
 // used by the security audit.
@@ -520,7 +357,10 @@ func (db *DB) HiddenValues() *schema.HiddenValueSet { return db.hiddenVals }
 func (db *DB) RowCount(table string) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.rowCounts[table]
+	if !db.loaded {
+		return 0
+	}
+	return db.shards.rowCount(db.sch.Root(), table)
 }
 
 // NextID reports the dense primary key the next INSERT into table must
@@ -540,13 +380,7 @@ func (db *DB) NextID(table string) (uint32, error) {
 	if !db.loaded {
 		return uint32(len(db.staged[t.Name])) + 1, nil
 	}
-	if db.shards != nil {
-		return db.shards.nextID(db, t.Name)
-	}
-	if d := db.delta.Get(t.Ordinal()); d != nil {
-		return d.NextID(), nil
-	}
-	return uint32(db.rowCounts[t.Name]) + 1, nil
+	return db.shards.nextID(db.sch.Root(), t), nil
 }
 
 // DeltaStats summarizes the live-DML delta of one table.
@@ -564,23 +398,10 @@ type DeltaStats struct {
 func (db *DB) DeltaStats() []DeltaStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.shards != nil {
-		return db.shards.deltaStats(db)
+	if !db.loaded {
+		return nil
 	}
-	var out []DeltaStats
-	for _, d := range db.delta.Tables() {
-		if !d.Dirty() {
-			continue
-		}
-		out = append(out, DeltaStats{
-			Table:      d.Name(),
-			Rows:       d.Rows(),
-			Tombstones: d.Tombstones(),
-			DeviceB:    d.DeviceBytes(),
-			HostB:      d.HostBytes(),
-		})
-	}
-	return out
+	return db.shards.deltaStats(db.sch)
 }
 
 // DeltaSummary is the whole-engine view of the live-DML state: the
@@ -618,9 +439,9 @@ func (db *DB) Loaded() bool {
 	return db.loaded
 }
 
-// Close shuts the database down. In-flight queries finish first (they
-// hold the device gate); every subsequent operation on the DB or any of
-// its sessions returns ErrClosed. Close is idempotent.
+// Close shuts the database down. In-flight queries finish first (each
+// holds its engine's device gate); every subsequent operation on the DB
+// or any of its sessions returns ErrClosed. Close is idempotent.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -628,18 +449,11 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	if db.shards != nil {
-		for _, c := range db.shards.children {
-			c.Close()
+	var err error
+	for _, e := range db.shards.engines {
+		if cerr := e.close(); err == nil {
+			err = cerr
 		}
-	}
-	// Flush and release the storage backend (a no-op on the simulated
-	// device; the file backend syncs dirty segments if asked to and drops
-	// its segment handles). Committed state was already made durable at
-	// each commit point, so a Sync error here is not fatal to the data.
-	err := db.dev.Flash.Sync()
-	if cerr := db.dev.Flash.Close(); err == nil {
-		err = cerr
 	}
 	return err
 }
@@ -652,36 +466,18 @@ type StorageBreakdown struct {
 	Total       int64 // page-aligned main-space footprint
 }
 
-// Storage reports the flash cost of the hidden database and its indexes
-// (experiment E5: "this benefit ... comes at an extra cost in terms of
-// Flash storage").
+// Storage reports the flash cost of the hidden database and its indexes,
+// summed over the devices (experiment E5: "this benefit ... comes at an
+// extra cost in terms of Flash storage").
 func (db *DB) Storage() StorageBreakdown {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.shards != nil {
-		var b StorageBreakdown
-		for _, c := range db.shards.children {
-			cb := c.Storage()
-			b.BaseColumns += cb.BaseColumns
-			b.SKTs += cb.SKTs
-			b.Climbing += cb.Climbing
-			b.Total += cb.Total
-		}
-		return b
-	}
 	var b StorageBreakdown
-	for _, s := range db.skts {
-		b.SKTs += s.Bytes()
+	for _, e := range db.shards.engines {
+		eb := e.storage()
+		b.BaseColumns += eb.BaseColumns
+		b.SKTs += eb.SKTs
+		b.Climbing += eb.Climbing
+		b.Total += eb.Total
 	}
-	for _, tv := range db.views {
-		for _, c := range tv.cols {
-			if c.ix != nil {
-				b.Climbing += c.ix.Bytes()
-			}
-		}
-	}
-	b.Total = db.dev.Main.UsedBytes()
-	b.BaseColumns = b.Total - b.SKTs - b.Climbing
 	return b
 }
 
@@ -728,18 +524,6 @@ func (db *DB) applyCreate(ct *sql.CreateTable) error {
 	// Retained for Snapshot/Recover: a recovered DB replays the DDL to
 	// rebuild an identical catalog before decoding the flash image.
 	db.ddl = append(db.ddl, ct.String())
-	// Shard children mirror the catalog so they can compile the same
-	// query shapes and validate the same DML the coordinator accepts.
-	if db.shards != nil {
-		for _, c := range db.shards.children {
-			c.mu.Lock()
-			err := c.applyCreate(ct)
-			c.mu.Unlock()
-			if err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
@@ -758,13 +542,7 @@ func (db *DB) Insert(ins *sql.Insert) error {
 
 func (db *DB) insertLocked(ins *sql.Insert) error {
 	if db.loaded {
-		if err := db.fatalError(); err != nil {
-			return err
-		}
-		if db.shards != nil {
-			return db.shards.insert(db, ins)
-		}
-		return db.deltaInsertLocked(ins)
+		return db.shards.insert(db, ins)
 	}
 	t, ok := db.sch.Table(ins.Table)
 	if !ok {
@@ -905,7 +683,7 @@ func (db *DB) Build() error {
 	return db.buildStaged()
 }
 
-// buildStaged finalizes the staged INSERT data under the device gate.
+// buildStaged finalizes the staged INSERT data under the front door lock.
 func (db *DB) buildStaged() error {
 	cols := map[string][][]value.Value{}
 	for _, t := range db.sch.Tables() {
@@ -923,10 +701,10 @@ func (db *DB) buildStaged() error {
 	return db.build(cols)
 }
 
-// build distributes columnar data for the initial bulk load. The load
-// happens "in a secure setting" (Section 2), so it is not charged to the
-// device clock or RAM budget: the simulated time and stats it consumed
-// are rewound afterwards.
+// build distributes columnar data for the initial bulk load over the
+// engines (shardSet.load). The load happens "in a secure setting"
+// (Section 2), so it is not charged to any device clock or RAM budget:
+// each engine rewinds the simulated time and stats it consumed.
 func (db *DB) build(cols map[string][][]value.Value) error {
 	if db.loaded {
 		return errors.New("core: already built")
@@ -934,319 +712,31 @@ func (db *DB) build(cols map[string][][]value.Value) error {
 	if err := db.sch.Freeze(); err != nil {
 		return err
 	}
-	if db.shards != nil {
-		return db.buildSharded(cols)
-	}
-	if err := db.loadState(cols); err != nil {
+	if err := db.shards.load(db.sch, cols, db.ddl); err != nil {
 		return err
 	}
-
-	// Commit version 0: stash the visible columns and write the first
-	// commit record, so a crash at any later point can recover at least
-	// the freshly loaded state. Still inside the secure setting, so the
-	// record's flash cost is rewound along with the load's.
-	db.stashCommitted(0, cols)
-	if err := db.writeCommitRecord(); err != nil {
-		return err
-	}
-
-	// The secure-setting load is free: rewind the simulated time it
-	// consumed and reset operational stats.
-	db.clock.Reset()
-	db.dev.Flash.ResetStats()
-	db.hid.Cache().ResetStats()
-	db.dev.RAM.ResetHigh()
-	db.net.ResetStats()
-	db.rec.Reset()
-
-	db.loaded = true
-	db.inj.Arm() // go live: faults apply from here on
-	return nil
-}
-
-// stashCommitted retains the visible (non-hidden, non-PK) column data
-// of a committed version for Snapshot/Recover, pruning everything older
-// than the previous version — the only one still recoverable from the
-// A/B record slots. Inner slices are aliased, never copied or mutated.
-func (db *DB) stashCommitted(version uint64, cols map[string][][]value.Value) {
-	snap := make(map[string]map[string][]value.Value, len(db.sch.Tables()))
 	for _, t := range db.sch.Tables() {
-		tcols := cols[t.Name]
-		m := map[string][]value.Value{}
-		for i, c := range t.Columns {
-			if c.Hidden || c.PrimaryKey || i >= len(tcols) {
-				continue
-			}
-			m[strings.ToLower(c.Name)] = tcols[i]
-		}
-		snap[strings.ToLower(t.Name)] = m
-	}
-	if db.committedVis == nil {
-		db.committedVis = map[uint64]map[string]map[string][]value.Value{}
-	}
-	db.committedVis[version] = snap
-	if version >= 2 {
-		delete(db.committedVis, version-2)
-	}
-}
-
-// tableView is one schema table resolved to positions for the lifetime
-// of one loadState: everything that overlays the RAM delta on the base
-// segments (liveness, effective values, DML matching, the query-path
-// footprint, CHECKPOINT) addresses tables by schema ordinal and columns
-// by position through it, and never resolves a name per row or per cell.
-// Row identifiers are public by design — the primary keys live on the
-// untrusted side too — so retaining the foreign-key edges host-side leaks
-// nothing. loadState builds fresh views beside the stores they point
-// into (bulk load, CHECKPOINT, Recover, OpenPath); nothing outlives it.
-type tableView struct {
-	t     *schema.Table
-	baseN int       // base segment cardinality
-	fks   []int     // foreign-key column positions, declaration order
-	cols  []colView // by column position
-	// parent is the ordinal of the table referencing this one and up the
-	// position of that table's foreign key pointing here; parent is -1 on
-	// the schema root.
-	parent, up int
-}
-
-// colView is one column's base access paths; which fields are set
-// follows from the column's declaration.
-type colView struct {
-	ref int             // foreign key: the referenced table's ordinal
-	fk  []uint32        // foreign key: row i references fk[i]
-	inv [][]uint32      // foreign key: inv[id-1] lists the rows referencing id, ascending
-	hid store.Column    // hidden: the device column file
-	vis *visible.Column // visible non-key: the untrusted side's column
-	ix  *climbing.Index // the column's climbing index, if it has one
-}
-
-// loadState builds fresh stores, device index structures and table views
-// from columnar data: visible columns and PKs to the public store; hidden
-// columns, SKTs and climbing indexes to the device. It is shared by the
-// bulk load (whose charges are then rewound) and by CHECKPOINT (which
-// pays them as the cost of merging the delta into flash).
-func (db *DB) loadState(cols map[string][][]value.Value) error {
-	start := time.Now()
-	hid, err := store.New(db.dev)
-	if err != nil {
-		return err
-	}
-	db.hid = hid
-	db.vis = visible.NewStore()
-	db.skts = map[string]*skt.SKT{}
-	db.rowCounts = map[string]int{}
-	db.views = nil
-	tables := db.sch.Tables()
-	views := make([]*tableView, len(tables))
-
-	for ord, t := range tables {
-		tcols, ok := cols[t.Name]
-		if !ok || len(tcols) != len(t.Columns) {
-			return fmt.Errorf("core: missing column data for %s", t.Name)
-		}
-		n := 0
-		if len(tcols) > 0 {
-			n = len(tcols[0])
-		}
-		for i := range tcols {
-			if len(tcols[i]) != n {
-				return fmt.Errorf("core: ragged columns in %s", t.Name)
-			}
-		}
-		db.rowCounts[t.Name] = n
-		tv := &tableView{t: t, baseN: n, cols: make([]colView, len(t.Columns)), parent: -1}
-		views[ord] = tv
-
-		// Visible side: PK plus visible columns.
-		vt, err := db.vis.CreateTable(t.Name, n)
-		if err != nil {
-			return err
-		}
-		// Hidden side: hidden columns.
-		if _, err := db.hid.CreateTable(t.Name, n); err != nil {
-			return err
-		}
-		for i, c := range t.Columns {
-			vals := tcols[i]
-			cv := &tv.cols[i]
-			if c.PrimaryKey {
-				for r, v := range vals {
-					if v.Kind() != value.Int || v.Int() != int64(r+1) {
-						return fmt.Errorf("core: %s.%s must be dense 1..N (row %d has %s)", t.Name, c.Name, r, v)
-					}
+		for ci, c := range t.Columns {
+			if c.Hidden && c.Type.Kind == value.String {
+				for _, v := range cols[t.Name][ci] {
+					db.hiddenVals.Add(v)
 				}
 			}
-			if c.IsForeignKey() {
-				// The schema declares referenced tables first, so the
-				// referenced view exists already.
-				ref := views[db.mustTable(c.RefTable).Ordinal()]
-				ids := make([]uint32, len(vals))
-				for r, v := range vals {
-					if v.Kind() != value.Int || v.Int() < 1 || v.Int() > int64(ref.baseN) {
-						return fmt.Errorf("core: %s.%s row %d: foreign key %s out of 1..%d", t.Name, c.Name, r, v, ref.baseN)
-					}
-					ids[r] = uint32(v.Int())
-				}
-				cv.ref, cv.fk, cv.inv = ref.t.Ordinal(), ids, invertEdge(ids, ref.baseN)
-				tv.fks = append(tv.fks, i)
-				ref.parent, ref.up = ord, i
-			}
-			if c.Hidden {
-				if cv.hid, err = db.hid.AddColumn(t.Name, c.Name, c.Type.Kind, vals); err != nil {
-					return err
-				}
-				if c.Type.Kind == value.String {
-					for _, v := range vals {
-						db.hiddenVals.Add(v)
-					}
-				}
-			} else if c.PrimaryKey { // verified dense 1..N above
-				if err := vt.AddKeyColumn(c.Name, vals); err != nil {
-					return err
-				}
-			} else {
-				if err := vt.AddColumn(c.Name, c.Type.Kind, vals); err != nil {
-					return err
-				}
-				cv.vis, _ = vt.Column(c.Name)
-			}
 		}
 	}
-
-	columnsDone := time.Now()
-
-	// Subtree Key Tables for every table that references others.
-	fkLookup := func(table, col string) ([]uint32, error) {
-		if t, ok := db.sch.Table(table); ok {
-			if ci := t.ColumnIndex(col); ci >= 0 && t.Columns[ci].IsForeignKey() {
-				return views[t.Ordinal()].cols[ci].fk, nil
-			}
-		}
-		return nil, fmt.Errorf("core: no foreign key data for %s.%s", table, col)
-	}
-	for _, tv := range views {
-		if len(tv.fks) == 0 {
-			continue
-		}
-		s, err := skt.Build(db.hid, db.sch, tv.t.Name, tv.baseN, fkLookup)
-		if err != nil {
-			return err
-		}
-		db.skts[tv.t.Name] = s
-	}
-
-	sktDone := time.Now()
-
-	// Climbing indexes: every hidden column, dense translators on every
-	// non-root primary key (the pre-filtering machinery), and any
-	// visible columns requested via WithDeviceIndex.
-	invLookup := func(parent, child string) ([][]uint32, error) {
-		if ct, ok := db.sch.Table(child); ok {
-			if cv := views[ct.Ordinal()]; cv.parent >= 0 && strings.EqualFold(views[cv.parent].t.Name, parent) {
-				return views[cv.parent].cols[cv.up].inv, nil
-			}
-		}
-		return nil, fmt.Errorf("core: no inverted edge %s<-%s", parent, child)
-	}
-	wantDevice := map[string]bool{}
-	for _, spec := range db.opts.DeviceIndexes {
-		wantDevice[strings.ToLower(spec)] = true
-	}
-	root := db.sch.Root()
-	for _, tv := range views {
-		t := tv.t
-		tcols := cols[t.Name]
-		for i, c := range t.Columns {
-			dense := false
-			switch {
-			case c.Hidden:
-				// regular hidden-column index
-			case c.PrimaryKey && t != root:
-				dense = true
-			case wantDevice[strings.ToLower(t.Name+"."+c.Name)]:
-				// visible column promoted to a device index
-			default:
-				continue
-			}
-			ix, err := climbing.Build(db.hid, db.sch, t.Name, c.Name, c.Type.Kind, tcols[i], dense, invLookup)
-			if err != nil {
-				return err
-			}
-			tv.cols[i].ix = ix
-		}
-	}
-	db.views = views
-	// Only a CHECKPOINT's rebuild is observed: the secure-setting load is
-	// as free in the metrics as on the simulated clock.
-	if db.loaded {
-		m := db.metrics
-		m.checkpointColumnsWall.Observe(columnsDone.Sub(start).Nanoseconds())
-		m.checkpointSKTWall.Observe(sktDone.Sub(columnsDone).Nanoseconds())
-		m.checkpointClimbingWall.Observe(time.Since(sktDone).Nanoseconds())
-	}
+	db.loaded = true
 	return nil
 }
 
-// invertEdge inverts a foreign key (row r+1 references fk[r], every
-// reference in 1..refN): inv[id-1] lists the rows referencing id. It is
-// built for climbing index construction and the live-DML merge's upward
-// propagation: count, carve one backing array, fill — three allocations
-// whatever the fan-out — and filled in row order, so every list is
-// ascending.
-func invertEdge(fk []uint32, refN int) [][]uint32 {
-	count := make([]uint32, refN)
-	for _, id := range fk {
-		count[id-1]++
-	}
-	inv := make([][]uint32, refN)
-	back := make([]uint32, len(fk))
-	at := uint32(0)
-	for i, n := range count {
-		inv[i] = back[at : at : at+n] // empty, with room for exactly its list
-		at += n
-	}
-	for r, id := range fk {
-		inv[id-1] = append(inv[id-1], uint32(r+1))
-	}
-	return inv
-}
-
-// Index returns the climbing index on table.column, if any.
+// Index returns engine 0's climbing index on table.column, if any (every
+// engine carries the same index set).
 func (db *DB) Index(table, column string) (*climbing.Index, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.indexLocked(table, column)
-}
-
-// indexLocked is Index for callers already holding the device gate.
-func (db *DB) indexLocked(table, column string) (*climbing.Index, bool) {
-	t, ok := db.sch.Table(table)
-	if !ok || db.views == nil {
-		return nil, false
-	}
-	ci := t.ColumnIndex(column)
-	if ci < 0 {
-		return nil, false
-	}
-	ix := db.views[t.Ordinal()].cols[ci].ix
-	return ix, ix != nil
+	return db.shards.engines[0].Index(table, column)
 }
 
 // HasIndex reports whether a climbing index exists (planner callback).
 func (db *DB) HasIndex(table, column string) bool {
 	_, ok := db.Index(table, column)
-	return ok
-}
-
-// hasIndexLocked is HasIndex for callers already holding the device gate.
-// A sharded coordinator builds no indexes of its own; every shard carries
-// the same index set, so shard 0 answers for all.
-func (db *DB) hasIndexLocked(table, column string) bool {
-	if db.shards != nil {
-		return db.shards.children[0].HasIndex(table, column)
-	}
-	_, ok := db.indexLocked(table, column)
 	return ok
 }
 
@@ -1256,18 +746,4 @@ func SmallProfileForTest() device.Profile {
 	p := device.SmartUSB2007().WithRAM(16 << 10)
 	p.CacheFrames = 2
 	return p
-}
-
-// translator returns the dense climbing index on the table's primary
-// key. Callers must hold the device gate.
-func (db *DB) translator(table string) (*climbing.Index, error) {
-	t, ok := db.sch.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown table %s", table)
-	}
-	ix, ok := db.indexLocked(t.Name, t.PrimaryKey().Name)
-	if !ok {
-		return nil, fmt.Errorf("core: no translator index on %s", table)
-	}
-	return ix, nil
 }

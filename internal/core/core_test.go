@@ -210,28 +210,33 @@ func TestOneWayFlowInvariant(t *testing.T) {
 	}
 }
 
+// TestSecurityAuditNoLeaks audits every device's wire trace — one device,
+// and each of four shards — for hidden values.
 func TestSecurityAuditNoLeaks(t *testing.T) {
-	db, _, _ := loadTiny(t, WithCapture(trace.CaptureFull))
-	queries := []string{
-		paperQuery,
-		`SELECT Pat.Name FROM Patient Pat WHERE Pat.Age > 30`,
-		`SELECT Vis.Purpose, Vis.Date FROM Visit Vis WHERE Vis.Date > 2006-01-01 AND Vis.Purpose = 'Migraine'`,
-	}
-	for _, sqlText := range queries {
-		if _, err := db.Query(sqlText); err != nil {
-			t.Fatalf("%s: %v", sqlText, err)
-		}
-	}
-	leaks := trace.Audit(db.Recorder().Events(), db.HiddenValues().Contains)
-	if len(leaks) != 0 {
-		t.Fatalf("hidden values leaked: %v", leaks[0])
-	}
-	// Sanity: the hidden set is non-trivial and the trace is non-trivial.
-	if db.HiddenValues().Len() == 0 {
-		t.Error("hidden value set empty")
-	}
-	if db.Recorder().Len() == 0 {
-		t.Error("no trace recorded")
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, _, _ := loadShardedTiny(t, shards, WithCapture(trace.CaptureFull))
+			queries := []string{
+				paperQuery,
+				`SELECT Pat.Name FROM Patient Pat WHERE Pat.Age > 30`,
+				`SELECT Vis.Purpose, Vis.Date FROM Visit Vis WHERE Vis.Date > 2006-01-01 AND Vis.Purpose = 'Migraine'`,
+			}
+			for _, sqlText := range queries {
+				if _, err := db.Query(sqlText); err != nil {
+					t.Fatalf("%s: %v", sqlText, err)
+				}
+			}
+			auditEveryDevice(t, db)
+			// Sanity: the hidden set is non-trivial and the trace is non-trivial.
+			if db.HiddenValues().Len() == 0 {
+				t.Error("hidden value set empty")
+			}
+			for s, e := range db.shards.engines {
+				if e.rec.Len() == 0 {
+					t.Errorf("shard %d recorded no trace", s)
+				}
+			}
+		})
 	}
 }
 

@@ -107,7 +107,7 @@ func (db *DB) ExecStatementsContext(ctx context.Context, stmts []sql.Statement) 
 			if d.NumParams > 0 {
 				return affected, ErrUnboundDML
 			}
-			n, err := db.execDMLLocked(d)
+			n, err := db.shards.execDML(db, d)
 			affected += n
 			dmlStmts++
 			dmlRows += n
@@ -142,41 +142,28 @@ func (db *DB) ensureBuiltLocked() error {
 }
 
 // maybeAutoCheckpoint runs a CHECKPOINT when the deltalimit knob is set
-// and the delta has grown past it. On a sharded DB the trigger counts
-// the logical delta across the shard set (the children run with the
-// knob off; the coordinator decides when the merge happens).
+// and the logical delta (rows plus tombstones over the engines) has grown
+// past it.
 func (db *DB) maybeAutoCheckpoint(ctx context.Context) error {
 	if !db.loaded || db.opts.DeltaLimit <= 0 {
 		return nil
 	}
-	entries := 0
-	if db.shards != nil {
-		entries = db.shards.logicalEntries(db)
-	} else {
-		entries = db.delta.Entries()
-	}
-	if entries < db.opts.DeltaLimit {
+	if rows, tombs, _ := db.shards.deltaTotals(db.sch); rows+tombs < db.opts.DeltaLimit {
 		return nil
 	}
 	_, err := db.checkpointAnyLocked(ctx)
 	return err
 }
 
-// checkpointAnyLocked dispatches CHECKPOINT to the engine at hand: the
-// parallel per-shard merge on a sharded DB, the classic single-device
-// merge otherwise.
+// checkpointAnyLocked runs CHECKPOINT over the engines (shardSet.checkpoint).
 func (db *DB) checkpointAnyLocked(ctx context.Context) (int64, error) {
 	if !db.loaded {
 		return 0, fmt.Errorf("core: CHECKPOINT before Build")
 	}
-	if err := db.fatalError(); err != nil {
+	if err := db.FatalError(); err != nil {
 		return 0, err
 	}
-	if db.shards != nil {
-		return db.shards.checkpoint(db, ctx)
-	}
-	n, _, err := db.checkpointLocked(ctx)
-	return n, err
+	return db.shards.checkpoint(db, ctx)
 }
 
 // Checkpoint merges the delta into fresh flash segments (see the package
@@ -273,7 +260,7 @@ func (cd *CompiledDML) Exec(params []value.Value) (int64, error) {
 	if db.closed {
 		return 0, ErrClosed
 	}
-	n, err := db.execDMLLocked(bound)
+	n, err := db.shards.execDML(db, bound)
 	db.metrics.dmlStatements.Inc()
 	db.metrics.rowsAffected.Add(n)
 	db.metrics.noteDelta(db)
@@ -303,7 +290,7 @@ func (cd *CompiledDML) Exec(params []value.Value) (int64, error) {
 // references is live (the virtual delete cascade). Each fresh evaluation
 // charges one tombstone probe to the device CPU.
 type liveness struct {
-	db *DB
+	e *engine
 	// States are 0 unknown, 1 live, 2 dead. dense (by table ordinal, then
 	// ID) serves an operation that sweeps whole tables; sparse, keyed
 	// ordinal<<32|ID, holds what dense does not cover — every identifier
@@ -313,12 +300,12 @@ type liveness struct {
 	sparse map[uint64]uint8
 }
 
-func (db *DB) newLiveness(sweep bool) *liveness {
-	l := &liveness{db: db, sparse: map[uint64]uint8{}}
+func (e *engine) newLiveness(sweep bool) *liveness {
+	l := &liveness{e: e, sparse: map[uint64]uint8{}}
 	if sweep {
-		l.dense = make([][]uint8, len(db.views))
-		for ord, tv := range db.views {
-			l.dense[ord] = make([]uint8, db.maxID(tv)+1)
+		l.dense = make([][]uint8, len(e.views))
+		for ord, tv := range e.views {
+			l.dense[ord] = make([]uint8, e.maxID(tv)+1)
 		}
 	}
 	return l
@@ -337,10 +324,10 @@ func (l *liveness) live(ord int, id uint32) bool {
 	if state != 0 {
 		return state == 1
 	}
-	l.db.dev.CPU.Charge(sim.CyclesTombstone)
-	l.db.metrics.tombstoneProbes.Inc()
+	l.e.dev.CPU.Charge(sim.CyclesTombstone)
+	l.e.metrics.tombstoneProbes.Inc()
 	state = 2
-	if l.computeLive(l.db.views[ord], id) {
+	if l.computeLive(l.e.views[ord], id) {
 		state = 1
 	}
 	if cell != nil {
@@ -356,7 +343,7 @@ func (l *liveness) computeLive(tv *tableView, id uint32) bool {
 		return false
 	}
 	var img []value.Value
-	if d := l.db.deltaOf(tv); d != nil {
+	if d := l.e.deltaOf(tv); d != nil {
 		if d.Tombstoned(id) {
 			return false
 		}
@@ -366,7 +353,7 @@ func (l *liveness) computeLive(tv *tableView, id uint32) bool {
 		return false // beyond the base segment a row must be delta-resident
 	}
 	for _, ci := range tv.fks {
-		cid, err := l.db.fkOf(tv, img, ci, id)
+		cid, err := l.e.fkOf(tv, img, ci, id)
 		if err != nil || !l.live(tv.cols[ci].ref, cid) {
 			return false
 		}
@@ -375,11 +362,11 @@ func (l *liveness) computeLive(tv *tableView, id uint32) bool {
 }
 
 // deltaOf returns the table's delta, nil when it has none.
-func (db *DB) deltaOf(tv *tableView) *delta.Table { return db.delta.Get(tv.t.Ordinal()) }
+func (e *engine) deltaOf(tv *tableView) *delta.Table { return e.delta.Get(tv.t.Ordinal()) }
 
 // maxID returns the highest identifier ever assigned in the table.
-func (db *DB) maxID(tv *tableView) uint32 {
-	if d := db.deltaOf(tv); d != nil {
+func (e *engine) maxID(tv *tableView) uint32 {
+	if d := e.deltaOf(tv); d != nil {
 		return d.MaxID()
 	}
 	return uint32(tv.baseN)
@@ -387,8 +374,8 @@ func (db *DB) maxID(tv *tableView) uint32 {
 
 // image returns the delta image of row id, or nil while the base version
 // is current. Callers reading several columns of one row fetch it once.
-func (db *DB) image(tv *tableView, id uint32) []value.Value {
-	if d := db.deltaOf(tv); d != nil {
+func (e *engine) image(tv *tableView, id uint32) []value.Value {
+	if d := e.deltaOf(tv); d != nil {
 		img, _ := d.Row(id)
 		return img
 	}
@@ -398,7 +385,7 @@ func (db *DB) image(tv *tableView, id uint32) []value.Value {
 // fkOf reads the current value of the foreign key at column position ci
 // of row id, whose delta image (or nil) is img: the image when the row is
 // delta-resident, the retained base edge otherwise.
-func (db *DB) fkOf(tv *tableView, img []value.Value, ci int, id uint32) (uint32, error) {
+func (e *engine) fkOf(tv *tableView, img []value.Value, ci int, id uint32) (uint32, error) {
 	if img != nil {
 		return uint32(img[ci].Int()), nil
 	}
@@ -413,9 +400,9 @@ func (db *DB) fkOf(tv *tableView, img []value.Value, ci int, id uint32) (uint32,
 // base hidden values from the flash store (charged through the page
 // cache); base visible values and primary keys from the untrusted side
 // for free.
-func (db *DB) valueOf(tv *tableView, img []value.Value, ci int, id uint32) (value.Value, error) {
+func (e *engine) valueOf(tv *tableView, img []value.Value, ci int, id uint32) (value.Value, error) {
 	if img != nil {
-		db.dev.CPU.Charge(sim.CyclesDecode)
+		e.dev.CPU.Charge(sim.CyclesDecode)
 		return img[ci], nil
 	}
 	if int(id) > tv.baseN {
@@ -440,13 +427,13 @@ type fkHop struct {
 
 // descent returns the hops leading from a row of from down to the row of
 // target it transitively references (none when they are the same table).
-func (db *DB) descent(from, target *tableView) ([]fkHop, error) {
+func (e *engine) descent(from, target *tableView) ([]fkHop, error) {
 	var hops []fkHop
-	for tv := target; tv != from; tv = db.views[tv.parent] {
+	for tv := target; tv != from; tv = e.views[tv.parent] {
 		if tv.parent < 0 {
 			return nil, fmt.Errorf("core: %s is not reachable from %s", target.t.Name, from.t.Name)
 		}
-		hops = append(hops, fkHop{tv: db.views[tv.parent], col: tv.up})
+		hops = append(hops, fkHop{tv: e.views[tv.parent], col: tv.up})
 	}
 	slices.Reverse(hops)
 	return hops, nil
@@ -454,10 +441,10 @@ func (db *DB) descent(from, target *tableView) ([]fkHop, error) {
 
 // effectiveDescend walks from row id down the effective foreign-key
 // chain along hops.
-func (db *DB) effectiveDescend(id uint32, hops []fkHop) (uint32, error) {
+func (e *engine) effectiveDescend(id uint32, hops []fkHop) (uint32, error) {
 	for _, h := range hops {
-		db.dev.CPU.Charge(sim.CyclesCompare)
-		next, err := db.fkOf(h.tv, db.image(h.tv, id), h.col, id)
+		e.dev.CPU.Charge(sim.CyclesCompare)
+		next, err := e.fkOf(h.tv, e.image(h.tv, id), h.col, id)
 		if err != nil {
 			return 0, err
 		}
@@ -468,14 +455,14 @@ func (db *DB) effectiveDescend(id uint32, hops []fkHop) (uint32, error) {
 
 // effectiveRow materializes the full current image of row id (schema
 // column order).
-func (db *DB) effectiveRow(tv *tableView, id uint32) ([]value.Value, error) {
-	if img := db.image(tv, id); img != nil {
-		db.dev.CPU.Charge(sim.CyclesDeltaRow)
+func (e *engine) effectiveRow(tv *tableView, id uint32) ([]value.Value, error) {
+	if img := e.image(tv, id); img != nil {
+		e.dev.CPU.Charge(sim.CyclesDeltaRow)
 		return slices.Clone(img), nil
 	}
 	out := make([]value.Value, len(tv.cols))
 	for ci := range tv.cols {
-		v, err := db.valueOf(tv, nil, ci, id)
+		v, err := e.valueOf(tv, nil, ci, id)
 		if err != nil {
 			return nil, err
 		}
@@ -492,14 +479,14 @@ func (db *DB) effectiveRow(tv *tableView, id uint32) ([]value.Value, error) {
 // kinds, foreign keys referencing live rows. The statement ships over
 // the bus to the device, which stores the hidden share in its RAM arena;
 // the whole statement applies atomically or not at all.
-func (db *DB) deltaInsertLocked(ins *sql.Insert) error {
-	t, ok := db.sch.Table(ins.Table)
+func (e *engine) deltaInsertLocked(ins *sql.Insert) error {
+	t, ok := e.sch.Table(ins.Table)
 	if !ok {
 		return fmt.Errorf("core: unknown table %s", ins.Table)
 	}
-	tv := db.views[t.Ordinal()]
-	dt := db.delta.Ensure(t, tv.baseN)
-	lv := db.newLiveness(false)
+	tv := e.views[t.Ordinal()]
+	dt := e.delta.Ensure(t, tv.baseN)
+	lv := e.newLiveness(false)
 	rows := make([][]value.Value, len(ins.Rows))
 	busBytes := 0
 	for ri, row := range ins.Rows {
@@ -535,21 +522,12 @@ func (db *DB) deltaInsertLocked(ins *sql.Insert) error {
 	}
 	// The statement travels terminal -> device; the hidden payload is
 	// never echoed to the server.
-	if err := db.net.Send(trace.Terminal, trace.Device, trace.KindDML, busBytes, "INSERT "+t.Name, nil); err != nil {
-		db.noteDeviceErr(err)
+	if err := e.net.Send(trace.Terminal, trace.Device, trace.KindDML, busBytes, "INSERT "+t.Name, nil); err != nil {
+		e.noteDeviceErr(err)
 		return err
 	}
-	if _, err := dt.InsertAll(rows); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		for ci, c := range t.Columns {
-			if c.Hidden && c.Type.Kind == value.String {
-				db.hiddenVals.Add(row[ci])
-			}
-		}
-	}
-	return nil
+	_, err := dt.InsertAll(rows)
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -557,34 +535,31 @@ func (db *DB) deltaInsertLocked(ins *sql.Insert) error {
 
 // execDMLLocked runs one fully bound DELETE or UPDATE under the gate and
 // returns the number of live rows affected.
-func (db *DB) execDMLLocked(d *plan.DML) (int64, error) {
-	if !db.loaded {
+func (e *engine) execDMLLocked(d *plan.DML) (int64, error) {
+	if !e.loaded {
 		return 0, fmt.Errorf("core: DML before Build")
 	}
-	if err := db.fatalError(); err != nil {
+	if err := e.fatalError(); err != nil {
 		return 0, err
 	}
 	if d.NumParams > 0 {
 		return 0, ErrUnboundDML
 	}
-	if db.shards != nil {
-		return db.shards.execDML(db, d)
-	}
-	if err := db.net.Send(trace.Terminal, trace.Device, trace.KindDML, len(d.SQL), d.Op.String()+" "+d.Table.Name, nil); err != nil {
-		db.noteDeviceErr(err)
+	if err := e.net.Send(trace.Terminal, trace.Device, trace.KindDML, len(d.SQL), d.Op.String()+" "+d.Table.Name, nil); err != nil {
+		e.noteDeviceErr(err)
 		return 0, err
 	}
-	ids, err := db.matchDMLLocked(d)
+	ids, err := e.matchDMLLocked(d)
 	if err != nil {
-		db.noteDeviceErr(err)
+		e.noteDeviceErr(err)
 		return 0, err
 	}
 	// Apply all-or-nothing: validate, build every new image, then hand
 	// the statement to the delta in one charge — a statement that runs out
 	// of device RAM midway must leave nothing behind for CHECKPOINT to
 	// make durable.
-	tv := db.views[d.Table.Ordinal()]
-	dt := db.delta.Ensure(d.Table, tv.baseN)
+	tv := e.views[d.Table.Ordinal()]
+	dt := e.delta.Ensure(d.Table, tv.baseN)
 	switch d.Op {
 	case plan.OpDelete:
 		if err := dt.DeleteAll(ids); err != nil {
@@ -594,7 +569,7 @@ func (db *DB) execDMLLocked(d *plan.DML) (int64, error) {
 		if len(ids) == 0 {
 			break
 		}
-		lv := db.newLiveness(false)
+		lv := e.newLiveness(false)
 		for _, a := range d.Sets {
 			if c := &d.Table.Columns[a.ColIdx]; c.IsForeignKey() &&
 				(a.Val.Kind() != value.Int || !lv.live(tv.cols[a.ColIdx].ref, uint32(a.Val.Int()))) {
@@ -604,7 +579,7 @@ func (db *DB) execDMLLocked(d *plan.DML) (int64, error) {
 		}
 		rows := make([][]value.Value, len(ids))
 		for i, id := range ids {
-			row, err := db.effectiveRow(tv, id)
+			row, err := e.effectiveRow(tv, id)
 			if err != nil {
 				return 0, err
 			}
@@ -616,11 +591,6 @@ func (db *DB) execDMLLocked(d *plan.DML) (int64, error) {
 		if err := dt.ApplyAll(ids, rows); err != nil {
 			return 0, err
 		}
-		for _, a := range d.Sets {
-			if c := &d.Table.Columns[a.ColIdx]; c.Hidden && c.Type.Kind == value.String {
-				db.hiddenVals.Add(a.Val)
-			}
-		}
 	}
 	return int64(len(ids)), nil
 }
@@ -630,11 +600,11 @@ func (db *DB) execDMLLocked(d *plan.DML) (int64, error) {
 // climbing indexes (hidden predicates, exact posting lists) and the
 // untrusted side's selections (visible predicates) minus the shadowed
 // set; delta-resident images are scanned directly in RAM.
-func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
+func (e *engine) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 	ord := d.Table.Ordinal()
-	baseN := db.views[ord].baseN
-	dt := db.delta.Get(ord)
-	lv := db.newLiveness(false)
+	baseN := e.views[ord].baseN
+	dt := e.delta.Get(ord)
+	lv := e.newLiveness(false)
 	rep := &stats.Report{}
 
 	// Base candidates: intersect the per-predicate exact ID lists.
@@ -648,22 +618,22 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 		for i, p := range d.Preds {
 			var ids []uint32
 			if p.Hidden() {
-				ix, ok := db.indexLocked(p.Col.Table, p.Col.Column)
+				ix, ok := e.indexLocked(p.Col.Table, p.Col.Column)
 				if !ok {
 					return nil, fmt.Errorf("core: no index on hidden column %s", p.Col)
 				}
 				op := rep.NewOp("ClimbingIndex", p.String())
 				var refs []climbing.ListRef
-				err := forEachEntry(ix, p.P, func(e climbing.Entry) error {
-					if e.Lists[0].Count > 0 {
-						refs = append(refs, e.Lists[0])
+				err := forEachEntry(ix, p.P, func(ent climbing.Entry) error {
+					if ent.Lists[0].Count > 0 {
+						refs = append(refs, ent.Lists[0])
 					}
 					return nil
 				})
 				if err != nil {
 					return nil, err
 				}
-				it, err := db.env.UnionBatch(db.env.ListSources(ix, refs), db.env.Fanin(0.5), op)
+				it, err := e.env.UnionBatch(e.env.ListSources(ix, refs), e.env.Fanin(0.5), op)
 				if err != nil {
 					return nil, err
 				}
@@ -672,7 +642,7 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 				}
 			} else {
 				var err error
-				if ids, err = db.visSelect(p); err != nil {
+				if ids, err = e.visSelect(p); err != nil {
 					return nil, err
 				}
 			}
@@ -709,10 +679,10 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 				continue
 			}
 			row, _ := dt.Row(id)
-			db.dev.CPU.Charge(sim.CyclesDeltaRow)
+			e.dev.CPU.Charge(sim.CyclesDeltaRow)
 			match := true
 			for i, p := range d.Preds {
-				db.dev.CPU.Charge(sim.CyclesPredicate)
+				e.dev.CPU.Charge(sim.CyclesPredicate)
 				ok, err := p.P.Eval(row[predCols[i]])
 				if err != nil {
 					return nil, err
@@ -740,36 +710,12 @@ func (db *DB) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 // still holds every mutation, so abandoning a pending checkpoint (on
 // context cancellation, say) loses nothing.
 type ckptPending struct {
-	absorbed int64
 	// survivors lists the root table's surviving old identifiers in
 	// ascending order; never nil (empty when every root row died).
 	survivors []uint32
 	cols      map[string][][]value.Value
 	wallStart time.Time
-	simStart  time.Duration
 	prepared  time.Time // end of the read-only phase
-}
-
-// checkpointLocked merges the delta into fresh flash segments: it
-// extracts the chain-live rows of every table (reading base hidden
-// values through the charged page cache and delta images from RAM),
-// renumbers the survivors densely — materializing the virtual delete
-// cascade — builds the column files, SKTs and climbing indexes into the
-// inactive flash half at full program cost, flips the commit record,
-// and releases the delta's RAM grants. It returns the number of delta
-// entries absorbed and the root table's surviving old identifiers in
-// ascending order (each survivor's new dense identifier is its rank in
-// that list) — the sharded coordinator rebuilds its global mapping from
-// them. A no-op checkpoint returns a nil survivor list.
-func (db *DB) checkpointLocked(ctx context.Context) (int64, []uint32, error) {
-	p, err := db.checkpointPrepareLocked(ctx)
-	if err != nil || p == nil {
-		return 0, nil, err
-	}
-	if err := db.checkpointCommitLocked(p); err != nil {
-		return 0, nil, err
-	}
-	return p.absorbed, p.survivors, nil
 }
 
 // checkpointPrepareLocked runs the read-only phase of a CHECKPOINT:
@@ -777,30 +723,29 @@ func (db *DB) checkpointLocked(ctx context.Context) (int64, []uint32, error) {
 // It checks ctx at every table boundary; any error — cancellation
 // included — returns with the database untouched and the delta intact.
 // A clean delta returns (nil, nil).
-func (db *DB) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error) {
-	if !db.loaded {
+func (e *engine) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error) {
+	if !e.loaded {
 		return nil, fmt.Errorf("core: CHECKPOINT before Build")
 	}
-	absorbed := int64(db.delta.Entries())
-	if absorbed == 0 {
+	if e.delta.Entries() == 0 {
 		return nil, nil
 	}
-	p := &ckptPending{absorbed: absorbed, wallStart: time.Now(), simStart: db.clock.Now()}
-	if err := db.net.Send(trace.Terminal, trace.Device, trace.KindDML, len("CHECKPOINT"), "CHECKPOINT", nil); err != nil {
-		db.noteDeviceErr(err)
+	p := &ckptPending{wallStart: time.Now()}
+	if err := e.net.Send(trace.Terminal, trace.Device, trace.KindDML, len("CHECKPOINT"), "CHECKPOINT", nil); err != nil {
+		e.noteDeviceErr(err)
 		return nil, err
 	}
-	lv := db.newLiveness(true)
+	lv := e.newLiveness(true)
 
 	// Pass 1: survivors and their new dense identifiers, per table
 	// ordinal (renumber[ord][old] is the new identifier, 0 when dead).
-	oldIDs := make([][]uint32, len(db.views))
-	renumber := make([][]uint32, len(db.views))
-	for ord, tv := range db.views {
+	oldIDs := make([][]uint32, len(e.views))
+	renumber := make([][]uint32, len(e.views))
+	for ord, tv := range e.views {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: CHECKPOINT canceled: %w", err)
 		}
-		maxID := db.maxID(tv)
+		maxID := e.maxID(tv)
 		ids := make([]uint32, 0, maxID)
 		remap := make([]uint32, maxID+1)
 		for id := uint32(1); id <= maxID; id++ {
@@ -815,8 +760,8 @@ func (db *DB) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error)
 	// Pass 2: extract the effective columns with foreign keys remapped,
 	// before anything is torn down. Row-major, so the page cache sees the
 	// base hidden columns in the same order as ever.
-	cols := make(map[string][][]value.Value, len(db.views))
-	for ord, tv := range db.views {
+	cols := make(map[string][][]value.Value, len(e.views))
+	for ord, tv := range e.views {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: CHECKPOINT canceled: %w", err)
 		}
@@ -826,13 +771,13 @@ func (db *DB) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error)
 			tcols[ci] = make([]value.Value, len(ids))
 		}
 		for newIdx, oldID := range ids {
-			img := db.image(tv, oldID)
+			img := e.image(tv, oldID)
 			for ci := range t.Columns {
 				switch c := &t.Columns[ci]; {
 				case c.PrimaryKey:
 					tcols[ci][newIdx] = value.NewInt(int64(newIdx + 1))
 				case c.IsForeignKey():
-					oldChild, err := db.fkOf(tv, img, ci, oldID)
+					oldChild, err := e.fkOf(tv, img, ci, oldID)
 					if err != nil {
 						return nil, err
 					}
@@ -842,9 +787,9 @@ func (db *DB) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error)
 					}
 					tcols[ci][newIdx] = value.NewInt(int64(remap[oldChild]))
 				default:
-					v, err := db.valueOf(tv, img, ci, oldID)
+					v, err := e.valueOf(tv, img, ci, oldID)
 					if err != nil {
-						db.noteDeviceErr(err)
+						e.noteDeviceErr(err)
 						return nil, err
 					}
 					tcols[ci][newIdx] = v
@@ -853,7 +798,7 @@ func (db *DB) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error)
 		}
 		cols[t.Name] = tcols
 	}
-	p.survivors = oldIDs[db.sch.Root().Ordinal()]
+	p.survivors = oldIDs[e.sch.Root().Ordinal()]
 	p.cols = cols
 	p.prepared = time.Now()
 	return p, nil
@@ -866,47 +811,43 @@ func (db *DB) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error)
 // record. A crash at any point leaves exactly the previous committed
 // version recoverable; an error mid-commit latches the DB fatal, since
 // the in-RAM structures no longer match any committed flash state.
-// Feeds the checkpoint metrics on every outcome.
-func (db *DB) checkpointCommitLocked(p *ckptPending) error {
+// Feeds the device's phase metrics on every outcome; the database-wide
+// ones are the front door's (shardSet.checkpoint).
+func (e *engine) checkpointCommitLocked(p *ckptPending) error {
 	start := time.Now()
 	var rebuilt time.Time // zero until the rebuild phase has succeeded
 	defer func() {
-		db.checkpointsRun.Add(1)
-		m, end := db.metrics, time.Now()
-		m.checkpoints.Inc()
-		m.checkpointWall.Observe(end.Sub(p.wallStart).Nanoseconds())
+		m, end := e.metrics, time.Now()
 		m.checkpointPrepareWall.Observe(p.prepared.Sub(p.wallStart).Nanoseconds())
 		if !rebuilt.IsZero() {
 			m.checkpointRebuildWall.Observe(rebuilt.Sub(start).Nanoseconds())
 			m.checkpointCommitWall.Observe(end.Sub(rebuilt).Nanoseconds())
 		}
-		m.checkpointSim.Observe(int64(db.clock.Span(p.simStart)))
-		m.noteDelta(db)
 	}()
 	// Tear down the old device structures: drop the page cache grant,
 	// swap to the spare half (erasing the version-before-last) and
 	// release the delta RAM.
-	db.hid.Release()
-	if err := db.dev.SwapHalf(); err != nil {
-		db.setFatal(err)
+	e.hid.Release()
+	if err := e.dev.SwapHalf(); err != nil {
+		e.setFatal(err)
 		return err
 	}
-	db.delta.ReleaseAll()
+	e.delta.ReleaseAll()
 
 	// Rebuild at full simulated cost: every AppendRegion programs pages,
 	// on top of the erase charges above. The clock is NOT rewound — this
 	// is the price of making the delta durable.
-	if err := db.loadState(p.cols); err != nil {
-		db.setFatal(err)
+	if err := e.loadState(p.cols); err != nil {
+		e.setFatal(err)
 		return err
 	}
 	rebuilt = time.Now()
-	db.version++
-	db.stashCommitted(db.version, p.cols)
-	if err := db.writeCommitRecord(); err != nil {
+	e.version++
+	e.stashCommitted(e.version, p.cols)
+	if err := e.writeCommitRecord(); err != nil {
 		// The new state is built but not committed: recovery would land
 		// on the previous version, diverging from the live in-RAM state.
-		db.setFatal(err)
+		e.setFatal(err)
 		return err
 	}
 	return nil
@@ -914,19 +855,19 @@ func (db *DB) checkpointCommitLocked(p *ckptPending) error {
 
 // recordOnlyCommitLocked advances this device's committed version
 // without rebuilding its data: the commit record is re-pointed at the
-// current (unchanged) column extents. A sharded coordinator uses it on
+// current (unchanged) column extents. The front door uses it on
 // shards whose delta was empty during a global CHECKPOINT, keeping all
 // shard versions in lockstep so recovery can pick one global cut.
-func (db *DB) recordOnlyCommitLocked() error {
-	db.version++
-	if prev, ok := db.committedVis[db.version-1]; ok {
-		db.committedVis[db.version] = prev
-		if db.version >= 2 {
-			delete(db.committedVis, db.version-2)
+func (e *engine) recordOnlyCommitLocked() error {
+	e.version++
+	if prev, ok := e.committedVis[e.version-1]; ok {
+		e.committedVis[e.version] = prev
+		if e.version >= 2 {
+			delete(e.committedVis, e.version-2)
 		}
 	}
-	if err := db.writeCommitRecord(); err != nil {
-		db.setFatal(err)
+	if err := e.writeCommitRecord(); err != nil {
+		e.setFatal(err)
 		return err
 	}
 	return nil
@@ -934,8 +875,8 @@ func (db *DB) recordOnlyCommitLocked() error {
 
 // mustTable returns a frozen-schema table by name (checkpoint internals;
 // the schema validated these references at load time).
-func (db *DB) mustTable(name string) *schema.Table {
-	t, _ := db.sch.Table(name)
+func (e *engine) mustTable(name string) *schema.Table {
+	t, _ := e.sch.Table(name)
 	return t
 }
 
@@ -947,11 +888,11 @@ func (db *DB) mustTable(name string) *schema.Table {
 // subtracted from the base pipeline) and the sorted candidate root
 // identifiers to re-evaluate against the effective state (the subtracted
 // set plus the root's own delta-resident rows).
-func (db *DB) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
-	if !db.delta.Dirty() {
+func (e *engine) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
+	if !e.delta.Dirty() {
 		return nil, nil
 	}
-	root := db.views[q.Root.Ordinal()]
+	root := e.views[q.Root.Ordinal()]
 
 	// Tables the query root transitively references (the liveness and
 	// value chain of a root row), including the root itself.
@@ -960,14 +901,14 @@ func (db *DB) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
 	visit = func(tv *tableView) {
 		reach = append(reach, tv)
 		for _, ci := range tv.fks {
-			visit(db.views[tv.cols[ci].ref])
+			visit(e.views[tv.cols[ci].ref])
 		}
 	}
 	visit(root)
 
 	dirty := map[uint32]struct{}{}
 	for _, tv := range reach {
-		d := db.deltaOf(tv)
+		d := e.deltaOf(tv)
 		if d == nil || !d.Dirty() {
 			continue
 		}
@@ -975,8 +916,8 @@ func (db *DB) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
 		// chain to the query root through the retained inverted edges
 		// (a row references one row, so the lists met are disjoint).
 		cur := d.ShadowedBaseIDs()
-		for ; tv != root && len(cur) > 0; tv = db.views[tv.parent] {
-			inv := db.views[tv.parent].cols[tv.up].inv
+		for ; tv != root && len(cur) > 0; tv = e.views[tv.parent] {
+			inv := e.views[tv.parent].cols[tv.up].inv
 			var next []uint32
 			for _, id := range cur {
 				if int(id) <= len(inv) {
@@ -994,7 +935,7 @@ func (db *DB) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
 	for id := range dirty {
 		cands[id] = struct{}{}
 	}
-	if d := db.deltaOf(root); d != nil {
+	if d := e.deltaOf(root); d != nil {
 		for _, id := range d.DeltaIDs() {
 			cands[id] = struct{}{}
 		}

@@ -470,7 +470,7 @@ func TestAutoCheckpointDeltaLimit(t *testing.T) {
 		if _, err := db.Exec(fmt.Sprintf(`DELETE FROM Prescription WHERE PreID = %d`, i*3+1)); err != nil {
 			t.Fatal(err)
 		}
-		if got := db.delta.Entries(); got >= 8 {
+		if got := db.shards.engines[0].delta.Entries(); got >= 8 {
 			t.Fatalf("delta grew to %d entries despite deltalimit=8", got)
 		}
 	}

@@ -146,41 +146,41 @@ func forEachEntry(ix *climbing.Index, p pred.P, fn func(climbing.Entry) error) e
 // be nil) cancels at batch boundaries. A non-nil sh makes this the
 // per-shard half of a scatter-gather execution: root identifiers and
 // root-key projections are mapped to global ones, and the result stops
-// short of the finishing tail (the coordinator runs it after merging the
+// short of the finishing tail (the front door runs it after merging the
 // shard streams) — physical rows with their roots, or group partials —
 // unless sh.finish says this shard is the query's only target.
-func (db *DB) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx context.Context, sh *shardRemap) (*Result, error) {
-	db.dev.RAM.ResetHigh()
-	flashStart := db.dev.Flash.Stats()
-	busStart := db.net.Stats(trace.Terminal, trace.Device)
-	clockStart := db.clock.Now()
+func (e *engine) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx context.Context, sh *shardRemap) (*Result, error) {
+	e.dev.RAM.ResetHigh()
+	flashStart := e.dev.Flash.Stats()
+	busStart := e.net.Stats(trace.Terminal, trace.Device)
+	clockStart := e.clock.Now()
 
 	rep := &stats.Report{Query: q.SQL, PlanLabel: spec.Label}
 	ex := executorPool.Get().(*executor)
-	ex.reset(db, q, spec, rep, visSel)
+	ex.reset(e, q, spec, rep, visSel)
 	if ctx != nil {
 		ex.ctx, ex.done = ctx, ctx.Done()
 	}
 	// Live-DML footprint: which base root rows the delta shadows, and
 	// which root IDs must be re-evaluated against the effective state.
-	ex.deltaDead, ex.deltaCands = db.deltaFootprint(q)
+	ex.deltaDead, ex.deltaCands = e.deltaFootprint(q)
 
 	runErr := ex.run()
 	// Measure before cleanup: scratch erasure happens between queries.
-	rep.TotalTime = db.clock.Span(clockStart)
-	rep.RAMHigh = db.dev.RAM.High()
-	rep.Flash = db.dev.Flash.Stats().Sub(flashStart)
-	busNow := db.net.Stats(trace.Terminal, trace.Device)
+	rep.TotalTime = e.clock.Span(clockStart)
+	rep.RAMHigh = e.dev.RAM.High()
+	rep.Flash = e.dev.Flash.Stats().Sub(flashStart)
+	busNow := e.net.Stats(trace.Terminal, trace.Device)
 	rep.BusBytes = busNow.Bytes - busStart.Bytes
 	rep.BusMsgs = busNow.Messages - busStart.Messages
 
 	// Feed the engine registry from the measured report. Atomic adds
 	// only — no simulated-clock charges, so metrics cannot perturb any
 	// reported timing or tuple count.
-	db.metrics.batchesPulled.Add(ex.batches)
-	db.metrics.flashPageReads.Add(rep.Flash.PageReads)
-	db.metrics.busBytes.Add(rep.BusBytes)
-	db.metrics.ramHighWater.Observe(rep.RAMHigh)
+	e.metrics.batchesPulled.Add(ex.batches)
+	e.metrics.flashPageReads.Add(rep.Flash.PageReads)
+	e.metrics.busBytes.Add(rep.BusBytes)
+	e.metrics.ramHighWater.Observe(rep.RAMHigh)
 
 	ex.cleanup()
 	if runErr != nil {
@@ -207,7 +207,7 @@ func (db *DB) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx cont
 // an idle pool entry does not pin the last query's projection stores or
 // report.
 func (ex *executor) release() {
-	ex.db, ex.q, ex.rep, ex.visSel = nil, nil, nil, nil
+	ex.e, ex.q, ex.rep, ex.visSel = nil, nil, nil, nil
 	ex.spec = plan.Spec{}
 	ex.deltaDead, ex.deltaCands, ex.deltaRows = nil, nil, nil
 	ex.ctx, ex.done = nil, nil
@@ -232,8 +232,8 @@ var executorPool = sync.Pool{
 
 // reset prepares a pooled executor for one execution, reusing the
 // backing storage of its scratch slices and map.
-func (ex *executor) reset(db *DB, q *plan.Query, spec plan.Spec, rep *stats.Report, visSel [][]uint32) {
-	ex.db, ex.q, ex.spec, ex.rep, ex.visSel = db, q, spec, rep, visSel
+func (ex *executor) reset(e *engine, q *plan.Query, spec plan.Spec, rep *stats.Report, visSel [][]uint32) {
+	ex.e, ex.q, ex.spec, ex.rep, ex.visSel = e, q, spec, rep, visSel
 	clear(ex.field)
 	ex.layout = ex.layout[:0]
 	ex.blooms = ex.blooms[:0]
@@ -249,7 +249,7 @@ func (ex *executor) reset(db *DB, q *plan.Query, spec plan.Spec, rep *stats.Repo
 
 // executor carries one query execution's state.
 type executor struct {
-	db   *DB
+	e    *engine
 	q    *plan.Query
 	spec plan.Spec
 	rep  *stats.Report
@@ -362,8 +362,8 @@ func (ex *executor) cleanup() {
 		free()
 	}
 	ex.blooms = nil
-	_ = ex.db.dev.ResetScratch()
-	ex.db.hid.Cache().Invalidate()
+	_ = ex.e.dev.ResetScratch()
+	ex.e.hid.Cache().Invalidate()
 }
 
 // probesLabel renders the Filter operator's probe-count detail
@@ -374,7 +374,7 @@ func probesLabel(n int) string { return strconv.Itoa(n) + " probes" }
 func (ex *executor) strategyOf(i int) plan.Strategy { return ex.spec.Strategies[i] }
 
 func (ex *executor) run() error {
-	db, q := ex.db, ex.q
+	e, q := ex.e, ex.q
 
 	if err := ex.checkCtx(); err != nil {
 		return err
@@ -383,10 +383,10 @@ func (ex *executor) run() error {
 	// The spy sees the query text (threat model: "the only information
 	// revealed ... is which queries you pose and the visible data you
 	// access").
-	if err := db.net.Send(trace.Terminal, trace.Device, trace.KindQuery, len(q.SQL), q.SQL, nil); err != nil {
+	if err := e.net.Send(trace.Terminal, trace.Device, trace.KindQuery, len(q.SQL), q.SQL, nil); err != nil {
 		return err
 	}
-	if err := db.net.Send(trace.Terminal, trace.Server, trace.KindQuery, len(q.SQL), q.SQL, nil); err != nil {
+	if err := e.net.Send(trace.Terminal, trace.Server, trace.KindQuery, len(q.SQL), q.SQL, nil); err != nil {
 		return err
 	}
 
@@ -417,10 +417,10 @@ func (ex *executor) run() error {
 			continue
 		}
 		note := q.Preds[i].String()
-		if err := db.net.Send(trace.Terminal, trace.Server, trace.KindDelegation, len(note), note, nil); err != nil {
+		if err := e.net.Send(trace.Terminal, trace.Server, trace.KindDelegation, len(note), note, nil); err != nil {
 			return err
 		}
-		if err := db.net.Send(trace.Server, trace.Terminal, trace.KindCount, 8,
+		if err := e.net.Send(trace.Server, trace.Terminal, trace.KindCount, 8,
 			fmt.Sprintf("|%s|=%d", q.Preds[i].Col, len(ex.visSel[i])), nil); err != nil {
 			return err
 		}
@@ -447,7 +447,7 @@ func (ex *executor) run() error {
 		dead := ex.deltaDead
 		probe := func(id uint32) bool { _, ok := dead[id]; return ok }
 		op := ex.rep.NewOp("Tombstones", q.Root.Name)
-		rootIter = db.env.FilterDeadBatch(rootIter, probe, op)
+		rootIter = e.env.FilterDeadBatch(rootIter, probe, op)
 	}
 
 	// Bloom filters for post-filtered tables, then hidden post
@@ -465,7 +465,7 @@ func (ex *executor) run() error {
 	var hidFilters []hidFilter
 	for _, i := range hidPostPreds {
 		p := q.Preds[i]
-		td, ok := db.hid.Table(p.Col.Table)
+		td, ok := e.hid.Table(p.Col.Table)
 		if !ok {
 			rootIter.Close()
 			return fmt.Errorf("core: no hidden table %s", p.Col.Table)
@@ -482,7 +482,7 @@ func (ex *executor) run() error {
 	// SKT access + filtering + store (Figure 5's lower pipeline).
 	var sktTable *skt.SKT
 	if len(ex.layout) > 0 {
-		s, ok := db.skts[q.Root.Name]
+		s, ok := e.skts[q.Root.Name]
 		if !ok {
 			rootIter.Close()
 			return fmt.Errorf("core: no SKT rooted at %s", q.Root.Name)
@@ -491,26 +491,26 @@ func (ex *executor) run() error {
 	}
 	spec := exec.JoinFilterSpec{SKT: sktTable, Tables: ex.layout}
 	for _, b := range blooms {
-		spec.Filters = append(spec.Filters, db.env.BloomProbeCosted(b.f, b.field))
+		spec.Filters = append(spec.Filters, e.env.BloomProbeCosted(b.f, b.field))
 	}
 	for _, h := range hidFilters {
-		spec.Filters = append(spec.Filters, db.env.HiddenPredCosted(h.col, h.field, h.p))
+		spec.Filters = append(spec.Filters, e.env.HiddenPredCosted(h.col, h.field, h.p))
 	}
 	spec.JoinOp = ex.rep.NewOp("AccessSKT", q.Root.Name)
 	spec.FilterOp = ex.rep.NewOp("Filter", probesLabel(nFilters))
-	rows, err := db.env.JoinFilterBatch(rootIter, spec)
+	rows, err := e.env.JoinFilterBatch(rootIter, spec)
 	if err != nil {
 		rootIter.Close()
 		return err
 	}
 	storeOp := ex.rep.NewOp("Store", "materialize candidates")
-	phase := db.clock.Now()
-	rf, err := db.env.MaterializeRowsBatch(rows, 1+len(ex.layout), true, storeOp)
+	phase := e.clock.Now()
+	rf, err := e.env.MaterializeRowsBatch(rows, 1+len(ex.layout), true, storeOp)
 	if err != nil {
 		return err
 	}
-	storeOp.AddTime(db.clock.Span(phase))
-	storeOp.NoteRAM(db.dev.RAM.Used())
+	storeOp.AddTime(e.clock.Span(phase))
+	storeOp.NoteRAM(e.dev.RAM.Used())
 
 	if err := ex.checkCtx(); err != nil {
 		return err
@@ -548,27 +548,27 @@ func (ex *executor) evalDeltaRows() error {
 	if len(ex.deltaCands) == 0 {
 		return nil
 	}
-	db, q := ex.db, ex.q
+	e, q := ex.e, ex.q
 	// Resolve every predicate and projection column once, not per row.
-	root := db.views[q.Root.Ordinal()]
+	root := e.views[q.Root.Ordinal()]
 	preds := make([]deltaCol, len(q.Preds))
 	projs := make([]deltaCol, len(q.Projs))
 	for i := range q.Preds {
 		var err error
-		if preds[i], err = db.deltaColOf(root, q.Preds[i].Col); err != nil {
+		if preds[i], err = e.deltaColOf(root, q.Preds[i].Col); err != nil {
 			return err
 		}
 	}
 	for j, c := range q.Projs {
 		var err error
-		if projs[j], err = db.deltaColOf(root, c); err != nil {
+		if projs[j], err = e.deltaColOf(root, c); err != nil {
 			return err
 		}
 	}
 
 	op := ex.rep.NewOp("DeltaScan", probesLabel(len(ex.deltaCands)))
-	phase := db.clock.Now()
-	lv := db.newLiveness(false)
+	phase := e.clock.Now()
+	lv := e.newLiveness(false)
 	resultBytes := 0
 	for n, id := range ex.deltaCands {
 		if n&63 == 0 {
@@ -577,17 +577,17 @@ func (ex *executor) evalDeltaRows() error {
 			}
 		}
 		op.AddIn(1)
-		db.dev.CPU.Charge(sim.CyclesDeltaRow)
+		e.dev.CPU.Charge(sim.CyclesDeltaRow)
 		if !lv.live(q.Root.Ordinal(), id) {
 			continue
 		}
 		match := true
 		for i := range preds {
-			v, err := db.effectiveAt(id, &preds[i])
+			v, err := e.effectiveAt(id, &preds[i])
 			if err != nil {
 				return err
 			}
-			db.dev.CPU.Charge(sim.CyclesPredicate)
+			e.dev.CPU.Charge(sim.CyclesPredicate)
 			ok, err := q.Preds[i].P.Eval(v)
 			if err != nil {
 				return err
@@ -602,7 +602,7 @@ func (ex *executor) evalDeltaRows() error {
 		}
 		vals := make([]value.Value, len(projs))
 		for j := range projs {
-			v, err := db.effectiveAt(id, &projs[j])
+			v, err := e.effectiveAt(id, &projs[j])
 			if err != nil {
 				return err
 			}
@@ -613,7 +613,7 @@ func (ex *executor) evalDeltaRows() error {
 		op.AddOut(1)
 		ex.deltaRows = append(ex.deltaRows, deltaRow{root: id, vals: vals})
 	}
-	op.AddTime(db.clock.Span(phase))
+	op.AddTime(e.clock.Span(phase))
 	return ex.sendResultBytes(resultBytes, "delta rows")
 }
 
@@ -626,21 +626,21 @@ type deltaCol struct {
 	hops []fkHop
 }
 
-func (db *DB) deltaColOf(root *tableView, c plan.Col) (deltaCol, error) {
-	t := db.mustTable(c.Table)
-	dc := deltaCol{tv: db.views[t.Ordinal()], ci: t.ColumnIndex(c.Column)}
+func (e *engine) deltaColOf(root *tableView, c plan.Col) (deltaCol, error) {
+	t := e.mustTable(c.Table)
+	dc := deltaCol{tv: e.views[t.Ordinal()], ci: t.ColumnIndex(c.Column)}
 	var err error
-	dc.hops, err = db.descent(root, dc.tv)
+	dc.hops, err = e.descent(root, dc.tv)
 	return dc, err
 }
 
 // effectiveAt reads c's current value for the query-root row id.
-func (db *DB) effectiveAt(id uint32, c *deltaCol) (value.Value, error) {
-	mid, err := db.effectiveDescend(id, c.hops)
+func (e *engine) effectiveAt(id uint32, c *deltaCol) (value.Value, error) {
+	mid, err := e.effectiveDescend(id, c.hops)
 	if err != nil {
 		return value.Value{}, err
 	}
-	return db.valueOf(c.tv, db.image(c.tv, mid), c.ci, mid)
+	return e.valueOf(c.tv, e.image(c.tv, mid), c.ci, mid)
 }
 
 // buildLayout decides which member tables each row carries.
@@ -678,19 +678,19 @@ type contrib struct {
 // rootStream builds the sorted query-root ID stream by integrating all
 // pre-SKT contributions, with or without cross-filtering.
 func (ex *executor) rootStream(visPreByTable map[string][]int, indexPreds []int) (exec.BatchIter, error) {
-	db, q := ex.db, ex.q
+	e, q := ex.e, ex.q
 	contribs := make([]contrib, 0, len(indexPreds)+len(visPreByTable))
 
 	// Index contributions (hidden predicates, and device-indexed
 	// visible predicates).
 	for _, i := range indexPreds {
 		p := q.Preds[i]
-		ix, _ := db.indexLocked(p.Col.Table, p.Col.Column)
+		ix, _ := e.indexLocked(p.Col.Table, p.Col.Column)
 		op := ex.rep.NewOp("ClimbingIndex", q.PredLabel(i))
-		phase := db.clock.Now()
+		phase := e.clock.Now()
 		refs := make([][]climbing.ListRef, len(ix.Levels))
-		err := forEachEntry(ix, p.P, func(e climbing.Entry) error {
-			for l, r := range e.Lists {
+		err := forEachEntry(ix, p.P, func(ent climbing.Entry) error {
+			for l, r := range ent.Lists {
 				if r.Count > 0 {
 					refs[l] = append(refs[l], r)
 				}
@@ -700,7 +700,7 @@ func (ex *executor) rootStream(visPreByTable map[string][]int, indexPreds []int)
 		if err != nil {
 			return nil, err
 		}
-		op.AddTime(db.clock.Span(phase))
+		op.AddTime(e.clock.Span(phase))
 		for _, r := range refs[0] {
 			op.AddOut(int64(r.Count))
 		}
@@ -723,21 +723,21 @@ func (ex *executor) rootStream(visPreByTable map[string][]int, indexPreds []int)
 			ids = visible.IntersectSorted(ids, ex.visSel[i])
 		}
 		op := ex.rep.NewOp("ShipIDList", t)
-		phase := db.clock.Now()
+		phase := e.clock.Now()
 		run, err := ex.shipIDList(ids, t, op)
 		if err != nil {
 			return nil, err
 		}
-		op.AddTime(db.clock.Span(phase))
+		op.AddTime(e.clock.Span(phase))
 		contribs = append(contribs, contrib{table: t, run: &run})
 	}
 
-	rootRows := db.rowCounts[q.Root.Name]
+	rootRows := e.rowCounts[q.Root.Name]
 	if len(contribs) == 0 {
 		return &seqBatch{max: uint32(rootRows)}, nil
 	}
 
-	fanin := db.env.Fanin(0.5)
+	fanin := e.env.Fanin(0.5)
 	if ex.spec.CrossFilter {
 		return ex.crossFilteredRoot(contribs, fanin)
 	}
@@ -762,7 +762,7 @@ func (ex *executor) rootStream(visPreByTable map[string][]int, indexPreds []int)
 		}
 		if spillMode {
 			op := ex.rep.NewOp("Store", "contribution@"+c.table)
-			run, err := db.env.SpillBatch(it, op)
+			run, err := e.env.SpillBatch(it, op)
 			if err != nil {
 				closeAll()
 				return nil, err
@@ -780,26 +780,26 @@ func (ex *executor) rootStream(visPreByTable map[string][]int, indexPreds []int)
 		}
 		rootIters = append(rootIters, it)
 	}
-	return db.env.MergeIntersectBatch(rootIters)
+	return e.env.MergeIntersectBatch(rootIters)
 }
 
 // tightRAM reports whether n concurrent merge pipelines would endanger
 // the arena: each needs a few stream pages plus spill-writer slack.
 func (ex *executor) tightRAM(n int) bool {
-	pages := ex.db.dev.RAM.Available() / int64(ex.db.dev.Profile.Flash.PageSize)
+	pages := ex.e.dev.RAM.Available() / int64(ex.e.dev.Profile.Flash.PageSize)
 	return int64(4*(n+1)) > pages
 }
 
 // contribAtRoot opens a contribution as a stream of query-root IDs.
 func (ex *executor) contribAtRoot(c contrib, fanin int) (exec.BatchIter, error) {
-	db, q := ex.db, ex.q
+	e, q := ex.e, ex.q
 	if c.ix != nil {
 		level := c.ix.LevelOf(q.Root.Name)
 		if level < 0 {
 			return nil, fmt.Errorf("core: index on %s does not climb to %s", c.table, q.Root.Name)
 		}
 		op := ex.rep.NewOp("MergeLists", c.table+"@"+q.Root.Name)
-		return db.env.UnionBatch(db.env.ListSources(c.ix, c.refs[level]), fanin, op)
+		return e.env.UnionBatch(e.env.ListSources(c.ix, c.refs[level]), fanin, op)
 	}
 	// Visible pre-filter run.
 	it, err := c.run.OpenBatch()
@@ -809,7 +809,7 @@ func (ex *executor) contribAtRoot(c contrib, fanin int) (exec.BatchIter, error) 
 	if c.table == q.Root.Name {
 		return it, nil
 	}
-	tr, err := db.translator(c.table)
+	tr, err := e.translator(c.table)
 	if err != nil {
 		it.Close()
 		return nil, err
@@ -819,18 +819,18 @@ func (ex *executor) contribAtRoot(c contrib, fanin int) (exec.BatchIter, error) 
 		return nil, fmt.Errorf("core: translator on %s does not reach %s", c.table, q.Root.Name)
 	}
 	op := ex.rep.NewOp("Translate", fmt.Sprintf("%s->%s", c.table, q.Root.Name))
-	phase := db.clock.Now()
-	out, err := db.env.TranslateBatch(it, tr, level, fanin, op)
-	op.AddTime(db.clock.Span(phase))
+	phase := e.clock.Now()
+	out, err := e.env.TranslateBatch(it, tr, level, fanin, op)
+	op.AddTime(e.clock.Span(phase))
 	return out, err
 }
 
 // contribAtOwn opens a contribution as a stream at its own table level.
 func (ex *executor) contribAtOwn(c contrib, fanin int) (exec.BatchIter, error) {
-	db := ex.db
+	e := ex.e
 	if c.ix != nil {
 		op := ex.rep.NewOp("MergeLists", c.table)
-		return db.env.UnionBatch(db.env.ListSources(c.ix, c.refs[0]), fanin, op)
+		return e.env.UnionBatch(e.env.ListSources(c.ix, c.refs[0]), fanin, op)
 	}
 	return c.run.OpenBatch()
 }
@@ -839,7 +839,7 @@ func (ex *executor) contribAtOwn(c contrib, fanin int) (exec.BatchIter, error) {
 // each table, translate the (smaller) intersection upward to the nearest
 // table with contributions, repeat — the paper's cross-filtering.
 func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.BatchIter, error) {
-	db, q := ex.db, ex.q
+	e, q := ex.e, ex.q
 	byTable := map[string][]contrib{}
 	occupied := map[string]bool{}
 	for _, c := range contribs {
@@ -852,7 +852,7 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 		tables = append(tables, t)
 	}
 	sort.Slice(tables, func(i, j int) bool {
-		di, dj := db.sch.Depth(tables[i]), db.sch.Depth(tables[j])
+		di, dj := e.sch.Depth(tables[i]), e.sch.Depth(tables[j])
 		if di != dj {
 			return di > dj
 		}
@@ -865,7 +865,7 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 			return it, nil
 		}
 		op := ex.rep.NewOp("Store", note)
-		run, err := db.env.SpillBatch(it, op)
+		run, err := e.env.SpillBatch(it, op)
 		if err != nil {
 			return nil, err
 		}
@@ -900,7 +900,7 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 		}
 		iters = append(iters, pending[t]...)
 		delete(pending, t)
-		combined, err := db.env.MergeIntersectBatch(iters)
+		combined, err := e.env.MergeIntersectBatch(iters)
 		if err != nil {
 			return nil, err
 		}
@@ -910,21 +910,21 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 		}
 		// Translate the intersection up to the nearest occupied ancestor.
 		target := q.Root.Name
-		for _, anc := range db.sch.PathToRoot(t)[1:] {
+		for _, anc := range e.sch.PathToRoot(t)[1:] {
 			if occupied[anc.Name] || len(pending[anc.Name]) > 0 {
 				target = anc.Name
 				break
 			}
 		}
-		tr, err := db.translator(t)
+		tr, err := e.translator(t)
 		if err != nil {
 			return nil, err
 		}
 		level := tr.LevelOf(target)
 		op := ex.rep.NewOp("Translate", fmt.Sprintf("%s->%s (cross)", t, target))
-		phase := db.clock.Now()
-		translated, err := db.env.TranslateBatch(combined, tr, level, fanin, op)
-		op.AddTime(db.clock.Span(phase))
+		phase := e.clock.Now()
+		translated, err := e.env.TranslateBatch(combined, tr, level, fanin, op)
+		op.AddTime(e.clock.Span(phase))
 		if err != nil {
 			return nil, err
 		}
@@ -941,20 +941,20 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 	for t, its := range pending {
 		// Contributions translated to a table that never got processed
 		// (it was shallower in the order); intersect at root level.
-		tr, err := db.translator(t)
+		tr, err := e.translator(t)
 		if err != nil {
 			return nil, err
 		}
 		for _, it := range its {
 			op := ex.rep.NewOp("Translate", fmt.Sprintf("%s->%s (late)", t, q.Root.Name))
-			translated, err := db.env.TranslateBatch(it, tr, tr.LevelOf(q.Root.Name), fanin, op)
+			translated, err := e.env.TranslateBatch(it, tr, tr.LevelOf(q.Root.Name), fanin, op)
 			if err != nil {
 				return nil, err
 			}
 			rootIters = append(rootIters, translated)
 		}
 	}
-	return db.env.MergeIntersectBatch(rootIters)
+	return e.env.MergeIntersectBatch(rootIters)
 }
 
 // shipIDList streams a sorted visible ID list server->terminal->device in
@@ -962,7 +962,7 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 func (ex *executor) shipIDList(ids []uint32, table string, op *stats.Op) (exec.RunSource, error) {
 	op.AddIn(int64(len(ids)))
 	b := &busIDBatch{ex: ex, ids: ids, note: table + " IDs", kind: trace.KindIDList}
-	return ex.db.env.SpillBatch(b, op)
+	return ex.e.env.SpillBatch(b, op)
 }
 
 // builtBloom is one constructed Bloom filter and the row field it probes.
@@ -974,7 +974,7 @@ type builtBloom struct {
 // buildBlooms ships each post-filtered table's ID list and hashes it into
 // a Bloom filter sized to fit the remaining RAM.
 func (ex *executor) buildBlooms(visPostByTable map[string][]int) ([]builtBloom, error) {
-	db := ex.db
+	e := ex.e
 	var filters []builtBloom
 	// Deterministic order.
 	var tables []string
@@ -990,14 +990,14 @@ func (ex *executor) buildBlooms(visPostByTable map[string][]int) ([]builtBloom, 
 			ids = visible.IntersectSorted(ids, ex.visSel[i])
 		}
 		op := ex.rep.NewOp("BloomBuild", t)
-		phase := db.clock.Now()
-		maxBytes := int(db.dev.RAM.Available()) / (remaining + 1)
+		phase := e.clock.Now()
+		maxBytes := int(e.dev.RAM.Available()) / (remaining + 1)
 		b := &busIDBatch{ex: ex, ids: ids, note: t + " IDs (bloom)", kind: trace.KindIDList}
-		f, free, err := db.env.BuildBloomBatch(b, len(ids), db.opts.TargetFPR, maxBytes, op)
+		f, free, err := e.env.BuildBloomBatch(b, len(ids), e.opts.TargetFPR, maxBytes, op)
 		if err != nil {
 			return nil, err
 		}
-		op.AddTime(db.clock.Span(phase))
+		op.AddTime(e.clock.Span(phase))
 		op.Detail = fmt.Sprintf("%s fpr=%.4f", t, f.EstimatedFPR())
 		ex.blooms = append(ex.blooms, free)
 		filters = append(filters, builtBloom{f: f, field: ex.field[t]})
@@ -1010,7 +1010,7 @@ func (ex *executor) buildBlooms(visPostByTable map[string][]int) ([]builtBloom, 
 // visible stream: attaching projected visible values and verifying
 // post-filtered predicates exactly (repairing Bloom false positives).
 func (ex *executor) projectionPasses(rf *exec.RowFile, visPostByTable map[string][]int) (*exec.RowFile, error) {
-	db, q := ex.db, ex.q
+	e, q := ex.e, ex.q
 
 	// Visible (non-PK) projected columns per table.
 	visProj := map[string][]int{} // table -> projection indexes
@@ -1018,7 +1018,7 @@ func (ex *executor) projectionPasses(rf *exec.RowFile, visPostByTable map[string
 		if c.Hidden {
 			continue
 		}
-		t, _ := db.sch.Table(c.Table)
+		t, _ := e.sch.Table(c.Table)
 		if col, _ := t.Column(c.Column); col != nil && col.PrimaryKey {
 			continue // IDs are on the device already
 		}
@@ -1052,14 +1052,14 @@ func (ex *executor) projectionPasses(rf *exec.RowFile, visPostByTable map[string
 		field := ex.field[t]
 		if sortedBy != t {
 			op := ex.rep.NewOp("Sort", "by "+t)
-			phase := db.clock.Now()
-			bufBytes := int(db.dev.RAM.Available()) / 2
+			phase := e.clock.Now()
+			bufBytes := int(e.dev.RAM.Available()) / 2
 			var err error
-			rf, err = db.env.SortRowFile(rf, field, bufBytes, db.env.Fanin(0.25), op)
+			rf, err = e.env.SortRowFile(rf, field, bufBytes, e.env.Fanin(0.25), op)
 			if err != nil {
 				return nil, err
 			}
-			op.AddTime(db.clock.Span(phase))
+			op.AddTime(e.clock.Span(phase))
 			sortedBy = t
 		}
 		restrict := ex.visRestriction(t)
@@ -1109,15 +1109,15 @@ func (ex *executor) visRestriction(table string) []uint32 {
 // the projected values are recorded for the given projection indexes.
 // When rewrite is set, survivors are written to a new row file.
 func (ex *executor) mergePass(rf *exec.RowFile, table string, field int, column string, projIdxs []int, restrict []uint32, rewrite bool) (*exec.RowFile, error) {
-	db := ex.db
-	vt, ok := db.vis.Table(table)
+	e := ex.e
+	vt, ok := e.vis.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("core: no visible table %s", table)
 	}
 	var kvs []visible.KV
 	var err error
 	if column == "" {
-		pk := mustPK(db, table)
+		pk := mustPK(e, table)
 		kvs, err = vt.ProjectSorted(pk, restrict)
 	} else {
 		kvs, err = vt.ProjectSorted(column, restrict)
@@ -1130,7 +1130,7 @@ func (ex *executor) mergePass(rf *exec.RowFile, table string, field int, column 
 		label = table + "." + column
 	}
 	op := ex.rep.NewOp("MergeProject", label)
-	phase := db.clock.Now()
+	phase := e.clock.Now()
 	stream := &busKVIter{ex: ex, kvs: kvs, note: label + " stream"}
 
 	var out *exec.RowFileWriter
@@ -1150,13 +1150,13 @@ func (ex *executor) mergePass(rf *exec.RowFile, table string, field int, column 
 		return nil, err
 	}
 	if rewrite {
-		out, err = db.env.NewRowFileWriter(rf.Fields())
+		out, err = e.env.NewRowFileWriter(rf.Fields())
 		if err != nil {
 			rows.Close()
 			return nil, err
 		}
 	}
-	err = db.env.MergeRowsWithStreamBatch(rows, field, stream, op, matchFn)
+	err = e.env.MergeRowsWithStreamBatch(rows, field, stream, op, matchFn)
 	if err != nil {
 		if out != nil {
 			out.Abort()
@@ -1174,15 +1174,15 @@ func (ex *executor) mergePass(rf *exec.RowFile, table string, field int, column 
 		// final page program of Close has always been outside it.
 		out.Settle()
 	}
-	op.AddTime(db.clock.Span(phase))
+	op.AddTime(e.clock.Span(phase))
 	if out == nil {
 		return rf, nil
 	}
 	return out.Close()
 }
 
-func mustPK(db *DB, table string) string {
-	t, _ := db.sch.Table(table)
+func mustPK(e *engine, table string) string {
+	t, _ := e.sch.Table(table)
 	return t.PrimaryKey().Name
 }
 
@@ -1191,14 +1191,14 @@ func mustPK(db *DB, table string) string {
 // projections directly from the row IDs, and ships everything to the
 // secure display.
 func (ex *executor) finalScan(rf *exec.RowFile) error {
-	db, q := ex.db, ex.q
+	e, q := ex.e, ex.q
 	op := ex.rep.NewOp("Project", "hidden + keys")
-	phase := db.clock.Now()
+	phase := e.clock.Now()
 
 	hps, kps := ex.hps[:0], ex.kps[:0]
 	for j, c := range q.Projs {
 		if c.Hidden {
-			td, ok := db.hid.Table(c.Table)
+			td, ok := e.hid.Table(c.Table)
 			if !ok {
 				return fmt.Errorf("core: no hidden table %s", c.Table)
 			}
@@ -1210,7 +1210,7 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 			hps = append(hps, hiddenProj{projIdx: j, field: ex.field[c.Table], col: col, strs: strs})
 			continue
 		}
-		t, _ := db.sch.Table(c.Table)
+		t, _ := e.sch.Table(c.Table)
 		if sc, _ := t.Column(c.Column); sc != nil && sc.PrimaryKey {
 			kps = append(kps, keyProj{projIdx: j, field: ex.field[c.Table]})
 		}
@@ -1252,7 +1252,7 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 		return err
 	}
 	defer it.Close()
-	rb := db.env.NewRowBatch(rf.Fields())
+	rb := e.env.NewRowBatch(rf.Fields())
 	defer exec.PutRowBatch(rb)
 	for {
 		if err := ex.checkCtx(); err != nil {
@@ -1274,7 +1274,7 @@ func (ex *executor) finalScan(rf *exec.RowFile) error {
 		}
 	}
 	op.AddOut(int64(ex.live.n))
-	op.AddTime(db.clock.Span(phase))
+	op.AddTime(e.clock.Span(phase))
 	return ex.sendResultBytes(resultBytes, "result rows")
 }
 
@@ -1284,13 +1284,13 @@ func (ex *executor) sendResultBytes(n int, note string) error {
 	if n == 0 {
 		return nil
 	}
-	chunk := ex.db.opts.Profile.BusChunkBytes
+	chunk := ex.e.opts.Profile.BusChunkBytes
 	for n > 0 {
 		sz := chunk
 		if n < sz {
 			sz = n
 		}
-		if err := ex.db.net.Send(trace.Device, trace.Display, trace.KindResult, sz, note, nil); err != nil {
+		if err := ex.e.net.Send(trace.Device, trace.Display, trace.KindResult, sz, note, nil); err != nil {
 			return err
 		}
 		n -= sz
@@ -1428,7 +1428,7 @@ func (b *busIDBatch) Next(dst []uint32) (int, error) {
 	if b.i >= len(b.ids) {
 		return 0, nil
 	}
-	chunkIDs := b.ex.db.opts.Profile.BusChunkBytes / 4
+	chunkIDs := b.ex.e.opts.Profile.BusChunkBytes / 4
 	if chunkIDs < 1 {
 		chunkIDs = 1
 	}
@@ -1440,15 +1440,15 @@ func (b *busIDBatch) Next(dst []uint32) (int, error) {
 				c = chunkIDs
 			}
 			var vals []value.Value
-			if b.ex.db.rec.Level() == trace.CaptureFull {
+			if b.ex.e.rec.Level() == trace.CaptureFull {
 				for _, id := range b.ids[b.i : b.i+c] {
 					vals = append(vals, value.NewInt(int64(id)))
 				}
 			}
-			if err := b.ex.db.net.Send(trace.Server, trace.Terminal, b.kind, c*4, b.note, vals); err != nil {
+			if err := b.ex.e.net.Send(trace.Server, trace.Terminal, b.kind, c*4, b.note, vals); err != nil {
 				return n, err
 			}
-			if err := b.ex.db.net.Send(trace.Terminal, trace.Device, b.kind, c*4, b.note, vals); err != nil {
+			if err := b.ex.e.net.Send(trace.Terminal, trace.Device, b.kind, c*4, b.note, vals); err != nil {
 				return n, err
 			}
 		}
@@ -1485,11 +1485,11 @@ func (b *busKVIter) Next() (exec.KV, bool, error) {
 		return exec.KV{}, false, nil
 	}
 	if b.i >= b.chunkEnd {
-		chunkBytes := b.ex.db.opts.Profile.BusChunkBytes
+		chunkBytes := b.ex.e.opts.Profile.BusChunkBytes
 		bytes := 0
 		end := b.i
 		var vals []value.Value
-		capture := b.ex.db.rec.Level() == trace.CaptureFull
+		capture := b.ex.e.rec.Level() == trace.CaptureFull
 		for end < len(b.kvs) && bytes < chunkBytes {
 			bytes += 4 + b.kvs[end].Val.EncodedSize()
 			if capture {
@@ -1497,10 +1497,10 @@ func (b *busKVIter) Next() (exec.KV, bool, error) {
 			}
 			end++
 		}
-		if err := b.ex.db.net.Send(trace.Server, trace.Terminal, trace.KindProjection, bytes, b.note, vals); err != nil {
+		if err := b.ex.e.net.Send(trace.Server, trace.Terminal, trace.KindProjection, bytes, b.note, vals); err != nil {
 			return exec.KV{}, false, err
 		}
-		if err := b.ex.db.net.Send(trace.Terminal, trace.Device, trace.KindProjection, bytes, b.note, vals); err != nil {
+		if err := b.ex.e.net.Send(trace.Terminal, trace.Device, trace.KindProjection, bytes, b.note, vals); err != nil {
 			return exec.KV{}, false, err
 		}
 		b.chunkEnd = end

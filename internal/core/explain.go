@@ -8,8 +8,13 @@ import (
 )
 
 // Explain renders the plan in the spirit of Figure 5: the device pipeline
-// with the untrusted inputs marked.
+// with the untrusted inputs marked, and engine 0's live-DML state.
 func (db *DB) Explain(q *plan.Query, spec plan.Spec) string {
+	return db.shards.engines[0].planText(q, spec)
+}
+
+// planText renders the plan with this device's live-DML state.
+func (e *engine) planText(q *plan.Query, spec plan.Spec) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan %s for %s\n", spec.Label, q.SQL)
 	fmt.Fprintf(&b, "query root: %s", q.Root.Name)
@@ -35,23 +40,23 @@ func (db *DB) Explain(q *plan.Query, spec plan.Spec) string {
 	// Live-DML state: the per-table delta/tombstone cardinalities, and
 	// this query's footprint (how many base root rows the pipeline will
 	// subtract and re-evaluate against the effective state).
-	db.mu.Lock()
+	e.mu.Lock()
 	type deltaLine struct {
 		name             string
 		rows, tombstones int
 	}
 	var lines []deltaLine
-	for _, d := range db.delta.Tables() {
+	for _, d := range e.delta.Tables() {
 		if d.Dirty() {
 			lines = append(lines, deltaLine{d.Name(), d.Rows(), d.Tombstones()})
 		}
 	}
 	var dirtyRoots, cands int
-	if db.loaded && len(lines) > 0 {
-		dead, cs := db.deltaFootprint(q)
+	if e.loaded && len(lines) > 0 {
+		dead, cs := e.deltaFootprint(q)
 		dirtyRoots, cands = len(dead), len(cs)
 	}
-	db.mu.Unlock()
+	e.mu.Unlock()
 	if len(lines) > 0 {
 		b.WriteString("  delta:")
 		for _, l := range lines {

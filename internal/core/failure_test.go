@@ -135,19 +135,19 @@ func TestPrunedQuerySurvivesDeadShardElsewhere(t *testing.T) {
 	kill.SetShard(2)
 	db, _, _ := loadShardedTiny(t, 4, WithFaultPlan(kill))
 	single, _, _ := loadTiny(t)
-	ss := db.shards
+	ss := &db.shards
 
 	const scan = `SELECT Pre.PreID FROM Prescription Pre WHERE Pre.Quantity > 20`
 	if _, err := db.Query(scan); err == nil {
 		t.Fatal("a full scatter over a dying shard succeeded")
 	}
-	if ss.children[2].FatalError() == nil {
+	if ss.engines[2].fatalError() == nil {
 		t.Fatal("the power cut on shard 2 did not latch")
 	}
 	for key := 1; key <= 8; key++ {
 		q := fmt.Sprintf(`SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.PreID = %d`, key)
 		res, err := db.Query(q)
-		if owner := int(ss.rootMap[key-1].shard); owner == 2 {
+		if owner := int(ss.roots.shardOf(int64(key))); owner == 2 {
 			if err == nil || !strings.Contains(err.Error(), "shard 2 unavailable") {
 				t.Fatalf("%s (owned by the dead shard): %v", q, err)
 			}
@@ -178,7 +178,7 @@ func TestPrunedQuerySurvivesDeadShardElsewhere(t *testing.T) {
 // not shard 0's when shard 0 was pruned.
 func TestMergedPlanComesFromFirstContactedShard(t *testing.T) {
 	db, _, _ := loadShardedTiny(t, 4)
-	ss := db.shards
+	ss := &db.shards
 	// Keys 2 and 4 live on shards 1 and 3 of the round-robin split.
 	const q = `SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.PreID IN (2, 4) AND Pre.Quantity >= 0`
 	if _, err := db.Query(q); err != nil {

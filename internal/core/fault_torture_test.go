@@ -57,11 +57,8 @@ func tortureSchedule(t *testing.T, db *DB, capture func(version int)) (committed
 // maxShardOps returns the largest per-device op count — the sweep range
 // for cutop, which triggers on each shard's own counter.
 func maxShardOps(db *DB) int64 {
-	if db.shards == nil {
-		return db.inj.Ops()
-	}
 	var m int64
-	for _, c := range db.shards.children {
+	for _, c := range db.shards.engines {
 		if n := c.inj.Ops(); n > m {
 			m = n
 		}
@@ -171,7 +168,7 @@ func TestTransientFaultsDifferential(t *testing.T) {
 			}
 		}
 	}
-	injected, retried := db.inj.Stats()
+	injected, retried := db.shards.engines[0].inj.Stats()
 	if injected == 0 || retried == 0 {
 		t.Fatalf("plan never fired: injected=%d retried=%d", injected, retried)
 	}

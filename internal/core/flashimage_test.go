@@ -20,12 +20,8 @@ import (
 // not the database.
 func flashImageDigest(t *testing.T, db *DB) string {
 	t.Helper()
-	devs := []*DB{db}
-	if db.shards != nil {
-		devs = db.shards.children
-	}
 	h := sha256.New()
-	for _, c := range devs {
+	for _, c := range db.shards.engines {
 		c.mu.Lock()
 		img, err := c.dev.Flash.Image()
 		fp := c.dev.Profile.Flash

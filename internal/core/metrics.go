@@ -6,7 +6,14 @@ import (
 
 // engineMetrics holds pre-registered pointers into one metrics.Registry
 // so the hot path pays a few atomic adds and zero map lookups per query.
-// Every DB and every Session owns one.
+// Every DB front door, every Session and every device engine owns one.
+// The front door's and the sessions' (newEngineMetrics) count what the
+// front door sees: queries, plan cache, DML, CHECKPOINT, the delta,
+// routing. An engine's (newDeviceMetrics) counts what its device and
+// pipeline did. Each metric is fed on one side only, so the database's
+// registry is the front door's plus the sum of its engines'
+// (DB.MetricsSnapshot). A field the registry does not carry is nil, and
+// every metric is nil-safe.
 //
 // Time histograms come in pairs: *_wall_ns is host wall-clock,
 // *_sim_ns is simulated device time. Feeding metrics never charges the
@@ -50,11 +57,7 @@ type engineMetrics struct {
 	queryWall      *metrics.Histogram
 	querySim       *metrics.Histogram
 	checkpointWall *metrics.Histogram
-	// The phases of checkpoint_wall_ns, per device: on a sharded DB they
-	// are fed on the shard registries (the children do the work), and a
-	// child's total also spans its wait for the other shards' prepare.
-	// Nil (Observe is nil-safe) on session registries, which never see a
-	// CHECKPOINT and would only carry 14 KB of empty buckets each.
+	// The phases of checkpoint_wall_ns, per device.
 	checkpointPrepareWall *metrics.Histogram
 	checkpointRebuildWall *metrics.Histogram
 	// The rebuild phase again in three (loadState feeds them); what is left
@@ -66,13 +69,13 @@ type engineMetrics struct {
 	checkpointSim          *metrics.Histogram
 	recoveryWall           *metrics.Histogram
 
-	// Shard coordinator only (addRouteMetrics): how each query was routed
-	// and how many devices it contacted. Nil (nil-safe) everywhere else.
+	// Front door only (addRouteMetrics): how each query was routed and
+	// how many devices it contacted.
 	shardRoutes     [numShardRoutes]*metrics.Counter
 	shardsContacted *metrics.Histogram
 }
 
-// shardRoute names how the coordinator served a query.
+// shardRoute names how the front door served a query.
 type shardRoute int
 
 const (
@@ -82,10 +85,10 @@ const (
 	numShardRoutes
 )
 
-// addRouteMetrics registers the coordinator's routing metrics. The
+// addRouteMetrics registers the front door's routing metrics. The
 // counters share one Prometheus family, told apart by a route label.
 func (m *engineMetrics) addRouteMetrics() {
-	const help = "queries by how the shard coordinator routed them"
+	const help = "queries by how the front door routed them over the device shards"
 	for route, label := range [numShardRoutes]string{"pruned", "scatter", "replica"} {
 		m.shardRoutes[route] = m.reg.Counter(`shard_route_total{route="`+label+`"}`, help)
 	}
@@ -98,41 +101,25 @@ func (m *engineMetrics) noteRoute(route shardRoute, contacted int) {
 	m.shardsContacted.Observe(int64(contacted))
 }
 
-// newEngineMetrics builds a registry with the engine's full metric set;
-// device adds the per-device CHECKPOINT phase histograms.
-func newEngineMetrics(device bool) *engineMetrics {
+// newEngineMetrics builds a front-door (or session) registry.
+func newEngineMetrics() *engineMetrics {
 	r := metrics.NewRegistry()
-	m := &engineMetrics{
+	return &engineMetrics{
 		reg: r,
 
 		queries:         r.Counter("queries_total", "queries executed"),
 		queryErrors:     r.Counter("query_errors_total", "queries that returned an error"),
 		queriesCanceled: r.Counter("queries_canceled_total", "queries stopped by context cancellation"),
 		rowsReturned:    r.Counter("rows_returned_total", "result rows delivered to clients"),
-		batchesPulled:   r.Counter("batches_pulled_total", "vectorized batches pulled through the root stream"),
 		slowQueries:     r.Counter("slow_queries_total", "queries over the slow-query threshold"),
 
 		planCacheHits:   r.Counter("plan_cache_hits_total", "compilations served from the plan cache"),
 		planCacheMisses: r.Counter("plan_cache_misses_total", "compilations that parsed and planned from scratch"),
 
-		dmlStatements:   r.Counter("dml_statements_total", "INSERT/UPDATE/DELETE statements executed"),
-		rowsAffected:    r.Counter("rows_affected_total", "rows touched by DML"),
-		checkpoints:     r.Counter("checkpoints_total", "CHECKPOINT merges that absorbed delta entries"),
-		tombstoneProbes: r.Counter("tombstone_probes_total", "device liveness probes against the tombstone set"),
-
-		flashPageReads: r.Counter("flash_page_reads_total", "simulated flash page reads charged to queries"),
-		busBytes:       r.Counter("bus_bytes_total", "bytes that crossed the terminal-device wire"),
-
-		visIndexed: r.Counter("visible_selects_indexed_total", "visible predicates answered from a sorted column index"),
-		visScanned: r.Counter("visible_selects_scanned_total", "visible predicates answered by a per-row column scan"),
-
-		faultsInjected:   r.Counter("faults_injected_total", "faults injected into the device stack by the fault plan"),
-		faultsRetried:    r.Counter("faults_retried_total", "transient faults absorbed by the retry-with-backoff path"),
-		checksumFailures: r.Counter("checksum_failures_total", "flash page reads that failed OOB checksum verification"),
-		recoveries:       r.Counter("recoveries_total", "databases rebuilt from a flash snapshot via Recover"),
-		recordSim:        r.Counter("commit_record_sim_ns_total", "simulated device time spent writing checkpoint commit records"),
-
-		ramHighWater: r.MaxGauge("ram_high_water_bytes", "device RAM arena high-water mark"),
+		dmlStatements: r.Counter("dml_statements_total", "INSERT/UPDATE/DELETE statements executed"),
+		rowsAffected:  r.Counter("rows_affected_total", "rows touched by DML"),
+		checkpoints:   r.Counter("checkpoints_total", "CHECKPOINT merges that absorbed delta entries"),
+		recoveries:    r.Counter("recoveries_total", "databases rebuilt from a flash snapshot via Recover"),
 
 		deltaRows:       r.Gauge("delta_rows", "live rows resident in the RAM delta store"),
 		deltaTombstones: r.Gauge("delta_tombstones", "tombstones resident in the RAM delta store"),
@@ -144,15 +131,37 @@ func newEngineMetrics(device bool) *engineMetrics {
 		checkpointSim:  r.Histogram("checkpoint_sim_ns", "CHECKPOINT duration, simulated device time"),
 		recoveryWall:   r.Histogram("recovery_wall_ns", "Recover duration, host wall-clock"),
 	}
-	if device {
-		m.checkpointPrepareWall = r.Histogram("checkpoint_prepare_wall_ns", "CHECKPOINT read phase (liveness, renumbering, extraction), host wall-clock")
-		m.checkpointRebuildWall = r.Histogram("checkpoint_rebuild_wall_ns", "CHECKPOINT rebuild phase (flash half swap, column files, SKTs, climbing indexes), host wall-clock")
-		m.checkpointColumnsWall = r.Histogram("checkpoint_rebuild_columns_wall_ns", "CHECKPOINT rebuild: key checks, inverted edges, visible columns and hidden column files, host wall-clock")
-		m.checkpointSKTWall = r.Histogram("checkpoint_rebuild_skt_wall_ns", "CHECKPOINT rebuild: subtree key tables, host wall-clock")
-		m.checkpointClimbingWall = r.Histogram("checkpoint_rebuild_climbing_wall_ns", "CHECKPOINT rebuild: climbing indexes, host wall-clock")
-		m.checkpointCommitWall = r.Histogram("checkpoint_commit_wall_ns", "CHECKPOINT commit phase (commit record, sidecar, sync), host wall-clock")
+}
+
+// newDeviceMetrics builds a device engine's registry.
+func newDeviceMetrics() *engineMetrics {
+	r := metrics.NewRegistry()
+	return &engineMetrics{
+		reg: r,
+
+		batchesPulled:   r.Counter("batches_pulled_total", "vectorized batches pulled through the root stream"),
+		tombstoneProbes: r.Counter("tombstone_probes_total", "device liveness probes against the tombstone set"),
+
+		flashPageReads: r.Counter("flash_page_reads_total", "simulated flash page reads charged to queries"),
+		busBytes:       r.Counter("bus_bytes_total", "bytes that crossed the terminal-device wire"),
+
+		visIndexed: r.Counter("visible_selects_indexed_total", "visible predicates answered from a sorted column index"),
+		visScanned: r.Counter("visible_selects_scanned_total", "visible predicates answered by a per-row column scan"),
+
+		faultsInjected:   r.Counter("faults_injected_total", "faults injected into the device stack by the fault plan"),
+		faultsRetried:    r.Counter("faults_retried_total", "transient faults absorbed by the retry-with-backoff path"),
+		checksumFailures: r.Counter("checksum_failures_total", "flash page reads that failed OOB checksum verification"),
+		recordSim:        r.Counter("commit_record_sim_ns_total", "simulated device time spent writing checkpoint commit records"),
+
+		ramHighWater: r.MaxGauge("ram_high_water_bytes", "device RAM arena high-water mark"),
+
+		checkpointPrepareWall:  r.Histogram("checkpoint_prepare_wall_ns", "CHECKPOINT read phase (liveness, renumbering, extraction), host wall-clock"),
+		checkpointRebuildWall:  r.Histogram("checkpoint_rebuild_wall_ns", "CHECKPOINT rebuild phase (flash half swap, column files, SKTs, climbing indexes), host wall-clock"),
+		checkpointColumnsWall:  r.Histogram("checkpoint_rebuild_columns_wall_ns", "CHECKPOINT rebuild: key checks, inverted edges, visible columns and hidden column files, host wall-clock"),
+		checkpointSKTWall:      r.Histogram("checkpoint_rebuild_skt_wall_ns", "CHECKPOINT rebuild: subtree key tables, host wall-clock"),
+		checkpointClimbingWall: r.Histogram("checkpoint_rebuild_climbing_wall_ns", "CHECKPOINT rebuild: climbing indexes, host wall-clock"),
+		checkpointCommitWall:   r.Histogram("checkpoint_commit_wall_ns", "CHECKPOINT commit phase (commit record, sidecar, sync), host wall-clock"),
 	}
-	return m
 }
 
 // faultSink adapts the engine metrics registry to the fault injector's
@@ -163,47 +172,35 @@ func (s faultSink) FaultInjected(string, bool) { s.m.faultsInjected.Inc() }
 func (s faultSink) FaultRetried(string)        { s.m.faultsRetried.Inc() }
 func (s faultSink) ChecksumFailure()           { s.m.checksumFailures.Inc() }
 
-// noteDelta refreshes the delta-store gauges from the store's current
-// footprint. Callers hold db.mu (the delta store is device state). On a
-// sharded DB the gauges carry the logical delta aggregated over the
-// shard set (child locks only, so this is safe under db.mu or ss.mu).
+// noteDelta refreshes the delta gauges from the logical delta, summed
+// over the engines without allocating (it runs after every DML
+// statement). Caller holds db.mu.
 func (m *engineMetrics) noteDelta(db *DB) {
-	var rows, tombs int
-	var deviceBytes int64
-	if db.shards != nil {
-		if !db.loaded {
-			return // staged load: no delta, and the schema isn't frozen yet
-		}
-		for _, d := range db.shards.deltaStats(db) {
-			rows += d.Rows
-			tombs += d.Tombstones
-			deviceBytes += d.DeviceB
-		}
-	} else {
-		for _, dt := range db.delta.Tables() {
-			if !dt.Dirty() {
-				continue
-			}
-			rows += dt.Rows()
-			tombs += dt.Tombstones()
-			deviceBytes += dt.DeviceBytes()
-		}
+	if !db.loaded {
+		return // staged load: no delta, and the schema isn't frozen yet
 	}
+	rows, tombs, deviceBytes := db.shards.deltaTotals(db.sch)
 	m.deltaRows.Set(int64(rows))
 	m.deltaTombstones.Set(int64(tombs))
 	m.deltaBytes.Set(deviceBytes)
 }
 
-// MetricsSnapshot returns a point-in-time snapshot of the engine-wide
-// metrics registry (counters, gauges, histograms), sorted by name; never
-// nil.
+// MetricsSnapshot returns a point-in-time snapshot of the database's
+// metrics (counters, gauges, histograms), sorted by name; never nil: the
+// front door's registry plus the sum of its device engines' (a max gauge
+// takes the maximum).
 func (db *DB) MetricsSnapshot() metrics.Snapshot {
-	return db.metrics.reg.Snapshot()
+	snaps := make([]metrics.Snapshot, 0, 1+len(db.shards.engines))
+	snaps = append(snaps, db.metrics.reg.Snapshot())
+	for _, e := range db.shards.engines {
+		snaps = append(snaps, e.metrics.reg.Snapshot())
+	}
+	return metrics.Merge(snaps...)
 }
 
 // MetricsSnapshot returns this session's private metrics (queries,
-// latency histograms, rows) — the same names as the DB registry but
-// scoped to the session's own traffic.
+// latency histograms, rows) — the front door's names, scoped to the
+// session's own traffic.
 func (s *Session) MetricsSnapshot() metrics.Snapshot {
 	return s.metrics.reg.Snapshot()
 }
@@ -214,18 +211,15 @@ func (db *DB) CheckpointsRun() int64 {
 	return db.checkpointsRun.Load()
 }
 
-// ShardMetrics returns one registry snapshot per device shard, indexed
-// by shard number. Children feed their own registries from their local
-// executions (flash, bus, RAM, batches); coordinator-level counters
-// such as queries_total stay on the DB's own registry. Nil on a
-// single-device DB.
+// ShardMetrics returns one registry snapshot per device engine, indexed
+// by shard number (one on a single-device database): what each device
+// and its pipeline did (flash, bus, RAM, batches, liveness probes,
+// faults, CHECKPOINT phases). Front-door counters such as queries_total
+// live in MetricsSnapshot only.
 func (db *DB) ShardMetrics() []metrics.Snapshot {
-	if db.shards == nil {
-		return nil
-	}
-	out := make([]metrics.Snapshot, len(db.shards.children))
-	for i, c := range db.shards.children {
-		out[i] = c.MetricsSnapshot()
+	out := make([]metrics.Snapshot, len(db.shards.engines))
+	for i, e := range db.shards.engines {
+		out[i] = e.metrics.reg.Snapshot()
 	}
 	return out
 }

@@ -55,26 +55,18 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("core: snapshot before Build")
 	}
 	snap := &Snapshot{opts: db.opts, ddl: append([]string(nil), db.ddl...)}
-	if db.shards != nil {
-		ss := db.shards
-		ss.mu.RLock()
-		defer ss.mu.RUnlock()
-		for _, c := range ss.children {
-			c.mu.Lock()
-			img, err := c.dev.Flash.Image()
-			vis := cloneCommittedVis(c.committedVis)
-			c.mu.Unlock()
-			if err != nil {
-				return nil, fmt.Errorf("core: snapshot: imaging shard: %w", err)
-			}
-			snap.shards = append(snap.shards, shardState{img: img, vis: vis})
-		}
-	} else {
-		img, err := db.dev.Flash.Image()
+	ss := &db.shards
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	for s, e := range ss.engines {
+		e.mu.Lock()
+		img, err := e.dev.Flash.Image()
+		vis := cloneCommittedVis(e.committedVis)
+		e.mu.Unlock()
 		if err != nil {
-			return nil, fmt.Errorf("core: snapshot: imaging device: %w", err)
+			return nil, fmt.Errorf("core: snapshot: imaging shard %d: %w", s, err)
 		}
-		snap.shards = []shardState{{img: img, vis: cloneCommittedVis(db.committedVis)}}
+		snap.shards = append(snap.shards, shardState{img: img, vis: vis})
 	}
 	return snap, nil
 }

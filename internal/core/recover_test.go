@@ -162,10 +162,9 @@ func TestRecoverReshard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The resharded DB was rebuilt at its own version 0, and ShardCount
-	// reports 0 for an unsharded database.
-	if info2.Version != 0 || single.ShardCount() != 0 {
-		t.Fatalf("version=%d shards=%d, want 0 and unsharded", info2.Version, single.ShardCount())
+	// The resharded DB was rebuilt at its own version 0 on one device.
+	if info2.Version != 0 || single.ShardCount() != 1 {
+		t.Fatalf("version=%d shards=%d, want 0 and one device", info2.Version, single.ShardCount())
 	}
 	assertCorpusEqual(t, want, corpusOf(t, single))
 }

@@ -122,11 +122,12 @@ func TestRowWalkMatchesAssembleThenFinish(t *testing.T) {
 				continue
 			}
 			checked++
-			got, err := ccq.runBound(bound, &queryConfig{}, nil)
+			kid := single.shards.planOnce(ccq, single.sch.Root()).kids[0]
+			got, err := kid.run(bound, &queryConfig{}, nil)
 			if err != nil {
 				t.Fatalf("%s %q: %v", state, sqlText, err)
 			}
-			phys, err := ccq.runBound(stripPostOps(bound), &queryConfig{}, nil)
+			phys, err := kid.run(stripPostOps(bound), &queryConfig{}, nil)
 			if err != nil {
 				t.Fatalf("%s %q (physical rows): %v", state, sqlText, err)
 			}
@@ -168,7 +169,7 @@ func TestRowWalkMatchesAssembleThenFinish(t *testing.T) {
 // and, for a scattered query, every shard's partials to refShardPartials.
 func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want [][]value.Value) {
 	t.Helper()
-	ss := sdb.shards
+	ss := &sdb.shards
 	tag := fmt.Sprintf("%s shards=%d %q", state, sdb.ShardCount(), sqlText)
 	res, err := sdb.Query(sqlText)
 	if err != nil {
@@ -178,9 +179,10 @@ func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want []
 		t.Fatalf("%s: merged\n%v\nsingle device\n%v", tag, res.Rows, want)
 	}
 	root := sdb.sch.Root()
-	if ss == nil || !strings.EqualFold(res.Query.Root.Name, root.Name) {
-		// WithShards(1) is the single-device engine, and a dimension-rooted
-		// query runs whole on one replica: no partials either way.
+	if ss.roots.identity() || !strings.EqualFold(res.Query.Root.Name, root.Name) {
+		// One engine answers a root-rooted query whole, and a
+		// dimension-rooted query runs whole on one replica: no partials
+		// either way.
 		return
 	}
 	cq, _, err := sdb.compileCached(sqlText)
@@ -190,7 +192,7 @@ func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want []
 	cp := ss.planOnce(cq, root)
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
-	for s := range ss.children {
+	for s := range ss.engines {
 		out := sdb.runShard(cp, s, cq.shape, &queryConfig{}, false)
 		if out.err != nil {
 			t.Fatalf("%s shard %d: %v", tag, s, out.err)
@@ -198,8 +200,8 @@ func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want []
 		// The same shard-local query, stripped to its physical rows.
 		local := *cq.shape
 		local.Preds = ss.localizePreds(s, cq.shape.Preds, cp.keys)
-		sh := &shardRemap{l2g: ss.localToGlobal[s], pkProjs: cp.pkProjs}
-		phys, err := ss.child(s).shardRun(cp.kids[s], stripPostOps(&local), &queryConfig{}, sh)
+		sh := &shardRemap{l2g: ss.roots.l2g[s], pkProjs: cp.pkProjs}
+		phys, err := cp.kids[s].run(stripPostOps(&local), &queryConfig{}, sh)
 		if err != nil {
 			t.Fatalf("%s shard %d (physical rows): %v", tag, s, err)
 		}

@@ -54,7 +54,7 @@ func (db *DB) NewSession() (*Session, error) {
 	}
 	db.nextSession++
 	db.sessions++
-	return &Session{db: db, id: db.nextSession, metrics: newEngineMetrics(false)}, nil
+	return &Session{db: db, id: db.nextSession, metrics: newEngineMetrics()}, nil
 }
 
 // OpenSessions reports the number of sessions currently open.

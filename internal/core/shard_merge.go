@@ -39,7 +39,7 @@ type shardOut struct {
 // shardRemap carries a shard's physical rows into the global key space
 // while the executor walks them: the local->global root mapping and the
 // projections that show the root's primary key. The mapping is only valid
-// under ss.mu.RLock, which the coordinator holds for the whole query.
+// under ss.mu.RLock, which the front door holds for the whole query.
 type shardRemap struct {
 	l2g     []uint32
 	pkProjs []int

@@ -136,16 +136,15 @@ func forcedScatter(t *testing.T, sdb *DB, sqlText string) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sdb.shards
+	ss := &sdb.shards
 	cp := ss.planOnce(cq, sdb.sch.Root())
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
-	g := getGather(len(ss.children))
-	defer putGather(g)
-	for s := range g.hit {
-		g.hit[s] = true
+	hit := make([]bool, len(ss.engines))
+	for s := range hit {
+		hit[s] = true
 	}
-	res, err := sdb.gather(cp, cq.shape, &queryConfig{}, g, len(g.hit))
+	res, err := sdb.gather(cp, cq.shape, &queryConfig{}, hit, len(hit))
 	if err != nil {
 		t.Fatalf("forced scatter of %q: %v", sqlText, err)
 	}
@@ -155,7 +154,7 @@ func forcedScatter(t *testing.T, sdb *DB, sqlText string) *Result {
 // coldCaches empties every shard's page cache, so what a run costs a
 // device does not depend on which statements reached that device before.
 func coldCaches(sdb *DB) {
-	for _, c := range sdb.shards.children {
+	for _, c := range sdb.shards.engines {
 		c.mu.Lock()
 		c.hid.Cache().Invalidate()
 		c.mu.Unlock()
@@ -165,21 +164,21 @@ func coldCaches(sdb *DB) {
 // wantTargets places, by brute force over the global key space, the
 // shards that own a key every predicate admits.
 func wantTargets(ss *shardSet, keys []keyPred) []bool {
-	want := make([]bool, len(ss.children))
+	want := make([]bool, len(ss.engines))
 	narrowing := false
 	for _, p := range keys {
 		narrowing = narrowing || p.match != nil
 	}
-	for g, loc := range ss.rootMap {
+	for g := int64(1); g <= int64(ss.roots.n); g++ {
 		ok := true
 		for _, p := range keys {
-			if p.match != nil && !p.match(int64(g+1)) {
+			if p.match != nil && !p.match(g) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			want[loc.shard] = true
+			want[ss.roots.shardOf(g)] = true
 		}
 	}
 	if !narrowing { // no predicate the rule routes by: every shard, keys or not
@@ -204,14 +203,15 @@ func TestShardRouteDifferential(t *testing.T) {
 	sdb, _, _ := loadShardedTiny(t, 4)
 	dbs := []*DB{single, one, sdb}
 	rng := rand.New(rand.NewSource(1707))
-	ss := sdb.shards
+	ss := &sdb.shards
 
 	pruned, zero, scattered := 0, 0, 0
 	replay := func(state string) {
-		n := int64(testRowCount(single, "Prescription"))
-		if d := single.delta.Get(single.mustTable("Prescription").Ordinal()); d != nil {
-			n = int64(d.NextID()) - 1
+		next, err := single.NextID("Prescription")
+		if err != nil {
+			t.Fatal(err)
 		}
+		n := int64(next) - 1
 		cases := routeCases(rng, n)
 		for ci, keys := range cases {
 			// Every case meets every context and every shape once per state,
@@ -359,12 +359,12 @@ func TestShardRouteDifferential(t *testing.T) {
 }
 
 // shardDeltaEntries counts the delta rows and tombstones of one device.
-func shardDeltaEntries(c *DB) int {
-	n := 0
-	for _, d := range c.DeltaStats() {
-		n += d.Rows + d.Tombstones
+func shardDeltaEntries(db *DB, e *engine) int {
+	var d DeltaStats
+	for _, t := range db.Schema().Tables() {
+		e.addDelta(t, &d)
 	}
-	return n
+	return d.Rows + d.Tombstones
 }
 
 // TestShardKeyedDML pins root-write routing: an UPDATE or DELETE keyed on
@@ -376,8 +376,8 @@ func TestShardKeyedDML(t *testing.T) {
 	kill := &fault.Plan{CutAtOp: 1}
 	kill.SetShard(2)
 	sdb, _, _ := loadShardedTiny(t, 4, WithFaultPlan(kill))
-	ss := sdb.shards
-	owner := func(g int) int { return int(ss.rootMap[g-1].shard) }
+	ss := &sdb.shards
+	owner := func(g int) int { return int(ss.roots.shardOf(int64(g))) }
 
 	type stmt struct {
 		sql    string
@@ -410,10 +410,10 @@ func TestShardKeyedDML(t *testing.T) {
 			}
 			targets[owner(k)] = true
 		}
-		clocks := make([]time.Duration, len(ss.children))
-		deltas := make([]int, len(ss.children))
-		for s, c := range ss.children {
-			clocks[s], deltas[s] = c.shardSimTime(), shardDeltaEntries(c)
+		clocks := make([]time.Duration, len(ss.engines))
+		deltas := make([]int, len(ss.engines))
+		for s, c := range ss.engines {
+			clocks[s], deltas[s] = c.simTime(), shardDeltaEntries(sdb, c)
 		}
 		want, err := exec(single, st)
 		if err != nil {
@@ -426,9 +426,9 @@ func TestShardKeyedDML(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s affected %d rows on four shards, %d on the single device", st.sql, got, want)
 		}
-		for s, c := range ss.children {
-			moved := c.shardSimTime() != clocks[s]
-			grew := shardDeltaEntries(c) != deltas[s]
+		for s, c := range ss.engines {
+			moved := c.simTime() != clocks[s]
+			grew := shardDeltaEntries(sdb, c) != deltas[s]
 			if moved != targets[s] || grew != targets[s] {
 				t.Fatalf("%s: shard %d target=%v, clock moved=%v, delta grew=%v", st.sql, s, targets[s], moved, grew)
 			}
@@ -438,13 +438,13 @@ func TestShardKeyedDML(t *testing.T) {
 	// The plan cuts shard 2's power at its first device operation: nothing
 	// above reached it. A statement that must visit it trips the cut and
 	// fails; keyed writes to healthy owners keep working afterwards.
-	if ss.children[2].FatalError() != nil {
+	if ss.engines[2].fatalError() != nil {
 		t.Fatal("shard 2 died during statements that never targeted it")
 	}
 	if _, err := sdb.Exec(`UPDATE Prescription SET Quantity = 2 WHERE Frequency = 1`); err == nil {
 		t.Fatal("a root UPDATE without a key predicate skipped the dying shard")
 	}
-	if ss.children[2].FatalError() == nil {
+	if ss.engines[2].fatalError() == nil {
 		t.Fatal("the power cut on shard 2 did not latch")
 	}
 	key := 50
@@ -495,8 +495,8 @@ func TestShardRouteMetricsAndExplain(t *testing.T) {
 	if v, ok := snap.Get("shards_contacted"); !ok || v.Hist.Count != 7 || v.Hist.Sum != 1+0+2+4+1+1+4 {
 		t.Errorf("shards_contacted = %+v, want 7 queries contacting 13 shards", v.Hist)
 	}
-	for s, child := range sdb.shards.children {
-		if _, ok := child.MetricsSnapshot().Get("shards_contacted"); ok {
+	for s, child := range sdb.shards.engines {
+		if _, ok := child.metrics.reg.Snapshot().Get("shards_contacted"); ok {
 			t.Errorf("shard %d registers the coordinator's routing metrics", s)
 		}
 	}

@@ -1,77 +1,85 @@
 package core
 
 // Read-only views over the shard set: the logical delta, the next dense
-// key, and the per-shard summaries the monitoring surfaces serve.
+// key, the base cardinalities, and the per-shard summaries the monitoring
+// surfaces serve. The root table's rows are partitioned, so its figures
+// sum over the engines; a dimension is replicated on every engine, so
+// engine 0 stands for all of them.
 
 import (
 	"sort"
 	"strings"
 	"time"
+
+	"github.com/ghostdb/ghostdb/internal/schema"
 )
 
-// nextID serves DB.NextID on a sharded database: the root's next global
-// dense key, a dimension's next key from shard 0 (replicas agree).
-// Caller holds the coordinator's device gate.
-func (ss *shardSet) nextID(db *DB, table string) (uint32, error) {
-	root := db.sch.Root()
-	if strings.EqualFold(table, root.Name) {
-		ss.mu.RLock()
-		defer ss.mu.RUnlock()
-		return uint32(len(ss.rootMap)) + 1, nil
+// tableDelta returns the logical delta of table t: summed over the
+// engines for the root, engine 0's for a dimension.
+func (ss *shardSet) tableDelta(t, root *schema.Table) DeltaStats {
+	d := DeltaStats{Table: t.Name}
+	if !strings.EqualFold(t.Name, root.Name) {
+		ss.engines[0].addDelta(t, &d)
+		return d
 	}
-	return ss.child(0).NextID(table)
+	for _, e := range ss.engines {
+		e.addDelta(t, &d)
+	}
+	return d
 }
 
-// deltaStats aggregates the per-shard delta state into the logical
-// database view: root entries sum across shards, dimension entries are
-// counted once (shard 0 stands for the identical replicas).
-func (ss *shardSet) deltaStats(db *DB) []DeltaStats {
-	root := db.sch.Root()
-	merged := map[string]*DeltaStats{}
-	for s := range ss.children {
-		for _, d := range ss.child(s).DeltaStats() {
-			isRoot := strings.EqualFold(d.Table, root.Name)
-			if !isRoot && s != 0 {
-				continue
-			}
-			m := merged[d.Table]
-			if m == nil {
-				m = &DeltaStats{Table: d.Table}
-				merged[d.Table] = m
-			}
-			m.Rows += d.Rows
-			m.Tombstones += d.Tombstones
-			m.DeviceB += d.DeviceB
-			m.HostB += d.HostB
+// deltaStats serves DB.DeltaStats: the dirty tables' logical deltas,
+// sorted by name.
+func (ss *shardSet) deltaStats(sch *schema.Schema) []DeltaStats {
+	var out []DeltaStats
+	for _, t := range sch.Tables() {
+		if d := ss.tableDelta(t, sch.Root()); d.Rows+d.Tombstones > 0 {
+			out = append(out, d)
 		}
-	}
-	out := make([]DeltaStats, 0, len(merged))
-	for _, m := range merged {
-		out = append(out, *m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Table < out[j].Table })
 	return out
 }
 
-// logicalEntries counts the logical delta size (rows plus tombstones,
-// dimensions counted once) — the sharded analogue of delta.Entries()
-// that drives auto-checkpointing.
-func (ss *shardSet) logicalEntries(db *DB) int {
-	total := 0
-	for _, d := range ss.deltaStats(db) {
-		total += d.Rows + d.Tombstones
+// deltaTotals sums the logical delta's rows, tombstones (together what
+// drives auto-checkpointing) and device bytes over the tables without
+// allocating: DML refreshes the delta gauges from it after every
+// statement.
+func (ss *shardSet) deltaTotals(sch *schema.Schema) (rows, tombstones int, deviceB int64) {
+	for _, t := range sch.Tables() {
+		d := ss.tableDelta(t, sch.Root())
+		rows, tombstones, deviceB = rows+d.Rows, tombstones+d.Tombstones, deviceB+d.DeviceB
 	}
-	return total
+	return rows, tombstones, deviceB
 }
 
-// ShardCount reports how many device shards back this DB; 0 means the
-// classic single-device engine.
-func (db *DB) ShardCount() int {
-	if db.shards == nil {
-		return 0
+// nextID serves DB.NextID after the load: the root's next global dense
+// key, a dimension's next key from engine 0 (replicas agree).
+func (ss *shardSet) nextID(root, t *schema.Table) uint32 {
+	if strings.EqualFold(t.Name, root.Name) {
+		ss.mu.RLock()
+		defer ss.mu.RUnlock()
+		return uint32(ss.roots.n) + 1
 	}
-	return len(db.shards.children)
+	return ss.engines[0].nextID(t)
 }
+
+// rowCount serves DB.RowCount after the load: the root's base rows summed
+// over the engines, a dimension's from engine 0.
+func (ss *shardSet) rowCount(root *schema.Table, table string) int {
+	if !strings.EqualFold(table, root.Name) {
+		return ss.engines[0].baseRows(table)
+	}
+	n := 0
+	for _, e := range ss.engines {
+		n += e.baseRows(root.Name)
+	}
+	return n
+}
+
+// ShardCount reports how many device engines back this DB: 1 on a
+// single-device database.
+func (db *DB) ShardCount() int { return len(db.shards.engines) }
 
 // ShardInfo summarizes one device shard for monitoring surfaces.
 type ShardInfo struct {
@@ -83,27 +91,29 @@ type ShardInfo struct {
 	DeltaTombstones int              // tombstones on this shard
 }
 
-// ShardInfos reports per-shard state (nil on single-device DBs).
+// ShardInfos reports per-device state, one entry per engine (one on a
+// single-device database, whose entry describes the device).
 func (db *DB) ShardInfos() []ShardInfo {
-	ss := db.shards
-	if ss == nil {
-		return nil
-	}
+	ss := &db.shards
 	ss.mu.RLock()
-	counts := make([]int, len(ss.children))
-	for i := range counts {
-		counts[i] = len(ss.localToGlobal[i])
+	out := make([]ShardInfo, len(ss.engines))
+	for i := range out {
+		out[i] = ShardInfo{Shard: i, RootRows: ss.roots.rows(i)}
 	}
 	ss.mu.RUnlock()
-	out := make([]ShardInfo, len(ss.children))
-	for i := range ss.children {
-		c := ss.child(i)
-		info := ShardInfo{Shard: i, RootRows: counts[i], Storage: c.Storage(), SimTime: c.shardSimTime()}
-		for _, d := range c.DeltaStats() {
-			info.DeltaRows += d.Rows
-			info.DeltaTombstones += d.Tombstones
+	db.mu.Lock()
+	loaded := db.loaded
+	db.mu.Unlock()
+	for i, e := range ss.engines {
+		out[i].Storage, out[i].SimTime = e.storage(), e.simTime()
+		if !loaded {
+			continue
 		}
-		out[i] = info
+		var d DeltaStats
+		for _, t := range db.sch.Tables() {
+			e.addDelta(t, &d)
+		}
+		out[i].DeltaRows, out[i].DeltaTombstones = d.Rows, d.Tombstones
 	}
 	return out
 }

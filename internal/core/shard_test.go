@@ -171,18 +171,28 @@ func TestShardedConcurrentQueries(t *testing.T) {
 }
 
 // TestShardsOneIsLegacyEngine pins the shards=1 contract: WithShards(1)
-// selects the classic single-device engine (no shard set at all), and
-// its queries are bit-identical to a default Open — same rows, same
-// simulated time, same flash and bus work.
+// and a default Open are the same database — a front door over one
+// engine, which ShardCount and ShardInfos report — and their queries are
+// bit-identical: same rows, same simulated time, same flash and bus work.
+// TestSingleDeviceGolden holds that one engine to what the single-device
+// engine showed before it had a front door.
 func TestShardsOneIsLegacyEngine(t *testing.T) {
 	single, _, _ := loadTiny(t)
 	one, _, _ := loadShardedTiny(t, 1)
 
-	if one.ShardCount() != 0 {
-		t.Fatalf("ShardCount with shards=1 = %d, want 0 (legacy engine)", one.ShardCount())
-	}
-	if one.ShardInfos() != nil {
-		t.Fatal("ShardInfos with shards=1 should be nil")
+	// Every database is a front door over its engines: one here, and the
+	// one entry ShardInfos reports describes that device.
+	for _, db := range []*DB{single, one} {
+		if db.ShardCount() != 1 {
+			t.Fatalf("ShardCount of a single-device database = %d, want 1", db.ShardCount())
+		}
+		infos := db.ShardInfos()
+		if len(infos) != 1 || len(db.ShardMetrics()) != 1 {
+			t.Fatalf("ShardInfos = %+v and %d ShardMetrics, want one device", infos, len(db.ShardMetrics()))
+		}
+		if in := infos[0]; in.Shard != 0 || in.RootRows != db.RowCount("Prescription") || in.SimTime != db.Clock().Now() || in.Storage != db.Storage() {
+			t.Fatalf("ShardInfos[0] = %+v, want the database's own device", in)
+		}
 	}
 
 	for _, q := range append([]string{paperQuery}, concurrentQueries...) {
@@ -247,22 +257,15 @@ func TestShardedReportMerge(t *testing.T) {
 
 // TestShardClockArenaIsolation is the refactor's sharing audit pinned as
 // a regression test: every shard owns its clock and RAM arena. Scatter
-// queries advance each shard's clock independently, the coordinator's
-// own (unused) device never accrues simulated time or RAM, and no
-// query-time arena grant leaks on any shard.
+// queries advance each shard's clock independently (the front door owns
+// no device of its own), and no query-time arena grant leaks on any
+// shard.
 func TestShardClockArenaIsolation(t *testing.T) {
 	db, _, _ := loadShardedTiny(t, 4)
 	for i := 0; i < 3; i++ {
 		if _, err := db.Query(paperQuery); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	if got := db.clock.Now(); got != 0 {
-		t.Fatalf("coordinator clock advanced to %v; shards must own their clocks", got)
-	}
-	if high := db.dev.RAM.High(); high != 0 {
-		t.Fatalf("coordinator arena high-water %d; shards must own their arenas", high)
 	}
 
 	infos := db.ShardInfos()
@@ -283,14 +286,8 @@ func TestShardClockArenaIsolation(t *testing.T) {
 	// Distinct root slices mean distinct work: with the tiny dataset's
 	// uneven round-robin remainder the clocks cannot all collapse to one
 	// value unless they share state.
-	for s, c := range db.shards.children {
-		if c.clock == db.clock {
-			t.Fatalf("shard %d shares the coordinator clock", s)
-		}
-		if c.dev.RAM == db.dev.RAM {
-			t.Fatalf("shard %d shares the coordinator arena", s)
-		}
-		for s2, c2 := range db.shards.children {
+	for s, c := range db.shards.engines {
+		for s2, c2 := range db.shards.engines {
 			if s2 > s && (c.clock == c2.clock || c.dev.RAM == c2.dev.RAM) {
 				t.Fatalf("shards %d and %d share device state", s, s2)
 			}
@@ -506,9 +503,7 @@ func shardPlansAgree(t *testing.T, explained, plain *DB, orc *oracle.Oracle, sql
 
 // testRowCount reads the coordinator's global cardinality for a table.
 func testRowCount(db *DB, table string) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.rowCounts[table]
+	return db.RowCount(table)
 }
 
 // TestShardedMetricsSurfaces checks the per-shard observability

@@ -1,17 +1,23 @@
 package core
 
-// The write side of the shard coordinator: the bulk load's partitioning,
-// INSERT and DELETE/UPDATE routing, and the two-phase CHECKPOINT that
-// rebuilds the global root mapping. All of it runs under the write side
-// of shardSet.mu, so no query ever sees the mapping move.
+// The write side of the front door: the bulk load's partitioning, INSERT
+// and DELETE/UPDATE routing, and the two-phase CHECKPOINT that rebuilds
+// the global root mapping. All of it runs under the write side of
+// shardSet.mu, so no query ever sees the mapping move.
 //
 // Cross-shard root INSERTs are not atomic: rows route to their shards
 // one statement per shard, and a mid-statement failure (e.g. a foreign
 // key killed by a concurrent DELETE) can leave earlier shards applied.
-// The coordinator pre-validates arity, coercion and global key density
+// The front door pre-validates arity, coercion and global key density
 // to make that window small; if it is ever hit, the global mapping and
 // the shard disagree and queries fail with an explicit "outside the
-// global root mapping" error rather than returning wrong rows.
+// global root mapping" error rather than returning wrong rows. Under the
+// identity mapping a statement goes to its one engine whole.
+//
+// Errors of the load and of the statements, which visit their engines one
+// after another, come back as the engine said them (a dead device's
+// latched error names its shard); the CHECKPOINT phases, which run the
+// engines in parallel, name the shard that failed.
 
 import (
 	"context"
@@ -26,19 +32,31 @@ import (
 	"github.com/ghostdb/ghostdb/internal/value"
 )
 
+// each runs fn(s) for every shard, in parallel over several; the
+// caller's goroutine takes the last shard itself.
+func (ss *shardSet) each(fn func(s int)) {
+	var wg sync.WaitGroup
+	last := len(ss.engines) - 1
+	for s := 0; s < last; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			fn(s)
+		}(s)
+	}
+	fn(last)
+	wg.Wait()
+}
+
 // ---------------------------------------------------------------------------
 // Bulk load.
 
-// buildSharded distributes the bulk-load columns over the shard set:
-// the root table round-robin with synthesized shard-local dense keys,
-// dimension tables replicated as-is (the column slices are shared
-// read-only across children). The coordinator keeps the global row
-// counts and the hidden-value audit set; its own device stays empty.
-func (db *DB) buildSharded(cols map[string][][]value.Value) error {
-	ss := db.shards
-	n := len(ss.children)
-	root := db.sch.Root()
-
+// load distributes the bulk-load columns over the engines: the root
+// table round-robin with synthesized shard-local dense keys (handed over
+// as is under the identity mapping), dimension tables replicated as-is
+// (the column slices are shared read-only across engines).
+func (ss *shardSet) load(sch *schema.Schema, cols map[string][][]value.Value, ddl []string) error {
+	root := sch.Root()
 	rcols, ok := cols[root.Name]
 	if !ok || len(rcols) != len(root.Columns) {
 		return fmt.Errorf("core: missing column data for %s", root.Name)
@@ -63,71 +81,42 @@ func (db *DB) buildSharded(cols map[string][][]value.Value) error {
 	// Partition the root: global row r (0-based) goes to shard r%n under
 	// the next local identifier; the PK column is rewritten to the local
 	// dense sequence.
-	perShard := make([]map[string][][]value.Value, n)
+	n := len(ss.engines)
+	roots := newRootMapping(n)
 	shardCols := make([][][]value.Value, n)
-	for s := 0; s < n; s++ {
-		shardCols[s] = make([][]value.Value, len(root.Columns))
-	}
-	ss.rootMap = make([]shardLoc, rows)
-	ss.localToGlobal = make([][]uint32, n)
-	for r := 0; r < rows; r++ {
-		s := r % n
-		local := len(shardCols[s][pkIdx]) + 1
-		for ci := range root.Columns {
-			v := rcols[ci][r]
-			if ci == pkIdx {
-				v = value.NewInt(int64(local))
-			}
-			shardCols[s][ci] = append(shardCols[s][ci], v)
+	if roots.identity() {
+		roots.n = rows
+		shardCols[0] = rcols
+	} else {
+		for s := range shardCols {
+			shardCols[s] = make([][]value.Value, len(root.Columns))
 		}
-		ss.rootMap[r] = shardLoc{shard: uint32(s), local: uint32(local)}
-		ss.localToGlobal[s] = append(ss.localToGlobal[s], uint32(r+1))
+		for r := 0; r < rows; r++ {
+			s, local := roots.place()
+			for ci := range root.Columns {
+				v := rcols[ci][r]
+				if ci == pkIdx {
+					v = value.NewInt(int64(local))
+				}
+				shardCols[s][ci] = append(shardCols[s][ci], v)
+			}
+		}
 	}
 
-	for s := range ss.children {
-		child := map[string][][]value.Value{}
+	for s, e := range ss.engines {
+		part := make(map[string][][]value.Value, len(cols))
 		for name, tc := range cols {
-			if name == root.Name {
-				continue
-			}
-			child[name] = tc // replicated dimensions share the slices
+			part[name] = tc // replicated dimensions share the slices
 		}
-		child[root.Name] = shardCols[s]
-		perShard[s] = child
-	}
-
-	for s := range ss.children {
-		// Each child's commit record persists its local->global root
+		part[root.Name] = shardCols[s]
+		// Each engine's commit record persists its local->global root
 		// mapping alongside the data, so recovery from the shard images
 		// alone can reassemble the global order.
-		if err := ss.child(s).shardLoad(perShard[s], append([]uint32(nil), ss.localToGlobal[s]...)); err != nil {
-			return fmt.Errorf("core: shard %d load: %w", s, err)
+		if err := e.load(part, roots.globals(s), ddl); err != nil {
+			return err
 		}
 	}
-
-	// Coordinator bookkeeping: global cardinalities for the cost model
-	// and the hidden-value audit set (values live on every shard, but the
-	// audit is a property of the database, not of a device).
-	for _, t := range db.sch.Tables() {
-		tcols, ok := cols[t.Name]
-		if !ok {
-			return fmt.Errorf("core: missing column data for %s", t.Name)
-		}
-		cnt := 0
-		if len(tcols) > 0 {
-			cnt = len(tcols[0])
-		}
-		db.rowCounts[t.Name] = cnt
-		for ci, col := range t.Columns {
-			if col.Hidden && col.Type.Kind == value.String {
-				for _, v := range tcols[ci] {
-					db.hiddenVals.Add(v)
-				}
-			}
-		}
-	}
-
-	db.loaded = true
+	ss.roots = roots
 	return nil
 }
 
@@ -138,7 +127,8 @@ func (db *DB) buildSharded(cols map[string][][]value.Value) error {
 // every shard (replicas stay identical); root inserts are validated
 // globally, rewritten to shard-local dense keys and routed round-robin
 // by global identifier, extending the mapping only after every shard
-// applied. Caller holds the coordinator's device gate.
+// applied. Applied rows join the hidden-value audit set. Caller holds
+// db.mu.
 func (ss *shardSet) insert(db *DB, ins *sql.Insert) error {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -147,24 +137,26 @@ func (ss *shardSet) insert(db *DB, ins *sql.Insert) error {
 	if !ok {
 		return fmt.Errorf("core: unknown table %s", ins.Table)
 	}
-	root := db.sch.Root()
-	n := len(ss.children)
-
-	if !strings.EqualFold(t.Name, root.Name) {
-		// Replicated dimension: every child validates and applies the
-		// identical statement against identical state, so it either
-		// applies everywhere or fails on the first child.
-		for s := range ss.children {
-			if err := ss.child(s).shardInsert(ins); err != nil {
-				return fmt.Errorf("core: shard %d: %w", s, err)
+	isRoot := strings.EqualFold(t.Name, db.sch.Root().Name)
+	if !isRoot || ss.roots.identity() {
+		// A replicated dimension, or the root on its one engine: every
+		// engine validates and applies the identical statement against
+		// identical state, so it either applies everywhere or fails on the
+		// first engine.
+		for _, e := range ss.engines {
+			if err := e.insert(ins); err != nil {
+				return err
 			}
 		}
-		ss.auditInsert(db, t, ins.Rows)
+		if isRoot {
+			ss.roots.n += len(ins.Rows)
+		}
+		auditInsert(db, t, ins.Rows)
 		return nil
 	}
 
-	// Root insert: coordinator-side validation of arity, coercion and
-	// global key density, so the only failures after routing begins are
+	// Root insert: front-door validation of arity, coercion and global
+	// key density, so the only failures after routing begins are
 	// device-side ones (e.g. RAM budget), keeping the non-atomic window
 	// small.
 	pkIdx := t.PrimaryKeyIndex()
@@ -184,7 +176,7 @@ func (ss *shardSet) insert(db *DB, ins *sql.Insert) error {
 			}
 			out[ci] = cv
 		}
-		want := int64(len(ss.rootMap)) + 1 + int64(ri)
+		want := int64(ss.roots.n) + 1 + int64(ri)
 		pkVal := out[pkIdx]
 		if pkVal.Kind() != value.Int || pkVal.Int() != want {
 			return fmt.Errorf("core: %s primary key must be dense: row %d needs key %d, got %s",
@@ -193,46 +185,34 @@ func (ss *shardSet) insert(db *DB, ins *sql.Insert) error {
 		coerced[ri] = out
 	}
 
-	// Group the rows per target shard with local dense keys.
-	type routed struct {
-		rows   [][]value.Value
-		owners []int // index into coerced, for the mapping extension
-	}
-	perShard := make([]routed, n)
-	locs := make([]shardLoc, len(coerced))
+	// Group the rows per target shard with local dense keys: global row g
+	// (0-based) goes to shard g%n under that shard's next local key, which
+	// is where rootMapping.place puts it once every shard applied.
+	n := len(ss.engines)
+	perShard := make([][][]value.Value, n)
 	for ri, row := range coerced {
-		g := len(ss.rootMap) + ri // 0-based global index
-		s := g % n
-		local := len(ss.localToGlobal[s]) + len(perShard[s].rows) + 1
+		s := (ss.roots.n + ri) % n
 		sr := append([]value.Value(nil), row...)
-		sr[pkIdx] = value.NewInt(int64(local))
-		perShard[s].rows = append(perShard[s].rows, sr)
-		perShard[s].owners = append(perShard[s].owners, ri)
-		locs[ri] = shardLoc{shard: uint32(s), local: uint32(local)}
+		sr[pkIdx] = value.NewInt(int64(len(ss.roots.l2g[s]) + len(perShard[s]) + 1))
+		perShard[s] = append(perShard[s], sr)
 	}
-	for s := range ss.children {
-		if len(perShard[s].rows) == 0 {
+	for s, e := range ss.engines {
+		if len(perShard[s]) == 0 {
 			continue
 		}
-		sub := &sql.Insert{Table: ins.Table, Rows: perShard[s].rows}
-		if err := ss.child(s).shardInsert(sub); err != nil {
-			return fmt.Errorf("core: shard %d: %w", s, err)
+		if err := e.insert(&sql.Insert{Table: ins.Table, Rows: perShard[s]}); err != nil {
+			return err
 		}
 	}
-
-	// Every shard applied: extend the global mapping in statement order.
-	base := len(ss.rootMap)
-	for ri := range coerced {
-		ss.rootMap = append(ss.rootMap, locs[ri])
-		ss.localToGlobal[locs[ri].shard] = append(ss.localToGlobal[locs[ri].shard], uint32(base+ri+1))
+	for range coerced {
+		ss.roots.place()
 	}
-	ss.auditInsert(db, t, coerced)
+	auditInsert(db, t, coerced)
 	return nil
 }
 
-// auditInsert adds inserted hidden string values to the coordinator's
-// audit set (children maintain their own from their applied rows).
-func (ss *shardSet) auditInsert(db *DB, t *schema.Table, rows [][]value.Value) {
+// auditInsert adds inserted hidden string values to the audit set.
+func auditInsert(db *DB, t *schema.Table, rows [][]value.Value) {
 	for _, row := range rows {
 		for ci, c := range t.Columns {
 			if !c.Hidden || c.Type.Kind != value.String || ci >= len(row) {
@@ -254,38 +234,39 @@ func (ss *shardSet) auditInsert(db *DB, t *schema.Table, rows [][]value.Value) {
 // those predicates localized per shard, and the affected counts sum (every
 // live root row lives on exactly one shard). A shard outside the target
 // set is not visited: its clock, delta and health play no part in the
-// statement. Caller holds the coordinator's device gate.
+// statement. An UPDATE that changed a row adds its hidden string values
+// to the audit set. Caller holds db.mu.
 func (ss *shardSet) execDML(db *DB, d *plan.DML) (int64, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 
-	// Coordinator audit set: hidden string values written by UPDATE.
-	for _, a := range d.Sets {
-		c := d.Table.Columns[a.ColIdx]
-		if c.Hidden && c.Type.Kind == value.String {
-			db.hiddenVals.Add(a.Val)
-		}
-	}
-
-	root := db.sch.Root()
-	if !strings.EqualFold(d.Table.Name, root.Name) {
-		var first int64
-		for s := range ss.children {
-			cnt, err := ss.child(s).shardExecDML(d)
-			if err != nil {
-				return 0, fmt.Errorf("core: shard %d: %w", s, err)
+	var total int64
+	var err error
+	if root := db.sch.Root(); !strings.EqualFold(d.Table.Name, root.Name) {
+		for s, e := range ss.engines {
+			cnt, serr := e.execDML(d)
+			if serr != nil {
+				return 0, serr
 			}
 			if s == 0 {
-				first = cnt
+				total = cnt
 			}
 		}
-		return first, nil
+	} else {
+		var kbuf [4]int
+		var hbuf [8]bool
+		keys, hit := rootKeyPreds(kbuf[:0], d.Preds, root), ss.targetMarks(&hbuf)
+		ss.targets(hit, d.Preds, keys)
+		total, err = ss.execRootDML(d, keys, hit)
 	}
-
-	keys := rootKeyPreds(d.Preds, root)
-	hit := make([]bool, len(ss.children))
-	ss.targets(hit, d.Preds, keys)
-	return ss.execRootDML(d, keys, hit)
+	if total > 0 {
+		for _, a := range d.Sets {
+			if c := &d.Table.Columns[a.ColIdx]; c.Hidden && c.Type.Kind == value.String {
+				db.hiddenVals.Add(a.Val)
+			}
+		}
+	}
+	return total, err
 }
 
 // execRootDML applies a root-table DELETE or UPDATE on the shards marked
@@ -297,11 +278,15 @@ func (ss *shardSet) execRootDML(d *plan.DML, keys []int, hit []bool) (int64, err
 		if !target {
 			continue
 		}
-		sd := *d
-		sd.Preds = ss.localizePreds(s, d.Preds, keys)
-		cnt, err := ss.child(s).shardExecDML(&sd)
+		sd := d
+		if len(keys) > 0 && !ss.roots.identity() {
+			local := *d
+			local.Preds = ss.localizePreds(s, d.Preds, keys)
+			sd = &local
+		}
+		cnt, err := ss.engines[s].execDML(sd)
 		if err != nil {
-			return total, fmt.Errorf("core: shard %d: %w", s, err)
+			return total, err
 		}
 		total += cnt
 	}
@@ -313,7 +298,7 @@ func (ss *shardSet) execRootDML(d *plan.DML, keys []int, hit []bool) (int64, err
 
 // checkpoint runs CHECKPOINT over the shard set as a two-phase merge.
 // Phase A prepares every dirty shard in parallel — a pure read pass
-// (liveness, renumbering, extraction) that leaves each child untouched,
+// (liveness, renumbering, extraction) that leaves each engine untouched,
 // so an error or a context cancellation anywhere abandons the whole
 // checkpoint with every delta intact. Phase B rebuilds the global root
 // mapping from the survivor lists and commits every shard in parallel:
@@ -322,107 +307,83 @@ func (ss *shardSet) execRootDML(d *plan.DML, keys []int, hit []bool) (int64, err
 // advance in lockstep and recovery can pick one global cut (shard
 // versions never spread by more than the one a mid-commit crash tears).
 //
-// Each child renumbers its root survivors densely in ascending old-local
+// Each engine renumbers its root survivors densely in ascending old-local
 // order; walking the old global mapping in order and consuming each
 // shard's survivor list with a cursor therefore assigns exactly the
-// child's new local identifiers, and keeps localToGlobal strictly
-// increasing. Caller holds the coordinator's device gate.
+// engine's new local identifiers, and keeps l2g strictly increasing.
+// Under the identity mapping the new count is the survivor count. Caller
+// holds db.mu.
 func (ss *shardSet) checkpoint(db *DB, ctx context.Context) (int64, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 
-	absorbed := int64(ss.logicalEntries(db))
+	rows, tombs, _ := ss.deltaTotals(db.sch)
+	absorbed := int64(rows + tombs)
 	if absorbed == 0 {
 		return 0, nil
 	}
 	ckptStart := time.Now()
-	root := db.sch.Root()
-	n := len(ss.children)
 
 	type ckptOut struct {
-		pending   *ckptPending
-		survivors []uint32 // old local root IDs that survived, ascending
-		simStart  time.Duration
-		span      time.Duration
-		err       error
+		pending  *ckptPending
+		simStart time.Duration
+		span     time.Duration
+		err      error
 	}
-	outs := make([]ckptOut, n)
+	outs := make([]ckptOut, len(ss.engines))
 
 	// Phase A: prepare in parallel. No device state changes yet.
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			o := &outs[s]
-			o.pending, o.simStart, o.err = ss.child(s).shardCheckpointPrepare(ctx)
-			if o.pending != nil {
-				o.survivors = o.pending.survivors
-			}
-		}(s)
-	}
-	wg.Wait()
+	ss.each(func(s int) {
+		o := &outs[s]
+		o.pending, o.simStart, o.err = ss.engines[s].checkpointPrepare(ctx)
+	})
 	for s := range outs {
 		if outs[s].err != nil {
 			return 0, fmt.Errorf("core: shard %d checkpoint: %w", s, outs[s].err)
 		}
 	}
 
-	// A shard whose delta was empty has nothing to merge: its local space
-	// is unchanged, i.e. every local row survives under its own
-	// identifier (it still gets a record-only commit below).
-	for s := range outs {
-		if outs[s].survivors == nil {
-			ident := make([]uint32, len(ss.localToGlobal[s]))
-			for i := range ident {
-				ident[i] = uint32(i + 1)
-			}
-			outs[s].survivors = ident
-		}
-	}
-
 	// Rebuild the global mapping: new globals are assigned in old-global
-	// order over the surviving rows.
-	newMap := make([]shardLoc, 0, len(ss.rootMap))
-	newL2G := make([][]uint32, n)
-	cursor := make([]int, n)
-	for _, loc := range ss.rootMap {
-		s := int(loc.shard)
-		sv := outs[s].survivors
-		for cursor[s] < len(sv) && sv[cursor[s]] < loc.local {
+	// order over the surviving rows. A shard whose delta was empty has
+	// nothing to merge: every local row survives under its own identifier
+	// (it still gets a record-only commit below).
+	next := newRootMapping(len(ss.engines))
+	if next.identity() {
+		next.n = ss.roots.n
+		if p := outs[0].pending; p != nil {
+			next.n = len(p.survivors)
+		}
+	} else {
+		cursor := make([]int, len(ss.engines))
+		for _, loc := range ss.roots.loc {
+			s := int(loc.shard)
+			if p := outs[s].pending; p != nil {
+				sv := p.survivors
+				for cursor[s] < len(sv) && sv[cursor[s]] < loc.local {
+					cursor[s]++
+				}
+				if cursor[s] >= len(sv) || sv[cursor[s]] != loc.local {
+					continue // tombstoned (or cascade-dead): dropped by the merge
+				}
+			}
 			cursor[s]++
+			next.n++
+			// survivor rank = the engine's new dense ID
+			next.loc = append(next.loc, shardLoc{shard: loc.shard, local: uint32(cursor[s])})
+			next.l2g[s] = append(next.l2g[s], uint32(next.n))
 		}
-		if cursor[s] >= len(sv) || sv[cursor[s]] != loc.local {
-			continue // tombstoned (or cascade-dead): dropped by the merge
-		}
-		cursor[s]++
-		newLocal := uint32(cursor[s]) // survivor rank = child's new dense ID
-		newMap = append(newMap, shardLoc{shard: loc.shard, local: newLocal})
-		newL2G[s] = append(newL2G[s], uint32(len(newMap)))
 	}
 
-	// Phase B: commit in parallel. Each child gets its new mapping slice
+	// Phase B: commit in parallel. Each engine gets its new mapping slice
 	// before writing the record, so the persisted manifest matches the
-	// post-merge global order. A commit error latches that child fatal;
+	// post-merge global order. A commit error latches that engine fatal;
 	// the mapping still installs — the surviving shards committed, and
 	// the dead one fails every touching query with its terminal error.
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			o := &outs[s]
-			o.span, o.err = ss.child(s).shardCheckpointCommit(o.pending, append([]uint32(nil), newL2G[s]...), o.simStart)
-		}(s)
-	}
-	wg.Wait()
-
-	ss.rootMap = newMap
-	ss.localToGlobal = newL2G
-
-	// Refresh the coordinator's global cardinalities: the root from the
-	// rebuilt mapping, dimensions from shard 0's post-merge counts.
-	ss.child(0).shardRowCounts(db.rowCounts)
-	db.rowCounts[root.Name] = len(newMap)
+	ss.each(func(s int) {
+		o := &outs[s]
+		o.span, o.err = ss.engines[s].checkpointCommit(o.pending, next.globals(s), o.simStart)
+	})
+	ss.roots = next
 
 	var maxSpan time.Duration
 	var firstErr error
@@ -430,16 +391,15 @@ func (ss *shardSet) checkpoint(db *DB, ctx context.Context) (int64, error) {
 		if outs[s].err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: shard %d checkpoint: %w", s, outs[s].err)
 		}
-		if outs[s].span > maxSpan {
-			maxSpan = outs[s].span
-		}
+		maxSpan = max(maxSpan, outs[s].span)
 	}
 
 	db.checkpointsRun.Add(1)
-	db.metrics.checkpoints.Inc()
-	db.metrics.checkpointWall.Observe(time.Since(ckptStart).Nanoseconds())
-	db.metrics.checkpointSim.Observe(int64(maxSpan))
-	db.metrics.noteDelta(db)
+	m := db.metrics
+	m.checkpoints.Inc()
+	m.checkpointWall.Observe(time.Since(ckptStart).Nanoseconds())
+	m.checkpointSim.Observe(int64(maxSpan))
+	m.noteDelta(db)
 	if firstErr != nil {
 		return 0, firstErr
 	}

@@ -55,35 +55,34 @@ type sidecarCol struct {
 }
 
 // persistSidecar atomically rewrites the sidecar of a file-backed
-// database from the current committed state. A no-op on the simulated
-// backend (and on a sharded coordinator, whose backend is simulated).
-// Caller holds the device gate.
-func (db *DB) persistSidecar() error {
-	if !db.opts.Backend.IsFile() {
+// engine from its current committed state. A no-op on the simulated
+// backend. Caller holds the device gate.
+func (e *engine) persistSidecar() error {
+	if !e.opts.Backend.IsFile() {
 		return nil
 	}
-	doc := sidecarDoc{Version: db.version, DDL: db.ddl}
-	versions := make([]uint64, 0, len(db.committedVis))
-	for v := range db.committedVis {
+	doc := sidecarDoc{Version: e.version, DDL: e.ddl}
+	versions := make([]uint64, 0, len(e.committedVis))
+	for v := range e.committedVis {
 		versions = append(versions, v)
 	}
 	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
 	for _, v := range versions {
 		commit := sidecarCommit{Version: v}
-		tables := make([]string, 0, len(db.committedVis[v]))
-		for t := range db.committedVis[v] {
+		tables := make([]string, 0, len(e.committedVis[v]))
+		for t := range e.committedVis[v] {
 			tables = append(tables, t)
 		}
 		sort.Strings(tables)
 		for _, t := range tables {
 			st := sidecarTable{Name: t}
-			cols := make([]string, 0, len(db.committedVis[v][t]))
-			for c := range db.committedVis[v][t] {
+			cols := make([]string, 0, len(e.committedVis[v][t]))
+			for c := range e.committedVis[v][t] {
 				cols = append(cols, c)
 			}
 			sort.Strings(cols)
 			for _, c := range cols {
-				vals := db.committedVis[v][t][c]
+				vals := e.committedVis[v][t][c]
 				var data []byte
 				for _, val := range vals {
 					data = val.Append(data)
@@ -98,7 +97,7 @@ func (db *DB) persistSidecar() error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(db.opts.Backend.Path, sidecarName), blob, db.opts.Backend.Fsync)
+	return writeAtomic(filepath.Join(e.opts.Backend.Path, sidecarName), blob, e.opts.Backend.Fsync)
 }
 
 // writeAtomic replaces path via a temp-file-and-rename. When durable is

@@ -174,8 +174,9 @@ func TestNoGrantSurvivesFailedOpen(t *testing.T) {
 	}
 	want := fmt.Sprint(wantRes.Rows)
 
-	env, arena := db.env, db.dev.RAM
-	tr, err := db.translator("Visit")
+	e := db.shards.engines[0]
+	env, arena := e.env, e.dev.RAM
+	tr, err := e.translator("Visit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestNoGrantSurvivesFailedOpen(t *testing.T) {
 		if got := arena.Used(); got != base {
 			t.Fatalf("%d bytes still reserved (%v)", got-base, arena.Snapshot())
 		}
-		if err := db.dev.ResetScratch(); err != nil { // what the engine does after every query
+		if err := e.dev.ResetScratch(); err != nil { // what the engine does after every query
 			t.Fatal(err)
 		}
 		res, err := db.Query(demoShape)
@@ -315,11 +316,11 @@ func TestNoGrantSurvivesFailedOpen(t *testing.T) {
 	}
 	for _, j := range []int{0, 1, 9, 29} {
 		t.Run(fmt.Sprintf("TranslateBatch/scratch-free=%d", j), func(t *testing.T) {
-			w, err := db.dev.Scratch.NewWriter()
+			w, err := db.shards.engines[0].dev.Scratch.NewWriter()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.Write(make([]byte, int(db.dev.Scratch.FreeBytes())-j*prof.Flash.PageSize)); err != nil {
+			if _, err := w.Write(make([]byte, int(db.shards.engines[0].dev.Scratch.FreeBytes())-j*prof.Flash.PageSize)); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := w.Close(); err != nil {

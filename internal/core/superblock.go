@@ -75,15 +75,15 @@ type commitRecord struct {
 // buildCommitRecord snapshots the current hidden-store layout into a
 // manifest for the given version. Caller holds the device gate and has a
 // fully built hid store.
-func (db *DB) buildCommitRecord(version uint64, rootGlobals flash.Extent, rootCount int) (*commitRecord, error) {
+func (e *engine) buildCommitRecord(version uint64, rootGlobals flash.Extent, rootCount int) (*commitRecord, error) {
 	rec := &commitRecord{
 		Version:     version,
-		ActiveHalf:  db.dev.ActiveHalf(),
+		ActiveHalf:  e.dev.ActiveHalf(),
 		RootGlobals: toRecordExtent(rootGlobals),
 		RootCount:   rootCount,
 	}
-	for _, t := range db.sch.Tables() {
-		td, ok := db.hid.Table(t.Name)
+	for _, t := range e.sch.Tables() {
+		td, ok := e.hid.Table(t.Name)
 		if !ok {
 			return nil, fmt.Errorf("core: commit record: no hidden table %s", t.Name)
 		}
@@ -112,30 +112,30 @@ func (db *DB) buildCommitRecord(version uint64, rootGlobals flash.Extent, rootCo
 	return rec, nil
 }
 
-// writeCommitRecord commits the current device state as db.version: it
+// writeCommitRecord commits the current device state as e.version: it
 // erases the version's record slot and programs the manifest into it.
 // The last page programmed is the commit point — a power cut anywhere
 // before it leaves the previous version's record (the other slot)
 // untouched and fully valid. The erase and program costs are charged to
 // the simulated clock; they are the durability overhead a CHECKPOINT
 // pays on top of the merge itself.
-func (db *DB) writeCommitRecord() error {
-	simStart := db.clock.Now()
-	defer func() { db.metrics.recordSim.Add(int64(db.clock.Now() - simStart)) }()
+func (e *engine) writeCommitRecord() error {
+	simStart := e.clock.Now()
+	defer func() { e.metrics.recordSim.Add(int64(e.clock.Now() - simStart)) }()
 	var rgExt flash.Extent
 	rgCount := 0
-	if len(db.rootGlobals) > 0 {
-		buf := make([]byte, 0, len(db.rootGlobals)*4)
-		for _, g := range db.rootGlobals {
+	if len(e.rootGlobals) > 0 {
+		buf := make([]byte, 0, len(e.rootGlobals)*4)
+		for _, g := range e.rootGlobals {
 			buf = binary.LittleEndian.AppendUint32(buf, g)
 		}
-		ext, err := db.dev.Main.AppendRegion(buf)
+		ext, err := e.dev.Main.AppendRegion(buf)
 		if err != nil {
 			return fmt.Errorf("core: commit record: root mapping region: %w", err)
 		}
-		rgExt, rgCount = ext, len(db.rootGlobals)
+		rgExt, rgCount = ext, len(e.rootGlobals)
 	}
-	rec, err := db.buildCommitRecord(db.version, rgExt, rgCount)
+	rec, err := e.buildCommitRecord(e.version, rgExt, rgCount)
 	if err != nil {
 		return err
 	}
@@ -143,7 +143,7 @@ func (db *DB) writeCommitRecord() error {
 	if err != nil {
 		return err
 	}
-	p := db.dev.Profile.Flash
+	p := e.dev.Profile.Flash
 	blockBytes := p.PageSize * p.PagesPerBlock
 	if recordHeaderLen+len(payload) > blockBytes {
 		return fmt.Errorf("core: commit record: manifest %d B exceeds the %d B record block", len(payload), blockBytes)
@@ -155,7 +155,7 @@ func (db *DB) writeCommitRecord() error {
 	buf = append(buf, payload...)
 
 	slot := device.RecordBlock(rec.Version)
-	if err := db.dev.Flash.EraseBlock(slot); err != nil {
+	if err := e.dev.Flash.EraseBlock(slot); err != nil {
 		return fmt.Errorf("core: commit record: erase slot %d: %w", slot, err)
 	}
 	page := slot * p.PagesPerBlock
@@ -164,7 +164,7 @@ func (db *DB) writeCommitRecord() error {
 		if end > len(buf) {
 			end = len(buf)
 		}
-		if err := db.dev.Flash.ProgramPage(page, buf[off:end]); err != nil {
+		if err := e.dev.Flash.ProgramPage(page, buf[off:end]); err != nil {
 			return fmt.Errorf("core: commit record: program page %d: %w", page, err)
 		}
 		page++
@@ -172,10 +172,10 @@ func (db *DB) writeCommitRecord() error {
 	// The record is the commit point: flush it (and the state it points
 	// at) through whatever durability boundary the backend has, then
 	// refresh the host-side sidecar a file-backed database reopens from.
-	if err := db.dev.Flash.Sync(); err != nil {
+	if err := e.dev.Flash.Sync(); err != nil {
 		return fmt.Errorf("core: commit record: sync: %w", err)
 	}
-	if err := db.persistSidecar(); err != nil {
+	if err := e.persistSidecar(); err != nil {
 		return fmt.Errorf("core: commit record: %w", err)
 	}
 	return nil

@@ -184,14 +184,15 @@ func TestCheckpointDeltaForeignKeys(t *testing.T) {
 	// is swapped between the two passes: CHECKPOINT consults its context
 	// once per table and pass, and the third call opens the extraction.
 	mustExec(`UPDATE Visit SET Toll = 1 WHERE VisID = 2`)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	visit := db.mustTable("Visit")
-	img, _ := db.delta.Get(visit.Ordinal()).Row(2)
+	e := db.shards.engines[0]
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	visit := e.mustTable("Visit")
+	img, _ := e.delta.Get(visit.Ordinal()).Row(2)
 	ctx := &plantCtx{Context: context.Background(), at: 3, plant: func() {
 		img[visit.ColumnIndex("DocID")] = value.NewInt(99)
 	}}
-	if _, err := db.checkpointPrepareLocked(ctx); err == nil || err.Error() != "core: checkpoint: Visit.DocID row 2 dangles" {
+	if _, err := e.checkpointPrepareLocked(ctx); err == nil || err.Error() != "core: checkpoint: Visit.DocID row 2 dangles" {
 		t.Fatalf("dangling key: err=%v", err)
 	}
 }
@@ -216,11 +217,12 @@ func (c *plantCtx) Err() error {
 func TestViewsRebuiltWithState(t *testing.T) {
 	dir := fileBackendDir(t)
 	db := buildRecoverDB(t, WithBackend(storage.File(dir, false)))
-	visit := db.mustTable("Visit").Ordinal()
+	visit := db.shards.engines[0].mustTable("Visit").Ordinal()
 	viewOf := func(d *DB) *tableView {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.views[visit]
+		e := d.shards.engines[0]
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.views[visit]
 	}
 	loaded := viewOf(db)
 	if loaded.baseN != 6 || len(loaded.cols) != 5 || loaded.cols[4].fk == nil || loaded.cols[2].hid == nil || loaded.cols[1].vis == nil {

@@ -132,10 +132,13 @@ type histShard struct {
 // Histogram is a bounded log₂-scale histogram of int64 samples
 // (typically nanoseconds). Observe is lock-free: a round-robin pick
 // spreads writers over shards, and each shard update is a pair of
-// atomic adds. Snapshot merges the shards.
+// atomic adds. Snapshot merges the shards. The shards (4.5 KB) are
+// allocated by the first Observe, so a registered histogram nothing
+// feeds — a CHECKPOINT phase on a read-only database, say — costs two
+// words.
 type Histogram struct {
 	next   atomic.Uint64
-	shards [histShards]histShard
+	shards atomic.Pointer[[histShards]histShard]
 }
 
 // bucketOf maps a sample to its bucket index: 0 for v <= 0, else
@@ -152,7 +155,12 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	s := &h.shards[h.next.Add(1)&(histShards-1)]
+	shards := h.shards.Load()
+	if shards == nil {
+		h.shards.CompareAndSwap(nil, new([histShards]histShard))
+		shards = h.shards.Load()
+	}
+	s := &shards[h.next.Add(1)&(histShards-1)]
 	s.count.Add(1)
 	s.sum.Add(v)
 	s.buckets[bucketOf(v)].Add(1)
@@ -178,8 +186,12 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return s
 	}
-	for i := range h.shards {
-		sh := &h.shards[i]
+	shards := h.shards.Load()
+	if shards == nil {
+		return s
+	}
+	for i := range shards {
+		sh := &shards[i]
 		s.Count += sh.count.Load()
 		s.Sum += sh.sum.Load()
 		for b := range sh.buckets {
@@ -366,6 +378,43 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		out = append(out, v)
 	}
+	return out
+}
+
+// Merge combines snapshots into one, sorted by name: values of the same
+// name add up (a max gauge takes the maximum, histograms add bucket by
+// bucket); the first snapshot's help and kind win.
+func Merge(snaps ...Snapshot) Snapshot {
+	var out Snapshot
+	at := map[string]int{}
+	for _, s := range snaps {
+		for _, v := range s {
+			i, ok := at[v.Name]
+			if !ok {
+				if v.Hist != nil {
+					h := *v.Hist
+					v.Hist = &h
+				}
+				at[v.Name] = len(out)
+				out = append(out, v)
+				continue
+			}
+			m := &out[i]
+			switch {
+			case m.Hist != nil && v.Hist != nil:
+				m.Hist.Count += v.Hist.Count
+				m.Hist.Sum += v.Hist.Sum
+				for b := range m.Hist.Buckets {
+					m.Hist.Buckets[b] += v.Hist.Buckets[b]
+				}
+			case m.Kind == "max":
+				m.Value = max(m.Value, v.Value)
+			default:
+				m.Value += v.Value
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -270,3 +270,45 @@ ghostdb_shard_route_total{route="scatter"} 2
 		t.Fatalf("JSON = %s", data)
 	}
 }
+
+// TestMerge combines two registries the way a database reports its
+// front door plus its devices: same-name counters add, max gauges take
+// the maximum, histograms add bucket by bucket, names stay sorted; a
+// histogram nothing observed holds no shards and merges as empty.
+func TestMerge(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Counter("queries", "").Add(3)
+	b.Counter("queries", "").Add(4)
+	a.MaxGauge("ram", "").Observe(10)
+	b.MaxGauge("ram", "").Observe(7)
+	a.Histogram("sim", "").Observe(5)
+	b.Histogram("sim", "").Observe(100)
+	idle := b.Histogram("idle", "")
+	b.Counter("flash", "").Add(2)
+	if idle.shards.Load() != nil {
+		t.Fatal("a histogram allocated its shards before its first Observe")
+	}
+	m := Merge(a.Snapshot(), b.Snapshot())
+	var names []string
+	for _, v := range m {
+		names = append(names, v.Name)
+	}
+	if got := strings.Join(names, ","); got != "flash,idle,queries,ram,sim" {
+		t.Fatalf("merged names %s", got)
+	}
+	if v, _ := m.Get("queries"); v.Value != 7 {
+		t.Errorf("queries = %d, want 7", v.Value)
+	}
+	if v, _ := m.Get("ram"); v.Value != 10 {
+		t.Errorf("ram = %d, want the maximum 10", v.Value)
+	}
+	if v, _ := m.Get("sim"); v.Hist.Count != 2 || v.Hist.Sum != 105 || v.Hist.Buckets[bucketOf(5)] != 1 || v.Hist.Buckets[bucketOf(100)] != 1 {
+		t.Errorf("sim = %+v, want both samples", v.Hist)
+	}
+	if v, _ := m.Get("idle"); v.Hist.Count != 0 {
+		t.Errorf("idle = %+v, want empty", v.Hist)
+	}
+	if s := a.Snapshot(); s[2].Hist.Count != 1 {
+		t.Error("Merge wrote through to its input")
+	}
+}

@@ -550,6 +550,38 @@ func TestDeadDeviceSurfaces(t *testing.T) {
 	}
 }
 
+// TestDeadShardSurfaces is TestDeadDeviceSurfaces on four devices: a
+// power cut on shard 1 fails the query that needs it with device_dead,
+// and /healthz answers 503 naming the shard — a sharded database reports
+// a dead device like a single one.
+func TestDeadShardSurfaces(t *testing.T) {
+	plan, err := fault.ParsePlan("cutop=1,shard=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, base := newTestServer(t, Config{}, core.WithShards(4), core.WithFaultPlan(plan))
+	loadHospital(t, base)
+
+	resp, raw := post(t, base, "/v1/query", QueryRequest{SQL: `SELECT Vis.VisID FROM Visit Vis WHERE Vis.VisID > 0`})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("dead-shard query status = %d: %s", resp.StatusCode, raw)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(raw, &er); err != nil || er.Kind != "device_dead" {
+		t.Fatalf("dead-shard body = %s (%v), want kind device_dead", raw, err)
+	}
+
+	hr, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(hr.Body)
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "shard 1") {
+		t.Fatalf("healthz after shard 1's power cut = %d %s, want 503 naming shard 1", hr.StatusCode, body)
+	}
+}
+
 // TestGracefulDrain is the shutdown acceptance test: Shutdown returns
 // only after the hook-blocked in-flight request completes with 200 — no
 // in-flight request is aborted.
