@@ -79,24 +79,23 @@ type Entry struct {
 // referencing that child row. The engine computes each edge once at load.
 type Inverted func(parent, child string) ([][]uint32, error)
 
-// Build constructs a climbing index over vals (the column values of Table
-// in row order, so row i has ID i+1). dense marks primary-key columns
-// whose value i+1 sits at entry i, enabling O(1) lookups. The index climbs
-// from table to the schema root using inv.
+// Build constructs a climbing index over col, the column's values in row
+// order (row i has ID i+1). dense marks a primary key, whose value i+1 sits
+// at entry i by construction, enabling O(1) lookups. The index climbs from
+// table to the schema root using inv.
 //
 // The posting lists are built by rank propagation. In a tree schema every
 // row of a level references exactly one row of the level below, hence
 // belongs to exactly one dictionary value: each row of table gets the
-// rank of its value among the sorted distinct values (by key type:
-// rankWords, rankStrings, and rankBySort under value.Compare only for a
-// FLOAT column or one that needs coercion — no boxed value.Value is ever
-// hashed), the ranks are carried up the inverted edges
-// level by level, and each level is bucketed by rank in one counting pass
-// filled in ascending row order — so every list comes out sorted and
-// nothing is re-sorted. The three regions are a pure function of (vals,
-// inv): their bytes are what CHECKPOINT programs into flash, and the tests
-// hold them identical to the map-grouping build this replaced.
-func Build(st *store.Store, sch *schema.Schema, table, column string, kind value.Kind, vals []value.Value, dense bool, inv Inverted) (*Index, error) {
+// rank of its value among the sorted distinct values (rankWords for Int,
+// Date and Bool words, rankStrings, rankBySort over a FLOAT column's IEEE
+// order), the ranks are carried up the inverted edges level by level, and
+// each level is bucketed by rank in one counting pass filled in ascending
+// row order — so every list comes out sorted and nothing is re-sorted. The
+// three regions are a pure function of (col, inv): their bytes are what
+// CHECKPOINT programs into flash, and the tests hold them identical to the
+// map-grouping build this replaced.
+func Build(st *store.Store, sch *schema.Schema, table, column string, col value.Column, dense bool, inv Inverted) (*Index, error) {
 	tb, ok := sch.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("climbing: unknown table %s", table)
@@ -109,64 +108,32 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, kind value
 		Table:   tb.Name,
 		Column:  column,
 		Levels:  levels,
-		kind:    kind,
+		kind:    col.Kind,
 		dense:   dense,
 		st:      st,
 		entSize: 4 + 8*len(levels),
 	}
 
-	// A column that holds anything but its own kind (date strings, ints in
-	// a DATE or FLOAT column) is coerced first; the usual one is ranked as
-	// it is. Only an unbound parameter survives coercion with another kind.
-	typed := ofKind(vals, kind)
-	if !typed {
-		cvs := make([]value.Value, len(vals))
-		for i, v := range vals {
-			cv, err := value.Coerce(v, kind)
-			if err != nil {
-				return nil, fmt.Errorf("climbing: %s.%s row %d: %w", table, column, i, err)
-			}
-			cvs[i] = cv
-		}
-		vals, typed = cvs, ofKind(cvs, kind)
-	}
 	// rank[i] is the position of row i's value among the sorted distinct
 	// values, first[r] a row holding the value of rank r.
 	var rank, first []int32
-	switch {
-	case typed && (kind == value.Int || kind == value.Date || kind == value.Bool):
-		rank, first = rankWords(vals)
-	case typed && kind == value.String:
-		rank, first = rankStrings(vals)
-	default:
-		var cmpErr error
-		rank, first = rankBySort(len(vals), func(a, b int32) int {
-			c, err := value.Compare(vals[a], vals[b])
-			if err != nil && cmpErr == nil {
-				cmpErr = err
-			}
-			return c
+	switch words := col.Words; col.Kind {
+	case value.String:
+		rank, first = rankStrings(col.Strs)
+	case value.Float:
+		rank, first = rankBySort(len(words), func(a, b int32) int {
+			return cmp.Compare(math.Float64frombits(uint64(words[a])), math.Float64frombits(uint64(words[b])))
 		})
-		if cmpErr != nil {
-			return nil, fmt.Errorf("climbing: %s.%s: %w", table, column, cmpErr)
-		}
+	default:
+		rank, first = rankWords(words)
 	}
 	n := len(first)
 	sorted := make([]value.Value, n)
 	for r, i := range first {
-		sorted[r] = vals[i]
+		sorted[r] = col.Value(int(i))
 	}
 	ix.n = n
 	ix.vals = sorted
-	if dense {
-		if n != len(vals) {
-			return nil, fmt.Errorf("climbing: %s.%s: dense index requires unique values (%d distinct of %d rows)",
-				table, column, n, len(vals))
-		}
-		if err := checkDense(sorted); err != nil {
-			return nil, fmt.Errorf("climbing: %s.%s: %w", table, column, err)
-		}
-	}
 
 	// Per level: the row IDs grouped by rank (ids[begin[r]:begin[r+1]] is
 	// rank r's list, ascending).
@@ -219,16 +186,6 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, kind value
 	return ix, nil
 }
 
-// ofKind reports whether every value has the given kind.
-func ofKind(vals []value.Value, kind value.Kind) bool {
-	for _, v := range vals {
-		if v.Kind() != kind {
-			return false
-		}
-	}
-	return true
-}
-
 // rankBySort ranks rows 0..n-1 under a three-way comparison of their
 // values: it sorts the rows by (value, row) and numbers the runs of equal
 // values, so first[r] is the first row holding the value of rank r.
@@ -252,28 +209,28 @@ func rankBySort(n int, compare func(a, b int32) int) (rank, first []int32) {
 // slots per row; a column spread wider than that is sorted instead.
 const tableSpan = 4
 
-// rankWords ranks a column of Int, Date or Bool values by their payload
-// word. Keys, dates and the small domains of a real schema sit in a range
-// a few times the row count at most, so the usual column is ranked by one
-// table indexed by value − min: no hashing, no comparison.
-func rankWords(vals []value.Value) (rank, first []int32) {
-	n := len(vals)
+// rankWords ranks a column of Int, Date or Bool payload words. Keys, dates
+// and the small domains of a real schema sit in a range a few times the
+// row count at most, so the usual column is ranked by one table indexed by
+// value − min: no hashing, no comparison.
+func rankWords(words []int64) (rank, first []int32) {
+	n := len(words)
 	if n == 0 {
 		return nil, nil
 	}
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, v := range vals {
-		lo, hi = min(lo, v.Word()), max(hi, v.Word())
+	for _, w := range words {
+		lo, hi = min(lo, w), max(hi, w)
 	}
 	// hi >= lo, so the unsigned difference is exact even when the signed
 	// one would overflow (MinInt64 and MaxInt64 in one column).
 	span := uint64(hi) - uint64(lo)
 	if span >= tableSpan*uint64(n) {
-		return rankBySort(n, func(a, b int32) int { return cmp.Compare(vals[a].Word(), vals[b].Word()) })
+		return rankBySort(n, func(a, b int32) int { return cmp.Compare(words[a], words[b]) })
 	}
 	slot := make([]int32, span+1) // first row holding lo+j, plus one; then its rank, plus one
-	for i, v := range vals {
-		if s := &slot[uint64(v.Word())-uint64(lo)]; *s == 0 {
+	for i, w := range words {
+		if s := &slot[uint64(w)-uint64(lo)]; *s == 0 {
 			*s = int32(i + 1)
 		}
 	}
@@ -285,29 +242,29 @@ func rankWords(vals []value.Value) (rank, first []int32) {
 		}
 	}
 	rank = make([]int32, n)
-	for i, v := range vals {
-		rank[i] = slot[uint64(v.Word())-uint64(lo)] - 1
+	for i, w := range words {
+		rank[i] = slot[uint64(w)-uint64(lo)] - 1
 	}
 	return rank, first
 }
 
 // rankStrings numbers the distinct strings as first seen through a map
 // keyed by the string itself, then ranks only the distinct ones.
-func rankStrings(vals []value.Value) (rank, first []int32) {
+func rankStrings(strs []string) (rank, first []int32) {
 	seen := map[string]int32{}
 	var firstSeen []int32 // first-seen number -> row
-	rank = make([]int32, len(vals))
-	for i, v := range vals {
-		k, ok := seen[v.Str()]
+	rank = make([]int32, len(strs))
+	for i, str := range strs {
+		k, ok := seen[str]
 		if !ok {
 			k = int32(len(firstSeen))
-			seen[v.Str()] = k
+			seen[str] = k
 			firstSeen = append(firstSeen, int32(i))
 		}
 		rank[i] = k
 	}
 	rankOf, order := rankBySort(len(firstSeen), func(a, b int32) int {
-		return strings.Compare(vals[firstSeen[a]].Str(), vals[firstSeen[b]].Str())
+		return strings.Compare(strs[firstSeen[a]], strs[firstSeen[b]])
 	})
 	first = make([]int32, len(order))
 	for r, k := range order {
@@ -364,15 +321,6 @@ func bucketByRank(rank []int32, n int) (ids []uint32, begin []int32) {
 		}
 	}
 	return ids, begin
-}
-
-func checkDense(distinct []value.Value) error {
-	for i, v := range distinct {
-		if v.Kind() != value.Int || v.Int() != int64(i+1) {
-			return fmt.Errorf("dense index requires values 1..n, entry %d is %v", i, v)
-		}
-	}
-	return nil
 }
 
 // Kind reports the indexed column's value kind.
@@ -507,33 +455,33 @@ func (ix *Index) readValue(i int, valOff int64) (value.Value, error) {
 // find locates v's dictionary record and reads it into scratch; i is -1
 // when v is not in the dictionary.
 func (ix *Index) find(v value.Value, scratch *[64]byte) (i int, raw []byte, val value.Value, err error) {
-	cv, err := value.Coerce(v, ix.kind)
-	if err != nil {
-		return -1, nil, value.Value{}, err
-	}
 	if ix.dense {
-		id := cv.Int()
+		if v.Kind() != value.Int {
+			return -1, nil, value.Value{}, fmt.Errorf("climbing: %s literal against the %s.%s key", v.Kind(), ix.Table, ix.Column)
+		}
+		id := v.Int()
 		if id < 1 || id > int64(ix.n) {
 			return -1, nil, value.Value{}, nil
 		}
 		i = int(id - 1)
-	} else if i, err = ix.lowerBound(cv); err != nil || i >= ix.n {
+	} else if i, err = ix.lowerBound(v); err != nil || i >= ix.n {
 		return -1, nil, value.Value{}, err
 	}
 	if raw, val, err = ix.readEntry(i, scratch); err != nil {
 		return -1, nil, value.Value{}, err
 	}
 	if !ix.dense {
-		if c, err := value.Compare(val, cv); err != nil || c != 0 {
+		if c, err := value.Compare(val, v); err != nil || c != 0 {
 			return -1, nil, value.Value{}, err
 		}
 	}
 	return i, raw, val, nil
 }
 
-// LookupEq returns the entry for v, if present. Query literals should be
-// coerced to the column kind first; string literals against DATE columns
-// are handled via value.Compare's coercion.
+// LookupEq returns the entry for v, if present. The planner coerces query
+// literals to the column kind once; what value.Compare reads across kinds
+// (a string against a DATE index, an integer against a FLOAT one) is
+// compared as it reads it.
 func (ix *Index) LookupEq(v value.Value) (Entry, bool, error) {
 	var scratch [64]byte
 	i, raw, val, err := ix.find(v, &scratch)
@@ -591,11 +539,8 @@ type Bound struct {
 func (ix *Index) Range(lo, hi *Bound) (*EntryIter, error) {
 	start := 0
 	if lo != nil {
-		cv, err := value.Coerce(lo.V, ix.kind)
-		if err != nil {
-			return nil, err
-		}
-		start, err = ix.lowerBound(cv)
+		var err error
+		start, err = ix.lowerBound(lo.V)
 		if err != nil {
 			return nil, err
 		}
@@ -606,7 +551,7 @@ func (ix *Index) Range(lo, hi *Bound) (*EntryIter, error) {
 				if err != nil {
 					return nil, err
 				}
-				c, err := value.Compare(sv, cv)
+				c, err := value.Compare(sv, lo.V)
 				if err != nil {
 					return nil, err
 				}
@@ -619,11 +564,8 @@ func (ix *Index) Range(lo, hi *Bound) (*EntryIter, error) {
 	}
 	it := &EntryIter{ix: ix, next: start, lists: make([]ListRef, len(ix.Levels))}
 	if hi != nil {
-		cv, err := value.Coerce(hi.V, ix.kind)
-		if err != nil {
-			return nil, err
-		}
-		it.hi = &Bound{V: cv, Inclusive: hi.Inclusive}
+		b := *hi
+		it.hi = &b
 	}
 	return it, nil
 }

@@ -229,7 +229,9 @@ type DB struct {
 	// in hidden columns: a property of the database, kept here once.
 	hiddenVals *schema.HiddenValueSet
 
-	staged map[string][][]value.Value // INSERT staging before Build
+	// staged is the bulk load's image while INSERTs stage, one per table
+	// by ordinal; every staged row went through the boundary (appendRows).
+	staged []tableImage
 	loaded bool
 	// ddl retains the CREATE TABLE statements in application order so a
 	// recovered DB can rebuild the same catalog.
@@ -274,7 +276,6 @@ func openResolved(opts Options) (*DB, error) {
 		hooks:      opts.Hooks,
 		sch:        schema.New(),
 		hiddenVals: schema.NewHiddenValueSet(),
-		staged:     map[string][][]value.Value{},
 	}
 	db.metrics.addRouteMetrics()
 	n := max(1, opts.Shards)
@@ -378,7 +379,7 @@ func (db *DB) NextID(table string) (uint32, error) {
 		return 0, fmt.Errorf("core: unknown table %s", table)
 	}
 	if !db.loaded {
-		return uint32(len(db.staged[t.Name])) + 1, nil
+		return uint32(db.staged[t.Ordinal()].n) + 1, nil
 	}
 	return db.shards.nextID(db.sch.Root(), t), nil
 }
@@ -521,6 +522,7 @@ func (db *DB) applyCreate(ct *sql.CreateTable) error {
 	if err := db.sch.AddTable(t); err != nil {
 		return err
 	}
+	db.staged = append(db.staged, newTableImage(t, 0))
 	// Retained for Snapshot/Recover: a recovered DB replays the DDL to
 	// rebuild an identical catalog before decoding the flash image.
 	db.ddl = append(db.ddl, ct.String())
@@ -548,24 +550,14 @@ func (db *DB) insertLocked(ins *sql.Insert) error {
 	if !ok {
 		return fmt.Errorf("core: unknown table %s", ins.Table)
 	}
-	for ri, row := range ins.Rows {
-		if len(row) != len(t.Columns) {
-			return fmt.Errorf("core: %s expects %d values, got %d", t.Name, len(t.Columns), len(row))
-		}
-		for _, v := range row {
-			if v.IsParam() {
-				return fmt.Errorf("core: INSERT into %s carries an unbound '?' placeholder; bind arguments before staging", t.Name)
-			}
-		}
-		pkVal := row[t.PrimaryKeyIndex()]
-		want := int64(len(db.staged[t.Name]) + 1)
-		if pkVal.Kind() != value.Int || pkVal.Int() != want {
-			return fmt.Errorf("core: %s primary key must be dense: row %d needs key %d, got %s",
-				t.Name, ri+1, want, pkVal)
-		}
-		db.staged[t.Name] = append(db.staged[t.Name], row)
-	}
-	return nil
+	return db.staged[t.Ordinal()].appendRows(t, len(ins.Rows), func(r int) []value.Value { return ins.Rows[r] }, db.stagedRows)
+}
+
+// stagedRows reports how many rows a referenced table, which the catalog
+// holds, has staged.
+func (db *DB) stagedRows(table string) int {
+	t, _ := db.sch.Table(table)
+	return db.staged[t.Ordinal()].n
 }
 
 // ExecScript runs a semicolon-separated script of CREATE TABLE and INSERT
@@ -665,11 +657,23 @@ func (db *DB) LoadDataset(ds *datagen.Dataset) error {
 	if err := db.stageLocked(stmts); err != nil {
 		return err
 	}
-	cols := map[string][][]value.Value{}
-	for _, name := range ds.TableNames() {
-		cols[name] = ds.Table(name).Cols
+	// Each table is one statement through the boundary, referenced
+	// tables first.
+	for _, t := range db.sch.Tables() {
+		dt := ds.Table(t.Name)
+		if dt == nil || len(dt.Cols) != len(t.Columns) {
+			return fmt.Errorf("core: missing column data for %s", t.Name)
+		}
+		for _, col := range dt.Cols {
+			if len(col) != len(dt.Cols[0]) {
+				return fmt.Errorf("core: ragged columns in %s", t.Name)
+			}
+		}
+		if err := db.staged[t.Ordinal()].appendColumns(t, dt.Cols, db.stagedRows); err != nil {
+			return err
+		}
 	}
-	return db.build(cols)
+	return db.buildStaged()
 }
 
 // Build finalizes staged INSERT data into the two stores and the device
@@ -685,41 +689,32 @@ func (db *DB) Build() error {
 
 // buildStaged finalizes the staged INSERT data under the front door lock.
 func (db *DB) buildStaged() error {
-	cols := map[string][][]value.Value{}
-	for _, t := range db.sch.Tables() {
-		rows := db.staged[t.Name]
-		tcols := make([][]value.Value, len(t.Columns))
-		for i := range t.Columns {
-			tcols[i] = make([]value.Value, len(rows))
-			for r, row := range rows {
-				tcols[i][r] = row[i]
-			}
-		}
-		cols[t.Name] = tcols
+	if err := db.build(db.staged); err != nil {
+		return err
 	}
-	db.staged = map[string][][]value.Value{}
-	return db.build(cols)
+	db.staged = nil
+	return nil
 }
 
-// build distributes columnar data for the initial bulk load over the
+// build distributes a table image for the initial bulk load over the
 // engines (shardSet.load). The load happens "in a secure setting"
 // (Section 2), so it is not charged to any device clock or RAM budget:
 // each engine rewinds the simulated time and stats it consumed.
-func (db *DB) build(cols map[string][][]value.Value) error {
+func (db *DB) build(img []tableImage) error {
 	if db.loaded {
 		return errors.New("core: already built")
 	}
 	if err := db.sch.Freeze(); err != nil {
 		return err
 	}
-	if err := db.shards.load(db.sch, cols, db.ddl); err != nil {
+	if err := db.shards.load(db.sch, img, db.ddl); err != nil {
 		return err
 	}
-	for _, t := range db.sch.Tables() {
+	for ord, t := range db.sch.Tables() {
 		for ci, c := range t.Columns {
 			if c.Hidden && c.Type.Kind == value.String {
-				for _, v := range cols[t.Name][ci] {
-					db.hiddenVals.Add(v)
+				for _, str := range img[ord].cols[ci].Strs {
+					db.hiddenVals.Add(value.NewString(str))
 				}
 			}
 		}

@@ -17,6 +17,7 @@ package core
 // CHECKPOINT materializes the cascade by dropping it.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -489,34 +490,14 @@ func (e *engine) deltaInsertLocked(ins *sql.Insert) error {
 	lv := e.newLiveness(false)
 	rows := make([][]value.Value, len(ins.Rows))
 	busBytes := 0
+	live := func(ci int, id uint32) bool { return lv.live(tv.cols[ci].ref, id) }
 	for ri, row := range ins.Rows {
-		if len(row) != len(t.Columns) {
-			return fmt.Errorf("core: %s expects %d values, got %d", t.Name, len(t.Columns), len(row))
+		out := make([]value.Value, len(t.Columns))
+		if err := checkRow(t, row, out, ri, int64(dt.NextID())+int64(ri), live); err != nil {
+			return err
 		}
-		out := make([]value.Value, len(row))
-		for ci, v := range row {
-			if v.IsParam() {
-				return fmt.Errorf("core: INSERT into %s carries an unbound '?' placeholder; bind arguments first", t.Name)
-			}
-			c := t.Columns[ci]
-			cv, err := value.Coerce(v, c.Type.Kind)
-			if err != nil {
-				return fmt.Errorf("core: %s.%s row %d: %w", t.Name, c.Name, ri+1, err)
-			}
-			out[ci] = cv
-			busBytes += cv.EncodedSize()
-		}
-		want := int64(dt.NextID()) + int64(ri)
-		pkVal := out[t.PrimaryKeyIndex()]
-		if pkVal.Kind() != value.Int || pkVal.Int() != want {
-			return fmt.Errorf("core: %s primary key must be dense: row %d needs key %d, got %s",
-				t.Name, ri+1, want, pkVal)
-		}
-		for _, ci := range tv.fks {
-			if ref := out[ci]; ref.Kind() != value.Int || !lv.live(tv.cols[ci].ref, uint32(ref.Int())) {
-				return fmt.Errorf("core: %s row %d: foreign key %s = %s references no live %s row",
-					t.Name, ri+1, t.Columns[ci].Name, ref, t.Columns[ci].RefTable)
-			}
+		for _, v := range out {
+			busBytes += v.EncodedSize()
 		}
 		rows[ri] = out
 	}
@@ -713,7 +694,7 @@ type ckptPending struct {
 	// survivors lists the root table's surviving old identifiers in
 	// ascending order; never nil (empty when every root row died).
 	survivors []uint32
-	cols      map[string][][]value.Value
+	img       []tableImage
 	wallStart time.Time
 	prepared  time.Time // end of the read-only phase
 }
@@ -760,24 +741,20 @@ func (e *engine) checkpointPrepareLocked(ctx context.Context) (*ckptPending, err
 	// Pass 2: extract the effective columns with foreign keys remapped,
 	// before anything is torn down. Row-major, so the page cache sees the
 	// base hidden columns in the same order as ever.
-	cols := make(map[string][][]value.Value, len(e.views))
+	img := make([]tableImage, len(e.views))
 	for ord, tv := range e.views {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: CHECKPOINT canceled: %w", err)
 		}
 		t, ids := tv.t, oldIDs[ord]
-		tcols := make([][]value.Value, len(t.Columns))
-		for ci := range tcols {
-			tcols[ci] = make([]value.Value, len(ids))
-		}
-		for newIdx, oldID := range ids {
-			img := e.image(tv, oldID)
+		tim := newTableImage(t, len(ids))
+		for _, oldID := range ids {
+			row := e.image(tv, oldID)
 			for ci := range t.Columns {
 				switch c := &t.Columns[ci]; {
 				case c.PrimaryKey:
-					tcols[ci][newIdx] = value.NewInt(int64(newIdx + 1))
 				case c.IsForeignKey():
-					oldChild, err := e.fkOf(tv, img, ci, oldID)
+					oldChild, err := e.fkOf(tv, row, ci, oldID)
 					if err != nil {
 						return nil, err
 					}
@@ -785,21 +762,22 @@ func (e *engine) checkpointPrepareLocked(ctx context.Context) (*ckptPending, err
 					if int(oldChild) >= len(remap) || remap[oldChild] == 0 {
 						return nil, fmt.Errorf("core: checkpoint: %s.%s row %d dangles", t.Name, c.Name, oldID)
 					}
-					tcols[ci][newIdx] = value.NewInt(int64(remap[oldChild]))
+					tim.fks[ci] = append(tim.fks[ci], remap[oldChild])
 				default:
-					v, err := e.valueOf(tv, img, ci, oldID)
+					v, err := e.valueOf(tv, row, ci, oldID)
 					if err != nil {
 						e.noteDeviceErr(err)
 						return nil, err
 					}
-					tcols[ci][newIdx] = v
+					tim.cols[ci].Append(v)
 				}
 			}
 		}
-		cols[t.Name] = tcols
+		tim.n = len(ids)
+		img[ord] = tim
 	}
 	p.survivors = oldIDs[e.sch.Root().Ordinal()]
-	p.cols = cols
+	p.img = img
 	p.prepared = time.Now()
 	return p, nil
 }
@@ -837,13 +815,14 @@ func (e *engine) checkpointCommitLocked(p *ckptPending) error {
 	// Rebuild at full simulated cost: every AppendRegion programs pages,
 	// on top of the erase charges above. The clock is NOT rewound — this
 	// is the price of making the delta durable.
-	if err := e.loadState(p.cols); err != nil {
+	vis, err := e.loadState(p.img)
+	if err != nil {
 		e.setFatal(err)
 		return err
 	}
 	rebuilt = time.Now()
 	e.version++
-	e.stashCommitted(e.version, p.cols)
+	e.stashCommitted(e.version, vis)
 	if err := e.writeCommitRecord(); err != nil {
 		// The new state is built but not committed: recovery would land
 		// on the previous version, diverging from the live in-RAM state.
@@ -943,13 +922,14 @@ func (e *engine) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
 	if len(dirty) == 0 {
 		dirty = nil
 	}
-	return dirty, sortedIDs(cands)
+	return dirty, sortedKeys(cands)
 }
 
-func sortedIDs(set map[uint32]struct{}) []uint32 {
-	out := make([]uint32, 0, len(set))
-	for id := range set {
-		out = append(out, id)
+// sortedKeys lists m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
 	slices.Sort(out)
 	return out

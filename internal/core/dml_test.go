@@ -35,6 +35,17 @@ func TestInsertDenseKeyRowNumber(t *testing.T) {
 	if !strings.Contains(err.Error(), "row 3 needs key 3") {
 		t.Fatalf("error = %q, want it to report row 3 needing key 3", err)
 	}
+	// A staged statement applies whole or not at all, as a live one does.
+	if id, err := db.NextID("T"); err != nil || id != 1 {
+		t.Fatalf("after the failed statement NextID = %d, %v; want 1", id, err)
+	}
+	stmt, err = sql.Parse(`INSERT INTO T VALUES (1, 10), (2, 20)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert(stmt.(*sql.Insert)); err != nil {
+		t.Fatal(err)
+	}
 
 	// Same contract on the live (post-build) insert path.
 	if err := db.Build(); err != nil {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,11 +93,10 @@ type engine struct {
 	// version v lives in record slot v%2.
 	version uint64
 	// committedVis retains the visible (non-hidden, non-PK) column data
-	// of the last two committed versions, keyed version -> table -> column
-	// (lowercased). Recovery pairs it with the flash image: the paper's
-	// visible store is server-durable, the device is what crashes. Inner
-	// slices are shared by reference and never mutated.
-	committedVis map[uint64]map[string]map[string][]value.Value
+	// of the last two committed versions. Recovery pairs it with the flash
+	// image: the paper's visible store is server-durable, the device is
+	// what crashes. Columns are shared by reference and never mutated.
+	committedVis map[uint64]visImage
 	// ddl is the catalog's CREATE TABLE text, persisted in the sidecar of
 	// a file-backed engine.
 	ddl []string
@@ -244,11 +244,12 @@ func (e *engine) close() error {
 
 // load bulk-loads the device's partition; rootGlobals is its local->global
 // root mapping (nil: the identity), persisted with every commit record.
-func (e *engine) load(cols map[string][][]value.Value, rootGlobals []uint32, ddl []string) error {
+func (e *engine) load(img []tableImage, rootGlobals []uint32, ddl []string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rootGlobals, e.ddl = rootGlobals, ddl
-	if err := e.loadState(cols); err != nil {
+	vis, err := e.loadState(img)
+	if err != nil {
 		return err
 	}
 
@@ -256,7 +257,7 @@ func (e *engine) load(cols map[string][][]value.Value, rootGlobals []uint32, ddl
 	// commit record, so a crash at any later point can recover at least
 	// the freshly loaded state. Still inside the secure setting, so the
 	// record's flash cost is rewound along with the load's.
-	e.stashCommitted(0, cols)
+	e.stashCommitted(0, vis)
 	if err := e.writeCommitRecord(); err != nil {
 		return err
 	}
@@ -388,27 +389,18 @@ func (e *engine) Index(table, column string) (*climbing.Index, bool) {
 // ---------------------------------------------------------------------------
 // Loading.
 
-// stashCommitted retains the visible (non-hidden, non-PK) column data
-// of a committed version for Snapshot/Recover, pruning everything older
-// than the previous version — the only one still recoverable from the
-// A/B record slots. Inner slices are aliased, never copied or mutated.
-func (e *engine) stashCommitted(version uint64, cols map[string][][]value.Value) {
-	snap := make(map[string]map[string][]value.Value, len(e.sch.Tables()))
-	for _, t := range e.sch.Tables() {
-		tcols := cols[t.Name]
-		m := map[string][]value.Value{}
-		for i, c := range t.Columns {
-			if c.Hidden || c.PrimaryKey || i >= len(tcols) {
-				continue
-			}
-			m[strings.ToLower(c.Name)] = tcols[i]
-		}
-		snap[strings.ToLower(t.Name)] = m
-	}
+// visImage is one committed version's visible non-key columns, keyed
+// table -> column (lowercased).
+type visImage map[string]map[string]value.Column
+
+// stashCommitted retains the visible columns of a committed version for
+// Snapshot/Recover, pruning everything older than the previous version —
+// the only one still recoverable from the A/B record slots.
+func (e *engine) stashCommitted(version uint64, vis visImage) {
 	if e.committedVis == nil {
-		e.committedVis = map[uint64]map[string]map[string][]value.Value{}
+		e.committedVis = map[uint64]visImage{}
 	}
-	e.committedVis[version] = snap
+	e.committedVis[version] = vis
 	if version >= 2 {
 		delete(e.committedVis, version-2)
 	}
@@ -446,15 +438,17 @@ type colView struct {
 }
 
 // loadState builds fresh stores, device index structures and table views
-// from columnar data: visible columns and PKs to the public store; hidden
+// from a table image: visible columns and PKs to the public store; hidden
 // columns, SKTs and climbing indexes to the device. It is shared by the
 // bulk load (whose charges are then rewound) and by CHECKPOINT (which
-// pays them as the cost of merging the delta into flash).
-func (e *engine) loadState(cols map[string][][]value.Value) error {
+// pays them as the cost of merging the delta into flash). It returns the
+// visible columns for the commit's stash. Its one check, the foreign-key
+// range, is for a recovered image: outside input.
+func (e *engine) loadState(img []tableImage) (visImage, error) {
 	start := time.Now()
 	hid, err := store.New(e.dev)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	e.hid = hid
 	e.vis = visible.NewStore()
@@ -463,72 +457,62 @@ func (e *engine) loadState(cols map[string][][]value.Value) error {
 	e.views = nil
 	tables := e.sch.Tables()
 	views := make([]*tableView, len(tables))
+	data := make([][]value.Column, len(tables)) // the image's columns, foreign keys as INTEGER
+	vis := make(visImage, len(tables))
 
 	for ord, t := range tables {
-		tcols, ok := cols[t.Name]
-		if !ok || len(tcols) != len(t.Columns) {
-			return fmt.Errorf("core: missing column data for %s", t.Name)
-		}
-		n := 0
-		if len(tcols) > 0 {
-			n = len(tcols[0])
-		}
-		for i := range tcols {
-			if len(tcols[i]) != n {
-				return fmt.Errorf("core: ragged columns in %s", t.Name)
-			}
-		}
+		im := &img[ord]
+		n := im.n
 		e.rowCounts[t.Name] = n
 		tv := &tableView{t: t, baseN: n, cols: make([]colView, len(t.Columns)), parent: -1}
 		views[ord] = tv
+		data[ord] = slices.Clone(im.cols)
+		tvis := map[string]value.Column{}
+		vis[strings.ToLower(t.Name)] = tvis
 
 		// Visible side: PK plus visible columns.
 		vt, err := e.vis.CreateTable(t.Name, n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Hidden side: hidden columns.
 		if _, err := e.hid.CreateTable(t.Name, n); err != nil {
-			return err
+			return nil, err
 		}
 		for i, c := range t.Columns {
-			vals := tcols[i]
 			cv := &tv.cols[i]
 			if c.PrimaryKey {
-				for r, v := range vals {
-					if v.Kind() != value.Int || v.Int() != int64(r+1) {
-						return fmt.Errorf("core: %s.%s must be dense 1..N (row %d has %s)", t.Name, c.Name, r, v)
-					}
+				if err := vt.AddKeyColumn(c.Name); err != nil {
+					return nil, err
 				}
+				continue
 			}
 			if c.IsForeignKey() {
 				// The schema declares referenced tables first, so the
 				// referenced view exists already.
 				ref := views[e.mustTable(c.RefTable).Ordinal()]
-				ids := make([]uint32, len(vals))
-				for r, v := range vals {
-					if v.Kind() != value.Int || v.Int() < 1 || v.Int() > int64(ref.baseN) {
-						return fmt.Errorf("core: %s.%s row %d: foreign key %s out of 1..%d", t.Name, c.Name, r, v, ref.baseN)
+				ids := im.fks[i]
+				for r, id := range ids {
+					if id < 1 || int(id) > ref.baseN {
+						return nil, fmt.Errorf("%w: %s.%s row %d: foreign key %d out of 1..%d", ErrCorruptState, t.Name, c.Name, r+1, id, ref.baseN)
 					}
-					ids[r] = uint32(v.Int())
 				}
 				cv.ref, cv.fk, cv.inv = ref.t.Ordinal(), ids, invertEdge(ids, ref.baseN)
 				tv.fks = append(tv.fks, i)
 				ref.parent, ref.up = ord, i
+				data[ord][i] = intColumn(n, func(r int) int64 { return int64(ids[r]) })
 			}
+			col := data[ord][i]
 			if c.Hidden {
-				if cv.hid, err = e.hid.AddColumn(t.Name, c.Name, c.Type.Kind, vals); err != nil {
-					return err
-				}
-			} else if c.PrimaryKey { // verified dense 1..N above
-				if err := vt.AddKeyColumn(c.Name, vals); err != nil {
-					return err
+				if cv.hid, err = e.hid.AddColumn(t.Name, c.Name, col); err != nil {
+					return nil, err
 				}
 			} else {
-				if err := vt.AddColumn(c.Name, c.Type.Kind, vals); err != nil {
-					return err
+				if err := vt.AddColumn(c.Name, col); err != nil {
+					return nil, err
 				}
 				cv.vis, _ = vt.Column(c.Name)
+				tvis[strings.ToLower(c.Name)] = col
 			}
 		}
 	}
@@ -550,7 +534,7 @@ func (e *engine) loadState(cols map[string][][]value.Value) error {
 		}
 		s, err := skt.Build(e.hid, e.sch, tv.t.Name, tv.baseN, fkLookup)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e.skts[tv.t.Name] = s
 	}
@@ -573,24 +557,20 @@ func (e *engine) loadState(cols map[string][][]value.Value) error {
 		wantDevice[strings.ToLower(spec)] = true
 	}
 	root := e.sch.Root()
-	for _, tv := range views {
+	for ord, tv := range views {
 		t := tv.t
-		tcols := cols[t.Name]
 		for i, c := range t.Columns {
-			dense := false
-			switch {
-			case c.Hidden:
-				// regular hidden-column index
-			case c.PrimaryKey && t != root:
-				dense = true
-			case wantDevice[strings.ToLower(t.Name+"."+c.Name)]:
-				// visible column promoted to a device index
-			default:
+			dense := c.PrimaryKey && t != root
+			if !dense && !c.Hidden && !wantDevice[strings.ToLower(t.Name+"."+c.Name)] {
 				continue
 			}
-			ix, err := climbing.Build(e.hid, e.sch, t.Name, c.Name, c.Type.Kind, tcols[i], dense, invLookup)
+			col := data[ord][i]
+			if c.PrimaryKey {
+				col = intColumn(tv.baseN, func(r int) int64 { return int64(r + 1) })
+			}
+			ix, err := climbing.Build(e.hid, e.sch, t.Name, c.Name, col, dense, invLookup)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			tv.cols[i].ix = ix
 		}
@@ -604,7 +584,7 @@ func (e *engine) loadState(cols map[string][][]value.Value) error {
 		m.checkpointSKTWall.Observe(sktDone.Sub(columnsDone).Nanoseconds())
 		m.checkpointClimbingWall.Observe(time.Since(sktDone).Nanoseconds())
 	}
-	return nil
+	return vis, nil
 }
 
 // invertEdge inverts a foreign key (row r+1 references fk[r], every

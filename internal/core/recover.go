@@ -11,13 +11,18 @@ package core
 // deltalimit auto-checkpoint knob.
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"strings"
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/device"
+	"github.com/ghostdb/ghostdb/internal/flash"
 	"github.com/ghostdb/ghostdb/internal/schema"
 	"github.com/ghostdb/ghostdb/internal/storage"
+	"github.com/ghostdb/ghostdb/internal/store"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
 
@@ -25,8 +30,13 @@ import (
 // the server-side visible columns of its recent committed versions.
 type shardState struct {
 	img storage.Image
-	vis map[uint64]map[string]map[string][]value.Value
+	vis map[uint64]visImage
 }
+
+// ErrCorruptState marks recovered state — a snapshot, or a file-backed
+// database's sidecar and flash image — that does not describe a database:
+// a foreign key naming no row, a visible column not of its declared kind.
+var ErrCorruptState = errors.New("core: recovered state is inconsistent")
 
 // Snapshot is a point-in-time capture of everything that survives a
 // crash: per-device flash images, the server-durable visible column
@@ -61,7 +71,7 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	for s, e := range ss.engines {
 		e.mu.Lock()
 		img, err := e.dev.Flash.Image()
-		vis := cloneCommittedVis(e.committedVis)
+		vis := maps.Clone(e.committedVis) // the versions' columns are immutable and shared
 		e.mu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot: imaging shard %d: %w", s, err)
@@ -69,16 +79,6 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 		snap.shards = append(snap.shards, shardState{img: img, vis: vis})
 	}
 	return snap, nil
-}
-
-// cloneCommittedVis shallow-copies the version map; the per-version
-// column data is immutable and shared.
-func cloneCommittedVis(m map[uint64]map[string]map[string][]value.Value) map[uint64]map[string]map[string][]value.Value {
-	out := make(map[uint64]map[string]map[string][]value.Value, len(m))
-	for v, t := range m {
-		out[v] = t
-	}
-	return out
 }
 
 // RecoverInfo reports what Recover landed on.
@@ -191,12 +191,12 @@ func Recover(snap *Snapshot, extra ...Option) (*DB, *RecoverInfo, error) {
 	if err := ndb.sch.Freeze(); err != nil {
 		return nil, nil, fmt.Errorf("core: recover: %w", err)
 	}
-	cols, err := assembleRecovered(ndb.sch, snap, recs, vstar)
+	img, err := assembleRecovered(ndb.sch, snap, recs, vstar)
 	if err != nil {
 		return nil, nil, err
 	}
 	ndb.mu.Lock()
-	err = ndb.build(cols)
+	err = ndb.build(img)
 	ndb.mu.Unlock()
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: recover: rebuilding: %w", err)
@@ -206,99 +206,87 @@ func Recover(snap *Snapshot, extra ...Option) (*DB, *RecoverInfo, error) {
 	return ndb, info, nil
 }
 
-// assembleRecovered turns per-shard flash images into one global
-// columnar dataset: dimension tables from shard 0 (they are replicated
-// bit-identically), the root table stitched from every shard through
-// the persisted local->global mappings, visible columns re-attached
-// from the server-side stash.
-func assembleRecovered(sch *schema.Schema, snap *Snapshot, recs []*commitRecord, version uint64) (map[string][][]value.Value, error) {
+// assembleRecovered turns per-shard flash images into one global table
+// image: dimension tables from shard 0 (they are replicated
+// bit-identically), the root table stitched from every shard through the
+// persisted local->global mappings, visible columns re-attached from the
+// server-side stash.
+func assembleRecovered(sch *schema.Schema, snap *Snapshot, recs []*commitRecord, version uint64) ([]tableImage, error) {
 	root := sch.Root()
 	if root == nil {
 		return nil, fmt.Errorf("core: recover: schema has no root table")
 	}
+	img := make([]tableImage, len(sch.Tables()))
+	for _, t := range sch.Tables() {
+		if t == root {
+			continue
+		}
+		im, err := decodeTableCols(t, snap.shards[0], recs[0], version)
+		if err != nil {
+			return nil, fmt.Errorf("core: recover: %s: %w", t.Name, err)
+		}
+		img[t.Ordinal()] = im
+	}
 
 	// Per-shard decode of the root table plus its global mapping.
 	type shardRoot struct {
-		cols [][]value.Value
-		l2g  []uint32
+		im  tableImage
+		l2g []uint32
 	}
 	roots := make([]shardRoot, len(recs))
 	globalN := 0
 	for s := range recs {
-		tcols, rows, err := decodeTableCols(sch, root, snap.shards[s], recs[s], version)
+		im, err := decodeTableCols(root, snap.shards[s], recs[s], version)
 		if err != nil {
 			return nil, fmt.Errorf("core: recover: shard %d %s: %w", s, root.Name, err)
 		}
-		var l2g []uint32
 		if len(recs) == 1 && recs[s].RootCount == 0 {
 			// Single-device databases persist no mapping: local == global.
-			l2g = make([]uint32, rows)
-			for i := range l2g {
-				l2g[i] = uint32(i + 1)
-			}
-		} else {
-			l2g, err = decodeRootGlobals(snap.shards[s].img, recs[s].RootGlobals.extent(), recs[s].RootCount)
-			if err != nil {
-				return nil, fmt.Errorf("core: recover: shard %d root mapping: %w", s, err)
-			}
-			if len(l2g) != rows {
-				return nil, fmt.Errorf("core: recover: shard %d root mapping has %d entries for %d rows", s, len(l2g), rows)
-			}
+			img[root.Ordinal()] = im
+			return img, nil
 		}
-		roots[s] = shardRoot{cols: tcols, l2g: l2g}
-		globalN += rows
+		l2g, err := decodeRootGlobals(snap.shards[s].img, recs[s].RootGlobals.extent(), recs[s].RootCount)
+		if err != nil {
+			return nil, fmt.Errorf("core: recover: shard %d root mapping: %w", s, err)
+		}
+		if len(l2g) != im.n {
+			return nil, fmt.Errorf("core: recover: shard %d root mapping has %d entries for %d rows", s, len(l2g), im.n)
+		}
+		roots[s] = shardRoot{im: im, l2g: l2g}
+		globalN += im.n
 	}
 
-	// Stitch the root back together in global order.
-	gcols := make([][]value.Value, len(root.Columns))
-	for ci := range gcols {
-		gcols[ci] = make([]value.Value, globalN)
-	}
-	seen := make([]bool, globalN)
-	pkIdx := root.PrimaryKeyIndex()
+	// Stitch the root back together in global order: global row g+1 is
+	// local row at[g].li of shard at[g].s-1 (0: no shard owns it yet).
+	type place struct{ s, li int }
+	at := make([]place, globalN)
 	for s := range roots {
 		for li, g := range roots[s].l2g {
 			if g < 1 || int(g) > globalN {
 				return nil, fmt.Errorf("core: recover: shard %d maps local %d to global %d outside 1..%d", s, li+1, g, globalN)
 			}
-			if seen[g-1] {
+			if at[g-1].s != 0 {
 				return nil, fmt.Errorf("core: recover: global root %d claimed by two shards", g)
 			}
-			seen[g-1] = true
-			for ci := range root.Columns {
-				if ci == pkIdx {
-					gcols[ci][g-1] = value.NewInt(int64(g))
-				} else {
-					gcols[ci][g-1] = roots[s].cols[ci][li]
-				}
-			}
+			at[g-1] = place{s + 1, li}
 		}
 	}
-	for g := range seen {
-		if !seen[g] {
+	rim := newTableImage(root, globalN)
+	for g, p := range at {
+		if p.s == 0 {
 			return nil, fmt.Errorf("core: recover: no shard owns global root %d", g+1)
 		}
+		rim.appendFrom(root, &roots[p.s-1].im, p.li)
 	}
-
-	out := map[string][][]value.Value{root.Name: gcols}
-	for _, t := range sch.Tables() {
-		if t.Name == root.Name {
-			continue
-		}
-		tcols, _, err := decodeTableCols(sch, t, snap.shards[0], recs[0], version)
-		if err != nil {
-			return nil, fmt.Errorf("core: recover: %s: %w", t.Name, err)
-		}
-		out[t.Name] = tcols
-	}
-	return out, nil
+	img[root.Ordinal()] = rim
+	return img, nil
 }
 
-// decodeTableCols materializes one table's committed columns for one
-// shard: hidden columns from the flash image under the manifest's
-// extents (every page checksum-verified), primary keys regenerated
-// dense, visible columns from the server-side stash.
-func decodeTableCols(sch *schema.Schema, t *schema.Table, sh shardState, rec *commitRecord, version uint64) ([][]value.Value, int, error) {
+// decodeTableCols materializes one table's committed image for one shard:
+// hidden columns decoded by the store from the flash image under the
+// manifest's extents (every page checksum-verified), visible columns from
+// the server-side stash.
+func decodeTableCols(t *schema.Table, sh shardState, rec *commitRecord, version uint64) (tableImage, error) {
 	var rt *recordTable
 	for i := range rec.Tables {
 		if strings.EqualFold(rec.Tables[i].Name, t.Name) {
@@ -307,7 +295,7 @@ func decodeTableCols(sch *schema.Schema, t *schema.Table, sh shardState, rec *co
 		}
 	}
 	if rt == nil {
-		return nil, 0, fmt.Errorf("no manifest entry for table")
+		return tableImage{}, fmt.Errorf("no manifest entry for table")
 	}
 	hidCols := map[string]*recordCol{}
 	for i := range rt.Cols {
@@ -316,44 +304,52 @@ func decodeTableCols(sch *schema.Schema, t *schema.Table, sh shardState, rec *co
 	vis := sh.vis[version][strings.ToLower(t.Name)]
 
 	rows := rt.Rows
-	out := make([][]value.Value, len(t.Columns))
+	im := tableImage{n: rows, cols: make([]value.Column, len(t.Columns)), fks: make([][]uint32, len(t.Columns))}
 	for ci, c := range t.Columns {
+		var col value.Column
 		switch {
 		case c.PrimaryKey:
-			vals := make([]value.Value, rows)
-			for i := range vals {
-				vals[i] = value.NewInt(int64(i + 1))
-			}
-			out[ci] = vals
+			continue
 		case c.Hidden:
 			rc, ok := hidCols[strings.ToLower(c.Name)]
 			if !ok {
-				return nil, 0, fmt.Errorf("column %s missing from the manifest", c.Name)
+				return tableImage{}, fmt.Errorf("column %s missing from the manifest", c.Name)
 			}
-			var vals []value.Value
-			var err error
-			if rc.Var {
-				if rc.Data == nil {
-					return nil, 0, fmt.Errorf("column %s: manifest lacks the heap extent", c.Name)
+			var data flash.Extent
+			if c.Type.Kind == value.String {
+				if !rc.Var || rc.Data == nil {
+					return tableImage{}, fmt.Errorf("column %s: manifest lacks the heap extent", c.Name)
 				}
-				vals, err = decodeVarColumn(sh.img, rc.Off.extent(), rc.Data.extent(), rows)
-			} else {
-				vals, err = decodeFixedColumn(sh.img, rc.Off.extent(), c.Type.Kind, rows)
+				data = rc.Data.extent()
 			}
-			if err != nil {
-				return nil, 0, fmt.Errorf("column %s: %w", c.Name, err)
+			var err error
+			if col, err = store.DecodeColumn(sh.img, c.Type.Kind, rows, rc.Off.extent(), data); err != nil {
+				return tableImage{}, fmt.Errorf("column %s: %w", c.Name, err)
 			}
-			out[ci] = vals
 		default:
-			vals, ok := vis[strings.ToLower(c.Name)]
-			if !ok {
-				return nil, 0, fmt.Errorf("visible column %s missing from the version %d stash", c.Name, version)
+			var ok bool
+			if col, ok = vis[strings.ToLower(c.Name)]; !ok {
+				return tableImage{}, fmt.Errorf("visible column %s missing from the version %d stash", c.Name, version)
 			}
-			if len(vals) != rows {
-				return nil, 0, fmt.Errorf("visible column %s has %d values for %d rows", c.Name, len(vals), rows)
+			if col.Len() != rows {
+				return tableImage{}, fmt.Errorf("visible column %s has %d values for %d rows", c.Name, col.Len(), rows)
 			}
-			out[ci] = vals
+			if col.Len() == 0 {
+				col.Kind = c.Type.Kind // an empty column carries no kind in the sidecar
+			} else if col.Kind != c.Type.Kind {
+				return tableImage{}, fmt.Errorf("%w: visible column %s holds %s cells, want %s", ErrCorruptState, c.Name, col.Kind, c.Type.Kind)
+			}
+		}
+		if c.IsForeignKey() {
+			// A word no row identifier holds reads as one loadState's
+			// range check refuses.
+			im.fks[ci] = make([]uint32, rows)
+			for r, w := range col.Words {
+				im.fks[ci][r] = uint32(min(max(w, 0), math.MaxUint32))
+			}
+		} else {
+			im.cols[ci] = col
 		}
 	}
-	return out, rows, nil
+	return im, nil
 }

@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -51,64 +52,34 @@ func (ss *shardSet) each(fn func(s int)) {
 // ---------------------------------------------------------------------------
 // Bulk load.
 
-// load distributes the bulk-load columns over the engines: the root
-// table round-robin with synthesized shard-local dense keys (handed over
-// as is under the identity mapping), dimension tables replicated as-is
-// (the column slices are shared read-only across engines).
-func (ss *shardSet) load(sch *schema.Schema, cols map[string][][]value.Value, ddl []string) error {
+// load distributes the bulk-load image over the engines: the root table
+// round-robin (as is under the identity mapping), dimension tables
+// replicated as-is (their columns are shared read-only across engines).
+func (ss *shardSet) load(sch *schema.Schema, img []tableImage, ddl []string) error {
 	root := sch.Root()
-	rcols, ok := cols[root.Name]
-	if !ok || len(rcols) != len(root.Columns) {
-		return fmt.Errorf("core: missing column data for %s", root.Name)
-	}
-	rows := 0
-	if len(rcols) > 0 {
-		rows = len(rcols[0])
-	}
-	for i := range rcols {
-		if len(rcols[i]) != rows {
-			return fmt.Errorf("core: ragged columns in %s", root.Name)
-		}
-	}
-	pkIdx := root.PrimaryKeyIndex()
-	for r, v := range rcols[pkIdx] {
-		if v.Kind() != value.Int || v.Int() != int64(r+1) {
-			return fmt.Errorf("core: %s.%s must be dense 1..N (row %d has %s)",
-				root.Name, root.PrimaryKey().Name, r, v)
-		}
-	}
+	rim := &img[root.Ordinal()]
 
 	// Partition the root: global row r (0-based) goes to shard r%n under
-	// the next local identifier; the PK column is rewritten to the local
-	// dense sequence.
+	// the next local identifier.
 	n := len(ss.engines)
 	roots := newRootMapping(n)
-	shardCols := make([][][]value.Value, n)
+	parts := make([]tableImage, n)
 	if roots.identity() {
-		roots.n = rows
-		shardCols[0] = rcols
+		roots.n = rim.n
+		parts[0] = *rim
 	} else {
-		for s := range shardCols {
-			shardCols[s] = make([][]value.Value, len(root.Columns))
+		for s := range parts {
+			parts[s] = newTableImage(root, rim.n/n+1)
 		}
-		for r := 0; r < rows; r++ {
-			s, local := roots.place()
-			for ci := range root.Columns {
-				v := rcols[ci][r]
-				if ci == pkIdx {
-					v = value.NewInt(int64(local))
-				}
-				shardCols[s][ci] = append(shardCols[s][ci], v)
-			}
+		for r := 0; r < rim.n; r++ {
+			s, _ := roots.place()
+			parts[s].appendFrom(root, rim, r)
 		}
 	}
 
 	for s, e := range ss.engines {
-		part := make(map[string][][]value.Value, len(cols))
-		for name, tc := range cols {
-			part[name] = tc // replicated dimensions share the slices
-		}
-		part[root.Name] = shardCols[s]
+		part := slices.Clone(img) // replicated dimensions share the columns
+		part[root.Ordinal()] = parts[s]
 		// Each engine's commit record persists its local->global root
 		// mapping alongside the data, so recovery from the shard images
 		// alone can reassemble the global order.
@@ -162,25 +133,9 @@ func (ss *shardSet) insert(db *DB, ins *sql.Insert) error {
 	pkIdx := t.PrimaryKeyIndex()
 	coerced := make([][]value.Value, len(ins.Rows))
 	for ri, row := range ins.Rows {
-		if len(row) != len(t.Columns) {
-			return fmt.Errorf("core: %s expects %d values, got %d", t.Name, len(t.Columns), len(row))
-		}
-		out := make([]value.Value, len(row))
-		for ci, v := range row {
-			if v.IsParam() {
-				return fmt.Errorf("core: INSERT into %s carries an unbound '?' placeholder; bind arguments first", t.Name)
-			}
-			cv, err := value.Coerce(v, t.Columns[ci].Type.Kind)
-			if err != nil {
-				return fmt.Errorf("core: %s.%s row %d: %w", t.Name, t.Columns[ci].Name, ri+1, err)
-			}
-			out[ci] = cv
-		}
-		want := int64(ss.roots.n) + 1 + int64(ri)
-		pkVal := out[pkIdx]
-		if pkVal.Kind() != value.Int || pkVal.Int() != want {
-			return fmt.Errorf("core: %s primary key must be dense: row %d needs key %d, got %s",
-				t.Name, ri+1, want, pkVal)
+		out := make([]value.Value, len(t.Columns))
+		if err := checkRow(t, row, out, ri, int64(ss.roots.n)+1+int64(ri), nil); err != nil {
+			return err
 		}
 		coerced[ri] = out
 	}
@@ -215,14 +170,9 @@ func (ss *shardSet) insert(db *DB, ins *sql.Insert) error {
 func auditInsert(db *DB, t *schema.Table, rows [][]value.Value) {
 	for _, row := range rows {
 		for ci, c := range t.Columns {
-			if !c.Hidden || c.Type.Kind != value.String || ci >= len(row) {
-				continue
+			if c.Hidden && c.Type.Kind == value.String && ci < len(row) && row[ci].Kind() == value.String {
+				db.hiddenVals.Add(row[ci])
 			}
-			v, err := value.Coerce(row[ci], c.Type.Kind)
-			if err != nil {
-				continue
-			}
-			db.hiddenVals.Add(v)
 		}
 	}
 }

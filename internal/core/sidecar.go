@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"github.com/ghostdb/ghostdb/internal/storage"
 	"github.com/ghostdb/ghostdb/internal/storage/filedev"
@@ -62,32 +61,17 @@ func (e *engine) persistSidecar() error {
 		return nil
 	}
 	doc := sidecarDoc{Version: e.version, DDL: e.ddl}
-	versions := make([]uint64, 0, len(e.committedVis))
-	for v := range e.committedVis {
-		versions = append(versions, v)
-	}
-	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
-	for _, v := range versions {
+	for _, v := range sortedKeys(e.committedVis) {
 		commit := sidecarCommit{Version: v}
-		tables := make([]string, 0, len(e.committedVis[v]))
-		for t := range e.committedVis[v] {
-			tables = append(tables, t)
-		}
-		sort.Strings(tables)
-		for _, t := range tables {
+		for _, t := range sortedKeys(e.committedVis[v]) {
 			st := sidecarTable{Name: t}
-			cols := make([]string, 0, len(e.committedVis[v][t]))
-			for c := range e.committedVis[v][t] {
-				cols = append(cols, c)
-			}
-			sort.Strings(cols)
-			for _, c := range cols {
-				vals := e.committedVis[v][t][c]
+			for _, c := range sortedKeys(e.committedVis[v][t]) {
+				col := e.committedVis[v][t][c]
 				var data []byte
-				for _, val := range vals {
-					data = val.Append(data)
+				for i := range col.Len() {
+					data = col.Value(i).Append(data)
 				}
-				st.Cols = append(st.Cols, sidecarCol{Name: c, Rows: len(vals), Data: data})
+				st.Cols = append(st.Cols, sidecarCol{Name: c, Rows: col.Len(), Data: data})
 			}
 			commit.Tables = append(commit.Tables, st)
 		}
@@ -152,28 +136,35 @@ func readSidecar(dir string) (*sidecarDoc, error) {
 }
 
 // visMap decodes the sidecar's committed visible columns back into the
-// engine's version -> table -> column representation.
-func (d *sidecarDoc) visMap() (map[uint64]map[string]map[string][]value.Value, error) {
-	out := make(map[uint64]map[string]map[string][]value.Value, len(d.Commits))
+// engine's per-version images. A column's kind is its cells' (an empty
+// one has none); recovery holds it to the schema.
+func (d *sidecarDoc) visMap() (map[uint64]visImage, error) {
+	out := make(map[uint64]visImage, len(d.Commits))
 	for _, commit := range d.Commits {
-		tm := make(map[string]map[string][]value.Value, len(commit.Tables))
+		tm := make(visImage, len(commit.Tables))
 		for _, t := range commit.Tables {
-			cm := make(map[string][]value.Value, len(t.Cols))
+			cm := make(map[string]value.Column, len(t.Cols))
 			for _, c := range t.Cols {
-				vals := make([]value.Value, 0, c.Rows)
+				var col value.Column
 				rest := c.Data
 				for i := 0; i < c.Rows; i++ {
 					v, n, err := value.Decode(rest)
+					if i == 0 {
+						col = value.MakeColumn(v.Kind(), c.Rows)
+					}
+					if err == nil && (v.Kind() != col.Kind || !v.IsValid()) {
+						err = fmt.Errorf("a %s in a %s column", v.Kind(), col.Kind)
+					}
 					if err != nil {
 						return nil, fmt.Errorf("core: sidecar column %s.%s row %d: %w", t.Name, c.Name, i, err)
 					}
-					vals = append(vals, v)
+					col.Append(v)
 					rest = rest[n:]
 				}
 				if len(rest) != 0 {
 					return nil, fmt.Errorf("core: sidecar column %s.%s has %d trailing bytes", t.Name, c.Name, len(rest))
 				}
-				cm[c.Name] = vals
+				cm[c.Name] = col
 			}
 			tm[t.Name] = cm
 		}

@@ -15,13 +15,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"github.com/ghostdb/ghostdb/internal/device"
 	"github.com/ghostdb/ghostdb/internal/flash"
 	"github.com/ghostdb/ghostdb/internal/storage"
 	"github.com/ghostdb/ghostdb/internal/store"
-	"github.com/ghostdb/ghostdb/internal/value"
 )
 
 // recordMagic opens every commit record page 0.
@@ -235,84 +233,6 @@ func decodeCommitRecord(img storage.Image, slot int) (*commitRecord, error) {
 		return nil, fmt.Errorf("core: record slot %d holds version %d (wrong slot parity)", slot, rec.Version)
 	}
 	return &rec, nil
-}
-
-// fixedKindWidth mirrors the store's fixed-column storage widths for the
-// image-based recovery decoder.
-func fixedKindWidth(kind value.Kind) (int, error) {
-	switch kind {
-	case value.Int:
-		return 8, nil
-	case value.Date:
-		return 4, nil
-	case value.Float:
-		return 8, nil
-	case value.Bool:
-		return 1, nil
-	default:
-		return 0, fmt.Errorf("core: kind %s is not fixed width", kind)
-	}
-}
-
-// decodeFixedColumn reads a packed fixed-width column out of a flash
-// image, verifying every touched page's OOB checksum.
-func decodeFixedColumn(img storage.Image, ext flash.Extent, kind value.Kind, n int) ([]value.Value, error) {
-	w, err := fixedKindWidth(kind)
-	if err != nil {
-		return nil, err
-	}
-	if int64(n)*int64(w) > ext.Len {
-		return nil, fmt.Errorf("core: fixed column extent %d B short of %d rows", ext.Len, n)
-	}
-	buf := make([]byte, n*w)
-	if err := img.ReadAt(buf, ext.Start); err != nil {
-		return nil, err
-	}
-	out := make([]value.Value, n)
-	for i := 0; i < n; i++ {
-		raw := buf[i*w : (i+1)*w]
-		switch kind {
-		case value.Int:
-			out[i] = value.NewInt(int64(binary.LittleEndian.Uint64(raw)))
-		case value.Date:
-			out[i] = value.NewDateDays(int64(int32(binary.LittleEndian.Uint32(raw))))
-		case value.Float:
-			out[i] = value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
-		case value.Bool:
-			out[i] = value.NewBool(raw[0] != 0)
-		}
-	}
-	return out, nil
-}
-
-// decodeVarColumn reads an offset-array-plus-heap column out of a flash
-// image, verifying every touched page's OOB checksum.
-func decodeVarColumn(img storage.Image, offExt, dataExt flash.Extent, n int) ([]value.Value, error) {
-	if int64(n+1)*4 > offExt.Len {
-		return nil, fmt.Errorf("core: var column offset extent %d B short of %d rows", offExt.Len, n)
-	}
-	offs := make([]byte, (n+1)*4)
-	if err := img.ReadAt(offs, offExt.Start); err != nil {
-		return nil, err
-	}
-	heap := make([]byte, dataExt.Len)
-	if err := img.ReadAt(heap, dataExt.Start); err != nil {
-		return nil, err
-	}
-	out := make([]value.Value, n)
-	for i := 0; i < n; i++ {
-		start := binary.LittleEndian.Uint32(offs[i*4:])
-		end := binary.LittleEndian.Uint32(offs[(i+1)*4:])
-		if end < start || int64(end) > dataExt.Len {
-			return nil, fmt.Errorf("core: var column row %d: corrupt offsets %d..%d", i, start, end)
-		}
-		v, _, err := value.Decode(heap[start:end])
-		if err != nil {
-			return nil, fmt.Errorf("core: var column row %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // decodeRootGlobals reads the packed local→global root mapping region.

@@ -305,8 +305,8 @@ func TestHiddenPredFilter(t *testing.T) {
 	if _, err := st.CreateTable("T", 4); err != nil {
 		t.Fatal(err)
 	}
-	col, err := st.AddColumn("T", "q", value.Int, []value.Value{
-		value.NewInt(10), value.NewInt(20), value.NewInt(30), value.NewInt(40)})
+	col, err := st.AddColumn("T", "q", columnOf(value.Int, []value.Value{
+		value.NewInt(10), value.NewInt(20), value.NewInt(30), value.NewInt(40)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,4 +326,13 @@ func hash32(x uint32) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// columnOf packs vals, each of kind k, into a column.
+func columnOf(k value.Kind, vals []value.Value) value.Column {
+	c := value.MakeColumn(k, len(vals))
+	for _, v := range vals {
+		c.Append(v)
+	}
+	return c
 }

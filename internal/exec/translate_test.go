@@ -64,7 +64,7 @@ func translateFixtureOn(t testing.TB, e *Env, children int) *climbing.Index {
 	for i := range vals {
 		vals[i] = value.NewInt(int64(i + 1))
 	}
-	ix, err := climbing.Build(st, sch, "Child", "CID", value.Int, vals, true, inv)
+	ix, err := climbing.Build(st, sch, "Child", "CID", columnOf(value.Int, vals), true, inv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestColumnValueAllocationFloor(t *testing.T) {
 		long[i] = value.NewString(strings.Repeat("l", 200))
 	}
 	col := func(name string, kind value.Kind, vals []value.Value) Column {
-		c, err := s.AddColumn("T", name, kind, vals)
+		c, err := s.AddColumn("T", name, columnOf(kind, vals))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,12 +12,12 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"strings"
 
 	"github.com/ghostdb/ghostdb/internal/device"
 	"github.com/ghostdb/ghostdb/internal/flash"
 	"github.com/ghostdb/ghostdb/internal/ram"
+	"github.com/ghostdb/ghostdb/internal/storage"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
 
@@ -119,33 +119,33 @@ func (s *Store) Table(name string) (*TableData, bool) {
 	return t, ok
 }
 
-// AddColumn stores vals as a column of the table, choosing the layout from
-// the kind. len(vals) must equal the table's row count; row i holds the
+// AddColumn stores c as a column of the table, choosing the layout from
+// its kind. c.Len() must equal the table's row count; row i holds the
 // value of the tuple with ID i+1.
-func (s *Store) AddColumn(table, col string, kind value.Kind, vals []value.Value) (Column, error) {
+func (s *Store) AddColumn(table, col string, c value.Column) (Column, error) {
 	t, ok := s.tables[strings.ToLower(table)]
 	if !ok {
 		return nil, fmt.Errorf("store: unknown table %s", table)
 	}
-	if len(vals) != t.rows {
-		return nil, fmt.Errorf("store: %s.%s has %d values for %d rows", table, col, len(vals), t.rows)
+	if c.Len() != t.rows {
+		return nil, fmt.Errorf("store: %s.%s has %d values for %d rows", table, col, c.Len(), t.rows)
 	}
 	key := strings.ToLower(col)
 	if _, dup := t.cols[key]; dup {
 		return nil, fmt.Errorf("store: duplicate column %s.%s", table, col)
 	}
-	var c Column
+	var stored Column
 	var err error
-	if kind == value.String {
-		c, err = s.buildVarColumn(kind, vals)
+	if c.Kind == value.String {
+		stored, err = s.buildVarColumn(c.Strs)
 	} else {
-		c, err = s.buildFixedColumn(kind, vals)
+		stored, err = s.buildFixedColumn(c.Kind, c.Words)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %s.%s: %w", table, col, err)
 	}
-	t.cols[key] = c
-	return c, nil
+	t.cols[key] = stored
+	return stored, nil
 }
 
 // Column is a read-only column file.
@@ -185,23 +185,18 @@ type FixedColumn struct {
 	n     int
 }
 
-func (s *Store) buildFixedColumn(kind value.Kind, vals []value.Value) (*FixedColumn, error) {
+func (s *Store) buildFixedColumn(kind value.Kind, words []int64) (*FixedColumn, error) {
 	w, err := fixedWidth(kind)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, len(vals)*w)
-	for i, v := range vals {
-		if v.Kind() != kind { // the rare cell: an Int literal in a FLOAT or DATE column, a date string
-			if v, err = value.Coerce(v, kind); err != nil {
-				return nil, fmt.Errorf("row %d: %w", i, err)
-			}
-		}
-		// The payload word is the stored form: two's complement, IEEE
-		// bits, day count or 0/1, truncated to the kind's width.
-		switch word := uint64(v.Word()); w {
+	// The payload word is the stored form: two's complement, IEEE bits,
+	// day count or 0/1, truncated to the kind's width.
+	buf := make([]byte, 0, len(words)*w)
+	for _, word := range words {
+		switch w {
 		case 8:
-			buf = binary.LittleEndian.AppendUint64(buf, word)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(word))
 		case 4:
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(word))
 		default:
@@ -212,7 +207,21 @@ func (s *Store) buildFixedColumn(kind value.Kind, vals []value.Value) (*FixedCol
 	if err != nil {
 		return nil, err
 	}
-	return &FixedColumn{store: s, ext: ext, kind: kind, width: w, n: len(vals)}, nil
+	return &FixedColumn{store: s, ext: ext, kind: kind, width: w, n: len(words)}, nil
+}
+
+// word reads one stored cell of width bytes back into its payload word.
+func word(raw []byte, width int) int64 {
+	switch width {
+	case 8:
+		return int64(binary.LittleEndian.Uint64(raw))
+	case 4:
+		return int64(int32(binary.LittleEndian.Uint32(raw)))
+	}
+	if raw[0] != 0 {
+		return 1
+	}
+	return 0
 }
 
 // Value implements Column.
@@ -224,17 +233,7 @@ func (c *FixedColumn) Value(i int) (value.Value, error) {
 	if err := c.store.cache.ReadAt(raw[:c.width], c.ext.Start+int64(i)*int64(c.width)); err != nil {
 		return value.Value{}, err
 	}
-	switch c.kind {
-	case value.Int:
-		return value.NewInt(int64(binary.LittleEndian.Uint64(raw[:8]))), nil
-	case value.Date:
-		return value.NewDateDays(int64(int32(binary.LittleEndian.Uint32(raw[:4])))), nil
-	case value.Float:
-		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw[:8]))), nil
-	case value.Bool:
-		return value.NewBool(raw[0] != 0), nil
-	}
-	return value.Value{}, fmt.Errorf("store: bad fixed kind %s", c.kind)
+	return value.FromWord(c.kind, word(raw[:c.width], c.width)), nil
 }
 
 // Kind implements Column.
@@ -260,15 +259,12 @@ type VarColumn struct {
 	n       int
 }
 
-func (s *Store) buildVarColumn(kind value.Kind, vals []value.Value) (*VarColumn, error) {
+func (s *Store) buildVarColumn(strs []string) (*VarColumn, error) {
 	var heap []byte
-	offs := make([]byte, 0, (len(vals)+1)*4)
-	for i, v := range vals {
-		if v.Kind() != kind {
-			return nil, fmt.Errorf("row %d: kind %s, want %s", i, v.Kind(), kind)
-		}
+	offs := make([]byte, 0, (len(strs)+1)*4)
+	for _, str := range strs {
 		offs = binary.LittleEndian.AppendUint32(offs, uint32(len(heap)))
-		heap = v.Append(heap)
+		heap = value.NewString(str).Append(heap)
 	}
 	offs = binary.LittleEndian.AppendUint32(offs, uint32(len(heap)))
 	offExt, err := s.AppendRegion(offs)
@@ -279,7 +275,7 @@ func (s *Store) buildVarColumn(kind value.Kind, vals []value.Value) (*VarColumn,
 	if err != nil {
 		return nil, err
 	}
-	return &VarColumn{store: s, offExt: offExt, dataExt: dataExt, kind: kind, n: len(vals)}, nil
+	return &VarColumn{store: s, offExt: offExt, dataExt: dataExt, kind: value.String, n: len(strs)}, nil
 }
 
 // Value implements Column.
@@ -372,3 +368,50 @@ func (c *IDColumn) Bytes() int64 { return c.ext.Len }
 
 // Extent exposes the storage location (for sequential scans).
 func (c *IDColumn) Extent() flash.Extent { return c.ext }
+
+// DecodeColumn reads the n-row column file of kind at off (a string
+// column's offset array, its heap at data) out of a flash image, whose
+// reads verify every page's checksum. Recovery decodes with it.
+func DecodeColumn(img storage.Image, kind value.Kind, n int, off, data flash.Extent) (value.Column, error) {
+	w, err := fixedWidth(kind)
+	size := int64(n) * int64(w)
+	if kind == value.String {
+		w, size = 4, int64(n+1)*4 // offsets: one more than the rows
+	} else if err != nil {
+		return value.Column{}, fmt.Errorf("store: %w", err)
+	}
+	if size > off.Len {
+		return value.Column{}, fmt.Errorf("store: %s column extent %d B short of %d rows", kind, off.Len, n)
+	}
+	buf := make([]byte, size)
+	if err := img.ReadAt(buf, off.Start); err != nil {
+		return value.Column{}, err
+	}
+	if kind != value.String {
+		c := value.Column{Kind: kind, Words: make([]int64, n)}
+		for i := range c.Words {
+			c.Words[i] = word(buf[i*w:], w)
+		}
+		return c, nil
+	}
+	heap := make([]byte, data.Len)
+	if err := img.ReadAt(heap, data.Start); err != nil {
+		return value.Column{}, err
+	}
+	c := value.Column{Kind: value.String, Strs: make([]string, n)}
+	for i := range c.Strs {
+		start, end := binary.LittleEndian.Uint32(buf[i*4:]), binary.LittleEndian.Uint32(buf[(i+1)*4:])
+		if end < start || int64(end) > data.Len {
+			return value.Column{}, fmt.Errorf("store: string column row %d: corrupt offsets %d..%d", i, start, end)
+		}
+		v, _, err := value.Decode(heap[start:end])
+		if err == nil && v.Kind() != value.String {
+			err = fmt.Errorf("holds a %s", v.Kind())
+		}
+		if err != nil {
+			return value.Column{}, fmt.Errorf("store: string column row %d: %w", i, err)
+		}
+		c.Strs[i] = v.Str()
+	}
+	return c, nil
+}

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"github.com/ghostdb/ghostdb/internal/device"
+	"github.com/ghostdb/ghostdb/internal/flash"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
 
@@ -92,7 +94,7 @@ func TestFixedColumnRoundTrip(t *testing.T) {
 			value.NewBool(true), value.NewBool(false)}},
 	}
 	for _, c := range cases {
-		col, err := s.AddColumn("T", c.name, c.kind, c.vals)
+		col, err := s.AddColumn("T", c.name, columnOf(c.kind, c.vals))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -120,18 +122,43 @@ func TestFixedColumnRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFixedColumnCoercesDatesFromStrings(t *testing.T) {
+// TestDecodeColumnRoundTrip holds the image decoder recovery uses to the
+// column files AddColumn writes, kind by kind, and to their extents.
+func TestDecodeColumnRoundTrip(t *testing.T) {
 	s := newTestStore(t)
-	if _, err := s.CreateTable("T", 1); err != nil {
+	if _, err := s.CreateTable("T", 3); err != nil {
 		t.Fatal(err)
 	}
-	col, err := s.AddColumn("T", "d", value.Date, []value.Value{value.NewString("05-11-2006")})
-	if err != nil {
-		t.Fatal(err)
+	cols := []value.Column{
+		columnOf(value.Int, []value.Value{value.NewInt(-7), value.NewInt(0), value.NewInt(1 << 40)}),
+		columnOf(value.Date, []value.Value{value.NewDate(1969, 12, 31), value.NewDate(2006, 11, 5), value.NewDateDays(0)}),
+		columnOf(value.Float, []value.Value{value.NewFloat(-2.5), value.NewFloat(0), value.NewFloat(1e300)}),
+		columnOf(value.Bool, []value.Value{value.NewBool(true), value.NewBool(false), value.NewBool(true)}),
+		columnOf(value.String, []value.Value{value.NewString(""), value.NewString("Sclerosis"), value.NewString("x")}),
 	}
-	got, err := col.Value(0)
-	if err != nil || got != value.NewDate(2006, 11, 5) {
-		t.Errorf("coerced date = %v, %v", got, err)
+	for i, want := range cols {
+		col, err := s.AddColumn("T", itoa(i), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var off, data flash.Extent
+		switch col := col.(type) {
+		case *FixedColumn:
+			off = col.Extent()
+		case *VarColumn:
+			off, data = col.Extents()
+		}
+		img, err := s.Device().Flash.Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeColumn(img, want.Kind, 3, off, data)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded %+v, %v; want %+v", want.Kind, got, err, want)
+		}
+		if _, err := DecodeColumn(img, want.Kind, 1<<20, off, data); err == nil {
+			t.Errorf("%s: extent short of the rows accepted", want.Kind)
+		}
 	}
 }
 
@@ -146,7 +173,7 @@ func TestVarColumnRoundTrip(t *testing.T) {
 	if _, err := s.CreateTable("Visit", len(vals)); err != nil {
 		t.Fatal(err)
 	}
-	col, err := s.AddColumn("Visit", "Purpose", value.String, vals)
+	col, err := s.AddColumn("Visit", "Purpose", columnOf(value.String, vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,21 +194,17 @@ func TestAddColumnValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals2 := []value.Value{value.NewInt(1), value.NewInt(2)}
-	if _, err := s.AddColumn("Ghost", "c", value.Int, vals2); err == nil {
+	if _, err := s.AddColumn("Ghost", "c", columnOf(value.Int, vals2)); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, err := s.AddColumn("T", "c", value.Int, vals2[:1]); err == nil {
+	if _, err := s.AddColumn("T", "c", columnOf(value.Int, vals2[:1])); err == nil {
 		t.Error("row count mismatch accepted")
 	}
-	if _, err := s.AddColumn("T", "c", value.Int, vals2); err != nil {
+	if _, err := s.AddColumn("T", "c", columnOf(value.Int, vals2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddColumn("T", "C", value.Int, vals2); err == nil {
+	if _, err := s.AddColumn("T", "C", columnOf(value.Int, vals2)); err == nil {
 		t.Error("case-insensitive duplicate column accepted")
-	}
-	if _, err := s.AddColumn("T", "bad", value.Int,
-		[]value.Value{value.NewString("x"), value.NewString("y")}); err == nil {
-		t.Error("kind mismatch accepted")
 	}
 	td, _ := s.Table("T")
 	if _, ok := td.Column("c"); !ok {
@@ -250,7 +273,7 @@ func TestFootprintGrows(t *testing.T) {
 	for i := range vals {
 		vals[i] = value.NewInt(int64(i))
 	}
-	if _, err := s.AddColumn("T", "c", value.Int, vals); err != nil {
+	if _, err := s.AddColumn("T", "c", columnOf(value.Int, vals)); err != nil {
 		t.Fatal(err)
 	}
 	if s.FootprintBytes() <= before {
@@ -271,7 +294,7 @@ func TestQuickFixedIntColumn(t *testing.T) {
 		if _, err := s.CreateTable(name, len(vals)); err != nil {
 			return false
 		}
-		col, err := s.AddColumn(name, "c", value.Int, vals)
+		col, err := s.AddColumn(name, "c", columnOf(value.Int, vals))
 		if err != nil {
 			return false
 		}
@@ -298,4 +321,13 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(digits)
+}
+
+// columnOf packs vals, each of kind k, into a column.
+func columnOf(k value.Kind, vals []value.Value) value.Column {
+	c := value.MakeColumn(k, len(vals))
+	for _, v := range vals {
+		c.Append(v)
+	}
+	return c
 }

@@ -4,8 +4,9 @@
 //
 // A Value is 32 bytes: the kind, one 64-bit payload word shared by every
 // fixed-width kind (a Float keeps its IEEE bits there) and the string
-// header. Every column, result row and checkpoint interchange slice in the
-// system is a []Value, so the size is pinned by a test.
+// header. Every result row and delta row image in the system is a []Value,
+// so the size is pinned by a test; the columns a rebuild takes are Columns,
+// which hold the payload unboxed.
 //
 // == is an equivalence that agrees with Compare: for two values of the same
 // kind, a == b exactly when Compare(a, b) == 0, which is what lets a Value

@@ -13,9 +13,8 @@ import (
 )
 
 // index is a column's access path: the row IDs sorted by (value, id).
-// Every value has the one kind, and value.Compare orders them totally.
+// Every value has the column's kind, and value.Compare orders them totally.
 type index struct {
-	kind value.Kind
 	perm []uint32 // nil for a dense key: position i holds ID i+1
 }
 
@@ -41,30 +40,31 @@ func (c *Column) lookup(p pred.P) (ids []uint32, ok bool) {
 // values are not totally ordered (then ix stays nil).
 func (c *Column) build() {
 	if c.dense {
-		c.ix = &index{kind: value.Int}
+		c.ix = &index{}
 		return
 	}
-	kind, ok := orderedKind(c.vals, c.Kind)
-	if !ok {
+	// A column holds one kind, so only a NaN, which compares equal to
+	// every float, leaves its values without a total order.
+	if c.Kind == value.Float && slices.ContainsFunc(c.data.Words, func(w int64) bool { return math.IsNaN(math.Float64frombits(uint64(w))) }) {
 		return
 	}
 	var perm []uint32
-	if kind == value.String {
-		perm = identity(len(c.vals))
+	if strs := c.data.Strs; c.Kind == value.String {
+		perm = identity(c.n)
 		slices.SortFunc(perm, func(a, b uint32) int {
-			if r := cmp.Compare(c.vals[a-1].Str(), c.vals[b-1].Str()); r != 0 {
+			if r := cmp.Compare(strs[a-1], strs[b-1]); r != 0 {
 				return r
 			}
 			return cmp.Compare(a, b)
 		})
 	} else {
-		keys := make([]uint64, len(c.vals))
-		for i, v := range c.vals {
-			keys[i] = sortKey(v)
+		keys := make([]uint64, c.n)
+		for i, w := range c.data.Words {
+			keys[i] = sortKey(c.Kind, w)
 		}
 		perm = radixPerm(keys)
 	}
-	c.ix = &index{kind: kind, perm: perm}
+	c.ix = &index{perm: perm}
 }
 
 func identity(n int) []uint32 {
@@ -75,29 +75,20 @@ func identity(n int) []uint32 {
 	return perm
 }
 
-// sortKey maps a value of an ordered kind other than String to a key
-// whose unsigned order is value.Compare's order.
-func sortKey(v value.Value) uint64 {
-	switch v.Kind() {
+// sortKey maps the payload word of a value of an ordered kind other than
+// String to a key whose unsigned order is value.Compare's order.
+func sortKey(kind value.Kind, w int64) uint64 {
+	switch kind {
 	case value.Float:
-		f := v.Float()
-		if f == 0 {
-			f = 0 // -0 and +0 compare equal
-		}
-		b := math.Float64bits(f)
+		b := uint64(w) // a column's float is canonical: no -0
 		if b>>63 != 0 {
 			return ^b
 		}
 		return b | 1<<63
-	case value.Date:
-		return uint64(v.DateDays()) ^ 1<<63
 	case value.Bool:
-		if v.Bool() {
-			return 1
-		}
-		return 0
-	default:
-		return uint64(v.Int()) ^ 1<<63
+		return uint64(w)
+	default: // Int, Date
+		return uint64(w) ^ 1<<63
 	}
 }
 
@@ -135,28 +126,6 @@ func radixPerm(keys []uint64) []uint32 {
 	return perm
 }
 
-// orderedKind reports the one kind all of vals have, if value.Compare
-// orders values of that kind totally: no mixed kinds, no NULLs, and no
-// NaN, which compares equal to every float. An empty column takes its
-// declared kind; whatever is asked of it matches nothing.
-func orderedKind(vals []value.Value, declared value.Kind) (value.Kind, bool) {
-	kind := declared
-	if len(vals) > 0 {
-		kind = vals[0].Kind()
-	}
-	switch kind {
-	case value.Int, value.Float, value.String, value.Date, value.Bool:
-	default:
-		return kind, false
-	}
-	for _, v := range vals {
-		if v.Kind() != kind || (kind == value.Float && v.Float() != v.Float()) {
-			return kind, false
-		}
-	}
-	return kind, true
-}
-
 // order compares two values of one ordered kind, for which
 // value.Compare cannot fail.
 func order(a, b value.Value) int {
@@ -164,17 +133,17 @@ func order(a, b value.Value) int {
 	return c
 }
 
-// literal brings a predicate's literal to the index's kind exactly as
+// literal brings a predicate's literal to the column's kind exactly as
 // value.Compare would for each row, or reports that it cannot: Compare
 // widens an Int literal against floats and parses a string literal
 // against dates, and nothing else. (value.Coerce also turns an Int into
 // a Date, which Compare rejects; a NaN literal equals every float.)
-func (ix *index) literal(v value.Value) (value.Value, bool) {
+func (c *Column) literal(v value.Value) (value.Value, bool) {
 	switch {
-	case v.Kind() == ix.kind:
-	case ix.kind == value.Float && v.Kind() == value.Int,
-		ix.kind == value.Date && v.Kind() == value.String:
-		cv, err := value.Coerce(v, ix.kind)
+	case v.Kind() == c.Kind:
+	case c.Kind == value.Float && v.Kind() == value.Int,
+		c.Kind == value.Date && v.Kind() == value.String:
+		cv, err := value.Coerce(v, c.Kind)
 		if err != nil {
 			return v, false
 		}
@@ -182,7 +151,7 @@ func (ix *index) literal(v value.Value) (value.Value, bool) {
 	default:
 		return v, false
 	}
-	if ix.kind == value.Float && v.Float() != v.Float() {
+	if c.Kind == value.Float && v.Float() != v.Float() {
 		return v, false
 	}
 	return v, true
@@ -191,10 +160,10 @@ func (ix *index) literal(v value.Value) (value.Value, bool) {
 // runs appends the runs of the sort order that satisfy p: one for =, <,
 // <=, >, >= and BETWEEN, two for <>, one per element for IN.
 func (c *Column) runs(p pred.P, runs []run) ([]run, bool) {
-	ix, n := c.ix, len(c.vals)
+	n := c.n
 	switch p.Form {
 	case pred.FormCompare:
-		v, ok := ix.literal(p.Val)
+		v, ok := c.literal(p.Val)
 		if !ok {
 			return nil, false
 		}
@@ -213,15 +182,15 @@ func (c *Column) runs(p pred.P, runs []run) ([]run, bool) {
 			return append(runs, run{c.below(v, false), n}), true
 		}
 	case pred.FormBetween:
-		lo, okLo := ix.literal(p.Lo)
-		hi, okHi := ix.literal(p.Hi)
+		lo, okLo := c.literal(p.Lo)
+		hi, okHi := c.literal(p.Hi)
 		if !okLo || !okHi {
 			return nil, false
 		}
 		return append(runs, run{c.below(lo, false), c.below(hi, true)}), true
 	case pred.FormIn:
 		for _, s := range p.Set {
-			v, ok := ix.literal(s)
+			v, ok := c.literal(s)
 			if !ok {
 				return nil, false
 			}
@@ -235,7 +204,7 @@ func (c *Column) runs(p pred.P, runs []run) ([]run, bool) {
 // below counts the values less than v, or less than or equal to v: the
 // position in the sort order where a run bounded by v starts or ends.
 func (c *Column) below(v value.Value, orEqual bool) int {
-	n := len(c.vals)
+	n := c.n
 	perm := c.ix.perm
 	if perm == nil { // dense key: the values are 1..n
 		x := v.Int()
@@ -245,7 +214,7 @@ func (c *Column) below(v value.Value, orEqual bool) int {
 		return int(min(max(x, 0), int64(n)))
 	}
 	return sort.Search(n, func(i int) bool {
-		r := order(c.vals[perm[i]-1], v)
+		r := order(c.at(int(perm[i])-1), v)
 		return r > 0 || (r == 0 && !orEqual)
 	})
 }
@@ -273,11 +242,11 @@ func (c *Column) ids(runs []run) []uint32 {
 			}
 			return out
 		}
-		if order(c.vals[perm[one.lo]-1], c.vals[perm[one.hi-1]-1]) == 0 {
+		if order(c.at(int(perm[one.lo])-1), c.at(int(perm[one.hi-1])-1)) == 0 {
 			return slices.Clone(perm[one.lo:one.hi])
 		}
 	}
-	marks := make([]uint64, (len(c.vals)+63)/64)
+	marks := make([]uint64, (c.n+63)/64)
 	for _, r := range runs {
 		for pos := r.lo; pos < r.hi; pos++ {
 			k := uint32(pos)

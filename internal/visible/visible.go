@@ -24,9 +24,9 @@
 // column's order does not follow (an Int column against a Float literal,
 // a Date column against a string that is not a date, incomparable kinds,
 // a NaN literal), and a column whose values value.Compare does not order
-// totally (mixed kinds, a NaN among floats). Which path runs follows from
-// the kinds observed in the column and the predicate, never from a
-// setting.
+// totally (a NaN among floats). A column holds one kind, so which path
+// runs follows from that kind, the column's values and the predicate,
+// never from a setting.
 package visible
 
 import (
@@ -61,11 +61,20 @@ type Table struct {
 type Column struct {
 	Name string
 	Kind value.Kind
-	vals []value.Value
+	n    int
+	data value.Column // unset for a dense key
 
 	dense bool      // primary key: row i holds Int(i+1)
 	once  sync.Once // guards the one build of ix
 	ix    *index    // nil once built: the values have no total order, scan
+}
+
+// at returns the value of row i (0-based).
+func (c *Column) at(i int) value.Value {
+	if c.dense {
+		return value.NewInt(int64(i + 1))
+	}
+	return c.data.Value(i)
 }
 
 // CreateTable registers a table with the given cardinality.
@@ -99,25 +108,25 @@ func (s *Store) Tables() []*Table {
 	return out
 }
 
-// AddColumn attaches vals (one per row, in ID order) as a column. The
-// slice is retained, not copied, and must not change while the Store is
-// in use: the engine replaces the whole Store when the data changes (see
-// the package comment), and the column's index relies on it.
-func (t *Table) AddColumn(name string, kind value.Kind, vals []value.Value) error {
-	return t.addColumn(&Column{Name: name, Kind: kind, vals: vals})
+// AddColumn attaches c (one cell per row, in ID order) as a column. The
+// data is retained, not copied, and must not change while the Store is in
+// use: the engine replaces the whole Store when the data changes (see the
+// package comment), and the column's index relies on it.
+func (t *Table) AddColumn(name string, c value.Column) error {
+	if c.Len() != t.n {
+		return fmt.Errorf("visible: %s.%s has %d values for %d rows", t.Name, name, c.Len(), t.n)
+	}
+	return t.addColumn(&Column{Name: name, Kind: c.Kind, n: t.n, data: c})
 }
 
 // AddKeyColumn attaches the table's primary key: an Int column whose row
-// i holds i+1, which the caller has verified. Predicates on it are
-// answered by arithmetic on the literal.
-func (t *Table) AddKeyColumn(name string, vals []value.Value) error {
-	return t.addColumn(&Column{Name: name, Kind: value.Int, vals: vals, dense: true})
+// i holds i+1 by construction, so it stores nothing and predicates on it
+// are answered by arithmetic on the literal.
+func (t *Table) AddKeyColumn(name string) error {
+	return t.addColumn(&Column{Name: name, Kind: value.Int, n: t.n, dense: true})
 }
 
 func (t *Table) addColumn(c *Column) error {
-	if len(c.vals) != t.n {
-		return fmt.Errorf("visible: %s.%s has %d values for %d rows", t.Name, c.Name, len(c.vals), t.n)
-	}
 	key := strings.ToLower(c.Name)
 	if _, dup := t.cols[key]; dup {
 		return fmt.Errorf("visible: duplicate column %s.%s", t.Name, c.Name)
@@ -146,10 +155,10 @@ func (t *Table) Value(col string, id uint32) (value.Value, error) {
 
 // Value returns the column's value for row id (1-based).
 func (c *Column) Value(id uint32) (value.Value, error) {
-	if id == 0 || int(id) > len(c.vals) {
-		return value.Value{}, fmt.Errorf("visible: id %d out of 1..%d", id, len(c.vals))
+	if id == 0 || int(id) > c.n {
+		return value.Value{}, fmt.Errorf("visible: id %d out of 1..%d", id, c.n)
 	}
-	return c.vals[id-1], nil
+	return c.at(int(id) - 1), nil
 }
 
 // Select evaluates p over the column and returns the matching IDs in
@@ -181,8 +190,8 @@ func (t *Table) SelectPath(col string, p pred.P) ([]uint32, bool, error) {
 // result is sorted).
 func (c *Column) scan(p pred.P) ([]uint32, error) {
 	var out []uint32
-	for i, v := range c.vals {
-		match, err := p.Eval(v)
+	for i := range c.n {
+		match, err := p.Eval(c.at(i))
 		if err != nil {
 			return nil, err
 		}
@@ -209,8 +218,8 @@ func (t *Table) ProjectSorted(col string, ids []uint32) ([]KV, error) {
 	}
 	if ids == nil {
 		out := make([]KV, t.n)
-		for i, v := range c.vals {
-			out[i] = KV{ID: uint32(i + 1), Val: v}
+		for i := range out {
+			out[i] = KV{ID: uint32(i + 1), Val: c.at(i)}
 		}
 		return out, nil
 	}
@@ -222,7 +231,7 @@ func (t *Table) ProjectSorted(col string, ids []uint32) ([]KV, error) {
 		if id == 0 || int(id) > t.n {
 			return nil, fmt.Errorf("visible: id %d out of 1..%d", id, t.n)
 		}
-		out = append(out, KV{ID: id, Val: c.vals[id-1]})
+		out = append(out, KV{ID: id, Val: c.at(int(id) - 1)})
 	}
 	return out, nil
 }

@@ -21,7 +21,7 @@ func newTable(t *testing.T) *Table {
 		value.NewString("Antibiotic"), value.NewString("Statin"),
 		value.NewString("Antibiotic"),
 	}
-	if err := tb.AddColumn("Type", value.String, types); err != nil {
+	if err := tb.AddColumn("Type", columnOf(value.String, types)); err != nil {
 		t.Fatal(err)
 	}
 	return tb
@@ -50,13 +50,13 @@ func TestAddColumnValidation(t *testing.T) {
 	s := NewStore()
 	tb, _ := s.CreateTable("T", 2)
 	two := []value.Value{value.NewInt(1), value.NewInt(2)}
-	if err := tb.AddColumn("x", value.Int, two); err != nil {
+	if err := tb.AddColumn("x", columnOf(value.Int, two)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.AddColumn("X", value.Int, two); err == nil {
+	if err := tb.AddColumn("X", columnOf(value.Int, two)); err == nil {
 		t.Error("duplicate column accepted")
 	}
-	if err := tb.AddColumn("y", value.Int, two[:1]); err == nil {
+	if err := tb.AddColumn("y", columnOf(value.Int, two[:1])); err == nil {
 		t.Error("wrong cardinality accepted")
 	}
 }
@@ -139,4 +139,13 @@ func TestIntersectSorted(t *testing.T) {
 			t.Errorf("IntersectSorted(%v, %v) = %v", c.a, c.b, got)
 		}
 	}
+}
+
+// columnOf packs vals, each of kind k, into a column.
+func columnOf(k value.Kind, vals []value.Value) value.Column {
+	c := value.MakeColumn(k, len(vals))
+	for _, v := range vals {
+		c.Append(v)
+	}
+	return c
 }
