@@ -3,7 +3,7 @@ package core
 // This file is the host-side finishing stage: aggregation, HAVING,
 // DISTINCT, ORDER BY and LIMIT over the physical rows the distributed
 // pipeline delivered. It runs on the secure display — the same trust
-// domain that renders raw result rows — after the device has finished,
+// domain that renders raw result rows — after the devices have finished,
 // so it advances no simulated clock and sends nothing over the traced
 // buses: the spy observes exactly the traffic of the underlying SPJ
 // query, and aggregate queries cost the same simulated time at every batch
@@ -11,12 +11,15 @@ package core
 // match counts alone are enough to reconstruct a database, so nothing
 // computed here may become observable.
 //
-// There is one aggregate path. The executor's row walk (executor.go) is
-// folded row by row, through one scratch row, into a pooled grouper: Add
-// on a single device, AddAt stamped with the global root on a shard,
-// whose partials the front door merges (shard_merge.go). An aggregated query
-// therefore never materialises its physical rows; only a query that
-// returns rows (plain, DISTINCT, ORDER BY) goes through finishRows.
+// There is one finisher, the front door's gather (coordinator.go), and it
+// runs once per query over 0, 1 or k engines. An engine hands back its
+// half: an aggregated query's row walk (executor.go) folded row by row,
+// through one scratch row, into a pooled grouper whose groups carry their
+// smallest global root (AddAt), or any other query's physical rows in
+// root order. The front door merges the halves (shard_merge.go) — one
+// grouper or one stream is already merged — and finishes them here:
+// grouperRows, then finishTail. An aggregated query therefore never
+// materialises its physical rows.
 
 import (
 	"fmt"
@@ -28,24 +31,18 @@ import (
 )
 
 // aggregate folds the execution's n physical rows into the query's
-// groups. On a single device it finishes them into res.Rows; as a shard's
-// half (sh non-nil) it exports per-group raw accumulator partials stamped
-// with the smallest contributing global root, so the front door can
-// reconstruct single-device group order — unless the shard is the query's
-// only target (sh.finish), which folds its remapped rows and finishes them
-// itself: its root order is the global one.
+// groups and hands the grouper to the front door in res, every group
+// stamped with the smallest global root that contributed: several
+// shards' groups then merge in single-device creation order, and one
+// engine's are already in it.
 func (ex *executor) aggregate(res *Result, sh *shardRemap, n int) error {
 	q := ex.q
-	if sh != nil {
-		ex.rep.ResultRows = n // a shard reports the physical rows it folds
-	}
-	// LIMIT 0 (the standard zero-row probe) short-circuits the finishing
-	// stage entirely: the result is empty whatever the post-operators.
+	ex.rep.ResultRows = n // the engine reports the physical rows it folds
+	// LIMIT 0 (the standard zero-row probe) is empty whatever the groups.
 	if q.HasLimit && q.Limit == 0 {
 		return nil
 	}
 	g := exec.GetGrouper(q.GroupBy, aggOps(q))
-	defer exec.PutGrouper(g)
 	row := make([]value.Value, len(q.Projs))
 	w := ex.newWalk()
 	for {
@@ -53,61 +50,34 @@ func (ex *executor) aggregate(res *Result, sh *shardRemap, n int) error {
 		if !ok {
 			break
 		}
-		var err error
-		if sh == nil {
-			err = g.Add(row)
-		} else {
-			// Remap before folding: aggregates over the root key must see
-			// global values.
-			if root, err = sh.apply(root, row); err != nil {
-				return err
-			}
+		// Remap before folding: aggregates over the root key must see
+		// global values.
+		root, err := sh.apply(root, row)
+		if err == nil {
 			err = g.AddAt(row, int64(root))
 		}
 		if err != nil {
+			exec.PutGrouper(g)
 			return err
 		}
 	}
-	if sh != nil && !sh.finish {
-		res.groups = make([]shardGroup, g.Groups())
-		for gi := range res.groups {
-			keys, accs, first := g.Partial(gi)
-			// The key slice aliases pooled grouper storage; copy before Put.
-			res.groups[gi] = shardGroup{keys: append([]value.Value(nil), keys...), accs: accs, first: first}
-		}
-		return nil
-	}
-	// A global aggregate over an empty result still yields one row
-	// (COUNT = 0, NULL for the other aggregates).
-	if !q.Grouped && g.Groups() == 0 {
-		g.AddEmptyGroup()
-	}
-	rows, err := grouperRows(q, g, nil)
-	if err != nil {
-		return err
-	}
-	res.Rows = finishTail(q, rows)
-	ex.rep.ResultRows = len(res.Rows)
+	res.grouper = g
 	return nil
 }
 
-// finishRows applies a non-aggregated query's post-operators (DISTINCT,
-// ORDER BY, LIMIT) to its physical rows (Projs-wide, in root-ID order) and
-// returns the visible result rows.
-func finishRows(q *plan.Query, base [][]value.Value) [][]value.Value {
-	if q.HasLimit && q.Limit == 0 {
-		return nil
-	}
-	return finishTail(q, outputRows(q, base))
-}
-
 // finishTail applies the order-sensitive tail of the finishing stage —
-// DISTINCT, ORDER BY, LIMIT, hidden-column stripping — to output-shaped
-// rows. It is shared by the single-device path (rows in root-ID order)
-// and the front door over several devices (rows re-merged into global
-// root-ID order), so sort ties break identically on both: the sorter's
-// arrival-order tiebreak sees the same sequence either way.
+// DISTINCT, ORDER BY, LIMIT, hidden-column stripping — to the merged
+// rows: output-shaped (physical for a query without post-operators, on
+// which it changes nothing) and in the order a single device creates
+// them, global root order or group creation order. Sort ties therefore
+// break identically at every shard count: the sorter's arrival-order
+// tiebreak sees the same sequence.
 func finishTail(q *plan.Query, rows [][]value.Value) [][]value.Value {
+	// LIMIT 0 (the standard zero-row probe) is empty whatever the
+	// post-operators.
+	if q.HasLimit && q.Limit == 0 {
+		return rows[:0]
+	}
 	if q.Distinct {
 		d := exec.GetDistinct(q.VisibleOuts)
 		kept := rows[:0]
@@ -146,22 +116,6 @@ func finishTail(q *plan.Query, rows [][]value.Value) [][]value.Value {
 	return rows
 }
 
-// outputRows remaps physical rows to the query's output columns, all
-// rows sharing one flat backing array.
-func outputRows(q *plan.Query, base [][]value.Value) [][]value.Value {
-	width := len(q.Outputs)
-	out := make([][]value.Value, len(base))
-	flat := make([]value.Value, len(base)*width)
-	for i, br := range base {
-		row := flat[i*width : (i+1)*width : (i+1)*width]
-		for oi, o := range q.Outputs {
-			row[oi] = br[o.Proj]
-		}
-		out[i] = row
-	}
-	return out
-}
-
 // aggOps translates the query's aggregate expressions into executor
 // accumulator descriptors.
 func aggOps(q *plan.Query) []exec.AggOp {
@@ -178,9 +132,9 @@ func aggOps(q *plan.Query) []exec.AggOp {
 
 // grouperRows finalizes a populated grouper into output rows, applying
 // HAVING. order lists the group indexes to emit in sequence; nil means
-// the grouper's natural first-seen order. The scatter-gather merge
-// passes an order sorted by FirstSeen stamp so cross-shard groups come
-// out in the same sequence the single-device engine produces.
+// the grouper's natural first-seen order. A merge of several shards'
+// groupers passes an order sorted by FirstSeen stamp so cross-shard
+// groups come out in the same sequence the single-device engine produces.
 func grouperRows(q *plan.Query, g *exec.Grouper, order []int) ([][]value.Value, error) {
 	width := len(q.Outputs)
 	// Key positions: output plain columns address their group key slot.
@@ -198,11 +152,15 @@ func grouperRows(q *plan.Query, g *exec.Grouper, order []int) ([][]value.Value, 
 		}
 		return true, nil
 	}
-	var out [][]value.Value
 	n := g.Groups()
 	if order != nil {
 		n = len(order)
 	}
+	// The kept rows share one flat backing array, cap-limited so that
+	// finishTail's in-place DISTINCT and its sorter cannot run into a
+	// neighbour.
+	out := make([][]value.Value, 0, n)
+	flat := make([]value.Value, n*width)
 	for i := 0; i < n; i++ {
 		gi := i
 		if order != nil {
@@ -215,7 +173,8 @@ func grouperRows(q *plan.Query, g *exec.Grouper, order []int) ([][]value.Value, 
 		if !keep {
 			continue
 		}
-		row := make([]value.Value, width)
+		k := len(out)
+		row := flat[k*width : (k+1)*width : (k+1)*width]
 		for oi, o := range q.Outputs {
 			if o.AggIdx >= 0 {
 				row[oi] = g.AggValue(gi, o.AggIdx)

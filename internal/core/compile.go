@@ -420,34 +420,36 @@ func (cq *CompiledQuery) run(params []value.Value, cfg *queryConfig) (*Result, e
 	return cq.db.route(cq, bound, cfg)
 }
 
-// run executes an already-bound query on p's device: plan choice under
-// the gate, then the distributed pipeline. A non-nil sh selects the
-// scatter-gather shard mode (see engine.execute).
-func (p *enginePlan) run(bound *plan.Query, cfg *queryConfig, sh *shardRemap) (*Result, error) {
+// run executes an already-bound query on p's device — plan choice under
+// the gate, then the distributed pipeline — and fills res with the
+// engine's half of the result (see engine.execute). sh remaps roots into
+// the global key space; nil is the identity.
+func (p *enginePlan) run(bound *plan.Query, cfg *queryConfig, sh *shardRemap, res *Result) error {
 	e := p.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if err := e.fatalError(); err != nil {
-		return nil, err
+		return err
 	}
 	visSel, err := e.visSelections(bound)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	spec, ch, err := p.optimizeLocked(bound, visSel, cfg.spec, cfg.explain)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res, err := e.execute(bound, spec, visSel, cfg.ctx, sh)
-	if err != nil {
+	if err := e.execute(bound, spec, visSel, cfg.ctx, sh, res); err != nil {
 		e.noteDeviceErr(err)
-	} else if ch != nil {
+		return err
+	}
+	if ch != nil {
 		res.choices = []*choice{ch}
 	}
-	return res, err
+	return nil
 }
 
 // QueryWithPlan executes a prepared query under an explicit plan: one run

@@ -1,8 +1,8 @@
 package core
 
 // The front door's read path: every DB routes a query to the n >= 1
-// device engines ("shards") that can answer it and, when there are
-// several, merges their streams host-side. The fact table at the schema root is
+// device engines ("shards") that can answer it, merges what they hand
+// back and finishes it host-side, once. The fact table at the schema root is
 // partitioned round-robin on its dense key; every dimension table is fully
 // replicated on every shard, which is safe in GhostDB's tree schema
 // because foreign keys always point from the root toward the dimensions —
@@ -12,8 +12,8 @@ package core
 // over the contacted shards, so the reported speedup is exactly the
 // paper's cost model run N times in parallel.
 //
-// Routing. A dimension-rooted query runs whole, finishing included, on
-// one round-robin-chosen replica. A root-rooted query goes to its target
+// Routing chooses targets and nothing else. A dimension-rooted query runs
+// on one round-robin-chosen replica. A root-rooted query goes to its target
 // set: the shards that own at least one global root key satisfying every
 // predicate the statement places on the root's primary key (=, IN,
 // BETWEEN, <, <=, >, >= and their conjunction; <> never narrows the set),
@@ -22,11 +22,12 @@ package core
 // No root-key predicate means every shard. Predicates on dimension
 // columns, hidden columns or non-key root columns never prune: which
 // rows they select is exactly what the devices exist to hide or to
-// compute. One target runs inline on the caller's goroutine and finishes
-// its own rows (shardRemap.finish): no goroutine, no merge. Zero targets
-// is answered here without contacting a device. Several targets scatter
-// in parallel and gather through shard_merge.go. Only the contacted
-// shards must be healthy, and only they advance their clocks.
+// compute. One gather then serves 0, 1 and k targets in the same steps:
+// the targets run in parallel, the last on the caller's goroutine (one
+// target: no goroutine at all; zero: no device contacted); their reports
+// and rows merge (shard_merge.go), one report or one stream being its own
+// merge; finishTail runs once. Only the contacted shards must be healthy,
+// and only they advance their clocks.
 //
 // What the spy learns from routing. A pruned shard sees no message, so
 // per-device traffic now depends on the key — but the key is in the
@@ -43,16 +44,18 @@ package core
 // key and which projections show it. A run then binds once, clones the
 // predicate list only when a root-key predicate must be rewritten into a
 // shard's local key space, marks its targets on the stack and borrows
-// the scatter's state from a pool only when it contacts several shards.
+// the gather's state, which holds every engine's half of the result by
+// value, from a pool: only the front door allocates a Result.
 //
-// Host-side merging follows the secure-display rule: like the
-// single-device finishing stage, the front door's k-way merge, partial
-// aggregation merge and top-K recombination charge no simulated clock
-// and send nothing over the traced buses.
+// Host-side merging and finishing follow the secure-display rule
+// (aggregate.go): the k-way merge, the groupers' merge, the top-K
+// recombination and finishTail charge no simulated clock and send nothing
+// over the traced buses. An engine finishes nothing.
 //
 // One engine is the degenerate set: its root mapping is the identity
 // (rootMapping), so a root-rooted query has at most one target, runs
-// inline, rewrites no predicate and finishes on the device's own result.
+// inline and rewrites no predicate, and its rows or grouper are already
+// merged.
 //
 // Concurrency: the shardSet carries its own RW lock. Queries hold the
 // read side for the whole scatter-gather (shard pipelines serialize on
@@ -69,6 +72,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/ghostdb/ghostdb/internal/exec"
 	"github.com/ghostdb/ghostdb/internal/plan"
 	"github.com/ghostdb/ghostdb/internal/pred"
 	"github.com/ghostdb/ghostdb/internal/schema"
@@ -466,8 +470,8 @@ func (ss *shardSet) targetMarks(buf *[8]bool) []bool {
 	return make([]bool, len(ss.engines))
 }
 
-// gatherState is the scratch of a scatter over several shards: the
-// contacted shards' outputs and the fan-out's wait group.
+// gatherState is one query's scratch at the front door: the contacted
+// shards' halves and the fan-out's wait group.
 type gatherState struct {
 	outs []shardOut
 	wg   sync.WaitGroup
@@ -484,14 +488,18 @@ func getGather(n int) *gatherState {
 	return g
 }
 
-// putGather drops the results the state still references and pools it.
+// putGather returns the shards' groupers to their pool, drops the results
+// the state still references and pools it.
 func putGather(g *gatherState) {
+	for i := range g.outs {
+		exec.PutGrouper(g.outs[i].res.grouper)
+	}
 	clear(g.outs)
 	gatherPool.Put(g)
 }
 
-// route executes one bound query over the engines; see the file comment
-// for the routing rules.
+// route executes one bound query over the engines: it chooses the
+// targets (see the file comment for the rules) and gathers.
 func (db *DB) route(cq *CompiledQuery, bound *plan.Query, cfg *queryConfig) (*Result, error) {
 	db.mu.Lock()
 	closed, loaded := db.closed, db.loaded
@@ -507,61 +515,51 @@ func (db *DB) route(cq *CompiledQuery, bound *plan.Query, cfg *queryConfig) (*Re
 	cp := ss.planOnce(cq, db.sch.Root())
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
-	if cp.replica {
-		return db.runReplica(cp, bound, cfg)
-	}
 	var buf [8]bool
 	hit := ss.targetMarks(&buf)
+	if cp.replica {
+		if err := db.pickReplica(hit); err != nil {
+			return nil, err
+		}
+		return db.gather(cp, bound, cfg, hit, 1)
+	}
 	return db.gather(cp, bound, cfg, hit, ss.targets(hit, bound.Preds, cp.keys))
 }
 
-// runReplica routes a dimension-rooted query, finishing included, to
-// one shard chosen round-robin. With WithDegradedReads, dead shards are
-// skipped — the dimensions are replicated, so any survivor answers
-// exactly; without it, a dead shard anywhere fails the query fast.
-// Caller holds ss.mu.RLock.
-func (db *DB) runReplica(cp *coordPlan, bound *plan.Query, cfg *queryConfig) (*Result, error) {
+// pickReplica marks in hit the one shard a dimension-rooted query runs
+// on, chosen round-robin. With WithDegradedReads, dead shards are skipped
+// — the dimensions are replicated, so any survivor answers exactly;
+// without it, a dead shard anywhere fails the query fast. Caller holds
+// ss.mu.RLock.
+func (db *DB) pickReplica(hit []bool) error {
 	ss := &db.shards
 	if !db.opts.DegradedReads {
 		for _, e := range ss.engines {
 			if err := e.fatalError(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
+	clear(hit)
 	n := len(ss.engines)
 	start := int(ss.rr.Add(1)-1) % n
-	s := -1
 	for i := 0; i < n; i++ {
-		if cand := (start + i) % n; ss.engines[cand].fatalError() == nil {
-			s = cand
-			break
+		if s := (start + i) % n; ss.engines[s].fatalError() == nil {
+			hit[s] = true
+			return nil
 		}
 	}
-	if s < 0 {
-		return nil, fmt.Errorf("core: all %d shards unavailable: %w", n, ss.engines[start].fatalError())
-	}
-	res, err := cp.kids[s].run(bound, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]*stats.Report, n)
-	reports[s] = res.Report
-	res.ShardReports = reports
-	res.choices = atShard(res.choices, s, n)
-	db.metrics.noteRoute(routeReplica, 1)
-	return res, nil
+	return fmt.Errorf("core: all %d shards unavailable: %w", n, ss.engines[start].fatalError())
 }
 
-// gather runs a root-rooted query on the count shards marked in hit and
-// returns the rows a single device would have. A root-rooted answer needs
-// every partition that can hold a matching row, so one dead target fails
-// the query fast with its terminal error rather than silently dropping
-// rows; shards outside the target set are not consulted at all. Caller
-// holds ss.mu.RLock.
+// gather runs the query on the count shards marked in hit and finishes
+// it once, whatever count is: it fans out, merges the reports and the
+// rows (shard_merge.go) and runs finishTail. One dead target fails the
+// query fast with its terminal error rather than silently dropping rows;
+// shards outside the targets are not consulted at all. Caller holds
+// ss.mu.RLock.
 func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, hit []bool, count int) (*Result, error) {
 	ss := &db.shards
-	n := len(ss.engines)
 	for s, target := range hit {
 		if !target {
 			continue
@@ -570,28 +568,13 @@ func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, hit []b
 			return nil, err
 		}
 	}
-	if count == n {
+	switch {
+	case cp.replica:
+		db.metrics.noteRoute(routeReplica, count)
+	case count == len(hit):
 		db.metrics.noteRoute(routeScatter, count)
-	} else {
+	default:
 		db.metrics.noteRoute(routePruned, count)
-	}
-	reports := make([]*stats.Report, n)
-
-	if count == 1 {
-		s := 0
-		for !hit[s] {
-			s++
-		}
-		out := db.runShard(cp, s, bound, cfg, true)
-		if out.err != nil {
-			return nil, out.err // as the device said it: there is no merge to place it in
-		}
-		res := out.res
-		res.Query = bound
-		reports[s] = res.Report
-		res.ShardReports = reports
-		res.choices = atShard(res.choices, s, n)
-		return res, nil
 	}
 
 	// Fan out; the caller's goroutine takes the last target itself.
@@ -604,116 +587,77 @@ func (db *DB) gather(cp *coordPlan, bound *plan.Query, cfg *queryConfig, hit []b
 			continue
 		}
 		if i == count-1 {
-			outs[i] = db.runShard(cp, s, bound, cfg, false)
+			db.runShard(cp, s, bound, cfg, &outs[i])
 			break
 		}
 		g.wg.Add(1)
 		go func(i, s int) {
 			defer g.wg.Done()
-			outs[i] = db.runShard(cp, s, bound, cfg, false)
+			db.runShard(cp, s, bound, cfg, &outs[i])
 		}(i, s)
 		i++
 	}
 	g.wg.Wait()
 	for i := range outs {
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", outs[i].shard, outs[i].err)
+		if err := outs[i].err; err != nil {
+			if count == 1 {
+				return nil, err // as the device said it: there is no merge to place it in
+			}
+			return nil, fmt.Errorf("core: shard %d: %w", outs[i].shard, err)
 		}
 	}
 
-	// Merge the execution reports: simulated time and RAM are per-device
-	// maxima (the devices run concurrently), flash and bus work are sums.
-	// Plan label and spec are the first contacted shard's; with no shard
-	// contacted there was no plan to run.
-	rep := &stats.Report{Query: bound.SQL, PlanLabel: "pruned"}
 	res := &Result{
+		// Copy: database/sql hands the driver's column slice to users
+		// without copying, and the labels are shared by every execution
+		// of the shape.
 		Columns:      append([]string(nil), bound.ColumnLabels()...),
-		Report:       rep,
+		Report:       mergeReports(bound, outs),
 		Query:        bound,
-		ShardReports: reports,
+		ShardReports: make([]*stats.Report, len(hit)),
 	}
 	if cfg.explain {
-		res.choices = make([]*choice, n)
+		res.choices = make([]*choice, len(hit))
 	}
 	for i := range outs {
-		r := outs[i].res.Report
-		reports[outs[i].shard] = r
+		res.ShardReports[outs[i].shard] = outs[i].res.Report
 		if cfg.explain {
 			res.choices[outs[i].shard] = outs[i].res.choices[0]
 		}
-		if i == 0 {
-			rep.PlanLabel = r.PlanLabel
-			res.Spec = outs[i].res.Spec
-		}
-		if r.TotalTime > rep.TotalTime {
-			rep.TotalTime = r.TotalTime
-		}
-		if r.RAMHigh > rep.RAMHigh {
-			rep.RAMHigh = r.RAMHigh
-		}
-		rep.Flash.PageReads += r.Flash.PageReads
-		rep.Flash.PagesProgrammed += r.Flash.PagesProgrammed
-		rep.Flash.BlockErases += r.Flash.BlockErases
-		rep.Flash.BytesRead += r.Flash.BytesRead
-		rep.Flash.BytesProgrammed += r.Flash.BytesProgrammed
-		rep.Flash.ReadTime += r.Flash.ReadTime
-		rep.Flash.ProgTime += r.Flash.ProgTime
-		rep.Flash.EraseTime += r.Flash.EraseTime
-		rep.BusBytes += r.BusBytes
-		rep.BusMsgs += r.BusMsgs
 	}
-
-	var err error
-	switch {
-	case bound.Aggregated():
-		res.Rows, err = mergeAggregates(bound, outs)
-	case bound.HasPostOps():
-		res.Rows = mergeCandidates(bound, outs)
-	default:
-		res.Rows = mergeRoots(bound, outs)
+	if count > 0 {
+		res.Spec = outs[0].res.Spec
 	}
+	rows, err := finish(bound, outs)
 	if err != nil {
 		return nil, err
 	}
-	rep.ResultRows = len(res.Rows)
+	res.Rows = rows
+	res.Report.ResultRows = len(rows)
 	return res, nil
 }
 
-// atShard re-indexes the one-device choices of an explained run that
-// shard s of n answered alone; nil stays nil.
-func atShard(choices []*choice, s, n int) []*choice {
-	if choices == nil {
-		return nil
-	}
-	out := make([]*choice, n)
-	out[s] = choices[0]
-	return out
-}
-
-// runShard executes the query's physical pipeline on shard s. Over
-// several engines the root-key predicates move into the shard's local key
-// space and its rows are carried back into the global one: as one of
-// several targets the shard delivers the form the front door merges —
-// aggregation partials, or plain rows with global roots, a post-op query's
-// rows reduced to top-K'd candidates; as the only target it delivers the
-// finished result. Under the identity mapping the device's own result is
-// already the answer.
-func (db *DB) runShard(cp *coordPlan, s int, bound *plan.Query, cfg *queryConfig, only bool) shardOut {
+// runShard executes the query's physical pipeline on shard s and leaves
+// the engine's half in out, a post-op query's rows reduced to candidates
+// (shardCandidates). On a remapped root-rooted query the root-key
+// predicates move into the shard's local key space and its rows are
+// carried back into the global one; the identity mapping and a
+// dimension-rooted query's replica need neither.
+func (db *DB) runShard(cp *coordPlan, s int, bound *plan.Query, cfg *queryConfig, out *shardOut) {
 	ss := &db.shards
 	local := bound
 	var sh *shardRemap
-	if !ss.roots.identity() {
+	if !cp.replica && !ss.roots.identity() {
 		if len(cp.keys) > 0 {
 			lq := *bound
 			lq.Preds = ss.localizePreds(s, bound.Preds, cp.keys)
 			local = &lq
 		}
-		sh = &shardRemap{l2g: ss.roots.l2g[s], pkProjs: cp.pkProjs, finish: only}
+		sh = &shardRemap{l2g: ss.roots.l2g[s], pkProjs: cp.pkProjs}
 	}
-	out := shardOut{shard: s}
-	out.res, out.err = cp.kids[s].run(local, cfg, sh)
-	if out.err == nil && !only && !local.Aggregated() && local.HasPostOps() {
+	out.shard = s
+	out.err = cp.kids[s].run(local, cfg, sh, &out.res)
+	if out.err == nil && !local.Aggregated() && local.HasPostOps() {
 		out.rows = shardCandidates(local, out.res.Rows, out.res.Roots)
 	}
-	return out
 }

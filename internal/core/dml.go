@@ -695,8 +695,7 @@ type ckptPending struct {
 	// ascending order; never nil (empty when every root row died).
 	survivors []uint32
 	img       []tableImage
-	wallStart time.Time
-	prepared  time.Time // end of the read-only phase
+	committed time.Time // end of the commit phase, set on every outcome
 }
 
 // checkpointPrepareLocked runs the read-only phase of a CHECKPOINT:
@@ -711,7 +710,7 @@ func (e *engine) checkpointPrepareLocked(ctx context.Context) (*ckptPending, err
 	if e.delta.Entries() == 0 {
 		return nil, nil
 	}
-	p := &ckptPending{wallStart: time.Now()}
+	p := &ckptPending{}
 	if err := e.net.Send(trace.Terminal, trace.Device, trace.KindDML, len("CHECKPOINT"), "CHECKPOINT", nil); err != nil {
 		e.noteDeviceErr(err)
 		return nil, err
@@ -778,7 +777,6 @@ func (e *engine) checkpointPrepareLocked(ctx context.Context) (*ckptPending, err
 	}
 	p.survivors = oldIDs[e.sch.Root().Ordinal()]
 	p.img = img
-	p.prepared = time.Now()
 	return p, nil
 }
 
@@ -789,17 +787,23 @@ func (e *engine) checkpointPrepareLocked(ctx context.Context) (*ckptPending, err
 // record. A crash at any point leaves exactly the previous committed
 // version recoverable; an error mid-commit latches the DB fatal, since
 // the in-RAM structures no longer match any committed flash state.
-// Feeds the device's phase metrics on every outcome; the database-wide
-// ones are the front door's (shardSet.checkpoint).
-func (e *engine) checkpointCommitLocked(p *ckptPending) error {
+// Feeds the device's phase metrics on every outcome, and stamps
+// p.committed before it does: the front door's total
+// (shardSet.checkpoint) runs from since, when the CHECKPOINT began, to the
+// last device's p.committed. The prepare phase runs from since to this
+// commit's start — the read phase and the front door's renumbering of
+// the root mapping, waiting for the other devices' reads included — so on
+// one device prepare, rebuild and commit partition the total exactly.
+func (e *engine) checkpointCommitLocked(p *ckptPending, since time.Time) error {
 	start := time.Now()
 	var rebuilt time.Time // zero until the rebuild phase has succeeded
 	defer func() {
-		m, end := e.metrics, time.Now()
-		m.checkpointPrepareWall.Observe(p.prepared.Sub(p.wallStart).Nanoseconds())
+		p.committed = time.Now()
+		m := e.metrics
+		m.checkpointPrepareWall.Observe(start.Sub(since).Nanoseconds())
 		if !rebuilt.IsZero() {
 			m.checkpointRebuildWall.Observe(rebuilt.Sub(start).Nanoseconds())
-			m.checkpointCommitWall.Observe(end.Sub(rebuilt).Nanoseconds())
+			m.checkpointCommitWall.Observe(p.committed.Sub(rebuilt).Nanoseconds())
 		}
 	}()
 	// Tear down the old device structures: drop the page cache grant,

@@ -306,19 +306,19 @@ func (e *engine) checkpointPrepare(ctx context.Context) (*ckptPending, time.Dura
 }
 
 // checkpointCommit installs the post-merge root mapping and commits: the
-// prepared rebuild, or a record-only commit for a clean device. It
-// returns the simulated time since simStart.
-func (e *engine) checkpointCommit(p *ckptPending, rootGlobals []uint32, simStart time.Duration) (time.Duration, error) {
+// prepared rebuild of a CHECKPOINT that began at since, or a record-only
+// commit for a clean device. It returns the simulated time since simStart
+// and the host wall-clock instant the commit ended.
+func (e *engine) checkpointCommit(p *ckptPending, rootGlobals []uint32, simStart time.Duration, since time.Time) (time.Duration, time.Time, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rootGlobals = rootGlobals
-	var err error
-	if p != nil {
-		err = e.checkpointCommitLocked(p)
-	} else {
-		err = e.recordOnlyCommitLocked()
+	if p == nil {
+		err := e.recordOnlyCommitLocked()
+		return e.clock.Span(simStart), time.Now(), err
 	}
-	return e.clock.Span(simStart), err
+	err := e.checkpointCommitLocked(p, since)
+	return e.clock.Span(simStart), p.committed, err
 }
 
 // addDelta adds the device's delta of table t (when it holds anything)

@@ -21,10 +21,12 @@ package core
 // clock: the final scan marks the surviving sequence numbers in a bitmap,
 // and one row walk (rowWalk) sweeps it, merging the base survivors with
 // the delta-resident rows in query-root order. assemble hands each walked
-// row to the one consumer the query needs — a copy into the result for a
-// query that returns physical rows, the grouper for an aggregated one
-// (aggregate.go), the same two with root and key remapped to global
-// identifiers on a shard (coordinator.go, shard_merge.go).
+// row, root and key remapped to global identifiers on a remapped shard,
+// to the one consumer the query needs — a copy into the engine's half of
+// the result for a query that returns physical rows, the grouper for an
+// aggregated one (aggregate.go). The engine finishes nothing: the front
+// door merges and finishes every query once (coordinator.go,
+// shard_merge.go).
 
 import (
 	"context"
@@ -51,7 +53,8 @@ import (
 )
 
 // Result is a completed query: column labels, rows in query-root ID
-// order, and the execution report.
+// order, and the execution report. An engine fills one with its half of
+// a query (engine.execute) for the front door to finish.
 type Result struct {
 	Columns []string
 	Rows    [][]value.Value
@@ -60,22 +63,23 @@ type Result struct {
 	Query   *plan.Query
 
 	// Roots holds the global query-root identifier of each physical row,
-	// parallel to Rows. It is captured only by the per-shard half of a
-	// scatter-gather execution, where non-aggregated Rows bypass the
-	// finishing stage and stay in root-ID order.
+	// parallel to Rows, in an engine's half of a non-aggregated query on
+	// a remapped shard: the front door merges the shards' rows by it. Nil
+	// in every finished result.
 	Roots []uint32
-	// groups holds the aggregation partials of the per-shard half of an
-	// aggregated scatter-gather execution (Rows and Roots stay nil).
-	groups []shardGroup
+	// grouper holds an aggregated query's groups in an engine's half, each
+	// stamped with its smallest global root; the front door finishes from
+	// it and returns it to its pool. Rows and Roots stay nil.
+	grouper *exec.Grouper
 
-	// ShardReports carries the per-shard execution reports when the
-	// query ran on a sharded DB, indexed by shard (entries are nil for
-	// shards the query did not touch). Nil on single-device DBs.
+	// ShardReports carries the execution report of every engine the
+	// query contacted, indexed by shard (nil for the others). One entry
+	// on a single device, and that entry is Report.
 	ShardReports []*stats.Report
 
 	// choices carries the optimizer choice of every device that ran an
-	// explained query (queryConfig.explain): one entry on a single device,
-	// indexed like ShardReports on a sharded DB. Nil otherwise.
+	// explained query (queryConfig.explain), indexed like ShardReports.
+	// Nil otherwise.
 	choices []*choice
 }
 
@@ -142,14 +146,13 @@ func forEachEntry(ix *climbing.Index, p pred.P, fn func(climbing.Entry) error) e
 	return fmt.Errorf("core: unknown predicate form %d", p.Form)
 }
 
-// execute runs the distributed plan and assembles the result. ctx (may
-// be nil) cancels at batch boundaries. A non-nil sh makes this the
-// per-shard half of a scatter-gather execution: root identifiers and
-// root-key projections are mapped to global ones, and the result stops
-// short of the finishing tail (the front door runs it after merging the
-// shard streams) — physical rows with their roots, or group partials —
-// unless sh.finish says this shard is the query's only target.
-func (e *engine) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx context.Context, sh *shardRemap) (*Result, error) {
+// execute runs the distributed plan and fills res with the engine's half
+// of the result: the physical rows in root order (with their global roots
+// when sh remaps them), or the grouper an aggregated query folded them
+// into. The front door finishes it (shard_merge.go). ctx (may be nil)
+// cancels at batch boundaries. sh maps root identifiers and root-key
+// projections to global ones; nil is the identity.
+func (e *engine) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx context.Context, sh *shardRemap, res *Result) error {
 	e.dev.RAM.ResetHigh()
 	flashStart := e.dev.Flash.Stats()
 	busStart := e.net.Stats(trace.Terminal, trace.Device)
@@ -185,21 +188,15 @@ func (e *engine) execute(q *plan.Query, spec plan.Spec, visSel [][]uint32, ctx c
 	ex.cleanup()
 	if runErr != nil {
 		ex.release()
-		return nil, runErr
+		return runErr
 	}
 
 	// Everything from here on runs host-side on the secure display,
 	// outside the simulated device.
-	res := &Result{Spec: spec, Query: q, Report: rep}
-	// Copy: database/sql hands the driver's column slice to users without
-	// copying, and the labels are shared by every execution of the shape.
-	res.Columns = append([]string(nil), q.ColumnLabels()...)
+	*res = Result{Spec: spec, Query: q, Report: rep}
 	err := ex.assemble(res, sh)
 	ex.release()
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return err
 }
 
 // release drops every per-query reference (keeping the reusable
@@ -1362,12 +1359,12 @@ func (w *rowWalk) next(dst []value.Value) (root uint32, ok bool) {
 	return ex.rootBySeq[seq], true
 }
 
-// assemble builds the result on the secure display side. An aggregated
-// query folds the walk straight into its grouper (aggregate.go) and never
-// materialises a physical row; any other query copies the walk into rows
-// that share one flat backing array — two allocations for the whole
-// result instead of one per row — and, unless this is a shard's half,
-// runs the finishing stage over them.
+// assemble hands the walk to the front door, on the secure display side.
+// An aggregated query folds it straight into its grouper (aggregate.go)
+// and never materialises a physical row; any other query copies it into
+// rows that share one flat backing array — two allocations for the whole
+// result instead of one per row — with their global roots when sh remaps
+// them.
 func (ex *executor) assemble(res *Result, sh *shardRemap) error {
 	q := ex.q
 	n := ex.live.n + len(ex.deltaRows)
@@ -1383,10 +1380,7 @@ func (ex *executor) assemble(res *Result, sh *shardRemap) error {
 	nproj := len(q.Projs)
 	flat := make([]value.Value, n*nproj)
 	res.Rows = make([][]value.Value, n)
-	// A shard whose rows will be merged hands their global roots along; the
-	// only target of a pruned query finishes here like a single device.
-	merged := sh != nil && !sh.finish
-	if merged {
+	if sh != nil {
 		res.Roots = make([]uint32, n)
 	}
 	w := ex.newWalk()
@@ -1398,16 +1392,11 @@ func (ex *executor) assemble(res *Result, sh *shardRemap) error {
 			if err != nil {
 				return err
 			}
-			if merged {
-				res.Roots[i] = g
-			}
+			res.Roots[i] = g
 		}
 		res.Rows[i] = row
 	}
-	if !merged && q.HasPostOps() {
-		res.Rows = finishRows(q, res.Rows)
-	}
-	ex.rep.ResultRows = len(res.Rows)
+	ex.rep.ResultRows = n
 	return nil
 }
 

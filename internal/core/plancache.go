@@ -84,23 +84,6 @@ func (c *planCache) get(key string) (any, bool) {
 	return el.Value.(*planCacheEntry).val, true
 }
 
-// enabled reports whether the cache actually stores plans (a zero or
-// negative capacity builds a shardless, always-miss cache).
-func (c *planCache) enabled() bool { return c != nil && len(c.shards) > 0 }
-
-// noteHit records a cache hit that was served above the cache (a
-// session's last-compile memo), keeping the DB-level hit counters a
-// superset of per-session hit accounting.
-func (c *planCache) noteHit() {
-	if !c.enabled() {
-		return
-	}
-	s := &c.shards[0]
-	s.mu.Lock()
-	s.hits++
-	s.mu.Unlock()
-}
-
 // put inserts a compilation, evicting the least recently used entry of
 // the shard when it is full. Re-inserting an existing key refreshes it.
 func (c *planCache) put(key string, val any) {

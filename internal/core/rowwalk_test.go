@@ -21,8 +21,9 @@ import (
 // global roots). Both consume the physical rows of the same query with
 // its post-operators stripped.
 
-// refFinishAggregate is the parent commit's finishRows for an aggregated
-// query over materialised physical rows.
+// refFinishAggregate is the single device's finishRows, before the front
+// door finished every query, for an aggregated query over materialised
+// physical rows.
 func refFinishAggregate(q *plan.Query, base [][]value.Value) ([][]value.Value, error) {
 	if q.HasLimit && q.Limit == 0 {
 		return nil, nil
@@ -44,8 +45,29 @@ func refFinishAggregate(q *plan.Query, base [][]value.Value) ([][]value.Value, e
 	return finishTail(q, rows), nil
 }
 
-// refShardPartials is the parent commit's shardPartials.
-func refShardPartials(q *plan.Query, rows [][]value.Value, groots []uint32) ([]shardGroup, error) {
+// partial is one group as the front door absorbs it from an engine's
+// grouper: key tuple, raw accumulator states, smallest global root.
+type partial struct {
+	keys  []value.Value
+	accs  []exec.AggState
+	first int64
+}
+
+// partials copies out every group of g (nil: none).
+func partials(g *exec.Grouper) []partial {
+	if g == nil {
+		return nil
+	}
+	out := make([]partial, g.Groups())
+	for gi := range out {
+		keys, accs, first := g.Partial(gi)
+		out[gi] = partial{keys: slices.Clone(keys), accs: accs, first: first}
+	}
+	return out
+}
+
+// refShardPartials is the shardPartials that preceded the walk.
+func refShardPartials(q *plan.Query, rows [][]value.Value, groots []uint32) ([]partial, error) {
 	g := exec.GetGrouper(q.GroupBy, aggOps(q))
 	defer exec.PutGrouper(g)
 	for i, row := range rows {
@@ -53,12 +75,7 @@ func refShardPartials(q *plan.Query, rows [][]value.Value, groots []uint32) ([]s
 			return nil, err
 		}
 	}
-	out := make([]shardGroup, g.Groups())
-	for gi := range out {
-		keys, accs, first := g.Partial(gi)
-		out[gi] = shardGroup{keys: append([]value.Value(nil), keys...), accs: accs, first: first}
-	}
-	return out, nil
+	return partials(g), nil
 }
 
 // stripPostOps returns q as the plain query that delivers its physical
@@ -72,19 +89,19 @@ func stripPostOps(q *plan.Query) *plan.Query {
 	return &p
 }
 
-func sameGroups(a, b []shardGroup) bool {
-	return slices.EqualFunc(a, b, func(x, y shardGroup) bool {
+func sameGroups(a, b []partial) bool {
+	return slices.EqualFunc(a, b, func(x, y partial) bool {
 		return x.first == y.first && slices.Equal(x.keys, y.keys) && slices.Equal(x.accs, y.accs)
 	})
 }
 
 // TestRowWalkMatchesAssembleThenFinish replays the seeded post-operator
 // corpus with a clean base, a dirty delta and after CHECKPOINT. On one
-// device every aggregated query must return exactly what the reference
-// computes from the materialised physical rows (rows, group order and
-// float sums compared with ==); on 1 and 4 shards every shard's partials
-// must equal the reference's over that shard's rows, and the merged
-// result the single device's.
+// device every aggregated query must return through the front door
+// exactly what the reference computes from the materialised physical rows
+// (rows, group order and float sums compared with ==); on 1 and 4 shards
+// every engine's groups must equal the reference's partials over that
+// engine's rows, and the merged result the single device's.
 func TestRowWalkMatchesAssembleThenFinish(t *testing.T) {
 	ds := datagen.Generate(datagen.Tiny())
 	open := func(opts ...Option) *DB {
@@ -122,13 +139,13 @@ func TestRowWalkMatchesAssembleThenFinish(t *testing.T) {
 				continue
 			}
 			checked++
-			kid := single.shards.planOnce(ccq, single.sch.Root()).kids[0]
-			got, err := kid.run(bound, &queryConfig{}, nil)
+			got, err := ccq.Run(nil)
 			if err != nil {
 				t.Fatalf("%s %q: %v", state, sqlText, err)
 			}
-			phys, err := kid.run(stripPostOps(bound), &queryConfig{}, nil)
-			if err != nil {
+			var phys Result
+			kid := single.shards.planOnce(ccq, single.sch.Root()).kids[0]
+			if err := kid.run(stripPostOps(bound), &queryConfig{}, nil, &phys); err != nil {
 				t.Fatalf("%s %q (physical rows): %v", state, sqlText, err)
 			}
 			ref, err := refFinishAggregate(bound, phys.Rows)
@@ -165,8 +182,10 @@ func TestRowWalkMatchesAssembleThenFinish(t *testing.T) {
 	replay("ckpt")
 }
 
-// checkShardWalk holds one sharded database to the single device's rows
-// and, for a scattered query, every shard's partials to refShardPartials.
+// checkShardWalk holds one database's rows to the single device's and,
+// for a root-rooted query, every engine's groups to refShardPartials — the
+// one engine of a single device included, whose root mapping is the
+// identity.
 func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want [][]value.Value) {
 	t.Helper()
 	ss := &sdb.shards
@@ -178,12 +197,12 @@ func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want []
 	if !sameRows(res.Rows, want) {
 		t.Fatalf("%s: merged\n%v\nsingle device\n%v", tag, res.Rows, want)
 	}
+	if len(ss.engines) == 1 && (len(res.ShardReports) != 1 || res.ShardReports[0] != res.Report) {
+		t.Fatalf("%s: one device's ShardReports %v, want exactly its Report %p", tag, res.ShardReports, res.Report)
+	}
 	root := sdb.sch.Root()
-	if ss.roots.identity() || !strings.EqualFold(res.Query.Root.Name, root.Name) {
-		// One engine answers a root-rooted query whole, and a
-		// dimension-rooted query runs whole on one replica: no partials
-		// either way.
-		return
+	if !strings.EqualFold(res.Query.Root.Name, root.Name) {
+		return // a dimension-rooted query runs on one replica: nothing to compare per engine
 	}
 	cq, _, err := sdb.compileCached(sqlText)
 	if err != nil {
@@ -193,16 +212,28 @@ func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want []
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	for s := range ss.engines {
-		out := sdb.runShard(cp, s, cq.shape, &queryConfig{}, false)
+		var out shardOut
+		sdb.runShard(cp, s, cq.shape, &queryConfig{}, &out)
 		if out.err != nil {
 			t.Fatalf("%s shard %d: %v", tag, s, out.err)
 		}
-		// The same shard-local query, stripped to its physical rows.
+		got := partials(out.res.grouper)
+		exec.PutGrouper(out.res.grouper)
+		// The same shard-local query, stripped to its physical rows and
+		// walked with its global roots (spelled out under the identity).
 		local := *cq.shape
 		local.Preds = ss.localizePreds(s, cq.shape.Preds, cp.keys)
-		sh := &shardRemap{l2g: ss.roots.l2g[s], pkProjs: cp.pkProjs}
-		phys, err := cp.kids[s].run(stripPostOps(&local), &queryConfig{}, sh)
-		if err != nil {
+		sh := &shardRemap{pkProjs: cp.pkProjs}
+		if ss.roots.identity() {
+			sh.l2g = make([]uint32, ss.roots.n)
+			for i := range sh.l2g {
+				sh.l2g[i] = uint32(i + 1)
+			}
+		} else {
+			sh.l2g = ss.roots.l2g[s]
+		}
+		var phys Result
+		if err := cp.kids[s].run(stripPostOps(&local), &queryConfig{}, sh, &phys); err != nil {
 			t.Fatalf("%s shard %d (physical rows): %v", tag, s, err)
 		}
 		ref, err := refShardPartials(&local, phys.Rows, phys.Roots)
@@ -210,11 +241,11 @@ func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want []
 			t.Fatal(err)
 		}
 		if local.HasLimit && local.Limit == 0 {
-			ref = nil // the walk is skipped; the coordinator returns no rows either way
+			ref = nil // the walk is skipped; the front door returns no rows either way
 		}
-		if !sameGroups(out.res.groups, ref) {
+		if !sameGroups(got, ref) {
 			t.Fatalf("%s shard %d: walk partials\n%+v\nshardPartials over %d physical rows\n%+v",
-				tag, s, out.res.groups, len(phys.Rows), ref)
+				tag, s, got, len(phys.Rows), ref)
 		}
 		if out.res.Rows != nil || out.res.Roots != nil {
 			t.Fatalf("%s shard %d: an aggregated shard run materialised %d rows", tag, s, len(out.res.Rows))

@@ -37,12 +37,6 @@ type Session struct {
 	mu         sync.Mutex
 	closed     bool
 	lastReport *stats.Report // written by observeQuery
-
-	// lastSQL/lastCQ memoize the session's most recent compilation, so a
-	// session re-issuing the same text skips even the shared cache's key
-	// normalization. Guarded by mu.
-	lastSQL string
-	lastCQ  *CompiledQuery
 }
 
 // NewSession opens a session on the database.
@@ -179,38 +173,11 @@ func (s *Session) Query(sqlText string, opts ...QueryOption) (*Result, error) {
 	if isExplain(sqlText) {
 		return s.db.explainQuery(sqlText, append(opts, withSession(s))...)
 	}
-	// The memo only applies while the shared cache is enabled: with
-	// plancache=0 every query must recompile, as documented.
-	memoOK := s.db.planCache.enabled()
-	var cq *CompiledQuery
-	if memoOK {
-		s.mu.Lock()
-		if s.lastSQL == sqlText {
-			cq = s.lastCQ
-		}
-		s.mu.Unlock()
+	cq, hit, err := s.db.compileCached(sqlText)
+	if err != nil {
+		return nil, err
 	}
-	if cq == nil {
-		var hit bool
-		var err error
-		cq, hit, err = s.db.compileCached(sqlText)
-		if err != nil {
-			return nil, err
-		}
-		if memoOK {
-			s.mu.Lock()
-			s.lastSQL, s.lastCQ = sqlText, cq
-			s.mu.Unlock()
-		}
-		s.recordCache(hit)
-	} else {
-		// The memo hit short-circuits the shared cache lookup; credit it
-		// on the shared counters too so DB-level stats stay a superset
-		// of per-session stats.
-		s.db.planCache.noteHit()
-		s.db.metrics.planCacheHits.Inc()
-		s.recordCache(true)
-	}
+	s.recordCache(hit)
 	return cq.Run(nil, append(opts, withSession(s))...)
 }
 

@@ -1,12 +1,13 @@
 package core
 
-// The gather side of a scattered query: what one shard hands back, how
-// its rows are carried into the global key space, and the three host-side
-// merges (aggregation partials, post-operator candidates, plain root
-// streams) that turn the per-shard streams into the rows a single device
-// would have returned. Nothing here charges a simulated clock or touches
-// a traced bus — like the single-device finishing stage it runs on the
-// secure display. Routing and fan-out live in coordinator.go.
+// The gather side of a query: what one contacted engine hands back, how
+// its rows are carried into the global key space, the reports' merge and
+// the three host-side row merges (groupers, post-operator candidates,
+// plain root streams) that turn 0, 1 or k engines' halves into the rows a
+// single device returns before finishTail. One half is already merged.
+// Nothing here charges a simulated clock or touches a traced bus — like
+// the rest of the finishing stage it runs on the secure display. Routing
+// and fan-out live in coordinator.go.
 
 import (
 	"fmt"
@@ -14,44 +15,37 @@ import (
 
 	"github.com/ghostdb/ghostdb/internal/exec"
 	"github.com/ghostdb/ghostdb/internal/plan"
+	"github.com/ghostdb/ghostdb/internal/stats"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
 
-// shardGroup is one exported aggregation partial: the group's key
-// tuple, its raw accumulator states, and the smallest global root that
-// contributed (the group-creation order stamp).
-type shardGroup struct {
-	keys  []value.Value
-	accs  []exec.AggState
-	first int64
-}
-
-// shardOut is one contacted shard's contribution to the gather phase: res
-// carries the group partials (aggregated) or the physical rows with their
-// global roots (plain); rows the reduced candidates of a post-op query.
+// shardOut is one contacted shard's half of a query: res carries its
+// grouper (aggregated) or its physical rows, with their global roots on a
+// remapped shard (plain); rows a post-op query's rows reduced to
+// candidates.
 type shardOut struct {
 	shard int
-	res   *Result
-	rows  [][]value.Value // post-op candidates, width+1 with trailing global root
+	res   Result
+	rows  [][]value.Value // post-op candidates, with a trailing global root on a remapped shard
 	err   error
 }
 
 // shardRemap carries a shard's physical rows into the global key space
 // while the executor walks them: the local->global root mapping and the
 // projections that show the root's primary key. The mapping is only valid
-// under ss.mu.RLock, which the front door holds for the whole query.
+// under ss.mu.RLock, which the front door holds for the whole query. A
+// nil *shardRemap is the identity.
 type shardRemap struct {
 	l2g     []uint32
 	pkProjs []int
-	// finish is set when this shard is the query's only target: nothing
-	// will be merged, so the shard runs the finishing tail itself over its
-	// remapped rows and delivers the final result.
-	finish bool
 }
 
 // apply returns the global identifier of the shard-local root and
 // rewrites the row's root-key projections to it.
 func (m *shardRemap) apply(local uint32, row []value.Value) (uint32, error) {
+	if m == nil {
+		return local, nil
+	}
 	if local == 0 || int(local) > len(m.l2g) {
 		return 0, fmt.Errorf("core: local root %d outside the global root mapping (a cross-shard statement partially applied?)", local)
 	}
@@ -63,26 +57,37 @@ func (m *shardRemap) apply(local uint32, row []value.Value) (uint32, error) {
 }
 
 // shardCandidates reduces a plain post-op query's physical rows to
-// output-shaped candidates with a trailing global-root column, applying
-// the per-shard pushdowns: DISTINCT always, and top-K (ORDER BY+LIMIT)
-// or a plain LIMIT cap. Dropping rows here is safe: rows arrive in
-// global root order within a shard, global dedupe keeps the
-// earliest-root occurrence of a value, and the sorter breaks ties by
-// arrival (= root) order — so any row cut locally has at least LIMIT
-// globally-surviving rows ranked before it.
+// output-shaped candidates. On a remapped shard each carries a trailing
+// global-root column and the per-shard pushdowns apply: DISTINCT always,
+// and top-K (ORDER BY+LIMIT) or a plain LIMIT cap. Dropping rows here is
+// safe: rows arrive in global root order within a shard, global dedupe
+// keeps the earliest-root occurrence of a value, and the sorter breaks
+// ties by arrival (= root) order — so any row cut locally has at least
+// LIMIT globally-surviving rows ranked before it. Without roots (nil
+// groots: the identity mapping or a replica) the rows are the query's
+// only stream, and finishTail does all of that once.
 func shardCandidates(q *plan.Query, rows [][]value.Value, groots []uint32) [][]value.Value {
 	width := len(q.Outputs)
+	stride := width
+	if groots != nil {
+		stride++
+	}
 	out := make([][]value.Value, len(rows))
 	// One flat backing array; the sub-slices are cap-limited, so DISTINCT's
 	// in-place compaction and the sorter's copy cannot run into a neighbour.
-	flat := make([]value.Value, len(rows)*(width+1))
+	flat := make([]value.Value, len(rows)*stride)
 	for i, br := range rows {
-		row := flat[i*(width+1) : (i+1)*(width+1) : (i+1)*(width+1)]
+		row := flat[i*stride : (i+1)*stride : (i+1)*stride]
 		for oi, o := range q.Outputs {
 			row[oi] = br[o.Proj]
 		}
-		row[width] = value.NewInt(int64(groots[i]))
+		if groots != nil {
+			row[width] = value.NewInt(int64(groots[i]))
+		}
 		out[i] = row
+	}
+	if groots == nil {
+		return out
 	}
 	if q.Distinct {
 		d := exec.GetDistinct(q.VisibleOuts)
@@ -120,72 +125,141 @@ func shardCandidates(q *plan.Query, rows [][]value.Value, groots []uint32) [][]v
 	return out
 }
 
-// mergeAggregates absorbs every shard's group partials into one merge
-// grouper (identity key columns: the exported key tuples address
-// themselves), reorders the groups by their first-seen global root to
-// match single-device group creation order, and runs the shared
-// finishing tail.
-func mergeAggregates(q *plan.Query, outs []shardOut) ([][]value.Value, error) {
-	if q.HasLimit && q.Limit == 0 {
-		return nil, nil
+// mergeReports merges the contacted engines' execution reports:
+// simulated time and RAM are per-device maxima (the devices run
+// concurrently), flash and bus work are sums, and the plan label is the
+// first contacted shard's. One report is its own merge, operators
+// included; with no shard contacted there was no plan to run.
+func mergeReports(q *plan.Query, outs []shardOut) *stats.Report {
+	if len(outs) == 1 {
+		return outs[0].res.Report
 	}
-	idKeys := make([]int, len(q.GroupBy))
-	for i := range idKeys {
-		idKeys[i] = i
-	}
-	g := exec.GetGrouper(idKeys, aggOps(q))
-	defer exec.PutGrouper(g)
-	for _, so := range outs {
-		for _, grp := range so.res.groups {
-			if err := g.Absorb(grp.keys, grp.accs, grp.first); err != nil {
-				return nil, err
-			}
+	rep := &stats.Report{Query: q.SQL, PlanLabel: "pruned"}
+	for i := range outs {
+		r := outs[i].res.Report
+		if i == 0 {
+			rep.PlanLabel = r.PlanLabel
 		}
+		rep.TotalTime = max(rep.TotalTime, r.TotalTime)
+		rep.RAMHigh = max(rep.RAMHigh, r.RAMHigh)
+		rep.Flash.PageReads += r.Flash.PageReads
+		rep.Flash.PagesProgrammed += r.Flash.PagesProgrammed
+		rep.Flash.BlockErases += r.Flash.BlockErases
+		rep.Flash.BytesRead += r.Flash.BytesRead
+		rep.Flash.BytesProgrammed += r.Flash.BytesProgrammed
+		rep.Flash.ReadTime += r.Flash.ReadTime
+		rep.Flash.ProgTime += r.Flash.ProgTime
+		rep.Flash.EraseTime += r.Flash.EraseTime
+		rep.BusBytes += r.BusBytes
+		rep.BusMsgs += r.BusMsgs
 	}
-	// A global aggregate over an empty scatter still yields one row.
-	if !q.Grouped && g.Groups() == 0 {
-		g.AddEmptyGroup()
-	}
-	order := make([]int, g.Groups())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return g.FirstSeen(order[a]) < g.FirstSeen(order[b]) })
-	rows, err := grouperRows(q, g, order)
-	if err != nil {
-		return nil, err
+	return rep
+}
+
+// finish is the one finisher: it merges the engines' halves into
+// output-shaped rows in single-device order and runs the finishing tail
+// over them, once per query.
+func finish(q *plan.Query, outs []shardOut) ([][]value.Value, error) {
+	var rows [][]value.Value
+	switch {
+	case q.Aggregated():
+		var err error
+		if rows, err = mergeAggregates(q, outs); err != nil {
+			return nil, err
+		}
+	case q.HasPostOps():
+		rows = mergeCandidates(q, outs)
+	default:
+		rows = mergeRoots(q, outs)
 	}
 	return finishTail(q, rows), nil
 }
 
+// mergeAggregates finalises the engines' groupers into output rows
+// (HAVING applied) in single-device group creation order. One grouper is
+// already merged: its walk ran in global root order. Several are absorbed
+// partial by partial into a merge grouper (identity key columns: the
+// partials' key tuples address themselves), whose groups are then
+// ordered by their smallest global root. The engines' groupers go back to
+// their pool with the gather state (putGather).
+func mergeAggregates(q *plan.Query, outs []shardOut) ([][]value.Value, error) {
+	if q.HasLimit && q.Limit == 0 {
+		return nil, nil // the engines folded nothing
+	}
+	var g *exec.Grouper
+	if len(outs) == 1 {
+		g = outs[0].res.grouper
+	} else {
+		idKeys := make([]int, len(q.GroupBy))
+		for i := range idKeys {
+			idKeys[i] = i
+		}
+		g = exec.GetGrouper(idKeys, aggOps(q))
+		defer exec.PutGrouper(g)
+		for i := range outs {
+			sg := outs[i].res.grouper
+			for gi := 0; gi < sg.Groups(); gi++ {
+				keys, accs, first := sg.Partial(gi)
+				if err := g.Absorb(keys, accs, first); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	// A global aggregate over an empty result still yields one row
+	// (COUNT = 0, NULL for the other aggregates).
+	if !q.Grouped && g.Groups() == 0 {
+		g.AddEmptyGroup()
+	}
+	var order []int
+	if len(outs) != 1 {
+		order = make([]int, g.Groups())
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return g.FirstSeen(order[a]) < g.FirstSeen(order[b]) })
+	}
+	return grouperRows(q, g, order)
+}
+
 // mergeCandidates restores global root order over the concatenated
-// per-shard candidates, strips the trailing root column and runs the
-// shared finishing tail — identical tie-breaks to the single device.
+// per-shard candidates and strips their trailing root column. One stream
+// is already merged: in root order, or reduced by the top-K pushdown,
+// whose sorted output re-sorts to the same rows since its ties stand in
+// root order.
 func mergeCandidates(q *plan.Query, outs []shardOut) [][]value.Value {
 	if q.HasLimit && q.Limit == 0 {
 		return nil
 	}
 	width := len(q.Outputs)
-	total := 0
-	for _, so := range outs {
-		total += len(so.rows)
+	var all [][]value.Value
+	if len(outs) == 1 {
+		all = outs[0].rows
+	} else {
+		total := 0
+		for _, so := range outs {
+			total += len(so.rows)
+		}
+		all = make([][]value.Value, 0, total)
+		for _, so := range outs {
+			all = append(all, so.rows...)
+		}
+		sort.Slice(all, func(a, b int) bool { return all[a][width].Int() < all[b][width].Int() })
 	}
-	all := make([][]value.Value, 0, total)
-	for _, so := range outs {
-		all = append(all, so.rows...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a][width].Int() < all[b][width].Int() })
 	for i := range all {
 		all[i] = all[i][:width:width]
 	}
-	return finishTail(q, all)
+	return all
 }
 
 // mergeRoots k-way-merges the per-shard plain result rows by global
 // root identifier up to the limit. Per-shard rows are already in global
-// root order (localToGlobal is strictly increasing), so a linear merge
-// over the shard heads suffices.
+// root order (l2g is strictly increasing), so a linear merge over the
+// shard heads suffices; one stream is already merged (and limited).
 func mergeRoots(q *plan.Query, outs []shardOut) [][]value.Value {
+	if len(outs) == 1 {
+		return outs[0].res.Rows
+	}
 	limit := -1
 	if q.HasLimit {
 		limit = q.Limit

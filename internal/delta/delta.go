@@ -103,28 +103,6 @@ func (s *Store) Entries() int {
 	return n
 }
 
-// DeviceBytes reports the hidden share currently charged to the arena.
-func (s *Store) DeviceBytes() int64 {
-	var n int64
-	for _, d := range s.tables {
-		if d != nil {
-			n += d.deviceBytes
-		}
-	}
-	return n
-}
-
-// HostBytes reports the visible share held in host memory.
-func (s *Store) HostBytes() int64 {
-	var n int64
-	for _, d := range s.tables {
-		if d != nil {
-			n += d.hostBytes
-		}
-	}
-	return n
-}
-
 // Tables returns the per-table deltas sorted by table name.
 func (s *Store) Tables() []*Table {
 	out := make([]*Table, 0, len(s.tables))
@@ -166,14 +144,8 @@ type Table struct {
 	grant       *ram.Grant
 }
 
-// Schema returns the catalog table this delta shadows.
-func (t *Table) Schema() *schema.Table { return t.sch }
-
 // Name returns the table name.
 func (t *Table) Name() string { return t.sch.Name }
-
-// BaseRows reports the immutable base segment's cardinality.
-func (t *Table) BaseRows() int { return t.baseRows }
 
 // NextID returns the next dense primary key an INSERT must carry.
 func (t *Table) NextID() uint32 { return t.nextID }

@@ -25,9 +25,7 @@ type Stats = storage.Stats
 
 // Device-level errors, shared across backends.
 var (
-	ErrNotErased  = storage.ErrNotErased
 	ErrOutOfRange = storage.ErrOutOfRange
-	ErrPageTooBig = storage.ErrPageTooBig
 	// ErrCorrupt reports a page whose stored content no longer matches
 	// its out-of-band CRC32 (torn write, bit rot).
 	ErrCorrupt = storage.ErrCorrupt

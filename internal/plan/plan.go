@@ -152,14 +152,6 @@ func (q *Query) PredLabel(i int) string {
 	return q.Preds[i].String()
 }
 
-// ProjLabel returns the display label of projection i.
-func (q *Query) ProjLabel(i int) string {
-	if i < len(q.projLabels) {
-		return q.projLabels[i]
-	}
-	return q.Projs[i].String()
-}
-
 // ColumnLabels returns the result column labels in SELECT order: the
 // visible output labels for post-op queries, the projection labels
 // otherwise. When the shape carries bind-time labels the cached slice

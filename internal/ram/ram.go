@@ -41,9 +41,6 @@ func NewArena(name string, budget int) *Arena {
 	return &Arena{name: name, budget: int64(budget), byLabel: map[string]int64{}}
 }
 
-// Name reports the arena's name.
-func (a *Arena) Name() string { return a.name }
-
 // Budget reports the configured budget; 0 or negative means unlimited.
 func (a *Arena) Budget() int64 { return a.budget }
 
