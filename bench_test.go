@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (experiment index in DESIGN.md). Each benchmark wraps the
-// corresponding harness runner from internal/bench; the primary output is
-// the deterministic simulated device time, reported as sim-ms/op next to
-// the usual wall-clock numbers.
+// evaluation (experiment index in internal/bench/doc.go). Each benchmark
+// wraps the corresponding harness runner from internal/bench; the primary
+// output is the deterministic simulated device time, reported as sim-ms/op
+// next to the usual wall-clock numbers.
 //
 //	go test -bench=. -benchmem
 //	go test -bench=Fig6 -benchscale 1000000   # the paper's cardinality

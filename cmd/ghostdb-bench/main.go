@@ -1,6 +1,6 @@
 // Command ghostdb-bench regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md's experiment index). Each experiment
-// prints one table; "all" runs them in order.
+// paper's evaluation (see the experiment index in internal/bench/doc.go).
+// Each experiment prints one table; "all" runs them in order.
 //
 //	ghostdb-bench -scale 100000 all
 //	ghostdb-bench -scale 1000000 fig6        # the paper's cardinality

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/ghostdb/ghostdb/internal/storage"
 )
 
 // testBackendDSN rewrites dsn for the backend selected by the
@@ -67,8 +69,8 @@ func TestFileBackendDSNValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Backend != "file" || cfg.Path != "/tmp/x" || !cfg.Fsync {
-		t.Fatalf("cfg = %+v", cfg)
+	if o := resolve(cfg); o.Backend != storage.File("/tmp/x", true) || cfg.path != "/tmp/x" {
+		t.Fatalf("options = %+v, path %q", o, cfg.path)
 	}
 }
 

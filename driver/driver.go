@@ -92,16 +92,11 @@ func (d *Driver) Open(dsn string) (sqldriver.Conn, error) {
 }
 
 // OpenConnector parses the DSN once and returns the connector that owns
-// this sql.DB's single shared GhostDB engine. The config is mapped onto
-// engine options eagerly, so a DSN (or config) the engine cannot honor
-// — e.g. a fault plan that does not parse — fails here instead of being
-// silently dropped at first Connect.
+// this sql.DB's single shared GhostDB engine. A DSN that does not parse
+// — e.g. a bad fault plan — fails here, not at first Connect.
 func (d *Driver) OpenConnector(dsn string) (sqldriver.Connector, error) {
 	cfg, err := ParseDSN(dsn)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := cfg.options(); err != nil {
 		return nil, err
 	}
 	return &Connector{drv: d, cfg: cfg}, nil

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/ghostdb/ghostdb/internal/bus"
+	"github.com/ghostdb/ghostdb/internal/trace"
 )
 
 // hospitalDDL is the package-doc Doctor/Visit example.
@@ -191,15 +194,15 @@ func TestDSNOptions(t *testing.T) {
 // TestParseDSN pins the DSN grammar.
 func TestParseDSN(t *testing.T) {
 	cfg, err := ParseDSN("")
-	if err != nil || cfg.Profile != "smartusb2007" || cfg.USB != "full" || cfg.FPR != 0.01 || cfg.Capture != "meta" {
-		t.Fatalf("defaults = %+v, %v", cfg, err)
+	if err != nil || len(cfg.opts) != 0 {
+		t.Fatalf("empty DSN = %d options, %v; want none, so the engine's defaults apply", len(cfg.opts), err)
 	}
 	cfg, err = ParseDSN("ghostdb://?usb=high&fpr=0.05&capture=full&deviceindex=Doctor.Country&deviceindex=Visit.Date&plancache=16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.USB != "high" || cfg.FPR != 0.05 || cfg.Capture != "full" || len(cfg.DeviceIndexes) != 2 || cfg.PlanCache != 16 {
-		t.Fatalf("cfg = %+v", cfg)
+	if o := resolve(cfg); o.USB != bus.USBHighSpeed() || o.TargetFPR != 0.05 || o.Capture != trace.CaptureFull || len(o.DeviceIndexes) != 2 || o.PlanCacheSize != 16 {
+		t.Fatalf("options = %+v", o)
 	}
 	for _, bad := range []string{
 		"mysql://localhost",

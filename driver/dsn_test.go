@@ -2,9 +2,144 @@ package driver
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"net/url"
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/ghostdb/ghostdb/internal/bus"
+	"github.com/ghostdb/ghostdb/internal/core"
+	"github.com/ghostdb/ghostdb/internal/device"
+	"github.com/ghostdb/ghostdb/internal/fault"
+	"github.com/ghostdb/ghostdb/internal/storage"
+	"github.com/ghostdb/ghostdb/internal/trace"
 )
+
+// resolve applies a parsed DSN's options to a zero core.Options, so a
+// test reads exactly what the DSN sets and none of the engine's defaults.
+func resolve(cfg *Config) core.Options {
+	var o core.Options
+	for _, opt := range cfg.opts {
+		opt(&o)
+	}
+	return o
+}
+
+// TestDSNKeysEqualOptions holds every DSN key to the core option it
+// stands for: one row per key, whose sample value must resolve to the
+// same core.Options as the row's With* call, and whose bad value must
+// fail with the driver's prefix. The keys in ParseDSN's doc comment and
+// in README's DSN table must be exactly the table's keys.
+func TestDSNKeysEqualOptions(t *testing.T) {
+	plan, err := fault.ParsePlan("seed=42,read.transient=0.001,cutop=500")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		key, sample string
+		extra       string // other parameters the sample needs
+		want        core.Option
+		bad         string
+	}{
+		{"profile", "smartusb2007", "", core.WithProfile(device.SmartUSB2007()), "cray1"},
+		{"usb", "high", "", core.WithUSB(bus.USBHighSpeed()), "warp"},
+		{"fpr", "0.05", "", core.WithTargetFPR(0.05), "2"},
+		{"capture", "full", "", core.WithCapture(trace.CaptureFull), "everything"},
+		{"deviceindex", "Doctor.Country", "", core.WithDeviceIndex("Doctor", "Country"), "Too.Many.Dots"},
+		{"plancache", "0", "", core.WithPlanCacheSize(0), "-3"},
+		{"deltalimit", "50", "", core.WithDeltaLimit(50), "0"},
+		{"slowquery", "50ms", "", core.WithSlowQuery(50*time.Millisecond, nil), "fast"},
+		{"shards", "4", "", core.WithShards(4), "0"},
+		{"faults", "seed=42,read.transient=0.001,cutop=500", "", core.WithFaultPlan(plan), "bogus=1"},
+		{"degraded", "on", "", core.WithDegradedReads(true), "maybe"},
+		{"backend", "sim", "", core.WithBackend(storage.Sim()), "bogus"},
+		{"path", "/tmp/x", "backend=file", core.WithBackend(storage.File("/tmp/x", false)), ""},
+		{"fsync", "on", "backend=file&path=%2Ftmp%2Fx", core.WithBackend(storage.File("/tmp/x", true)), "maybe"},
+	}
+	dsn := func(key, val, extra string) string {
+		s := "ghostdb://?" + key + "=" + url.QueryEscape(val)
+		if extra != "" {
+			s += "&" + extra
+		}
+		return s
+	}
+	var keys []string
+	for _, r := range rows {
+		keys = append(keys, r.key)
+		cfg, err := ParseDSN(dsn(r.key, r.sample, r.extra))
+		if err != nil {
+			t.Errorf("%s=%s: %v", r.key, r.sample, err)
+			continue
+		}
+		got := resolve(cfg)
+		var want core.Options
+		r.want(&want)
+		if len(got.Hooks) != len(want.Hooks) {
+			t.Errorf("%s=%s: %d hooks, want %d", r.key, r.sample, len(got.Hooks), len(want.Hooks))
+		}
+		if (got.FaultPlan == nil) != (want.FaultPlan == nil) || got.FaultPlan != nil && !reflect.DeepEqual(*got.FaultPlan, *want.FaultPlan) {
+			t.Errorf("%s=%s: fault plan %+v, want %+v", r.key, r.sample, got.FaultPlan, want.FaultPlan)
+		}
+		got.Hooks, want.Hooks, got.FaultPlan, want.FaultPlan = nil, nil, nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s=%s: options %+v, want %+v", r.key, r.sample, got, want)
+		}
+		if _, err := ParseDSN(dsn(r.key, r.bad, r.extra)); err == nil || !strings.Contains(err.Error(), "ghostdb driver:") {
+			t.Errorf("%s=%s: error = %v, want a ghostdb driver error", r.key, r.bad, err)
+		}
+	}
+	slices.Sort(keys)
+
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "dsn.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc []string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "ParseDSN" {
+			_, params, _ := strings.Cut(fn.Doc.Text(), "Parameters:\n")
+			for _, line := range strings.Split(params, "\n") {
+				if line != "" && !strings.HasPrefix(line, "\t") {
+					break
+				}
+				if fields := strings.Fields(line); len(fields) > 0 {
+					doc = append(doc, fields[0])
+				}
+			}
+		}
+	}
+	slices.Sort(doc)
+	if !slices.Equal(doc, keys) {
+		t.Errorf("ParseDSN doc comment keys = %v, want %v", doc, keys)
+	}
+
+	readme, err := os.ReadFile("../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(readme), "\n| DSN key |")
+	var documented []string
+	for i, line := range strings.Split(table, "\n") {
+		if i < 2 { // the header's tail and the separator row
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		documented = append(documented, strings.Trim(strings.TrimSpace(strings.Split(line, "|")[1]), "`"))
+	}
+	slices.Sort(documented)
+	if !slices.Equal(documented, keys) {
+		t.Errorf("README DSN table keys = %v, want %v", documented, keys)
+	}
+}
 
 // TestParseDSNDeterministicErrors pins the sorted-key validation order:
 // a DSN with several bad parameters reports the alphabetically first
@@ -36,24 +171,6 @@ func TestParseDSNRemovedKeys(t *testing.T) {
 				t.Errorf("%s=%s: error = %v, want %s", key, val, err, want)
 			}
 		}
-	}
-}
-
-// TestConfigOptionsFaultError is the regression for the silently-dropped
-// fault plan: a hand-built Config (bypassing ParseDSN) with an invalid
-// Faults string must fail at options() rather than running faultless.
-func TestConfigOptionsFaultError(t *testing.T) {
-	cfg := defaultConfig()
-	cfg.Faults = "bogus=1"
-	if _, err := cfg.options(); err == nil {
-		t.Fatal("options() with an invalid fault plan should fail")
-	} else if !strings.Contains(err.Error(), "ghostdb driver:") {
-		t.Fatalf("error %q lacks the driver prefix", err)
-	}
-
-	cfg.Faults = "seed=42,read.transient=0.001"
-	if _, err := cfg.options(); err != nil {
-		t.Fatalf("valid fault plan rejected: %v", err)
 	}
 }
 

@@ -12,15 +12,15 @@ import (
 
 func TestParseDSNFaults(t *testing.T) {
 	cfg, err := ParseDSN("")
-	if err != nil || cfg.Faults != "" || cfg.Degraded {
-		t.Fatalf("defaults = %+v, %v; want no faults, degraded off", cfg, err)
+	if o := resolve(cfg); err != nil || o.FaultPlan != nil || o.DegradedReads {
+		t.Fatalf("defaults = %+v, %v; want no faults, degraded off", o, err)
 	}
 	cfg, err = ParseDSN("ghostdb://?faults=seed=42,read.transient=0.001,cutop=500&degraded=on&shards=4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Faults != "seed=42,read.transient=0.001,cutop=500" || !cfg.Degraded {
-		t.Fatalf("cfg = %+v", cfg)
+	if o := resolve(cfg); o.FaultPlan == nil || o.FaultPlan.Seed != 42 || o.FaultPlan.ReadTransient != 0.001 || o.FaultPlan.CutAtOp != 500 || !o.DegradedReads {
+		t.Fatalf("options = %+v", o)
 	}
 	for _, bad := range []string{
 		"ghostdb://?faults=read.transient=2",

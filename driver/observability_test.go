@@ -12,15 +12,15 @@ import (
 
 func TestParseDSNObservability(t *testing.T) {
 	cfg, err := ParseDSN("")
-	if err != nil || cfg.SlowQuery != 0 {
-		t.Fatalf("defaults = %+v, %v; want no slowquery", cfg, err)
+	if o := resolve(cfg); err != nil || o.SlowQueryThreshold != 0 || len(o.Hooks) != 0 {
+		t.Fatalf("defaults = %+v, %v; want no slowquery", o, err)
 	}
 	cfg, err = ParseDSN("ghostdb://?slowquery=50ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.SlowQuery != 50*time.Millisecond {
-		t.Fatalf("cfg = %+v", cfg)
+	if o := resolve(cfg); o.SlowQueryThreshold != 50*time.Millisecond || len(o.Hooks) != 1 {
+		t.Fatalf("options = %+v", o)
 	}
 	for _, bad := range []string{
 		"ghostdb://?slowquery=fast",

@@ -12,15 +12,15 @@ import (
 // error prefix.
 func TestParseDSNShards(t *testing.T) {
 	cfg, err := ParseDSN("")
-	if err != nil || cfg.Shards != 1 {
-		t.Fatalf("defaults = %+v, %v; want shards=1", cfg, err)
+	if err != nil || resolve(cfg).Shards != 0 {
+		t.Fatalf("defaults = %+v, %v; want shards unset (one device)", resolve(cfg), err)
 	}
 	cfg, err = ParseDSN("ghostdb://?shards=4")
-	if err != nil || cfg.Shards != 4 {
-		t.Fatalf("cfg = %+v, %v; want shards=4", cfg, err)
+	if err != nil || resolve(cfg).Shards != 4 {
+		t.Fatalf("options = %+v, %v; want shards=4", resolve(cfg), err)
 	}
-	if cfg, err = ParseDSN("ghostdb://?shards=1"); err != nil || cfg.Shards != 1 {
-		t.Fatalf("shards=1 = %+v, %v", cfg, err)
+	if cfg, err = ParseDSN("ghostdb://?shards=1"); err != nil || resolve(cfg).Shards != 1 {
+		t.Fatalf("shards=1 = %+v, %v", resolve(cfg), err)
 	}
 	for _, bad := range []string{
 		"ghostdb://?shards=0",

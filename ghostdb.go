@@ -133,7 +133,7 @@ func WithTargetFPR(f float64) Option { return core.WithTargetFPR(f) }
 func WithDeviceIndex(table, column string) Option { return core.WithDeviceIndex(table, column) }
 
 // WithPlanCacheSize bounds the engine's compiled-plan cache (LRU
-// entries); pass a negative size to disable caching.
+// entries, default 256); n <= 0 disables caching.
 func WithPlanCacheSize(n int) Option { return core.WithPlanCacheSize(n) }
 
 // WithSpec forces a specific plan instead of the optimizer's choice.

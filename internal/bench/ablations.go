@@ -23,7 +23,8 @@ type AblationRow struct {
 	Note    string
 }
 
-// Ablations measures the design choices DESIGN.md calls out:
+// Ablations measures the design choices behind the experiment index's
+// numbers (doc.go):
 //
 //  1. climbing indexes' transitive ancestor lists vs per-edge join
 //     indices (one hop + materialization per edge);

@@ -1,9 +1,3 @@
-// Package bench implements the paper harness: one runner per table and
-// figure of the paper's evaluation (see DESIGN.md's experiment index
-// E1-E11), plus loadgen, the many-client HTTP driver. cmd/ghostdb-bench
-// prints their outputs; the repository-root benchmarks wrap them in
-// testing.B. How fast the system itself is — DML, checkpoints, shards,
-// backends — is benchmark/'s question, not this package's.
 package bench
 
 import (

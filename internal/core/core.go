@@ -35,7 +35,6 @@ import (
 type Options struct {
 	Profile   device.Profile
 	USB       bus.Profile
-	LAN       bus.Profile
 	Capture   trace.CaptureLevel
 	TargetFPR float64 // Bloom target false-positive rate
 	// DeviceIndexes lists visible columns ("Table.Column") that also get
@@ -43,8 +42,8 @@ type Options struct {
 	// index: the device can then evaluate the visible predicate itself
 	// with zero bus traffic, at extra flash cost.
 	DeviceIndexes []string
-	// PlanCacheSize bounds the shared compiled-plan cache (entries).
-	// Zero means the default (256); negative disables caching.
+	// PlanCacheSize bounds the shared compiled-plan cache (entries);
+	// n <= 0 disables caching. The default is 256.
 	PlanCacheSize int
 	// DeltaLimit auto-checkpoints the live-DML delta: when the number of
 	// delta rows plus tombstones reaches the limit after a mutation, the
@@ -108,16 +107,9 @@ func WithDeviceIndex(table, column string) Option {
 }
 
 // WithPlanCacheSize bounds the compiled-plan cache to n entries (LRU).
-// Pass a negative n to disable plan caching: every Query then compiles
-// from scratch, which is how the engine behaved before the cache.
-func WithPlanCacheSize(n int) Option {
-	return func(o *Options) {
-		if n == 0 {
-			n = -1 // explicit zero means "no cache", not "default"
-		}
-		o.PlanCacheSize = n
-	}
-}
+// n <= 0 disables plan caching: every Query then compiles from scratch,
+// which is how the engine behaved before the cache.
+func WithPlanCacheSize(n int) Option { return func(o *Options) { o.PlanCacheSize = n } }
 
 // WithDeltaLimit auto-checkpoints once the delta holds n entries (rows
 // plus tombstones) after a mutation. n <= 0 disables auto-checkpointing.
@@ -174,13 +166,15 @@ func WithSlowQuery(d time.Duration, lg *slog.Logger) Option {
 	}
 }
 
+// defaultOptions is the one home of every option's default: Open and
+// OpenPath start from it, and a DSN names only what it changes.
 func defaultOptions() Options {
 	return Options{
-		Profile:   device.SmartUSB2007(),
-		USB:       bus.USBFullSpeed(),
-		LAN:       bus.LAN(),
-		Capture:   trace.CaptureMeta,
-		TargetFPR: 0.01,
+		Profile:       device.SmartUSB2007(),
+		USB:           bus.USBFullSpeed(),
+		Capture:       trace.CaptureMeta,
+		TargetFPR:     0.01,
+		PlanCacheSize: 256,
 	}
 }
 
@@ -265,13 +259,9 @@ func openResolved(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("core: clearing %s: %w", opts.Backend.Path, err)
 		}
 	}
-	cacheSize := opts.PlanCacheSize
-	if cacheSize == 0 {
-		cacheSize = 256
-	}
 	db := &DB{
 		opts:       opts,
-		planCache:  newPlanCache(cacheSize),
+		planCache:  newPlanCache(opts.PlanCacheSize),
 		metrics:    newEngineMetrics(),
 		hooks:      opts.Hooks,
 		sch:        schema.New(),

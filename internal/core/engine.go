@@ -149,7 +149,7 @@ func newEngine(opts Options, sch *schema.Schema, i, n int) (*engine, error) {
 	}
 	rec := trace.NewRecorder(opts.Capture)
 	net := bus.NewNetwork(clock, rec)
-	net.Connect(trace.Terminal, trace.Server, opts.LAN)
+	net.Connect(trace.Terminal, trace.Server, bus.LAN())
 	net.Connect(trace.Terminal, trace.Device, opts.USB)
 	net.Connect(trace.Device, trace.Display, opts.USB)
 	e := &engine{

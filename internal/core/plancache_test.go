@@ -77,17 +77,19 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled checks a negative capacity turns caching off.
+// TestPlanCacheDisabled checks a capacity n <= 0 turns caching off.
 func TestPlanCacheDisabled(t *testing.T) {
-	db, _, _ := loadTiny(t, WithPlanCacheSize(-1))
-	const q = `SELECT Doctor.DocID FROM Doctor WHERE Doctor.Country = 'France'`
-	for i := 0; i < 3; i++ {
-		if _, err := db.Query(q); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{0, -1} {
+		db, _, _ := loadTiny(t, WithPlanCacheSize(n))
+		const q = `SELECT Doctor.DocID FROM Doctor WHERE Doctor.Country = 'France'`
+		for i := 0; i < 3; i++ {
+			if _, err := db.Query(q); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if st := db.PlanCacheStats(); st.Hits != 0 || st.Entries != 0 {
-		t.Fatalf("disabled cache recorded %v", st)
+		if st := db.PlanCacheStats(); st.Hits != 0 || st.Entries != 0 {
+			t.Fatalf("capacity %d: disabled cache recorded %v", n, st)
+		}
 	}
 }
 

@@ -586,7 +586,8 @@ func TestDeadShardSurfaces(t *testing.T) {
 // only after the hook-blocked in-flight request completes with 200 — no
 // in-flight request is aborted.
 func TestGracefulDrain(t *testing.T) {
-	db, err := core.Open(core.WithQueryHook(queryBlocker()))
+	hook, blockerEntered, blockerRelease := queryBlocker()
+	db, err := core.Open(core.WithQueryHook(hook))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,10 +609,21 @@ func TestGracefulDrain(t *testing.T) {
 	go func() { serveErr <- hs.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 
-	first := make(chan int, 1)
+	// The client reports over a channel rather than failing the test from
+	// its own goroutine, which may outlive a failed test.
+	type outcome struct {
+		status int
+		err    error
+	}
+	first := make(chan outcome, 1)
 	go func() {
-		resp, _ := post(t, base, "/v1/query", QueryRequest{SQL: `SELECT Doc.Name FROM Doctor Doc`})
-		first <- resp.StatusCode
+		resp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(`{"sql":"SELECT Doc.Name FROM Doctor Doc"}`))
+		if err != nil {
+			first <- outcome{err: err}
+			return
+		}
+		resp.Body.Close()
+		first <- outcome{status: resp.StatusCode}
 	}()
 	<-blockerEntered
 
@@ -628,8 +640,8 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(blockerRelease)
-	if st := <-first; st != http.StatusOK {
-		t.Fatalf("in-flight request during shutdown = %d, want 200", st)
+	if got := <-first; got.err != nil || got.status != http.StatusOK {
+		t.Fatalf("in-flight request during shutdown = %d, %v; want 200", got.status, got.err)
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
@@ -648,22 +660,21 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// blockerEntered/blockerRelease back queryBlocker; package-scoped so the
-// drain test can reach them (one use per test binary).
-var (
-	blockerEntered = make(chan struct{})
-	blockerRelease = make(chan struct{})
-)
-
-func queryBlocker() core.QueryHook {
+// queryBlocker returns a hook that blocks the first query to start, and
+// the channels that say it has entered and let it go. Each call has its
+// own channels, so the drain test can run any number of times in one
+// test binary.
+func queryBlocker() (hook core.QueryHook, entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
 	var hooked bool
-	return func(ev core.QueryEvent) {
+	hook = func(ev core.QueryEvent) {
 		if ev.Phase == core.QueryStart && !hooked {
 			hooked = true
-			close(blockerEntered)
-			<-blockerRelease
+			close(entered)
+			<-release
 		}
 	}
+	return hook, entered, release
 }
 
 // TestShardedFaultyServer drives the server over a sharded engine with

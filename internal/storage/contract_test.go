@@ -175,6 +175,7 @@ var contract = []struct {
 		wantErr(t, "read page 64", d.ReadPage(64, pageBuf()), storage.ErrOutOfRange, "page 64")
 		wantErr(t, "program page -1", d.ProgramPage(-1, nil), storage.ErrOutOfRange, "page -1")
 		wantErr(t, "program page 999", d.ProgramPage(999, []byte("x")), storage.ErrOutOfRange, "page 999")
+		wantErr(t, "program page 64", d.ProgramPage(64, nil), storage.ErrOutOfRange, "page 64")
 		wantErr(t, "erase block 16", d.EraseBlock(16), storage.ErrOutOfRange, "block 16")
 		wantErr(t, "erase block -1", d.EraseBlock(-1), storage.ErrOutOfRange, "block -1")
 		wantErr(t, "oversized program", d.ProgramPage(2, make([]byte, 129)), storage.ErrPageTooBig, "page 2", "block 0")
@@ -407,6 +408,9 @@ var contract = []struct {
 			t.Fatalf("ReadPage(6) = % x, %v, %v", page, prog, err)
 		}
 		// Erased pages read as 0xFF, in programmed blocks and untouched ones.
+		if err := img.ReadAt(got, int64(2*contractParams.PageSize)); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xFF}, len(got))) {
+			t.Fatalf("erased image ReadAt = % x, %v", got, err)
+		}
 		for _, p := range []int{5, 2, 40} {
 			page, prog, err := img.ReadPage(p)
 			if err != nil || prog || !bytes.Equal(page, fullPage(0xFF)) {

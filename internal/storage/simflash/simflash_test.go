@@ -62,37 +62,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestProgramReadRoundTrip(t *testing.T) {
-	d, _ := newTestDevice(t)
-	data := bytes.Repeat([]byte{0xAB}, 128)
-	if err := d.ProgramPage(3, data); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 128)
-	if err := d.ReadPage(3, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("read back mismatch")
-	}
-	if !d.PageProgrammed(3) || d.PageProgrammed(4) {
-		t.Error("programmed flags wrong")
-	}
-}
-
-func TestErasedReadsFF(t *testing.T) {
-	d, _ := newTestDevice(t)
-	got := make([]byte, 10)
-	if err := d.ReadAt(got, 1000); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range got {
-		if b != 0xFF {
-			t.Fatalf("erased byte = %#x, want 0xFF", b)
-		}
-	}
-}
-
 func TestNoReprogramWithoutErase(t *testing.T) {
 	d, _ := newTestDevice(t)
 	if err := d.ProgramPage(0, []byte{1}); err != nil {
