@@ -31,22 +31,32 @@ func resolve(cfg *Config) core.Options {
 	return o
 }
 
-// TestDSNKeysEqualOptions holds every DSN key to the core option it
-// stands for: one row per key, whose sample value must resolve to the
-// same core.Options as the row's With* call, and whose bad value must
-// fail with the driver's prefix. The keys in ParseDSN's doc comment and
-// in README's DSN table must be exactly the table's keys.
-func TestDSNKeysEqualOptions(t *testing.T) {
+// dsnKey is one row of the DSN key table: a key, a sample value (with
+// the other parameters it needs) and the With* call it stands for, and a
+// value the key rejects.
+type dsnKey struct {
+	key, sample string
+	extra       string // other parameters the sample needs
+	want        core.Option
+	bad         string
+}
+
+// dsn renders the row's DSN with val as the key's value.
+func (r dsnKey) dsn(val string) string {
+	s := "ghostdb://?" + r.key + "=" + url.QueryEscape(val)
+	if r.extra != "" {
+		s += "&" + r.extra
+	}
+	return s
+}
+
+// dsnKeys is the DSN key table, one row per key.
+func dsnKeys(tb testing.TB) []dsnKey {
 	plan, err := fault.ParsePlan("seed=42,read.transient=0.001,cutop=500")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	rows := []struct {
-		key, sample string
-		extra       string // other parameters the sample needs
-		want        core.Option
-		bad         string
-	}{
+	return []dsnKey{
 		{"profile", "smartusb2007", "", core.WithProfile(device.SmartUSB2007()), "cray1"},
 		{"usb", "high", "", core.WithUSB(bus.USBHighSpeed()), "warp"},
 		{"fpr", "0.05", "", core.WithTargetFPR(0.05), "2"},
@@ -62,17 +72,19 @@ func TestDSNKeysEqualOptions(t *testing.T) {
 		{"path", "/tmp/x", "backend=file", core.WithBackend(storage.File("/tmp/x", false)), ""},
 		{"fsync", "on", "backend=file&path=%2Ftmp%2Fx", core.WithBackend(storage.File("/tmp/x", true)), "maybe"},
 	}
-	dsn := func(key, val, extra string) string {
-		s := "ghostdb://?" + key + "=" + url.QueryEscape(val)
-		if extra != "" {
-			s += "&" + extra
-		}
-		return s
-	}
+}
+
+// TestDSNKeysEqualOptions holds every DSN key to the core option it
+// stands for: one row per key, whose sample value must resolve to the
+// same core.Options as the row's With* call, and whose bad value must
+// fail with the driver's prefix. The keys in ParseDSN's doc comment and
+// in README's DSN table must be exactly the table's keys.
+func TestDSNKeysEqualOptions(t *testing.T) {
+	rows := dsnKeys(t)
 	var keys []string
 	for _, r := range rows {
 		keys = append(keys, r.key)
-		cfg, err := ParseDSN(dsn(r.key, r.sample, r.extra))
+		cfg, err := ParseDSN(r.dsn(r.sample))
 		if err != nil {
 			t.Errorf("%s=%s: %v", r.key, r.sample, err)
 			continue
@@ -90,7 +102,7 @@ func TestDSNKeysEqualOptions(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s=%s: options %+v, want %+v", r.key, r.sample, got, want)
 		}
-		if _, err := ParseDSN(dsn(r.key, r.bad, r.extra)); err == nil || !strings.Contains(err.Error(), "ghostdb driver:") {
+		if _, err := ParseDSN(r.dsn(r.bad)); err == nil || !strings.Contains(err.Error(), "ghostdb driver:") {
 			t.Errorf("%s=%s: error = %v, want a ghostdb driver error", r.key, r.bad, err)
 		}
 	}
@@ -141,11 +153,18 @@ func TestDSNKeysEqualOptions(t *testing.T) {
 	}
 }
 
+// manyBadDSN has several bad parameters.
+const manyBadDSN = "ghostdb://?fpr=9&metrics=off&batch=0&usb=warp&integrity=off"
+
+// removedKeys and removedValues are the retired keys and values a DSN
+// may still carry.
+var removedKeys, removedValues = []string{"batch", "integrity", "metrics"}, []string{"on", "off", "0"}
+
 // TestParseDSNDeterministicErrors pins the sorted-key validation order:
 // a DSN with several bad parameters reports the alphabetically first
 // one, every time, instead of whichever the map iteration visited.
 func TestParseDSNDeterministicErrors(t *testing.T) {
-	const dsn = "ghostdb://?fpr=9&metrics=off&batch=0&usb=warp&integrity=off"
+	const dsn = manyBadDSN
 	_, first := ParseDSN(dsn)
 	if first == nil {
 		t.Fatal("ParseDSN should fail")
@@ -164,8 +183,8 @@ func TestParseDSNDeterministicErrors(t *testing.T) {
 // paths that no longer exist; a DSN still carrying one fails by name
 // whatever its value, rather than being silently ignored.
 func TestParseDSNRemovedKeys(t *testing.T) {
-	for _, key := range []string{"batch", "integrity", "metrics"} {
-		for _, val := range []string{"on", "off", "0"} {
+	for _, key := range removedKeys {
+		for _, val := range removedValues {
 			_, err := ParseDSN("ghostdb://?" + key + "=" + val)
 			if want := fmt.Sprintf("unknown DSN parameter %q", key); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s=%s: error = %v, want %s", key, val, err, want)
@@ -174,13 +193,21 @@ func TestParseDSNRemovedKeys(t *testing.T) {
 	}
 }
 
+// The DSNs the connector and engine entry points are opened with.
+const (
+	badFaultsDSN = "ghostdb://?faults=read.transient=2"
+	faultsDSN    = "ghostdb://?faults=seed=1,read.transient=0.001"
+	badUSBDSN    = "ghostdb://?usb=warp"
+	shardsDSN    = "ghostdb://?shards=2"
+)
+
 // TestOpenConnectorEagerValidation checks the connector surfaces config
 // errors at OpenConnector time, not at first Connect.
 func TestOpenConnectorEagerValidation(t *testing.T) {
-	if _, err := (&Driver{}).OpenConnector("ghostdb://?faults=read.transient=2"); err == nil {
+	if _, err := (&Driver{}).OpenConnector(badFaultsDSN); err == nil {
 		t.Fatal("OpenConnector with a bad fault plan should fail")
 	}
-	c, err := (&Driver{}).OpenConnector("ghostdb://?faults=seed=1,read.transient=0.001")
+	c, err := (&Driver{}).OpenConnector(faultsDSN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +219,10 @@ func TestOpenConnectorEagerValidation(t *testing.T) {
 // TestOpenEngine pins the DSN-to-engine entry point used by
 // cmd/ghostdb-server.
 func TestOpenEngine(t *testing.T) {
-	if _, err := OpenEngine("ghostdb://?usb=warp"); err == nil {
+	if _, err := OpenEngine(badUSBDSN); err == nil {
 		t.Fatal("OpenEngine with a bad DSN should fail")
 	}
-	db, err := OpenEngine("ghostdb://?shards=2")
+	db, err := OpenEngine(shardsDSN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,4 +237,33 @@ func TestOpenEngine(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
 		t.Fatalf("rows = %v, want [[2]]", res.Rows)
 	}
+}
+
+// FuzzParseDSN: ParseDSN never panics; a DSN it accepts applies its
+// options to a zero core.Options without panicking, and one it rejects
+// says so with the driver's prefix. The seeds are every DSN the tests
+// above parse.
+func FuzzParseDSN(f *testing.F) {
+	for _, r := range dsnKeys(f) {
+		f.Add(r.dsn(r.sample))
+		f.Add(r.dsn(r.bad))
+	}
+	for _, key := range removedKeys {
+		for _, val := range removedValues {
+			f.Add("ghostdb://?" + key + "=" + val)
+		}
+	}
+	for _, dsn := range []string{"", manyBadDSN, badFaultsDSN, faultsDSN, badUSBDSN, shardsDSN} {
+		f.Add(dsn)
+	}
+	f.Fuzz(func(t *testing.T, dsn string) {
+		cfg, err := ParseDSN(dsn)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "ghostdb driver:") {
+				t.Fatalf("ParseDSN(%q) error %q lacks the driver's prefix", dsn, err)
+			}
+			return
+		}
+		resolve(cfg)
+	})
 }

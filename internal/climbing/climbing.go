@@ -58,6 +58,12 @@ type Index struct {
 	entriesExt flash.Extent
 	valuesExt  flash.Extent
 	listsExt   flash.Extent
+	// entHint and valHint are the entries' and the values' page-cache
+	// hints (see flash.Hint): they save the cache's scan, never a read.
+	// Like the cache, they are touched only under the engine's device
+	// gate.
+	entHint flash.Hint
+	valHint flash.Hint
 }
 
 // ListRef locates one posting list on flash.
@@ -352,15 +358,13 @@ func (ix *Index) LevelOf(table string) int {
 // two read paths — full entries and value-only probes — share one
 // layout-aware reader.
 func (ix *Index) entryRecord(i int, scratch *[64]byte) ([]byte, error) {
-	raw := scratch[:]
-	if ix.entSize > len(raw) {
-		raw = make([]byte, ix.entSize)
-	}
-	raw = raw[:ix.entSize]
-	if err := ix.st.Cache().ReadAt(raw, ix.entriesExt.Start+int64(i)*int64(ix.entSize)); err != nil {
+	cell, err := ix.st.Cache().Cell(&ix.entHint, ix.entriesExt.Start+int64(i)*int64(ix.entSize), ix.entSize, scratch[:0])
+	if err != nil {
 		return nil, err
 	}
-	return raw, nil
+	// The record outlives the value reads that follow it, which may
+	// reuse its frame: keep a copy.
+	return append(scratch[:0], cell...), nil
 }
 
 // readEntry reads dictionary record i and its value through the page
@@ -429,26 +433,22 @@ func (ix *Index) readValue(i int, valOff int64) (value.Value, error) {
 	// The value's length is bounded by the next entry's value offset.
 	end := ix.valuesExt.Len
 	if i+1 < ix.n {
-		var raw [4]byte
-		if err := ix.st.Cache().ReadAt(raw[:], ix.entriesExt.Start+int64(i+1)*int64(ix.entSize)); err != nil {
+		var spill [4]byte
+		raw, err := ix.st.Cache().Cell(&ix.entHint, ix.entriesExt.Start+int64(i+1)*int64(ix.entSize), 4, spill[:0])
+		if err != nil {
 			return value.Value{}, err
 		}
-		end = int64(binary.LittleEndian.Uint32(raw[:]))
+		end = int64(binary.LittleEndian.Uint32(raw))
 	}
-	var bufArr [128]byte
-	buf := bufArr[:]
-	if n := int(end - valOff); n <= len(buf) {
-		buf = buf[:n]
-	} else {
-		buf = make([]byte, n)
-	}
-	if err := ix.st.Cache().ReadAt(buf, ix.valuesExt.Start+valOff); err != nil {
+	var spill [128]byte
+	enc, err := ix.st.Cache().Cell(&ix.valHint, ix.valuesExt.Start+valOff, int(end-valOff), spill[:0])
+	if err != nil {
 		return value.Value{}, err
 	}
 	if ix.vals != nil {
 		return ix.vals[i], nil
 	}
-	v, _, err := value.Decode(buf)
+	v, _, err := value.Decode(enc)
 	return v, err
 }
 

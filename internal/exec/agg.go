@@ -15,7 +15,9 @@ package exec
 // device-side batch operators.
 
 import (
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -41,46 +43,91 @@ type aggAcc struct {
 	v value.Value
 }
 
-// fnvOffset/fnvPrime are the FNV-1a constants, inlined so per-row
-// hashing never allocates.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// hashInto mixes one value into an FNV-1a style running hash.
-func hashInto(h uint64, v value.Value) uint64 {
-	h = (h ^ uint64(v.Kind())) * fnvPrime
-	switch v.Kind() {
-	case value.String:
-		s := v.Str()
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * fnvPrime
-		}
-	case value.Float:
-		h = (h ^ uint64(floatBits(v.Float()))) * fnvPrime
-	case value.Int:
-		h = (h ^ uint64(v.Int())) * fnvPrime
-	case value.Date:
-		h = (h ^ uint64(v.DateDays())) * fnvPrime
-	case value.Bool:
-		if v.Bool() {
-			h = (h ^ 1) * fnvPrime
-		} else {
-			h = (h ^ 2) * fnvPrime
-		}
-	}
-	return h
+// groupTable finds a key's index — a Grouper's group, a Distinct entry —
+// by its hash. It is one open-addressed table: a power-of-two slot array
+// probed linearly, each slot holding a key's full 32-bit hash (tableHash)
+// and its index + 1 (0 marks an empty slot), 8 bytes a slot. The owner
+// compares keys only when the full hash matches. The table grows at half
+// load by re-placing the stored hashes, without rehashing a key.
+//
+// The hash picks the slot a probe starts at, never an order: indexes are
+// handed out in first-seen order, and every result order comes from
+// them. That is why the string hash may be seeded per process.
+type groupTable struct {
+	slots []slot
+	n     int // occupied slots
 }
 
-func floatBits(f float64) uint64 {
-	if f != f { // NaN: one canonical pattern
-		return 0
+type slot struct {
+	hash uint32
+	idx  uint32 // index + 1; 0 when empty
+}
+
+// minSlots is a fresh table's size.
+const minSlots = 16
+
+// reset empties the table, keeping its slots.
+func (t *groupTable) reset() {
+	if t.slots == nil {
+		t.slots = make([]slot, minSlots)
+	} else {
+		clear(t.slots)
 	}
-	if f == 0 { // -0.0 == 0.0 under Go ==; hash them alike
-		return 1
+	t.n = 0
+}
+
+// put records idx under hash h in the empty slot i that h's probe ended
+// on, growing the table once half of it is occupied.
+func (t *groupTable) put(i int, h uint32, idx int) {
+	t.slots[i] = slot{hash: h, idx: uint32(idx + 1)}
+	if t.n++; 2*t.n <= len(t.slots) {
+		return
 	}
-	return math.Float64bits(f)
+	old := t.slots
+	t.slots = make([]slot, 2*len(old))
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.idx == 0 {
+			continue
+		}
+		j := int(s.hash) & mask
+		for t.slots[j].idx != 0 {
+			j = (j + 1) & mask
+		}
+		t.slots[j] = s
+	}
+}
+
+// keyHashMask is ANDed into every table hash. Tests zero it so that
+// every key collides with every other.
+var keyHashMask = ^uint32(0)
+
+// tableHash folds a running key hash to the table's 32 bits.
+func tableHash(h uint64) uint32 { return (uint32(h) ^ uint32(h>>32)) & keyHashMask }
+
+// strSeed seeds the string hash (see groupTable: a probe start, never an
+// order).
+var strSeed = maphash.MakeSeed()
+
+// hashValue folds one value into a running key hash, consistent with ==
+// on value.Value: its kind, then its payload word or its string, the
+// string a word at a time by maphash.
+func hashValue(h uint64, v value.Value) uint64 {
+	h ^= uint64(v.Kind())
+	switch v.Kind() {
+	case value.String:
+		return mix(h, maphash.String(strSeed, v.Str()))
+	case value.Int, value.Date, value.Bool, value.Float:
+		return mix(h, uint64(v.Word()))
+	}
+	return mix(h, 0)
+}
+
+// mix is the wyhash step: a 128-bit product of the two inputs, each
+// xored with a constant, folded to 64 bits.
+func mix(h, w uint64) uint64 {
+	hi, lo := bits.Mul64(h^0xa0761d6478bd642f, w^0xe7037ed1a0b428db)
+	return hi ^ lo
 }
 
 // AggState is one accumulator's raw state, exported for cross-shard
@@ -98,30 +145,27 @@ type AggState struct {
 
 // Grouper is a pooled hash group-by: rows are added one at a time and
 // groups appear in first-seen order, which — fed in root-ID order — makes
-// the unordered aggregate result deterministic.
+// the unordered aggregate result deterministic. Groups are found in the
+// groupTable; a keyless grouper has at most group 0 and hashes nothing.
 type Grouper struct {
 	keyCols []int
 	aggs    []AggOp
 
-	head  map[uint64]int32 // key hash -> first group index + 1
-	next  []int32          // per-group collision chain (same full hash)
-	keys  []value.Value    // flat: group * len(keyCols)
-	accs  []aggAcc         // flat: group * len(aggs)
-	first []int64          // per group: min seq seen (AddAt/Absorb only)
-	n     int              // group count
+	tab   groupTable
+	keys  []value.Value // flat: group * len(keyCols)
+	accs  []aggAcc      // flat: group * len(aggs)
+	first []int64       // per group: min seq seen (AddAt/Absorb only)
+	n     int           // group count
 }
 
-var grouperPool = sync.Pool{
-	New: func() any { return &Grouper{head: map[uint64]int32{}} },
-}
+var grouperPool = sync.Pool{New: func() any { return &Grouper{} }}
 
 // GetGrouper returns a pooled Grouper configured for the given key
 // columns and accumulators. The slices are retained (not copied).
 func GetGrouper(keyCols []int, aggs []AggOp) *Grouper {
 	g := grouperPool.Get().(*Grouper)
 	g.keyCols, g.aggs = keyCols, aggs
-	clear(g.head)
-	g.next = g.next[:0]
+	g.tab.reset()
 	g.keys = g.keys[:0]
 	g.accs = g.accs[:0]
 	g.first = g.first[:0]
@@ -228,22 +272,34 @@ func (g *Grouper) FirstSeen(gi int) int64 {
 
 // findOrAdd locates the row's group, appending a new one when unseen.
 func (g *Grouper) findOrAdd(row []value.Value) int {
-	h := uint64(fnvOffset)
-	for _, kc := range g.keyCols {
-		h = hashInto(h, row[kc])
+	if len(g.keyCols) == 0 {
+		if g.n == 0 {
+			g.addGroup(row)
+		}
+		return 0
 	}
-	// The head map is keyed by the full 64-bit hash, so a chain only
-	// links groups whose keys collide on it — compare keys directly.
-	for id := g.head[h]; id != 0; id = g.next[id-1] {
-		gi := int(id - 1)
-		if g.sameKey(gi, row) {
-			return gi
+	var kh uint64
+	for _, kc := range g.keyCols {
+		kh = hashValue(kh, row[kc])
+	}
+	h := tableHash(kh)
+	mask := len(g.tab.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := g.tab.slots[i]
+		if s.idx == 0 {
+			g.tab.put(i, h, g.n)
+			return g.addGroup(row)
+		}
+		if s.hash == h && g.sameKey(int(s.idx-1), row) {
+			return int(s.idx - 1)
 		}
 	}
+}
+
+// addGroup appends a group keyed by the row and returns its index.
+func (g *Grouper) addGroup(row []value.Value) int {
 	gi := g.n
 	g.n++
-	g.next = append(g.next, g.head[h])
-	g.head[h] = int32(gi + 1)
 	for _, kc := range g.keyCols {
 		g.keys = append(g.keys, row[kc])
 	}
@@ -337,34 +393,25 @@ func (g *Grouper) AggValue(gi, a int) value.Value {
 // AddEmptyGroup appends one group with zero contributions (the global
 // group of an aggregate query whose pipeline matched no rows). The
 // grouper must be keyless.
-func (g *Grouper) AddEmptyGroup() {
-	g.n++
-	g.next = append(g.next, 0)
-	for range g.aggs {
-		g.accs = append(g.accs, aggAcc{})
-	}
-}
+func (g *Grouper) AddEmptyGroup() { g.addGroup(nil) }
 
-// Distinct is a pooled streaming duplicate filter over value rows.
+// Distinct is a pooled streaming duplicate filter over value rows, its
+// entries found in a groupTable.
 type Distinct struct {
 	width int
-	head  map[uint64]int32
-	next  []int32
+	tab   groupTable
 	rows  []value.Value // flat: entry * width
 	n     int
 }
 
-var distinctPool = sync.Pool{
-	New: func() any { return &Distinct{head: map[uint64]int32{}} },
-}
+var distinctPool = sync.Pool{New: func() any { return &Distinct{} }}
 
 // GetDistinct returns a pooled filter for rows of the given width
 // (only the first width columns of each row participate).
 func GetDistinct(width int) *Distinct {
 	d := distinctPool.Get().(*Distinct)
 	d.width = width
-	clear(d.head)
-	d.next = d.next[:0]
+	d.tab.reset()
 	d.rows = d.rows[:0]
 	d.n = 0
 	return d
@@ -383,20 +430,24 @@ func PutDistinct(d *Distinct) {
 // Seen reports whether the row's first width columns were already
 // observed, recording them when new.
 func (d *Distinct) Seen(row []value.Value) bool {
-	h := uint64(fnvOffset)
+	var kh uint64
 	for i := 0; i < d.width; i++ {
-		h = hashInto(h, row[i])
+		kh = hashValue(kh, row[i])
 	}
-	for id := d.head[h]; id != 0; id = d.next[id-1] {
-		if d.sameRow(int(id-1), row) {
+	h := tableHash(kh)
+	mask := len(d.tab.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := d.tab.slots[i]
+		if s.idx == 0 {
+			d.tab.put(i, h, d.n)
+			d.rows = append(d.rows, row[:d.width]...)
+			d.n++
+			return false
+		}
+		if s.hash == h && d.sameRow(int(s.idx-1), row) {
 			return true
 		}
 	}
-	d.next = append(d.next, d.head[h])
-	d.head[h] = int32(d.n + 1)
-	d.rows = append(d.rows, row[:d.width]...)
-	d.n++
-	return false
 }
 
 func (d *Distinct) sameRow(e int, row []value.Value) bool {

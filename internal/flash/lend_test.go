@@ -255,14 +255,34 @@ type refLRU struct {
 	pages  []int
 	stamp  []int64
 	tick   int64
+	hits   int64
 	misses int64
 }
 
+func newRefLRU(frames int) *refLRU {
+	ref := &refLRU{pages: make([]int, frames), stamp: make([]int64, frames)}
+	ref.invalidate()
+	return ref
+}
+
+func (c *refLRU) invalidate() {
+	for i := range c.pages {
+		c.pages[i] = -1
+	}
+}
+
 func (c *refLRU) access(page int) (frame int, hit bool) {
+	return c.accessOrFail(page, false)
+}
+
+// accessOrFail is access whose flash read, on a miss, fails when fail is
+// set: the victim is then left empty.
+func (c *refLRU) accessOrFail(page int, fail bool) (frame int, hit bool) {
 	c.tick++
 	victim := 0
 	for i, p := range c.pages {
 		if p == page {
+			c.hits++
 			c.stamp[i] = c.tick
 			return i, true
 		}
@@ -271,6 +291,10 @@ func (c *refLRU) access(page int) (frame int, hit bool) {
 		}
 	}
 	c.misses++
+	if fail {
+		c.pages[victim] = -1
+		return victim, false
+	}
 	c.pages[victim], c.stamp[victim] = page, c.tick
 	return victim, false
 }
@@ -286,10 +310,7 @@ func TestCacheProbeKeepsLRUOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := &refLRU{pages: make([]int, frames), stamp: make([]int64, frames)}
-		for i := range ref.pages {
-			ref.pages[i] = -1
-		}
+		ref := newRefLRU(frames)
 		page := 0
 		for i := 0; i < 5000; i++ {
 			switch rng.Intn(4) { // runs on one page, steps, jumps
@@ -300,9 +321,7 @@ func TestCacheProbeKeepsLRUOrder(t *testing.T) {
 			}
 			if rng.Intn(500) == 0 {
 				c.Invalidate()
-				for j := range ref.pages {
-					ref.pages[j] = -1
-				}
+				ref.invalidate()
 			}
 			if _, err := c.page(page); err != nil {
 				t.Fatal(err)
@@ -319,6 +338,129 @@ func TestCacheProbeKeepsLRUOrder(t *testing.T) {
 			}
 		}
 	}
+	// Readers that each carry their own hint, interleaved, land every
+	// access where the plain scan and a ReadAt-only cache land it.
+	for _, frames := range []int{1, 2, 3, 8} {
+		for readers := 1; readers <= 4; readers++ {
+			checkHintTrace(t, int64(frames*10+readers), frames, readers, 4000)
+		}
+	}
+}
+
+// Pages of the hint traces: cells fall in pages [0, tracePages), and one
+// read of failPage fails its checksum.
+const (
+	tracePages = 12
+	failPage   = 20
+)
+
+// checkHintTrace replays steps random cell reads by readers readers over
+// three caches of frames frames: one read through Cell with a hint per
+// reader, a twin read through ReadAt only, and the plain-scan reference.
+// Each reader reads cells of its own width (some straddle pages) in runs
+// on one page, steps to the next cell and jumps; the trace mixes in
+// Invalidate and, halfway, one read that fails and empties its victim.
+// After every access the frames, stamps, hits, misses, device Stats and
+// the bytes read must agree.
+func checkHintTrace(t *testing.T, seed int64, frames, readers, steps int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var fill []int
+	for p := 0; p < tracePages; p++ {
+		fill = append(fill, p)
+	}
+	fill = append(fill, failPage)
+	dh, injh := rottenDevice(t, fill...)
+	dp, injp := rottenDevice(t, fill...)
+	hinted, err := NewCache(dh, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewCache(dp, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefLRU(frames)
+	ps := int64(testParams().PageSize)
+	widths := []int{1, 4, 8, 13, 64, 200}
+	hints := make([]Hint, readers)
+	width := make([]int, readers)
+	addr := make([]int64, readers)
+	for r := range width {
+		width[r] = widths[rng.Intn(len(widths))]
+	}
+	buf := make([]byte, 256)
+	for i := 0; i < steps; i++ {
+		r := rng.Intn(readers)
+		n := width[r]
+		limit := tracePages*ps - int64(n)
+		switch rng.Intn(4) { // 0 jumps, 1 steps, otherwise a run on the page
+		case 0:
+			addr[r] = rng.Int63n(limit + 1)
+		case 1:
+			addr[r] += int64(n)
+		default:
+			addr[r] = addr[r]/ps*ps + rng.Int63n(ps)
+		}
+		addr[r] = min(addr[r], limit)
+		if rng.Intn(500) == 0 {
+			hinted.Invalidate()
+			plain.Invalidate()
+			ref.invalidate()
+		}
+		at, m := addr[r], n
+		fail := i == steps/2
+		if fail {
+			at, m = failPage*ps+int64(rng.Intn(int(ps))), 1
+			injh.Arm()
+			injp.Arm()
+		}
+		got, errH := hinted.Cell(&hints[r], at, m, nil)
+		errP := plain.ReadAt(buf[:m], at)
+		if fail {
+			injh.Disarm()
+			injp.Disarm()
+			if !errors.Is(errH, ErrCorrupt) || !errors.Is(errP, ErrCorrupt) {
+				t.Fatalf("seed %d: reading the rotten page: %v (hinted), %v (plain), want ErrCorrupt", seed, errH, errP)
+			}
+			ref.accessOrFail(failPage, true)
+		} else {
+			if errH != nil || errP != nil {
+				t.Fatalf("seed %d, access %d: %v (hinted), %v (plain)", seed, i, errH, errP)
+			}
+			if !bytes.Equal(got, buf[:m]) {
+				t.Fatalf("seed %d, access %d: cell [%d, +%d) reads % x, ReadAt % x", seed, i, at, m, got, buf[:m])
+			}
+			for p := at / ps; p <= (at+int64(m)-1)/ps; p++ {
+				ref.access(int(p))
+			}
+		}
+		for j := range ref.pages {
+			if hinted.pages[j] != ref.pages[j] || hinted.stamp[j] != ref.stamp[j] ||
+				plain.pages[j] != ref.pages[j] || plain.stamp[j] != ref.stamp[j] {
+				t.Fatalf("seed %d, %d frames, %d readers, access %d (reader %d, [%d, +%d)): hinted %v %v, plain %v %v, reference %v %v",
+					seed, frames, readers, i, r, at, m, hinted.pages, hinted.stamp, plain.pages, plain.stamp, ref.pages, ref.stamp)
+			}
+		}
+		if hinted.Hits() != ref.hits || hinted.Misses() != ref.misses || plain.Hits() != ref.hits || plain.Misses() != ref.misses {
+			t.Fatalf("seed %d, access %d: hinted %d hits / %d misses, plain %d / %d, reference %d / %d",
+				seed, i, hinted.Hits(), hinted.Misses(), plain.Hits(), plain.Misses(), ref.hits, ref.misses)
+		}
+		if dh.Stats() != dp.Stats() {
+			t.Fatalf("seed %d, access %d: device stats %+v hinted, %+v plain", seed, i, dh.Stats(), dp.Stats())
+		}
+	}
+}
+
+// FuzzCacheHints runs the hint trace at fuzzed seeds, frame and reader
+// counts and lengths.
+func FuzzCacheHints(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(1), uint16(500))
+	f.Add(int64(2), uint8(3), uint8(4), uint16(2000))
+	f.Add(int64(3), uint8(8), uint8(2), uint16(3))
+	f.Fuzz(func(t *testing.T, seed int64, frames, readers uint8, steps uint16) {
+		checkHintTrace(t, seed, 1+int(frames)%8, 1+int(readers)%4, int(steps)%4000)
+	})
 }
 
 // rottenDevice programs each given page with a fill of its own on a device

@@ -61,23 +61,6 @@ func TestParamsValidate(t *testing.T) {
 		t.Errorf("TotalBytes = %d", p.TotalBytes())
 	}
 }
-
-func TestNoReprogramWithoutErase(t *testing.T) {
-	d, _ := newTestDevice(t)
-	if err := d.ProgramPage(0, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ProgramPage(0, []byte{2}); !errors.Is(err, storage.ErrNotErased) {
-		t.Errorf("reprogram: %v, want ErrNotErased", err)
-	}
-	if err := d.EraseBlock(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ProgramPage(0, []byte{2}); err != nil {
-		t.Errorf("program after erase: %v", err)
-	}
-}
-
 func TestPartialPageProgram(t *testing.T) {
 	d, _ := newTestDevice(t)
 	if err := d.ProgramPage(1, []byte{1, 2, 3}); err != nil {
@@ -95,7 +78,6 @@ func TestPartialPageProgram(t *testing.T) {
 		t.Errorf("oversized program: %v", err)
 	}
 }
-
 func TestBoundsChecks(t *testing.T) {
 	d, _ := newTestDevice(t)
 	if err := d.ReadAt(make([]byte, 1), d.Params().TotalBytes()); !errors.Is(err, storage.ErrOutOfRange) {
@@ -171,29 +153,5 @@ func TestStatsSub(t *testing.T) {
 	got := a.Sub(b)
 	if got.PageReads != 6 || got.BytesRead != 60 || got.ReadTime != 700*time.Millisecond {
 		t.Errorf("Sub = %+v", got)
-	}
-}
-
-func TestReadAtSpansPages(t *testing.T) {
-	d, _ := newTestDevice(t)
-	page0 := bytes.Repeat([]byte{0x11}, 128)
-	page1 := bytes.Repeat([]byte{0x22}, 128)
-	if err := d.ProgramPage(0, page0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ProgramPage(1, page1); err != nil {
-		t.Fatal(err)
-	}
-	d.ResetStats()
-	got := make([]byte, 20)
-	if err := d.ReadAt(got, 120); err != nil {
-		t.Fatal(err)
-	}
-	want := append(bytes.Repeat([]byte{0x11}, 8), bytes.Repeat([]byte{0x22}, 12)...)
-	if !bytes.Equal(got, want) {
-		t.Errorf("cross-page read mismatch")
-	}
-	if d.Stats().PageReads != 2 {
-		t.Errorf("cross-page read charged %d page accesses, want 2", d.Stats().PageReads)
 	}
 }

@@ -3,6 +3,12 @@
 // plus the replicated primary keys of all tables — paper Section 2), with
 // a small page cache charged against the device's RAM arena.
 //
+// A single-cell read goes through flash.Cache.Cell with the reading
+// column's own flash.Hint, and decodes the cell straight out of the
+// frame. A hint hit is the hit the cache's scan would have found, so the
+// hints change no hit, miss, victim or flash charge. Like the cache, a
+// column's hints are touched only under the engine's device gate.
+//
 // Columns are written once during the secure bulk load and never updated
 // in place, matching the flash constraint. Fixed-width kinds (INTEGER,
 // DATE, FLOAT, BOOLEAN) are stored as packed arrays; strings are stored
@@ -183,6 +189,7 @@ type FixedColumn struct {
 	kind  value.Kind
 	width int
 	n     int
+	hint  flash.Hint
 }
 
 func (s *Store) buildFixedColumn(kind value.Kind, words []int64) (*FixedColumn, error) {
@@ -229,11 +236,12 @@ func (c *FixedColumn) Value(i int) (value.Value, error) {
 	if i < 0 || i >= c.n {
 		return value.Value{}, fmt.Errorf("store: row %d of %d", i, c.n)
 	}
-	var raw [8]byte
-	if err := c.store.cache.ReadAt(raw[:c.width], c.ext.Start+int64(i)*int64(c.width)); err != nil {
+	var spill [8]byte
+	raw, err := c.store.cache.Cell(&c.hint, c.ext.Start+int64(i)*int64(c.width), c.width, spill[:0])
+	if err != nil {
 		return value.Value{}, err
 	}
-	return value.FromWord(c.kind, word(raw[:c.width], c.width)), nil
+	return value.FromWord(c.kind, word(raw, c.width)), nil
 }
 
 // Kind implements Column.
@@ -252,11 +260,13 @@ func (c *FixedColumn) Bytes() int64 { return c.ext.Len }
 
 // VarColumn stores variable-width values as an offset array plus a heap.
 type VarColumn struct {
-	store   *Store
-	offExt  flash.Extent // (n+1) uint32 offsets into the heap
-	dataExt flash.Extent
-	kind    value.Kind
-	n       int
+	store    *Store
+	offExt   flash.Extent // (n+1) uint32 offsets into the heap
+	dataExt  flash.Extent
+	kind     value.Kind
+	n        int
+	offHint  flash.Hint
+	heapHint flash.Hint
 }
 
 func (s *Store) buildVarColumn(strs []string) (*VarColumn, error) {
@@ -289,8 +299,9 @@ func (c *VarColumn) ValueInterned(i int, in *value.Interner) (value.Value, error
 	if i < 0 || i >= c.n {
 		return value.Value{}, fmt.Errorf("store: row %d of %d", i, c.n)
 	}
-	var raw [8]byte
-	if err := c.store.cache.ReadAt(raw[:], c.offExt.Start+int64(i)*4); err != nil {
+	var offSpill [8]byte
+	raw, err := c.store.cache.Cell(&c.offHint, c.offExt.Start+int64(i)*4, 8, offSpill[:0])
+	if err != nil {
 		return value.Value{}, err
 	}
 	start := binary.LittleEndian.Uint32(raw[:4])
@@ -298,19 +309,14 @@ func (c *VarColumn) ValueInterned(i int, in *value.Interner) (value.Value, error
 	if end < start || int64(end) > c.dataExt.Len {
 		return value.Value{}, fmt.Errorf("store: corrupt offsets %d..%d", start, end)
 	}
-	// A stack buffer for all but oversized values: the decoded string is
-	// the one heap object a fetch costs.
-	var bufArr [128]byte
-	buf := bufArr[:]
-	if n := int(end - start); n <= len(buf) {
-		buf = buf[:n]
-	} else {
-		buf = make([]byte, n)
-	}
-	if err := c.store.cache.ReadAt(buf, c.dataExt.Start+int64(start)); err != nil {
+	// A value that straddles pages is copied into a stack buffer unless
+	// oversized: the decoded string is the one heap object a fetch costs.
+	var spill [128]byte
+	enc, err := c.store.cache.Cell(&c.heapHint, c.dataExt.Start+int64(start), int(end-start), spill[:0])
+	if err != nil {
 		return value.Value{}, err
 	}
-	v, _, err := in.Decode(buf)
+	v, _, err := in.Decode(enc)
 	return v, err
 }
 
@@ -333,6 +339,7 @@ type IDColumn struct {
 	store *Store
 	ext   flash.Extent
 	n     int
+	hint  flash.Hint
 }
 
 // BuildIDColumn writes ids as a packed uint32 array in the main space.
@@ -353,11 +360,12 @@ func (c *IDColumn) Get(i int) (uint32, error) {
 	if i < 0 || i >= c.n {
 		return 0, fmt.Errorf("store: ID element %d of %d", i, c.n)
 	}
-	var raw [4]byte
-	if err := c.store.cache.ReadAt(raw[:], c.ext.Start+int64(i)*4); err != nil {
+	var spill [4]byte
+	raw, err := c.store.cache.Cell(&c.hint, c.ext.Start+int64(i)*4, 4, spill[:0])
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(raw[:]), nil
+	return binary.LittleEndian.Uint32(raw), nil
 }
 
 // Len reports the element count.
