@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -35,12 +36,21 @@ func DebugHandler(db *DB) http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		db.MetricsSnapshot().WritePrometheus(w, "ghostdb_")
-		for i, snap := range db.ShardMetrics() {
-			snap.WritePrometheus(w, fmt.Sprintf("ghostdb_shard%d_", i))
-		}
+		WritePrometheus(w, db)
 	})
 	return mux
+}
+
+// WritePrometheus writes db's section of the Prometheus exposition: the
+// engine registry (ghostdb_*) and one registry per device engine
+// (ghostdb_shard<i>_*). DebugHandler's /metrics serves exactly this;
+// servers embedding the engine (cmd/ghostdb-server) append their own
+// registries after it.
+func WritePrometheus(w io.Writer, db *DB) {
+	db.MetricsSnapshot().WritePrometheus(w, "ghostdb_")
+	for i, snap := range db.ShardMetrics() {
+		snap.WritePrometheus(w, fmt.Sprintf("ghostdb_shard%d_", i))
+	}
 }
 
 // DebugVars assembles the JSON document served at /debug/vars. It is

@@ -42,7 +42,9 @@ func (c *Conn) Session() *core.Session { return c.sess }
 // binding to execution time, since binding needs the bulk load to be
 // finalized. A prepared SELECT compiles once — through the engine's
 // shared plan cache — on its first Query and reuses the compiled plan
-// for every later execution, with fresh parameter bindings each time.
+// for every later execution, with fresh parameter bindings each time; a
+// prepared script runs its parsed statements through the session's exec
+// door.
 func (c *Conn) Prepare(query string) (sqldriver.Stmt, error) {
 	stmts, err := sql.ParseScript(query)
 	if err != nil {
@@ -78,16 +80,15 @@ func (c *Conn) Ping(ctx context.Context) error {
 	return c.sess.Ping()
 }
 
-// ExecContext executes DDL and DML. Before the bulk load is finalized,
-// CREATE TABLE and INSERT statements stage data; afterwards INSERT,
-// DELETE, UPDATE and CHECKPOINT are live mutations against the RAM delta
-// (the first DML on a staged database finalizes the load). One call may
-// carry a whole semicolon-separated script; '?' placeholders bind from
-// args in ordinal order. RowsAffected reports staged or mutated rows.
+// ExecContext executes DDL and DML through the session's exec door.
+// Before the bulk load is finalized, CREATE TABLE and INSERT statements
+// stage data; afterwards INSERT, DELETE, UPDATE and CHECKPOINT are live
+// mutations against the RAM delta (the first DML on a staged database
+// finalizes the load). One call may carry a whole semicolon-separated
+// script; '?' placeholders bind from args in ordinal order. The context
+// is checked before every statement and inside every CHECKPOINT.
+// RowsAffected reports staged or mutated rows.
 func (c *Conn) ExecContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	params, err := namedToParams(args)
 	if err != nil {
 		return nil, err
@@ -103,79 +104,28 @@ func (c *Conn) ExecContext(ctx context.Context, query string, args []sqldriver.N
 	if isSelect {
 		return nil, errors.New("ghostdb driver: use Query for SELECT statements")
 	}
-	return c.exec(stmts, params)
+	return c.exec(ctx, stmts, params)
 }
 
-// exec binds placeholder args into the parsed script and executes it:
-// staging before the bulk load, live DML after. A single parameterized
-// DELETE/UPDATE goes through the compiled-DML path (shared plan cache,
-// late parameter binding).
-func (c *Conn) exec(stmts []sql.Statement, params []value.Value) (sqldriver.Result, error) {
-	if len(stmts) == 1 && len(params) > 0 {
-		switch stmts[0].(type) {
-		case *sql.Delete, *sql.Update:
-			n, err := c.execDML(stmts[0].String(), params)
-			if err != nil {
-				return nil, err
-			}
-			return execResult{rows: n}, nil
-		}
-	}
-	bound, err := sql.BindScript(stmts, params)
-	if err != nil {
-		return nil, fmt.Errorf("ghostdb driver: %w", err)
-	}
-	n, err := c.sess.ExecStatements(bound)
+// exec runs a parsed script through the session's exec door.
+func (c *Conn) exec(ctx context.Context, stmts []sql.Statement, params []value.Value) (sqldriver.Result, error) {
+	n, err := c.sess.ExecContext(ctx, stmts, params)
 	if err != nil {
 		return nil, err
 	}
 	return execResult{rows: n}, nil
 }
 
-// execDML compiles (through the shared plan cache) and runs one
-// parameterized DELETE/UPDATE, finalizing the bulk load if needed.
-func (c *Conn) execDML(text string, params []value.Value) (int64, error) {
-	if err := c.sess.EnsureBuilt(); err != nil {
-		return 0, err
-	}
-	cd, err := c.sess.CompileDML(text)
-	if err != nil {
-		return 0, err
-	}
-	return c.sess.ExecCompiled(cd, params)
-}
-
-// QueryContext finalizes the bulk load if needed and executes a SELECT
-// through the shared device gate, binding '?' placeholders from args.
-// The context is honored at execution batch boundaries: canceling it
-// aborts the query and returns ctx.Err().
+// QueryContext executes a SELECT through the session's query door,
+// binding '?' placeholders from args (the first query finalizes a
+// staged bulk load). The context is honored at execution batch
+// boundaries: canceling it aborts the query and returns ctx.Err().
 func (c *Conn) QueryContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	params, err := namedToParams(args)
 	if err != nil {
 		return nil, err
 	}
-	return c.query(ctx, query, params)
-}
-
-func (c *Conn) query(ctx context.Context, query string, params []value.Value) (sqldriver.Rows, error) {
-	if err := c.sess.EnsureBuilt(); err != nil {
-		return nil, err
-	}
-	if len(params) == 0 {
-		res, err := c.sess.Query(query, core.WithContext(ctx))
-		if err != nil {
-			return nil, badConn(err)
-		}
-		return &Rows{res: res}, nil
-	}
-	cq, err := c.sess.Compile(query)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.sess.QueryCompiled(cq, params, core.WithContext(ctx))
+	res, err := c.sess.QueryContext(ctx, query, params)
 	if err != nil {
 		return nil, badConn(err)
 	}
@@ -211,7 +161,8 @@ func classify(stmts []sql.Statement) (isSelect bool, err error) {
 // a SELECT additionally compiles once (parse, bind, plan enumeration,
 // optimizer choice — shared through the engine's plan cache) on first
 // execution and afterwards only binds fresh parameter values and runs.
-// A prepared DELETE/UPDATE compiles the same way into a CompiledDML.
+// A prepared DELETE/UPDATE with arguments runs through the exec door,
+// which compiles its shape once into the same shared plan cache.
 type Stmt struct {
 	conn      *Conn
 	query     string
@@ -222,7 +173,6 @@ type Stmt struct {
 	mu     sync.Mutex
 	closed bool
 	cq     *core.CompiledQuery // lazily compiled SELECT; nil until first Query
-	cd     *core.CompiledDML   // lazily compiled DELETE/UPDATE; nil until first Exec
 }
 
 var (
@@ -239,7 +189,6 @@ func (s *Stmt) Close() error {
 	defer s.mu.Unlock()
 	s.closed = true
 	s.cq = nil
-	s.cd = nil
 	s.stmts = nil
 	return nil
 }
@@ -249,18 +198,26 @@ func (s *Stmt) NumInput() int { return s.numParams }
 
 // Exec runs the prepared DDL/DML script (no re-parse: the script was
 // parsed, classified and counted at Prepare), binding '?' placeholders
-// from args. A single prepared DELETE/UPDATE compiles once — through the
-// engine's shared plan cache — and afterwards only binds fresh
-// parameters per execution, exactly like a prepared SELECT.
+// from args.
 func (s *Stmt) Exec(args []sqldriver.Value) (sqldriver.Result, error) {
 	params, err := toParams(args)
 	if err != nil {
 		return nil, err
 	}
-	return s.execValues(params)
+	return s.execValues(context.Background(), params)
 }
 
-func (s *Stmt) execValues(params []value.Value) (sqldriver.Result, error) {
+// ExecContext is Exec under a context, which the exec door checks before
+// every statement and inside every CHECKPOINT.
+func (s *Stmt) ExecContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Result, error) {
+	params, err := namedToParams(args)
+	if err != nil {
+		return nil, err
+	}
+	return s.execValues(ctx, params)
+}
+
+func (s *Stmt) execValues(ctx context.Context, params []value.Value) (sqldriver.Result, error) {
 	if s.isSelect {
 		return nil, errors.New("ghostdb driver: use Query for SELECT statements")
 	}
@@ -270,57 +227,22 @@ func (s *Stmt) execValues(params []value.Value) (sqldriver.Result, error) {
 	if closed {
 		return nil, ErrStmtClosed
 	}
-	if len(stmts) == 1 {
-		switch stmts[0].(type) {
-		case *sql.Delete, *sql.Update:
-			cd, err := s.compiledDML(stmts[0])
-			if err != nil {
-				return nil, err
-			}
-			n, err := s.conn.sess.ExecCompiled(cd, params)
-			if err != nil {
-				return nil, err
-			}
-			return execResult{rows: n}, nil
-		}
-	}
-	return s.conn.exec(stmts, params)
-}
-
-// compiledDML returns the statement's compiled DML form, compiling (and
-// finalizing the bulk load) on first use.
-func (s *Stmt) compiledDML(stmt sql.Statement) (*core.CompiledDML, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrStmtClosed
-	}
-	if s.cd != nil {
-		return s.cd, nil
-	}
-	if err := s.conn.sess.EnsureBuilt(); err != nil {
-		return nil, err
-	}
-	cd, err := s.conn.sess.CompileDML(stmt.String())
-	if err != nil {
-		return nil, err
-	}
-	s.cd = cd
-	return cd, nil
+	return s.conn.exec(ctx, stmts, params)
 }
 
 // Query executes the prepared SELECT with args bound to its '?'
 // placeholders, compiling it on first use.
 func (s *Stmt) Query(args []sqldriver.Value) (sqldriver.Rows, error) {
-	return s.queryContext(context.Background(), args)
+	params, err := toParams(args)
+	if err != nil {
+		return nil, err
+	}
+	return s.queryValues(context.Background(), params)
 }
 
 // QueryContext is Query with cancellation: the context is honored at
 // execution batch boundaries, and canceling it returns ctx.Err().
 func (s *Stmt) QueryContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	params, err := namedToParams(args)
 	if err != nil {
 		return nil, err
@@ -328,27 +250,8 @@ func (s *Stmt) QueryContext(ctx context.Context, args []sqldriver.NamedValue) (s
 	return s.queryValues(ctx, params)
 }
 
-// ExecContext runs the prepared DDL/DML script. GhostDB mutations are
-// atomic RAM-delta updates, so the context is only checked up front.
-func (s *Stmt) ExecContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	params, err := namedToParams(args)
-	if err != nil {
-		return nil, err
-	}
-	return s.execValues(params)
-}
-
-func (s *Stmt) queryContext(ctx context.Context, args []sqldriver.Value) (sqldriver.Rows, error) {
-	params, err := toParams(args)
-	if err != nil {
-		return nil, err
-	}
-	return s.queryValues(ctx, params)
-}
-
+// queryValues runs the compiled SELECT through the query door's
+// bind-and-run step under the call's context.
 func (s *Stmt) queryValues(ctx context.Context, params []value.Value) (sqldriver.Rows, error) {
 	if !s.isSelect {
 		return nil, fmt.Errorf("ghostdb driver: prepared statement is not a SELECT: %s", s.query)
@@ -364,8 +267,8 @@ func (s *Stmt) queryValues(ctx context.Context, params []value.Value) (sqldriver
 	return &Rows{res: res}, nil
 }
 
-// compiled returns the statement's compiled form, compiling (and
-// finalizing the bulk load) on first use.
+// compiled returns the statement's compiled form, compiling (and, on a
+// plan-cache miss, finalizing the bulk load) on first use.
 func (s *Stmt) compiled() (*core.CompiledQuery, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -374,9 +277,6 @@ func (s *Stmt) compiled() (*core.CompiledQuery, error) {
 	}
 	if s.cq != nil {
 		return s.cq, nil
-	}
-	if err := s.conn.sess.EnsureBuilt(); err != nil {
-		return nil, err
 	}
 	cq, err := s.conn.sess.Compile(s.query)
 	if err != nil {

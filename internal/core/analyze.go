@@ -111,7 +111,8 @@ func (db *DB) ExplainAnalyze(sqlText string, opts ...QueryOption) (*Analysis, er
 	if err != nil {
 		return nil, err
 	}
-	return db.analyzeSelect(sel, true, opts...)
+	cfg := newQueryConfig(opts)
+	return db.analyzeSelect(sel, true, &cfg)
 }
 
 // ExplainOnly compiles sqlText like ExplainAnalyze but renders the plan
@@ -121,7 +122,8 @@ func (db *DB) ExplainOnly(sqlText string, opts ...QueryOption) (*Analysis, error
 	if err != nil {
 		return nil, err
 	}
-	return db.analyzeSelect(sel, false, opts...)
+	cfg := newQueryConfig(opts)
+	return db.analyzeSelect(sel, false, &cfg)
 }
 
 // innerSelect extracts the SELECT from plain or EXPLAIN-prefixed text.
@@ -143,7 +145,7 @@ func innerSelect(sqlText string) (*sql.Select, error) {
 // explainQuery answers a SQL-level EXPLAIN [ANALYZE] statement with a
 // one-column result ("plan"), one text line per row, so the rendering
 // flows through Session.Query and the database/sql driver unchanged.
-func (db *DB) explainQuery(sqlText string, opts ...QueryOption) (*Result, error) {
+func (db *DB) explainQuery(sqlText string, cfg *queryConfig) (*Result, error) {
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
 		return nil, err
@@ -152,7 +154,7 @@ func (db *DB) explainQuery(sqlText string, opts ...QueryOption) (*Result, error)
 	if !ok {
 		return nil, fmt.Errorf("core: expected an EXPLAIN statement, got %T", stmt)
 	}
-	a, err := db.analyzeSelect(ex.Stmt, ex.Analyze, opts...)
+	a, err := db.analyzeSelect(ex.Stmt, ex.Analyze, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -174,11 +176,7 @@ func (db *DB) explainQuery(sqlText string, opts ...QueryOption) (*Result, error)
 // device that chooses a plan handing the choice back with the result, so
 // each shard section shows the plan that shard ran; plain EXPLAIN, and an
 // ANALYZE that contacted no device, asks the plan holder a run would use.
-func (db *DB) analyzeSelect(sel *sql.Select, execute bool, opts ...QueryOption) (*Analysis, error) {
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func (db *DB) analyzeSelect(sel *sql.Select, execute bool, cfg *queryConfig) (*Analysis, error) {
 	canonical := sel.String()
 	cq, _, err := db.compileCached(canonical)
 	if err != nil {
@@ -192,7 +190,9 @@ func (db *DB) analyzeSelect(sel *sql.Select, execute bool, opts ...QueryOption) 
 	var top *choice // the choice the plan section shows
 	if execute {
 		start := time.Now()
-		res, err := cq.Run(nil, append(opts[:len(opts):len(opts)], explained)...)
+		run := *cfg
+		run.explain = true
+		res, err := cq.runObserved(nil, &run)
 		if err != nil {
 			return nil, err
 		}

@@ -55,10 +55,6 @@ type enginePlan struct {
 	chosen *plan.Spec
 }
 
-// SQL returns the canonical text of the compiled shape (placeholders
-// render as '?').
-func (cq *CompiledQuery) SQL() string { return cq.shape.SQL }
-
 // NumParams reports how many '?' placeholders the shape carries.
 func (cq *CompiledQuery) NumParams() int { return cq.shape.NumParams }
 
@@ -75,9 +71,10 @@ func (cq *CompiledQuery) Bind(params []value.Value) (*plan.Query, error) {
 }
 
 // Compile parses, binds and plan-enumerates a SELECT, without touching
-// the plan cache. Parsing and binding are host-side work over the frozen
-// schema; only the (cheap) index-existence probes take a device gate —
-// engine 0's, since every engine carries the same index set.
+// the plan cache; it finalizes a pending bulk load (see Prepare).
+// Parsing and binding are host-side work over the frozen schema; only
+// the (cheap) index-existence probes take a device gate — engine 0's,
+// since every engine carries the same index set.
 func (db *DB) Compile(sqlText string) (*CompiledQuery, error) {
 	q, err := db.Prepare(sqlText)
 	if err != nil {
@@ -116,16 +113,12 @@ func (db *DB) PlanCacheStats() stats.CacheStats { return db.planCache.stats() }
 // binding are host-side work: they read only the frozen schema and never
 // touch the device, so any number of goroutines may prepare queries
 // concurrently. The shape may contain '?' placeholders; bind it with
-// Query.BindParams (or use Compile/Run) before executing.
+// Query.BindParams (or use Compile/Run) before executing. Binding needs
+// the frozen schema, so Prepare finalizes a pending bulk load first —
+// the compile miss of every query path lands here.
 func (db *DB) Prepare(sqlText string) (*plan.Query, error) {
-	db.mu.Lock()
-	closed, loaded := db.closed, db.loaded
-	db.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if !loaded {
-		return nil, fmt.Errorf("core: query before Build")
+	if err := db.EnsureBuilt(); err != nil {
+		return nil, err
 	}
 	sel, err := sql.ParseSelect(sqlText)
 	if err != nil {
@@ -333,9 +326,6 @@ type queryConfig struct {
 	explain bool
 }
 
-// explained is the internal option that sets queryConfig.explain.
-func explained(c *queryConfig) { c.explain = true }
-
 // WithSpec forces a specific plan instead of the optimizer's choice.
 func WithSpec(s plan.Spec) QueryOption {
 	return func(c *queryConfig) { spec := s.Clone(); c.spec = &spec }
@@ -353,12 +343,6 @@ func WithContext(ctx context.Context) QueryOption {
 	}
 }
 
-// withSession attributes the run to a session (internal: Session.Query
-// and friends pass it so per-session metrics see the traffic).
-func withSession(s *Session) QueryOption {
-	return func(c *queryConfig) { c.session = s }
-}
-
 // Query compiles (through the shared plan cache), plans and executes a
 // SELECT. Without options the optimizer enumerates the strategy space
 // and picks the cheapest plan; repeated shapes reuse the cached
@@ -369,14 +353,24 @@ func withSession(s *Session) QueryOption {
 // optimizer's statistics probes and the execution itself serialize on
 // the gate, so concurrent callers queue for the single simulated device.
 func (db *DB) Query(sqlText string, opts ...QueryOption) (*Result, error) {
+	cfg := newQueryConfig(opts)
 	if isExplain(sqlText) {
-		return db.explainQuery(sqlText, opts...)
+		return db.explainQuery(sqlText, &cfg)
 	}
 	cq, _, err := db.compileCached(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	return cq.Run(nil, opts...)
+	return cq.runObserved(nil, &cfg)
+}
+
+// newQueryConfig folds query options into a configuration.
+func newQueryConfig(opts []QueryOption) queryConfig {
+	var cfg queryConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
 
 // Run binds the compiled shape to params (ordinal order, one per '?')
@@ -386,10 +380,13 @@ func (db *DB) Query(sqlText string, opts ...QueryOption) (*Result, error) {
 // execution. Pass options (e.g. WithSpec) to force a plan for one run
 // without disturbing the cached choice.
 func (cq *CompiledQuery) Run(params []value.Value, opts ...QueryOption) (*Result, error) {
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newQueryConfig(opts)
+	return cq.runObserved(params, &cfg)
+}
+
+// runObserved is Run over a filled configuration: the hooks, the
+// metrics and the session's last report see every run.
+func (cq *CompiledQuery) runObserved(params []value.Value, cfg *queryConfig) (*Result, error) {
 	db := cq.db
 	// Wall-clock starts before the device-gate wait: queue time is part
 	// of the latency a client observes.
@@ -397,7 +394,7 @@ func (cq *CompiledQuery) Run(params []value.Value, opts ...QueryOption) (*Result
 	if len(db.hooks) > 0 {
 		db.fireHooks(QueryEvent{Phase: QueryStart, SQL: cq.shape.SQL})
 	}
-	res, err := cq.run(params, &cfg)
+	res, err := cq.run(params, cfg)
 	var rep *stats.Report
 	if err == nil {
 		rep = res.Report
@@ -406,7 +403,7 @@ func (cq *CompiledQuery) Run(params []value.Value, opts ...QueryOption) (*Result
 	return res, err
 }
 
-// run is the uninstrumented body of Run.
+// run is the uninstrumented body of runObserved.
 func (cq *CompiledQuery) run(params []value.Value, cfg *queryConfig) (*Result, error) {
 	if cfg.ctx != nil {
 		if err := cfg.ctx.Err(); err != nil {
@@ -457,9 +454,16 @@ func (p *enginePlan) run(bound *plan.Query, cfg *queryConfig, sh *shardRemap, re
 // observed, validated and routed exactly as CompiledQuery.Run with
 // WithSpec is.
 func (db *DB) QueryWithPlan(q *plan.Query, spec plan.Spec, opts ...QueryOption) (*Result, error) {
+	cfg := newQueryConfig(opts)
+	return db.queryWithPlan(q, spec, &cfg)
+}
+
+// queryWithPlan is QueryWithPlan over a filled configuration.
+func (db *DB) queryWithPlan(q *plan.Query, spec plan.Spec, cfg *queryConfig) (*Result, error) {
 	if q.NumParams > 0 {
 		return nil, fmt.Errorf("core: cannot execute a query with %d unbound parameters", q.NumParams)
 	}
-	cq := &CompiledQuery{db: db, shape: q}
-	return cq.Run(nil, append(opts[:len(opts):len(opts)], WithSpec(spec))...)
+	spec = spec.Clone()
+	cfg.spec = &spec
+	return (&CompiledQuery{db: db, shape: q}).runObserved(nil, cfg)
 }

@@ -196,21 +196,25 @@ func TestCloseLifecycle(t *testing.T) {
 	}
 }
 
-// TestStageEnsureBuilt exercises the driver's staged-load path: DDL and
-// INSERTs across several Stage calls, finalized by EnsureBuilt.
+// TestStageEnsureBuilt exercises the staged-load path: DDL and INSERTs
+// across several Exec calls, finalized by EnsureBuilt.
 func TestStageEnsureBuilt(t *testing.T) {
 	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Stage(`CREATE TABLE Doctor (DocID INTEGER PRIMARY KEY, Name CHAR(40), Country CHAR(20))`); err != nil {
+	if _, err := db.Exec(`CREATE TABLE Doctor (DocID INTEGER PRIMARY KEY, Name CHAR(40), Country CHAR(20))`); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Stage(`INSERT INTO Doctor VALUES (1, 'Ellis', 'France'), (2, 'Gall', 'Spain')`); err != nil {
+	if _, err := db.Exec(`INSERT INTO Doctor VALUES (1, 'Ellis', 'France'), (2, 'Gall', 'Spain')`); err != nil {
 		t.Fatal(err)
 	}
 	if db.Loaded() {
 		t.Fatal("loaded before EnsureBuilt")
+	}
+	// A staged INSERT is a DML statement like a live one; CREATE is not.
+	if n := db.metrics.dmlStatements.Value(); n != 1 {
+		t.Fatalf("dml_statements_total after one staged INSERT = %d, want 1", n)
 	}
 	if err := db.EnsureBuilt(); err != nil {
 		t.Fatal(err)
@@ -227,7 +231,7 @@ func TestStageEnsureBuilt(t *testing.T) {
 	}
 	// Post-build INSERTs are live DML now: they land in the RAM delta and
 	// are immediately visible to queries.
-	if err := db.Stage(`INSERT INTO Doctor VALUES (3, 'Novak', 'France')`); err != nil {
+	if _, err := db.Exec(`INSERT INTO Doctor VALUES (3, 'Novak', 'France')`); err != nil {
 		t.Fatalf("post-build INSERT: %v", err)
 	}
 	res, err = db.Query(`SELECT Doc.Name FROM Doctor Doc WHERE Doc.Country = 'France'`)
@@ -238,7 +242,7 @@ func TestStageEnsureBuilt(t *testing.T) {
 		t.Fatalf("after live INSERT rows = %v", res.Rows)
 	}
 	// DDL stays frozen after the bulk load.
-	if err := db.Stage(`CREATE TABLE Late (ID INTEGER PRIMARY KEY)`); err == nil {
+	if _, err := db.Exec(`CREATE TABLE Late (ID INTEGER PRIMARY KEY)`); err == nil {
 		t.Fatal("DDL after build should fail")
 	}
 }

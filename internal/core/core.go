@@ -9,6 +9,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -472,15 +473,16 @@ func (db *DB) Storage() StorageBreakdown {
 	return b
 }
 
-// ExecDDL applies a CREATE TABLE statement.
-func (db *DB) ExecDDL(ddl string) error {
+// execDDL applies one CREATE TABLE statement: Recover replays the
+// catalog through it.
+func (db *DB) execDDL(ddl string) error {
 	stmt, err := sql.Parse(ddl)
 	if err != nil {
 		return err
 	}
 	ct, ok := stmt.(*sql.CreateTable)
 	if !ok {
-		return fmt.Errorf("core: ExecDDL expects CREATE TABLE, got %T", stmt)
+		return fmt.Errorf("core: DDL replay expects CREATE TABLE, got %T", stmt)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -519,19 +521,10 @@ func (db *DB) applyCreate(ct *sql.CreateTable) error {
 	return nil
 }
 
-// Insert applies an INSERT. Before Build the rows are staged for the
-// bulk load; after Build they land in the RAM delta (live DML). Primary
-// keys must be dense 1..N in insertion order — GhostDB identifiers are
-// positional.
-func (db *DB) Insert(ins *sql.Insert) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.insertLocked(ins)
-}
-
+// insertLocked applies an INSERT. Before the load is finalized the rows
+// are staged for the bulk load; afterwards they land in the RAM delta
+// (live DML). Primary keys must be dense 1..N in insertion order —
+// GhostDB identifiers are positional.
 func (db *DB) insertLocked(ins *sql.Insert) error {
 	if db.loaded {
 		return db.shards.insert(db, ins)
@@ -550,83 +543,39 @@ func (db *DB) stagedRows(table string) int {
 	return db.staged[t.Ordinal()].n
 }
 
-// ExecScript runs a semicolon-separated script of CREATE TABLE and INSERT
-// statements, then finalizes with Build.
+// ExecScript runs a semicolon-separated script (see Exec) and then
+// finalizes the bulk load (see EnsureBuilt).
 func (db *DB) ExecScript(script string) error {
-	stmts, err := sql.ParseScript(script)
-	if err != nil {
+	if _, err := db.Exec(script); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if err := db.stageLocked(stmts); err != nil {
-		return err
-	}
-	return db.buildStaged()
-}
-
-// Stage applies CREATE TABLE and INSERT statements without finalizing the
-// bulk load; Build or EnsureBuilt completes it. The database/sql driver
-// routes ExecContext through Stage so DDL can span several Exec calls.
-func (db *DB) Stage(script string) error {
-	stmts, err := sql.ParseScript(script)
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.stageLocked(stmts)
-}
-
-// StageStatements applies already-parsed CREATE TABLE and INSERT
-// statements without finalizing the bulk load. The database/sql driver
-// uses it to stage scripts it has parsed once (and whose placeholder
-// arguments it has already bound) without a round trip through text.
-func (db *DB) StageStatements(stmts []sql.Statement) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.stageLocked(stmts)
-}
-
-func (db *DB) stageLocked(stmts []sql.Statement) error {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *sql.CreateTable:
-			if err := db.applyCreate(s); err != nil {
-				return err
-			}
-		case *sql.Insert:
-			if err := db.insertLocked(s); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("core: scripts may not contain %T", s)
-		}
-	}
-	return nil
+	return db.EnsureBuilt()
 }
 
 // EnsureBuilt finalizes staged data if the bulk load has not happened
-// yet; it is a no-op on a loaded database.
+// yet; it is a no-op on a loaded database. Every statement that needs
+// the loaded database — a compile miss, DML, CHECKPOINT — finalizes the
+// same way on its own, so this is only the explicit call.
 func (db *DB) EnsureBuilt() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
+	return db.ensureBuiltLocked()
+}
+
+// ensureBuiltLocked finalizes a pending bulk load under the front door
+// lock.
+func (db *DB) ensureBuiltLocked() error {
 	if db.loaded {
 		return nil
 	}
-	return db.buildStaged()
+	if err := db.build(db.staged); err != nil {
+		return err
+	}
+	db.staged = nil
+	return nil
 }
 
 // LoadDataset loads a generated dataset: DDL plus columnar rows.
@@ -644,7 +593,7 @@ func (db *DB) LoadDataset(ds *datagen.Dataset) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if err := db.stageLocked(stmts); err != nil {
+	if _, err := db.execLocked(context.Background(), stmts); err != nil {
 		return err
 	}
 	// Each table is one statement through the boundary, referenced
@@ -663,27 +612,7 @@ func (db *DB) LoadDataset(ds *datagen.Dataset) error {
 			return err
 		}
 	}
-	return db.buildStaged()
-}
-
-// Build finalizes staged INSERT data into the two stores and the device
-// index structures.
-func (db *DB) Build() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.buildStaged()
-}
-
-// buildStaged finalizes the staged INSERT data under the front door lock.
-func (db *DB) buildStaged() error {
-	if err := db.build(db.staged); err != nil {
-		return err
-	}
-	db.staged = nil
-	return nil
+	return db.ensureBuiltLocked()
 }
 
 // build distributes a table image for the initial bulk load over the

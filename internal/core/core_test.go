@@ -8,7 +8,6 @@ import (
 
 	"github.com/ghostdb/ghostdb/internal/datagen"
 	"github.com/ghostdb/ghostdb/internal/oracle"
-	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/trace"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
@@ -343,7 +342,7 @@ func TestInsertValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.ExecDDL(`CREATE TABLE T (ID INTEGER PRIMARY KEY, X INTEGER)`); err != nil {
+	if _, err := db.Exec(`CREATE TABLE T (ID INTEGER PRIMARY KEY, X INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
 	bad := []string{
@@ -353,12 +352,8 @@ func TestInsertValidation(t *testing.T) {
 		`INSERT INTO T VALUES ('x', 1)`,   // key type
 	}
 	for _, s := range bad {
-		stmt, err := sql.Parse(s)
-		if err != nil {
-			t.Fatalf("parse %s: %v", s, err)
-		}
-		if err := db.Insert(stmt.(*sql.Insert)); err == nil {
-			t.Errorf("Insert(%s) accepted", s)
+		if _, err := db.Exec(s); err == nil {
+			t.Errorf("Exec(%s) accepted", s)
 		}
 	}
 }

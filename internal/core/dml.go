@@ -38,108 +38,131 @@ import (
 )
 
 // ErrUnboundDML is returned when a DML statement carrying '?'
-// placeholders is executed without going through CompileDML/Exec.
+// placeholders is executed without arguments for them.
 var ErrUnboundDML = errors.New("core: DML statement carries unbound '?' placeholders; use a prepared statement")
 
+// checkpointScript is the parsed form of the CHECKPOINT statement.
+var checkpointScript = []sql.Statement{&sql.Checkpoint{}}
+
 // Exec parses and executes a script of statements: CREATE TABLE and
-// INSERT (staged before Build, live after), DELETE, UPDATE and
-// CHECKPOINT. The first DML statement finalizes a pending bulk load. It
-// returns the total number of rows affected.
+// INSERT (staged before the load is finalized, live after), DELETE,
+// UPDATE and CHECKPOINT. The first DML statement finalizes a pending
+// bulk load. It returns the total number of rows affected.
 func (db *DB) Exec(sqlText string) (int64, error) {
 	stmts, err := sql.ParseScript(sqlText)
 	if err != nil {
 		return 0, err
 	}
-	return db.ExecStatements(stmts)
+	return db.exec(context.Background(), nil, stmts, nil)
 }
 
-// ExecStatements executes already-parsed statements (see Exec). INSERT
-// rows must be fully bound; bind '?' placeholders first.
-func (db *DB) ExecStatements(stmts []sql.Statement) (int64, error) {
-	return db.ExecStatementsContext(context.Background(), stmts)
-}
-
-// ExecStatementsContext is ExecStatements under a context: CHECKPOINT —
-// explicit or delta-limit-triggered — checks ctx at table boundaries
-// during its read phase and aborts cleanly (delta intact, database
-// untouched) when the context is done. The commit phase, once entered,
-// always runs to completion.
-func (db *DB) ExecStatementsContext(ctx context.Context, stmts []sql.Statement) (int64, error) {
+// exec is the exec door (see Session.ExecContext), attributed to s when
+// it is not nil. A single DELETE or UPDATE that carries args runs its
+// cached CompiledDML; any other script binds args into its statements
+// and runs through the dispatcher.
+func (db *DB) exec(ctx context.Context, s *Session, stmts []sql.Statement, args []value.Value) (int64, error) {
+	if len(stmts) == 1 && len(args) > 0 {
+		switch st := stmts[0].(type) {
+		case *sql.Delete, *sql.Update:
+			cd, hit, err := db.compileDMLCached(st)
+			if err != nil {
+				return 0, err
+			}
+			if s != nil {
+				s.recordCache(hit)
+			}
+			return cd.exec(ctx, args)
+		}
+	}
+	bound, err := sql.BindScript(stmts, args)
+	if err != nil {
+		return 0, fmt.Errorf("core: %w: %w", plan.ErrBind, err)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return 0, ErrClosed
 	}
+	return db.execLocked(ctx, bound)
+}
+
+// execLocked is the one statement dispatcher: CREATE TABLE, INSERT,
+// DELETE, UPDATE and CHECKPOINT, each under ctx, which is checked before
+// every statement and inside every CHECKPOINT — explicit or
+// delta-limit-triggered — at table boundaries of its read phase (a
+// canceled CHECKPOINT leaves the delta intact and the database
+// untouched; its commit phase, once entered, runs to completion). DML
+// and CHECKPOINT finalize a pending bulk load. Statements must be fully
+// bound. Caller holds db.mu.
+func (db *DB) execLocked(ctx context.Context, stmts []sql.Statement) (int64, error) {
 	var affected int64
-	var dmlStmts, dmlRows int64
-	// Fold the DML counters and refresh the delta gauges on every exit
-	// path; runs before the gate is released (defers are LIFO).
-	defer func() {
-		if dmlStmts > 0 {
-			db.metrics.dmlStatements.Add(dmlStmts)
-			db.metrics.rowsAffected.Add(dmlRows)
-			db.metrics.noteDelta(db)
-		}
-	}()
 	for _, s := range stmts {
+		if err := ctx.Err(); err != nil {
+			return affected, err
+		}
+		var n int64
+		var err error
 		switch s := s.(type) {
 		case *sql.CreateTable:
-			if err := db.applyCreate(s); err != nil {
-				return affected, err
-			}
+			err = db.applyCreate(s)
 		case *sql.Insert:
-			if err := db.insertLocked(s); err != nil {
-				return affected, err
-			}
-			affected += int64(len(s.Rows))
-			dmlStmts++
-			dmlRows += int64(len(s.Rows))
-			if err := db.maybeAutoCheckpoint(ctx); err != nil {
-				return affected, err
+			if err = db.insertLocked(s); err == nil {
+				n, err = db.dmlDoneLocked(ctx, int64(len(s.Rows)), nil)
 			}
 		case *sql.Delete, *sql.Update:
-			if err := db.ensureBuiltLocked(); err != nil {
-				return affected, err
-			}
-			d, err := plan.BindDML(db.sch, s)
-			if err != nil {
-				return affected, err
-			}
-			if d.NumParams > 0 {
-				return affected, ErrUnboundDML
-			}
-			n, err := db.shards.execDML(db, d)
-			affected += n
-			dmlStmts++
-			dmlRows += n
-			if err != nil {
-				return affected, err
-			}
-			if err := db.maybeAutoCheckpoint(ctx); err != nil {
-				return affected, err
+			var d *plan.DML
+			if d, err = db.bindDMLLocked(s); err == nil {
+				if d.NumParams > 0 {
+					err = ErrUnboundDML
+				} else {
+					n, err = db.execDMLLocked(ctx, d)
+				}
 			}
 		case *sql.Checkpoint:
-			if err := db.ensureBuiltLocked(); err != nil {
-				return affected, err
-			}
-			n, err := db.checkpointAnyLocked(ctx)
-			affected += n
-			if err != nil {
-				return affected, err
+			if err = db.ensureBuiltLocked(); err == nil {
+				n, err = db.checkpointAnyLocked(ctx)
 			}
 		default:
-			return affected, fmt.Errorf("core: cannot execute %T", s)
+			err = fmt.Errorf("core: cannot execute %T", s)
+		}
+		affected += n
+		if err != nil {
+			return affected, err
 		}
 	}
 	return affected, nil
 }
 
-// ensureBuiltLocked finalizes a pending bulk load under the gate.
-func (db *DB) ensureBuiltLocked() error {
-	if db.loaded {
-		return nil
+// bindDMLLocked finalizes a pending bulk load and binds a DELETE or
+// UPDATE against the frozen schema. Caller holds db.mu.
+func (db *DB) bindDMLLocked(stmt sql.Statement) (*plan.DML, error) {
+	if err := db.ensureBuiltLocked(); err != nil {
+		return nil, err
 	}
-	return db.buildStaged()
+	return plan.BindDML(db.sch, stmt)
+}
+
+// execDMLLocked runs one fully bound DELETE or UPDATE over the engines
+// and then the tail every DML statement shares, on the script path and
+// the compiled path alike (dmlDoneLocked). Caller holds db.mu.
+func (db *DB) execDMLLocked(ctx context.Context, d *plan.DML) (int64, error) {
+	n, err := db.shards.execDML(db, d)
+	return db.dmlDoneLocked(ctx, n, err)
+}
+
+// dmlDoneLocked is the tail of every DML statement — INSERT, DELETE and
+// UPDATE, staged or live: it folds the statement into the DML counters,
+// refreshes the delta gauges and, when the statement succeeded, runs the
+// delta-limit CHECKPOINT under the caller's ctx. It returns n, the rows
+// the statement affected. Caller holds db.mu.
+func (db *DB) dmlDoneLocked(ctx context.Context, n int64, err error) (int64, error) {
+	db.metrics.dmlStatements.Inc()
+	db.metrics.rowsAffected.Add(n)
+	db.metrics.noteDelta(db)
+	if err != nil {
+		return n, err
+	}
+	return n, db.maybeAutoCheckpoint(ctx)
 }
 
 // maybeAutoCheckpoint runs a CHECKPOINT when the deltalimit knob is set
@@ -170,23 +193,7 @@ func (db *DB) checkpointAnyLocked(ctx context.Context) (int64, error) {
 // Checkpoint merges the delta into fresh flash segments (see the package
 // comment) and returns the number of delta entries absorbed.
 func (db *DB) Checkpoint() (int64, error) {
-	return db.CheckpointContext(context.Background())
-}
-
-// CheckpointContext is Checkpoint under a context: the read phase
-// checks ctx at table boundaries and aborts cleanly (delta intact) when
-// the context is done; the commit phase, once entered, runs to
-// completion.
-func (db *DB) CheckpointContext(ctx context.Context) (int64, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	if err := db.ensureBuiltLocked(); err != nil {
-		return 0, err
-	}
-	return db.checkpointAnyLocked(ctx)
+	return db.exec(context.Background(), nil, checkpointScript, nil)
 }
 
 // CompiledDML is the cacheable compiled form of a DELETE or UPDATE
@@ -197,63 +204,37 @@ type CompiledDML struct {
 	shape *plan.DML
 }
 
-// SQL returns the canonical statement text (placeholders render as '?').
-func (cd *CompiledDML) SQL() string { return cd.shape.SQL }
-
-// NumParams reports how many '?' placeholders the shape carries.
-func (cd *CompiledDML) NumParams() int { return cd.shape.NumParams }
-
-// CompileDML parses and binds a DELETE or UPDATE without touching the
-// plan cache. The bulk load must be finalized first.
-func (db *DB) CompileDML(sqlText string) (*CompiledDML, error) {
-	db.mu.Lock()
-	closed, loaded := db.closed, db.loaded
-	db.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if !loaded {
-		return nil, fmt.Errorf("core: DML before Build")
-	}
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	switch stmt.(type) {
-	case *sql.Delete, *sql.Update:
-	default:
-		return nil, fmt.Errorf("core: CompileDML expects DELETE or UPDATE, got %T", stmt)
-	}
-	d, err := plan.BindDML(db.sch, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return &CompiledDML{db: db, shape: d}, nil
-}
-
-// compileDMLCached returns the compiled DML for sqlText, consulting the
-// shared plan cache first.
-func (db *DB) compileDMLCached(sqlText string) (*CompiledDML, bool, error) {
-	key := "dml\x00" + normalizeSQL(sqlText)
+// compileDMLCached returns the compiled form of a DELETE or UPDATE,
+// consulting the shared plan cache first; the second result reports
+// whether the lookup hit. A miss finalizes a pending bulk load.
+func (db *DB) compileDMLCached(stmt sql.Statement) (*CompiledDML, bool, error) {
+	key := "dml\x00" + normalizeSQL(stmt.String())
 	if v, ok := db.planCache.get(key); ok {
 		if cd, ok := v.(*CompiledDML); ok {
 			return cd, true, nil
 		}
 	}
-	cd, err := db.CompileDML(sqlText)
+	db.mu.Lock()
+	var d *plan.DML
+	err := ErrClosed
+	if !db.closed {
+		d, err = db.bindDMLLocked(stmt)
+	}
+	db.mu.Unlock()
 	if err != nil {
 		return nil, false, err
 	}
+	cd := &CompiledDML{db: db, shape: d}
 	db.planCache.put(key, cd)
 	return cd, false, nil
 }
 
-// Exec binds the compiled shape to params (ordinal order, one per '?')
-// and executes it, returning the number of rows affected.
-func (cd *CompiledDML) Exec(params []value.Value) (int64, error) {
+// exec binds the compiled shape to params (ordinal order, one per '?')
+// and executes it under ctx, returning the number of rows affected.
+func (cd *CompiledDML) exec(ctx context.Context, params []value.Value) (int64, error) {
 	bound, err := cd.shape.BindParams(params)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("core: %w: %w", plan.ErrBind, err)
 	}
 	db := cd.db
 	db.mu.Lock()
@@ -261,14 +242,10 @@ func (cd *CompiledDML) Exec(params []value.Value) (int64, error) {
 	if db.closed {
 		return 0, ErrClosed
 	}
-	n, err := db.shards.execDML(db, bound)
-	db.metrics.dmlStatements.Inc()
-	db.metrics.rowsAffected.Add(n)
-	db.metrics.noteDelta(db)
-	if err != nil {
-		return n, err
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
-	return n, db.maybeAutoCheckpoint(context.Background())
+	return db.execDMLLocked(ctx, bound)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -21,14 +22,10 @@ func TestInsertDenseKeyRowNumber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.ExecDDL(`CREATE TABLE T (ID INTEGER PRIMARY KEY, X INTEGER)`); err != nil {
+	if _, err := db.Exec(`CREATE TABLE T (ID INTEGER PRIMARY KEY, X INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
-	stmt, err := sql.Parse(`INSERT INTO T VALUES (1, 10), (2, 20), (7, 30)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = db.Insert(stmt.(*sql.Insert))
+	_, err = db.Exec(`INSERT INTO T VALUES (1, 10), (2, 20), (7, 30)`)
 	if err == nil {
 		t.Fatal("non-dense third row accepted")
 	}
@@ -39,23 +36,15 @@ func TestInsertDenseKeyRowNumber(t *testing.T) {
 	if id, err := db.NextID("T"); err != nil || id != 1 {
 		t.Fatalf("after the failed statement NextID = %d, %v; want 1", id, err)
 	}
-	stmt, err = sql.Parse(`INSERT INTO T VALUES (1, 10), (2, 20)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Insert(stmt.(*sql.Insert)); err != nil {
+	if _, err := db.Exec(`INSERT INTO T VALUES (1, 10), (2, 20)`); err != nil {
 		t.Fatal(err)
 	}
 
 	// Same contract on the live (post-build) insert path.
-	if err := db.Build(); err != nil {
+	if err := db.EnsureBuilt(); err != nil {
 		t.Fatal(err)
 	}
-	stmt, err = sql.Parse(`INSERT INTO T VALUES (3, 1), (4, 2), (9, 3)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = db.Insert(stmt.(*sql.Insert))
+	_, err = db.Exec(`INSERT INTO T VALUES (3, 1), (4, 2), (9, 3)`)
 	if err == nil {
 		t.Fatal("non-dense live insert accepted")
 	}
@@ -442,15 +431,10 @@ func TestDMLPreparedAndCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cd, err := s.CompileDML(`UPDATE Prescription SET Quantity = ? WHERE PreID = ?`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cd.NumParams() != 2 {
-		t.Fatalf("NumParams = %d", cd.NumParams())
-	}
+	update := mustParseScript(t, `UPDATE Prescription SET Quantity = ? WHERE PreID = ?`)
+	ctx := context.Background()
 	for i := 1; i <= 5; i++ {
-		n, err := s.ExecCompiled(cd, []value.Value{value.NewInt(int64(40 + i)), value.NewInt(int64(i))})
+		n, err := s.ExecContext(ctx, update, []value.Value{value.NewInt(int64(40 + i)), value.NewInt(int64(i))})
 		if err != nil || n != 1 {
 			t.Fatalf("exec %d: n=%d err=%v", i, n, err)
 		}
@@ -458,13 +442,16 @@ func TestDMLPreparedAndCached(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if st := s.Stats(); st.PlanCache.Misses != 1 || st.PlanCache.Hits != 4 {
+		t.Fatalf("first session cache stats = %+v, want 1 miss then 4 hits", st.PlanCache)
+	}
 	// Same shape through a second session hits the shared cache.
 	s2, err := db.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := s2.CompileDML(`UPDATE Prescription SET Quantity = ? WHERE PreID = ?`); err != nil {
+	if _, err := s2.ExecContext(ctx, update, []value.Value{value.NewInt(45), value.NewInt(5)}); err != nil {
 		t.Fatal(err)
 	}
 	if st := s2.Stats(); st.PlanCache.Hits != 1 {
@@ -485,4 +472,14 @@ func TestAutoCheckpointDeltaLimit(t *testing.T) {
 			t.Fatalf("delta grew to %d entries despite deltalimit=8", got)
 		}
 	}
+}
+
+// mustParseScript parses a script for the exec door.
+func mustParseScript(t testing.TB, script string) []sql.Statement {
+	t.Helper()
+	stmts, err := sql.ParseScript(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmts
 }

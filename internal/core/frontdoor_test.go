@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -158,13 +159,14 @@ func TestFrontDoorAllocationFloor(t *testing.T) {
 	const updateFloor, pointFloor = 18, 41
 	for _, shards := range []int{1, 4} {
 		db := loadScale(t, 20_000, WithShards(shards))
-		cd, _, err := db.compileDMLCached(`UPDATE Prescription SET Quantity = 5 WHERE PreID = ?`)
+		cd, _, err := db.compileDMLCached(mustParseScript(t, `UPDATE Prescription SET Quantity = 5 WHERE PreID = ?`)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		params := []value.Value{value.NewInt(100)}
+		ctx := context.Background()
 		got := testing.AllocsPerRun(200, func() {
-			if _, err := cd.Exec(params); err != nil {
+			if _, err := cd.exec(ctx, params); err != nil {
 				t.Fatal(err)
 			}
 		})

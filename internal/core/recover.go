@@ -180,7 +180,7 @@ func Recover(snap *Snapshot, extra ...Option) (*DB, *RecoverInfo, error) {
 		return nil, nil, err
 	}
 	for _, ddl := range snap.ddl {
-		if err := ndb.ExecDDL(ddl); err != nil {
+		if err := ndb.execDDL(ddl); err != nil {
 			return nil, nil, fmt.Errorf("core: recover: replaying DDL: %w", err)
 		}
 	}

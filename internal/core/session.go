@@ -113,43 +113,10 @@ func (s *Session) Ping() error {
 	return nil
 }
 
-// Stage applies CREATE TABLE / INSERT statements without finalizing the
-// bulk load (see DB.Stage).
-func (s *Session) Stage(script string) error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	return s.db.Stage(script)
-}
-
-// StageStatements applies already-parsed CREATE TABLE / INSERT
-// statements without finalizing the bulk load (see DB.StageStatements).
-func (s *Session) StageStatements(stmts []sql.Statement) error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	return s.db.StageStatements(stmts)
-}
-
-// EnsureBuilt finalizes staged data if needed (see DB.EnsureBuilt).
-func (s *Session) EnsureBuilt() error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	return s.db.EnsureBuilt()
-}
-
-// Prepare parses and binds a SELECT (host-side; runs concurrently).
-func (s *Session) Prepare(sqlText string) (*plan.Query, error) {
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	return s.db.Prepare(sqlText)
-}
-
 // Compile parses, binds and plan-enumerates a SELECT through the DB's
 // shared plan cache: sessions issuing the same query shape share one
-// CompiledQuery. The hit/miss is charged to this session's counters.
+// CompiledQuery. The hit/miss is charged to this session's counters; a
+// miss finalizes a pending bulk load.
 func (s *Session) Compile(sqlText string) (*CompiledQuery, error) {
 	if err := s.check(); err != nil {
 		return nil, err
@@ -162,103 +129,95 @@ func (s *Session) Compile(sqlText string) (*CompiledQuery, error) {
 	return cq, nil
 }
 
-// Query compiles (through the shared plan cache) and executes a SELECT
-// through the shared device gate. EXPLAIN and EXPLAIN ANALYZE prefixes
-// are intercepted and answered with a rendered plan (see DB.Explain and
-// DB.ExplainAnalyze).
+// QueryContext is the session's query door, the one path the
+// database/sql driver and the HTTP server run a SELECT through: it
+// compiles sqlText through the shared plan cache (a miss finalizes a
+// pending bulk load), binds args to its '?' placeholders in ordinal order
+// and executes it under ctx, which is honored at batch boundaries. Text
+// without args may also be an EXPLAIN or EXPLAIN ANALYZE statement,
+// answered with a rendered plan (see DB.ExplainAnalyze). Arguments that
+// do not bind fail with plan.ErrBind.
+func (s *Session) QueryContext(ctx context.Context, sqlText string, args []value.Value) (*Result, error) {
+	cfg := queryConfig{session: s}
+	if ctx.Done() != nil {
+		cfg.ctx = ctx
+	}
+	return s.query(sqlText, args, &cfg)
+}
+
+// Query is QueryContext without a context or arguments, under opts.
 func (s *Session) Query(sqlText string, opts ...QueryOption) (*Result, error) {
+	cfg := queryConfig{session: s}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return s.query(sqlText, nil, &cfg)
+}
+
+// query is the body of the query door over a filled configuration.
+func (s *Session) query(sqlText string, args []value.Value, cfg *queryConfig) (*Result, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	if isExplain(sqlText) {
-		return s.db.explainQuery(sqlText, append(opts, withSession(s))...)
+	if len(args) == 0 && isExplain(sqlText) {
+		return s.db.explainQuery(sqlText, cfg)
 	}
 	cq, hit, err := s.db.compileCached(sqlText)
 	if err != nil {
 		return nil, err
 	}
 	s.recordCache(hit)
-	return cq.Run(nil, append(opts, withSession(s))...)
+	return cq.runObserved(args, cfg)
 }
 
-// QueryCompiled binds params into a compiled query and executes it,
-// attributing the run to the session.
+// QueryCompiled is the query door's bind-and-run step for a query the
+// caller compiled once (Compile) and runs many times: it binds params
+// into cq and executes it under opts, attributing the run to the
+// session.
 func (s *Session) QueryCompiled(cq *CompiledQuery, params []value.Value, opts ...QueryOption) (*Result, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	return cq.Run(params, append(opts, withSession(s))...)
+	cfg := queryConfig{session: s}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cq.runObserved(params, &cfg)
+}
+
+// ExecContext is the session's exec door, the one path the database/sql
+// driver and the HTTP server run a parsed script through: CREATE TABLE
+// and INSERT (staged before the load is finalized, live after), DELETE,
+// UPDATE and CHECKPOINT, with args bound to the script's '?'
+// placeholders in ordinal order. A single DELETE or UPDATE that carries
+// args is compiled once through the shared plan cache (the hit or miss
+// is charged to this session); every other statement binds per call.
+// DML and CHECKPOINT finalize a pending bulk load. ctx is checked before
+// every statement and inside every CHECKPOINT, explicit or
+// delta-limit-triggered (see DB.execLocked). It returns the number of
+// rows affected — for a CHECKPOINT, the delta entries it absorbed.
+func (s *Session) ExecContext(ctx context.Context, stmts []sql.Statement, args []value.Value) (int64, error) {
+	if err := s.check(); err != nil {
+		return 0, err
+	}
+	return s.db.exec(ctx, s, stmts, args)
 }
 
 // Exec parses and executes a script of CREATE TABLE / INSERT / DELETE /
-// UPDATE / CHECKPOINT statements (see DB.Exec), returning the number of
-// rows affected.
+// UPDATE / CHECKPOINT statements through the exec door, returning the
+// number of rows affected.
 func (s *Session) Exec(sqlText string) (int64, error) {
-	if err := s.check(); err != nil {
-		return 0, err
-	}
-	return s.db.Exec(sqlText)
-}
-
-// ExecStatements executes already-parsed statements (see
-// DB.ExecStatements). The database/sql driver routes ExecContext through
-// it so prepared scripts skip the re-parse.
-func (s *Session) ExecStatements(stmts []sql.Statement) (int64, error) {
-	if err := s.check(); err != nil {
-		return 0, err
-	}
-	return s.db.ExecStatements(stmts)
-}
-
-// ExecStatementsContext is ExecStatements under a context (see
-// DB.ExecStatementsContext): any CHECKPOINT it triggers checks ctx
-// during its read phase and aborts cleanly with the delta intact.
-func (s *Session) ExecStatementsContext(ctx context.Context, stmts []sql.Statement) (int64, error) {
-	if err := s.check(); err != nil {
-		return 0, err
-	}
-	return s.db.ExecStatementsContext(ctx, stmts)
-}
-
-// CompileDML parses and binds a DELETE or UPDATE through the shared plan
-// cache; sessions issuing the same statement shape share one
-// CompiledDML. The hit/miss is charged to this session's counters.
-func (s *Session) CompileDML(sqlText string) (*CompiledDML, error) {
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	cd, hit, err := s.db.compileDMLCached(sqlText)
+	stmts, err := sql.ParseScript(sqlText)
 	if err != nil {
-		return nil, err
-	}
-	s.recordCache(hit)
-	return cd, nil
-}
-
-// ExecCompiled binds params into a compiled DML and executes it.
-func (s *Session) ExecCompiled(cd *CompiledDML, params []value.Value) (int64, error) {
-	if err := s.check(); err != nil {
 		return 0, err
 	}
-	return cd.Exec(params)
+	return s.ExecContext(context.Background(), stmts, nil)
 }
 
-// Checkpoint merges the live-DML delta into fresh flash segments (see
-// DB.Checkpoint).
+// Checkpoint merges the live-DML delta into fresh flash segments through
+// the exec door (see DB.Checkpoint).
 func (s *Session) Checkpoint() (int64, error) {
-	if err := s.check(); err != nil {
-		return 0, err
-	}
-	return s.db.Checkpoint()
-}
-
-// CheckpointContext is Checkpoint under a context (see
-// DB.CheckpointContext).
-func (s *Session) CheckpointContext(ctx context.Context) (int64, error) {
-	if err := s.check(); err != nil {
-		return 0, err
-	}
-	return s.db.CheckpointContext(ctx)
+	return s.ExecContext(context.Background(), checkpointScript, nil)
 }
 
 // QueryWithPlan executes a prepared query under an explicit plan.
@@ -266,7 +225,7 @@ func (s *Session) QueryWithPlan(q *plan.Query, spec plan.Spec) (*Result, error) 
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	return s.db.QueryWithPlan(q, spec, withSession(s))
+	return s.db.queryWithPlan(q, spec, &queryConfig{session: s})
 }
 
 // SessionStats is a snapshot of one session's execution state.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -393,14 +394,7 @@ func TestShardKeyedDML(t *testing.T) {
 		{sql: `DELETE FROM Prescription WHERE PreID = 4000`},
 	}
 	exec := func(db *DB, st stmt) (int64, error) {
-		if st.params == nil {
-			return db.Exec(st.sql)
-		}
-		cd, _, err := db.compileDMLCached(st.sql)
-		if err != nil {
-			return 0, err
-		}
-		return cd.Exec(st.params)
+		return db.exec(context.Background(), nil, mustParseScript(t, st.sql), st.params)
 	}
 	for _, st := range stmts {
 		targets := map[int]bool{}

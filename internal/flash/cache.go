@@ -106,7 +106,8 @@ func (c *Cache) locate(addr int64) (page, off int) {
 // The frame of the previous access is probed first: a column scan or a
 // dictionary probe stays on one page for many accesses in a row, and a
 // hit there is the hit the scan would have found — same counters, same
-// stamp, and no victim is chosen on a hit.
+// stamp. The victim, the first frame with the smallest stamp, is looked
+// for only once the scan has missed.
 func (c *Cache) page(page int) ([]byte, error) {
 	c.tick++
 	if c.pages[c.mru] == page {
@@ -114,7 +115,6 @@ func (c *Cache) page(page int) ([]byte, error) {
 		c.stamp[c.mru] = c.tick
 		return c.frames[c.mru], nil
 	}
-	victim := 0
 	for i, p := range c.pages {
 		if p == page {
 			c.hits++
@@ -122,7 +122,10 @@ func (c *Cache) page(page int) ([]byte, error) {
 			c.mru = i
 			return c.frames[i], nil
 		}
-		if c.stamp[i] < c.stamp[victim] {
+	}
+	victim := 0
+	for i, st := range c.stamp {
+		if st < c.stamp[victim] {
 			victim = i
 		}
 	}

@@ -11,7 +11,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -52,40 +51,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, err.Error(), "bad_request")
 		return
 	}
-	if err := a.sess.EnsureBuilt(); err != nil {
+	start := time.Now()
+	// The session's query door compiles, binds and runs — EXPLAIN /
+	// EXPLAIN ANALYZE too — and finalizes a staged load on a plan-cache
+	// miss. Every failure it does not type is the statement's: 400.
+	res, err := a.sess.QueryContext(a.ctx, req.SQL, params)
+	if err != nil {
 		s.writeEngineError(w, err, "bad_request", http.StatusBadRequest)
 		return
-	}
-	start := time.Now()
-	var res *core.Result
-	if len(params) == 0 {
-		// Covers EXPLAIN / EXPLAIN ANALYZE too: Session.Query intercepts
-		// the prefix and answers with a rendered plan result.
-		res, err = a.sess.Query(req.SQL, core.WithContext(a.ctx))
-		if err != nil {
-			s.writeEngineError(w, err, "bad_request", http.StatusBadRequest)
-			return
-		}
-	} else {
-		cq, cerr := a.sess.Compile(req.SQL)
-		if cerr != nil {
-			s.reject(w, http.StatusBadRequest, cerr.Error(), "bad_request")
-			return
-		}
-		// Run binds: arguments that do not fit the placeholders come back
-		// as plan.ErrBind, which writeEngineError answers with 400.
-		res, err = a.sess.QueryCompiled(cq, params, core.WithContext(a.ctx))
-		if err != nil {
-			s.writeEngineError(w, err, "internal", http.StatusInternalServerError)
-			return
-		}
 	}
 	writeJSON(w, http.StatusOK, encodeResult(res, time.Since(start)))
 }
 
-// handleExec executes a DDL / DML / CHECKPOINT script: staging before
-// the bulk load, live mutations after, '?' placeholders bound from args
-// in ordinal order across the whole script.
+// handleExec executes a DDL / DML / CHECKPOINT script through the
+// session's exec door: staging before the bulk load, live mutations
+// after, '?' placeholders bound from args in ordinal order across the
+// whole script.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	a, ok := s.admit(w, r)
 	if !ok {
@@ -113,13 +94,8 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	bound, err := sql.BindScript(stmts, params)
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, err.Error(), "bad_request")
-		return
-	}
 	start := time.Now()
-	n, err := a.sess.ExecStatementsContext(a.ctx, bound)
+	n, err := a.sess.ExecContext(a.ctx, stmts, params)
 	if err != nil {
 		s.writeEngineError(w, err, "exec_failed", http.StatusBadRequest)
 		return
@@ -127,19 +103,20 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &ExecResponse{RowsAffected: n, WallNS: time.Since(start).Nanoseconds()})
 }
 
-// handleCheckpoint merges the live-DML delta into fresh flash segments.
+// checkpointScript is the parsed CHECKPOINT statement /v1/checkpoint
+// runs through the exec door.
+var checkpointScript = []sql.Statement{&sql.Checkpoint{}}
+
+// handleCheckpoint merges the live-DML delta into fresh flash segments
+// (finalizing a staged load first, as every CHECKPOINT does).
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	a, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
 	defer a.release()
-	if err := a.sess.EnsureBuilt(); err != nil {
-		s.writeEngineError(w, err, "bad_request", http.StatusBadRequest)
-		return
-	}
 	start := time.Now()
-	n, err := a.sess.CheckpointContext(a.ctx)
+	n, err := a.sess.ExecContext(a.ctx, checkpointScript, nil)
 	if err != nil {
 		s.writeEngineError(w, err, "internal", http.StatusInternalServerError)
 		return
@@ -188,10 +165,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Inc()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.db.MetricsSnapshot().WritePrometheus(w, "ghostdb_")
-	for i, snap := range s.db.ShardMetrics() {
-		snap.WritePrometheus(w, fmt.Sprintf("ghostdb_shard%d_", i))
-	}
+	ghostdb.WritePrometheus(w, s.db)
 	s.MetricsSnapshot().WritePrometheus(w, "ghostdb_server_")
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ghostdb/ghostdb"
 	"github.com/ghostdb/ghostdb/internal/core"
 	"github.com/ghostdb/ghostdb/internal/fault"
 )
@@ -259,8 +260,9 @@ func TestWireValidation(t *testing.T) {
 
 // TestWrongTypedArgumentIs400 is the regression for /v1/query answering
 // 500 "internal" to an argument its column cannot take: a bind failure
-// is the client's mistake on both endpoints, and the engine stays
-// serviceable afterwards.
+// is the client's mistake on both endpoints — the same typed bind error
+// through the one exec and query door — and the engine stays serviceable
+// afterwards.
 func TestWrongTypedArgumentIs400(t *testing.T) {
 	_, base := newTestServer(t, Config{})
 	loadHospital(t, base)
@@ -268,7 +270,7 @@ func TestWrongTypedArgumentIs400(t *testing.T) {
 	const sel = `SELECT Doc.Name FROM Doctor Doc WHERE Doc.DocID = ?`
 	for _, c := range []struct{ path, sql, kind string }{
 		{"/v1/query", sel, "bad_request"},
-		{"/v1/exec", `UPDATE Doctor SET Name = 'X' WHERE DocID = ?`, "exec_failed"},
+		{"/v1/exec", `UPDATE Doctor SET Name = 'X' WHERE DocID = ?`, "bad_request"},
 	} {
 		resp, raw := post(t, base, c.path, QueryRequest{SQL: c.sql, Args: []any{"abc"}})
 		var er ErrorResponse
@@ -716,7 +718,7 @@ func TestShardedFaultyServer(t *testing.T) {
 // TestMetricsSurfaces checks the merged observability endpoints: the
 // server section in /debug/vars and the ghostdb_server_* exposition.
 func TestMetricsSurfaces(t *testing.T) {
-	_, base := newTestServer(t, Config{})
+	srv, base := newTestServer(t, Config{})
 	loadHospital(t, base)
 	if resp, raw := post(t, base, "/v1/query", QueryRequest{SQL: `SELECT Doc.Name FROM Doctor Doc`}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, raw)
@@ -752,5 +754,11 @@ func TestMetricsSurfaces(t *testing.T) {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The engine section is the debug handler's /metrics, byte for byte.
+	rec := httptest.NewRecorder()
+	ghostdb.DebugHandler(srv.db).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if engine := rec.Body.String(); !strings.HasPrefix(string(prom), engine) {
+		t.Errorf("/metrics does not open with the engine section DebugHandler serves:\n%s", engine)
 	}
 }

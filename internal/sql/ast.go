@@ -181,8 +181,8 @@ func CountParams(stmts ...Statement) int {
 // BindScript substitutes placeholder arguments into a script's INSERT
 // rows and DELETE/UPDATE literals, ordinals running left to right across
 // the whole script. Statements without placeholders are shared, not
-// copied. It is the one binding path of the database/sql driver's Exec
-// and the server's /v1/exec.
+// copied. It is the binding step of the engine's exec door, which the
+// database/sql driver's Exec and the server's /v1/exec both call.
 func BindScript(stmts []Statement, params []value.Value) ([]Statement, error) {
 	want := CountParams(stmts...)
 	if len(params) != want {
