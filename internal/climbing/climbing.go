@@ -85,10 +85,29 @@ type Entry struct {
 // referencing that child row. The engine computes each edge once at load.
 type Inverted func(parent, child string) ([][]uint32, error)
 
-// Build constructs a climbing index over col, the column's values in row
-// order (row i has ID i+1). dense marks a primary key, whose value i+1 sits
-// at entry i by construction, enabling O(1) lookups. The index climbs from
-// table to the schema root using inv.
+// Build constructs a climbing index over col and programs it into st:
+// Encode, then Program.
+func Build(st *store.Store, sch *schema.Schema, table, column string, col value.Column, dense bool, inv Inverted) (*Index, error) {
+	enc, err := Encode(sch, table, column, col, dense, inv)
+	if err != nil {
+		return nil, err
+	}
+	return enc.Program(st)
+}
+
+// Encoded is a climbing index laid out in host memory, not yet on
+// flash: its dictionary and the bytes of its three regions.
+type Encoded struct {
+	ix                     *Index
+	entries, values, lists []byte
+}
+
+// Encode lays out a climbing index over col, the column's values in row
+// order (row i has ID i+1). dense marks a primary key, whose value i+1
+// sits at entry i by construction, enabling O(1) lookups. The index
+// climbs from table to the schema root using inv. Encode touches no
+// device, so indexes over read-only columns and edges may be encoded
+// concurrently.
 //
 // The posting lists are built by rank propagation. In a tree schema every
 // row of a level references exactly one row of the level below, hence
@@ -101,7 +120,7 @@ type Inverted func(parent, child string) ([][]uint32, error)
 // three regions are a pure function of (col, inv): their bytes are what
 // CHECKPOINT programs into flash, and the tests hold them identical to the
 // map-grouping build this replaced.
-func Build(st *store.Store, sch *schema.Schema, table, column string, col value.Column, dense bool, inv Inverted) (*Index, error) {
+func Encode(sch *schema.Schema, table, column string, col value.Column, dense bool, inv Inverted) (*Encoded, error) {
 	tb, ok := sch.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("climbing: unknown table %s", table)
@@ -116,7 +135,6 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, col value.
 		Levels:  levels,
 		kind:    col.Kind,
 		dense:   dense,
-		st:      st,
 		entSize: 4 + 8*len(levels),
 	}
 
@@ -179,14 +197,22 @@ func Build(st *store.Store, sch *schema.Schema, table, column string, col value.
 		}
 	}
 
+	return &Encoded{ix: ix, entries: entriesBuf, values: valuesBuf, lists: listsBuf}, nil
+}
+
+// Program appends the encoded regions to st — entries, values, lists —
+// and returns the index reading them there.
+func (enc *Encoded) Program(st *store.Store) (*Index, error) {
+	ix := enc.ix
+	ix.st = st
 	var err error
-	if ix.entriesExt, err = st.AppendRegion(entriesBuf); err != nil {
+	if ix.entriesExt, err = st.AppendRegion(enc.entries); err != nil {
 		return nil, err
 	}
-	if ix.valuesExt, err = st.AppendRegion(valuesBuf); err != nil {
+	if ix.valuesExt, err = st.AppendRegion(enc.values); err != nil {
 		return nil, err
 	}
-	if ix.listsExt, err = st.AppendRegion(listsBuf); err != nil {
+	if ix.listsExt, err = st.AppendRegion(enc.lists); err != nil {
 		return nil, err
 	}
 	return ix, nil

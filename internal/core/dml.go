@@ -211,6 +211,7 @@ func (db *DB) compileDMLCached(stmt sql.Statement) (*CompiledDML, bool, error) {
 	key := "dml\x00" + normalizeSQL(stmt.String())
 	if v, ok := db.planCache.get(key); ok {
 		if cd, ok := v.(*CompiledDML); ok {
+			db.metrics.planCacheHits.Inc()
 			return cd, true, nil
 		}
 	}
@@ -225,6 +226,7 @@ func (db *DB) compileDMLCached(stmt sql.Statement) (*CompiledDML, bool, error) {
 		return nil, false, err
 	}
 	cd := &CompiledDML{db: db, shape: d}
+	db.metrics.planCacheMisses.Inc()
 	db.planCache.put(key, cd)
 	return cd, false, nil
 }

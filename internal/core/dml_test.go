@@ -422,6 +422,37 @@ func TestPropertyDMLOracleDifferential(t *testing.T) {
 	}
 }
 
+// TestDMLPlanCacheCounted: a cached DML shape counts its lookups where a
+// cached query does — the DB registry, PlanCacheStats and the session —
+// and all three agree.
+func TestDMLPlanCacheCounted(t *testing.T) {
+	db, _, _ := loadTiny(t)
+	defer db.Close()
+	s, err := db.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	update := mustParseScript(t, `UPDATE Prescription SET Quantity = ? WHERE PreID = ?`)
+	for i := 1; i <= 3; i++ {
+		if _, err := s.ExecContext(context.Background(), update, []value.Value{value.NewInt(int64(40 + i)), value.NewInt(int64(i))}); err != nil {
+			t.Fatalf("exec %d: %v", i, err)
+		}
+	}
+	snap := db.MetricsSnapshot()
+	for name, want := range map[string]int64{"plan_cache_hits_total": 2, "plan_cache_misses_total": 1} {
+		if v, ok := snap.Get(name); !ok || v.Value != want {
+			t.Errorf("DB registry %s = %+v, want %d", name, v, want)
+		}
+	}
+	if st := db.PlanCacheStats(); st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("PlanCacheStats hits=%d misses=%d, want 2 / 1", st.Hits, st.Misses)
+	}
+	if st := s.Stats().PlanCache; st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("session hits=%d misses=%d, want 2 / 1", st.Hits, st.Misses)
+	}
+}
+
 // TestDMLPreparedAndCached checks the compile-once/bind-many DML path
 // and its plan-cache sharing.
 func TestDMLPreparedAndCached(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -443,7 +444,16 @@ type colView struct {
 // bulk load (whose charges are then rewound) and by CHECKPOINT (which
 // pays them as the cost of merging the delta into flash). It returns the
 // visible columns for the commit's stash. Its one check, the foreign-key
-// range, is for a recovered image: outside input.
+// range, is for a recovered image: outside input, refused before any
+// page is programmed.
+//
+// The work runs in three steps. The host side first: views, foreign-key
+// checks, inverted edges and the INTEGER foreign-key columns. Then the
+// climbing indexes are encoded on GOMAXPROCS workers while this goroutine
+// programs the column files and SKTs. Last, the indexes are programmed in
+// declaration order. Every page goes to flash in the order a one-core
+// build would program it, so images, charges and file sizes do not
+// depend on the worker count.
 func (e *engine) loadState(img []tableImage) (visImage, error) {
 	start := time.Now()
 	hid, err := store.New(e.dev)
@@ -458,7 +468,6 @@ func (e *engine) loadState(img []tableImage) (visImage, error) {
 	tables := e.sch.Tables()
 	views := make([]*tableView, len(tables))
 	data := make([][]value.Column, len(tables)) // the image's columns, foreign keys as INTEGER
-	vis := make(visImage, len(tables))
 
 	for ord, t := range tables {
 		im := &img[ord]
@@ -467,16 +476,76 @@ func (e *engine) loadState(img []tableImage) (visImage, error) {
 		tv := &tableView{t: t, baseN: n, cols: make([]colView, len(t.Columns)), parent: -1}
 		views[ord] = tv
 		data[ord] = slices.Clone(im.cols)
+		for i, c := range t.Columns {
+			if !c.IsForeignKey() {
+				continue
+			}
+			// The schema declares referenced tables first, so the
+			// referenced view exists already.
+			ref := views[e.mustTable(c.RefTable).Ordinal()]
+			ids := im.fks[i]
+			for r, id := range ids {
+				if id < 1 || int(id) > ref.baseN {
+					return nil, fmt.Errorf("%w: %s.%s row %d: foreign key %d out of 1..%d", ErrCorruptState, t.Name, c.Name, r+1, id, ref.baseN)
+				}
+			}
+			cv := &tv.cols[i]
+			cv.ref, cv.fk, cv.inv = ref.t.Ordinal(), ids, invertEdge(ids, ref.baseN)
+			tv.fks = append(tv.fks, i)
+			ref.parent, ref.up = ord, i
+			data[ord][i] = intColumn(n, func(r int) int64 { return int64(ids[r]) })
+		}
+	}
+
+	// Climbing indexes: every hidden column, dense translators on every
+	// non-root primary key (the pre-filtering machinery), and any
+	// visible columns requested via WithDeviceIndex. They are encoded
+	// from here on, beside the column files and SKTs; nothing below
+	// writes what an encoder reads (the columns, the views' edges).
+	invLookup := func(parent, child string) ([][]uint32, error) {
+		if ct, ok := e.sch.Table(child); ok {
+			if cv := views[ct.Ordinal()]; cv.parent >= 0 && strings.EqualFold(views[cv.parent].t.Name, parent) {
+				return views[cv.parent].cols[cv.up].inv, nil
+			}
+		}
+		return nil, fmt.Errorf("core: no inverted edge %s<-%s", parent, child)
+	}
+	wantDevice := map[string]bool{}
+	for _, spec := range e.opts.DeviceIndexes {
+		wantDevice[strings.ToLower(spec)] = true
+	}
+	root := e.sch.Root()
+	var jobs []indexJob
+	for ord, tv := range views {
+		t := tv.t
+		for i, c := range t.Columns {
+			dense := c.PrimaryKey && t != root
+			if !dense && !c.Hidden && !wantDevice[strings.ToLower(t.Name+"."+c.Name)] {
+				continue
+			}
+			col := data[ord][i]
+			if c.PrimaryKey {
+				col = intColumn(tv.baseN, func(r int) int64 { return int64(r + 1) })
+			}
+			jobs = append(jobs, indexJob{col: &tv.cols[i], table: t.Name, column: c.Name, data: col, dense: dense})
+		}
+	}
+	pool := encodeIndexes(e.sch, jobs, invLookup)
+	defer pool.stop()
+
+	vis := make(visImage, len(tables))
+	for ord, tv := range views {
+		t := tv.t
 		tvis := map[string]value.Column{}
 		vis[strings.ToLower(t.Name)] = tvis
 
 		// Visible side: PK plus visible columns.
-		vt, err := e.vis.CreateTable(t.Name, n)
+		vt, err := e.vis.CreateTable(t.Name, tv.baseN)
 		if err != nil {
 			return nil, err
 		}
 		// Hidden side: hidden columns.
-		if _, err := e.hid.CreateTable(t.Name, n); err != nil {
+		if _, err := e.hid.CreateTable(t.Name, tv.baseN); err != nil {
 			return nil, err
 		}
 		for i, c := range t.Columns {
@@ -486,21 +555,6 @@ func (e *engine) loadState(img []tableImage) (visImage, error) {
 					return nil, err
 				}
 				continue
-			}
-			if c.IsForeignKey() {
-				// The schema declares referenced tables first, so the
-				// referenced view exists already.
-				ref := views[e.mustTable(c.RefTable).Ordinal()]
-				ids := im.fks[i]
-				for r, id := range ids {
-					if id < 1 || int(id) > ref.baseN {
-						return nil, fmt.Errorf("%w: %s.%s row %d: foreign key %d out of 1..%d", ErrCorruptState, t.Name, c.Name, r+1, id, ref.baseN)
-					}
-				}
-				cv.ref, cv.fk, cv.inv = ref.t.Ordinal(), ids, invertEdge(ids, ref.baseN)
-				tv.fks = append(tv.fks, i)
-				ref.parent, ref.up = ord, i
-				data[ord][i] = intColumn(n, func(r int) int64 { return int64(ids[r]) })
 			}
 			col := data[ord][i]
 			if c.Hidden {
@@ -541,38 +595,17 @@ func (e *engine) loadState(img []tableImage) (visImage, error) {
 
 	sktDone := time.Now()
 
-	// Climbing indexes: every hidden column, dense translators on every
-	// non-root primary key (the pre-filtering machinery), and any
-	// visible columns requested via WithDeviceIndex.
-	invLookup := func(parent, child string) ([][]uint32, error) {
-		if ct, ok := e.sch.Table(child); ok {
-			if cv := views[ct.Ordinal()]; cv.parent >= 0 && strings.EqualFold(views[cv.parent].t.Name, parent) {
-				return views[cv.parent].cols[cv.up].inv, nil
-			}
+	// The indexes go to flash in declaration order, each as soon as its
+	// encoder is done; the first failure in that order is the one
+	// reported.
+	for k := range jobs {
+		j := &jobs[k]
+		j.done.Wait()
+		if j.err != nil {
+			return nil, j.err
 		}
-		return nil, fmt.Errorf("core: no inverted edge %s<-%s", parent, child)
-	}
-	wantDevice := map[string]bool{}
-	for _, spec := range e.opts.DeviceIndexes {
-		wantDevice[strings.ToLower(spec)] = true
-	}
-	root := e.sch.Root()
-	for ord, tv := range views {
-		t := tv.t
-		for i, c := range t.Columns {
-			dense := c.PrimaryKey && t != root
-			if !dense && !c.Hidden && !wantDevice[strings.ToLower(t.Name+"."+c.Name)] {
-				continue
-			}
-			col := data[ord][i]
-			if c.PrimaryKey {
-				col = intColumn(tv.baseN, func(r int) int64 { return int64(r + 1) })
-			}
-			ix, err := climbing.Build(e.hid, e.sch, t.Name, c.Name, col, dense, invLookup)
-			if err != nil {
-				return nil, err
-			}
-			tv.cols[i].ix = ix
+		if j.col.ix, err = j.enc.Program(e.hid); err != nil {
+			return nil, err
 		}
 	}
 	e.views = views
@@ -585,6 +618,60 @@ func (e *engine) loadState(img []tableImage) (visImage, error) {
 		m.checkpointClimbingWall.Observe(time.Since(sktDone).Nanoseconds())
 	}
 	return vis, nil
+}
+
+// indexJob is one climbing index of a loadState: what to encode, and
+// the encoder's answer once done is released.
+type indexJob struct {
+	col           *colView // the indexed column's view; ix is set when programmed
+	table, column string
+	data          value.Column
+	dense         bool
+
+	done sync.WaitGroup // held from encodeIndexes until the answer is in
+	enc  *climbing.Encoded
+	err  error
+}
+
+// encoders is a pool of climbing-index encoders working through a job
+// list in order.
+type encoders struct {
+	next    atomic.Int64 // the next job to take
+	stopped atomic.Bool  // take no further jobs
+	wg      sync.WaitGroup
+}
+
+// encodeIndexes starts min(GOMAXPROCS, len(jobs)) workers encoding jobs,
+// each taking the lowest job not yet taken. Encoding is host work on
+// read-only inputs, so the worker count changes no byte of the result.
+func encodeIndexes(sch *schema.Schema, jobs []indexJob, inv climbing.Inverted) *encoders {
+	p := &encoders{}
+	for k := range jobs {
+		jobs[k].done.Add(1)
+	}
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			for !p.stopped.Load() {
+				k := p.next.Add(1) - 1
+				if k >= int64(len(jobs)) {
+					return
+				}
+				j := &jobs[k]
+				j.enc, j.err = climbing.Encode(sch, j.table, j.column, j.data, j.dense, inv)
+				j.done.Done()
+			}
+		}()
+	}
+	return p
+}
+
+// stop lets the workers finish the jobs they hold, take no more, and
+// returns once every one has exited.
+func (p *encoders) stop() {
+	p.stopped.Store(true)
+	p.wg.Wait()
 }
 
 // invertEdge inverts a foreign key (row r+1 references fk[r], every

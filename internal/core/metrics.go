@@ -157,9 +157,9 @@ func newDeviceMetrics() *engineMetrics {
 
 		checkpointPrepareWall:  r.Histogram("checkpoint_prepare_wall_ns", "CHECKPOINT read phase (liveness, renumbering, extraction), host wall-clock"),
 		checkpointRebuildWall:  r.Histogram("checkpoint_rebuild_wall_ns", "CHECKPOINT rebuild phase (flash half swap, column files, SKTs, climbing indexes), host wall-clock"),
-		checkpointColumnsWall:  r.Histogram("checkpoint_rebuild_columns_wall_ns", "CHECKPOINT rebuild: foreign-key range check, inverted edges, visible columns and hidden column files, host wall-clock"),
-		checkpointSKTWall:      r.Histogram("checkpoint_rebuild_skt_wall_ns", "CHECKPOINT rebuild: subtree key tables, host wall-clock"),
-		checkpointClimbingWall: r.Histogram("checkpoint_rebuild_climbing_wall_ns", "CHECKPOINT rebuild: climbing indexes, host wall-clock"),
+		checkpointColumnsWall:  r.Histogram("checkpoint_rebuild_columns_wall_ns", "CHECKPOINT rebuild: foreign-key range check, inverted edges, visible columns and hidden column files (the climbing indexes encode alongside), host wall-clock"),
+		checkpointSKTWall:      r.Histogram("checkpoint_rebuild_skt_wall_ns", "CHECKPOINT rebuild: subtree key tables (the climbing indexes encode alongside), host wall-clock"),
+		checkpointClimbingWall: r.Histogram("checkpoint_rebuild_climbing_wall_ns", "CHECKPOINT rebuild: climbing indexes, waiting for their encoders and then programming them, host wall-clock"),
 		checkpointCommitWall:   r.Histogram("checkpoint_commit_wall_ns", "CHECKPOINT commit phase (commit record, sidecar, sync), host wall-clock"),
 	}
 }

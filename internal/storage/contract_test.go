@@ -27,26 +27,74 @@ var contractParams = storage.Params{
 	EraseFixed:    500 * time.Microsecond,
 }
 
+// wideParams is the contract geometry with 260 blocks: long enough
+// for one program run to cross a file segment (256 blocks) and the file
+// medium's pending-run cap (32 KiB, 256 pages of 128 bytes).
+var wideParams = func() storage.Params {
+	p := contractParams
+	p.Blocks = 260
+	return p
+}()
+
 // media is every shipped storage.Medium, as its package opens it.
 var media = []struct {
 	name string
-	open func(t *testing.T) *storage.Device
+	open func(t *testing.T, p storage.Params) *storage.Device
 }{
-	{"sim", func(t *testing.T) *storage.Device {
-		d, err := simflash.New(contractParams, sim.NewClock())
+	{"sim", func(t *testing.T, p storage.Params) *storage.Device {
+		d, err := simflash.New(p, sim.NewClock())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d
-	}},
-	{"file", func(t *testing.T) *storage.Device {
-		d, err := filedev.Open(filepath.Join(t.TempDir(), "dev"), contractParams, false)
-		if err != nil {
-			t.Fatal(err)
+		reopeners[d] = func(t *testing.T) *storage.Device {
+			// The simulation's memory is all that survives; its entries
+			// are the device's, handed over as a LoadOOB would.
+			entries := map[int]storage.OOB{}
+			for page := range p.PageCount() {
+				if e := storage.OOBOf(d, page); e != (storage.OOB{}) {
+					entries[page] = e
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			nd, err := storage.NewDevice(oobsAtOpen{storage.MediumOf(d), entries}, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return nd
 		}
-		t.Cleanup(func() { d.Close() })
 		return d
 	}},
+	{"file", func(t *testing.T, p storage.Params) *storage.Device {
+		dir := filepath.Join(t.TempDir(), "dev")
+		var open func() *storage.Device
+		open = func() *storage.Device {
+			d, err := filedev.Open(dir, p, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			reopeners[d] = func(t *testing.T) *storage.Device {
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return open()
+			}
+			return d
+		}
+		return open()
+	}},
+}
+
+// reopeners closes a device the media opened and opens what it left
+// behind: the directory again for a file, the same memory for the
+// simulation.
+var reopeners = map[*storage.Device]func(t *testing.T) *storage.Device{}
+
+func reopen(t *testing.T, d *storage.Device) *storage.Device {
+	t.Helper()
+	return reopeners[d](t)
 }
 
 func fullPage(b byte) []byte { return bytes.Repeat([]byte{b}, contractParams.PageSize) }
@@ -86,10 +134,12 @@ func damage(t *testing.T, d *storage.Device, page, off int) {
 	}
 }
 
-var contract = []struct {
+type contractCase struct {
 	name string
 	run  func(t *testing.T, d *storage.Device)
-}{
+}
+
+var contract = []contractCase{
 	{"round trip", func(t *testing.T, d *storage.Device) {
 		data := fullPage(0xAB)
 		program(t, d, 3, data)
@@ -314,7 +364,7 @@ var contract = []struct {
 		if !re.PageProgrammed(0) {
 			// simflash's memory leaves the entries to its Device; hand this
 			// one over the way filedev just did, from LoadOOB.
-			if re, err = storage.NewDevice(oobAtOpen{m, 0, noCRC}, contractParams, nil); err != nil {
+			if re, err = storage.NewDevice(oobsAtOpen{m, map[int]storage.OOB{0: noCRC}}, contractParams, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -437,6 +487,133 @@ var contract = []struct {
 		_, _, err = img.ReadPage(1)
 		wantErr(t, "image ReadPage of a damaged page", err, storage.ErrCorrupt, "page 1")
 	}},
+	{"read before sync", func(t *testing.T, d *storage.Device) {
+		// Programs the medium may still hold back read as programmed,
+		// whole and in part, one at a time and as a run.
+		program(t, d, 0, fullPage(0x11))
+		program(t, d, 1, []byte("short"))
+		got := pageBuf()
+		if err := d.ReadPage(1, got); err != nil || string(got[:6]) != "short\xff" {
+			t.Fatalf("page 1 before sync: % x, %v", got[:6], err)
+		}
+		program(t, d, 2, fullPage(0x22))
+		program(t, d, 3, fullPage(0x33))
+		part := make([]byte, 8)
+		if err := d.ReadAt(part, 3*128-4); err != nil || !bytes.Equal(part, []byte{0x22, 0x22, 0x22, 0x22, 0x33, 0x33, 0x33, 0x33}) {
+			t.Fatalf("pages 2-3 before sync: % x, %v", part, err)
+		}
+		for page, b := range []byte{0x11, 0, 0x22, 0x33} {
+			if page == 1 {
+				continue
+			}
+			if err := d.ReadPage(page, got); err != nil || !bytes.Equal(got, fullPage(b)) {
+				t.Fatalf("page %d before sync: % x, %v", page, got[:4], err)
+			}
+		}
+	}},
+	{"patch and erase between programs", func(t *testing.T, d *storage.Device) {
+		// A byte patched or an entry cleared after a program lands after
+		// it, however the medium batches programs.
+		program(t, d, 0, fullPage(0x10))
+		program(t, d, 1, fullPage(0x20))
+		damage(t, d, 1, 5) // the device's memo still says page 1 is good
+		program(t, d, 2, fullPage(0x30))
+		program(t, d, 4, fullPage(0x40))
+		program(t, d, 5, fullPage(0x50))
+		if err := d.EraseBlock(1); err != nil { // pages 4 and 5
+			t.Fatal(err)
+		}
+		program(t, d, 6, fullPage(0x60))
+		for _, d := range []*storage.Device{d, reopen(t, d)} {
+			want := fullPage(0x20)
+			want[5] ^= 0x01
+			got := pageBuf()
+			if err := storage.MediumOf(d).ReadPage(1, 0, got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("patched page 1 stores % x, %v", got[:8], err)
+			}
+			for page, prog := range []bool{true, true, true, false, false, false, true, false} {
+				if d.PageProgrammed(page) != prog {
+					t.Fatalf("page %d programmed = %v, want %v", page, !prog, prog)
+				}
+			}
+			if err := d.ReadPage(6, got); err != nil || !bytes.Equal(got, fullPage(0x60)) {
+				t.Fatalf("page 6 reads % x, %v", got[:4], err)
+			}
+		}
+	}},
+	{"close and reopen keeps every page and entry", func(t *testing.T, d *storage.Device) {
+		program(t, d, 0, fullPage(0x01))
+		program(t, d, 1, []byte("partial"))
+		program(t, d, 9, fullPage(0x09))
+		program(t, d, 12, fullPage(0x0C))
+		if err := d.EraseBlock(3); err != nil { // page 12
+			t.Fatal(err)
+		}
+		d.SetInjector(fault.New(&fault.Plan{Seed: 3, TornWrite: 1}, 0))
+		program(t, d, 20, fullPage(0x14))
+		d.SetInjector(nil)
+		program(t, d, 63, fullPage(0x3F))
+		type pageWas struct {
+			e    storage.OOB
+			data []byte
+			err  error
+		}
+		state := func(d *storage.Device) []pageWas {
+			var out []pageWas
+			for page := range d.Params().PageCount() {
+				got := pageBuf()
+				err := d.ReadPage(page, got)
+				out = append(out, pageWas{storage.OOBOf(d, page), got, err})
+			}
+			return out
+		}
+		before := state(d)
+		after := state(reopen(t, d))
+		for page := range before {
+			b, a := before[page], after[page]
+			if a.e != b.e || !bytes.Equal(a.data, b.data) || (a.err == nil) != (b.err == nil) {
+				t.Fatalf("page %d: before close %+v % x %v, after reopen %+v % x %v",
+					page, b.e, b.data[:4], b.err, a.e, a.data[:4], a.err)
+			}
+		}
+		if !errors.Is(after[20].err, storage.ErrCorrupt) || !before[9].e.Programmed || before[12].e.Programmed {
+			t.Fatalf("torn page 20 reads %v; page 9 %+v, page 12 %+v", after[20].err, before[9].e, before[12].e)
+		}
+	}},
+}
+
+// wideContract is the contract cases that need wideParams' geometry.
+var wideContract = []contractCase{
+	{"program run across the run cap and a segment", func(t *testing.T, d *storage.Device) {
+		// Pages 740..1030: past 995 a 32 KiB run is full, past 1023 the
+		// file medium's second segment starts.
+		content := func(page int) []byte {
+			b := fullPage(byte(page))
+			b[0], b[1] = byte(page>>8), 0xA5
+			return b
+		}
+		for page := 740; page <= 1030; page++ {
+			program(t, d, page, content(page))
+		}
+		check := func(d *storage.Device, when string) {
+			got := pageBuf()
+			for page := 740; page <= 1030; page++ {
+				if !d.PageProgrammed(page) {
+					t.Fatalf("%s: page %d not programmed", when, page)
+				}
+				if err := d.ReadPage(page, got); err != nil || !bytes.Equal(got, content(page)) {
+					t.Fatalf("%s: page %d reads % x, %v", when, page, got[:4], err)
+				}
+			}
+			for _, page := range []int{739, 1031} {
+				if d.PageProgrammed(page) {
+					t.Fatalf("%s: page %d programmed", when, page)
+				}
+			}
+		}
+		check(d, "before sync")
+		check(reopen(t, d), "after reopen")
+	}},
 }
 
 // TestDeviceContract runs every case of the NAND contract against every
@@ -445,22 +622,26 @@ var contract = []struct {
 func TestDeviceContract(t *testing.T) {
 	for _, m := range media {
 		for _, c := range contract {
-			t.Run(m.name+"/"+c.name, func(t *testing.T) { c.run(t, m.open(t)) })
+			t.Run(m.name+"/"+c.name, func(t *testing.T) { c.run(t, m.open(t, contractParams)) })
+		}
+		for _, c := range wideContract {
+			t.Run(m.name+"/"+c.name, func(t *testing.T) { c.run(t, m.open(t, wideParams)) })
 		}
 	}
 }
 
-// oobAtOpen is a medium that reports one more out-of-band entry to the
-// device opening over it.
-type oobAtOpen struct {
+// oobsAtOpen is a medium that reports these out-of-band entries, and
+// nothing of its own, to the device opening over it.
+type oobsAtOpen struct {
 	storage.Medium
-	page int
-	e    storage.OOB
+	entries map[int]storage.OOB
 }
 
-func (m oobAtOpen) LoadOOB(visit func(int, storage.OOB)) error {
-	visit(m.page, m.e)
-	return m.Medium.LoadOOB(visit)
+func (m oobsAtOpen) LoadOOB(visit func(int, storage.OOB)) error {
+	for page, e := range m.entries {
+		visit(page, e)
+	}
+	return nil
 }
 
 // failingMedium fails the writes it is told to.
@@ -497,7 +678,7 @@ func TestFailedMediumWriteChangesNothing(t *testing.T) {
 	for _, m := range media {
 		t.Run(m.name, func(t *testing.T) {
 			boom := errors.New("medium write failed")
-			fm := &failingMedium{Medium: storage.MediumOf(m.open(t))}
+			fm := &failingMedium{Medium: storage.MediumOf(m.open(t, contractParams))}
 			d, err := storage.NewDevice(fm, contractParams, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -30,7 +30,10 @@ type OOB struct {
 // out-of-band entries and gives them back. It decides nothing — bounds,
 // program-once, erased reads, checksums, faults and costs are the
 // Device's — so it is only ever called with in-range addresses, and
-// reads only pages whose last OOB entry said Programmed.
+// reads only pages whose last OOB entry said Programmed. A medium may
+// hold writes back (filedev batches programs into runs) as long as every
+// read sees them and they reach its store in order, each page's data
+// before its entry, by the next Sync or Close.
 type Medium interface {
 	// ReadPage fills dst with the stored bytes of page from byte off on.
 	ReadPage(page, off int, dst []byte) error

@@ -12,15 +12,30 @@
 //	                page's CRC32), padded to a 4 KiB boundary, followed by
 //	                the page data, page-aligned within the file
 //
-// Crash consistency mirrors NAND program semantics: the Device writes a
-// page's data first and its out-of-band entry (programmed flag + CRC of
-// the intended content) second, so a host crash between the two leaves
-// the page reading as erased — exactly the torn-record state the
-// engine's A/B commit protocol already recovers from. An erase only
-// zeroes the block's out-of-band region; page data is left in place and
-// reads are gated on the programmed flags. The optional fsync knob makes
-// Sync (called by the engine at commit points) flush dirty segments,
-// extending the guarantee from process crashes to host power loss.
+// Crash consistency mirrors NAND program semantics: the Device hands
+// over a page's data first and its out-of-band entry (programmed flag +
+// CRC of the intended content) second, so a host crash between the two
+// leaves the page reading as erased — exactly the torn-record state the
+// engine's A/B commit protocol already recovers from. Programs do not
+// reach the file one by one: they queue in one pending run of page data
+// (at most 32 KiB) and one of the matching out-of-band entries. The runs
+// are written when a program does not continue them or does not fit,
+// and before every Sync (fsync on or off), Close, PatchByte, ClearOOB
+// and any page read while they hold bytes — data run first, then
+// out-of-band run, so the ordering above holds per flush. A failed
+// flush is sticky: the files no longer hold what the Device believes,
+// so every later call returns that error. An erase only zeroes the
+// block's out-of-band region; page data is left in place and reads are
+// gated on the programmed flags. Reads copy out of a read-only shared
+// mapping of each segment made when the segment file is opened, never
+// touching bytes past the file's recorded size. The optional fsync knob
+// makes Sync (called by the engine at commit points) flush dirty
+// segments, extending the guarantee from process crashes to host power
+// loss.
+//
+// One open device owns its directory: the pending runs, the recorded
+// file sizes and the mappings assume no other process or device writes,
+// truncates or removes the segment files while it is open.
 //
 // Everything else — checksums, torn writes, bit rot, power cuts, stats —
 // is the storage.Device's, so the engine's fault-torture suites exercise
@@ -32,9 +47,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"github.com/ghostdb/ghostdb/internal/storage"
 )
@@ -58,6 +73,10 @@ const (
 
 	// geometryVersion is the on-disk format this package reads and writes.
 	geometryVersion = 1
+
+	// runBytes caps a pending run of page data: programs reach the
+	// segment file in writes of up to this many bytes.
+	runBytes = 32 << 10
 )
 
 // ErrGeometry reports a geometry.json that cannot be used: unparseable,
@@ -86,10 +105,37 @@ type files struct {
 	p     storage.Params
 	fsync bool
 
-	segs        []*os.File // lazily opened segment files
-	segDirty    []bool     // segments written since the last Sync
+	segs        []*segment // lazily opened segment files
 	pagesPerSeg int
 	oobBytes    int // padded out-of-band table size per segment
+
+	// data and oob are the pending runs: programs the Device has made
+	// that are not in the files yet, one contiguous run of page data and
+	// one of the matching out-of-band entries. flush writes them.
+	data, oob run
+	// err is the first failed flush. The files no longer hold what the
+	// Device believes they do, so every later call returns it.
+	err error
+}
+
+// segment is one open segment file.
+type segment struct {
+	f *os.File
+	// mem is a read-only shared mapping of the segment's whole extent;
+	// only its first size bytes are backed by the file, and nothing past
+	// them is ever touched.
+	mem   []byte
+	size  int64 // the file's size, as found at open and grown by flushes
+	dirty bool  // written since the last Sync
+}
+
+// run is a pending contiguous write: buf goes to byte off of segment
+// seg, whose first page is page. Its capacity is fixed when the device
+// opens and a run never grows past it.
+type run struct {
+	seg, page int
+	off       int64
+	buf       []byte
 }
 
 // Exists reports whether dir holds a filedev device (its geometry file).
@@ -112,6 +158,16 @@ func Wipe(dir string) error {
 // exactly. fsync controls whether Sync flushes dirty segments to stable
 // storage.
 func Open(dir string, p storage.Params, fsync bool) (*storage.Device, error) {
+	m, err := open(dir, p, fsync)
+	if err != nil {
+		return nil, err
+	}
+	return storage.NewDevice(m, p, nil)
+}
+
+// open prepares the medium of Open: the geometry file checked or
+// written, no segment opened yet.
+func open(dir string, p storage.Params, fsync bool) (*files, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -163,16 +219,17 @@ func Open(dir string, p storage.Params, fsync bool) (*storage.Device, error) {
 	}
 
 	pagesPerSeg := segBlocks * p.PagesPerBlock
-	nsegs := (p.Blocks + segBlocks - 1) / segBlocks
-	return storage.NewDevice(&files{
+	runPages := max(runBytes/p.PageSize, 1)
+	return &files{
 		dir:         dir,
 		p:           p,
 		fsync:       fsync,
-		segs:        make([]*os.File, nsegs),
-		segDirty:    make([]bool, nsegs),
+		segs:        make([]*segment, (p.Blocks+segBlocks-1)/segBlocks),
 		pagesPerSeg: pagesPerSeg,
 		oobBytes:    ((pagesPerSeg*oobEntry + oobAlign - 1) / oobAlign) * oobAlign,
-	}, p, nil)
+		data:        run{buf: make([]byte, 0, runPages*p.PageSize)},
+		oob:         run{buf: make([]byte, 0, runPages*oobEntry)},
+	}, nil
 }
 
 // writeFileSync writes path atomically-enough for a fresh file, fsyncing
@@ -198,24 +255,22 @@ func writeFileSync(path string, blob []byte, durable bool) error {
 // LoadOOB reads every existing segment's out-of-band table. Missing
 // segment files are fully erased.
 func (m *files) LoadOOB(visit func(page int, e storage.OOB)) error {
+	if err := m.flush(); err != nil {
+		return err
+	}
 	buf := make([]byte, m.oobBytes)
 	for seg := range m.segs {
-		f, err := os.OpenFile(m.segPath(seg), os.O_RDWR, 0o644)
+		s, err := m.segment(seg, false)
 		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
 		if err != nil {
 			return err
 		}
-		m.segs[seg] = f
-		n, err := f.ReadAt(buf, 0)
-		if err != nil && !shortRead(err) {
-			return fmt.Errorf("filedev: %s out-of-band table: %w", m.segPath(seg), err)
-		}
 		// A shorter-than-OOB segment can only happen if creation was
 		// interrupted before any page was programmed: the missing tail
 		// is erased.
-		clear(buf[n:])
+		clear(buf[s.read(buf, 0):])
 		base := seg * m.pagesPerSeg
 		for i := 0; i < m.segPages(seg); i++ {
 			e := buf[i*oobEntry : (i+1)*oobEntry]
@@ -232,12 +287,6 @@ func (m *files) LoadOOB(visit func(page int, e storage.OOB)) error {
 	return nil
 }
 
-// shortRead reports whether a ReadAt error only means the file ended
-// before the buffer was full.
-func shortRead(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
 func (m *files) segPath(seg int) string {
 	return filepath.Join(m.dir, fmt.Sprintf("seg-%04d.dat", seg))
 }
@@ -248,32 +297,44 @@ func (m *files) segPages(seg int) int {
 	return min(m.p.PageCount()-seg*m.pagesPerSeg, m.pagesPerSeg)
 }
 
-// segFile returns the (lazily created) file for segment seg.
-func (m *files) segFile(seg int) (*os.File, error) {
-	if f := m.segs[seg]; f != nil {
-		return f, nil
+// segment returns segment seg's open file and mapping, opening it — and
+// creating the file when create is set — on first use.
+func (m *files) segment(seg int, create bool) (*segment, error) {
+	if s := m.segs[seg]; s != nil {
+		return s, nil
 	}
-	f, err := os.OpenFile(m.segPath(seg), os.O_CREATE|os.O_RDWR, 0o644)
+	flags := os.O_RDWR
+	if create {
+		flags |= os.O_CREATE
+	}
+	f, err := os.OpenFile(m.segPath(seg), flags, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	m.segs[seg] = f
-	return f, nil
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	extent := m.oobBytes + m.segPages(seg)*m.p.PageSize
+	mem, err := syscall.Mmap(int(f.Fd()), 0, extent, syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("filedev: map %s: %w", m.segPath(seg), err)
+	}
+	s := &segment{f: f, mem: mem, size: info.Size()}
+	m.segs[seg] = s
+	return s, nil
 }
 
-// writeAt writes b at byte offset off of the segment holding page and
-// marks the segment dirty.
-func (m *files) writeAt(page int, b []byte, off int64) error {
-	seg := page / m.pagesPerSeg
-	f, err := m.segFile(seg)
-	if err != nil {
-		return err
+// read copies the segment's bytes from off on into dst and returns how
+// many it copied: none at or past the end of the file.
+func (s *segment) read(dst []byte, off int64) int {
+	end := min(s.size, int64(len(s.mem)))
+	if off >= end {
+		return 0
 	}
-	if _, err := f.WriteAt(b, off); err != nil {
-		return fmt.Errorf("filedev: page %d: %w", page, err)
-	}
-	m.segDirty[seg] = true
-	return nil
+	return copy(dst, s.mem[off:end])
 }
 
 // dataOffset returns the byte offset of a page's data within its
@@ -288,30 +349,88 @@ func (m *files) oobOffset(page int) int64 {
 	return int64(page%m.pagesPerSeg) * oobEntry
 }
 
-// ReadPage reads stored page bytes. Bytes past the end of a truncated
-// segment read as zeros, like any other hole in the sparse file; the
-// page's checksum is what notices.
-func (m *files) ReadPage(page, off int, dst []byte) error {
-	f, err := m.segFile(page / m.pagesPerSeg)
-	if err != nil {
-		return err
+// queue appends b, bound for byte off of page's segment, to run r. A
+// write that does not continue r, or that r has no room for, first
+// flushes both runs.
+func (m *files) queue(r *run, page int, off int64, b []byte) error {
+	if m.err != nil {
+		return m.err
 	}
-	n, err := f.ReadAt(dst, m.dataOffset(page)+int64(off))
-	if err != nil && !shortRead(err) {
-		return fmt.Errorf("filedev: page %d: %w", page, err)
+	seg := page / m.pagesPerSeg
+	if len(r.buf) > 0 && (seg != r.seg || off != r.off+int64(len(r.buf)) || len(r.buf)+len(b) > cap(r.buf)) {
+		if err := m.flush(); err != nil {
+			return err
+		}
 	}
-	clear(dst[n:])
+	if len(r.buf) == 0 {
+		r.seg, r.page, r.off = seg, page, off
+	}
+	r.buf = append(r.buf, b...)
 	return nil
 }
 
+// flush writes the pending runs, page data before out-of-band entries,
+// so a crash between the two leaves the run's pages erased. A failure
+// is sticky.
+func (m *files) flush() error {
+	if m.err != nil {
+		return m.err
+	}
+	for _, r := range []*run{&m.data, &m.oob} {
+		if len(r.buf) == 0 {
+			continue
+		}
+		err := m.writeAt(r.seg, r.buf, r.off)
+		r.buf = r.buf[:0]
+		if err != nil {
+			m.err = fmt.Errorf("filedev: page %d: %w", r.page, err)
+			m.data.buf, m.oob.buf = m.data.buf[:0], m.oob.buf[:0]
+			return m.err
+		}
+	}
+	return nil
+}
+
+// writeAt writes b at byte offset off of segment seg and marks the
+// segment dirty.
+func (m *files) writeAt(seg int, b []byte, off int64) error {
+	s, err := m.segment(seg, true)
+	if err != nil {
+		return err
+	}
+	if _, err := s.f.WriteAt(b, off); err != nil {
+		return err
+	}
+	s.size = max(s.size, off+int64(len(b)))
+	s.dirty = true
+	return nil
+}
+
+// ReadPage reads stored page bytes out of the segment's mapping. Bytes
+// past the end of a truncated segment read as zeros, like any other
+// hole in the sparse file; the page's checksum is what notices.
+func (m *files) ReadPage(page, off int, dst []byte) error {
+	if err := m.flush(); err != nil {
+		return err
+	}
+	s, err := m.segment(page/m.pagesPerSeg, true)
+	if err != nil {
+		return fmt.Errorf("filedev: page %d: %w", page, err)
+	}
+	clear(dst[s.read(dst, m.dataOffset(page)+int64(off)):])
+	return nil
+}
+
+// WritePage queues the page image behind the pending data run.
 func (m *files) WritePage(page int, image []byte) error {
-	return m.writeAt(page, image, m.dataOffset(page))
+	return m.queue(&m.data, page, m.dataOffset(page), image)
 }
 
 func (m *files) PatchByte(page, off int, b byte) error {
-	return m.writeAt(page, []byte{b}, m.dataOffset(page)+int64(off))
+	return m.writeNow(page, []byte{b}, m.dataOffset(page)+int64(off))
 }
 
+// WriteOOB queues the page's out-of-band entry behind the pending one.
 func (m *files) WriteOOB(page int, e storage.OOB) error {
 	var b [oobEntry]byte
 	if e.Programmed {
@@ -321,43 +440,62 @@ func (m *files) WriteOOB(page int, e storage.OOB) error {
 		b[0] |= flagHasCRC
 		binary.LittleEndian.PutUint32(b[1:], e.CRC)
 	}
-	return m.writeAt(page, b[:], m.oobOffset(page))
+	return m.queue(&m.oob, page, m.oobOffset(page), b[:])
 }
 
 // ClearOOB zeroes the block's out-of-band entries in one contiguous run
 // (a block never spans segments: segments are whole numbers of blocks).
 func (m *files) ClearOOB(block int) error {
 	first := block * m.p.PagesPerBlock
-	return m.writeAt(first, make([]byte, m.p.PagesPerBlock*oobEntry), m.oobOffset(first))
+	return m.writeNow(first, make([]byte, m.p.PagesPerBlock*oobEntry), m.oobOffset(first))
 }
 
-// Sync flushes dirty segments to stable storage when the device was
-// opened with fsync on; otherwise it is a no-op and durability covers
-// process crashes only.
-func (m *files) Sync() error {
-	if !m.fsync {
-		return nil
+// writeNow flushes the pending runs and then writes b at byte offset
+// off of page's segment, so it lands after every earlier program.
+func (m *files) writeNow(page int, b []byte, off int64) error {
+	if err := m.flush(); err != nil {
+		return err
 	}
-	for seg, dirty := range m.segDirty {
-		if !dirty || m.segs[seg] == nil {
-			continue
-		}
-		if err := m.segs[seg].Sync(); err != nil {
-			return err
-		}
-		m.segDirty[seg] = false
+	if err := m.writeAt(page/m.pagesPerSeg, b, off); err != nil {
+		return fmt.Errorf("filedev: page %d: %w", page, err)
 	}
 	return nil
 }
 
-// Close releases the segment file handles.
-func (m *files) Close() error {
-	var first error
-	for i, f := range m.segs {
-		if f == nil {
+// Sync writes the pending runs and, when the device was opened with
+// fsync on, flushes dirty segments to stable storage; otherwise
+// durability covers process crashes only.
+func (m *files) Sync() error {
+	if err := m.flush(); err != nil {
+		return err
+	}
+	if !m.fsync {
+		return nil
+	}
+	for _, s := range m.segs {
+		if s == nil || !s.dirty {
 			continue
 		}
-		if err := f.Close(); err != nil && first == nil {
+		if err := s.f.Sync(); err != nil {
+			return err
+		}
+		s.dirty = false
+	}
+	return nil
+}
+
+// Close writes the pending runs and releases the segment mappings and
+// file handles. A failed flush, now or earlier, is what it returns.
+func (m *files) Close() error {
+	first := m.flush()
+	for i, s := range m.segs {
+		if s == nil {
+			continue
+		}
+		if err := syscall.Munmap(s.mem); err != nil && first == nil {
+			first = err
+		}
+		if err := s.f.Close(); err != nil && first == nil {
 			first = err
 		}
 		m.segs[i] = nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -331,31 +332,84 @@ func TestBitFlipRotsTheFile(t *testing.T) {
 	}
 }
 
-func TestPowerCutFreezesDevice(t *testing.T) {
-	d, _ := newTestDevice(t)
-	d.SetInjector(fault.New(&fault.Plan{CutAtOp: 2}, 0))
-	if err := d.ProgramPage(0, []byte("a")); err != nil {
+// TestPendingRunsBounded: a long program run reaches the file in runs
+// that never outgrow the buffers sized at open, and LoadOOB sees
+// entries still pending when it is called.
+func TestPendingRunsBounded(t *testing.T) {
+	p := testParams()
+	p.Blocks = 128 // 512 pages: two full runs and then some
+	m, err := open(filepath.Join(t.TempDir(), "dev"), p, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProgramPage(1, []byte("b")); !errors.Is(err, fault.ErrPowerCut) {
-		t.Fatalf("want power cut, got %v", err)
+	d, err := storage.NewDevice(m, p, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.PageProgrammed(1) {
-		t.Fatal("page 1 must not be programmed after the cut")
+	defer d.Close()
+	dataCap, oobCap := cap(m.data.buf), cap(m.oob.buf)
+	if dataCap != runBytes {
+		t.Fatalf("data run holds %d bytes, want %d", dataCap, runBytes)
 	}
-	if err := d.ReadAt(make([]byte, 1), 0); !errors.Is(err, fault.ErrDeviceDead) {
-		t.Fatalf("post-cut read: %v", err)
+	for page := range p.PageCount() {
+		if err := d.ProgramPage(page, bytes.Repeat([]byte{byte(page)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if cap(m.data.buf) != dataCap || cap(m.oob.buf) != oobCap {
+			t.Fatalf("after page %d the runs hold %d / %d bytes, want %d / %d", page, cap(m.data.buf), cap(m.oob.buf), dataCap, oobCap)
+		}
 	}
-	if err := d.EraseBlock(0); !errors.Is(err, fault.ErrDeviceDead) {
-		t.Fatalf("post-cut erase: %v", err)
+	if len(m.data.buf) == 0 {
+		t.Fatal("nothing pending after the last program")
+	}
+	seen := 0
+	if err := m.LoadOOB(func(int, storage.OOB) { seen++ }); err != nil {
+		t.Fatal(err)
+	}
+	if seen != p.PageCount() {
+		t.Fatalf("LoadOOB saw %d programmed pages, want %d", seen, p.PageCount())
 	}
 }
 
-func TestTransientEscalatesToPermanent(t *testing.T) {
-	d, _ := newTestDevice(t)
-	d.SetInjector(fault.New(&fault.Plan{Seed: 1, ReadTransient: 1}, 0))
-	if err := d.ReadAt(make([]byte, 8), 0); !errors.Is(err, fault.ErrPermanent) {
-		t.Fatalf("want escalation to permanent, got %v", err)
+// TestFailedFlushIsSticky: once pending programs could not be written,
+// the files no longer hold what the device believes, so every later
+// call — read, program, erase, sync, close — returns that failure.
+func TestFailedFlushIsSticky(t *testing.T) {
+	m, err := open(filepath.Join(t.TempDir(), "dev"), testParams(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := storage.NewDevice(m, testParams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ProgramPage(0, bytes.Repeat([]byte{1}, 128)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil { // opens segment 0
+		t.Fatal(err)
+	}
+	if err := d.ProgramPage(1, bytes.Repeat([]byte{2}, 128)); err != nil {
+		t.Fatal(err) // queued, not written yet
+	}
+	// The segment's descriptor is closed under the device.
+	if err := m.segs[0].f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := d.Sync()
+	if !errors.Is(first, os.ErrClosed) || !strings.Contains(first.Error(), "page 1") {
+		t.Fatalf("flush into a closed segment: %v, want os.ErrClosed naming page 1", first)
+	}
+	for what, err := range map[string]error{
+		"read":    d.ReadPage(0, make([]byte, 128)),
+		"program": d.ProgramPage(2, []byte("x")),
+		"erase":   d.EraseBlock(0),
+		"sync":    d.Sync(),
+		"close":   d.Close(),
+	} {
+		if err != first {
+			t.Errorf("%s after the failed flush: %v, want %v", what, err, first)
+		}
 	}
 }
 
