@@ -1,10 +1,14 @@
 package ghostdb_test
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/ghostdb/ghostdb"
+	"github.com/ghostdb/ghostdb/internal/core"
 	"github.com/ghostdb/ghostdb/internal/trace"
 )
 
@@ -110,5 +114,37 @@ func TestPublicAPIPlans(t *testing.T) {
 	text := db.Explain(q, specs[0])
 	if !strings.Contains(text, "Prescription") {
 		t.Errorf("explain = %q", text)
+	}
+}
+
+// TestPublicAPIOptionsForward checks that the façade's options set the
+// core option of the same meaning, and that WithContext's context
+// reaches the run.
+func TestPublicAPIOptionsForward(t *testing.T) {
+	var o core.Options
+	for _, opt := range []ghostdb.Option{
+		ghostdb.WithDeviceIndex("Doctor", "Country"),
+		ghostdb.WithPlanCacheSize(7),
+		ghostdb.WithDegradedReads(true),
+	} {
+		opt(&o)
+	}
+	if !slices.Equal(o.DeviceIndexes, []string{"Doctor.Country"}) || o.PlanCacheSize != 7 || !o.DegradedReads {
+		t.Fatalf("options = %+v", o)
+	}
+
+	db, err := ghostdb.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.LoadDataset(ghostdb.GenerateDataset(ghostdb.ScaleOf(600))); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = db.Query(`SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = 'Sclerosis'`, ghostdb.WithContext(ctx))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("query under a canceled context: err = %v, want context.Canceled", err)
 	}
 }

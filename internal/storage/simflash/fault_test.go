@@ -53,33 +53,6 @@ func TestSentinelErrorsCarryAddresses(t *testing.T) {
 	}
 }
 
-func TestTornWriteCaughtByChecksum(t *testing.T) {
-	d, _ := newTestDevice(t)
-	d.SetInjector(fault.New(&fault.Plan{Seed: 3, TornWrite: 1}, 0))
-	data := bytes.Repeat([]byte{0xAB}, 128)
-	if err := d.ProgramPage(0, data); err != nil {
-		t.Fatalf("torn program should succeed silently: %v", err)
-	}
-	err := d.ReadPage(0, make([]byte, 128))
-	if !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt after torn write, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "page 0") {
-		t.Fatalf("ErrCorrupt lacks page address: %v", err)
-	}
-	// The corruption is persistent: a later read fails the same way.
-	if err := d.ReadAt(make([]byte, 8), 0); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("second read: %v", err)
-	}
-	// Erasing the block clears it.
-	if err := d.EraseBlock(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadPage(0, make([]byte, 128)); err != nil {
-		t.Fatalf("after erase: %v", err)
-	}
-}
-
 func TestBitFlipCaughtByChecksum(t *testing.T) {
 	d, _ := newTestDevice(t)
 	if err := d.ProgramPage(0, bytes.Repeat([]byte{0x55}, 128)); err != nil {
@@ -156,95 +129,5 @@ func TestTransientFaultsRetryWithBackoff(t *testing.T) {
 	pureReads := 200 * (d.Params().ReadFixed + 128*d.Params().ReadPerByte)
 	if elapsed < pureReads+minBackoff {
 		t.Fatalf("backoff not charged: elapsed %v < reads %v + backoff %v", elapsed, pureReads, minBackoff)
-	}
-}
-
-func TestTransientEscalatesToPermanent(t *testing.T) {
-	d, _ := newTestDevice(t)
-	d.SetInjector(fault.New(&fault.Plan{Seed: 1, ReadTransient: 1}, 0))
-	err := d.ReadAt(make([]byte, 8), 0)
-	if !errors.Is(err, fault.ErrPermanent) {
-		t.Fatalf("want escalation to permanent, got %v", err)
-	}
-}
-
-func TestPowerCutFreezesDevice(t *testing.T) {
-	d, _ := newTestDevice(t)
-	d.SetInjector(fault.New(&fault.Plan{CutAtOp: 2}, 0))
-	if err := d.ProgramPage(0, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	err := d.ProgramPage(1, []byte("b"))
-	if !errors.Is(err, fault.ErrPowerCut) {
-		t.Fatalf("want power cut, got %v", err)
-	}
-	if d.PageProgrammed(1) {
-		t.Fatal("page 1 must not be programmed after the cut")
-	}
-	if err := d.ReadAt(make([]byte, 1), 0); !errors.Is(err, fault.ErrDeviceDead) {
-		t.Fatalf("post-cut read: %v", err)
-	}
-	if err := d.EraseBlock(0); !errors.Is(err, fault.ErrDeviceDead) {
-		t.Fatalf("post-cut erase: %v", err)
-	}
-}
-
-func TestImageRoundTrip(t *testing.T) {
-	d, _ := newTestDevice(t)
-	if err := d.ProgramPage(0, []byte("alpha")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ProgramPage(6, bytes.Repeat([]byte{7}, 128)); err != nil {
-		t.Fatal(err)
-	}
-	img, err := d.Image()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the device after the snapshot must not affect the image.
-	if err := d.EraseBlock(0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 5)
-	if err := img.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "alpha" {
-		t.Fatalf("image read %q", got)
-	}
-	if !img.PageProgrammed(6) || img.PageProgrammed(1) {
-		t.Fatal("programmed flags wrong in image")
-	}
-	page, prog, err := img.ReadPage(6)
-	if err != nil || !prog || page[0] != 7 {
-		t.Fatalf("ReadPage(6) = %v %v %v", page[0], prog, err)
-	}
-	// Erased pages read as 0xFF.
-	if err := img.ReadAt(got, int64(2*128)); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0xFF {
-		t.Fatalf("erased image byte %x", got[0])
-	}
-	if err := img.ReadAt(got, img.Params().TotalBytes()); !errors.Is(err, storage.ErrOutOfRange) {
-		t.Fatalf("image OOB: %v", err)
-	}
-}
-
-func TestImageVerifiesChecksums(t *testing.T) {
-	d, _ := newTestDevice(t)
-	d.SetInjector(fault.New(&fault.Plan{Seed: 3, TornWrite: 1}, 0))
-	if err := d.ProgramPage(0, bytes.Repeat([]byte{0xAB}, 128)); err != nil {
-		t.Fatal(err)
-	}
-	img, err := d.Image()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := img.ReadAt(make([]byte, 8), 0); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("image of a torn page must fail verification, got %v", err)
-	}
-	if _, _, err := img.ReadPage(0); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("ReadPage of torn page: %v", err)
 	}
 }

@@ -1,11 +1,11 @@
 package ghostdb
 
-// The surface audit: every exported name in internal/... has a caller.
-// It parses and type-checks the whole repository — every package with
-// its tests, cmd/, examples/ and the nested benchmark/ module — with
-// go/parser and go/types (the standard library through the "source"
-// importer) and fails on an exported package-level name or concrete
-// method of an internal package that nothing references.
+// The surface audit: every exported name in internal/... has a caller,
+// every With* option a test, and every example or command the docs name
+// exists. It parses and type-checks the whole repository — every
+// package with its tests, cmd/, examples/ and the nested benchmark/
+// module — with go/parser and go/types (the standard library through
+// the "source" importer).
 
 import (
 	"go/ast"
@@ -16,8 +16,10 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -42,6 +44,7 @@ type surfaceLoader struct {
 	std   types.Importer
 	prod  map[string]*types.Package
 	uses  map[string]bool // keys of every object referenced anywhere
+	tests map[string]bool // keys of every object referenced from a _test.go file
 	ifces []*types.Interface
 	seen  map[*types.Package]bool // packages whose interfaces are collected
 }
@@ -84,9 +87,12 @@ func (l *surfaceLoader) check(path string, files []*ast.File, imp types.Importer
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{Importer: imp, Error: func(error) {}}
 	pkg, _ := conf.Check(path, l.fset, files, info)
-	for _, obj := range info.Uses {
+	for id, obj := range info.Uses {
 		if k := surfaceKey(obj); k != "" {
 			l.uses[k] = true
+			if strings.HasSuffix(l.fset.File(id.Pos()).Name(), "_test.go") {
+				l.tests[k] = true
+			}
 		}
 	}
 	l.collectInterfaces(pkg)
@@ -160,18 +166,21 @@ func (l *surfaceLoader) satisfiesInterface(n *types.Named, m *types.Func) bool {
 	return false
 }
 
+// repoSurface is the repository loaded once for every audit.
+var repoSurface = sync.OnceValues(func() (*surfaceLoader, error) { return loadSurface(".") })
+
 // loadSurface parses every package under root and type-checks it with
 // its tests.
-func loadSurface(t *testing.T, root string) *surfaceLoader {
-	t.Helper()
+func loadSurface(root string) (*surfaceLoader, error) {
 	fset := token.NewFileSet()
 	l := &surfaceLoader{
-		fset: fset,
-		dirs: map[string]*surfacePkg{},
-		std:  importer.ForCompiler(fset, "source", nil),
-		prod: map[string]*types.Package{},
-		uses: map[string]bool{},
-		seen: map[*types.Package]bool{},
+		fset:  fset,
+		dirs:  map[string]*surfacePkg{},
+		std:   importer.ForCompiler(fset, "source", nil),
+		prod:  map[string]*types.Package{},
+		uses:  map[string]bool{},
+		tests: map[string]bool{},
+		seen:  map[*types.Package]bool{},
 	}
 	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -200,7 +209,7 @@ func loadSurface(t *testing.T, root string) *surfaceLoader {
 			if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 				continue
 			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution|parser.ParseComments)
 			if err != nil {
 				return err
 			}
@@ -219,7 +228,7 @@ func loadSurface(t *testing.T, root string) *surfaceLoader {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	paths := make([]string, 0, len(l.dirs))
 	for p := range l.dirs {
@@ -239,15 +248,20 @@ func loadSurface(t *testing.T, root string) *surfaceLoader {
 			l.check(p+"_test", sp.xTest, overlay{l, p, variant})
 		}
 	}
-	return l
+	return l, nil
 }
 
 // TestSurfaceAudit fails on an exported name in internal/... that
-// nothing in the repository references. A method counts as referenced
-// when its type satisfies a repository or standard-library interface
-// that declares it (a String, a Next / Close, the storage.Medium set).
+// nothing in the repository references, and on a With* option of the
+// ghostdb or internal/core package that no test sets. A method counts as
+// referenced when its type satisfies a repository or standard-library
+// interface that declares it (a String, a Next / Close, the
+// storage.Medium set).
 func TestSurfaceAudit(t *testing.T) {
-	l := loadSurface(t, ".")
+	l, err := repoSurface()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var unused []string
 	for path, pkg := range l.prod {
 		if !strings.Contains(path+"/", "/internal/") {
@@ -285,6 +299,75 @@ func TestSurfaceAudit(t *testing.T) {
 	for k := range surfaceAllowed {
 		if !slices.Contains(unused, k) {
 			t.Errorf("allow-list entry %s is referenced now (or gone); drop it", k)
+		}
+	}
+	for _, path := range []string{surfaceModule, surfaceModule + "/internal/core"} {
+		scope := l.prod[path].Scope()
+		for _, name := range scope.Names() {
+			fn, ok := scope.Lookup(name).(*types.Func)
+			if ok && fn.Exported() && strings.HasPrefix(name, "With") && !l.tests[surfaceKey(fn)] {
+				t.Errorf("option %s is set by no test", surfaceKey(fn))
+			}
+		}
+	}
+}
+
+// docFiles are the documents whose references TestDocReferences checks,
+// besides every package's doc comment.
+var docFiles = []string{"README.md", ".claude/skills/verify/SKILL.md"}
+
+var (
+	docExampleDir = regexp.MustCompile(`\bexamples/([\w-]+)`)
+	docGoRun      = regexp.MustCompile(`\bgo run (\./[\w./-]*\w)`)
+	docExample    = regexp.MustCompile(`\bExample(?:[A-Z]\w*|_\w+)`)
+)
+
+// TestDocReferences fails when README, the verify skill or a package doc
+// names an examples/ directory, a go run target or an Example function
+// that does not exist.
+func TestDocReferences(t *testing.T) {
+	l, err := repoSurface()
+	if err != nil {
+		t.Fatal(err)
+	}
+	examples := map[string]bool{}
+	docs := map[string]string{}
+	for _, sp := range l.dirs {
+		for _, f := range slices.Concat(sp.inTest, sp.xTest) {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
+					examples[fn.Name.Name] = true
+				}
+			}
+		}
+		for _, f := range sp.prod {
+			if f.Doc != nil {
+				docs[l.fset.File(f.Package).Name()] = f.Doc.Text()
+			}
+		}
+	}
+	for _, name := range docFiles {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = string(b)
+	}
+	for name, text := range docs {
+		for _, m := range docExampleDir.FindAllStringSubmatch(text, -1) {
+			if st, err := os.Stat(filepath.Join("examples", m[1])); err != nil || !st.IsDir() {
+				t.Errorf("%s names examples/%s, which does not exist", name, m[1])
+			}
+		}
+		for _, m := range docGoRun.FindAllStringSubmatch(text, -1) {
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("%s runs %q, which does not exist", name, m[0])
+			}
+		}
+		for _, m := range docExample.FindAllString(text, -1) {
+			if !examples[m] {
+				t.Errorf("%s names %s, which no test file declares", name, m)
+			}
 		}
 	}
 }
