@@ -161,8 +161,9 @@ func classify(stmts []sql.Statement) (isSelect bool, err error) {
 // a SELECT additionally compiles once (parse, bind, plan enumeration,
 // optimizer choice — shared through the engine's plan cache) on first
 // execution and afterwards only binds fresh parameter values and runs.
-// A prepared DELETE/UPDATE with arguments runs through the exec door,
-// which compiles its shape once into the same shared plan cache.
+// A prepared DDL/DML script keeps its parsed statements; each execution
+// runs them through the exec door, which binds every statement's '?'
+// arguments just before it runs. DML never enters the plan cache.
 type Stmt struct {
 	conn      *Conn
 	query     string

@@ -154,8 +154,9 @@ WHERE Vis.DocID = Doc.DocID GROUP BY Doc.Country HAVING COUNT(*) >= ? ORDER BY C
 	fmt.Println("visits after CHECKPOINT:")
 	printRows(rows)
 
-	// The plan cache is shared by every connection; Conn.Raw reaches the
-	// driver connection and its engine for the counters.
+	// The plan cache is shared by every connection and holds SELECTs only
+	// (DML binds per call); Conn.Raw reaches the driver connection and its
+	// engine for the counters.
 	conn, err := db.Conn(context.Background())
 	if err != nil {
 		log.Fatal(err)
@@ -208,6 +209,6 @@ WHERE Vis.DocID = Doc.DocID GROUP BY Doc.Country HAVING COUNT(*) >= ? ORDER BY C
 	//   4  2006-11-21  Oncology
 	//   5  2006-11-22  Follow-up
 	//   6  2006-11-25  Follow-up
-	// plan cache: hits=1 misses=5 evictions=0 entries=5 (16.7% hit rate)
+	// plan cache: hits=1 misses=4 evictions=0 entries=4 (20.0% hit rate)
 	// 4 goroutines x 5 queries through the pool saw [2 2 2 2]
 }

@@ -483,7 +483,7 @@ INSERT INTO Visit VALUES
 
 	// Output:
 	// committed an insert (CHECKPOINT), then left an update in the RAM delta
-	// device died after 493 more queries: core: shard 0 unavailable: exec: row file read: fault: power cut: at device op 4000 (read)
+	// device died after 493 more queries: core: device unavailable: exec: row file read: fault: power cut: at device op 4000 (read)
 	// transient faults absorbed by retry before the cut: 27
 	// recovered at version 1 (rolled back: false): 3 sclerosis visits
 }

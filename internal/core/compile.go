@@ -91,11 +91,9 @@ func (db *DB) Compile(sqlText string) (*CompiledQuery, error) {
 // plan cache first. The second result reports whether the lookup hit.
 func (db *DB) compileCached(sqlText string) (*CompiledQuery, bool, error) {
 	key := normalizeSQL(sqlText)
-	if v, ok := db.planCache.get(key); ok {
-		if cq, ok := v.(*CompiledQuery); ok {
-			db.metrics.planCacheHits.Inc()
-			return cq, true, nil
-		}
+	if cq, ok := db.planCache.get(key); ok {
+		db.metrics.planCacheHits.Inc()
+		return cq, true, nil
 	}
 	cq, err := db.Compile(sqlText)
 	if err != nil {

@@ -593,7 +593,7 @@ func (db *DB) LoadDataset(ds *datagen.Dataset) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if _, err := db.execLocked(context.Background(), stmts); err != nil {
+	if _, err := db.execLocked(context.Background(), stmts, nil); err != nil {
 		return err
 	}
 	// Each table is one statement through the boundary, referenced

@@ -19,7 +19,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -37,10 +36,6 @@ import (
 	"github.com/ghostdb/ghostdb/internal/visible"
 )
 
-// ErrUnboundDML is returned when a DML statement carrying '?'
-// placeholders is executed without arguments for them.
-var ErrUnboundDML = errors.New("core: DML statement carries unbound '?' placeholders; use a prepared statement")
-
 // checkpointScript is the parsed form of the CHECKPOINT statement.
 var checkpointScript = []sql.Statement{&sql.Checkpoint{}}
 
@@ -53,37 +48,23 @@ func (db *DB) Exec(sqlText string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return db.exec(context.Background(), nil, stmts, nil)
+	return db.exec(context.Background(), stmts, nil)
 }
 
-// exec is the exec door (see Session.ExecContext), attributed to s when
-// it is not nil. A single DELETE or UPDATE that carries args runs its
-// cached CompiledDML; any other script binds args into its statements
-// and runs through the dispatcher.
-func (db *DB) exec(ctx context.Context, s *Session, stmts []sql.Statement, args []value.Value) (int64, error) {
-	if len(stmts) == 1 && len(args) > 0 {
-		switch st := stmts[0].(type) {
-		case *sql.Delete, *sql.Update:
-			cd, hit, err := db.compileDMLCached(st)
-			if err != nil {
-				return 0, err
-			}
-			if s != nil {
-				s.recordCache(hit)
-			}
-			return cd.exec(ctx, args)
-		}
-	}
-	bound, err := sql.BindScript(stmts, args)
-	if err != nil {
-		return 0, fmt.Errorf("core: %w: %w", plan.ErrBind, err)
+// exec is the exec door (see Session.ExecContext). The script's
+// placeholder count is checked once, before its first statement runs;
+// each statement then binds its own placeholders from args just before
+// it runs (execLocked).
+func (db *DB) exec(ctx context.Context, stmts []sql.Statement, args []value.Value) (int64, error) {
+	if want := sql.CountParams(stmts...); len(args) != want {
+		return 0, fmt.Errorf("core: %w: script has %d placeholders, got %d arguments", plan.ErrBind, want, len(args))
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return 0, ErrClosed
 	}
-	return db.execLocked(ctx, bound)
+	return db.execLocked(ctx, stmts, args)
 }
 
 // execLocked is the one statement dispatcher: CREATE TABLE, INSERT,
@@ -92,9 +73,12 @@ func (db *DB) exec(ctx context.Context, s *Session, stmts []sql.Statement, args 
 // delta-limit-triggered — at table boundaries of its read phase (a
 // canceled CHECKPOINT leaves the delta intact and the database
 // untouched; its commit phase, once entered, runs to completion). DML
-// and CHECKPOINT finalize a pending bulk load. Statements must be fully
-// bound. Caller holds db.mu.
-func (db *DB) execLocked(ctx context.Context, stmts []sql.Statement) (int64, error) {
+// and CHECKPOINT finalize a pending bulk load. args are the script's,
+// one per '?' in ordinal order across the whole script: an INSERT binds
+// them with Insert.BindParams, a DELETE or UPDATE with plan.BindDML and
+// then plan.DML.BindParams, and an argument that does not bind there is
+// plan.ErrBind. Caller holds db.mu.
+func (db *DB) execLocked(ctx context.Context, stmts []sql.Statement, args []value.Value) (int64, error) {
 	var affected int64
 	for _, s := range stmts {
 		if err := ctx.Err(); err != nil {
@@ -106,14 +90,16 @@ func (db *DB) execLocked(ctx context.Context, stmts []sql.Statement) (int64, err
 		case *sql.CreateTable:
 			err = db.applyCreate(s)
 		case *sql.Insert:
-			if err = db.insertLocked(s); err == nil {
+			if s, err = s.BindParams(args); err != nil {
+				err = fmt.Errorf("core: %w: %w", plan.ErrBind, err)
+			} else if err = db.insertLocked(s); err == nil {
 				n, err = db.dmlDoneLocked(ctx, int64(len(s.Rows)), nil)
 			}
 		case *sql.Delete, *sql.Update:
 			var d *plan.DML
 			if d, err = db.bindDMLLocked(s); err == nil {
-				if d.NumParams > 0 {
-					err = ErrUnboundDML
+				if d, err = d.BindParams(args); err != nil {
+					err = fmt.Errorf("core: %w: %w", plan.ErrBind, err)
 				} else {
 					n, err = db.execDMLLocked(ctx, d)
 				}
@@ -143,8 +129,8 @@ func (db *DB) bindDMLLocked(stmt sql.Statement) (*plan.DML, error) {
 }
 
 // execDMLLocked runs one fully bound DELETE or UPDATE over the engines
-// and then the tail every DML statement shares, on the script path and
-// the compiled path alike (dmlDoneLocked). Caller holds db.mu.
+// and then the tail every DML statement shares (dmlDoneLocked). Caller
+// holds db.mu.
 func (db *DB) execDMLLocked(ctx context.Context, d *plan.DML) (int64, error) {
 	n, err := db.shards.execDML(db, d)
 	return db.dmlDoneLocked(ctx, n, err)
@@ -193,61 +179,7 @@ func (db *DB) checkpointAnyLocked(ctx context.Context) (int64, error) {
 // Checkpoint merges the delta into fresh flash segments (see the package
 // comment) and returns the number of delta entries absorbed.
 func (db *DB) Checkpoint() (int64, error) {
-	return db.exec(context.Background(), nil, checkpointScript, nil)
-}
-
-// CompiledDML is the cacheable compiled form of a DELETE or UPDATE
-// shape, the DML analogue of CompiledQuery: parsed and bound once,
-// bind-many/run-many afterwards, shared through the plan cache.
-type CompiledDML struct {
-	db    *DB
-	shape *plan.DML
-}
-
-// compileDMLCached returns the compiled form of a DELETE or UPDATE,
-// consulting the shared plan cache first; the second result reports
-// whether the lookup hit. A miss finalizes a pending bulk load.
-func (db *DB) compileDMLCached(stmt sql.Statement) (*CompiledDML, bool, error) {
-	key := "dml\x00" + normalizeSQL(stmt.String())
-	if v, ok := db.planCache.get(key); ok {
-		if cd, ok := v.(*CompiledDML); ok {
-			db.metrics.planCacheHits.Inc()
-			return cd, true, nil
-		}
-	}
-	db.mu.Lock()
-	var d *plan.DML
-	err := ErrClosed
-	if !db.closed {
-		d, err = db.bindDMLLocked(stmt)
-	}
-	db.mu.Unlock()
-	if err != nil {
-		return nil, false, err
-	}
-	cd := &CompiledDML{db: db, shape: d}
-	db.metrics.planCacheMisses.Inc()
-	db.planCache.put(key, cd)
-	return cd, false, nil
-}
-
-// exec binds the compiled shape to params (ordinal order, one per '?')
-// and executes it under ctx, returning the number of rows affected.
-func (cd *CompiledDML) exec(ctx context.Context, params []value.Value) (int64, error) {
-	bound, err := cd.shape.BindParams(params)
-	if err != nil {
-		return 0, fmt.Errorf("core: %w: %w", plan.ErrBind, err)
-	}
-	db := cd.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return db.execDMLLocked(ctx, bound)
+	return db.exec(context.Background(), checkpointScript, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -501,9 +433,6 @@ func (e *engine) execDMLLocked(d *plan.DML) (int64, error) {
 	}
 	if err := e.fatalError(); err != nil {
 		return 0, err
-	}
-	if d.NumParams > 0 {
-		return 0, ErrUnboundDML
 	}
 	if err := e.net.Send(trace.Terminal, trace.Device, trace.KindDML, len(d.SQL), d.Op.String()+" "+d.Table.Name, nil); err != nil {
 		e.noteDeviceErr(err)

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/ghostdb/ghostdb/internal/oracle"
+	"github.com/ghostdb/ghostdb/internal/plan"
 	"github.com/ghostdb/ghostdb/internal/schema"
 	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/trace"
@@ -422,9 +425,9 @@ func TestPropertyDMLOracleDifferential(t *testing.T) {
 	}
 }
 
-// TestDMLPlanCacheCounted: a cached DML shape counts its lookups where a
-// cached query does — the DB registry, PlanCacheStats and the session —
-// and all three agree.
+// TestDMLPlanCacheCounted: the plan cache holds SELECTs only. Prepared
+// UPDATEs bind per call and leave the DB registry, PlanCacheStats and the
+// session at zero; a SELECT afterwards counts one miss in all three.
 func TestDMLPlanCacheCounted(t *testing.T) {
 	db, _, _ := loadTiny(t)
 	defer db.Close()
@@ -435,26 +438,34 @@ func TestDMLPlanCacheCounted(t *testing.T) {
 	defer s.Close()
 	update := mustParseScript(t, `UPDATE Prescription SET Quantity = ? WHERE PreID = ?`)
 	for i := 1; i <= 3; i++ {
-		if _, err := s.ExecContext(context.Background(), update, []value.Value{value.NewInt(int64(40 + i)), value.NewInt(int64(i))}); err != nil {
-			t.Fatalf("exec %d: %v", i, err)
+		if n, err := s.ExecContext(context.Background(), update, []value.Value{value.NewInt(int64(40 + i)), value.NewInt(int64(i))}); err != nil || n != 1 {
+			t.Fatalf("exec %d: n=%d err=%v", i, n, err)
 		}
 	}
-	snap := db.MetricsSnapshot()
-	for name, want := range map[string]int64{"plan_cache_hits_total": 2, "plan_cache_misses_total": 1} {
-		if v, ok := snap.Get(name); !ok || v.Value != want {
-			t.Errorf("DB registry %s = %+v, want %d", name, v, want)
+	check := func(when string, misses int64) {
+		t.Helper()
+		snap := db.MetricsSnapshot()
+		for name, want := range map[string]int64{"plan_cache_hits_total": 0, "plan_cache_misses_total": misses} {
+			if v, ok := snap.Get(name); !ok || v.Value != want {
+				t.Errorf("%s: DB registry %s = %+v, want %d", when, name, v, want)
+			}
+		}
+		if st := db.PlanCacheStats(); st.Hits != 0 || st.Misses != misses || st.Entries != int(misses) {
+			t.Errorf("%s: PlanCacheStats %+v, want %d misses and entries", when, st, misses)
+		}
+		if st := s.Stats().PlanCache; st.Hits != 0 || st.Misses != misses {
+			t.Errorf("%s: session %+v, want %d misses", when, st, misses)
 		}
 	}
-	if st := db.PlanCacheStats(); st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("PlanCacheStats hits=%d misses=%d, want 2 / 1", st.Hits, st.Misses)
+	check("after DML", 0)
+	if _, err := s.Query(`SELECT Pre.PreID FROM Prescription Pre WHERE Pre.Quantity = 41`); err != nil {
+		t.Fatal(err)
 	}
-	if st := s.Stats().PlanCache; st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("session hits=%d misses=%d, want 2 / 1", st.Hits, st.Misses)
-	}
+	check("after a SELECT", 1)
 }
 
-// TestDMLPreparedAndCached checks the compile-once/bind-many DML path
-// and its plan-cache sharing.
+// TestDMLPreparedAndCached checks the bind-many DML path: one parsed
+// UPDATE run with fresh args from two sessions.
 func TestDMLPreparedAndCached(t *testing.T) {
 	db, orc, _ := loadTiny(t)
 	s, err := db.NewSession()
@@ -473,10 +484,7 @@ func TestDMLPreparedAndCached(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := s.Stats(); st.PlanCache.Misses != 1 || st.PlanCache.Hits != 4 {
-		t.Fatalf("first session cache stats = %+v, want 1 miss then 4 hits", st.PlanCache)
-	}
-	// Same shape through a second session hits the shared cache.
+	// The same parsed statement through a second session.
 	s2, err := db.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -485,10 +493,69 @@ func TestDMLPreparedAndCached(t *testing.T) {
 	if _, err := s2.ExecContext(ctx, update, []value.Value{value.NewInt(45), value.NewInt(5)}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s2.Stats(); st.PlanCache.Hits != 1 {
-		t.Fatalf("second session cache stats = %+v, want 1 hit", st.PlanCache)
-	}
 	checkAgainstOracle(t, db, orc, `SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.Quantity BETWEEN 41 AND 45`)
+}
+
+// TestDMLBindErrorIsErrBind: an argument a DELETE or UPDATE cannot take
+// fails with plan.ErrBind wherever the statement sits in the script —
+// alone, or followed by a CHECKPOINT — and changes nothing.
+func TestDMLBindErrorIsErrBind(t *testing.T) {
+	db, _, _ := loadTiny(t)
+	defer db.Close()
+	for _, c := range []struct {
+		sql  string
+		args []value.Value
+	}{
+		{`DELETE FROM Prescription WHERE PreID = ?`, []value.Value{value.NewString("abc")}},
+		{`UPDATE Prescription SET Quantity = ? WHERE PreID = ?`, []value.Value{value.NewString("abc"), value.NewInt(1)}},
+		{`UPDATE Prescription SET Quantity = 5 WHERE PreID = ?`, []value.Value{value.NewString("abc")}},
+	} {
+		for _, script := range []string{c.sql, c.sql + "; CHECKPOINT"} {
+			n, err := db.exec(context.Background(), mustParseScript(t, script), c.args)
+			if !errors.Is(err, plan.ErrBind) || n != 0 {
+				t.Errorf("%s: n=%d err=%v, want plan.ErrBind", script, n, err)
+			}
+		}
+	}
+	if got := db.shards.engines[0].delta.Entries(); got != 0 {
+		t.Fatalf("a rejected argument left %d delta entries", got)
+	}
+}
+
+// TestDMLWithArgsBusCharge pins what a DELETE or UPDATE with args charges
+// on the terminal -> device bus: the length of its text with the '?'
+// placeholders, whether it is sent alone or inside a script.
+func TestDMLWithArgsBusCharge(t *testing.T) {
+	const (
+		update = `UPDATE Prescription SET Quantity = ? WHERE PreID = ?` // 52 bytes
+		del    = `DELETE FROM Prescription WHERE PreID = ?`             // 40 bytes
+	)
+	db, _, _ := loadTiny(t)
+	defer db.Close()
+	charged := func(script string, args ...value.Value) []int {
+		t.Helper()
+		before := len(db.Recorder().Events())
+		if _, err := db.exec(context.Background(), mustParseScript(t, script), args); err != nil {
+			t.Fatalf("%s: %v", script, err)
+		}
+		var out []int
+		for _, e := range db.Recorder().Events()[before:] {
+			if e.Kind == trace.KindDML {
+				out = append(out, e.Bytes)
+			}
+		}
+		return out
+	}
+	if got := charged(update, value.NewInt(41), value.NewInt(2)); !slices.Equal(got, []int{52}) {
+		t.Errorf("UPDATE alone charged %v bytes, want [52]", got)
+	}
+	if got := charged(del, value.NewInt(3)); !slices.Equal(got, []int{40}) {
+		t.Errorf("DELETE alone charged %v bytes, want [40]", got)
+	}
+	got := charged(update+"; "+del+"; CHECKPOINT", value.NewInt(43), value.NewInt(4), value.NewInt(5))
+	if want := []int{52, 40, len("CHECKPOINT")}; !slices.Equal(got, want) {
+		t.Errorf("script charged %v bytes, want %v", got, want)
+	}
 }
 
 // TestAutoCheckpointDeltaLimit checks the deltalimit knob: the engine

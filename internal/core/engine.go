@@ -190,8 +190,9 @@ func (e *engine) installFault(p *fault.Plan, shard int) {
 }
 
 // fatalCause boxes the latched terminal device error, wrapped once with
-// the engine's shard number: every caller that meets the dead device gets
-// the same error value, so errors.Is matches it against DB.FatalError.
+// the engine's shard number ("device" on a single-device database): every
+// caller that meets the dead device gets the same error value, so
+// errors.Is matches it against DB.FatalError.
 type fatalCause struct{ err error }
 
 // setFatal latches the first unrecoverable device error. Later calls
@@ -200,7 +201,11 @@ func (e *engine) setFatal(err error) {
 	if err == nil {
 		return
 	}
-	e.fatalErr.CompareAndSwap(nil, &fatalCause{err: fmt.Errorf("core: shard %d unavailable: %w", e.shard, err)})
+	who := "device"
+	if e.opts.Shards > 1 {
+		who = fmt.Sprintf("shard %d", e.shard)
+	}
+	e.fatalErr.CompareAndSwap(nil, &fatalCause{err: fmt.Errorf("core: %s unavailable: %w", who, err)})
 }
 
 // fatalError returns the latched terminal error, or nil while the device

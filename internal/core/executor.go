@@ -838,10 +838,8 @@ func (ex *executor) contribAtOwn(c contrib, fanin int) (exec.BatchIter, error) {
 func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.BatchIter, error) {
 	e, q := ex.e, ex.q
 	byTable := map[string][]contrib{}
-	occupied := map[string]bool{}
 	for _, c := range contribs {
 		byTable[c.table] = append(byTable[c.table], c)
-		occupied[c.table] = true
 	}
 	// Order tables deepest first.
 	tables := make([]string, 0, len(byTable))
@@ -869,6 +867,12 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 		return run.OpenBatch()
 	}
 
+	// pending holds intersections translated up to a table not yet walked.
+	// Each is keyed by the nearest ancestor with contributions of its own —
+	// a table of byTable, strictly shallower than the one that filled it —
+	// so the deepest-first walk reaches every key later and drains it (the
+	// lone-contribution shortcut fires only on an empty entry): pending is
+	// empty when the walk ends.
 	pending := map[string][]exec.BatchIter{}
 	var rootIters []exec.BatchIter
 	for _, t := range tables {
@@ -905,10 +909,11 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 			rootIters = append(rootIters, combined)
 			continue
 		}
-		// Translate the intersection up to the nearest occupied ancestor.
+		// Translate the intersection up to the nearest ancestor with
+		// contributions (the root when none has).
 		target := q.Root.Name
 		for _, anc := range e.sch.PathToRoot(t)[1:] {
-			if occupied[anc.Name] || len(pending[anc.Name]) > 0 {
+			if _, ok := byTable[anc.Name]; ok {
 				target = anc.Name
 				break
 			}
@@ -932,23 +937,6 @@ func (ex *executor) crossFilteredRoot(contribs []contrib, fanin int) (exec.Batch
 			rootIters = append(rootIters, translated)
 		} else {
 			pending[target] = append(pending[target], translated)
-			occupied[target] = true
-		}
-	}
-	for t, its := range pending {
-		// Contributions translated to a table that never got processed
-		// (it was shallower in the order); intersect at root level.
-		tr, err := e.translator(t)
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range its {
-			op := ex.rep.NewOp("Translate", fmt.Sprintf("%s->%s (late)", t, q.Root.Name))
-			translated, err := e.env.TranslateBatch(it, tr, tr.LevelOf(q.Root.Name), fanin, op)
-			if err != nil {
-				return nil, err
-			}
-			rootIters = append(rootIters, translated)
 		}
 	}
 	return e.env.MergeIntersectBatch(rootIters)

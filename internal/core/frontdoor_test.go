@@ -17,12 +17,15 @@ import (
 // pin what the front door reports about its devices at one and at several.
 
 // TestFatalErrorNamesDeadShard: a dead device takes the database's
-// FatalError with it at every shard count — wrapped with its shard
-// number, still a device death to errors.Is, IsDeviceDead and
-// IsFaultFatal — and the next query that needs it fails with that very
-// error.
+// FatalError with it at every shard count — wrapped with its name ("device"
+// alone, its shard number when sharded), still a device death to
+// errors.Is, IsDeviceDead and IsFaultFatal — and the next query that needs
+// it fails with that very error.
 func TestFatalErrorNamesDeadShard(t *testing.T) {
-	for _, tc := range []struct{ shards, dead int }{{1, 0}, {4, 2}} {
+	for _, tc := range []struct {
+		shards, dead int
+		name         string
+	}{{1, 0, "core: device unavailable: "}, {4, 2, "core: shard 2 unavailable: "}} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
 			kill := &fault.Plan{CutAtOp: 1}
 			kill.SetShard(tc.dead)
@@ -38,8 +41,8 @@ func TestFatalErrorNamesDeadShard(t *testing.T) {
 			if fatal == nil {
 				t.Fatal("FatalError is nil with a dead device")
 			}
-			if !strings.Contains(fatal.Error(), fmt.Sprintf("shard %d", tc.dead)) {
-				t.Fatalf("FatalError %q does not name shard %d", fatal, tc.dead)
+			if !strings.HasPrefix(fatal.Error(), tc.name) {
+				t.Fatalf("FatalError %q does not begin %q", fatal, tc.name)
 			}
 			if !errors.Is(fatal, fault.ErrPowerCut) || !IsDeviceDead(fatal) || !IsFaultFatal(fatal) {
 				t.Fatalf("FatalError %q lost its cause", fatal)
@@ -159,14 +162,23 @@ func TestFrontDoorAllocationFloor(t *testing.T) {
 	const updateFloor, pointFloor = 18, 41
 	for _, shards := range []int{1, 4} {
 		db := loadScale(t, 20_000, WithShards(shards))
-		cd, _, err := db.compileDMLCached(mustParseScript(t, `UPDATE Prescription SET Quantity = 5 WHERE PreID = ?`)[0])
+		db.mu.Lock()
+		shape, err := db.bindDMLLocked(mustParseScript(t, `UPDATE Prescription SET Quantity = 5 WHERE PreID = ?`)[0])
+		db.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
 		params := []value.Value{value.NewInt(100)}
 		ctx := context.Background()
 		got := testing.AllocsPerRun(200, func() {
-			if _, err := cd.exec(ctx, params); err != nil {
+			d, err := shape.BindParams(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.mu.Lock()
+			_, err = db.execDMLLocked(ctx, d)
+			db.mu.Unlock()
+			if err != nil {
 				t.Fatal(err)
 			}
 		})

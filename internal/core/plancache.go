@@ -30,7 +30,7 @@ type planCacheShard struct {
 
 type planCacheEntry struct {
 	key string
-	val any // *CompiledQuery or *CompiledDML
+	val *CompiledQuery
 }
 
 // newPlanCache builds a cache holding at most capacity entries split
@@ -64,10 +64,9 @@ func (c *planCache) shard(key string) *planCacheShard {
 	return &c.shards[h%uint32(len(c.shards))]
 }
 
-// get returns the cached compilation for key (a *CompiledQuery or
-// *CompiledDML), marking it most recently used. The second result
-// reports whether the lookup hit.
-func (c *planCache) get(key string) (any, bool) {
+// get returns the cached compilation for key, marking it most recently
+// used. The second result reports whether the lookup hit.
+func (c *planCache) get(key string) (*CompiledQuery, bool) {
 	s := c.shard(key)
 	if s == nil {
 		return nil, false
@@ -86,7 +85,7 @@ func (c *planCache) get(key string) (any, bool) {
 
 // put inserts a compilation, evicting the least recently used entry of
 // the shard when it is full. Re-inserting an existing key refreshes it.
-func (c *planCache) put(key string, val any) {
+func (c *planCache) put(key string, val *CompiledQuery) {
 	s := c.shard(key)
 	if s == nil {
 		return

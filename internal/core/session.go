@@ -189,10 +189,11 @@ func (s *Session) QueryCompiled(cq *CompiledQuery, params []value.Value, opts ..
 // driver and the HTTP server run a parsed script through: CREATE TABLE
 // and INSERT (staged before the load is finalized, live after), DELETE,
 // UPDATE and CHECKPOINT, with args bound to the script's '?'
-// placeholders in ordinal order. A single DELETE or UPDATE that carries
-// args is compiled once through the shared plan cache (the hit or miss
-// is charged to this session); every other statement binds per call.
-// DML and CHECKPOINT finalize a pending bulk load. ctx is checked before
+// placeholders in ordinal order across the whole script. Each statement
+// binds its own placeholders just before it runs; a DELETE or UPDATE
+// argument that does not bind fails with plan.ErrBind, wherever the
+// statement sits in the script. DML never touches the plan cache. DML
+// and CHECKPOINT finalize a pending bulk load. ctx is checked before
 // every statement and inside every CHECKPOINT, explicit or
 // delta-limit-triggered (see DB.execLocked). It returns the number of
 // rows affected — for a CHECKPOINT, the delta entries it absorbed.
@@ -200,7 +201,7 @@ func (s *Session) ExecContext(ctx context.Context, stmts []sql.Statement, args [
 	if err := s.check(); err != nil {
 		return 0, err
 	}
-	return s.db.exec(ctx, s, stmts, args)
+	return s.db.exec(ctx, stmts, args)
 }
 
 // Exec parses and executes a script of CREATE TABLE / INSERT / DELETE /

@@ -394,7 +394,7 @@ func TestShardKeyedDML(t *testing.T) {
 		{sql: `DELETE FROM Prescription WHERE PreID = 4000`},
 	}
 	exec := func(db *DB, st stmt) (int64, error) {
-		return db.exec(context.Background(), nil, mustParseScript(t, st.sql), st.params)
+		return db.exec(context.Background(), mustParseScript(t, st.sql), st.params)
 	}
 	for _, st := range stmts {
 		targets := map[int]bool{}

@@ -42,8 +42,8 @@ type SetExpr struct {
 	Val    value.Value
 }
 
-// DML is a bound DELETE or UPDATE shape. Like Query, a DML with
-// NumParams > 0 must pass through BindParams before execution.
+// DML is a bound DELETE or UPDATE shape. A DML with NumParams > 0 must
+// pass through BindParams before execution.
 type DML struct {
 	SQL       string
 	Op        DMLOp
@@ -145,12 +145,11 @@ func BindDML(sch *schema.Schema, stmt sql.Statement) (*DML, error) {
 
 // BindParams substitutes the shape's '?' placeholders (SET values first,
 // then WHERE literals, matching text order) and coerces them to their
-// column kinds, returning a fully bound DML. A shape without parameters
-// is returned unchanged.
+// column kinds, returning a fully bound DML. params are the whole
+// script's arguments: the parser numbers placeholders across the script,
+// so each ordinal is range-checked here and the caller checks the
+// script's count. A shape without parameters is returned unchanged.
 func (d *DML) BindParams(params []value.Value) (*DML, error) {
-	if len(params) != d.NumParams {
-		return nil, fmt.Errorf("plan: statement has %d parameters, got %d arguments", d.NumParams, len(params))
-	}
 	if d.NumParams == 0 {
 		return d, nil
 	}

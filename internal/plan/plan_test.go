@@ -443,3 +443,64 @@ func TestBindAggregateValidation(t *testing.T) {
 	// MIN/MAX are fine over CHAR and DATE.
 	bind(t, s, "SELECT MIN(Name), MAX(Date) FROM Doctor, Visit")
 }
+
+// TestDMLBindParamsScriptOrdinals: a DELETE or UPDATE binds from the whole
+// script's arguments — the parser numbers placeholders across the script —
+// range-checking each ordinal; the shape keeps its '?' text.
+func TestDMLBindParamsScriptOrdinals(t *testing.T) {
+	s := figure3(t)
+	stmts, err := sql.ParseScript(`UPDATE Prescription SET Quantity = ? WHERE PreID = ?;
+		DELETE FROM Visit WHERE Purpose IN (?, 'Flu') AND VisID BETWEEN ? AND 9`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := BindDML(s, stmts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := BindDML(s, stmts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upd.NumParams != 2 || del.NumParams != 2 {
+		t.Fatalf("NumParams = %d, %d, want 2, 2", upd.NumParams, del.NumParams)
+	}
+	args := []value.Value{value.NewInt(7), value.NewInt(3), value.NewString("Checkup"), value.NewInt(4)}
+	bd, err := del.BindParams(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bd.NumParams != 0 || bd.SQL != del.SQL || !strings.Contains(bd.SQL, "IN (?, 'Flu')") {
+		t.Fatalf("bound DELETE: NumParams %d, SQL %q", bd.NumParams, bd.SQL)
+	}
+	if got := bd.Preds[0].P.Set[0].Str(); got != "Checkup" {
+		t.Errorf("IN binds %q from ordinal 3, want Checkup", got)
+	}
+	if got := bd.Preds[1].P.Lo.Int(); got != 4 {
+		t.Errorf("BETWEEN binds %d from ordinal 4, want 4", got)
+	}
+	bu, err := upd.BindParams(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := bu.Sets[0].Val; v.Kind() != value.Int || v.Int() != 7 {
+		t.Errorf("SET binds %v, want INTEGER 7", v)
+	}
+	if !upd.Sets[0].Val.IsParam() {
+		t.Error("BindParams mutated the shape")
+	}
+	// The DELETE's ordinals lie past the first two arguments.
+	if _, err := del.BindParams(args[:2]); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("DELETE bound from two arguments: %v, want out of range", err)
+	}
+	if _, err := upd.BindParams([]value.Value{value.NewString("x"), value.NewInt(1)}); err == nil {
+		t.Error("UPDATE bound a CHAR to an INTEGER column")
+	}
+	plain, err := BindDML(s, &sql.Delete{Table: "Visit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same, err := plain.BindParams(args); err != nil || same != plain {
+		t.Errorf("parameterless BindParams = %v, %v", same, err)
+	}
+}

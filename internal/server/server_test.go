@@ -271,6 +271,7 @@ func TestWrongTypedArgumentIs400(t *testing.T) {
 	for _, c := range []struct{ path, sql, kind string }{
 		{"/v1/query", sel, "bad_request"},
 		{"/v1/exec", `UPDATE Doctor SET Name = 'X' WHERE DocID = ?`, "bad_request"},
+		{"/v1/exec", `UPDATE Doctor SET Name = 'X' WHERE DocID = ?; CHECKPOINT`, "bad_request"},
 	} {
 		resp, raw := post(t, base, c.path, QueryRequest{SQL: c.sql, Args: []any{"abc"}})
 		var er ErrorResponse

@@ -101,9 +101,13 @@ func (i *Insert) String() string {
 }
 
 // BindParams returns a copy of the INSERT with every '?' placeholder
-// replaced by the corresponding argument (by ordinal). Rows without
-// placeholders are shared, not copied.
+// replaced by the corresponding argument (by ordinal across the whole
+// script). Rows without placeholders are shared, not copied; without
+// args the INSERT itself is returned.
 func (i *Insert) BindParams(args []value.Value) (*Insert, error) {
+	if len(args) == 0 {
+		return i, nil
+	}
 	out := &Insert{Table: i.Table, Rows: make([][]value.Value, len(i.Rows))}
 	for r, row := range i.Rows {
 		bound := row
@@ -176,41 +180,6 @@ func CountParams(stmts ...Statement) int {
 		}
 	}
 	return n
-}
-
-// BindScript substitutes placeholder arguments into a script's INSERT
-// rows and DELETE/UPDATE literals, ordinals running left to right across
-// the whole script. Statements without placeholders are shared, not
-// copied. It is the binding step of the engine's exec door, which the
-// database/sql driver's Exec and the server's /v1/exec both call.
-func BindScript(stmts []Statement, params []value.Value) ([]Statement, error) {
-	want := CountParams(stmts...)
-	if len(params) != want {
-		return nil, fmt.Errorf("script has %d placeholders, got %d arguments", want, len(params))
-	}
-	if want == 0 {
-		return stmts, nil
-	}
-	bound := make([]Statement, len(stmts))
-	for i, s := range stmts {
-		var b Statement
-		var err error
-		switch s := s.(type) {
-		case *Insert:
-			b, err = s.BindParams(params)
-		case *Delete:
-			b, err = s.BindParams(params)
-		case *Update:
-			b, err = s.BindParams(params)
-		default:
-			b = s
-		}
-		if err != nil {
-			return nil, err
-		}
-		bound[i] = b
-	}
-	return bound, nil
 }
 
 // ColRef names a column, optionally qualified by a table name or alias.
@@ -554,73 +523,6 @@ func whereString(conds []Condition) string {
 	return " WHERE " + strings.Join(parts, " AND ")
 }
 
-// bindArg resolves one literal against the argument list: placeholders
-// substitute by ordinal, plain literals pass through.
-func bindArg(v value.Value, args []value.Value) (value.Value, error) {
-	if !v.IsParam() {
-		return v, nil
-	}
-	ord := v.ParamOrdinal()
-	if ord < 0 || ord >= len(args) {
-		return value.Value{}, fmt.Errorf("sql: placeholder %d has no argument (%d supplied)", ord+1, len(args))
-	}
-	return args[ord], nil
-}
-
-// bindCondParams returns the conditions with every '?' placeholder
-// replaced by the corresponding argument. Conditions without
-// placeholders are shared, not copied.
-func bindCondParams(conds []Condition, args []value.Value) ([]Condition, error) {
-	out := make([]Condition, len(conds))
-	for i, c := range conds {
-		switch c := c.(type) {
-		case *Compare:
-			v, err := bindArg(c.Val, args)
-			if err != nil {
-				return nil, err
-			}
-			if v != c.Val {
-				out[i] = &Compare{Col: c.Col, Op: c.Op, Val: v}
-			} else {
-				out[i] = c
-			}
-		case *Between:
-			lo, err := bindArg(c.Lo, args)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := bindArg(c.Hi, args)
-			if err != nil {
-				return nil, err
-			}
-			if lo != c.Lo || hi != c.Hi {
-				out[i] = &Between{Col: c.Col, Lo: lo, Hi: hi}
-			} else {
-				out[i] = c
-			}
-		case *In:
-			changed := false
-			vals := make([]value.Value, len(c.Vals))
-			for j, v := range c.Vals {
-				b, err := bindArg(v, args)
-				if err != nil {
-					return nil, err
-				}
-				vals[j] = b
-				changed = changed || b != v
-			}
-			if changed {
-				out[i] = &In{Col: c.Col, Vals: vals}
-			} else {
-				out[i] = c
-			}
-		default:
-			out[i] = c
-		}
-	}
-	return out, nil
-}
-
 // Delete is a DELETE FROM ... [WHERE ...] statement over one table.
 // Deletion is virtual until the next CHECKPOINT: the engine tombstones
 // the matching identifiers, and rows whose foreign-key chain passes
@@ -635,16 +537,6 @@ func (*Delete) stmt() {}
 
 func (d *Delete) String() string {
 	return "DELETE FROM " + d.Table + whereString(d.Where)
-}
-
-// BindParams returns a copy of the DELETE with every '?' placeholder
-// replaced by the corresponding argument (by ordinal).
-func (d *Delete) BindParams(args []value.Value) (*Delete, error) {
-	where, err := bindCondParams(d.Where, args)
-	if err != nil {
-		return nil, err
-	}
-	return &Delete{Table: d.Table, Where: where}, nil
 }
 
 // SetClause is one column assignment of an UPDATE.
@@ -673,25 +565,6 @@ func (u *Update) String() string {
 		sets[i] = a.String()
 	}
 	return "UPDATE " + u.Table + " SET " + strings.Join(sets, ", ") + whereString(u.Where)
-}
-
-// BindParams returns a copy of the UPDATE with every '?' placeholder —
-// SET values and WHERE literals alike — replaced by the corresponding
-// argument (by ordinal).
-func (u *Update) BindParams(args []value.Value) (*Update, error) {
-	sets := make([]SetClause, len(u.Sets))
-	for i, a := range u.Sets {
-		v, err := bindArg(a.Val, args)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = SetClause{Col: a.Col, Val: v}
-	}
-	where, err := bindCondParams(u.Where, args)
-	if err != nil {
-		return nil, err
-	}
-	return &Update{Table: u.Table, Sets: sets, Where: where}, nil
 }
 
 // Checkpoint is the CHECKPOINT statement: merge the RAM delta and the
