@@ -178,7 +178,7 @@ func (db *DB) explainQuery(sqlText string, cfg *queryConfig) (*Result, error) {
 // ANALYZE that contacted no device, asks the plan holder a run would use.
 func (db *DB) analyzeSelect(sel *sql.Select, execute bool, cfg *queryConfig) (*Analysis, error) {
 	canonical := sel.String()
-	cq, _, err := db.compileCached(canonical)
+	cq, err := db.compileCached(cfg.session, canonical)
 	if err != nil {
 		return nil, err
 	}

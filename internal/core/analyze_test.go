@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/fault"
+	"github.com/ghostdb/ghostdb/internal/value"
 )
 
 func TestIsExplain(t *testing.T) {
@@ -378,6 +379,51 @@ func TestMetricsFeed(t *testing.T) {
 	}
 	if v, ok := db.MetricsSnapshot().Get("queries_total"); !ok || v.Value != 5 {
 		t.Fatalf("db queries_total = %+v, want 5", v)
+	}
+}
+
+// TestSessionRegistryOnlyWhatItFeeds checks a session's registry carries
+// only the metrics a session feeds: after a session ran every kind of
+// query outcome, an UPDATE and a CHECKPOINT, each metric it exports is
+// non-zero, and the DML and CHECKPOINT counts are the front door's alone.
+func TestSessionRegistryOnlyWhatItFeeds(t *testing.T) {
+	db, _, _ := loadTiny(t, WithSlowQuery(time.Nanosecond, slog.New(slog.DiscardHandler)))
+	defer db.Close()
+	s, err := db.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const q = "SELECT Vis.VisID FROM Visit Vis WHERE Vis.Purpose = ?"
+	arg := []value.Value{value.NewString("Sclerosis")}
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		if _, err := s.QueryContext(context.Background(), q, arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.QueryContext(context.Background(), q, nil); err == nil {
+		t.Fatal("a query missing its argument ran")
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.QueryContext(canceled, q, arg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled query: %v", err)
+	}
+	if n, err := s.Exec(`UPDATE Prescription SET Quantity = 7 WHERE PreID = 1`); err != nil || n != 1 {
+		t.Fatalf("update: n=%d err=%v", n, err)
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range s.MetricsSnapshot() {
+		if v.Value == 0 && (v.Hist == nil || v.Hist.Count == 0) {
+			t.Errorf("session exports %s, which it never fed", v.Name)
+		}
+	}
+	for _, name := range []string{"dml_statements_total", "checkpoints_total", "rows_affected_total"} {
+		if v, ok := db.MetricsSnapshot().Get(name); !ok || v.Value != 1 {
+			t.Errorf("db %s = %+v, want 1", name, v)
+		}
 	}
 }
 

@@ -88,24 +88,42 @@ func (db *DB) Compile(sqlText string) (*CompiledQuery, error) {
 }
 
 // compileCached returns the compiled form of sqlText, consulting the
-// plan cache first. The second result reports whether the lookup hit.
-func (db *DB) compileCached(sqlText string) (*CompiledQuery, bool, error) {
+// plan cache first. It counts the lookup once on every registry in scope
+// (the DB's, and s's when s is non-nil): a hit, or a miss whether or not
+// the compile that follows succeeds.
+func (db *DB) compileCached(s *Session, sqlText string) (*CompiledQuery, error) {
 	key := normalizeSQL(sqlText)
-	if cq, ok := db.planCache.get(key); ok {
-		db.metrics.planCacheHits.Inc()
-		return cq, true, nil
+	cq := db.planCache.get(key)
+	db.eachScope(s, func(m *engineMetrics) {
+		if cq != nil {
+			m.planCacheHits.Inc()
+		} else {
+			m.planCacheMisses.Inc()
+		}
+	})
+	if cq != nil {
+		return cq, nil
 	}
 	cq, err := db.Compile(sqlText)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	db.metrics.planCacheMisses.Inc()
 	db.planCache.put(key, cq)
-	return cq, false, nil
+	return cq, nil
 }
 
-// PlanCacheStats snapshots the shared plan cache's counters.
-func (db *DB) PlanCacheStats() stats.CacheStats { return db.planCache.stats() }
+// PlanCacheStats snapshots the shared plan cache: Hits and Misses are the
+// DB registry's plan_cache_*_total counters, Evictions and Entries the
+// cache's own.
+func (db *DB) PlanCacheStats() stats.CacheStats {
+	evictions, entries := db.planCache.occupancy()
+	return stats.CacheStats{
+		Hits:      db.metrics.planCacheHits.Value(),
+		Misses:    db.metrics.planCacheMisses.Value(),
+		Evictions: evictions,
+		Entries:   entries,
+	}
+}
 
 // Prepare parses and binds a SELECT into its query shape. Parsing and
 // binding are host-side work: they read only the frozen schema and never
@@ -355,7 +373,7 @@ func (db *DB) Query(sqlText string, opts ...QueryOption) (*Result, error) {
 	if isExplain(sqlText) {
 		return db.explainQuery(sqlText, &cfg)
 	}
-	cq, _, err := db.compileCached(sqlText)
+	cq, err := db.compileCached(nil, sqlText)
 	if err != nil {
 		return nil, err
 	}

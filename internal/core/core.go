@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/bus"
@@ -198,7 +197,7 @@ type DB struct {
 	opts Options
 
 	// planCache memoizes compiled query shapes across all sessions. It
-	// has its own (sharded) locking: cache traffic never takes a gate.
+	// has its own mutex: cache traffic never takes a gate.
 	planCache *planCache
 
 	// metrics is the front door's registry (queries, plan cache, DML,
@@ -207,9 +206,6 @@ type DB struct {
 	metrics *engineMetrics
 	// hooks are the query tracing callbacks, immutable after Open.
 	hooks []QueryHook
-	// checkpointsRun counts CHECKPOINT merges that absorbed entries,
-	// readable without a lock.
-	checkpointsRun atomic.Int64
 
 	// mu guards the front door's state below: lifecycle, sessions, the
 	// catalog while DDL stages, and the staged bulk load.
@@ -263,12 +259,11 @@ func openResolved(opts Options) (*DB, error) {
 	db := &DB{
 		opts:       opts,
 		planCache:  newPlanCache(opts.PlanCacheSize),
-		metrics:    newEngineMetrics(),
+		metrics:    newFrontDoorMetrics(),
 		hooks:      opts.Hooks,
 		sch:        schema.New(),
 		hiddenVals: schema.NewHiddenValueSet(),
 	}
-	db.metrics.addRouteMetrics()
 	n := max(1, opts.Shards)
 	db.shards.engines = make([]*engine, 0, n)
 	for i := 0; i < n; i++ {
@@ -413,7 +408,7 @@ type DeltaSummary struct {
 // lifetime checkpoint count. It is the driver-facing companion to
 // PlanCacheStats: cheap enough to poll from a monitoring loop.
 func (db *DB) DeltaSummary() DeltaSummary {
-	s := DeltaSummary{Checkpoints: db.checkpointsRun.Load()}
+	s := DeltaSummary{Checkpoints: db.CheckpointsRun()}
 	for _, d := range db.DeltaStats() {
 		s.Tables++
 		s.Rows += d.Rows

@@ -751,12 +751,7 @@ func (e *engine) checkpointCommitLocked(p *ckptPending, since time.Time) error {
 // shard versions in lockstep so recovery can pick one global cut.
 func (e *engine) recordOnlyCommitLocked() error {
 	e.version++
-	if prev, ok := e.committedVis[e.version-1]; ok {
-		e.committedVis[e.version] = prev
-		if e.version >= 2 {
-			delete(e.committedVis, e.version-2)
-		}
-	}
+	e.stashCommitted(e.version, e.committedVis[e.version-1])
 	if err := e.writeCommitRecord(); err != nil {
 		e.setFatal(err)
 		return err

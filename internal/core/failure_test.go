@@ -184,7 +184,7 @@ func TestMergedPlanComesFromFirstContactedShard(t *testing.T) {
 	if _, err := db.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	cq, _, err := db.compileCached(q)
+	cq, err := db.compileCached(nil, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestFrontDoorAllocationFloor(t *testing.T) {
 	const scale = 50_000
 	db := loadScale(t, scale)
 	defer db.Close()
-	cq, _, err := db.compileCached(`SELECT Pre.PreID, Pre.Quantity, Pre.WhenWritten FROM Prescription Pre WHERE Pre.PreID = ?`)
+	cq, err := db.compileCached(nil, `SELECT Pre.PreID, Pre.Quantity, Pre.WhenWritten FROM Prescription Pre WHERE Pre.PreID = ?`)
 	if err != nil {
 		t.Fatal(err)
 	}

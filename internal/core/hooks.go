@@ -89,27 +89,20 @@ func (db *DB) fireHooks(ev QueryEvent) {
 	}
 }
 
-// observeQuery is the one place a finished query is counted: it feeds the
-// DB and session registries (SessionStats reads the latter), keeps the
-// session's last report and fires the tracing hooks. wall is host time
-// measured from before the device-gate wait; rep is nil on error.
+// observeQuery is the one place a finished query is counted: it feeds
+// every registry in scope (the DB's, and the session's, which
+// SessionStats reads), keeps the session's last report and fires the
+// tracing hooks. wall is host time measured from before the device-gate
+// wait; rep is nil on error.
 func (db *DB) observeQuery(s *Session, sqlText string, wall time.Duration, rep *stats.Report, err error) {
-	m := db.metrics
-	var sm *engineMetrics
-	if s != nil {
-		sm = s.metrics
-	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			m.queriesCanceled.Inc()
-			if sm != nil {
-				sm.queriesCanceled.Inc()
+		canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		db.eachScope(s, func(m *engineMetrics) {
+			if canceled {
+				m.queriesCanceled.Inc()
 			}
-		}
-		m.queryErrors.Inc()
-		if sm != nil {
-			sm.queryErrors.Inc()
-		}
+			m.queryErrors.Inc()
+		})
 		if len(db.hooks) > 0 {
 			db.fireHooks(QueryEvent{Phase: QueryError, SQL: sqlText, Wall: wall, Err: err})
 		}
@@ -117,21 +110,16 @@ func (db *DB) observeQuery(s *Session, sqlText string, wall time.Duration, rep *
 	}
 	sim, rows := rep.TotalTime, rep.ResultRows
 	slow := db.opts.SlowQueryThreshold > 0 && wall >= db.opts.SlowQueryThreshold
-	m.queries.Inc()
-	m.rowsReturned.Add(int64(rows))
-	m.queryWall.Observe(wall.Nanoseconds())
-	m.querySim.Observe(sim.Nanoseconds())
-	if slow {
-		m.slowQueries.Inc()
-	}
-	if sm != nil {
-		sm.queries.Inc()
-		sm.rowsReturned.Add(int64(rows))
-		sm.queryWall.Observe(wall.Nanoseconds())
-		sm.querySim.Observe(sim.Nanoseconds())
+	db.eachScope(s, func(m *engineMetrics) {
+		m.queries.Inc()
+		m.rowsReturned.Add(int64(rows))
+		m.queryWall.Observe(wall.Nanoseconds())
+		m.querySim.Observe(sim.Nanoseconds())
 		if slow {
-			sm.slowQueries.Inc()
+			m.slowQueries.Inc()
 		}
+	})
+	if s != nil {
 		s.mu.Lock()
 		s.lastReport = rep
 		s.mu.Unlock()

@@ -6,11 +6,18 @@ import (
 
 // engineMetrics holds pre-registered pointers into one metrics.Registry
 // so the hot path pays a few atomic adds and zero map lookups per query.
-// Every DB front door, every Session and every device engine owns one.
-// The front door's and the sessions' (newEngineMetrics) count what the
-// front door sees: queries, plan cache, DML, CHECKPOINT, the delta,
-// routing. An engine's (newDeviceMetrics) counts what its device and
-// pipeline did. Each metric is fed on one side only, so the database's
+// Every DB front door, every Session and every device engine owns one,
+// and each fact is counted once, where it happens:
+//   - A session's (newSessionMetrics) carries only what a statement of
+//     that session feeds: queries, errors, cancellations, rows, slow
+//     queries, query latency and plan-cache lookups.
+//   - The front door's (newFrontDoorMetrics) carries the same names,
+//     fed by the same calls (DB.eachScope), plus what only the front
+//     door sees: DML, CHECKPOINT, Recover, the delta gauges and routing.
+//   - An engine's (newDeviceMetrics) counts what its device and pipeline
+//     did.
+//
+// No name is fed on both the front door and an engine, so the database's
 // registry is the front door's plus the sum of its engines'
 // (DB.MetricsSnapshot). A field the registry does not carry is nil, and
 // every metric is nil-safe.
@@ -69,8 +76,8 @@ type engineMetrics struct {
 	checkpointSim          *metrics.Histogram
 	recoveryWall           *metrics.Histogram
 
-	// Front door only (addRouteMetrics): how each query was routed and
-	// how many devices it contacted.
+	// Front door only: how each query was routed and how many devices it
+	// contacted.
 	shardRoutes     [numShardRoutes]*metrics.Counter
 	shardsContacted *metrics.Histogram
 }
@@ -85,24 +92,15 @@ const (
 	numShardRoutes
 )
 
-// addRouteMetrics registers the front door's routing metrics. The
-// counters share one Prometheus family, told apart by a route label.
-func (m *engineMetrics) addRouteMetrics() {
-	const help = "queries by how the front door routed them over the device shards"
-	for route, label := range [numShardRoutes]string{"pruned", "scatter", "replica"} {
-		m.shardRoutes[route] = m.reg.Counter(`shard_route_total{route="`+label+`"}`, help)
-	}
-	m.shardsContacted = m.reg.Histogram("shards_contacted", "device shards contacted per query")
-}
-
 // noteRoute counts one routed query and the shards it contacted.
 func (m *engineMetrics) noteRoute(route shardRoute, contacted int) {
 	m.shardRoutes[route].Inc()
 	m.shardsContacted.Observe(int64(contacted))
 }
 
-// newEngineMetrics builds a front-door (or session) registry.
-func newEngineMetrics() *engineMetrics {
+// newSessionMetrics builds a session's registry: the metrics every
+// query door feeds on each registry in scope (DB.eachScope).
+func newSessionMetrics() *engineMetrics {
 	r := metrics.NewRegistry()
 	return &engineMetrics{
 		reg: r,
@@ -113,24 +111,41 @@ func newEngineMetrics() *engineMetrics {
 		rowsReturned:    r.Counter("rows_returned_total", "result rows delivered to clients"),
 		slowQueries:     r.Counter("slow_queries_total", "queries over the slow-query threshold"),
 
-		planCacheHits:   r.Counter("plan_cache_hits_total", "compilations served from the plan cache"),
-		planCacheMisses: r.Counter("plan_cache_misses_total", "compilations that parsed and planned from scratch"),
+		planCacheHits:   r.Counter("plan_cache_hits_total", "plan-cache lookups that found a compiled query"),
+		planCacheMisses: r.Counter("plan_cache_misses_total", "plan-cache lookups that found no compiled query"),
 
-		dmlStatements: r.Counter("dml_statements_total", "INSERT/UPDATE/DELETE statements executed"),
-		rowsAffected:  r.Counter("rows_affected_total", "rows touched by DML"),
-		checkpoints:   r.Counter("checkpoints_total", "CHECKPOINT merges that absorbed delta entries"),
-		recoveries:    r.Counter("recoveries_total", "databases rebuilt from a flash snapshot via Recover"),
-
-		deltaRows:       r.Gauge("delta_rows", "live rows resident in the RAM delta store"),
-		deltaTombstones: r.Gauge("delta_tombstones", "tombstones resident in the RAM delta store"),
-		deltaBytes:      r.Gauge("delta_device_bytes", "device RAM held by the delta store"),
-
-		queryWall:      r.Histogram("query_wall_ns", "query latency, host wall-clock"),
-		querySim:       r.Histogram("query_sim_ns", "query latency, simulated device time"),
-		checkpointWall: r.Histogram("checkpoint_wall_ns", "CHECKPOINT duration, host wall-clock"),
-		checkpointSim:  r.Histogram("checkpoint_sim_ns", "CHECKPOINT duration, simulated device time"),
-		recoveryWall:   r.Histogram("recovery_wall_ns", "Recover duration, host wall-clock"),
+		queryWall: r.Histogram("query_wall_ns", "query latency, host wall-clock"),
+		querySim:  r.Histogram("query_sim_ns", "query latency, simulated device time"),
 	}
+}
+
+// newFrontDoorMetrics builds the front door's registry: a session's
+// metrics plus DML, CHECKPOINT, Recover, the delta gauges and routing.
+// The routing counters share one Prometheus family, told apart by a
+// route label.
+func newFrontDoorMetrics() *engineMetrics {
+	m := newSessionMetrics()
+	r := m.reg
+
+	m.dmlStatements = r.Counter("dml_statements_total", "INSERT/UPDATE/DELETE statements executed")
+	m.rowsAffected = r.Counter("rows_affected_total", "rows touched by DML")
+	m.checkpoints = r.Counter("checkpoints_total", "CHECKPOINT merges that absorbed delta entries")
+	m.recoveries = r.Counter("recoveries_total", "databases rebuilt from a flash snapshot via Recover")
+
+	m.deltaRows = r.Gauge("delta_rows", "live rows resident in the RAM delta store")
+	m.deltaTombstones = r.Gauge("delta_tombstones", "tombstones resident in the RAM delta store")
+	m.deltaBytes = r.Gauge("delta_device_bytes", "device RAM held by the delta store")
+
+	m.checkpointWall = r.Histogram("checkpoint_wall_ns", "CHECKPOINT duration, host wall-clock")
+	m.checkpointSim = r.Histogram("checkpoint_sim_ns", "CHECKPOINT duration, simulated device time")
+	m.recoveryWall = r.Histogram("recovery_wall_ns", "Recover duration, host wall-clock")
+
+	const help = "queries by how the front door routed them over the device shards"
+	for route, label := range [numShardRoutes]string{"pruned", "scatter", "replica"} {
+		m.shardRoutes[route] = r.Counter(`shard_route_total{route="`+label+`"}`, help)
+	}
+	m.shardsContacted = r.Histogram("shards_contacted", "device shards contacted per query")
+	return m
 }
 
 // newDeviceMetrics builds a device engine's registry.
@@ -161,6 +176,15 @@ func newDeviceMetrics() *engineMetrics {
 		checkpointSKTWall:      r.Histogram("checkpoint_rebuild_skt_wall_ns", "CHECKPOINT rebuild: subtree key tables (the climbing indexes encode alongside), host wall-clock"),
 		checkpointClimbingWall: r.Histogram("checkpoint_rebuild_climbing_wall_ns", "CHECKPOINT rebuild: climbing indexes, waiting for their encoders and then programming them, host wall-clock"),
 		checkpointCommitWall:   r.Histogram("checkpoint_commit_wall_ns", "CHECKPOINT commit phase (commit record, sidecar, sync), host wall-clock"),
+	}
+}
+
+// eachScope applies one feed to every registry a statement of s is
+// counted on: the front door's and, when s is non-nil, the session's.
+func (db *DB) eachScope(s *Session, feed func(*engineMetrics)) {
+	feed(db.metrics)
+	if s != nil {
+		feed(s.metrics)
 	}
 }
 
@@ -199,16 +223,17 @@ func (db *DB) MetricsSnapshot() metrics.Snapshot {
 }
 
 // MetricsSnapshot returns this session's private metrics (queries,
-// latency histograms, rows) — the front door's names, scoped to the
-// session's own traffic.
+// errors, rows, latency histograms, plan-cache lookups) — the front
+// door's names, scoped to the session's own traffic.
 func (s *Session) MetricsSnapshot() metrics.Snapshot {
 	return s.metrics.reg.Snapshot()
 }
 
 // CheckpointsRun reports how many CHECKPOINT merges have absorbed delta
-// entries over the DB's lifetime (manual and automatic).
+// entries over the DB's lifetime (manual and automatic): the
+// checkpoints_total counter.
 func (db *DB) CheckpointsRun() int64 {
-	return db.checkpointsRun.Load()
+	return db.metrics.checkpoints.Value()
 }
 
 // ShardMetrics returns one registry snapshot per device engine, indexed

@@ -4,27 +4,19 @@ import (
 	"container/list"
 	"strings"
 	"sync"
-
-	"github.com/ghostdb/ghostdb/internal/stats"
 )
 
-// planCache is a size-bounded, mutex-sharded LRU of compiled queries,
+// planCache is a size-bounded LRU of compiled queries under one mutex,
 // keyed by normalized SQL text. Compilation (parse, bind, enumerate) is
 // pure host-side work over the frozen schema, so cached entries never go
-// stale: the schema cannot change after the bulk load. Sharding keeps
-// concurrent sessions from serializing on one lock for what is meant to
-// be the scalable half of the engine.
+// stale: the schema cannot change after the bulk load. The cache counts
+// only what it alone sees, evictions; a lookup's hit or miss is counted
+// by compileCached on the registries.
 type planCache struct {
-	shards []planCacheShard
-}
-
-type planCacheShard struct {
 	mu        sync.Mutex
 	cap       int
 	entries   map[string]*list.Element // key -> lru element (value *planCacheEntry)
-	lru       *list.List               // front = most recently used
-	hits      int64
-	misses    int64
+	lru       list.List                // front = most recently used
 	evictions int64
 }
 
@@ -33,92 +25,52 @@ type planCacheEntry struct {
 	val *CompiledQuery
 }
 
-// newPlanCache builds a cache holding at most capacity entries split
-// over up to 8 shards. A capacity <= 0 disables caching entirely.
+// newPlanCache builds a cache holding at most capacity entries. A
+// capacity <= 0 disables caching entirely.
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		return &planCache{}
-	}
-	shards := min(8, capacity)
-	c := &planCache{shards: make([]planCacheShard, shards)}
-	for i := range c.shards {
-		per := capacity / shards
-		if i < capacity%shards {
-			per++
-		}
-		c.shards[i] = planCacheShard{cap: per, entries: map[string]*list.Element{}, lru: list.New()}
-	}
-	return c
-}
-
-func (c *planCache) shard(key string) *planCacheShard {
-	if len(c.shards) == 0 {
-		return nil
-	}
-	// FNV-1a over the key; cheap and stable.
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h%uint32(len(c.shards))]
+	return &planCache{cap: capacity, entries: map[string]*list.Element{}}
 }
 
 // get returns the cached compilation for key, marking it most recently
-// used. The second result reports whether the lookup hit.
-func (c *planCache) get(key string) (*CompiledQuery, bool) {
-	s := c.shard(key)
-	if s == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
+// used, or nil.
+func (c *planCache) get(key string) *CompiledQuery {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
 	if !ok {
-		s.misses++
-		return nil, false
+		return nil
 	}
-	s.hits++
-	s.lru.MoveToFront(el)
-	return el.Value.(*planCacheEntry).val, true
+	c.lru.MoveToFront(el)
+	return el.Value.(*planCacheEntry).val
 }
 
-// put inserts a compilation, evicting the least recently used entry of
-// the shard when it is full. Re-inserting an existing key refreshes it.
+// put inserts a compilation, evicting the least recently used entry when
+// the cache is full. Re-inserting an existing key refreshes it.
 func (c *planCache) put(key string, val *CompiledQuery) {
-	s := c.shard(key)
-	if s == nil {
+	if c.cap <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
 		el.Value.(*planCacheEntry).val = val
-		s.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		return
 	}
-	for s.lru.Len() >= s.cap {
-		oldest := s.lru.Back()
-		if oldest == nil {
-			break
-		}
-		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*planCacheEntry).key)
-		s.evictions++
+	if c.lru.Len() >= c.cap {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*planCacheEntry).key)
+		c.evictions++
 	}
-	s.entries[key] = s.lru.PushFront(&planCacheEntry{key: key, val: val})
+	c.entries[key] = c.lru.PushFront(&planCacheEntry{key: key, val: val})
 }
 
-// stats sums the per-shard counters.
-func (c *planCache) stats() stats.CacheStats {
-	var out stats.CacheStats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		out = out.Add(stats.CacheStats{Hits: s.hits, Misses: s.misses, Evictions: s.evictions, Entries: s.lru.Len()})
-		s.mu.Unlock()
-	}
-	return out
+// occupancy reports the evictions so far and the entries held.
+func (c *planCache) occupancy() (evictions int64, entries int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.evictions, c.lru.Len()
 }
 
 // normalizeSQL canonicalizes a query's text into its cache key: letters

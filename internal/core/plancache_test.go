@@ -50,7 +50,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRUEviction runs three shapes through a two-entry cache
+// TestPlanCacheLRUEviction runs three shapes through a one-entry cache
 // and checks the least recently used one is recompiled.
 func TestPlanCacheLRUEviction(t *testing.T) {
 	db, _, _ := loadTiny(t, WithPlanCacheSize(1))
@@ -87,9 +87,71 @@ func TestPlanCacheDisabled(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if st := db.PlanCacheStats(); st.Hits != 0 || st.Entries != 0 {
+		st := db.PlanCacheStats()
+		if st.Hits != 0 || st.Entries != 0 {
 			t.Fatalf("capacity %d: disabled cache recorded %v", n, st)
 		}
+		if v, _ := db.MetricsSnapshot().Get("plan_cache_misses_total"); st.Misses != 3 || v.Value != st.Misses {
+			t.Fatalf("capacity %d: PlanCacheStats misses %d, plan_cache_misses_total %d, want 3 and 3", n, st.Misses, v.Value)
+		}
+	}
+}
+
+// TestPlanCacheHoldsItsCapacity fills a 16-entry cache with 16 shapes and
+// replays them: every replay hits and nothing was evicted.
+func TestPlanCacheHoldsItsCapacity(t *testing.T) {
+	const capacity = 16
+	db, _, _ := loadTiny(t, WithPlanCacheSize(capacity))
+	for pass := 0; pass < 2; pass++ {
+		for i := 1; i <= capacity; i++ {
+			if _, err := db.Query(fmt.Sprintf(`SELECT Doctor.Name FROM Doctor WHERE Doctor.DocID = %d`, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := db.PlanCacheStats(); st.Hits != capacity || st.Misses != capacity || st.Evictions != 0 || st.Entries != capacity {
+		t.Fatalf("%d shapes through a %d-entry cache, twice: %+v, want %d hits, %d misses, 0 evictions, %d entries",
+			capacity, capacity, st, capacity, capacity, capacity)
+	}
+}
+
+// TestPlanCacheStatsIsTheRegistry checks PlanCacheStats and the DB
+// registry are one tally after a lookup whose compile fails: a miss, on
+// the session too. (TestPlanCacheDisabled holds them equal with the
+// cache off.)
+func TestPlanCacheStatsIsTheRegistry(t *testing.T) {
+	db, _, _ := loadTiny(t)
+	s, err := db.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	agree := func(misses int64) {
+		t.Helper()
+		st, snap := db.PlanCacheStats(), db.MetricsSnapshot()
+		hits, _ := snap.Get("plan_cache_hits_total")
+		miss, _ := snap.Get("plan_cache_misses_total")
+		if st.Hits != hits.Value || st.Misses != miss.Value || st.Misses != misses {
+			t.Fatalf("PlanCacheStats %+v, registry hits %d misses %d, want %d misses in both", st, hits.Value, miss.Value, misses)
+		}
+	}
+	if _, err := s.Query(`SELECT NoSuch.X FROM NoSuch`); err == nil {
+		t.Fatal("a query over a missing table compiled")
+	}
+	agree(1)
+	if st := s.Stats().PlanCache; st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("session %+v, want the failed lookup as 1 miss", st)
+	}
+	const q = `SELECT Doctor.DocID FROM Doctor WHERE Doctor.Country = 'France'`
+	if _, err := s.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	agree(2)
+	if st := db.PlanCacheStats(); st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("after a miss and a hit: %+v", st)
 	}
 }
 

@@ -127,7 +127,7 @@ func TestRowWalkMatchesAssembleThenFinish(t *testing.T) {
 	replay := func(state string) {
 		for checked := 0; checked < want; {
 			sqlText := gen.nextPostOp()
-			ccq, _, err := single.compileCached(sqlText)
+			ccq, err := single.compileCached(nil, sqlText)
 			if err != nil {
 				t.Fatalf("%s %q: %v", state, sqlText, err)
 			}
@@ -204,7 +204,7 @@ func checkShardWalk(t *testing.T, state string, sdb *DB, sqlText string, want []
 	if !strings.EqualFold(res.Query.Root.Name, root.Name) {
 		return // a dimension-rooted query runs on one replica: nothing to compare per engine
 	}
-	cq, _, err := sdb.compileCached(sqlText)
+	cq, err := sdb.compileCached(nil, sqlText)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func (db *DB) NewSession() (*Session, error) {
 	}
 	db.nextSession++
 	db.sessions++
-	return &Session{db: db, id: db.nextSession, metrics: newEngineMetrics()}, nil
+	return &Session{db: db, id: db.nextSession, metrics: newSessionMetrics()}, nil
 }
 
 // OpenSessions reports the number of sessions currently open.
@@ -91,15 +91,6 @@ func (s *Session) check() error {
 	return nil
 }
 
-// recordCache counts one plan-cache lookup on the session registry.
-func (s *Session) recordCache(hit bool) {
-	if hit {
-		s.metrics.planCacheHits.Inc()
-	} else {
-		s.metrics.planCacheMisses.Inc()
-	}
-}
-
 // Ping verifies that both the session and its DB are open.
 func (s *Session) Ping() error {
 	if err := s.check(); err != nil {
@@ -115,18 +106,13 @@ func (s *Session) Ping() error {
 
 // Compile parses, binds and plan-enumerates a SELECT through the DB's
 // shared plan cache: sessions issuing the same query shape share one
-// CompiledQuery. The hit/miss is charged to this session's counters; a
-// miss finalizes a pending bulk load.
+// CompiledQuery. The hit or miss is counted on the DB's and this
+// session's registries; a miss finalizes a pending bulk load.
 func (s *Session) Compile(sqlText string) (*CompiledQuery, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	cq, hit, err := s.db.compileCached(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	s.recordCache(hit)
-	return cq, nil
+	return s.db.compileCached(s, sqlText)
 }
 
 // QueryContext is the session's query door, the one path the
@@ -162,11 +148,10 @@ func (s *Session) query(sqlText string, args []value.Value, cfg *queryConfig) (*
 	if len(args) == 0 && isExplain(sqlText) {
 		return s.db.explainQuery(sqlText, cfg)
 	}
-	cq, hit, err := s.db.compileCached(sqlText)
+	cq, err := s.db.compileCached(s, sqlText)
 	if err != nil {
 		return nil, err
 	}
-	s.recordCache(hit)
 	return cq.runObserved(args, cfg)
 }
 

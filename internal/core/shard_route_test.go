@@ -133,7 +133,7 @@ var routeShapes = []struct{ head, tail string }{
 // predicates say: the reference the routed run is held to.
 func forcedScatter(t *testing.T, sdb *DB, sqlText string) *Result {
 	t.Helper()
-	cq, _, err := sdb.compileCached(sqlText)
+	cq, err := sdb.compileCached(nil, sqlText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func BenchmarkShardPoint(b *testing.B) {
 			opts = append(opts, WithShards(shards))
 		}
 		db := loadScale(b, scale, opts...)
-		cq, _, err := db.compileCached(q)
+		cq, err := db.compileCached(nil, q)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -353,7 +353,6 @@ func (ss *shardSet) checkpoint(db *DB, ctx context.Context) (int64, error) {
 		}
 	}
 
-	db.checkpointsRun.Add(1)
 	m := db.metrics
 	m.checkpoints.Inc()
 	m.checkpointWall.Observe(end.Sub(ckptStart).Nanoseconds())

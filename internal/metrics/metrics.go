@@ -1,5 +1,5 @@
 // Package metrics is a zero-dependency, allocation-free-on-the-hot-path
-// metrics layer for the engine: atomic counters and gauges plus sharded
+// metrics layer for the engine: atomic counters and gauges plus
 // power-of-two histograms, organized in named registries that snapshot
 // to JSON and Prometheus text exposition.
 //
@@ -115,30 +115,20 @@ func (m *MaxGauge) Value() int64 {
 // for v <= 0 and the last bucket absorbing everything ≥ 2^62.
 const histBuckets = 64
 
-// histShards spreads concurrent writers across independent cache lines;
-// a power of two so the index mask is one AND.
-const histShards = 8
-
-// histShard is one writer lane of a histogram. The pad keeps adjacent
-// shards on separate cache lines so concurrent Observe calls do not
-// false-share.
-type histShard struct {
+// histCounts is a histogram's one set of counts.
+type histCounts struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
-	_       [40]byte
 }
 
 // Histogram is a bounded log₂-scale histogram of int64 samples
-// (typically nanoseconds). Observe is lock-free: a round-robin pick
-// spreads writers over shards, and each shard update is a pair of
-// atomic adds. Snapshot merges the shards. The shards (4.5 KB) are
-// allocated by the first Observe, so a registered histogram nothing
-// feeds — a CHECKPOINT phase on a read-only database, say — costs two
-// words.
+// (typically nanoseconds). Observe is lock-free: three atomic adds on
+// one set of counts. The counts (528 B) are allocated by the first
+// Observe, so a registered histogram nothing feeds — a CHECKPOINT phase
+// on a read-only database, say — costs one word.
 type Histogram struct {
-	next   atomic.Uint64
-	shards atomic.Pointer[[histShards]histShard]
+	counts atomic.Pointer[histCounts]
 }
 
 // bucketOf maps a sample to its bucket index: 0 for v <= 0, else
@@ -155,15 +145,14 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	shards := h.shards.Load()
-	if shards == nil {
-		h.shards.CompareAndSwap(nil, new([histShards]histShard))
-		shards = h.shards.Load()
+	c := h.counts.Load()
+	if c == nil {
+		h.counts.CompareAndSwap(nil, new(histCounts))
+		c = h.counts.Load()
 	}
-	s := &shards[h.next.Add(1)&(histShards-1)]
-	s.count.Add(1)
-	s.sum.Add(v)
-	s.buckets[bucketOf(v)].Add(1)
+	c.count.Add(1)
+	c.sum.Add(v)
+	c.buckets[bucketOf(v)].Add(1)
 }
 
 // ObserveSince records the wall-clock nanoseconds elapsed since t0 —
@@ -171,32 +160,29 @@ func (h *Histogram) Observe(v int64) {
 // generators.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Nanoseconds()) }
 
-// HistSnapshot is a merged point-in-time view of a histogram.
+// HistSnapshot is a point-in-time view of a histogram.
 type HistSnapshot struct {
 	Count   int64              `json:"count"`
 	Sum     int64              `json:"sum"`
 	Buckets [histBuckets]int64 `json:"-"`
 }
 
-// Snapshot merges all shards. Concurrent Observes may straddle the
-// merge, so Count/Sum/Buckets are each individually monotone but only
+// Snapshot reads the counts. Concurrent Observes may straddle the read,
+// so Count/Sum/Buckets are each individually monotone but only
 // approximately mutually consistent — fine for monitoring.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	if h == nil {
 		return s
 	}
-	shards := h.shards.Load()
-	if shards == nil {
+	c := h.counts.Load()
+	if c == nil {
 		return s
 	}
-	for i := range shards {
-		sh := &shards[i]
-		s.Count += sh.count.Load()
-		s.Sum += sh.sum.Load()
-		for b := range sh.buckets {
-			s.Buckets[b] += sh.buckets[b].Load()
-		}
+	s.Count = c.count.Load()
+	s.Sum = c.sum.Load()
+	for b := range c.buckets {
+		s.Buckets[b] = c.buckets[b].Load()
 	}
 	return s
 }

@@ -274,7 +274,7 @@ ghostdb_shard_route_total{route="scatter"} 2
 // TestMerge combines two registries the way a database reports its
 // front door plus its devices: same-name counters add, max gauges take
 // the maximum, histograms add bucket by bucket, names stay sorted; a
-// histogram nothing observed holds no shards and merges as empty.
+// histogram nothing observed holds no counts and merges as empty.
 func TestMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Counter("queries", "").Add(3)
@@ -285,8 +285,8 @@ func TestMerge(t *testing.T) {
 	b.Histogram("sim", "").Observe(100)
 	idle := b.Histogram("idle", "")
 	b.Counter("flash", "").Add(2)
-	if idle.shards.Load() != nil {
-		t.Fatal("a histogram allocated its shards before its first Observe")
+	if idle.counts.Load() != nil {
+		t.Fatal("a histogram allocated its counts before its first Observe")
 	}
 	m := Merge(a.Snapshot(), b.Snapshot())
 	var names []string

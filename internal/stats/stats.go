@@ -126,17 +126,6 @@ type CacheStats struct {
 	Entries   int   // entries currently resident
 }
 
-// Add returns the element-wise sum of two snapshots (used to merge
-// per-shard counters).
-func (c CacheStats) Add(o CacheStats) CacheStats {
-	return CacheStats{
-		Hits:      c.Hits + o.Hits,
-		Misses:    c.Misses + o.Misses,
-		Evictions: c.Evictions + o.Evictions,
-		Entries:   c.Entries + o.Entries,
-	}
-}
-
 // HitRate reports hits / lookups, or 0 with no lookups.
 func (c CacheStats) HitRate() float64 {
 	total := c.Hits + c.Misses

@@ -128,11 +128,6 @@ func TestCacheStats(t *testing.T) {
 	if r := c.HitRate(); r != 0.75 {
 		t.Errorf("HitRate = %v, want 0.75", r)
 	}
-	sum := c.Add(CacheStats{Hits: 1, Misses: 3, Evictions: 1, Entries: 2})
-	want := CacheStats{Hits: 4, Misses: 4, Evictions: 3, Entries: 7}
-	if sum != want {
-		t.Errorf("Add = %+v, want %+v", sum, want)
-	}
 	if s := c.String(); s != "hits=3 misses=1 evictions=2 entries=5 (75.0% hit rate)" {
 		t.Errorf("String = %q", s)
 	}
