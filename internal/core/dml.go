@@ -14,7 +14,12 @@ package core
 //
 // Deletion cascades virtually over the tree schema: a row whose
 // foreign-key chain passes through a tombstoned ancestor is dead, and
-// CHECKPOINT materializes the cascade by dropping it.
+// CHECKPOINT materializes the cascade by dropping it. A point operation
+// asks liveness row by row; CHECKPOINT's prepare works out each table's
+// dead rows from the delta and the retained inverted edges instead, so
+// its host work follows the delta (plus the copy of the clean rows and
+// their hidden reads), while the device is charged the probe of every
+// identifier a row-by-row walk would make.
 
 import (
 	"cmp"
@@ -193,60 +198,41 @@ func (db *DB) Checkpoint() (int64, error) {
 // with the new stores); and the views change where the host finds a
 // value, never what the device is charged for it — one CyclesTombstone
 // and one tombstone_probes_total per fresh liveness evaluation (the memo
-// lives for one operation), CyclesDecode per delta-resident value,
-// CyclesCompare per descend hop, base hidden values through the charged
-// page cache in the same read order.
+// lives for one operation; CHECKPOINT pays one per identifier of every
+// table), CyclesDecode per delta-resident value, CyclesCompare per
+// descend hop, base hidden values through the charged page cache in the
+// same read order.
 
-// liveness memoizes chain-liveness per table/ID for one operation. A row
-// is live iff it is not tombstoned and every row its foreign-key chain
-// references is live (the virtual delete cascade). Each fresh evaluation
-// charges one tombstone probe to the device CPU.
+// liveness memoizes chain-liveness per table/ID for one point operation
+// (DML matching, the foreign-key checks of INSERT and UPDATE, the query
+// path's delta scan). A row is live iff it is not tombstoned and every
+// row its foreign-key chain references is live (the virtual delete
+// cascade). Each fresh evaluation charges one tombstone probe to the
+// device CPU. The memo, keyed ordinal<<32|ID, holds only the identifiers
+// the operation touches, so a keyed statement costs O(1) in the table
+// size. CHECKPOINT works out its dead rows from the delta instead
+// (checkpointPrepareLocked).
 type liveness struct {
-	e *engine
-	// States are 0 unknown, 1 live, 2 dead. dense (by table ordinal, then
-	// ID) serves an operation that sweeps whole tables; sparse, keyed
-	// ordinal<<32|ID, holds what dense does not cover — every identifier
-	// a point operation touches, so a keyed statement costs O(1) in the
-	// table size.
-	dense  [][]uint8
-	sparse map[uint64]uint8
+	e    *engine
+	memo map[uint64]uint8 // 1 live, 2 dead
 }
 
-func (e *engine) newLiveness(sweep bool) *liveness {
-	l := &liveness{e: e, sparse: map[uint64]uint8{}}
-	if sweep {
-		l.dense = make([][]uint8, len(e.views))
-		for ord, tv := range e.views {
-			l.dense[ord] = make([]uint8, e.maxID(tv)+1)
-		}
-	}
-	return l
+func (e *engine) newLiveness() *liveness {
+	return &liveness{e: e, memo: map[uint64]uint8{}}
 }
 
 func (l *liveness) live(ord int, id uint32) bool {
 	key := uint64(ord)<<32 | uint64(id)
-	var cell *uint8
-	var state uint8
-	if l.dense != nil && int(id) < len(l.dense[ord]) {
-		cell = &l.dense[ord][id]
-		state = *cell
-	} else {
-		state = l.sparse[key]
-	}
-	if state != 0 {
+	if state := l.memo[key]; state != 0 {
 		return state == 1
 	}
 	l.e.dev.CPU.Charge(sim.CyclesTombstone)
 	l.e.metrics.tombstoneProbes.Inc()
-	state = 2
+	state := uint8(2)
 	if l.computeLive(l.e.views[ord], id) {
 		state = 1
 	}
-	if cell != nil {
-		*cell = state
-	} else {
-		l.sparse[key] = state
-	}
+	l.memo[key] = state
 	return state == 1
 }
 
@@ -398,7 +384,7 @@ func (e *engine) deltaInsertLocked(ins *sql.Insert) error {
 	}
 	tv := e.views[t.Ordinal()]
 	dt := e.delta.Ensure(t, tv.baseN)
-	lv := e.newLiveness(false)
+	lv := e.newLiveness()
 	rows := make([][]value.Value, len(ins.Rows))
 	busBytes := 0
 	live := func(ci int, id uint32) bool { return lv.live(tv.cols[ci].ref, id) }
@@ -458,7 +444,7 @@ func (e *engine) execDMLLocked(d *plan.DML) (int64, error) {
 		if len(ids) == 0 {
 			break
 		}
-		lv := e.newLiveness(false)
+		lv := e.newLiveness()
 		for _, a := range d.Sets {
 			if c := &d.Table.Columns[a.ColIdx]; c.IsForeignKey() &&
 				(a.Val.Kind() != value.Int || !lv.live(tv.cols[a.ColIdx].ref, uint32(a.Val.Int()))) {
@@ -493,7 +479,7 @@ func (e *engine) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 	ord := d.Table.Ordinal()
 	baseN := e.views[ord].baseN
 	dt := e.delta.Get(ord)
-	lv := e.newLiveness(false)
+	lv := e.newLiveness()
 	rep := &stats.Report{}
 
 	// Base candidates: intersect the per-predicate exact ID lists.
@@ -607,10 +593,14 @@ type ckptPending struct {
 }
 
 // checkpointPrepareLocked runs the read-only phase of a CHECKPOINT:
-// liveness, renumbering, and extraction of the effective column data.
-// It checks ctx at every table boundary; any error — cancellation
-// included — returns with the database untouched and the delta intact.
-// A clean delta returns (nil, nil).
+// which rows survive, their new dense identifiers, and the extraction of
+// the effective column data. Its host work grows with the delta, not the
+// database, apart from copying the clean rows and reading their hidden
+// cells; its simulated bill is the one a sweep of every identifier would
+// run up (see deadRows and extractLocked). It checks ctx at every table
+// boundary of both passes; any error — cancellation included — returns
+// with the database untouched and the delta intact. A clean delta returns
+// (nil, nil).
 func (e *engine) checkpointPrepareLocked(ctx context.Context) (*ckptPending, error) {
 	if !e.loaded {
 		return nil, fmt.Errorf("core: CHECKPOINT before Build")
@@ -618,74 +608,252 @@ func (e *engine) checkpointPrepareLocked(ctx context.Context) (*ckptPending, err
 	if e.delta.Entries() == 0 {
 		return nil, nil
 	}
-	p := &ckptPending{}
 	if err := e.net.Send(trace.Terminal, trace.Device, trace.KindDML, len("CHECKPOINT"), "CHECKPOINT", nil); err != nil {
 		e.noteDeviceErr(err)
 		return nil, err
 	}
-	lv := e.newLiveness(true)
 
-	// Pass 1: survivors and their new dense identifiers, per table
-	// ordinal (renumber[ord][old] is the new identifier, 0 when dead).
-	oldIDs := make([][]uint32, len(e.views))
-	renumber := make([][]uint32, len(e.views))
-	for ord, tv := range e.views {
+	// Pass 1: the dead rows of every table, in ordinal order, so the
+	// tables a table references are settled before it.
+	tabs := make([]ckptTable, len(e.views))
+	for _, tv := range e.views {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: CHECKPOINT canceled: %w", err)
 		}
-		maxID := e.maxID(tv)
-		ids := make([]uint32, 0, maxID)
-		remap := make([]uint32, maxID+1)
-		for id := uint32(1); id <= maxID; id++ {
-			if lv.live(ord, id) {
-				ids = append(ids, id)
-				remap[id] = uint32(len(ids))
-			}
-		}
-		oldIDs[ord], renumber[ord] = ids, remap
+		e.deadRows(tv, tabs)
 	}
 
 	// Pass 2: extract the effective columns with foreign keys remapped,
-	// before anything is torn down. Row-major, so the page cache sees the
-	// base hidden columns in the same order as ever.
+	// before anything is torn down.
 	img := make([]tableImage, len(e.views))
 	for ord, tv := range e.views {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: CHECKPOINT canceled: %w", err)
 		}
-		t, ids := tv.t, oldIDs[ord]
-		tim := newTableImage(t, len(ids))
-		for _, oldID := range ids {
-			row := e.image(tv, oldID)
-			for ci := range t.Columns {
-				switch c := &t.Columns[ci]; {
-				case c.PrimaryKey:
-				case c.IsForeignKey():
-					oldChild, err := e.fkOf(tv, row, ci, oldID)
-					if err != nil {
-						return nil, err
-					}
-					remap := renumber[tv.cols[ci].ref]
-					if int(oldChild) >= len(remap) || remap[oldChild] == 0 {
-						return nil, fmt.Errorf("core: checkpoint: %s.%s row %d dangles", t.Name, c.Name, oldID)
-					}
-					tim.fks[ci] = append(tim.fks[ci], remap[oldChild])
-				default:
-					v, err := e.valueOf(tv, row, ci, oldID)
-					if err != nil {
-						e.noteDeviceErr(err)
-						return nil, err
-					}
-					tim.cols[ci].Append(v)
+		tim, err := e.extractLocked(tv, tabs)
+		if err != nil {
+			return nil, err
+		}
+		img[ord] = tim
+	}
+	root := &tabs[e.sch.Root().Ordinal()]
+	return &ckptPending{survivors: root.survivors(), img: img}, nil
+}
+
+// ckptTable is one table's side of a CHECKPOINT prepare, worked out from
+// its delta.
+type ckptTable struct {
+	maxID uint32   // the highest identifier ever assigned
+	imgs  []uint32 // delta-resident identifiers, ascending
+	dead  []uint32 // identifiers that do not survive, ascending
+	remap []uint32 // remap[old] is old's new identifier, 0 when dead; built on first use
+}
+
+// newIDs returns the renumbering of a table that lost rows: survivors
+// take 1, 2, ... in ascending order of their old identifiers.
+func (c *ckptTable) newIDs() []uint32 {
+	if c.remap == nil {
+		c.remap = make([]uint32, c.maxID+1)
+		for i, old := range c.survivors() {
+			c.remap[old] = uint32(i + 1)
+		}
+	}
+	return c.remap
+}
+
+// newID returns the identifier old survives under, 0 when it dies or
+// was never assigned.
+func (c *ckptTable) newID(old uint32) uint32 {
+	switch {
+	case old == 0 || old > c.maxID:
+		return 0
+	case len(c.dead) == 0:
+		return old
+	}
+	return c.newIDs()[old]
+}
+
+// survivors lists the surviving old identifiers, ascending; never nil.
+func (c *ckptTable) survivors() []uint32 {
+	out := make([]uint32, 0, int(c.maxID)-len(c.dead))
+	dead := c.dead
+	for id := uint32(1); id <= c.maxID; id++ {
+		if len(dead) > 0 && dead[0] == id {
+			dead = dead[1:]
+			continue
+		}
+		out = append(out, id)
+	}
+	return out
+}
+
+// deadRows fills tabs[ord] for table tv from its delta alone; the tables
+// tv references (declared before it) are filled already. A row is dead
+// when it is tombstoned, when a foreign key of its delta image names a
+// dead row, or when it is a base row without an image that a dead row
+// reaches through the retained inverted edge. The device is charged what
+// a row-by-row walk is charged: one tombstone probe per identifier in
+// 1..maxID (each a fresh chain-liveness evaluation), paid in one
+// ChargeUnits per table, so a CHECKPOINT canceled between tables has paid
+// what the walk would have.
+func (e *engine) deadRows(tv *tableView, tabs []ckptTable) {
+	c := &tabs[tv.t.Ordinal()]
+	c.maxID = e.maxID(tv)
+	d := e.deltaOf(tv)
+	var dead []uint32
+	if d != nil {
+		c.imgs = d.DeltaIDs()
+		dead = d.TombstonedIDs()
+	}
+	for _, ci := range tv.fks {
+		cv := &tv.cols[ci]
+		gone := tabs[cv.ref].dead
+		if len(gone) == 0 {
+			continue
+		}
+		for _, g := range gone {
+			if int(g) > len(cv.inv) {
+				break // past the referenced base segment: no base row names g
+			}
+			for _, r := range cv.inv[g-1] {
+				if d == nil || !d.Shadowed(r) { // a row with an image goes by its image
+					dead = append(dead, r)
 				}
 			}
 		}
-		tim.n = len(ids)
-		img[ord] = tim
+		for _, id := range c.imgs {
+			row, _ := d.Row(id)
+			if _, found := slices.BinarySearch(gone, uint32(row[ci].Int())); found {
+				dead = append(dead, id)
+			}
+		}
 	}
-	p.survivors = oldIDs[e.sch.Root().Ordinal()]
-	p.img = img
-	return p, nil
+	slices.Sort(dead)
+	c.dead = slices.Compact(dead)
+	e.dev.CPU.ChargeUnits(sim.CyclesTombstone, int64(c.maxID))
+	e.metrics.tombstoneProbes.Add(int64(c.maxID))
+}
+
+// extractLocked builds table tv's post-merge image from its survivors in
+// ascending order: a run of clean base rows is copied column by column —
+// visible cells from the committed visible columns, foreign keys from
+// the retained edges (renumbered when the referenced table lost rows) —
+// and then its hidden cells are read through the page cache row by row,
+// in schema order, which is the order (and so the page-cache and fault
+// plan history) a row-at-a-time extraction has; a delta image is copied
+// cell by cell at one decode charge per value cell.
+func (e *engine) extractLocked(tv *tableView, tabs []ckptTable) (tableImage, error) {
+	t, c := tv.t, &tabs[tv.t.Ordinal()]
+	n := int(c.maxID) - len(c.dead)
+	tim := newTableImage(t, n)
+	tim.n = n
+	var hidden []int // hidden value columns, schema order
+	values := int64(0)
+	for ci := range t.Columns {
+		if col := &t.Columns[ci]; col.PrimaryKey || col.IsForeignKey() {
+			continue
+		}
+		values++
+		if tv.cols[ci].hid != nil {
+			hidden = append(hidden, ci)
+		}
+	}
+	interners := make([]value.Interner, len(hidden)) // one per hidden column: its repeated strings
+	dangles := func(ci int, id uint32) error {
+		return fmt.Errorf("core: checkpoint: %s.%s row %d dangles", t.Name, t.Columns[ci].Name, id)
+	}
+
+	// copyRun copies the clean base rows lo..hi-1.
+	copyRun := func(lo, hi uint32) error {
+		if int(hi-1) > tv.baseN {
+			return fmt.Errorf("core: %s id %d has no row", t.Name, tv.baseN+1)
+		}
+		for ci := range t.Columns {
+			col, cv := &t.Columns[ci], &tv.cols[ci]
+			switch {
+			case col.PrimaryKey:
+			case col.IsForeignKey():
+				src, ref := cv.fk[lo-1:hi-1], &tabs[cv.ref]
+				if len(ref.dead) == 0 {
+					tim.fks[ci] = append(tim.fks[ci], src...)
+					continue
+				}
+				remap := ref.newIDs()
+				for j, old := range src {
+					if remap[old] == 0 {
+						return dangles(ci, lo+uint32(j))
+					}
+					tim.fks[ci] = append(tim.fks[ci], remap[old])
+				}
+			case cv.hid == nil:
+				tim.cols[ci].AppendRange(cv.vis.Cells(), int(lo-1), int(hi-1))
+			}
+		}
+		for id := lo; id < hi; id++ {
+			for k, ci := range hidden {
+				if err := tv.cols[ci].hid.AppendTo(&tim.cols[ci], int(id)-1, &interners[k]); err != nil {
+					e.noteDeviceErr(err)
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	// copyImage copies the delta image of row id.
+	copyImage := func(id uint32, row []value.Value) error {
+		e.dev.CPU.ChargeUnits(sim.CyclesDecode, values)
+		for ci := range t.Columns {
+			switch col := &t.Columns[ci]; {
+			case col.PrimaryKey:
+			case col.IsForeignKey():
+				nid := tabs[tv.cols[ci].ref].newID(uint32(row[ci].Int()))
+				if nid == 0 {
+					return dangles(ci, id)
+				}
+				tim.fks[ci] = append(tim.fks[ci], nid)
+			default:
+				tim.cols[ci].Append(row[ci])
+			}
+		}
+		return nil
+	}
+
+	// Walk 1..maxID by what the delta names — dead rows and images —
+	// copying the clean runs between them.
+	d := e.deltaOf(tv)
+	dead, imgs := c.dead, c.imgs
+	for lo := uint32(1); lo <= c.maxID; {
+		next := c.maxID + 1
+		if len(dead) > 0 {
+			next = min(next, dead[0])
+		}
+		if len(imgs) > 0 {
+			next = min(next, imgs[0])
+		}
+		if lo < next {
+			if err := copyRun(lo, next); err != nil {
+				return tableImage{}, err
+			}
+		}
+		if next > c.maxID {
+			break
+		}
+		isDead := len(dead) > 0 && dead[0] == next
+		if isDead {
+			dead = dead[1:]
+		}
+		if len(imgs) > 0 && imgs[0] == next {
+			imgs = imgs[1:]
+			if !isDead {
+				row, _ := d.Row(next)
+				if err := copyImage(next, row); err != nil {
+					return tableImage{}, err
+				}
+			}
+		}
+		lo = next + 1
+	}
+	return tim, nil
 }
 
 // checkpointCommitLocked makes a prepared checkpoint durable: it swaps

@@ -565,7 +565,7 @@ func (ex *executor) evalDeltaRows() error {
 
 	op := ex.rep.NewOp("DeltaScan", probesLabel(len(ex.deltaCands)))
 	phase := e.clock.Now()
-	lv := e.newLiveness(false)
+	lv := e.newLiveness()
 	resultBytes := 0
 	for n, id := range ex.deltaCands {
 		if n&63 == 0 {

@@ -182,14 +182,15 @@ func TestCheckpointDeltaForeignKeys(t *testing.T) {
 	// A live row whose key has no surviving target cannot be produced
 	// through SQL — liveness is what selects the survivors — so the key
 	// is swapped between the two passes: CHECKPOINT consults its context
-	// once per table and pass, and the third call opens the extraction.
+	// before each table of each pass, so call len(e.views)+1 opens the
+	// extraction.
 	mustExec(`UPDATE Visit SET Toll = 1 WHERE VisID = 2`)
 	e := db.shards.engines[0]
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	visit := e.mustTable("Visit")
 	img, _ := e.delta.Get(visit.Ordinal()).Row(2)
-	ctx := &plantCtx{Context: context.Background(), at: 3, plant: func() {
+	ctx := &plantCtx{Context: context.Background(), at: len(e.views) + 1, plant: func() {
 		img[visit.ColumnIndex("DocID")] = value.NewInt(99)
 	}}
 	if _, err := e.checkpointPrepareLocked(ctx); err == nil || err.Error() != "core: checkpoint: Visit.DocID row 2 dangles" {

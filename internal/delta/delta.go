@@ -226,6 +226,16 @@ func (t *Table) DeltaIDs() []uint32 {
 	return out
 }
 
+// TombstonedIDs returns the sorted tombstoned identifiers.
+func (t *Table) TombstonedIDs() []uint32 {
+	out := make([]uint32, 0, len(t.tombs))
+	for id := range t.tombs {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // chargeRaw grows the grant by dev bytes — the hidden share of one whole
 // statement, identifier keys and tombstones included — and books host
 // bytes. A failure means the device RAM budget is exhausted and the

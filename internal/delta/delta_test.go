@@ -71,6 +71,9 @@ func TestDeltaLifecycle(t *testing.T) {
 	if got := d.DeltaIDs(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("DeltaIDs = %v", got)
 	}
+	if got := d.TombstonedIDs(); len(got) != 2 || got[0] != 5 || got[1] != 11 {
+		t.Fatalf("TombstonedIDs = %v", got)
+	}
 	if s.Entries() != 3 { // one image + two tombstones
 		t.Fatalf("entries = %d", s.Entries())
 	}

@@ -158,6 +158,9 @@ func (s *Store) AddColumn(table, col string, c value.Column) (Column, error) {
 type Column interface {
 	// Value returns the value of row i (0-based).
 	Value(i int) (value.Value, error)
+	// AppendTo appends row i to dst, a column of the same kind, with the
+	// reads Value makes; a string is served from in (nil interns nothing).
+	AppendTo(dst *value.Column, i int, in *value.Interner) error
 	// Kind reports the column's value kind.
 	Kind() value.Kind
 	// Len reports the number of rows.
@@ -244,6 +247,20 @@ func (c *FixedColumn) Value(i int) (value.Value, error) {
 	return value.FromWord(c.kind, word(raw, c.width)), nil
 }
 
+// AppendTo implements Column: the payload word goes straight into
+// dst.Words.
+func (c *FixedColumn) AppendTo(dst *value.Column, i int, _ *value.Interner) error {
+	if dst.Kind != c.kind {
+		return fmt.Errorf("store: %s cell appended to a %s column", c.kind, dst.Kind)
+	}
+	v, err := c.Value(i)
+	if err != nil {
+		return err
+	}
+	dst.Words = append(dst.Words, v.Word())
+	return nil
+}
+
 // Kind implements Column.
 func (c *FixedColumn) Kind() value.Kind { return c.kind }
 
@@ -318,6 +335,19 @@ func (c *VarColumn) ValueInterned(i int, in *value.Interner) (value.Value, error
 	}
 	v, _, err := in.Decode(enc)
 	return v, err
+}
+
+// AppendTo implements Column.
+func (c *VarColumn) AppendTo(dst *value.Column, i int, in *value.Interner) error {
+	if dst.Kind != c.kind {
+		return fmt.Errorf("store: %s cell appended to a %s column", c.kind, dst.Kind)
+	}
+	v, err := c.ValueInterned(i, in)
+	if err != nil {
+		return err
+	}
+	dst.Strs = append(dst.Strs, v.Str())
+	return nil
 }
 
 // Kind implements Column.

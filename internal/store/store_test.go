@@ -188,6 +188,71 @@ func TestVarColumnRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendToMatchesValue holds AppendTo to Value: the same cells, and
+// the same page-cache hits and misses, kind by kind; a cell of another
+// kind or out of range is refused.
+func TestAppendToMatchesValue(t *testing.T) {
+	const rows = 3000 // several pages of each column
+	cols := map[value.Kind]value.Column{}
+	for _, k := range []value.Kind{value.Int, value.Date, value.Float, value.Bool, value.String} {
+		c := value.MakeColumn(k, rows)
+		for i := 0; i < rows; i++ {
+			switch k {
+			case value.Int:
+				c.Append(value.NewInt(int64(i*7919) - 1<<20))
+			case value.Date:
+				c.Append(value.NewDateDays(int64(i % 900)))
+			case value.Float:
+				c.Append(value.NewFloat(float64(i) / 3))
+			case value.Bool:
+				c.Append(value.NewBool(i%3 == 0))
+			case value.String:
+				c.Append(value.NewString("purpose " + itoa(i%40)))
+			}
+		}
+		cols[k] = c
+	}
+	for k, src := range cols {
+		s := newTestStore(t)
+		if _, err := s.CreateTable("T", rows); err != nil {
+			t.Fatal(err)
+		}
+		col, err := s.AddColumn("T", "C", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in value.Interner
+		got := value.MakeColumn(k, 0)
+		for i := 0; i < rows; i++ {
+			if err := col.AppendTo(&got, i, &in); err != nil {
+				t.Fatalf("%s[%d]: %v", k, i, err)
+			}
+		}
+		hits, misses := s.Cache().Hits(), s.Cache().Misses()
+		s.Cache().Invalidate()
+		s.Cache().ResetStats()
+		for i := 0; i < rows; i++ {
+			v, err := col.Value(i)
+			if err != nil || v != got.Value(i) || v != src.Value(i) {
+				t.Fatalf("%s[%d]: AppendTo %v, Value %v (%v), stored %v", k, i, got.Value(i), v, err, src.Value(i))
+			}
+		}
+		if h, m := s.Cache().Hits(), s.Cache().Misses(); h != hits || m != misses || m == 0 {
+			t.Errorf("%s: AppendTo hit %d / missed %d, Value %d / %d", k, hits, misses, h, m)
+		}
+		other := value.MakeColumn(value.Int, 0)
+		if k == value.Int {
+			other = value.MakeColumn(value.String, 0)
+		}
+		if err := col.AppendTo(&other, 0, nil); err == nil || other.Len() != 0 {
+			t.Errorf("%s: cell appended to a %s column", k, other.Kind)
+		}
+		if err := col.AppendTo(&got, rows, nil); err == nil || got.Len() != rows {
+			t.Errorf("%s: out-of-range cell appended", k)
+		}
+	}
+}
+
 func TestAddColumnValidation(t *testing.T) {
 	s := newTestStore(t)
 	if _, err := s.CreateTable("T", 2); err != nil {

@@ -40,3 +40,16 @@ func (c *Column) Append(v Value) {
 		c.Words = append(c.Words, v.Word())
 	}
 }
+
+// AppendRange adds cells lo..hi-1 of src, a column of the same kind (it
+// panics otherwise), in one copy.
+func (c *Column) AppendRange(src Column, lo, hi int) {
+	if src.Kind != c.Kind {
+		panic("value: " + src.Kind.String() + " cells appended to a " + c.Kind.String() + " column")
+	}
+	if c.Kind == String {
+		c.Strs = append(c.Strs, src.Strs[lo:hi]...)
+	} else {
+		c.Words = append(c.Words, src.Words[lo:hi]...)
+	}
+}

@@ -419,3 +419,36 @@ func TestFloatCanonical(t *testing.T) {
 		t.Errorf("an Int must order after NaN, Compare = %d", c)
 	}
 }
+
+// TestColumnAppendRange holds AppendRange to cell-by-cell Append, for a
+// word column and a string column, and checks that it refuses a column of
+// another kind.
+func TestColumnAppendRange(t *testing.T) {
+	for _, src := range []Column{
+		{Kind: Date, Words: []int64{3, 1, 4, 1, 5, 9}},
+		{Kind: String, Strs: []string{"a", "", "bc", "d", "e", "f"}},
+	} {
+		got, want := MakeColumn(src.Kind, 0), MakeColumn(src.Kind, 0)
+		got.AppendRange(src, 1, 4)
+		got.AppendRange(src, 5, 5)
+		got.AppendRange(src, 5, 6)
+		for _, i := range []int{1, 2, 3, 5} {
+			want.Append(src.Value(i))
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: %d cells, want %d", src.Kind, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			if got.Value(i) != want.Value(i) {
+				t.Errorf("%s[%d] = %v, want %v", src.Kind, i, got.Value(i), want.Value(i))
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a String range appended to an Int column")
+		}
+	}()
+	c := MakeColumn(Int, 0)
+	c.AppendRange(Column{Kind: String, Strs: []string{"x"}}, 0, 1)
+}

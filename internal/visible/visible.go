@@ -153,6 +153,10 @@ func (t *Table) Value(col string, id uint32) (value.Value, error) {
 	return c.Value(id)
 }
 
+// Cells returns the column's cells, row i+1 at position i, as AddColumn
+// retained them (read-only); a primary key stores none.
+func (c *Column) Cells() value.Column { return c.data }
+
 // Value returns the column's value for row id (1-based).
 func (c *Column) Value(id uint32) (value.Value, error) {
 	if id == 0 || int(id) > c.n {
