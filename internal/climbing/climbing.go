@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -80,15 +79,23 @@ type Entry struct {
 	Lists []ListRef
 }
 
-// Inverted supplies, for a (parent, child) edge of the schema tree, the
-// inverted foreign key: result[childID-1] is the sorted list of parent IDs
-// referencing that child row. The engine computes each edge once at load.
-type Inverted func(parent, child string) ([][]uint32, error)
+// Edge is one (parent, child) edge of the schema tree, both ways: FK[p-1]
+// is the child row that parent row p references, Inv[c-1] the parent rows
+// referencing child row c, ascending. Every parent row references exactly
+// one child row, so the lists of Inv hold each parent row once.
+type Edge struct {
+	FK  []uint32
+	Inv [][]uint32
+}
+
+// Edges supplies the edge between parent and child. The engine keeps
+// both directions of every edge of its load.
+type Edges func(parent, child string) (Edge, error)
 
 // Build constructs a climbing index over col and programs it into st:
 // Encode, then Program.
-func Build(st *store.Store, sch *schema.Schema, table, column string, col value.Column, dense bool, inv Inverted) (*Index, error) {
-	enc, err := Encode(sch, table, column, col, dense, inv)
+func Build(st *store.Store, sch *schema.Schema, table, column string, col value.Column, dense bool, edges Edges) (*Index, error) {
+	enc, err := new(Encoder).Encode(sch, table, column, col, dense, edges)
 	if err != nil {
 		return nil, err
 	}
@@ -102,25 +109,55 @@ type Encoded struct {
 	entries, values, lists []byte
 }
 
+// Encoder lays out climbing indexes. It keeps the scratch a layout needs
+// — the ranks, the per-level buckets, the ranking tables — and reuses it
+// for the next Encode, so a goroutine encoding a run of indexes allocates
+// little beyond what each index keeps. An Encoder serves one goroutine at
+// a time, its zero value is ready, and it should die with the run it
+// serves: it keeps the largest scratch it has needed.
+type Encoder struct {
+	rank, up []int32          // one level's ranks (-1: no list), then the next level's
+	first    []int32          // a row of each rank, in rank order
+	edges    []Edge           // the edges from the indexed table up
+	ids      []uint32         // every level's IDs grouped by rank
+	begin    []int32          // per level, n+1 bounds into ids
+	next     []int32          // one level's fill cursors
+	slot     []int32          // rankWords' direct-address table
+	order    []int32          // rankBySort's permutation
+	seen     map[string]int32 // rankStrings' first-seen numbers
+	strs     []string         // rankStrings' distinct strings
+}
+
+// sized returns s with length n, reallocated when its capacity is short.
+// The contents are neither kept nor cleared.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Encode lays out a climbing index over col, the column's values in row
 // order (row i has ID i+1). dense marks a primary key, whose value i+1
 // sits at entry i by construction, enabling O(1) lookups. The index
-// climbs from table to the schema root using inv. Encode touches no
+// climbs from table to the schema root along edges. Encode touches no
 // device, so indexes over read-only columns and edges may be encoded
-// concurrently.
+// concurrently, each goroutine with its own Encoder.
 //
 // The posting lists are built by rank propagation. In a tree schema every
 // row of a level references exactly one row of the level below, hence
 // belongs to exactly one dictionary value: each row of table gets the
 // rank of its value among the sorted distinct values (rankWords for Int,
 // Date and Bool words, rankStrings, rankBySort over a FLOAT column's IEEE
-// order), the ranks are carried up the inverted edges level by level, and
-// each level is bucketed by rank in one counting pass filled in ascending
-// row order — so every list comes out sorted and nothing is re-sorted. The
-// three regions are a pure function of (col, inv): their bytes are what
-// CHECKPOINT programs into flash, and the tests hold them identical to the
-// map-grouping build this replaced.
-func Encode(sch *schema.Schema, table, column string, col value.Column, dense bool, inv Inverted) (*Encoded, error) {
+// order). Each level is then bucketed by rank: an upper level's buckets
+// are counted on the level below, each child row adding its parent count
+// to its rank's bucket, and filled in one ascending pass over the parent
+// rows, each taking its child's rank through the foreign key — so every
+// list comes out sorted and nothing is re-sorted. The three regions are a
+// pure function of (col, edges): their bytes are what CHECKPOINT programs
+// into flash, and the tests hold them identical to the map-grouping build
+// and to the climb-then-bucket passes this replaced.
+func (e *Encoder) Encode(sch *schema.Schema, table, column string, col value.Column, dense bool, edges Edges) (*Encoded, error) {
 	tb, ok := sch.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("climbing: unknown table %s", table)
@@ -138,66 +175,120 @@ func Encode(sch *schema.Schema, table, column string, col value.Column, dense bo
 		entSize: 4 + 8*len(levels),
 	}
 
-	// rank[i] is the position of row i's value among the sorted distinct
-	// values, first[r] a row holding the value of rank r.
-	var rank, first []int32
-	switch words := col.Words; col.Kind {
-	case value.String:
-		rank, first = rankStrings(col.Strs)
-	case value.Float:
-		rank, first = rankBySort(len(words), func(a, b int32) int {
-			return cmp.Compare(math.Float64frombits(uint64(words[a])), math.Float64frombits(uint64(words[b])))
-		})
-	default:
-		rank, first = rankWords(words)
+	// The edges up to the root, and the scratch sized for the largest
+	// level and for all of them together.
+	e.edges = e.edges[:0]
+	rows, most, total := col.Len(), col.Len(), col.Len()
+	for l := 1; l < len(levels); l++ {
+		edge, err := edges(levels[l], levels[l-1])
+		if err != nil {
+			return nil, fmt.Errorf("climbing: inverted %s->%s: %w", levels[l], levels[l-1], err)
+		}
+		if len(edge.Inv) != rows {
+			return nil, fmt.Errorf("climbing: edge %s->%s lists parents of %d rows, %s has %d", levels[l], levels[l-1], len(edge.Inv), levels[l-1], rows)
+		}
+		e.edges = append(e.edges, edge)
+		rows = len(edge.FK)
+		most, total = max(most, rows), total+rows
 	}
-	n := len(first)
+	e.rank = sized(e.rank, most)[:col.Len()]
+	e.up = sized(e.up, most)
+	e.ids = sized(e.ids, total)
+
+	// e.rank[i] is the position of row i's value among the sorted
+	// distinct values, e.first[r] a row holding the value of rank r.
+	e.rankColumn(col)
+	n := len(e.first)
 	sorted := make([]value.Value, n)
-	for r, i := range first {
+	for r, i := range e.first {
 		sorted[r] = col.Value(int(i))
 	}
 	ix.n = n
 	ix.vals = sorted
 
-	// Per level: the row IDs grouped by rank (ids[begin[r]:begin[r+1]] is
-	// rank r's list, ascending).
-	ids := make([][]uint32, len(levels))
-	begin := make([][]int32, len(levels))
-	listsCap := 0
-	for l := range levels {
-		if l > 0 {
-			iv, err := inv(levels[l], levels[l-1])
-			if err != nil {
-				return nil, fmt.Errorf("climbing: inverted %s->%s: %w", levels[l], levels[l-1], err)
-			}
-			rank = climbRanks(rank, iv)
-		}
-		ids[l], begin[l] = bucketByRank(rank, n)
-		// No delta exceeds the level's row count, which bounds its varint.
-		listsCap += len(ids[l]) * ((bits.Len(uint(len(rank))) + 6) / 7)
+	// Per level l, the row IDs grouped by rank: rank r's list is
+	// ids[begin[l][r]:begin[l][r+1]], ascending.
+	e.begin = sized(e.begin, len(levels)*(n+1))
+	clear(e.begin)
+	e.next = sized(e.next, n)
+	rank, up, ids, next := e.rank, e.up, e.ids, e.next
+	off, listsCap := 0, 0
+	for _, r := range rank {
+		e.begin[r+1]++
 	}
+	for l := range levels {
+		// Level l was counted on the level below (level 0 above); it is
+		// filled here, and level l+1 counted on it: each row adds its
+		// parent count to its rank's bucket.
+		begin := e.begin[l*(n+1) : (l+1)*(n+1)]
+		begin[0] = int32(off)
+		for r := range n {
+			begin[r+1] += begin[r]
+		}
+		off = int(begin[n])
+		copy(next, begin[:n])
+		var above []int32
+		var inv [][]uint32
+		if l+1 < len(levels) {
+			above, inv = e.begin[(l+1)*(n+1):(l+2)*(n+1)], e.edges[l].Inv
+		}
+		if l == 0 {
+			for i, r := range rank {
+				ids[next[r]] = uint32(i + 1)
+				next[r]++
+				if above != nil {
+					above[r+1] += int32(len(inv[i]))
+				}
+			}
+		} else {
+			// Every parent row takes its child's rank, -1 under an
+			// unranked child.
+			fk := e.edges[l-1].FK
+			up = up[:len(fk)]
+			for p, c := range fk {
+				r := rank[c-1]
+				up[p] = r
+				if r >= 0 {
+					ids[next[r]] = uint32(p + 1)
+					next[r]++
+					if above != nil {
+						above[r+1] += int32(len(inv[p]))
+					}
+				}
+			}
+			rank, up = up, rank[:cap(rank)]
+		}
+		for r := range n {
+			if lo, hi := begin[r], begin[r+1]; hi > lo {
+				listsCap += listBound(int(hi-lo), ids[hi-1])
+			}
+		}
+	}
+	e.rank, e.up = rank, up
 
-	// The regions are sized once: exactly for entries and values, by that
-	// bound for lists.
+	// The regions are sized once: exactly for entries and values, by
+	// listBound for lists.
 	valuesCap := 0
 	for _, v := range sorted {
 		valuesCap += v.EncodedSize()
 	}
-	entriesBuf := make([]byte, 0, n*ix.entSize)
+	entriesBuf := make([]byte, n*ix.entSize)
 	valuesBuf := make([]byte, 0, valuesCap)
-	listsBuf := make([]byte, 0, listsCap)
+	listsBuf := make([]byte, listsCap)
+	at := 0
 	for r, v := range sorted {
-		entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(valuesBuf)))
+		ent := entriesBuf[r*ix.entSize : (r+1)*ix.entSize]
+		binary.LittleEndian.PutUint32(ent, uint32(len(valuesBuf)))
 		valuesBuf = v.Append(valuesBuf)
 		for l := range levels {
-			list := ids[l][begin[l][r]:begin[l][r+1]]
-			entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(listsBuf)))
-			entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(list)))
-			listsBuf = codec.AppendIDList(listsBuf, list)
+			lo, hi := e.begin[l*(n+1)+r], e.begin[l*(n+1)+r+1]
+			binary.LittleEndian.PutUint32(ent[4+8*l:], uint32(at))
+			binary.LittleEndian.PutUint32(ent[8+8*l:], uint32(hi-lo))
+			at += codec.PutIDList(listsBuf[at:], ids[lo:hi])
 		}
 	}
 
-	return &Encoded{ix: ix, entries: entriesBuf, values: valuesBuf, lists: listsBuf}, nil
+	return &Encoded{ix: ix, entries: entriesBuf, values: valuesBuf, lists: listsBuf[:at]}, nil
 }
 
 // Program appends the encoded regions to st — entries, values, lists —
@@ -218,23 +309,53 @@ func (enc *Encoded) Program(st *store.Store) (*Index, error) {
 	return ix, nil
 }
 
-// rankBySort ranks rows 0..n-1 under a three-way comparison of their
-// values: it sorts the rows by (value, row) and numbers the runs of equal
-// values, so first[r] is the first row holding the value of rank r.
-func rankBySort(n int, compare func(a, b int32) int) (rank, first []int32) {
-	order := make([]int32, n)
+// listBound bounds the bytes codec.PutIDList writes for k ascending,
+// distinct IDs the largest of which is m. The deltas it encodes are at
+// least 1 and sum to m, so at most min(k, m>>7j) of them reach 2^7j and
+// take a (j+1)-th byte — a bound as cheap as the list count, tight for a
+// short list of large IDs and for a long one of small gaps alike.
+func listBound(k int, m uint32) int {
+	n := k
+	for m >>= 7; m > 0; m >>= 7 {
+		n += min(k, int(m))
+	}
+	return n
+}
+
+// rankColumn ranks col's rows into e.rank and lists a row of each rank,
+// in rank order, in e.first.
+func (e *Encoder) rankColumn(col value.Column) {
+	switch words := col.Words; col.Kind {
+	case value.String:
+		e.rankStrings(col.Strs)
+	case value.Float:
+		e.order = sized(e.order, len(words))
+		e.first = rankBySort(e.rank, e.order, e.first, func(a, b int32) int {
+			return cmp.Compare(math.Float64frombits(uint64(words[a])), math.Float64frombits(uint64(words[b])))
+		})
+	default:
+		e.rankWords(words)
+	}
+}
+
+// rankBySort ranks rows 0..n-1 (n = len(rank) = len(order)) under a
+// three-way comparison of their values: it sorts the rows by (value,
+// row) in order and numbers the runs of equal values into rank. It
+// returns first, refilled from first[:0]: first[r] is the first row
+// holding the value of rank r.
+func rankBySort(rank, order, first []int32, compare func(a, b int32) int) []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Or(compare(a, b), cmp.Compare(a, b)) })
-	rank = make([]int32, n)
+	first = first[:0]
 	for j, i := range order {
 		if j == 0 || compare(order[j-1], i) != 0 {
 			first = append(first, i)
 		}
 		rank[i] = int32(len(first) - 1)
 	}
-	return rank, first
+	return first
 }
 
 // tableSpan bounds the direct-address table of rankWords at this many
@@ -244,115 +365,95 @@ const tableSpan = 4
 // rankWords ranks a column of Int, Date or Bool payload words. Keys, dates
 // and the small domains of a real schema sit in a range a few times the
 // row count at most, so the usual column is ranked by one table indexed by
-// value − min: no hashing, no comparison.
-func rankWords(words []int64) (rank, first []int32) {
+// value − min: no hashing, no comparison. A key column, 1..n in row
+// order, is its own ranking, seen by the pass that finds the range.
+func (e *Encoder) rankWords(words []int64) {
 	n := len(words)
+	e.first = e.first[:0]
 	if n == 0 {
-		return nil, nil
+		return
 	}
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, w := range words {
+	keys := true // the words are 1..n in row order, as a key column's are
+	for i, w := range words {
 		lo, hi = min(lo, w), max(hi, w)
+		keys = keys && w == int64(i+1)
+	}
+	if keys {
+		first := slices.Grow(e.first, n)[:n]
+		for i := range first {
+			first[i] = int32(i)
+			e.rank[i] = int32(i)
+		}
+		e.first = first
+		return
 	}
 	// hi >= lo, so the unsigned difference is exact even when the signed
 	// one would overflow (MinInt64 and MaxInt64 in one column).
 	span := uint64(hi) - uint64(lo)
 	if span >= tableSpan*uint64(n) {
-		return rankBySort(n, func(a, b int32) int { return cmp.Compare(words[a], words[b]) })
+		e.order = sized(e.order, n)
+		e.first = rankBySort(e.rank, e.order, e.first, func(a, b int32) int { return cmp.Compare(words[a], words[b]) })
+		return
 	}
-	slot := make([]int32, span+1) // first row holding lo+j, plus one; then its rank, plus one
+	e.slot = sized(e.slot, int(span+1)) // first row holding lo+j, plus one; then its rank, plus one
+	slot := e.slot
+	clear(slot)
 	for i, w := range words {
 		if s := &slot[uint64(w)-uint64(lo)]; *s == 0 {
 			*s = int32(i + 1)
 		}
 	}
-	first = make([]int32, 0, min(uint64(n), span+1))
+	first := slices.Grow(e.first, int(min(uint64(n), span+1)))
 	for j, s := range slot {
 		if s != 0 {
 			first = append(first, s-1)
 			slot[j] = int32(len(first))
 		}
 	}
-	rank = make([]int32, n)
+	rank := e.rank
 	for i, w := range words {
 		rank[i] = slot[uint64(w)-uint64(lo)] - 1
 	}
-	return rank, first
+	e.first = first
 }
 
 // rankStrings numbers the distinct strings as first seen through a map
-// keyed by the string itself, then ranks only the distinct ones.
-func rankStrings(strs []string) (rank, first []int32) {
-	seen := map[string]int32{}
-	var firstSeen []int32 // first-seen number -> row
-	rank = make([]int32, len(strs))
+// keyed by the string itself, then sorts only the distinct ones. The
+// first-seen rows and their ranks borrow e.next and e.up, which are free
+// until the levels are bucketed.
+func (e *Encoder) rankStrings(strs []string) {
+	if e.seen == nil {
+		e.seen = map[string]int32{}
+	}
+	clear(e.seen)
+	seen := e.seen
+	firstSeen := e.next[:0] // first-seen number -> row
+	distinct := e.strs[:0]
+	rank := e.rank
 	for i, str := range strs {
 		k, ok := seen[str]
 		if !ok {
 			k = int32(len(firstSeen))
 			seen[str] = k
 			firstSeen = append(firstSeen, int32(i))
+			distinct = append(distinct, str)
 		}
 		rank[i] = k
 	}
-	rankOf, order := rankBySort(len(firstSeen), func(a, b int32) int {
-		return strings.Compare(strs[firstSeen[a]], strs[firstSeen[b]])
-	})
-	first = make([]int32, len(order))
-	for r, k := range order {
-		first[r] = firstSeen[k]
+	slices.Sort(distinct)
+	e.up = sized(e.up, len(distinct))
+	rankOf := e.up // first-seen number -> rank
+	first := slices.Grow(e.first[:0], len(distinct))
+	for r, str := range distinct {
+		k := seen[str]
+		rankOf[k] = int32(r)
+		first = append(first, firstSeen[k])
 	}
 	for i, k := range rank {
 		rank[i] = rankOf[k]
 	}
-	return rank, first
-}
-
-// climbRanks carries the ranks of one level's rows (rank[i] for ID i+1,
-// -1 for none) up an inverted edge: every parent row takes the rank of
-// the one child row it references. Parent rows the edge never mentions
-// and parents of unranked children get -1.
-func climbRanks(rank []int32, inv [][]uint32) []int32 {
-	var rows uint32
-	for _, parents := range inv {
-		for _, p := range parents {
-			rows = max(rows, p)
-		}
-	}
-	up := make([]int32, rows)
-	for i := range up {
-		up[i] = -1
-	}
-	for c, parents := range inv[:min(len(inv), len(rank))] {
-		for _, p := range parents {
-			up[p-1] = rank[c]
-		}
-	}
-	return up
-}
-
-// bucketByRank groups row IDs by rank with a counting pass: rank r's
-// IDs are ids[begin[r]:begin[r+1]], ascending because rows are visited
-// in ID order. Unranked rows (-1) belong to no list.
-func bucketByRank(rank []int32, n int) (ids []uint32, begin []int32) {
-	begin = make([]int32, n+1)
-	for _, r := range rank {
-		if r >= 0 {
-			begin[r+1]++
-		}
-	}
-	for r := 0; r < n; r++ {
-		begin[r+1] += begin[r]
-	}
-	ids = make([]uint32, begin[n])
-	next := slices.Clone(begin[:n])
-	for i, r := range rank {
-		if r >= 0 {
-			ids[next[r]] = uint32(i + 1)
-			next[r]++
-		}
-	}
-	return ids, begin
+	e.next, e.strs, e.first = firstSeen, distinct, first
 }
 
 // Kind reports the indexed column's value kind.

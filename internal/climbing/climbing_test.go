@@ -73,12 +73,28 @@ func newFixture(t *testing.T) *fixture {
 	}
 }
 
-func (f *fixture) inverted(parent, child string) ([][]uint32, error) {
+func (f *fixture) edges(parent, child string) (Edge, error) {
 	iv, ok := f.inv[parent+"->"+child]
 	if !ok {
-		return nil, fmt.Errorf("no inverted edge %s->%s", parent, child)
+		return Edge{}, fmt.Errorf("no inverted edge %s->%s", parent, child)
 	}
-	return iv, nil
+	return edgeOf(iv), nil
+}
+
+// edgeOf completes an inverted edge with its foreign key: parent row p
+// references the child row whose list holds p.
+func edgeOf(inv [][]uint32) Edge {
+	parents := 0
+	for _, ps := range inv {
+		parents += len(ps)
+	}
+	fk := make([]uint32, parents)
+	for c, ps := range inv {
+		for _, p := range ps {
+			fk[p-1] = uint32(c + 1)
+		}
+	}
+	return Edge{FK: fk, Inv: inv}
 }
 
 func strv(s string) value.Value { return value.NewString(s) }
@@ -86,7 +102,7 @@ func strv(s string) value.Value { return value.NewString(s) }
 func TestBuildAndLookupEqOnVisitPurpose(t *testing.T) {
 	f := newFixture(t)
 	vals := []value.Value{strv("Checkup"), strv("Sclerosis"), strv("Sclerosis"), strv("Flu")}
-	ix, err := Build(f.st, f.sch, "Visit", "Purpose", columnOf(value.String, vals), false, f.inverted)
+	ix, err := Build(f.st, f.sch, "Visit", "Purpose", columnOf(value.String, vals), false, f.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +150,7 @@ func TestBuildAndLookupEqOnVisitPurpose(t *testing.T) {
 func TestLookupOnLeafClimbsTwoLevels(t *testing.T) {
 	f := newFixture(t)
 	vals := []value.Value{strv("France"), strv("Spain")}
-	ix, err := Build(f.st, f.sch, "Doctor", "Country", columnOf(value.String, vals), false, f.inverted)
+	ix, err := Build(f.st, f.sch, "Doctor", "Country", columnOf(value.String, vals), false, f.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +179,7 @@ func TestDenseTranslatorIndex(t *testing.T) {
 	// pre-filtering ("transforming these lists into lists of PreID
 	// thanks to the climbing index on Vis.VisID").
 	vals := []value.Value{value.NewInt(1), value.NewInt(2), value.NewInt(3), value.NewInt(4)}
-	ix, err := Build(f.st, f.sch, "Visit", "VisID", columnOf(value.Int, vals), true, f.inverted)
+	ix, err := Build(f.st, f.sch, "Visit", "VisID", columnOf(value.Int, vals), true, f.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +217,7 @@ func TestRangeQueries(t *testing.T) {
 		value.NewInt(10), value.NewInt(20), value.NewInt(30),
 		value.NewInt(20), value.NewInt(40), value.NewInt(10),
 	}
-	ix, err := Build(f.st, f.sch, "Prescription", "Quantity", columnOf(value.Int, vals), false, f.inverted)
+	ix, err := Build(f.st, f.sch, "Prescription", "Quantity", columnOf(value.Int, vals), false, f.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +281,7 @@ func TestDateColumnWithStringLiterals(t *testing.T) {
 		value.NewDate(2006, 1, 10), value.NewDate(2006, 11, 20),
 		value.NewDate(2007, 2, 1), value.NewDate(2006, 11, 20),
 	}
-	ix, err := Build(f.st, f.sch, "Visit", "Date", columnOf(value.Date, vals), false, f.inverted)
+	ix, err := Build(f.st, f.sch, "Visit", "Date", columnOf(value.Date, vals), false, f.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +316,10 @@ func TestDateColumnWithStringLiterals(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	f := newFixture(t)
-	if _, err := Build(f.st, f.sch, "Ghost", "X", columnOf(value.Int, nil), false, f.inverted); err == nil {
+	if _, err := Build(f.st, f.sch, "Ghost", "X", columnOf(value.Int, nil), false, f.edges); err == nil {
 		t.Error("unknown table accepted")
 	}
-	badInv := func(parent, child string) ([][]uint32, error) { return nil, fmt.Errorf("boom") }
+	badInv := func(parent, child string) (Edge, error) { return Edge{}, fmt.Errorf("boom") }
 	if _, err := Build(f.st, f.sch, "Visit", "Purpose", columnOf(value.String,
 		[]value.Value{strv("a"), strv("b"), strv("c"), strv("d")}), false, badInv); err == nil {
 		t.Error("broken inverted lookup accepted")
@@ -314,7 +330,7 @@ func TestLookupKindMismatch(t *testing.T) {
 	f := newFixture(t)
 	ix, err := Build(f.st, f.sch, "Prescription", "Quantity", columnOf(value.Int,
 		[]value.Value{value.NewInt(1), value.NewInt(2), value.NewInt(3),
-			value.NewInt(4), value.NewInt(5), value.NewInt(6)}), false, f.inverted)
+			value.NewInt(4), value.NewInt(5), value.NewInt(6)}), false, f.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +346,7 @@ func TestEntryBounds(t *testing.T) {
 	f := newFixture(t)
 	ix, err := Build(f.st, f.sch, "Prescription", "Quantity", columnOf(value.Int,
 		[]value.Value{value.NewInt(1), value.NewInt(1), value.NewInt(1),
-			value.NewInt(1), value.NewInt(1), value.NewInt(1)}), false, f.inverted)
+			value.NewInt(1), value.NewInt(1), value.NewInt(1)}), false, f.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +366,7 @@ func TestSingletonListsStream(t *testing.T) {
 	f := newFixture(t)
 	ix, err := Build(f.st, f.sch, "Visit", "VisID", columnOf(value.Int,
 		[]value.Value{value.NewInt(1), value.NewInt(2), value.NewInt(3), value.NewInt(4)}),
-		true, f.inverted)
+		true, f.edges)
 	if err != nil {
 		t.Fatal(err)
 	}

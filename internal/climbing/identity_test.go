@@ -26,7 +26,7 @@ import (
 // a map of slices, then climb each value's list level by level,
 // re-sorting it at every level. What it writes is what CHECKPOINT has
 // always programmed into flash, so Build must write exactly the same.
-func referenceBuild(st *store.Store, sch *schema.Schema, table, column string, kind value.Kind, vals []value.Value, dense bool, inv Inverted) (*Index, error) {
+func referenceBuild(st *store.Store, sch *schema.Schema, table, column string, kind value.Kind, vals []value.Value, dense bool, edges Edges) (*Index, error) {
 	tb, ok := sch.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("climbing: unknown table %s", table)
@@ -74,11 +74,11 @@ func referenceBuild(st *store.Store, sch *schema.Schema, table, column string, k
 
 	invs := make([][][]uint32, len(levels)-1)
 	for l := 1; l < len(levels); l++ {
-		iv, err := inv(levels[l], levels[l-1])
+		edge, err := edges(levels[l], levels[l-1])
 		if err != nil {
 			return nil, fmt.Errorf("climbing: inverted %s->%s: %w", levels[l], levels[l-1], err)
 		}
-		invs[l-1] = iv
+		invs[l-1] = edge.Inv
 	}
 
 	climbOnce := func(list []uint32, inv [][]uint32) []uint32 {
@@ -120,6 +120,129 @@ func referenceBuild(st *store.Store, sch *schema.Schema, table, column string, k
 		return nil, err
 	}
 	return ix, nil
+}
+
+// referenceEncode is Encode as it was before an upper level was counted
+// on the level below and filled in one pass over its rows: the same
+// ranking, then per level the ranks climbed with climbRanks and bucketed
+// with bucketByRank, each list appended with codec.AppendIDList. The
+// tests hold Encode to its bytes.
+func referenceEncode(sch *schema.Schema, table, column string, col value.Column, dense bool, edges Edges) (*Encoded, error) {
+	tb, ok := sch.Table(table)
+	if !ok {
+		return nil, fmt.Errorf("climbing: unknown table %s", table)
+	}
+	var levels []string
+	for _, t := range sch.PathToRoot(tb.Name) {
+		levels = append(levels, t.Name)
+	}
+	ix := &Index{Table: tb.Name, Column: column, Levels: levels, kind: col.Kind, dense: dense, entSize: 4 + 8*len(levels)}
+	ranker := &Encoder{rank: make([]int32, col.Len())}
+	ranker.rankColumn(col)
+	rank, first := ranker.rank, ranker.first
+	n := len(first)
+	sorted := make([]value.Value, n)
+	for r, i := range first {
+		sorted[r] = col.Value(int(i))
+	}
+	ix.n, ix.vals = n, sorted
+
+	ids := make([][]uint32, len(levels))
+	begin := make([][]int32, len(levels))
+	for l := range levels {
+		if l > 0 {
+			edge, err := edges(levels[l], levels[l-1])
+			if err != nil {
+				return nil, fmt.Errorf("climbing: inverted %s->%s: %w", levels[l], levels[l-1], err)
+			}
+			rank = climbRanks(rank, edge.Inv)
+		}
+		ids[l], begin[l] = bucketByRank(rank, n)
+	}
+	var entriesBuf, valuesBuf, listsBuf []byte
+	for r, v := range sorted {
+		entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(valuesBuf)))
+		valuesBuf = v.Append(valuesBuf)
+		for l := range levels {
+			list := ids[l][begin[l][r]:begin[l][r+1]]
+			entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(listsBuf)))
+			entriesBuf = binary.LittleEndian.AppendUint32(entriesBuf, uint32(len(list)))
+			listsBuf = codec.AppendIDList(listsBuf, list)
+		}
+	}
+	return &Encoded{ix: ix, entries: entriesBuf, values: valuesBuf, lists: listsBuf}, nil
+}
+
+// climbRanks carries the ranks of one level's rows (rank[i] for ID i+1,
+// -1 for none) up an inverted edge: every parent row takes the rank of
+// the one child row it references. Parent rows the edge never mentions
+// and parents of unranked children get -1.
+func climbRanks(rank []int32, inv [][]uint32) []int32 {
+	var rows uint32
+	for _, parents := range inv {
+		for _, p := range parents {
+			rows = max(rows, p)
+		}
+	}
+	up := make([]int32, rows)
+	for i := range up {
+		up[i] = -1
+	}
+	for c, parents := range inv[:min(len(inv), len(rank))] {
+		for _, p := range parents {
+			up[p-1] = rank[c]
+		}
+	}
+	return up
+}
+
+// bucketByRank groups row IDs by rank with a counting pass: rank r's
+// IDs are ids[begin[r]:begin[r+1]], ascending because rows are visited
+// in ID order. Unranked rows (-1) belong to no list.
+func bucketByRank(rank []int32, n int) (ids []uint32, begin []int32) {
+	begin = make([]int32, n+1)
+	for _, r := range rank {
+		if r >= 0 {
+			begin[r+1]++
+		}
+	}
+	for r := 0; r < n; r++ {
+		begin[r+1] += begin[r]
+	}
+	ids = make([]uint32, begin[n])
+	next := slices.Clone(begin[:n])
+	for i, r := range rank {
+		if r >= 0 {
+			ids[next[r]] = uint32(i + 1)
+			next[r]++
+		}
+	}
+	return ids, begin
+}
+
+// assertSameEncoding encodes col with enc and with referenceEncode and
+// compares the three regions byte for byte and the dictionaries.
+func assertSameEncoding(t *testing.T, enc *Encoder, c *chain, column string, col value.Column, dense bool) {
+	t.Helper()
+	got, err := enc.Encode(c.sch, "L0", column, col, dense, c.edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceEncode(c.sch, "L0", column, col, dense, c.edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name      string
+		got, want []byte
+	}{{"entries", got.entries, want.entries}, {"values", got.values, want.values}, {"lists", got.lists, want.lists}} {
+		if !bytes.Equal(r.got, r.want) {
+			t.Fatalf("%s region differs from the climb-then-bucket encoding: %d bytes vs %d", r.name, len(r.got), len(r.want))
+		}
+	}
+	if got.ix.n != want.ix.n || !reflect.DeepEqual(got.ix.vals, want.ix.vals) {
+		t.Fatalf("dictionary differs: %d entries vs %d", got.ix.n, want.ix.n)
+	}
 }
 
 // checkDense is the key check the dense build used to make, kept with the
@@ -207,12 +330,28 @@ func newChain(t testing.TB, rng *rand.Rand, depth, rows0 int, fan float64) *chai
 	return c
 }
 
-func (c *chain) inverted(parent, child string) ([][]uint32, error) {
+func (c *chain) edges(parent, child string) (Edge, error) {
 	l, ok := c.edge[parent+"<-"+child]
 	if !ok {
-		return nil, fmt.Errorf("no inverted edge %s<-%s", parent, child)
+		return Edge{}, fmt.Errorf("no inverted edge %s<-%s", parent, child)
 	}
-	return c.inv[l], nil
+	return edgeOf(c.inv[l]), nil
+}
+
+// frozen is edges with every edge completed once up front, for the
+// benchmarks: a CHECKPOINT's edges are built before its encoders run.
+func (c *chain) frozen() Edges {
+	done := map[string]Edge{}
+	for k, l := range c.edge {
+		done[k] = edgeOf(c.inv[l])
+	}
+	return func(parent, child string) (Edge, error) {
+		e, ok := done[parent+"<-"+child]
+		if !ok {
+			return Edge{}, fmt.Errorf("no inverted edge %s<-%s", parent, child)
+		}
+		return e, nil
+	}
 }
 
 func regionBytes(t *testing.T, ix *Index, ext flash.Extent) []byte {
@@ -370,15 +509,17 @@ func TestBuildByteIdentity(t *testing.T) {
 					for i := range vals {
 						vals[i] = pick(i, sh.rows)
 					}
-					want, err := referenceBuild(c.st, c.sch, "L0", "C", k.kind, vals, false, c.inverted)
+					want, err := referenceBuild(c.st, c.sch, "L0", "C", k.kind, vals, false, c.edges)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := Build(c.st, c.sch, "L0", "C", boundary(t, k.kind, vals), false, c.inverted)
+					col := boundary(t, k.kind, vals)
+					got, err := Build(c.st, c.sch, "L0", "C", col, false, c.edges)
 					if err != nil {
 						t.Fatal(err)
 					}
 					assertSameIndex(t, got, want)
+					assertSameEncoding(t, new(Encoder), c, "C", col, false)
 				})
 			}
 		}
@@ -394,15 +535,16 @@ func TestBuildByteIdentity(t *testing.T) {
 				if permute {
 					rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 				}
-				want, err := referenceBuild(c.st, c.sch, "L0", "ID", value.Int, vals, true, c.inverted)
+				want, err := referenceBuild(c.st, c.sch, "L0", "ID", value.Int, vals, true, c.edges)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Build(c.st, c.sch, "L0", "ID", columnOf(value.Int, vals), true, c.inverted)
+				got, err := Build(c.st, c.sch, "L0", "ID", columnOf(value.Int, vals), true, c.edges)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertSameIndex(t, got, want)
+				assertSameEncoding(t, new(Encoder), c, "ID", columnOf(value.Int, vals), true)
 				if !got.Dense() {
 					t.Fatal("dense flag lost")
 				}
@@ -421,15 +563,16 @@ func TestBuildUnreferencedRows(t *testing.T) {
 	c.inv[1] = [][]uint32{nil, {1, 2}, nil}                // L2 rows 1, 2 reference L1 row 2 only
 	c.rows = []int{6, 3, 2}
 	vals := []value.Value{value.NewInt(7), value.NewInt(8), value.NewInt(7), value.NewInt(9), value.NewInt(8), value.NewInt(7)}
-	want, err := referenceBuild(c.st, c.sch, "L0", "C", value.Int, vals, false, c.inverted)
+	want, err := referenceBuild(c.st, c.sch, "L0", "C", value.Int, vals, false, c.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Build(c.st, c.sch, "L0", "C", columnOf(value.Int, vals), false, c.inverted)
+	got, err := Build(c.st, c.sch, "L0", "C", columnOf(value.Int, vals), false, c.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameIndex(t, got, want)
+	assertSameEncoding(t, new(Encoder), c, "C", columnOf(value.Int, vals), false)
 	// 7 -> L0 {1,3,6}, L1 {1,2,3}, L2 {1,2}; 8 -> L0 {2,5}, nothing above; 9 -> L0 {4}.
 	for i, wantLists := range [][][]uint32{{{1, 3, 6}, {1, 2, 3}, {1, 2}}, {{2, 5}, {}, {}}, {{4}, {}, {}}} {
 		e, err := got.entry(i, nil)
@@ -448,6 +591,57 @@ func TestBuildUnreferencedRows(t *testing.T) {
 	}
 }
 
+// TestEncoderReuse runs one Encoder through jobs that shrink and then
+// grow — rows, distinct values, depth and kind all changing — and holds
+// every layout to a fresh reference encoding: scratch left from a larger
+// job, or sized for a smaller one, would show in the bytes.
+func TestEncoderReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var enc Encoder
+	for k, job := range []struct {
+		depth, rows, domain int
+		kind                value.Kind
+		dense               bool
+	}{
+		{4, 400, 30, value.String, false},
+		{3, 250, 250, value.Int, true},
+		{2, 120, 7, value.Float, false},
+		{1, 40, 40, value.Date, false},
+		{3, 7, 2, value.String, false},
+		{2, 0, 1, value.Int, false},
+		{1, 1, 1, value.Bool, false},
+		{2, 60, 9, value.Int, false},
+		{4, 300, 300, value.Int, true},
+		{3, 500, 60, value.String, false},
+		{4, 900, 900, value.Int, false},
+	} {
+		c := newChain(t, rng, job.depth, job.rows, 1.9)
+		vals := make([]value.Value, job.rows)
+		for i := range vals {
+			d := int64(rng.Intn(job.domain))
+			switch {
+			case job.dense:
+				vals[i] = value.NewInt(int64(i + 1))
+			case job.kind == value.String:
+				vals[i] = value.NewString(fmt.Sprintf("s%03d", d))
+			case job.kind == value.Float:
+				vals[i] = value.NewFloat(float64(d) / 4)
+			case job.kind == value.Date:
+				vals[i] = value.NewDateDays(13000 + d)
+			case job.kind == value.Bool:
+				vals[i] = value.NewBool(d%2 == 1)
+			case job.domain > 500: // spread too wide for rankWords' table
+				vals[i] = value.NewInt(d * 1000003)
+			default:
+				vals[i] = value.NewInt(d - 3)
+			}
+		}
+		t.Run(fmt.Sprintf("job=%d/rows=%d/depth=%d", k, job.rows, job.depth), func(t *testing.T) {
+			assertSameEncoding(t, &enc, c, "C", boundary(t, job.kind, vals), job.dense)
+		})
+	}
+}
+
 // TestBuildFloatEquivalence: float equality is an equivalence, so a FLOAT
 // column holding NaNs, both zeros and duplicates has one dictionary entry
 // per distinct value — NaN first — and an equality lookup finds each. (A
@@ -460,7 +654,7 @@ func TestBuildFloatEquivalence(t *testing.T) {
 	for _, f := range []float64{2.5, math.NaN(), negZero, payloadNaN, 0, 2.5, math.Inf(1), math.NaN(), -1} {
 		vals = append(vals, value.NewFloat(f))
 	}
-	ix, err := Build(c.st, c.sch, "L0", "C", columnOf(value.Float, vals), false, c.inverted)
+	ix, err := Build(c.st, c.sch, "L0", "C", columnOf(value.Float, vals), false, c.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,9 +701,9 @@ func TestBuildErrorsReadTheSame(t *testing.T) {
 			if tc.table != "" {
 				table = tc.table
 			}
-			inv := Inverted(c.inverted)
+			inv := Edges(c.edges)
 			if tc.edge {
-				inv = func(parent, child string) ([][]uint32, error) { return nil, errors.New("edge gone") }
+				inv = func(parent, child string) (Edge, error) { return Edge{}, errors.New("edge gone") }
 			}
 			_, wantErr := referenceBuild(c.st, c.sch, table, "C", tc.kind, tc.vals, false, inv)
 			_, gotErr := Build(c.st, c.sch, table, "C", columnOf(tc.kind, tc.vals), false, inv)
@@ -550,10 +744,48 @@ func BenchmarkClimbingBuild(b *testing.B) {
 					col.Append(value.NewString(fmt.Sprintf("v%05d", rng.Intn(tc.domain))))
 				}
 			}
+			edges := c.frozen()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Build(c.st, c.sch, "L0", "C", col, tc.dense, c.inverted); err != nil {
+				if _, err := Build(c.st, c.sch, "L0", "C", col, tc.dense, edges); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkClimbingEncode is BenchmarkClimbingBuild's layouts without the
+// flash writes, through one Encoder the way a CHECKPOINT worker runs its
+// jobs: what the rebuild pays on the host per index.
+func BenchmarkClimbingEncode(b *testing.B) {
+	const rows = 2000
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name   string
+		dense  bool
+		domain int
+	}{{"dense-pk", true, 0}, {"low-cardinality", false, 12}, {"high-cardinality", false, rows}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := newChain(b, rng, 3, rows, 3.2)
+			col := value.MakeColumn(value.String, rows)
+			if tc.dense {
+				col = value.MakeColumn(value.Int, rows)
+			}
+			for i := range rows {
+				if tc.dense {
+					col.Append(value.NewInt(int64(i + 1)))
+				} else {
+					col.Append(value.NewString(fmt.Sprintf("v%05d", rng.Intn(tc.domain))))
+				}
+			}
+			var enc Encoder
+			edges := c.frozen()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := enc.Encode(c.sch, "L0", "C", col, tc.dense, edges); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -51,10 +51,10 @@ func lookupFixture(t *testing.T) (dev *device.Device, st *store.Store, dense, sp
 		p := rng.Intn(120)
 		purposes[v] = strv(fmt.Sprintf("purpose-%03d-%0*d", p, 8+p, p))
 	}
-	if dense, err = Build(f.st, f.sch, "Visit", "VisID", columnOf(value.Int, ids), true, f.inverted); err != nil {
+	if dense, err = Build(f.st, f.sch, "Visit", "VisID", columnOf(value.Int, ids), true, f.edges); err != nil {
 		t.Fatal(err)
 	}
-	if sparse, err = Build(f.st, f.sch, "Visit", "Purpose", columnOf(value.String, purposes), false, f.inverted); err != nil {
+	if sparse, err = Build(f.st, f.sch, "Visit", "Purpose", columnOf(value.String, purposes), false, f.edges); err != nil {
 		t.Fatal(err)
 	}
 	return dev, f.st, dense, sparse

@@ -58,7 +58,7 @@ func TestPropertyIndexMatchesNaive(t *testing.T) {
 		}
 		f.inv["Prescription->Visit"] = inv
 
-		ix, err := Build(f.st, f.sch, "Visit", "Quantity", columnOf(value.Int, vals), false, f.inverted)
+		ix, err := Build(f.st, f.sch, "Visit", "Quantity", columnOf(value.Int, vals), false, f.edges)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -33,6 +33,30 @@ func AppendIDList(dst []byte, ids []uint32) []byte {
 	return dst
 }
 
+// PutIDList writes the encoding AppendIDList would append for ids (which
+// must be sorted ascending; PutIDList does not check) at the front of dst
+// and returns the number of bytes written. dst must have room: a list of
+// IDs no larger than m needs at most (bits.Len(m)+6)/7 bytes an ID.
+func PutIDList(dst []byte, ids []uint32) int {
+	at, prev := 0, uint32(0)
+	for _, id := range ids {
+		d := id - prev
+		prev = id
+		switch {
+		case d < 1<<7:
+			dst[at] = byte(d)
+			at++
+		case d < 1<<14:
+			dst[at+1] = byte(d >> 7)
+			dst[at] = byte(d) | 0x80
+			at += 2
+		default:
+			at += binary.PutUvarint(dst[at:], uint64(d))
+		}
+	}
+	return at
+}
+
 // IDListSize reports the encoded size of ids in bytes without encoding.
 func IDListSize(ids []uint32) int {
 	n := 0

@@ -21,6 +21,10 @@ func TestIDListRoundTrip(t *testing.T) {
 		if got := IDListSize(ids); got != len(enc) {
 			t.Errorf("IDListSize(%v) = %d, want %d", ids, got, len(enc))
 		}
+		put := make([]byte, 5*len(ids))
+		if n := PutIDList(put, ids); string(put[:n]) != string(enc) {
+			t.Errorf("PutIDList(%v) = %x, want %x", ids, put[:n], enc)
+		}
 		dec, err := DecodeIDList(enc, len(ids))
 		if err != nil {
 			t.Fatalf("DecodeIDList(%v): %v", ids, err)

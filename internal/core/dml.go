@@ -25,6 +25,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -217,8 +218,9 @@ type liveness struct {
 	memo map[uint64]uint8 // 1 live, 2 dead
 }
 
-func (e *engine) newLiveness() *liveness {
-	return &liveness{e: e, memo: map[uint64]uint8{}}
+// newLiveness returns an empty memo with room for about hint entries.
+func (e *engine) newLiveness(hint int) *liveness {
+	return &liveness{e: e, memo: make(map[uint64]uint8, hint)}
 }
 
 func (l *liveness) live(ord int, id uint32) bool {
@@ -384,7 +386,7 @@ func (e *engine) deltaInsertLocked(ins *sql.Insert) error {
 	}
 	tv := e.views[t.Ordinal()]
 	dt := e.delta.Ensure(t, tv.baseN)
-	lv := e.newLiveness()
+	lv := e.newLiveness(0)
 	rows := make([][]value.Value, len(ins.Rows))
 	busBytes := 0
 	live := func(ci int, id uint32) bool { return lv.live(tv.cols[ci].ref, id) }
@@ -444,7 +446,7 @@ func (e *engine) execDMLLocked(d *plan.DML) (int64, error) {
 		if len(ids) == 0 {
 			break
 		}
-		lv := e.newLiveness()
+		lv := e.newLiveness(0)
 		for _, a := range d.Sets {
 			if c := &d.Table.Columns[a.ColIdx]; c.IsForeignKey() &&
 				(a.Val.Kind() != value.Int || !lv.live(tv.cols[a.ColIdx].ref, uint32(a.Val.Int()))) {
@@ -479,7 +481,6 @@ func (e *engine) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 	ord := d.Table.Ordinal()
 	baseN := e.views[ord].baseN
 	dt := e.delta.Get(ord)
-	lv := e.newLiveness()
 	rep := &stats.Report{}
 
 	// Base candidates: intersect the per-predicate exact ID lists.
@@ -532,6 +533,13 @@ func (e *engine) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 		}
 	}
 
+	// The memo holds the candidates and the rows their foreign keys reach:
+	// one entry per base candidate, about one per key and row in the delta.
+	var deltaIDs []uint32
+	if dt != nil {
+		deltaIDs = dt.DeltaIDs()
+	}
+	lv := e.newLiveness(len(base) + len(deltaIDs)*(1+len(e.views[ord].fks)))
 	var out []uint32
 	for _, id := range base {
 		if dt != nil && dt.Shadowed(id) {
@@ -549,7 +557,7 @@ func (e *engine) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 		for i, p := range d.Preds {
 			predCols[i] = d.Table.ColumnIndex(p.Col.Column)
 		}
-		for _, id := range dt.DeltaIDs() {
+		for _, id := range deltaIDs {
 			if !lv.live(ord, id) {
 				continue
 			}
@@ -942,7 +950,7 @@ func (e *engine) mustTable(name string) *schema.Table {
 // subtracted from the base pipeline) and the sorted candidate root
 // identifiers to re-evaluate against the effective state (the subtracted
 // set plus the root's own delta-resident rows).
-func (e *engine) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
+func (e *engine) deltaFootprint(q *plan.Query) (idSet, []uint32) {
 	if !e.delta.Dirty() {
 		return nil, nil
 	}
@@ -960,7 +968,7 @@ func (e *engine) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
 	}
 	visit(root)
 
-	dirty := map[uint32]struct{}{}
+	var dirty []uint32
 	for _, tv := range reach {
 		d := e.deltaOf(tv)
 		if d == nil || !d.Dirty() {
@@ -980,24 +988,62 @@ func (e *engine) deltaFootprint(q *plan.Query) (map[uint32]struct{}, []uint32) {
 			}
 			cur = next
 		}
-		for _, id := range cur {
-			dirty[id] = struct{}{}
-		}
+		dirty = append(dirty, cur...)
 	}
+	dead := newIDSet(dirty)
 
-	cands := map[uint32]struct{}{}
-	for id := range dirty {
-		cands[id] = struct{}{}
-	}
+	// The candidates: the dead set in ascending order, merged with the
+	// root's delta-resident rows (sorted too; an updated base row is in
+	// both).
+	cands := dead.appendTo(make([]uint32, 0, len(dirty)))
 	if d := e.deltaOf(root); d != nil {
-		for _, id := range d.DeltaIDs() {
-			cands[id] = struct{}{}
+		cands = append(cands, d.DeltaIDs()...)
+		slices.Sort(cands)
+		cands = slices.Compact(cands)
+	}
+	return dead, cands
+}
+
+// idSet is a set of row identifiers as a bitset, bit id-1 standing for
+// id, sized to its largest member: a probe is one shift and one mask,
+// and an identifier past the end is absent. The empty set is nil.
+type idSet []uint64
+
+// newIDSet returns the set of ids (in any order, repeats allowed).
+func newIDSet(ids []uint32) idSet {
+	if len(ids) == 0 {
+		return nil
+	}
+	s := make(idSet, (slices.Max(ids)+63)/64)
+	for _, id := range ids {
+		s[(id-1)/64] |= 1 << ((id - 1) % 64)
+	}
+	return s
+}
+
+// has reports whether id is in the set.
+func (s idSet) has(id uint32) bool {
+	i := (id - 1) / 64 // id 0 wraps past any set
+	return int(i) < len(s) && s[i]&(1<<((id-1)%64)) != 0
+}
+
+// count reports the number of members.
+func (s idSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// appendTo appends the members to dst in ascending order.
+func (s idSet) appendTo(dst []uint32) []uint32 {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, uint32(i*64+bits.TrailingZeros64(w)+1))
 		}
 	}
-	if len(dirty) == 0 {
-		dirty = nil
-	}
-	return dirty, sortedKeys(cands)
+	return dst
 }
 
 // sortedKeys lists m's keys in ascending order.

@@ -581,3 +581,30 @@ func mustParseScript(t testing.TB, script string) []sql.Statement {
 	}
 	return stmts
 }
+
+// TestIDSetMatchesMap holds the dead-row bitset to the map it replaced:
+// membership of every identifier from 0 past the largest member, the
+// count, and the members in ascending order.
+func TestIDSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 500} {
+		ids := make([]uint32, n)
+		want := map[uint32]bool{}
+		for i := range ids {
+			ids[i] = 1 + uint32(rng.Intn(3*n+1))
+			want[ids[i]] = true
+		}
+		s := newIDSet(ids)
+		if (s == nil) != (n == 0) {
+			t.Fatalf("%d ids: nil set %v", n, s == nil)
+		}
+		for id := uint32(0); id <= uint32(3*n+130); id++ {
+			if s.has(id) != want[id] {
+				t.Fatalf("%d ids: has(%d) = %v", n, id, s.has(id))
+			}
+		}
+		if got := s.appendTo(nil); s.count() != len(want) || !slices.Equal(got, sortedKeys(want)) {
+			t.Fatalf("%d ids: count %d, members %v, want %v", n, s.count(), got, sortedKeys(want))
+		}
+	}
+}

@@ -507,13 +507,14 @@ func (e *engine) loadState(img []tableImage) (visImage, error) {
 	// visible columns requested via WithDeviceIndex. They are encoded
 	// from here on, beside the column files and SKTs; nothing below
 	// writes what an encoder reads (the columns, the views' edges).
-	invLookup := func(parent, child string) ([][]uint32, error) {
+	edges := func(parent, child string) (climbing.Edge, error) {
 		if ct, ok := e.sch.Table(child); ok {
 			if cv := views[ct.Ordinal()]; cv.parent >= 0 && strings.EqualFold(views[cv.parent].t.Name, parent) {
-				return views[cv.parent].cols[cv.up].inv, nil
+				ref := &views[cv.parent].cols[cv.up]
+				return climbing.Edge{FK: ref.fk, Inv: ref.inv}, nil
 			}
 		}
-		return nil, fmt.Errorf("core: no inverted edge %s<-%s", parent, child)
+		return climbing.Edge{}, fmt.Errorf("core: no inverted edge %s<-%s", parent, child)
 	}
 	wantDevice := map[string]bool{}
 	for _, spec := range e.opts.DeviceIndexes {
@@ -535,7 +536,7 @@ func (e *engine) loadState(img []tableImage) (visImage, error) {
 			jobs = append(jobs, indexJob{col: &tv.cols[i], table: t.Name, column: c.Name, data: col, dense: dense})
 		}
 	}
-	pool := encodeIndexes(e.sch, jobs, invLookup)
+	pool := encodeIndexes(e.sch, jobs, edges)
 	defer pool.stop()
 
 	vis := make(visImage, len(tables))
@@ -649,7 +650,9 @@ type encoders struct {
 // encodeIndexes starts min(GOMAXPROCS, len(jobs)) workers encoding jobs,
 // each taking the lowest job not yet taken. Encoding is host work on
 // read-only inputs, so the worker count changes no byte of the result.
-func encodeIndexes(sch *schema.Schema, jobs []indexJob, inv climbing.Inverted) *encoders {
+// Each worker reuses one climbing.Encoder's scratch for every job it
+// takes; the scratch dies with the worker, when the jobs run out.
+func encodeIndexes(sch *schema.Schema, jobs []indexJob, edges climbing.Edges) *encoders {
 	p := &encoders{}
 	for k := range jobs {
 		jobs[k].done.Add(1)
@@ -658,13 +661,14 @@ func encodeIndexes(sch *schema.Schema, jobs []indexJob, inv climbing.Inverted) *
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
+			var enc climbing.Encoder
 			for !p.stopped.Load() {
 				k := p.next.Add(1) - 1
 				if k >= int64(len(jobs)) {
 					return
 				}
 				j := &jobs[k]
-				j.enc, j.err = climbing.Encode(sch, j.table, j.column, j.data, j.dense, inv)
+				j.enc, j.err = enc.Encode(sch, j.table, j.column, j.data, j.dense, edges)
 				j.done.Done()
 			}
 		}()

@@ -273,7 +273,7 @@ type executor struct {
 	// Live-DML state for this execution: base root IDs to subtract from
 	// the pipeline (their tree touches the delta), the candidate root IDs
 	// re-evaluated against the effective state, and the resulting rows.
-	deltaDead  map[uint32]struct{}
+	deltaDead  idSet
 	deltaCands []uint32
 	deltaRows  []deltaRow
 
@@ -441,10 +441,8 @@ func (ex *executor) run() error {
 	// only; these rows are re-evaluated against the effective state
 	// after the pipeline (evalDeltaRows).
 	if len(ex.deltaDead) > 0 {
-		dead := ex.deltaDead
-		probe := func(id uint32) bool { _, ok := dead[id]; return ok }
 		op := ex.rep.NewOp("Tombstones", q.Root.Name)
-		rootIter = e.env.FilterDeadBatch(rootIter, probe, op)
+		rootIter = e.env.FilterDeadBatch(rootIter, ex.deltaDead.has, op)
 	}
 
 	// Bloom filters for post-filtered tables, then hidden post
@@ -565,7 +563,7 @@ func (ex *executor) evalDeltaRows() error {
 
 	op := ex.rep.NewOp("DeltaScan", probesLabel(len(ex.deltaCands)))
 	phase := e.clock.Now()
-	lv := e.newLiveness()
+	lv := e.newLiveness(0)
 	resultBytes := 0
 	for n, id := range ex.deltaCands {
 		if n&63 == 0 {

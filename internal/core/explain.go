@@ -54,7 +54,7 @@ func (e *engine) planText(q *plan.Query, spec plan.Spec) string {
 	var dirtyRoots, cands int
 	if e.loaded && len(lines) > 0 {
 		dead, cs := e.deltaFootprint(q)
-		dirtyRoots, cands = len(dead), len(cs)
+		dirtyRoots, cands = dead.count(), len(cs)
 	}
 	e.mu.Unlock()
 	if len(lines) > 0 {

@@ -12,10 +12,12 @@ package core
 // Recover over an in-memory snapshot.
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"github.com/ghostdb/ghostdb/internal/storage"
 	"github.com/ghostdb/ghostdb/internal/storage/filedev"
@@ -53,35 +55,151 @@ type sidecarCol struct {
 	Data []byte `json:"data"`
 }
 
-// persistSidecar atomically rewrites the sidecar of a file-backed
-// engine from its current committed state. A no-op on the simulated
-// backend. Caller holds the device gate.
-func (e *engine) persistSidecar() error {
-	if !e.opts.Backend.IsFile() {
-		return nil
-	}
-	doc := sidecarDoc{Version: e.version, DDL: e.ddl}
-	for _, v := range sortedKeys(e.committedVis) {
-		commit := sidecarCommit{Version: v}
-		for _, t := range sortedKeys(e.committedVis[v]) {
-			st := sidecarTable{Name: t}
-			for _, c := range sortedKeys(e.committedVis[v][t]) {
-				col := e.committedVis[v][t][c]
-				var data []byte
-				for i := range col.Len() {
-					data = col.Value(i).Append(data)
-				}
-				st.Cols = append(st.Cols, sidecarCol{Name: c, Rows: col.Len(), Data: data})
+// encodeSidecar renders the sidecar document of a committed state:
+// exactly the bytes json.Marshal of its sidecarDoc produces, which the
+// tests hold it to. It writes them in one typed walk into one buffer,
+// sized by a first walk that only counts; each column's cells are
+// encoded into one reused scratch buffer and base64ed from there. It only
+// reads its arguments, so it may run beside the commit's flash sync.
+func encodeSidecar(version uint64, ddl []string, committed map[uint64]visImage) []byte {
+	w := &sidecarWriter{}
+	w.doc(version, ddl, committed)
+	w.buf, w.cells = make([]byte, 0, w.n), make([]byte, 0, w.most)
+	w.doc(version, ddl, committed)
+	return w.buf
+}
+
+// sidecarWriter is encodeSidecar's walk: with buf nil it counts bytes in
+// n (and the largest column's cells in most), otherwise it appends them
+// to buf.
+type sidecarWriter struct {
+	buf   []byte
+	n     int
+	most  int
+	cells []byte // one column's cells, before base64
+}
+
+func (w *sidecarWriter) doc(version uint64, ddl []string, committed map[uint64]visImage) {
+	w.raw(`{"version":`)
+	w.uint(version)
+	w.raw(`,"ddl":`)
+	if ddl == nil {
+		w.raw("null")
+	} else {
+		w.raw("[")
+		for i, stmt := range ddl {
+			if i > 0 {
+				w.raw(",")
 			}
-			commit.Tables = append(commit.Tables, st)
+			w.quoted(stmt)
 		}
-		doc.Commits = append(doc.Commits, commit)
+		w.raw("]")
 	}
-	blob, err := json.Marshal(doc)
-	if err != nil {
-		return err
+	w.raw(`,"commits":`)
+	if len(committed) == 0 {
+		w.raw("null")
 	}
-	return writeAtomic(filepath.Join(e.opts.Backend.Path, sidecarName), blob, e.opts.Backend.Fsync)
+	for i, v := range sortedKeys(committed) {
+		w.raw(cond(i == 0, "[", ","))
+		w.raw(`{"v":`)
+		w.uint(v)
+		w.raw(`,"tables":`)
+		tables := committed[v]
+		if len(tables) == 0 {
+			w.raw("null")
+		}
+		for j, t := range sortedKeys(tables) {
+			w.raw(cond(j == 0, "[", ","))
+			w.raw(`{"name":`)
+			w.quoted(t)
+			for k, c := range sortedKeys(tables[t]) { // "cols" is omitted when empty
+				w.raw(cond(k == 0, `,"cols":[`, ","))
+				col := tables[t][c]
+				w.raw(`{"name":`)
+				w.quoted(c)
+				w.raw(`,"rows":`)
+				w.uint(uint64(col.Len()))
+				w.raw(`,"data":`)
+				w.column(col)
+				w.raw("}")
+			}
+			if len(tables[t]) > 0 {
+				w.raw("]")
+			}
+			w.raw("}")
+		}
+		if len(tables) > 0 {
+			w.raw("]")
+		}
+		w.raw("}")
+	}
+	if len(committed) > 0 {
+		w.raw("]")
+	}
+	w.raw("}")
+}
+
+// cond returns a when c holds, else b.
+func cond(c bool, a, b string) string {
+	if c {
+		return a
+	}
+	return b
+}
+
+func (w *sidecarWriter) raw(s string) {
+	w.n += len(s)
+	if w.buf != nil {
+		w.buf = append(w.buf, s...)
+	}
+}
+
+func (w *sidecarWriter) uint(v uint64) {
+	var digits [20]byte
+	w.n += len(strconv.AppendUint(digits[:0], v, 10))
+	if w.buf != nil {
+		w.buf = strconv.AppendUint(w.buf, v, 10)
+	}
+}
+
+// quoted writes s as a JSON string the way encoding/json does. A name
+// or statement of printable ASCII with nothing to escape — HTML's <, >
+// and & included — is copied between quotes; any other goes through
+// json.Marshal itself.
+func (w *sidecarWriter) quoted(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			w.n += len(q)
+			if w.buf != nil {
+				w.buf = append(w.buf, q...)
+			}
+			return
+		}
+	}
+	w.raw(`"`)
+	w.raw(s)
+	w.raw(`"`)
+}
+
+// column writes a column's cells in the canonical value encoding,
+// concatenated and base64ed as encoding/json writes a []byte — null for
+// an empty column, whose byte slice the document held as nil.
+func (w *sidecarWriter) column(col value.Column) {
+	if col.Len() == 0 {
+		w.raw("null")
+		return
+	}
+	if w.buf == nil {
+		size := col.EncodedSize()
+		w.n += 2 + base64.StdEncoding.EncodedLen(size)
+		w.most = max(w.most, size)
+		return
+	}
+	w.cells = col.AppendEncoded(w.cells[:0])
+	w.buf = append(w.buf, '"')
+	w.buf = base64.StdEncoding.AppendEncode(w.buf, w.cells)
+	w.buf = append(w.buf, '"')
 }
 
 // writeAtomic replaces path via a temp-file-and-rename. When durable is

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"path/filepath"
 
 	"github.com/ghostdb/ghostdb/internal/device"
 	"github.com/ghostdb/ghostdb/internal/flash"
@@ -170,10 +171,27 @@ func (e *engine) writeCommitRecord() error {
 	// The record is the commit point: flush it (and the state it points
 	// at) through whatever durability boundary the backend has, then
 	// refresh the host-side sidecar a file-backed database reopens from.
-	if err := e.dev.Flash.Sync(); err != nil {
+	// The sidecar's state is final already, so a file-backed database
+	// encodes it on one goroutine while the sync waits on the device.
+	var sidecar chan []byte
+	if e.opts.Backend.IsFile() {
+		sidecar = make(chan []byte, 1)
+		go func(version uint64, ddl []string, committed map[uint64]visImage) {
+			sidecar <- encodeSidecar(version, ddl, committed)
+		}(e.version, e.ddl, e.committedVis)
+	}
+	err = e.dev.Flash.Sync()
+	var blob []byte
+	if sidecar != nil {
+		blob = <-sidecar
+	}
+	if err != nil {
 		return fmt.Errorf("core: commit record: sync: %w", err)
 	}
-	if err := e.persistSidecar(); err != nil {
+	if sidecar == nil {
+		return nil
+	}
+	if err := writeAtomic(filepath.Join(e.opts.Backend.Path, sidecarName), blob, e.opts.Backend.Fsync); err != nil {
 		return fmt.Errorf("core: commit record: %w", err)
 	}
 	return nil

@@ -49,16 +49,18 @@ func translateFixtureOn(t testing.TB, e *Env, children int) *climbing.Index {
 	if err := sch.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	inv := func(p, c string) ([][]uint32, error) {
+	inv := func(p, c string) (climbing.Edge, error) {
 		if p != "Parent" || c != "Child" {
-			return nil, fmt.Errorf("unexpected edge %s<-%s", p, c)
+			return climbing.Edge{}, fmt.Errorf("unexpected edge %s<-%s", p, c)
 		}
 		out := make([][]uint32, children)
+		fk := make([]uint32, 0, 3*children)
 		for i := range out {
 			base := uint32(3 * i)
 			out[i] = []uint32{base + 1, base + 2, base + 3}
+			fk = append(fk, uint32(i+1), uint32(i+1), uint32(i+1))
 		}
-		return out, nil
+		return climbing.Edge{FK: fk, Inv: out}, nil
 	}
 	vals := make([]value.Value, children)
 	for i := range vals {

@@ -94,6 +94,43 @@ func TestSpaceBounds(t *testing.T) {
 	}
 }
 
+// TestAppendCellsIsAppendRegion: AppendCells programs what AppendRegion
+// programs for the concatenated cells — the same extents, page bytes,
+// simulated time and space-full error — for widths that divide the page
+// and one that leaves a remainder narrower than a cell.
+func TestAppendCellsIsAppendRegion(t *testing.T) {
+	for _, width := range []int{1, 4, 8, 3} {
+		for _, n := range []int{0, 1, 42, 43, 170, 171, 400} {
+			image := make([]byte, n*width)
+			for i := range image {
+				image[i] = byte(i*7 + width)
+			}
+			fill := func(dst []byte, lo, hi int) { copy(dst, image[lo*width:hi*width]) }
+			dw, cw := newTestDevice(t)
+			dc, cc := newTestDevice(t)
+			sw, _ := NewSpace(dw, 1, 2) // 8 pages = 1 KB
+			sc, _ := NewSpace(dc, 1, 2)
+			for round := range 2 {
+				we, werr := sw.AppendRegion(image)
+				ce, cerr := sc.AppendCells(n, width, fill)
+				if we != ce || errors.Is(cerr, ErrSpaceFull) != errors.Is(werr, ErrSpaceFull) || (werr == nil) != (cerr == nil) {
+					t.Fatalf("width %d, %d cells, round %d: AppendCells %+v, %v; AppendRegion %+v, %v", width, n, round, ce, cerr, we, werr)
+				}
+			}
+			for page := range 16 {
+				w, c := make([]byte, 128), make([]byte, 128)
+				werr, cerr := dw.ReadPage(page, w), dc.ReadPage(page, c)
+				if (werr == nil) != (cerr == nil) || !bytes.Equal(w, c) {
+					t.Fatalf("width %d, %d cells: page %d differs", width, n, page)
+				}
+			}
+			if cw.Now() != cc.Now() {
+				t.Fatalf("width %d, %d cells: %v of flash time, AppendRegion %v", width, n, cc.Now(), cw.Now())
+			}
+		}
+	}
+}
+
 func TestSpaceSingleWriter(t *testing.T) {
 	d, _ := newTestDevice(t)
 	s, _ := NewSpace(d, 0, 2)

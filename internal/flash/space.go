@@ -88,6 +88,35 @@ func (s *Space) AppendRegion(data []byte) (Extent, error) {
 	return w.Close()
 }
 
+// AppendCells writes n cells of width bytes each (at most 8) as a new
+// page-aligned region and returns its extent, like AppendRegion over
+// their concatenation — the same pages programmed in the same order —
+// without that image: fill(dst, lo, hi) encodes cells lo..hi-1 into dst,
+// which is the unwritten part of the writer's page buffer.
+func (s *Space) AppendCells(n, width int, fill func(dst []byte, lo, hi int)) (Extent, error) {
+	w, err := s.NewWriter()
+	if err != nil {
+		return Extent{}, err
+	}
+	var cell [8]byte
+	for i := 0; i < n; {
+		if k := min(len(w.Tail())/width, n-i); k > 0 {
+			fill(w.Tail()[:k*width], i, i+k)
+			err = w.Commit(k * width)
+			i += k
+		} else { // a page remainder narrower than a cell
+			fill(cell[:width], i, i+1)
+			_, err = w.Write(cell[:width])
+			i++
+		}
+		if err != nil {
+			w.abort()
+			return Extent{}, err
+		}
+	}
+	return w.Close()
+}
+
 // ReleaseWriter force-abandons any open writer without flushing. The
 // engine calls it when unwinding a failed operation: the error path
 // that abandoned the writer cannot close it, and the space is about to

@@ -202,18 +202,22 @@ func (s *Store) buildFixedColumn(kind value.Kind, words []int64) (*FixedColumn, 
 	}
 	// The payload word is the stored form: two's complement, IEEE bits,
 	// day count or 0/1, truncated to the kind's width.
-	buf := make([]byte, 0, len(words)*w)
-	for _, word := range words {
+	ext, err := s.dev.Main.AppendCells(len(words), w, func(dst []byte, lo, hi int) {
 		switch w {
 		case 8:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(word))
+			for i, word := range words[lo:hi] {
+				binary.LittleEndian.PutUint64(dst[8*i:], uint64(word))
+			}
 		case 4:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(word))
+			for i, word := range words[lo:hi] {
+				binary.LittleEndian.PutUint32(dst[4*i:], uint32(word))
+			}
 		default:
-			buf = append(buf, byte(word))
+			for i, word := range words[lo:hi] {
+				dst[i] = byte(word)
+			}
 		}
-	}
-	ext, err := s.AppendRegion(buf)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -374,11 +378,11 @@ type IDColumn struct {
 
 // BuildIDColumn writes ids as a packed uint32 array in the main space.
 func (s *Store) BuildIDColumn(ids []uint32) (*IDColumn, error) {
-	buf := make([]byte, 0, len(ids)*4)
-	for _, id := range ids {
-		buf = binary.LittleEndian.AppendUint32(buf, id)
-	}
-	ext, err := s.AppendRegion(buf)
+	ext, err := s.dev.Main.AppendCells(len(ids), 4, func(dst []byte, lo, hi int) {
+		for i, id := range ids[lo:hi] {
+			binary.LittleEndian.PutUint32(dst[4*i:], id)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Append serializes v onto dst in the canonical wire/flash encoding and
@@ -124,12 +125,9 @@ func (in *Interner) Decode(src []byte) (Value, int, error) {
 	}
 }
 
-func varintLen(v int64) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutVarint(buf[:], v)
-}
+// varintLen is len(binary.AppendVarint(nil, v)): the zig-zag form's
+// uvarint length.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
-func uvarintLen(v uint64) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(buf[:], v)
-}
+// uvarintLen is len(binary.AppendUvarint(nil, v)): seven bits a byte.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }

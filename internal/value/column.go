@@ -1,5 +1,7 @@
 package value
 
+import "encoding/binary"
+
 // Column is one column of a table image: every cell of the one Kind,
 // unboxed. A fixed-width kind keeps its payload words (Word / FromWord, the
 // stored form of column files), a String column its strings; the other
@@ -52,4 +54,47 @@ func (c *Column) AppendRange(src Column, lo, hi int) {
 	} else {
 		c.Words = append(c.Words, src.Words[lo:hi]...)
 	}
+}
+
+// EncodedSize reports the number of bytes AppendEncoded appends.
+func (c Column) EncodedSize() int {
+	n := 0
+	switch c.Kind {
+	case String:
+		for _, s := range c.Strs {
+			n += 1 + uvarintLen(uint64(len(s))) + len(s)
+		}
+	case Float:
+		n = 9 * len(c.Words)
+	default:
+		for _, w := range c.Words {
+			n += 1 + varintLen(w)
+		}
+	}
+	return n
+}
+
+// AppendEncoded appends every cell in the canonical encoding, in row
+// order — what Value(i).Append appends for each i — without building a
+// Value per cell.
+func (c Column) AppendEncoded(dst []byte) []byte {
+	switch c.Kind {
+	case String:
+		for _, s := range c.Strs {
+			dst = append(dst, byte(String))
+			dst = binary.AppendUvarint(dst, uint64(len(s)))
+			dst = append(dst, s...)
+		}
+	case Float:
+		for _, w := range c.Words {
+			dst = append(dst, byte(Float))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(w))
+		}
+	default:
+		for _, w := range c.Words {
+			dst = append(dst, byte(c.Kind))
+			dst = binary.AppendVarint(dst, w)
+		}
+	}
+	return dst
 }

@@ -452,3 +452,25 @@ func TestColumnAppendRange(t *testing.T) {
 	c := MakeColumn(Int, 0)
 	c.AppendRange(Column{Kind: String, Strs: []string{"x"}}, 0, 1)
 }
+
+// TestColumnAppendEncoded holds a column's typed encoding to its cells'
+// Value.Append, and EncodedSize to its length, for every kind.
+func TestColumnAppendEncoded(t *testing.T) {
+	for _, c := range []Column{
+		{Kind: Int, Words: []int64{0, 1, -1, 63, -64, 64, -65, 1 << 40, math.MinInt64, math.MaxInt64}},
+		{Kind: Date, Words: []int64{0, 13000, -719162}},
+		{Kind: Bool, Words: []int64{1, 0}},
+		{Kind: Float, Words: []int64{NewFloat(2.5).Word(), NewFloat(math.NaN()).Word(), NewFloat(math.Inf(-1)).Word()}},
+		{Kind: String, Strs: []string{"", "a", "naïve", strings.Repeat("x", 200)}},
+		{Kind: Int},
+	} {
+		var want []byte
+		for i := range c.Len() {
+			want = c.Value(i).Append(want)
+		}
+		got := c.AppendEncoded([]byte("prefix"))
+		if string(got) != "prefix"+string(want) || c.EncodedSize() != len(want) {
+			t.Fatalf("%s column: AppendEncoded %x (size %d), want %x (%d)", c.Kind, got[6:], c.EncodedSize(), want, len(want))
+		}
+	}
+}
