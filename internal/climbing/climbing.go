@@ -47,10 +47,10 @@ type Index struct {
 	entSize int
 
 	// vals memoizes the decoded dictionary values host-side (they are
-	// immutable after Build). Lookups still stream the encoded bytes
-	// through the page cache — the simulated flash cost and the cache's
-	// LRU state are untouched — but skip the per-probe re-decode and its
-	// allocations.
+	// immutable after Build); a dense index keeps none, its entry i being
+	// the value i+1. Lookups still stream the encoded bytes through the
+	// page cache — the simulated flash cost and the cache's LRU state are
+	// untouched — but skip the per-probe re-decode and its allocations.
 	vals []value.Value
 
 	st         *store.Store
@@ -204,7 +204,9 @@ func (e *Encoder) Encode(sch *schema.Schema, table, column string, col value.Col
 		sorted[r] = col.Value(int(i))
 	}
 	ix.n = n
-	ix.vals = sorted
+	if !dense {
+		ix.vals = sorted
+	}
 
 	// Per level l, the row IDs grouped by rank: rank r's list is
 	// ids[begin[l][r]:begin[l][r+1]], ascending.
@@ -554,8 +556,8 @@ func (ix *Index) probeValue(i int) (value.Value, error) {
 
 // readValue returns the value of entry i starting at valOff within the
 // values region. The encoded bytes always stream through the page cache
-// (that is the simulated device cost); the decode itself is served from
-// the host-side memo when available.
+// (that is the simulated device cost); the value itself is i+1 in a
+// dense index and the host-side memo's otherwise.
 func (ix *Index) readValue(i int, valOff int64) (value.Value, error) {
 	// The value's length is bounded by the next entry's value offset.
 	end := ix.valuesExt.Len
@@ -568,15 +570,13 @@ func (ix *Index) readValue(i int, valOff int64) (value.Value, error) {
 		end = int64(binary.LittleEndian.Uint32(raw))
 	}
 	var spill [128]byte
-	enc, err := ix.st.Cache().Cell(&ix.valHint, ix.valuesExt.Start+valOff, int(end-valOff), spill[:0])
-	if err != nil {
+	if _, err := ix.st.Cache().Cell(&ix.valHint, ix.valuesExt.Start+valOff, int(end-valOff), spill[:0]); err != nil {
 		return value.Value{}, err
 	}
-	if ix.vals != nil {
-		return ix.vals[i], nil
+	if ix.dense {
+		return value.NewInt(int64(i) + 1), nil
 	}
-	v, _, err := value.Decode(enc)
-	return v, err
+	return ix.vals[i], nil
 }
 
 // find locates v's dictionary record and reads it into scratch; i is -1

@@ -61,8 +61,9 @@ func referenceBuild(st *store.Store, sch *schema.Schema, table, column string, k
 		return nil, fmt.Errorf("climbing: %s.%s: %w", table, column, sortErr)
 	}
 	ix.n = len(distinct)
-	ix.vals = distinct
-	if dense {
+	if !dense {
+		ix.vals = distinct
+	} else {
 		if len(distinct) != len(vals) {
 			return nil, fmt.Errorf("climbing: %s.%s: dense index requires unique values (%d distinct of %d rows)",
 				table, column, len(distinct), len(vals))
@@ -145,7 +146,10 @@ func referenceEncode(sch *schema.Schema, table, column string, col value.Column,
 	for r, i := range first {
 		sorted[r] = col.Value(int(i))
 	}
-	ix.n, ix.vals = n, sorted
+	ix.n = n
+	if !dense {
+		ix.vals = sorted
+	}
 
 	ids := make([][]uint32, len(levels))
 	begin := make([][]int32, len(levels))

@@ -15,6 +15,8 @@ func TestIDListRoundTrip(t *testing.T) {
 		{1, 2, 3},
 		{5, 5, 5}, // duplicates allowed
 		{0, 1 << 20, 1 << 30, 1<<32 - 1},
+		// the last and first delta of each varint length
+		cumulative(1<<7-1, 1<<7, 1<<14-1, 1<<14, 1<<21-1, 1<<21, 1<<28),
 	}
 	for _, ids := range cases {
 		enc := AppendIDList(nil, ids)
@@ -38,6 +40,17 @@ func TestIDListRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cumulative returns the ascending IDs whose deltas, from 0, are deltas.
+func cumulative(deltas ...uint32) []uint32 {
+	ids := make([]uint32, len(deltas))
+	prev := uint32(0)
+	for i, d := range deltas {
+		prev += d
+		ids[i] = prev
+	}
+	return ids
 }
 
 func TestUnsortedPanics(t *testing.T) {

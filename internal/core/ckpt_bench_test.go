@@ -18,6 +18,30 @@ import (
 // that follows absorbs exactly n delta entries.
 func keyedRound(tb testing.TB, db *DB, rng *rand.Rand, n int) {
 	tb.Helper()
+	keyedMix(tb, db, rng, n, func(i int) byte {
+		switch {
+		case i%2 == 0:
+			return 'I'
+		case i%4 == 1:
+			return 'U'
+		}
+		return 'D'
+	})
+}
+
+// steadyRound is keyedRound with INSERTs, UPDATEs and DELETEs in turn: a
+// round of a multiple of three statements deletes as many rows as it
+// inserts, so the table keeps its size however many rounds run.
+func steadyRound(tb testing.TB, db *DB, rng *rand.Rand, n int) {
+	tb.Helper()
+	keyedMix(tb, db, rng, n, func(i int) byte { return "IUD"[i%3] })
+}
+
+// keyedMix applies n keyed statements against Prescription, statement i
+// being an INSERT, an UPDATE or a DELETE as mix(i) says 'I', 'U' or 'D';
+// each UPDATE and DELETE names a distinct live base row.
+func keyedMix(tb testing.TB, db *DB, rng *rand.Rand, n int, mix func(i int) byte) {
+	tb.Helper()
 	base := db.RowCount("Prescription")
 	visits, meds := db.RowCount("Visit"), db.RowCount("Medicine")
 	used := map[int]bool{}
@@ -32,12 +56,12 @@ func keyedRound(tb testing.TB, db *DB, rng *rand.Rand, n int) {
 	next := base + 1
 	for i := 0; i < n; i++ {
 		var stmt string
-		switch {
-		case i%2 == 0:
+		switch mix(i) {
+		case 'I':
 			stmt = fmt.Sprintf("INSERT INTO Prescription VALUES (%d, %d, %d, DATE '2007-%02d-%02d', %d, %d)",
 				next, 1+rng.Intn(100), 1+rng.Intn(4), 1+rng.Intn(12), 1+rng.Intn(28), 1+rng.Intn(meds), 1+rng.Intn(visits))
 			next++
-		case i%4 == 1:
+		case 'U':
 			stmt = fmt.Sprintf("UPDATE Prescription SET Quantity = %d WHERE PreID = %d", 1+rng.Intn(100), key())
 		default:
 			stmt = fmt.Sprintf("DELETE FROM Prescription WHERE PreID = %d", key())
@@ -100,7 +124,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				keyedRound(b, db, rng, 90)
+				steadyRound(b, db, rng, 90)
 				b.StartTimer()
 				if n, err := db.Checkpoint(); err != nil || n != 90 {
 					b.Fatalf("checkpoint: n=%d err=%v", n, err)

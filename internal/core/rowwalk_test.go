@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -330,10 +331,14 @@ const aggTopKShape = `SELECT Doc.Country, COUNT(*) FROM Doctor Doc, Visit Vis, P
 	`WHERE Pre.Quantity >= 2 GROUP BY Doc.Country HAVING COUNT(*) > 10 ORDER BY COUNT(*) DESC LIMIT 5`
 
 // queryBytes reports the bytes one execution of sqlText allocates, as the
-// smallest of a few single-threaded runs (GC assists and pool refills
-// only ever add).
+// smallest of a few single-threaded runs. The collector is held off
+// across the runs, after one forced cycle: a cycle inside the window
+// empties the pools, and refilling them is bytes the query did not ask
+// for.
 func queryBytes(t *testing.T, db *DB, sqlText string) uint64 {
 	t.Helper()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	best := ^uint64(0)
 	var before, after runtime.MemStats
 	for i := 0; i < 6; i++ {

@@ -39,14 +39,17 @@ type surfacePkg struct {
 // surfaceLoader type-checks repository packages on demand; the standard
 // library comes from one shared source importer.
 type surfaceLoader struct {
-	fset  *token.FileSet
-	dirs  map[string]*surfacePkg // by import path
-	std   types.Importer
-	prod  map[string]*types.Package
-	uses  map[string]bool // keys of every object referenced anywhere
-	tests map[string]bool // keys of every object referenced from a _test.go file
-	ifces []*types.Interface
-	seen  map[*types.Package]bool // packages whose interfaces are collected
+	fset   *token.FileSet
+	root   string
+	module string
+	dirs   map[string]*surfacePkg // by import path
+	std    types.Importer
+	prod   map[string]*types.Package
+	uses   map[string]bool // keys of every object referenced anywhere
+	tests  map[string]bool // keys of every object referenced from a _test.go file
+	ifces  []*types.Interface
+	seen   map[*types.Package]bool // packages whose interfaces are collected
+	facts  archFacts               // what the non-test files import, use, call, type and define
 }
 
 func (l *surfaceLoader) Import(path string) (*types.Package, error) {
@@ -54,8 +57,12 @@ func (l *surfaceLoader) Import(path string) (*types.Package, error) {
 		return p, nil
 	}
 	if sp, ok := l.dirs[path]; ok && len(sp.prod) > 0 {
-		p := l.check(path, sp.prod, l)
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}}
+		p := l.check(path, sp.prod, l, info)
 		l.prod[path] = p
+		for _, f := range sp.prod {
+			l.facts.collect(l, f, info)
+		}
 		return p, nil
 	}
 	p, err := l.std.Import(path)
@@ -81,10 +88,14 @@ func (o overlay) Import(path string) (*types.Package, error) {
 }
 
 // check type-checks files as package path and records every object they
-// reference. Type errors are tolerated: a test variant may mix its own
-// types with the production form another package imported.
-func (l *surfaceLoader) check(path string, files []*ast.File, imp types.Importer) *types.Package {
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+// reference; info, when not nil, keeps what else the caller asked for.
+// Type errors are tolerated: a test variant may mix its own types with
+// the production form another package imported.
+func (l *surfaceLoader) check(path string, files []*ast.File, imp types.Importer, info *types.Info) *types.Package {
+	if info == nil {
+		info = &types.Info{}
+	}
+	info.Uses = map[*ast.Ident]types.Object{}
 	conf := types.Config{Importer: imp, Error: func(error) {}}
 	pkg, _ := conf.Check(path, l.fset, files, info)
 	for id, obj := range info.Uses {
@@ -167,20 +178,25 @@ func (l *surfaceLoader) satisfiesInterface(n *types.Named, m *types.Func) bool {
 }
 
 // repoSurface is the repository loaded once for every audit.
-var repoSurface = sync.OnceValues(func() (*surfaceLoader, error) { return loadSurface(".") })
-
-// loadSurface parses every package under root and type-checks it with
-// its tests.
-func loadSurface(root string) (*surfaceLoader, error) {
+var repoSurface = sync.OnceValues(func() (*surfaceLoader, error) {
 	fset := token.NewFileSet()
+	return loadSurface(".", surfaceModule, fset, importer.ForCompiler(fset, "source", nil))
+})
+
+// loadSurface parses every package under root, the directory of module,
+// and type-checks it with its tests; std imports the standard library
+// into fset.
+func loadSurface(root, module string, fset *token.FileSet, std types.Importer) (*surfaceLoader, error) {
 	l := &surfaceLoader{
-		fset:  fset,
-		dirs:  map[string]*surfacePkg{},
-		std:   importer.ForCompiler(fset, "source", nil),
-		prod:  map[string]*types.Package{},
-		uses:  map[string]bool{},
-		tests: map[string]bool{},
-		seen:  map[*types.Package]bool{},
+		fset:   fset,
+		root:   root,
+		module: module,
+		dirs:   map[string]*surfacePkg{},
+		std:    std,
+		prod:   map[string]*types.Package{},
+		uses:   map[string]bool{},
+		tests:  map[string]bool{},
+		seen:   map[*types.Package]bool{},
 	}
 	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -197,7 +213,7 @@ func loadSurface(root string) (*surfaceLoader, error) {
 			return err
 		}
 		rel, _ := filepath.Rel(root, dir)
-		sp := &surfacePkg{path: surfaceModule}
+		sp := &surfacePkg{path: module}
 		if rel != "." {
 			sp.path += "/" + filepath.ToSlash(rel)
 		}
@@ -242,10 +258,10 @@ func loadSurface(root string) (*surfaceLoader, error) {
 		}
 		variant := l.prod[p]
 		if len(sp.inTest) > 0 {
-			variant = l.check(p, append(slices.Clip(sp.prod), sp.inTest...), l)
+			variant = l.check(p, append(slices.Clip(sp.prod), sp.inTest...), l, nil)
 		}
 		if len(sp.xTest) > 0 {
-			l.check(p+"_test", sp.xTest, overlay{l, p, variant})
+			l.check(p+"_test", sp.xTest, overlay{l, p, variant}, nil)
 		}
 	}
 	return l, nil
