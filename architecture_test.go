@@ -177,6 +177,12 @@ var archRules = []archRule{
 		what: []string{"internal/sql.CreateTable"}, allow: []string{"DB.execLocked", "DB.execDDL", "DB.applyCreate"},
 		why: "one statement dispatcher (DB.execLocked, internal/core/dml.go): no second switch over CREATE / INSERT / DML"},
 
+	// One reading of a predicate.
+	{name: "one-predicate-reading", kind: forbidUse, scope: []string{"..."},
+		what:  []string{"internal/pred.FormCompare", "internal/pred.FormBetween", "internal/pred.FormIn"},
+		allow: []string{"internal/pred", "shardSet.targets", "shardSet.localizePred"},
+		why:   "read a predicate through internal/pred (Holds, MapLiterals, Spans; climbing.Index.Walk for a dictionary); only shard routing reasons over the integer key space with rules of its own"},
+
 	// One group table, one cached cell read.
 	{name: "one-group-table", kind: forbidShape, scope: []string{"internal/exec"}, what: []string{"map[uint64]int32"},
 		why: "Grouper and Distinct share groupTable (internal/exec/agg.go); no second hash table keyed by a key hash"},

@@ -8,7 +8,6 @@ import (
 	"github.com/ghostdb/ghostdb/internal/climbing"
 	"github.com/ghostdb/ghostdb/internal/exec"
 	"github.com/ghostdb/ghostdb/internal/pred"
-	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/stats"
 	"github.com/ghostdb/ghostdb/internal/store"
 )
@@ -727,7 +726,7 @@ func (e *Engine) climbingRun(root string, q Query, rep *stats.Report) ([]uint32,
 // forEntriesAt visits the list refs at the given level of entries
 // matching p.
 func forEntriesAt(ix *climbing.Index, p pred.P, level int, fn func(climbing.ListRef)) error {
-	return forEachMatch(ix, p, func(e climbing.Entry) error {
+	return ix.Walk(p, func(e climbing.Entry) error {
 		fn(e.Lists[level])
 		return nil
 	})
@@ -736,66 +735,4 @@ func forEntriesAt(ix *climbing.Index, p pred.P, level int, fn func(climbing.List
 // forEntries visits the own-level list refs of entries matching p.
 func forEntries(ix *climbing.Index, p pred.P, fn func(climbing.ListRef)) error {
 	return forEntriesAt(ix, p, 0, fn)
-}
-
-// forEachMatch visits the index entries matching p.
-func forEachMatch(ix *climbing.Index, p pred.P, emit func(climbing.Entry) error) error {
-	visitRange := func(lo, hi *climbing.Bound) error {
-		it, err := ix.Range(lo, hi)
-		if err != nil {
-			return err
-		}
-		for {
-			e, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := emit(e); err != nil {
-				return err
-			}
-		}
-	}
-	switch p.Form {
-	case pred.FormCompare:
-		switch p.Op {
-		case sql.OpEq:
-			e, ok, err := ix.LookupEq(p.Val)
-			if err != nil || !ok {
-				return err
-			}
-			return emit(e)
-		case sql.OpNe:
-			if err := visitRange(nil, &climbing.Bound{V: p.Val}); err != nil {
-				return err
-			}
-			return visitRange(&climbing.Bound{V: p.Val}, nil)
-		case sql.OpLt:
-			return visitRange(nil, &climbing.Bound{V: p.Val})
-		case sql.OpLe:
-			return visitRange(nil, &climbing.Bound{V: p.Val, Inclusive: true})
-		case sql.OpGt:
-			return visitRange(&climbing.Bound{V: p.Val}, nil)
-		case sql.OpGe:
-			return visitRange(&climbing.Bound{V: p.Val, Inclusive: true}, nil)
-		}
-	case pred.FormBetween:
-		return visitRange(&climbing.Bound{V: p.Lo, Inclusive: true}, &climbing.Bound{V: p.Hi, Inclusive: true})
-	case pred.FormIn:
-		for _, v := range p.Set {
-			e, ok, err := ix.LookupEq(v)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := emit(e); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("baseline: unsupported predicate form %d", p.Form)
 }

@@ -28,6 +28,7 @@ import (
 
 	"github.com/ghostdb/ghostdb/internal/codec"
 	"github.com/ghostdb/ghostdb/internal/flash"
+	"github.com/ghostdb/ghostdb/internal/pred"
 	"github.com/ghostdb/ghostdb/internal/schema"
 	"github.com/ghostdb/ghostdb/internal/store"
 	"github.com/ghostdb/ghostdb/internal/value"
@@ -199,13 +200,13 @@ func (e *Encoder) Encode(sch *schema.Schema, table, column string, col value.Col
 	// distinct values, e.first[r] a row holding the value of rank r.
 	e.rankColumn(col)
 	n := len(e.first)
-	sorted := make([]value.Value, n)
-	for r, i := range e.first {
-		sorted[r] = col.Value(int(i))
-	}
+	valueOf := func(r int) value.Value { return col.Value(int(e.first[r])) }
 	ix.n = n
-	if !dense {
-		ix.vals = sorted
+	if !dense { // a dense index reads rank r's value as r+1 and keeps none
+		ix.vals = make([]value.Value, n)
+		for r := range n {
+			ix.vals[r] = valueOf(r)
+		}
 	}
 
 	// Per level l, the row IDs grouped by rank: rank r's list is
@@ -271,17 +272,17 @@ func (e *Encoder) Encode(sch *schema.Schema, table, column string, col value.Col
 	// The regions are sized once: exactly for entries and values, by
 	// listBound for lists.
 	valuesCap := 0
-	for _, v := range sorted {
-		valuesCap += v.EncodedSize()
+	for r := range n {
+		valuesCap += valueOf(r).EncodedSize()
 	}
 	entriesBuf := make([]byte, n*ix.entSize)
 	valuesBuf := make([]byte, 0, valuesCap)
 	listsBuf := make([]byte, listsCap)
 	at := 0
-	for r, v := range sorted {
+	for r := range n {
 		ent := entriesBuf[r*ix.entSize : (r+1)*ix.entSize]
 		binary.LittleEndian.PutUint32(ent, uint32(len(valuesBuf)))
-		valuesBuf = v.Append(valuesBuf)
+		valuesBuf = valueOf(r).Append(valuesBuf)
 		for l := range levels {
 			lo, hi := e.begin[l*(n+1)+r], e.begin[l*(n+1)+r+1]
 			binary.LittleEndian.PutUint32(ent[4+8*l:], uint32(at))
@@ -697,6 +698,42 @@ func (ix *Index) Range(lo, hi *Bound) (*EntryIter, error) {
 	return it, nil
 }
 
+// Walk visits the dictionary entries p selects, span by span in the order
+// pred.P.Spans gives them: a point through LookupEq, a range through
+// Range, so a walk makes the reads those calls make, in the same order.
+// The entry's Lists are valid until fn returns.
+func (ix *Index) Walk(p pred.P, fn func(Entry) error) error {
+	return p.Spans(func(s pred.Span) error {
+		if s.Point {
+			e, ok, err := ix.LookupEq(s.Lo)
+			if err != nil || !ok {
+				return err
+			}
+			return fn(e)
+		}
+		var lo, hi *Bound
+		if !s.NoLo {
+			lo = &Bound{V: s.Lo, Inclusive: s.LoIncl}
+		}
+		if !s.NoHi {
+			hi = &Bound{V: s.Hi, Inclusive: s.HiIncl}
+		}
+		it, err := ix.Range(lo, hi)
+		if err != nil {
+			return err
+		}
+		for {
+			e, ok, err := it.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if err := fn(e); err != nil {
+				return err
+			}
+		}
+	})
+}
+
 // EntryIter streams dictionary entries in value order.
 type EntryIter struct {
 	ix    *Index
@@ -751,29 +788,5 @@ func (ix *Index) ReadList(ref ListRef) ([]uint32, error) {
 			return out, nil
 		}
 		out = append(out, id)
-	}
-}
-
-// CountRange sums the per-level counts of all entries in the range —
-// the optimizer's exact selectivity statistic (it pays the device cost
-// of the dictionary scan, as the real device would).
-func (ix *Index) CountRange(lo, hi *Bound, level int) (int, error) {
-	if level < 0 || level >= len(ix.Levels) {
-		return 0, fmt.Errorf("climbing: level %d of %d", level, len(ix.Levels))
-	}
-	it, err := ix.Range(lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for {
-		e, ok, err := it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return total, nil
-		}
-		total += e.Lists[level].Count
 	}
 }

@@ -265,14 +265,6 @@ func TestRangeQueries(t *testing.T) {
 	if got := collect(&Bound{V: value.NewInt(50), Inclusive: true}, nil); got != nil {
 		t.Errorf("empty range = %v", got)
 	}
-
-	n, err := ix.CountRange(&Bound{V: value.NewInt(10), Inclusive: true}, &Bound{V: value.NewInt(20), Inclusive: true}, 0)
-	if err != nil || n != 4 {
-		t.Errorf("CountRange = %d, %v; want 4", n, err)
-	}
-	if _, err := ix.CountRange(nil, nil, 5); err == nil {
-		t.Error("bad level accepted")
-	}
 }
 
 func TestDateColumnWithStringLiterals(t *testing.T) {

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/ghostdb/ghostdb/internal/device"
 	"github.com/ghostdb/ghostdb/internal/flash"
+	"github.com/ghostdb/ghostdb/internal/pred"
+	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/store"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
@@ -117,6 +120,150 @@ func TestLookupListSameReadsSameOrder(t *testing.T) {
 			}
 			if _, _, err := ixB.LookupList(probes[0], len(ixB.Levels)); err == nil {
 				t.Fatal("LookupList accepted a level past the root")
+			}
+		})
+	}
+}
+
+// refWalk is the per-operator dictionary walk Index.Walk replaced,
+// kept as the reference for the calls a walk makes and their order.
+func refWalk(ix *Index, p pred.P, fn func(Entry) error) error {
+	visitRange := func(lo, hi *Bound) error {
+		it, err := ix.Range(lo, hi)
+		if err != nil {
+			return err
+		}
+		for {
+			e, ok, err := it.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if err := fn(e); err != nil {
+				return err
+			}
+		}
+	}
+	lookup := func(v value.Value) error {
+		e, ok, err := ix.LookupEq(v)
+		if err != nil || !ok {
+			return err
+		}
+		return fn(e)
+	}
+	switch p.Form {
+	case pred.FormCompare:
+		switch p.Op {
+		case sql.OpEq:
+			return lookup(p.Val)
+		case sql.OpNe:
+			if err := visitRange(nil, &Bound{V: p.Val}); err != nil {
+				return err
+			}
+			return visitRange(&Bound{V: p.Val}, nil)
+		case sql.OpLt:
+			return visitRange(nil, &Bound{V: p.Val})
+		case sql.OpLe:
+			return visitRange(nil, &Bound{V: p.Val, Inclusive: true})
+		case sql.OpGt:
+			return visitRange(&Bound{V: p.Val}, nil)
+		case sql.OpGe:
+			return visitRange(&Bound{V: p.Val, Inclusive: true}, nil)
+		}
+	case pred.FormBetween:
+		return visitRange(&Bound{V: p.Lo, Inclusive: true}, &Bound{V: p.Hi, Inclusive: true})
+	case pred.FormIn:
+		for _, v := range p.Set {
+			if err := lookup(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown predicate %v", p)
+}
+
+// TestWalkSelectsWhatEvalSelects holds Index.Walk, on a dense and a
+// non-dense index, for every operator, BETWEEN and IN over literals
+// below, inside, between and past the dictionary: it yields exactly the
+// entries whose value satisfies Eval, in value order (an IN list's in
+// list order), they and their lists are refWalk's, and a twin device
+// driven through refWalk ends with the same clock, flash statistics and
+// page-cache hit/miss counts.
+func TestWalkSelectsWhatEvalSelects(t *testing.T) {
+	for _, kind := range []string{"dense", "non-dense"} {
+		t.Run(kind, func(t *testing.T) {
+			devA, stA, denseA, sparseA := lookupFixture(t)
+			devB, stB, denseB, sparseB := lookupFixture(t)
+			ixA, ixB := denseA, denseB
+			var dict, lits []value.Value
+			if kind == "dense" {
+				for id := 1; id <= denseA.n; id++ {
+					dict = append(dict, value.NewInt(int64(id)))
+				}
+				lits = []value.Value{value.NewInt(0), value.NewInt(1), value.NewInt(450), value.NewInt(900), value.NewInt(901)}
+			} else {
+				ixA, ixB = sparseA, sparseB
+				dict = sparseA.vals
+				lits = []value.Value{strv(""), dict[0], dict[60], strv("purpose-050-x"), dict[len(dict)-1], strv("zzz")}
+			}
+			var preds []pred.P
+			for _, v := range lits {
+				for op := sql.OpEq; op <= sql.OpGe; op++ {
+					preds = append(preds, pred.Compare(op, v))
+				}
+				for _, w := range lits {
+					preds = append(preds, pred.Between(v, w))
+				}
+			}
+			preds = append(preds, pred.In(lits), pred.In([]value.Value{lits[3], lits[1], lits[4]}), pred.In(nil))
+
+			for _, p := range preds {
+				var want []value.Value
+				if p.Form == pred.FormIn {
+					for _, v := range p.Set {
+						if slices.Contains(dict, v) {
+							want = append(want, v)
+						}
+					}
+				} else {
+					for _, v := range dict {
+						if ok, err := p.Eval(v); err != nil {
+							t.Fatal(err)
+						} else if ok {
+							want = append(want, v)
+						}
+					}
+				}
+				collect := func(walk func(*Index, pred.P, func(Entry) error) error, ix *Index) []Entry {
+					var out []Entry
+					err := walk(ix, p, func(e Entry) error {
+						e.Lists = slices.Clone(e.Lists)
+						out = append(out, e)
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", p, err)
+					}
+					return out
+				}
+				got := collect((*Index).Walk, ixA)
+				ref := collect(refWalk, ixB)
+				var gotVals []value.Value
+				for _, e := range got {
+					gotVals = append(gotVals, e.Value)
+				}
+				if !slices.Equal(gotVals, want) {
+					t.Fatalf("%s: walk yields %d entries %v, Eval selects %d", p, len(got), gotVals, len(want))
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("%s: walk and reference walk yield different entries", p)
+				}
+				if a, b := costOf(devA, stA), costOf(devB, stB); a != b {
+					t.Fatalf("%s: devices diverge\n Walk      %+v\n reference %+v", p, a, b)
+				}
+			}
+			if c := costOf(devA, stA); c.Misses == 0 || c.Hits == 0 {
+				t.Fatalf("vacuous: %d hits, %d misses", c.Hits, c.Misses)
 			}
 		})
 	}

@@ -26,6 +26,7 @@ import (
 
 	"github.com/ghostdb/ghostdb/internal/exec"
 	"github.com/ghostdb/ghostdb/internal/plan"
+	"github.com/ghostdb/ghostdb/internal/pred"
 	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
@@ -201,19 +202,5 @@ func havingMatch(v value.Value, op sql.CompareOp, lit value.Value) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	switch op {
-	case sql.OpEq:
-		return c == 0, nil
-	case sql.OpNe:
-		return c != 0, nil
-	case sql.OpLt:
-		return c < 0, nil
-	case sql.OpLe:
-		return c <= 0, nil
-	case sql.OpGt:
-		return c > 0, nil
-	case sql.OpGe:
-		return c >= 0, nil
-	}
-	return false, fmt.Errorf("core: unknown HAVING operator %v", op)
+	return pred.Holds(op, c)
 }

@@ -322,7 +322,7 @@ func (e *engine) predCounts(q *plan.Query, visSel [][]uint32) ([]int, error) {
 // climbing index dictionary.
 func (e *engine) indexCount(ix *climbing.Index, p pred.P) (int, error) {
 	total := 0
-	err := forEachEntry(ix, p, func(ent climbing.Entry) error {
+	err := ix.Walk(p, func(ent climbing.Entry) error {
 		total += ent.Lists[0].Count
 		return nil
 	})

@@ -500,7 +500,7 @@ func (e *engine) matchDMLLocked(d *plan.DML) ([]uint32, error) {
 				}
 				op := rep.NewOp("ClimbingIndex", p.String())
 				var refs []climbing.ListRef
-				err := forEachEntry(ix, p.P, func(ent climbing.Entry) error {
+				err := ix.Walk(p.P, func(ent climbing.Entry) error {
 					if ent.Lists[0].Count > 0 {
 						refs = append(refs, ent.Lists[0])
 					}
@@ -903,15 +903,14 @@ func (e *engine) checkpointCommitLocked(p *ckptPending, since time.Time) error {
 	// Rebuild at full simulated cost: every AppendRegion programs pages,
 	// on top of the erase charges above. The clock is NOT rewound — this
 	// is the price of making the delta durable.
-	vis, err := e.loadState(p.img)
+	sidecar, err := e.loadState(p.img, e.version+1)
 	if err != nil {
 		e.setFatal(err)
 		return err
 	}
 	rebuilt = time.Now()
 	e.version++
-	e.stashCommitted(e.version, vis)
-	if err := e.writeCommitRecord(); err != nil {
+	if err := e.commitLocked(sidecar); err != nil {
 		// The new state is built but not committed: recovery would land
 		// on the previous version, diverging from the live in-RAM state.
 		e.setFatal(err)
@@ -927,8 +926,7 @@ func (e *engine) checkpointCommitLocked(p *ckptPending, since time.Time) error {
 // shard versions in lockstep so recovery can pick one global cut.
 func (e *engine) recordOnlyCommitLocked() error {
 	e.version++
-	e.stashCommitted(e.version, e.committedVis[e.version-1])
-	if err := e.writeCommitRecord(); err != nil {
+	if err := e.commitLocked(e.stashCommitted(e.version, e.committedVis[e.version-1])); err != nil {
 		e.setFatal(err)
 		return err
 	}

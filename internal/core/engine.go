@@ -254,17 +254,15 @@ func (e *engine) load(img []tableImage, rootGlobals []uint32, ddl []string) erro
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rootGlobals, e.ddl = rootGlobals, ddl
-	vis, err := e.loadState(img)
+	sidecar, err := e.loadState(img, 0)
 	if err != nil {
 		return err
 	}
 
-	// Commit version 0: stash the visible columns and write the first
-	// commit record, so a crash at any later point can recover at least
-	// the freshly loaded state. Still inside the secure setting, so the
-	// record's flash cost is rewound along with the load's.
-	e.stashCommitted(0, vis)
-	if err := e.writeCommitRecord(); err != nil {
+	// Commit version 0, so a crash at any later point can recover at
+	// least the freshly loaded state. Still inside the secure setting, so
+	// the record's flash cost is rewound along with the load's.
+	if err := e.commitLocked(sidecar); err != nil {
 		return err
 	}
 
@@ -399,10 +397,13 @@ func (e *engine) Index(table, column string) (*climbing.Index, bool) {
 // table -> column (lowercased).
 type visImage map[string]map[string]value.Column
 
-// stashCommitted retains the visible columns of a committed version for
-// Snapshot/Recover, pruning everything older than the previous version —
-// the only one still recoverable from the A/B record slots.
-func (e *engine) stashCommitted(version uint64, vis visImage) {
+// stashCommitted retains the visible columns of the version about to be
+// committed for Snapshot/Recover, pruning everything older than the
+// version before it — the only one still recoverable from the A/B record
+// slots. A file-backed database also starts encoding the sidecar of the
+// versions kept; the channel yields it to commitLocked (nil on the
+// simulated backend).
+func (e *engine) stashCommitted(version uint64, vis visImage) <-chan []byte {
 	if e.committedVis == nil {
 		e.committedVis = map[uint64]visImage{}
 	}
@@ -410,6 +411,14 @@ func (e *engine) stashCommitted(version uint64, vis visImage) {
 	if version >= 2 {
 		delete(e.committedVis, version-2)
 	}
+	if !e.opts.Backend.IsFile() {
+		return nil
+	}
+	sidecar := make(chan []byte, 1)
+	go func(ddl []string, committed map[uint64]visImage) {
+		sidecar <- encodeSidecar(version, ddl, committed)
+	}(e.ddl, e.committedVis)
+	return sidecar
 }
 
 // tableView is one schema table resolved to positions for the lifetime
@@ -447,19 +456,22 @@ type colView struct {
 // from a table image: visible columns and PKs to the public store; hidden
 // columns, SKTs and climbing indexes to the device. It is shared by the
 // bulk load (whose charges are then rewound) and by CHECKPOINT (which
-// pays them as the cost of merging the delta into flash). It returns the
-// visible columns for the commit's stash. Its one check, the foreign-key
-// range, is for a recovered image: outside input, refused before any
-// page is programmed.
+// pays them as the cost of merging the delta into flash). It stashes the
+// visible columns as version, the version it builds, and returns what
+// stashCommitted returned, for commitLocked. Its one check, the
+// foreign-key range, is for a recovered image: outside input, refused
+// before any page is programmed.
 //
 // The work runs in three steps. The host side first: views, foreign-key
 // checks, inverted edges and the INTEGER foreign-key columns. Then the
 // climbing indexes are encoded on GOMAXPROCS workers while this goroutine
-// programs the column files and SKTs. Last, the indexes are programmed in
-// declaration order. Every page goes to flash in the order a one-core
-// build would program it, so images, charges and file sizes do not
-// depend on the worker count.
-func (e *engine) loadState(img []tableImage) (visImage, error) {
+// programs the column files and SKTs; the visible columns are stashed
+// once the column files are done, so a file-backed database encodes its
+// sidecar beside the SKTs and the indexes. Last, the indexes are
+// programmed in declaration order. Every page goes to flash in the order
+// a one-core build would program it, so images, charges and file sizes
+// do not depend on the worker count.
+func (e *engine) loadState(img []tableImage, version uint64) (sidecar <-chan []byte, err error) {
 	start := time.Now()
 	hid, err := store.New(e.dev)
 	if err != nil {
@@ -578,6 +590,12 @@ func (e *engine) loadState(img []tableImage) (visImage, error) {
 	}
 
 	columnsDone := time.Now()
+	sidecar = e.stashCommitted(version, vis)
+	defer func() {
+		if err != nil && sidecar != nil {
+			<-sidecar // no encoding outlives a failed build
+		}
+	}()
 
 	// Subtree Key Tables for every table that references others.
 	fkLookup := func(table, col string) ([]uint32, error) {
@@ -623,7 +641,7 @@ func (e *engine) loadState(img []tableImage) (visImage, error) {
 		m.checkpointSKTWall.Observe(sktDone.Sub(columnsDone).Nanoseconds())
 		m.checkpointClimbingWall.Observe(time.Since(sktDone).Nanoseconds())
 	}
-	return vis, nil
+	return sidecar, nil
 }
 
 // indexJob is one climbing index of a loadState: what to encode, and

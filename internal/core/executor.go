@@ -44,7 +44,6 @@ import (
 	"github.com/ghostdb/ghostdb/internal/pred"
 	"github.com/ghostdb/ghostdb/internal/sim"
 	"github.com/ghostdb/ghostdb/internal/skt"
-	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/stats"
 	"github.com/ghostdb/ghostdb/internal/store"
 	"github.com/ghostdb/ghostdb/internal/trace"
@@ -81,69 +80,6 @@ type Result struct {
 	// explained query (queryConfig.explain), indexed like ShardReports.
 	// Nil otherwise.
 	choices []*choice
-}
-
-// forEachEntry visits the index entries matching p.
-func forEachEntry(ix *climbing.Index, p pred.P, fn func(climbing.Entry) error) error {
-	visitRange := func(lo, hi *climbing.Bound) error {
-		it, err := ix.Range(lo, hi)
-		if err != nil {
-			return err
-		}
-		for {
-			e, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
-	}
-	switch p.Form {
-	case pred.FormCompare:
-		switch p.Op {
-		case sql.OpEq:
-			e, ok, err := ix.LookupEq(p.Val)
-			if err != nil || !ok {
-				return err
-			}
-			return fn(e)
-		case sql.OpNe:
-			if err := visitRange(nil, &climbing.Bound{V: p.Val, Inclusive: false}); err != nil {
-				return err
-			}
-			return visitRange(&climbing.Bound{V: p.Val, Inclusive: false}, nil)
-		case sql.OpLt:
-			return visitRange(nil, &climbing.Bound{V: p.Val, Inclusive: false})
-		case sql.OpLe:
-			return visitRange(nil, &climbing.Bound{V: p.Val, Inclusive: true})
-		case sql.OpGt:
-			return visitRange(&climbing.Bound{V: p.Val, Inclusive: false}, nil)
-		case sql.OpGe:
-			return visitRange(&climbing.Bound{V: p.Val, Inclusive: true}, nil)
-		}
-		return fmt.Errorf("core: unknown operator %v", p.Op)
-	case pred.FormBetween:
-		return visitRange(&climbing.Bound{V: p.Lo, Inclusive: true}, &climbing.Bound{V: p.Hi, Inclusive: true})
-	case pred.FormIn:
-		for _, v := range p.Set {
-			e, ok, err := ix.LookupEq(v)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := fn(e); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("core: unknown predicate form %d", p.Form)
 }
 
 // execute runs the distributed plan and fills res with the engine's half
@@ -684,7 +620,7 @@ func (ex *executor) rootStream(visPreByTable map[string][]int, indexPreds []int)
 		op := ex.rep.NewOp("ClimbingIndex", q.PredLabel(i))
 		phase := e.clock.Now()
 		refs := make([][]climbing.ListRef, len(ix.Levels))
-		err := forEachEntry(ix, p.P, func(ent climbing.Entry) error {
+		err := ix.Walk(p.P, func(ent climbing.Entry) error {
 			for l, r := range ent.Lists {
 				if r.Count > 0 {
 					refs[l] = append(refs[l], r)

@@ -175,7 +175,7 @@ func newDeviceMetrics() *engineMetrics {
 		checkpointColumnsWall:  r.Histogram("checkpoint_rebuild_columns_wall_ns", "CHECKPOINT rebuild: foreign-key range check, inverted edges, visible columns and hidden column files (the climbing indexes encode alongside), host wall-clock"),
 		checkpointSKTWall:      r.Histogram("checkpoint_rebuild_skt_wall_ns", "CHECKPOINT rebuild: subtree key tables (the climbing indexes encode alongside), host wall-clock"),
 		checkpointClimbingWall: r.Histogram("checkpoint_rebuild_climbing_wall_ns", "CHECKPOINT rebuild: climbing indexes, waiting for their encoders and then programming them, host wall-clock"),
-		checkpointCommitWall:   r.Histogram("checkpoint_commit_wall_ns", "CHECKPOINT commit phase (commit record, flash sync with the sidecar encoded alongside, sidecar write), host wall-clock"),
+		checkpointCommitWall:   r.Histogram("checkpoint_commit_wall_ns", "CHECKPOINT commit phase (flash sync, sidecar write, commit record and its sync), host wall-clock"),
 	}
 }
 

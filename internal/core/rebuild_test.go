@@ -111,7 +111,7 @@ func TestCorruptImageRefusedBeforeProgram(t *testing.T) {
 				e := db.shards.engines[0]
 				e.mu.Lock()
 				before := e.dev.Flash.Stats()
-				_, err := e.loadState(img)
+				_, err := e.loadState(img, e.version+1)
 				after := e.dev.Flash.Stats()
 				e.mu.Unlock()
 				const want = "core: recovered state is inconsistent: Prescription.MedID row 600: foreign key 1048576 out of 1..2"

@@ -6,10 +6,10 @@ package core
 // only hidden data and indexes on the device. A file-backed database
 // therefore pairs the device directory with a JSON sidecar holding the
 // DDL and the visible columns of the recoverable committed versions —
-// the exact state Snapshot carries in memory — refreshed atomically at
-// every commit point. OpenPath reads the sidecar plus the on-disk flash
-// image and lands on the newest fully committed version, exactly like
-// Recover over an in-memory snapshot.
+// the exact state Snapshot carries in memory — replaced atomically before
+// every commit record is written. OpenPath reads the sidecar plus the
+// on-disk flash image and lands on the newest fully committed version,
+// exactly like Recover over an in-memory snapshot.
 
 import (
 	"encoding/base64"
@@ -60,7 +60,7 @@ type sidecarCol struct {
 // tests hold it to. It writes them in one typed walk into one buffer,
 // sized by a first walk that only counts; each column's cells are
 // encoded into one reused scratch buffer and base64ed from there. It only
-// reads its arguments, so it may run beside the commit's flash sync.
+// reads its arguments, so it may run beside the rebuild it commits.
 func encodeSidecar(version uint64, ddl []string, committed map[uint64]visImage) []byte {
 	w := &sidecarWriter{}
 	w.doc(version, ddl, committed)

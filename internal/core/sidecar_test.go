@@ -257,3 +257,38 @@ func TestCommitSyncFaultKeepsSidecar(t *testing.T) {
 		t.Fatalf("the failed commit left %s.tmp behind: %v", path, err)
 	}
 }
+
+// TestFailedSidecarWriteKeepsCommittedVersion: a commit whose sidecar
+// cannot be written (here its temporary file's name is taken by a
+// directory) fails before its commit record, so the directory reopens on
+// the version before it, with that version's rows — not on a record
+// whose visible columns no sidecar holds.
+func TestFailedSidecarWriteKeepsCommittedVersion(t *testing.T) {
+	dir := fileBackendDir(t)
+	db := buildRecoverDB(t, WithBackend(storage.File(dir, true)))
+	want := corpusOf(t, db)
+	if _, err := db.Exec(`INSERT INTO Visit VALUES (7, DATE '2007-05-05', 'Checkup', 22, 1)`); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, sidecarName+".tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Checkpoint(); err == nil {
+		t.Fatal("CHECKPOINT committed without its sidecar")
+	}
+	db.Close() // the failed commit latched the database fatal; its close error is that
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+
+	odb, info, err := OpenPath(dir)
+	if err != nil {
+		t.Fatalf("reopen after the failed commit: %v", err)
+	}
+	defer odb.Close()
+	if info.Version != 0 {
+		t.Fatalf("reopened on version %d, want 0", info.Version)
+	}
+	assertCorpusEqual(t, corpusOf(t, odb), want)
+}

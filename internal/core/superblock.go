@@ -111,13 +111,37 @@ func (e *engine) buildCommitRecord(version uint64, rootGlobals flash.Extent, roo
 	return rec, nil
 }
 
-// writeCommitRecord commits the current device state as e.version: it
-// erases the version's record slot and programs the manifest into it.
-// The last page programmed is the commit point — a power cut anywhere
-// before it leaves the previous version's record (the other slot)
-// untouched and fully valid. The erase and program costs are charged to
-// the simulated clock; they are the durability overhead a CHECKPOINT
-// pays on top of the merge itself.
+// commitLocked commits the state the device holds as e.version, whose
+// visible columns stashCommitted kept, sidecar being what it returned.
+// The state's pages are synced first; then a file-backed database writes
+// the sidecar, which holds this version and the one before it, durably
+// beside its segments; then the commit record is written and synced, the
+// one commit point. A failure or a crash anywhere before the record
+// leaves the previous version committed, with a sidecar that holds it.
+// Caller holds the device gate.
+func (e *engine) commitLocked(sidecar <-chan []byte) error {
+	err := e.dev.Flash.Sync()
+	var blob []byte
+	if sidecar != nil {
+		blob = <-sidecar
+	}
+	if err != nil {
+		return fmt.Errorf("core: commit: sync: %w", err)
+	}
+	if sidecar != nil {
+		if err := writeAtomic(filepath.Join(e.opts.Backend.Path, sidecarName), blob, e.opts.Backend.Fsync); err != nil {
+			return fmt.Errorf("core: commit: sidecar: %w", err)
+		}
+	}
+	return e.writeCommitRecord()
+}
+
+// writeCommitRecord erases e.version's record slot, programs the
+// manifest into it and syncs. The last page programmed is the commit
+// point — a power cut anywhere before it leaves the previous version's
+// record (the other slot) untouched and fully valid. The erase and
+// program costs are charged to the simulated clock; they are the
+// durability overhead a CHECKPOINT pays on top of the merge itself.
 func (e *engine) writeCommitRecord() error {
 	simStart := e.clock.Now()
 	defer func() { e.metrics.recordSim.Add(int64(e.clock.Now() - simStart)) }()
@@ -168,31 +192,8 @@ func (e *engine) writeCommitRecord() error {
 		}
 		page++
 	}
-	// The record is the commit point: flush it (and the state it points
-	// at) through whatever durability boundary the backend has, then
-	// refresh the host-side sidecar a file-backed database reopens from.
-	// The sidecar's state is final already, so a file-backed database
-	// encodes it on one goroutine while the sync waits on the device.
-	var sidecar chan []byte
-	if e.opts.Backend.IsFile() {
-		sidecar = make(chan []byte, 1)
-		go func(version uint64, ddl []string, committed map[uint64]visImage) {
-			sidecar <- encodeSidecar(version, ddl, committed)
-		}(e.version, e.ddl, e.committedVis)
-	}
-	err = e.dev.Flash.Sync()
-	var blob []byte
-	if sidecar != nil {
-		blob = <-sidecar
-	}
-	if err != nil {
+	if err := e.dev.Flash.Sync(); err != nil {
 		return fmt.Errorf("core: commit record: sync: %w", err)
-	}
-	if sidecar == nil {
-		return nil
-	}
-	if err := writeAtomic(filepath.Join(e.opts.Backend.Path, sidecarName), blob, e.opts.Backend.Fsync); err != nil {
-		return fmt.Errorf("core: commit record: %w", err)
 	}
 	return nil
 }

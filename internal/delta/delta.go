@@ -257,14 +257,8 @@ func (t *Table) chargeRaw(dev, host int64) error {
 	return nil
 }
 
-// Insert appends a post-build row whose primary key must be the next
-// dense identifier. The row is stored as given (already coerced to
-// column kinds by the engine).
-func (t *Table) Insert(row []value.Value) (uint32, error) {
-	return t.InsertAll([][]value.Value{row})
-}
-
-// InsertAll appends rows atomically: either every row is charged and
+// InsertAll appends post-build rows, stored as given (already coerced to
+// column kinds by the engine), atomically: either every row is charged and
 // stored (identifiers assigned densely from NextID, first returned) or
 // none is. Multi-row INSERT statements must not half-apply when the RAM
 // budget runs out mid-statement.
@@ -284,11 +278,6 @@ func (t *Table) InsertAll(rows [][]value.Value) (uint32, error) {
 		t.nextID++
 	}
 	return first, nil
-}
-
-// Apply stores an updated image for id; see ApplyAll.
-func (t *Table) Apply(id uint32, row []value.Value) error {
-	return t.ApplyAll([]uint32{id}, [][]value.Value{row})
 }
 
 // ApplyAll stores rows[i] as the updated image of ids[i] (distinct
@@ -336,9 +325,6 @@ func (t *Table) rowBytes(row []value.Value) (dev, host int64) {
 	}
 	return dev, host
 }
-
-// Delete tombstones id; see DeleteAll.
-func (t *Table) Delete(id uint32) error { return t.DeleteAll([]uint32{id}) }
 
 // DeleteAll tombstones ids (distinct identifiers), dropping any delta
 // images they had, atomically: an already deleted identifier or an

@@ -37,25 +37,25 @@ func TestDeltaLifecycle(t *testing.T) {
 	}
 
 	// Insert continues the dense sequence.
-	id, err := d.Insert(row(11, "v", "h"))
+	id, err := d.InsertAll([][]value.Value{row(11, "v", "h")})
 	if err != nil || id != 11 || d.NextID() != 12 {
 		t.Fatalf("insert: id=%d err=%v", id, err)
 	}
 	// Override shadows a base row.
-	if err := d.Apply(3, row(3, "v2", "h2")); err != nil {
+	if err := d.ApplyAll([]uint32{3}, [][]value.Value{row(3, "v2", "h2")}); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Shadowed(3) || d.Shadowed(4) || d.Shadowed(11) {
 		t.Fatal("shadowing wrong: base override must shadow, inserts must not")
 	}
 	// Delete tombstones (and drops any image).
-	if err := d.Delete(5); err != nil {
+	if err := d.DeleteAll([]uint32{5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Delete(5); err == nil {
+	if err := d.DeleteAll([]uint32{5}); err == nil {
 		t.Fatal("double delete accepted")
 	}
-	if err := d.Delete(11); err != nil {
+	if err := d.DeleteAll([]uint32{11}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d.Row(11); ok {
@@ -111,7 +111,7 @@ func TestDeltaBudgetExhaustion(t *testing.T) {
 	d := s.Ensure(testTable(t), 2)
 	var err error
 	for i := 0; i < 100 && err == nil; i++ {
-		_, err = d.Insert(row(int64(3+i), "visible", "hidden-value-of-some-length"))
+		_, err = d.InsertAll([][]value.Value{row(int64(3+i), "visible", "hidden-value-of-some-length")})
 	}
 	if err == nil {
 		t.Fatal("unbounded delta never hit the RAM budget")
@@ -125,14 +125,14 @@ func TestApplyChargesGrowth(t *testing.T) {
 	arena := ram.NewArena("device", 1<<20)
 	s := NewStore(arena)
 	d := s.Ensure(testTable(t), 4)
-	if err := d.Apply(1, row(1, "v", "small")); err != nil {
+	if err := d.ApplyAll([]uint32{1}, [][]value.Value{row(1, "v", "small")}); err != nil {
 		t.Fatal(err)
 	}
 	before := d.DeviceBytes()
 	// Re-updating the resident image with a larger hidden value must
 	// grow the arena charge; shrinking keeps it (no refunds until
 	// CHECKPOINT).
-	if err := d.Apply(1, row(1, "v", strings.Repeat("x", 300))); err != nil {
+	if err := d.ApplyAll([]uint32{1}, [][]value.Value{row(1, "v", strings.Repeat("x", 300))}); err != nil {
 		t.Fatal(err)
 	}
 	grown := d.DeviceBytes()
@@ -142,7 +142,7 @@ func TestApplyChargesGrowth(t *testing.T) {
 	if arena.Used() != grown {
 		t.Fatalf("arena %d, accounted %d", arena.Used(), grown)
 	}
-	if err := d.Apply(1, row(1, "v", "tiny")); err != nil {
+	if err := d.ApplyAll([]uint32{1}, [][]value.Value{row(1, "v", "tiny")}); err != nil {
 		t.Fatal(err)
 	}
 	if d.DeviceBytes() != grown {
@@ -151,10 +151,10 @@ func TestApplyChargesGrowth(t *testing.T) {
 	// A bounded arena rejects growth it cannot hold.
 	tight := NewStore(ram.NewArena("device", 48))
 	dt := tight.Ensure(testTable(t), 4)
-	if err := dt.Apply(1, row(1, "v", "ok")); err != nil {
+	if err := dt.ApplyAll([]uint32{1}, [][]value.Value{row(1, "v", "ok")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dt.Apply(1, row(1, "v", strings.Repeat("x", 400))); err == nil {
+	if err := dt.ApplyAll([]uint32{1}, [][]value.Value{row(1, "v", strings.Repeat("x", 400))}); err == nil {
 		t.Fatal("oversized re-update accepted")
 	}
 }

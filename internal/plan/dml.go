@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ghostdb/ghostdb/internal/pred"
 	"github.com/ghostdb/ghostdb/internal/schema"
 	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/value"
@@ -115,29 +114,14 @@ func BindDML(sch *schema.Schema, stmt sql.Statement) (*DML, error) {
 		if _, isJoin := cond.(*sql.Join); isJoin {
 			return nil, fmt.Errorf("plan: %s WHERE may not contain join predicates", op)
 		}
-		var colRef sql.ColRef
-		switch c := cond.(type) {
-		case *sql.Compare:
-			colRef = c.Col
-		case *sql.Between:
-			colRef = c.Col
-		case *sql.In:
-			colRef = c.Col
-		default:
-			return nil, fmt.Errorf("plan: unsupported condition %T", cond)
-		}
-		col, _, err := resolve(colRef)
+		p, err := bindCond(cond, func(ref sql.ColRef) (Col, error) {
+			col, _, err := resolve(ref)
+			return col, err
+		})
 		if err != nil {
 			return nil, err
 		}
-		p, err := pred.FromCondition(cond)
-		if err != nil {
-			return nil, err
-		}
-		if p, err = coercePred(p, col.Kind); err != nil {
-			return nil, fmt.Errorf("plan: predicate on %s: %w", col, err)
-		}
-		d.Preds = append(d.Preds, Pred{Col: col, P: p})
+		d.Preds = append(d.Preds, p)
 	}
 	d.NumParams = sql.CountParams(stmt)
 	return d, nil
@@ -175,16 +159,9 @@ func (d *DML) BindParams(params []value.Value) (*DML, error) {
 		}
 		out.Sets[i] = a
 	}
-	out.Preds = make([]Pred, len(d.Preds))
-	for i, pr := range d.Preds {
-		bound, err := bindPredParams(pr.P, params)
-		if err != nil {
-			return nil, fmt.Errorf("plan: predicate on %s: %w", pr.Col, err)
-		}
-		if bound, err = coercePred(bound, pr.Col.Kind); err != nil {
-			return nil, fmt.Errorf("plan: predicate on %s: %w", pr.Col, err)
-		}
-		out.Preds[i] = Pred{Col: pr.Col, P: bound}
+	var err error
+	if out.Preds, err = bindPreds(d.Preds, params); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

@@ -207,16 +207,9 @@ func (q *Query) BindParams(params []value.Value) (*Query, error) {
 	// The shape's cached predicate labels show '?' placeholders; drop
 	// them so the bound query renders its actual values on demand.
 	out.predLabels = nil
-	out.Preds = make([]Pred, len(q.Preds))
-	for i, pr := range q.Preds {
-		bound, err := bindPredParams(pr.P, params)
-		if err != nil {
-			return nil, fmt.Errorf("plan: predicate on %s: %w", pr.Col, err)
-		}
-		if bound, err = coercePred(bound, pr.Col.Kind); err != nil {
-			return nil, fmt.Errorf("plan: predicate on %s: %w", pr.Col, err)
-		}
-		out.Preds[i] = Pred{Col: pr.Col, P: bound}
+	var err error
+	if out.Preds, err = bindPreds(q.Preds, params); err != nil {
+		return nil, err
 	}
 	if len(q.Having) > 0 {
 		out.Having = make([]HavingPred, len(q.Having))
@@ -238,36 +231,46 @@ func (q *Query) BindParams(params []value.Value) (*Query, error) {
 	return &out, nil
 }
 
-// bindPredParams substitutes placeholder literals inside one predicate.
-func bindPredParams(p pred.P, params []value.Value) (pred.P, error) {
-	sub := func(v value.Value) (value.Value, error) {
-		if !v.IsParam() {
-			return v, nil
-		}
-		ord := v.ParamOrdinal()
-		if ord < 0 || ord >= len(params) {
-			return value.Value{}, fmt.Errorf("placeholder %d out of range", ord+1)
-		}
-		return params[ord], nil
-	}
-	var err error
-	switch p.Form {
-	case pred.FormCompare:
-		p.Val, err = sub(p.Val)
-	case pred.FormBetween:
-		if p.Lo, err = sub(p.Lo); err == nil {
-			p.Hi, err = sub(p.Hi)
-		}
-	case pred.FormIn:
-		set := make([]value.Value, len(p.Set))
-		for i, v := range p.Set {
-			if set[i], err = sub(v); err != nil {
-				break
+// bindPreds returns preds with their '?' placeholders substituted from
+// params (by ordinal) and coerced to their column kinds.
+func bindPreds(preds []Pred, params []value.Value) ([]Pred, error) {
+	out := make([]Pred, len(preds))
+	for i, pr := range preds {
+		bound, err := pr.P.MapLiterals(func(v value.Value) (value.Value, error) {
+			if !v.IsParam() {
+				return v, nil
 			}
+			ord := v.ParamOrdinal()
+			if ord < 0 || ord >= len(params) {
+				return value.Value{}, fmt.Errorf("placeholder %d out of range", ord+1)
+			}
+			return value.Coerce(params[ord], pr.Col.Kind)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("plan: predicate on %s: %w", pr.Col, err)
 		}
-		p.Set = set
+		out[i] = Pred{Col: pr.Col, P: bound}
 	}
-	return p, err
+	return out, nil
+}
+
+// bindCond binds one selection condition of a WHERE clause: the column
+// resolve finds for it, and its predicate with the literals coerced to
+// the column's kind ('?' placeholders stay until BindParams).
+func bindCond(cond sql.Condition, resolve func(sql.ColRef) (Col, error)) (Pred, error) {
+	ref, p, err := pred.FromCondition(cond)
+	if err != nil {
+		return Pred{}, err
+	}
+	col, err := resolve(ref)
+	if err != nil {
+		return Pred{}, err
+	}
+	p, err = p.MapLiterals(func(v value.Value) (value.Value, error) { return value.Coerce(v, col.Kind) })
+	if err != nil {
+		return Pred{}, fmt.Errorf("plan: predicate on %s: %w", col, err)
+	}
+	return Pred{Col: col, P: p}, nil
 }
 
 // Bind resolves a parsed SELECT against the schema: FROM tables and
@@ -381,29 +384,11 @@ func Bind(sch *schema.Schema, sel *sql.Select) (*Query, error) {
 			}
 			continue
 		}
-		var colRef sql.ColRef
-		switch c := cond.(type) {
-		case *sql.Compare:
-			colRef = c.Col
-		case *sql.Between:
-			colRef = c.Col
-		case *sql.In:
-			colRef = c.Col
-		default:
-			return nil, fmt.Errorf("plan: unsupported condition %T", cond)
-		}
-		col, err := resolve(colRef)
+		p, err := bindCond(cond, resolve)
 		if err != nil {
 			return nil, err
 		}
-		p, err := pred.FromCondition(cond)
-		if err != nil {
-			return nil, err
-		}
-		if p, err = coercePred(p, col.Kind); err != nil {
-			return nil, fmt.Errorf("plan: predicate on %s: %w", col, err)
-		}
-		q.Preds = append(q.Preds, Pred{Col: col, P: p})
+		q.Preds = append(q.Preds, p)
 	}
 	q.NumParams = sql.CountParams(sel)
 	q.predLabels = make([]string, len(q.Preds))
@@ -660,29 +645,6 @@ func coerceOrdered(v value.Value, k value.Kind) (value.Value, error) {
 		return value.ParseDate(v.Str())
 	}
 	return value.Value{}, fmt.Errorf("cannot compare %s literal against %s", v.Kind(), k)
-}
-
-// coercePred coerces the predicate's literals to the column kind, so
-// date strings written in the paper's formats compare correctly.
-func coercePred(p pred.P, kind value.Kind) (pred.P, error) {
-	var err error
-	switch p.Form {
-	case pred.FormCompare:
-		p.Val, err = value.Coerce(p.Val, kind)
-	case pred.FormBetween:
-		if p.Lo, err = value.Coerce(p.Lo, kind); err == nil {
-			p.Hi, err = value.Coerce(p.Hi, kind)
-		}
-	case pred.FormIn:
-		set := make([]value.Value, len(p.Set))
-		for i, v := range p.Set {
-			if set[i], err = value.Coerce(v, kind); err != nil {
-				break
-			}
-		}
-		p.Set = set
-	}
-	return p, err
 }
 
 // validateJoin checks a join predicate lies on a foreign-key edge between

@@ -107,12 +107,115 @@ func TestFromCondition(t *testing.T) {
 	}
 	forms := []Form{FormCompare, FormBetween, FormIn}
 	for i, want := range forms {
-		p, err := FromCondition(sel.Where[i])
-		if err != nil || p.Form != want {
-			t.Errorf("cond %d: form %v, err %v", i, p.Form, err)
+		col, p, err := FromCondition(sel.Where[i])
+		if err != nil || p.Form != want || col.Column != string(rune('a'+i)) {
+			t.Errorf("cond %d: column %s, form %v, err %v", i, col, p.Form, err)
 		}
 	}
-	if _, err := FromCondition(sel.Where[3]); err == nil {
+	if _, _, err := FromCondition(sel.Where[3]); err == nil {
 		t.Error("join condition accepted as selection")
+	}
+}
+
+// inSpan reports whether v lies in s under value.Compare.
+func inSpan(s Span, v value.Value) (bool, error) {
+	if !s.NoLo {
+		c, err := value.Compare(v, s.Lo)
+		if err != nil || c < 0 || (c == 0 && !s.LoIncl) {
+			return false, err
+		}
+	}
+	if !s.NoHi {
+		c, err := value.Compare(v, s.Hi)
+		if err != nil || c > 0 || (c == 0 && !s.HiIncl) {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// fuzzValue makes a value of one of five kinds from a byte and a small
+// integer: few distinct values, so probes often meet the literals.
+func fuzzValue(kind byte, x int8) value.Value {
+	switch kind % 5 {
+	case 0:
+		return value.NewInt(int64(x % 8))
+	case 1:
+		return value.NewFloat(float64(x%16) / 2)
+	case 2:
+		return value.NewString(string(rune('a' + (x%8+8)%8)))
+	case 3:
+		return value.NewDateDays(int64(x % 8))
+	default:
+		return value.NewBool(x%2 == 0)
+	}
+}
+
+// FuzzSpans holds the spans to Eval: for every form and operator, a probe
+// satisfies the predicate exactly when it lies in one of its spans, and
+// fails to compare exactly when Eval does. A point spans one value from
+// itself to itself.
+func FuzzSpans(f *testing.F) {
+	for op := range uint8(6) { // the probe at, below and above the literal
+		for _, probe := range []byte{3, 2, 4} {
+			f.Add(uint8(0), op, []byte{0, probe, 0, 3})
+		}
+	}
+	f.Add(uint8(1), uint8(0), []byte{1, 2, 1, 6, 0, 3})
+	f.Add(uint8(2), uint8(0), []byte{2, 1, 2, 5, 2, 1, 2, 1})
+	f.Add(uint8(2), uint8(0), []byte{3, 1})
+	f.Fuzz(func(t *testing.T, form, op uint8, lits []byte) {
+		if len(lits) < 2 {
+			return
+		}
+		probe := fuzzValue(lits[0], int8(lits[1]))
+		var vals []value.Value
+		for i := 2; i+1 < len(lits) && len(vals) < 8; i += 2 {
+			vals = append(vals, fuzzValue(lits[i], int8(lits[i+1])))
+		}
+		var p P
+		switch form % 3 {
+		case 0:
+			if len(vals) < 1 {
+				return
+			}
+			p = Compare(sql.CompareOp(int(op)%6), vals[0])
+		case 1:
+			if len(vals) < 2 {
+				return
+			}
+			p = Between(vals[0], vals[1])
+		default:
+			p = In(vals)
+		}
+		want, wantErr := p.Eval(probe)
+		got := false
+		var gotErr error
+		err := p.Spans(func(s Span) error {
+			if s.Point && (!s.LoIncl || !s.HiIncl || s.NoLo || s.NoHi || s.Lo != s.Hi) {
+				t.Fatalf("%s: point span %+v is not one value", p, s)
+			}
+			if got || gotErr != nil {
+				return nil
+			}
+			got, gotErr = inSpan(s, probe)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: Spans: %v", p, err)
+		}
+		if (gotErr != nil) != (wantErr != nil) || (wantErr == nil && got != want) {
+			t.Fatalf("%s on %v: spans say %v, %v; Eval says %v, %v", p, probe, got, gotErr, want, wantErr)
+		}
+	})
+}
+
+func TestSpansUnknown(t *testing.T) {
+	yield := func(Span) error { return nil }
+	if err := (P{Form: Form(99)}).Spans(yield); err == nil {
+		t.Error("unknown form spanned")
+	}
+	if err := Compare(sql.CompareOp(99), value.NewInt(1)).Spans(yield); err == nil {
+		t.Error("unknown operator spanned")
 	}
 }

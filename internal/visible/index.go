@@ -2,13 +2,13 @@ package visible
 
 import (
 	"cmp"
+	"errors"
 	"math"
 	"math/bits"
 	"slices"
 	"sort"
 
 	"github.com/ghostdb/ghostdb/internal/pred"
-	"github.com/ghostdb/ghostdb/internal/sql"
 	"github.com/ghostdb/ghostdb/internal/value"
 )
 
@@ -157,49 +157,35 @@ func (c *Column) literal(v value.Value) (value.Value, bool) {
 	return v, true
 }
 
-// runs appends the runs of the sort order that satisfy p: one for =, <,
-// <=, >, >= and BETWEEN, two for <>, one per element for IN.
+// runs appends the run of the sort order each of p's spans covers, in
+// the order pred.P.Spans gives them. It reports false when a span's
+// literal does not fit the column (literal) or p is not one Spans knows.
 func (c *Column) runs(p pred.P, runs []run) ([]run, bool) {
-	n := c.n
-	switch p.Form {
-	case pred.FormCompare:
-		v, ok := c.literal(p.Val)
-		if !ok {
-			return nil, false
-		}
-		switch p.Op {
-		case sql.OpEq:
-			return append(runs, run{c.below(v, false), c.below(v, true)}), true
-		case sql.OpNe:
-			return append(runs, run{0, c.below(v, false)}, run{c.below(v, true), n}), true
-		case sql.OpLt:
-			return append(runs, run{0, c.below(v, false)}), true
-		case sql.OpLe:
-			return append(runs, run{0, c.below(v, true)}), true
-		case sql.OpGt:
-			return append(runs, run{c.below(v, true), n}), true
-		case sql.OpGe:
-			return append(runs, run{c.below(v, false), n}), true
-		}
-	case pred.FormBetween:
-		lo, okLo := c.literal(p.Lo)
-		hi, okHi := c.literal(p.Hi)
-		if !okLo || !okHi {
-			return nil, false
-		}
-		return append(runs, run{c.below(lo, false), c.below(hi, true)}), true
-	case pred.FormIn:
-		for _, s := range p.Set {
-			v, ok := c.literal(s)
+	err := p.Spans(func(s pred.Span) error {
+		r := run{0, c.n}
+		if !s.NoLo {
+			v, ok := c.literal(s.Lo)
 			if !ok {
-				return nil, false
+				return errUnfit
 			}
-			runs = append(runs, run{c.below(v, false), c.below(v, true)})
+			r.lo = c.below(v, !s.LoIncl)
 		}
-		return runs, true
-	}
-	return nil, false // a form or operator only Eval can name the error for
+		if !s.NoHi {
+			v, ok := c.literal(s.Hi)
+			if !ok {
+				return errUnfit
+			}
+			r.hi = c.below(v, s.HiIncl)
+		}
+		runs = append(runs, r)
+		return nil
+	})
+	return runs, err == nil
 }
+
+// errUnfit stops runs at a literal the column cannot compare as the scan
+// would.
+var errUnfit = errors.New("visible: literal does not fit the column")
 
 // below counts the values less than v, or less than or equal to v: the
 // position in the sort order where a run bounded by v starts or ends.
