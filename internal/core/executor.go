@@ -1052,34 +1052,14 @@ func (ex *executor) mergePass(rf *exec.RowFile, table string, field int, column 
 	phase := e.clock.Now()
 	stream := &busKVIter{ex: ex, kvs: kvs, note: label + " stream"}
 
-	var out *exec.RowFileWriter
 	resultBytes := 0
-	matchFn := func(r exec.Row, v value.Value) error {
+	out, err := e.env.MergeProject(rf, field, stream, rewrite, op, func(seq uint32, v value.Value) {
 		for _, j := range projIdxs {
-			ex.proj.set(j, r.Seq, v)
+			ex.proj.set(j, seq, v)
 			resultBytes += 4 + v.EncodedSize()
 		}
-		if out != nil {
-			return out.Write(r)
-		}
-		return nil
-	}
-	rows, err := rf.IterBatch()
+	})
 	if err != nil {
-		return nil, err
-	}
-	if rewrite {
-		out, err = e.env.NewRowFileWriter(rf.Fields())
-		if err != nil {
-			rows.Close()
-			return nil, err
-		}
-	}
-	err = e.env.MergeRowsWithStreamBatch(rows, field, stream, op, matchFn)
-	if err != nil {
-		if out != nil {
-			out.Abort()
-		}
 		return nil, err
 	}
 	// Matched values go to the secure display as they are produced.

@@ -57,11 +57,15 @@ package exec
 //     needed — where the byte-shaped calls program and read it. The
 //     external sort does not decode records at all: run formation copies
 //     them from the page into the sort buffer — the simulated device's
-//     run buffer, the one place a record is copied out of its page —
-//     reads one word of each, the key, and moves the records from there
-//     into the run writer's tail; a merge moves each winning record from
-//     its run's lent page to the output page. The key read and the moves
-//     are record.go's too.
+//     run buffer — reads one word of each, the key, and moves the records
+//     from there into the run writer's tail; a merge moves the winning
+//     records from their run's lent page to the output page, a streak at
+//     a time. The projection merge copies a row batch's records from
+//     their pages into a record buffer, so the batch's pages are read when
+//     it starts, reads two words of each, key and sequence number, and
+//     moves consecutive survivors from there to the rewrite as one run.
+//     Those two buffers are the only places a record is copied out of its
+//     page; the key and sequence reads and the moves are record.go's too.
 
 import (
 	"fmt"

@@ -185,9 +185,9 @@ func TestJoinFilterBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestMergeRowsWithStreamBatchAllocs asserts projection streaming
-// allocates O(1) per batch (bounded far below one alloc per row).
-func TestMergeRowsWithStreamBatchAllocs(t *testing.T) {
+// TestMergeProjectAllocs asserts projection streaming allocates O(1) per
+// batch (bounded far below one alloc per row).
+func TestMergeProjectAllocs(t *testing.T) {
 	e := newEnv(t)
 	const n = 20_000
 	rows := make([][]uint32, n)
@@ -204,13 +204,8 @@ func TestMergeRowsWithStreamBatchAllocs(t *testing.T) {
 	}
 	nBatches := (n + DefaultRowBatchRows - 1) / DefaultRowBatchRows
 	allocs := testing.AllocsPerRun(5, func() {
-		it, err := rf.IterBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = e.MergeRowsWithStreamBatch(it, 0, &sliceKV{kvs: kvs}, op(),
-			func(Row, value.Value) error { return nil })
-		if err != nil {
+		if _, err := e.MergeProject(rf, 0, &sliceKV{kvs: kvs}, false, op(),
+			func(uint32, value.Value) {}); err != nil {
 			t.Fatal(err)
 		}
 	})

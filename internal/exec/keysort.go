@@ -4,7 +4,7 @@ package exec
 // 1.24's slices.SortFunc — $GOROOT/src/slices/zsortanyfunc.go (generated
 // by gen_sort_variants.go; Copyright 2022 The Go Authors, BSD-style
 // license) and the helpers it takes from slices/sort.go — transcribed for
-// []sortKey by one mechanical transform:
+// []sortKey by two mechanical transforms. The first:
 //
 //   - XxxCmpFunc[E any](data []E, …, cmp func(a, b E) int) becomes the
 //     method (*keySorter).xxx(data []sortKey, …), and E becomes sortKey;
@@ -14,7 +14,18 @@ package exec
 //   - the stable-sort half (stableCmpFunc, symMerge, rotate, swapRange),
 //     which SortFunc does not reach, is left out.
 //
-// Nothing else changes, so the pivots, the comparator calls and the
+// The second counts the three hot scans without a call per compare:
+// insertionSort, partition and partitionEqual hold the key they compare
+// against in a local (the element being inserted; the pivot, which sits
+// at data[a] until the partition ends) and compare keys directly. A scan
+// loop `for i <= j && less(…)` makes one compare per step it takes, plus
+// one when it stops on a false compare rather than on its bound, so each
+// scan adds (steps + stopped-on-compare) to s.compares once it ends.
+// insertionSort shifts the larger keys up and drops the inserted one into
+// the hole instead of swapping it down step by step: the same final
+// order.
+//
+// Nothing else changes, so the pivots, the comparisons counted and the
 // order ties end in are those of slices.SortFunc with the comparator
 // cmp.Compare(a.key, b.key): the count formRuns charges is the count the
 // run sort has always charged. testdata/keysort_golden.txt, written from
@@ -64,11 +75,21 @@ func nextPowerOfTwo(length int) uint {
 
 // insertionSort sorts data[a:b] using insertion sort.
 func (s *keySorter) insertionSort(data []sortKey, a, b int) {
+	var compares int64
 	for i := a + 1; i < b; i++ {
-		for j := i; j > a && s.less(data[j], data[j-1]); j-- {
-			data[j], data[j-1] = data[j-1], data[j]
+		x := data[i]
+		j := i
+		for j > a && x.key < data[j-1].key {
+			data[j] = data[j-1]
+			j--
+		}
+		data[j] = x
+		compares += int64(i - j)
+		if j > a {
+			compares++ // stopped on data[j-1] <= x
 		}
 	}
+	s.compares += compares
 }
 
 // siftDown implements the heap property on data[lo:hi].
@@ -191,15 +212,28 @@ func (s *keySorter) pdqsort(data []sortKey, a, b, limit int) {
 func (s *keySorter) partition(data []sortKey, a, b, pivot int) (newpivot int, alreadyPartitioned bool) {
 	data[a], data[pivot] = data[pivot], data[a]
 	i, j := a+1, b-1 // i and j are inclusive of the elements remaining to be partitioned
+	p := data[a].key
+	compares := int64(0)
 
-	for i <= j && s.less(data[i], data[a]) {
+	i0 := i
+	for i <= j && data[i].key < p {
 		i++
 	}
-	for i <= j && !s.less(data[j], data[a]) {
+	compares += int64(i - i0)
+	if i <= j {
+		compares++
+	}
+	j0 := j
+	for i <= j && !(data[j].key < p) {
 		j--
+	}
+	compares += int64(j0 - j)
+	if i <= j {
+		compares++
 	}
 	if i > j {
 		data[j], data[a] = data[a], data[j]
+		s.compares += compares
 		return j, true
 	}
 	data[i], data[j] = data[j], data[i]
@@ -207,11 +241,21 @@ func (s *keySorter) partition(data []sortKey, a, b, pivot int) (newpivot int, al
 	j--
 
 	for {
-		for i <= j && s.less(data[i], data[a]) {
+		i0 := i
+		for i <= j && data[i].key < p {
 			i++
 		}
-		for i <= j && !s.less(data[j], data[a]) {
+		compares += int64(i - i0)
+		if i <= j {
+			compares++
+		}
+		j0 := j
+		for i <= j && !(data[j].key < p) {
 			j--
+		}
+		compares += int64(j0 - j)
+		if i <= j {
+			compares++
 		}
 		if i > j {
 			break
@@ -221,6 +265,7 @@ func (s *keySorter) partition(data []sortKey, a, b, pivot int) (newpivot int, al
 		j--
 	}
 	data[j], data[a] = data[a], data[j]
+	s.compares += compares
 	return j, false
 }
 
@@ -229,13 +274,25 @@ func (s *keySorter) partition(data []sortKey, a, b, pivot int) (newpivot int, al
 func (s *keySorter) partitionEqual(data []sortKey, a, b, pivot int) (newpivot int) {
 	data[a], data[pivot] = data[pivot], data[a]
 	i, j := a+1, b-1 // i and j are inclusive of the elements remaining to be partitioned
+	p := data[a].key
+	compares := int64(0)
 
 	for {
-		for i <= j && !s.less(data[a], data[i]) {
+		i0 := i
+		for i <= j && !(p < data[i].key) {
 			i++
 		}
-		for i <= j && s.less(data[a], data[j]) {
+		compares += int64(i - i0)
+		if i <= j {
+			compares++
+		}
+		j0 := j
+		for i <= j && p < data[j].key {
 			j--
+		}
+		compares += int64(j0 - j)
+		if i <= j {
+			compares++
 		}
 		if i > j {
 			break
@@ -244,6 +301,7 @@ func (s *keySorter) partitionEqual(data []sortKey, a, b, pivot int) (newpivot in
 		i++
 		j--
 	}
+	s.compares += compares
 	return i
 }
 

@@ -33,6 +33,11 @@ func recordKey(rec []byte, field int) uint32 {
 	return binary.LittleEndian.Uint32(rec[4*(1+field):])
 }
 
+// recordSeq decodes the sequence number of the record at rec.
+func recordSeq(rec []byte) uint32 {
+	return binary.LittleEndian.Uint32(rec)
+}
+
 // recordWriter appends records to a scratch region. The page buffer it
 // encodes into is the flash.Writer's; the caller holds its RAM grant.
 type recordWriter struct {
@@ -87,14 +92,16 @@ func (rw *recordWriter) putRow(seq uint32, ids []uint32) error {
 	return rw.put(one[:], ids, len(ids))
 }
 
-// move appends one encoded record, copying its bytes into the tail; a
-// record that straddles the page goes through Write.
-func (rw *recordWriter) move(rec []byte) error {
-	if tail := rw.w.Tail(); len(tail) >= len(rec) {
-		copy(tail, rec)
-		return rw.w.Commit(len(rec))
+// moveRun appends a run of whole encoded records, one or more, copying
+// their bytes into the tail; a run that does not fit goes through Write,
+// which fills the tail, programs the page and goes on in the next one —
+// the bytes and the page programs of moving the records one at a time.
+func (rw *recordWriter) moveRun(recs []byte) error {
+	if tail := rw.w.Tail(); len(tail) >= len(recs) {
+		copy(tail, recs)
+		return rw.w.Commit(len(recs))
 	}
-	_, err := rw.w.Write(rec)
+	_, err := rw.w.Write(recs)
 	return err
 }
 
@@ -106,7 +113,7 @@ func (rw *recordWriter) moveSorted(buf []byte, width int, keys []sortKey) error 
 		k := min(len(tail)/width, len(keys))
 		if k == 0 {
 			p := int(keys[0].pos) * width
-			if err := rw.move(buf[p : p+width]); err != nil {
+			if err := rw.moveRun(buf[p : p+width]); err != nil {
 				return err
 			}
 			keys = keys[1:]
@@ -133,8 +140,9 @@ type recordReader struct {
 }
 
 // fill copies the next len(dst) bytes of records into dst, reading each
-// page when its first byte is needed: run formation's sort buffer, the
-// one place a record is copied out of the page it was read into.
+// page when its first byte is needed: run formation's sort buffer and
+// the projection merge's record buffer, the two places a record is
+// copied out of the page it was read into.
 func (rr *recordReader) fill(dst []byte) error {
 	_, err := io.ReadFull(rr.r, dst)
 	return err

@@ -99,6 +99,17 @@ func (w *RowFileWriter) Close() (*RowFile, error) {
 	return &RowFile{env: w.env, ext: ext, n: w.n, fields: w.fields}, nil
 }
 
+// moveRun appends a run of whole encoded records of the writer's width.
+func (w *RowFileWriter) moveRun(recs []byte) error {
+	if err := w.w.moveRun(recs); err != nil {
+		return err
+	}
+	m := len(recs) / (4 * (1 + w.fields))
+	w.n += m
+	w.unpaid += int64(m)
+	return nil
+}
+
 // Abort releases resources without producing a file.
 func (w *RowFileWriter) Abort() {
 	w.Settle()
@@ -116,13 +127,13 @@ func (w *RowFileWriter) Abort() {
 // outputs are written by moving record bytes into the writer's lent tail.
 //
 // Every simulated comparison is counted, then charged: run formation sorts
-// (key, position) pairs with keySorter, which counts its comparator calls,
+// (key, position) pairs with keySorter, which counts its comparisons,
 // and pays CyclesCompare × count in one ChargeUnits per run, as
 // mergeRowRuns does per merge. ChargeUnits(c, n) is n × Charge(c) to the
 // nanosecond (sim.TestChargeUnitsMatchesRepeatedCharge), so the clock only
 // stays put if the count equals what a charge inside the comparator would
 // have paid: keySorter is slices.SortFunc's pdqsort transcribed, with its
-// comparator calls and tie order (keysort.go; testdata/keysort_golden.txt
+// comparison count and tie order (keysort.go; testdata/keysort_golden.txt
 // pins both). TestDifferentialSortRowFile holds the whole sort to its
 // per-comparison predecessor (row order, clock, flash, RAM), and CI
 // rejects any other comparison sort or a per-comparison e.cpu( here.
@@ -158,7 +169,7 @@ func (e *Env) SortRowFile(rf *RowFile, byField, bufBytes, fanin int, op *stats.O
 			if end > len(runs) {
 				end = len(runs)
 			}
-			merged, err := e.mergeRowRuns(runs[start:end], byField)
+			merged, _, _, err := e.mergeRowRuns(runs[start:end], byField)
 			if err != nil {
 				return nil, err
 			}
@@ -254,17 +265,22 @@ func (h *runHead) close() {
 	}
 }
 
-// mergeRowRuns merges sorted runs into a new scratch run, moving each
-// winning record from the page its run's stream lent to the output page.
-// The heads' keys sit in one slice in run order; the strict < makes the
-// lowest remaining run win a tie. Each row pays len(heads)−1 compares, and
-// the counted charges are paid in one batch at the end.
-func (e *Env) mergeRowRuns(runs []*RowFile, byField int) (*RowFile, error) {
+// mergeRowRuns merges sorted runs into a new scratch run, moving the
+// winning records from the page their run's stream lent to the output
+// page. The heads' keys sit in one slice in run order, and the lowest
+// remaining run wins a tie. Records leave in streaks: the scan that picks
+// the lowest head also keeps the runner-up by (key, run), and the
+// winner's following records in its lent page go with it, as one
+// moveRun, for as long as each would still win against the runner-up —
+// below its key, or equal to it from a lower-numbered run. Each record
+// pays len(heads)−1 compares and one read, as if it had won its own scan,
+// and the counted charges are paid in one batch at the end; the merge
+// reports the counts it paid.
+func (e *Env) mergeRowRuns(runs []*RowFile, byField int) (merged *RowFile, read, compares int64, err error) {
 	fields, width := runs[0].fields, runs[0].recordWidth()
 	slab := make([]runHead, len(runs)) // rule 3: the merge's per-input state
 	heads := make([]*runHead, 0, len(runs))
 	keys := make([]uint32, 0, len(runs))
-	var read, compares int64
 	// settle pays the counted charges and closes every stream.
 	settle := func() {
 		e.cpuUnits(int64(sim.CyclesCopyWord)*int64(1+fields), read)
@@ -277,13 +293,13 @@ func (e *Env) mergeRowRuns(runs []*RowFile, byField int) (*RowFile, error) {
 		h := &slab[i]
 		if err := e.Dev.RAM.AllocInto(&h.grant, e.pageSize(), "row-reader"); err != nil {
 			settle()
-			return nil, err
+			return nil, read, compares, err
 		}
 		h.rr.r = flash.NewReader(e.Dev.Flash, r.ext)
 		ok, err := h.next(width)
 		if err != nil {
 			settle()
-			return nil, err
+			return nil, read, compares, err
 		}
 		if !ok {
 			h.close()
@@ -296,33 +312,53 @@ func (e *Env) mergeRowRuns(runs []*RowFile, byField int) (*RowFile, error) {
 	var wGrant ram.Grant
 	if err := e.Dev.RAM.AllocInto(&wGrant, e.pageSize(), "merge-writer"); err != nil {
 		settle()
-		return nil, err
+		return nil, read, compares, err
 	}
 	defer wGrant.Free()
 	w, err := e.newRecordWriter()
 	if err != nil {
 		settle()
-		return nil, err
+		return nil, read, compares, err
 	}
-	fail := func(err error) (*RowFile, error) {
+	fail := func(err error) (*RowFile, int64, int64, error) {
 		settle()
 		_, _ = w.close() // release the scratch writer
-		return nil, err
+		return nil, read, compares, err
 	}
 	n := 0
 	for len(keys) > 0 {
-		best := 0
+		best, second := 0, -1
 		for i := 1; i < len(keys); i++ {
-			if keys[i] < keys[best] {
-				best = i
+			switch {
+			case keys[i] < keys[best]:
+				best, second = i, best
+			case second < 0 || keys[i] < keys[second]:
+				second = i
 			}
 		}
-		compares += int64(len(keys) - 1)
+		// A following record of best's stays in the streak while its key
+		// is below bound: the runner-up's key, or one past it when best is
+		// the lower-numbered run of the two; with no runner-up, all stay.
+		bound := uint64(1) << 32
+		if second >= 0 {
+			bound = uint64(keys[second])
+			if best < second {
+				bound++
+			}
+		}
 		h := heads[best]
-		if err := w.move(h.recs[:width]); err != nil {
+		end := width
+		for end < len(h.recs) && uint64(recordKey(h.recs[end:], byField)) < bound {
+			end += width
+		}
+		if err := w.moveRun(h.recs[:end]); err != nil {
 			return fail(err)
 		}
-		n++
+		m := end / width
+		n += m
+		compares += int64(m) * int64(len(keys)-1)
+		read += int64(m - 1)
+		h.recs = h.recs[end-width:] // the streak's last record is the head
 		ok, err := h.next(width)
 		if err != nil {
 			return fail(err)
@@ -339,7 +375,7 @@ func (e *Env) mergeRowRuns(runs []*RowFile, byField int) (*RowFile, error) {
 	settle()
 	ext, err := w.close()
 	if err != nil {
-		return nil, err
+		return nil, read, compares, err
 	}
-	return &RowFile{env: e, ext: ext, n: n, fields: fields}, nil
+	return &RowFile{env: e, ext: ext, n: n, fields: fields}, read, compares, nil
 }

@@ -227,6 +227,10 @@ func TestMergeRowsWithStream(t *testing.T) {
 		rows: [][]uint32{{1, 10}, {2, 10}, {3, 20}, {4, 30}, {5, 30}},
 		seqs: []uint32{0, 1, 2, 3, 4},
 	}
+	rf, err := e.MaterializeRowsBatch(rows, 2, false, op())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Rows sorted by field 1; stream covers 10 and 30 but not 20.
 	stream := &sliceKV{kvs: []KV{
 		{ID: 10, Val: value.NewString("ten")},
@@ -236,10 +240,9 @@ func TestMergeRowsWithStream(t *testing.T) {
 	var matched []string
 	var seqs []uint32
 	o := op()
-	err := e.MergeRowsWithStreamBatch(rows, 1, stream, o, func(r Row, v value.Value) error {
+	w, err := e.MergeProject(rf, 1, stream, true, o, func(seq uint32, v value.Value) {
 		matched = append(matched, v.Str())
-		seqs = append(seqs, r.Seq)
-		return nil
+		seqs = append(seqs, seq)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,18 +256,26 @@ func TestMergeRowsWithStream(t *testing.T) {
 	if o.TuplesIn != 5 || o.TuplesOut != 4 {
 		t.Errorf("op in=%d out=%d", o.TuplesIn, o.TuplesOut)
 	}
+	out, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs, ids := collectRows(t, e, out)
+	if !reflect.DeepEqual(seqs, []uint32{0, 1, 3, 4}) || !reflect.DeepEqual(ids, [][]uint32{{1, 10}, {2, 10}, {4, 30}, {5, 30}}) {
+		t.Errorf("rewrite = %v %v", seqs, ids)
+	}
 }
 
 func TestMergeRowsWithEmptyStream(t *testing.T) {
 	e := newEnv(t)
-	rows := &sliceRowBatch{rows: [][]uint32{{1}, {2}}}
+	rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: [][]uint32{{1}, {2}}}, 1, true, op())
+	if err != nil {
+		t.Fatal(err)
+	}
 	count := 0
-	err := e.MergeRowsWithStreamBatch(rows, 0, &sliceKV{}, op(), func(Row, value.Value) error {
-		count++
-		return nil
-	})
-	if err != nil || count != 0 {
-		t.Errorf("empty stream matched %d, err %v", count, err)
+	w, err := e.MergeProject(rf, 0, &sliceKV{}, false, op(), func(uint32, value.Value) { count++ })
+	if err != nil || count != 0 || w != nil {
+		t.Errorf("empty stream matched %d, writer %v, err %v", count, w, err)
 	}
 }
 
@@ -340,35 +351,45 @@ func TestQuickSortRowFile(t *testing.T) {
 	_ = stats.FormatBytes(0)
 }
 
-// BenchmarkSortRowFile sorts 50 000 three-field rows by a random member
-// ID with the buffer and fan-in the projection passes use, on a fresh
-// default device per iteration (set-up excluded).
+// BenchmarkSortRowFile sorts 50 000 three-field rows by a member ID with
+// the buffer and fan-in the projection passes use, on a fresh default
+// device per iteration (set-up excluded).
 func BenchmarkSortRowFile(b *testing.B) {
 	const n = 50_000
-	rng := rand.New(rand.NewSource(16))
-	rows := make([][]uint32, n)
-	for i := range rows {
-		rows[i] = []uint32{uint32(i + 1), uint32(1 + rng.Intn(n/10)), uint32(1 + rng.Intn(n/5))}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dev, err := device.New(device.SmartUSB2007(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := NewEnv(dev)
-		rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, 3, true, op())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		sorted, err := e.SortRowFile(rf, 1, int(dev.RAM.Available())/2, e.Fanin(0.25), op())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sorted.Count() != n {
-			b.Fatalf("sorted %d of %d rows", sorted.Count(), n)
-		}
+	// random keys on n/10 values, where a merge's winner rarely brings a
+	// streak; dim keys on n/1000, the shape of a sort by a dimension key
+	// (agg_group's), where most winners bring tens of records.
+	for _, c := range []struct {
+		name string
+		keys int
+	}{{"random", n / 10}, {"dim", n / 1000}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(16))
+			rows := make([][]uint32, n)
+			for i := range rows {
+				rows[i] = []uint32{uint32(i + 1), uint32(1 + rng.Intn(c.keys)), uint32(1 + rng.Intn(n/5))}
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dev, err := device.New(device.SmartUSB2007(), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e := NewEnv(dev)
+				rf, err := e.MaterializeRowsBatch(&sliceRowBatch{rows: rows}, 3, true, op())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				sorted, err := e.SortRowFile(rf, 1, int(dev.RAM.Available())/2, e.Fanin(0.25), op())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if sorted.Count() != n {
+					b.Fatalf("sorted %d of %d rows", sorted.Count(), n)
+				}
+			}
+		})
 	}
 }

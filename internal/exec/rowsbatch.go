@@ -505,55 +505,116 @@ func (e *Env) BuildBloomBatch(ids BatchIter, expected int, targetFPR float64, ma
 	return f, grant.Free, nil
 }
 
-// MergeRowsWithStreamBatch merges batched rows (sorted ascending by
-// IDs[field]) with a visible (id, value) stream sorted by unique
-// ascending ID. Rows whose ID appears in the stream survive and are
-// passed to onMatch with the value (the projection attachment); rows
-// missing from the stream are dropped — this is the exact verification
-// that repairs Bloom false positives. The KV stream itself stays
-// element-at-a-time: it is the bus-charged projection stream, whose
-// chunked messages must go out at the same points at every batch
-// length. Rows passed to onMatch are views into a pooled batch:
-// valid for the duration of the callback plus the rest of the batch.
-func (e *Env) MergeRowsWithStreamBatch(rows BatchRowIter, field int, stream KVIter, op *stats.Op, onMatch func(Row, value.Value) error) error {
-	defer rows.Close()
+// MergeProject merges the row file rf (sorted ascending by ID field
+// field) with a visible (id, value) stream sorted by unique ascending ID
+// — the paper's MergeProject. Records whose ID appears in the stream
+// survive: onMatch gets each one's sequence number and value (the
+// projection attachment) and, with rewrite, the record goes to the
+// returned writer; records missing from the stream are dropped — the
+// exact verification that repairs Bloom false positives. The writer's
+// copy cycles are left unpaid for the caller's Settle or Close; on error
+// nothing is returned and the writer is aborted.
+//
+// The file is read a row batch at a time: the batch's pages are read into
+// a record buffer when the batch starts and its copy cycles charged right
+// after, as a row-batch scan of the file does. Records are never decoded
+// past their key and sequence number: consecutive survivors leave for the
+// rewrite as one run of record bytes. The KV stream stays
+// element-at-a-time — it is the bus-charged projection stream, whose
+// chunked messages go out at the same points at every batch length — and
+// a pending run is moved before every stream.Next and at the end of the
+// batch, before the batch's compares are paid, so each page the rewrite
+// programs is programmed between the same two bus sends as when survivors
+// were written one at a time.
+func (e *Env) MergeProject(rf *RowFile, field int, stream KVIter, rewrite bool, op *stats.Op, onMatch func(seq uint32, v value.Value)) (*RowFileWriter, error) {
 	defer stream.Close()
+	var grant ram.Grant
+	if err := e.Dev.RAM.AllocInto(&grant, e.pageSize(), "row-reader"); err != nil {
+		return nil, err
+	}
+	defer grant.Free()
+	in := recordReader{r: flash.NewReader(e.Dev.Flash, rf.ext)}
+	defer in.r.Release()
+	var out *RowFileWriter
+	if rewrite {
+		var err error
+		if out, err = e.NewRowFileWriter(rf.fields); err != nil {
+			return nil, err
+		}
+	}
+	fail := func(err error) (*RowFileWriter, error) {
+		if out != nil {
+			out.Abort()
+		}
+		return nil, err
+	}
 	cur, haveKV, err := stream.Next()
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	rb := e.NewRowBatch(1)
-	defer PutRowBatch(rb)
-	for {
-		k, err := rows.Next(rb)
-		if err != nil {
-			return err
+	width, capRows := rf.recordWidth(), e.rowBatchCap()
+	bufp := recordBufPool.Get().(*[]byte)
+	defer recordBufPool.Put(bufp)
+	if cap(*bufp) < capRows*width {
+		*bufp = make([]byte, capRows*width)
+	}
+	for read := 0; read < rf.n; {
+		k := min(capRows, rf.n-read)
+		recs := (*bufp)[:k*width]
+		if err := in.fill(recs); err != nil {
+			return fail(fmt.Errorf("exec: row file read: %w", err))
 		}
-		if k == 0 {
-			return nil
-		}
+		read += k
+		e.cpuUnits(int64(sim.CyclesCopyWord)*int64(1+rf.fields), int64(k))
 		op.AddIn(int64(k))
 		var compares, matched int64
-		for i := 0; i < k; i++ {
-			r := rb.Row(i)
-			id := r.IDs[field]
-			for haveKV && cur.ID < id {
-				compares++
-				cur, haveKV, err = stream.Next()
-				if err != nil {
-					e.cpuUnits(sim.CyclesCompare, compares)
-					return err
+		// stop pays the batch's compares so far and fails the merge.
+		stop := func(err error) (*RowFileWriter, error) {
+			e.cpuUnits(sim.CyclesCompare, compares)
+			return fail(err)
+		}
+		runStart, runEnd := 0, 0 // recs[runStart:runEnd]: survivors not yet moved
+		flush := func() error {
+			if runEnd == runStart || out == nil {
+				return nil
+			}
+			err := out.moveRun(recs[runStart:runEnd])
+			runStart = runEnd
+			return err
+		}
+		for p := 0; p < len(recs); p += width {
+			id := recordKey(recs[p:], field)
+			if haveKV && cur.ID < id {
+				if err := flush(); err != nil {
+					return stop(err)
+				}
+				for haveKV && cur.ID < id {
+					compares++
+					if cur, haveKV, err = stream.Next(); err != nil {
+						return stop(err)
+					}
 				}
 			}
 			if haveKV && cur.ID == id {
 				matched++
-				if err := onMatch(r, cur.Val); err != nil {
-					e.cpuUnits(sim.CyclesCompare, compares)
-					return err
+				onMatch(recordSeq(recs[p:]), cur.Val)
+				if p != runEnd {
+					if err := flush(); err != nil {
+						return stop(err)
+					}
+					runStart = p
 				}
+				runEnd = p + width
 			}
+		}
+		if err := flush(); err != nil {
+			return stop(err)
 		}
 		e.cpuUnits(sim.CyclesCompare, compares)
 		op.AddOut(matched)
 	}
+	return out, nil
 }
+
+// recordBufPool recycles MergeProject's record buffer across passes.
+var recordBufPool = sync.Pool{New: func() any { return new([]byte) }}

@@ -21,6 +21,7 @@ package pred
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/ghostdb/ghostdb/internal/sql"
@@ -121,7 +122,9 @@ func (p P) Eval(v value.Value) (bool, error) {
 
 // MapLiterals returns p with every literal replaced by f's answer for it,
 // in the order they are written; an IN list is copied, never rewritten in
-// place. It stops at f's first error.
+// place, and keeps only the first of the answers that compare equal (a
+// '?' placeholder equals nothing), so every reading of the bound list
+// sees each value once. It stops at f's first error.
 func (p P) MapLiterals(f func(value.Value) (value.Value, error)) (P, error) {
 	var err error
 	switch p.Form {
@@ -132,10 +135,14 @@ func (p P) MapLiterals(f func(value.Value) (value.Value, error)) (P, error) {
 			p.Hi, err = f(p.Hi)
 		}
 	case FormIn:
-		set := make([]value.Value, len(p.Set))
-		for i, v := range p.Set {
-			if set[i], err = f(v); err != nil {
+		set := make([]value.Value, 0, len(p.Set))
+		for _, v := range p.Set {
+			var m value.Value
+			if m, err = f(v); err != nil {
 				break
+			}
+			if !slices.ContainsFunc(set, func(u value.Value) bool { c, err := value.Compare(u, m); return err == nil && c == 0 }) {
+				set = append(set, m)
 			}
 		}
 		p.Set = set
